@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import sqrt
 from typing import Any, Callable, Union
 
 import numpy as np
 
-from .basis import BasisE, build_basis, decompose, pair_count, pairs, pauli_matrix, reconstruct
+from .basis import pair_count, pairs, pauli_matrix
 from .jsonio import SchemaError, require, require_number
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, frobenius_norm, is_hermitian
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_matrix_stack, frobenius_norm, is_hermitian
 
 __all__ = [
     "Family",
@@ -40,6 +40,7 @@ __all__ = [
     "family_apply",
     "family_to_diagonal",
     "diagonal_apply",
+    "diagonal_image",
     "adjoint_diagonal",
     "as_linear_map",
     "to_choi",
@@ -104,7 +105,10 @@ def cptp_range(family: Family, n):
 
 @dataclass(frozen=True)
 class FamilyChannel:
-    """One member of a family: kind, parameter p, dimension."""
+    """One member of a family: kind, parameter p, dimension.
+
+    Calling the channel applies its closed form (:func:`family_apply`).
+    """
 
     family: Family
     p: float
@@ -119,6 +123,9 @@ class FamilyChannel:
         lo, hi = cptp_range(self.family, self.dim)
         object.__setattr__(self, "in_cptp_range", bool(lo <= self.p <= hi))
 
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        return family_apply(self, s)
+
 
 @dataclass(frozen=True)
 class DiagonalChannel:
@@ -126,7 +133,8 @@ class DiagonalChannel:
 
     ``t`` holds the n^2 - 1 multipliers of the traceless sectors in basis
     order (x block, y block, z block); the identity multiplier is fixed
-    at 1, which is exactly trace preservation.
+    at 1, which is exactly trace preservation.  Calling the channel applies
+    it (:func:`diagonal_apply`).
     """
 
     dim: int
@@ -156,6 +164,28 @@ class DiagonalChannel:
     @property
     def t_z(self) -> np.ndarray:
         return self.t[2 * pair_count(self.dim) :]
+
+    @cached_property
+    def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric n x n weights (a, b) of the off-diagonal action.
+
+        Output entry (k, l), k != l, is ``a_kl S_kl + b_kl S_lk`` with
+        ``a = (t_x + t_y)/2`` and ``b = (t_x - t_y)/2`` of the pair {k, l};
+        both diagonals are zero.
+        """
+
+        n = self.dim
+        k, l = np.triu_indices(n, 1)  # lexicographic pair order, 0-based
+        a = np.zeros((n, n))
+        b = np.zeros((n, n))
+        a[k, l] = a[l, k] = (self.t_x + self.t_y) / 2
+        b[k, l] = b[l, k] = (self.t_x - self.t_y) / 2
+        a.flags.writeable = False
+        b.flags.writeable = False
+        return a, b
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        return diagonal_apply(self, s)
 
 
 @dataclass(frozen=True)
@@ -188,22 +218,27 @@ class ReprCoefficients:
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
-    """Closed-form action of the family member on a square matrix."""
+    """Closed-form action of the family member on a square matrix.
 
-    s = as_matrix(s, name="input")
+    Also takes an (..., n, n) stack; each matrix of the result is
+    bit-identical to applying the map to that matrix alone.
+    """
+
+    s = as_matrix_stack(s, name="input")
     n = ch.dim
-    if s.shape[0] != n:
-        raise ValueError(f"dimension mismatch: input is {s.shape[0]}x{s.shape[0]}, channel dim {n}")
+    _check_input_dim(s, n)
     p = ch.p
-    uniform = (1 - p) / n * np.trace(s) * np.eye(n, dtype=complex)
+    trace = np.trace(s, axis1=-2, axis2=-1)
+    uniform = ((1 - p) / n * trace)[..., None, None] * np.eye(n, dtype=complex)
     if ch.family is Family.DEP:
         return p * s + uniform
+    s_t = np.swapaxes(s, -1, -2)
     if ch.family is Family.TRD:
-        return p * s.T + uniform
-    diag_part = 2 * p * np.diag(np.diag(s))
+        return p * s_t + uniform
+    diag_part = 2 * p * _diag_embed(np.diagonal(s, axis1=-2, axis2=-1))
     if ch.family is Family.DCQ:
         return -p * s + uniform + diag_part
-    return -p * s.T + uniform + diag_part
+    return -p * s_t + uniform + diag_part
 
 
 def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
@@ -222,14 +257,62 @@ def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
     return DiagonalChannel(dim=n, t=t)
 
 
-def diagonal_apply(ch: DiagonalChannel, s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Apply a diagonal channel to a Hermitian matrix via its coordinates."""
+def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
+    """Apply a diagonal channel to a square matrix or an (..., n, n) stack.
 
-    basis = build_basis(ch.dim)
-    coeffs = decompose(s, basis, tol)
-    scaled = coeffs.copy()
-    scaled[1:] *= ch.t
-    return reconstruct(scaled, basis)
+    This is the linear extension of the basis picture to every complex
+    input, computed sector by sector in O(n^2) per matrix: the x/y sectors
+    of a pair {k, l} mix (S_kl, S_lk) with :attr:`DiagonalChannel.pair_weights`,
+    and the diagonal goes through :func:`diagonal_image`.
+    """
+
+    s = as_matrix_stack(s, name="input")
+    n = ch.dim
+    _check_input_dim(s, n)
+    a, b = ch.pair_weights
+    out = a * s
+    out += b * np.swapaxes(s, -1, -2)  # in place: one (..., n, n) temporary fewer
+    idx = np.arange(n)
+    out[..., idx, idx] = diagonal_image(ch, s[..., idx, idx])
+    return out
+
+
+def diagonal_image(ch: DiagonalChannel, d: np.ndarray) -> np.ndarray:
+    """Diagonal of the image of any input whose diagonal is ``d`` (shape (..., n)).
+
+    Off-diagonal input entries never reach the output diagonal.  The
+    result is the identity component Tr(S)/n plus the staircase z-sector
+    transform: with M_j = diag(1 x j, -j, 0, ...), sector j contributes
+    w_j M_j where w_j = t_j Tr(M_j S) / (j (j+1)).  Prefix sums make this
+    O(n) per input.
+    """
+
+    n = ch.dim
+    j = np.arange(1, n)
+    prefix = np.cumsum(d, axis=-1)
+    w = ch.t_z / (j * (j + 1)) * (prefix[..., :-1] - j * d[..., 1:])
+    out = np.repeat(prefix[..., -1:] / n, n, axis=-1)
+    # Entry i collects the ones of every M_j with j > i and the -j of M_i.
+    out[..., :-1] += np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    out[..., 1:] -= j * w
+    return out
+
+
+def _check_input_dim(s: np.ndarray, n: int) -> None:
+    if s.shape[-1] != n:
+        raise ValueError(
+            f"dimension mismatch: input is {s.shape[-1]}x{s.shape[-1]}, channel dim {n}"
+        )
+
+
+def _diag_embed(d: np.ndarray) -> np.ndarray:
+    """Stack of diagonal matrices with the given (..., n) diagonals."""
+
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,), dtype=d.dtype)
+    idx = np.arange(n)
+    out[..., idx, idx] = d
+    return out
 
 
 def adjoint_diagonal(ch: DiagonalChannel) -> DiagonalChannel:
@@ -241,12 +324,15 @@ AnyChannel = Union[FamilyChannel, DiagonalChannel]
 
 
 def as_linear_map(ch: AnyChannel) -> Callable[[np.ndarray], np.ndarray]:
-    """The channel as a plain function on matrices."""
+    """The channel as a function on matrices: the callable channel itself.
 
-    if isinstance(ch, FamilyChannel):
-        return lambda s: family_apply(ch, s)
-    if isinstance(ch, DiagonalChannel):
-        return lambda s: diagonal_apply(ch, s)
+    Returning the object (not a wrapper) lets ``is_cptp`` and
+    ``constant_fnorm_sample_test`` recognise it and take their
+    block-structured and batched paths.
+    """
+
+    if isinstance(ch, (FamilyChannel, DiagonalChannel)):
+        return ch
     raise TypeError(f"expected FamilyChannel or DiagonalChannel, got {type(ch).__name__}")
 
 
@@ -255,11 +341,11 @@ def to_choi(apply_fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
 
     ``apply_fn`` only ever sees Hermitian arguments: each matrix unit is
     split into Hermitian and anti-Hermitian parts and the images are
-    recombined linearly, so maps defined only on Hermitian matrices (the
-    diagonal picture) work unchanged.
+    recombined linearly, so maps defined only on Hermitian matrices work
+    unchanged.  Each image is written into its (i, j) block, O(n^4) in all.
     """
 
-    choi = np.zeros((n * n, n * n), dtype=complex)
+    choi = np.zeros((n, n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             unit = np.zeros((n, n), dtype=complex)
@@ -272,8 +358,10 @@ def to_choi(apply_fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
                 image = np.asarray(apply_fn(h), dtype=complex) + 1j * np.asarray(
                     apply_fn(a), dtype=complex
                 )
-            choi += np.kron(unit, image)
-    return choi
+            if image.shape != (n, n):
+                raise ValueError(f"map returned shape {image.shape} for an {n}x{n} input")
+            choi[i, :, j, :] = image
+    return choi.reshape(n * n, n * n)
 
 
 def to_superoperator(ch: DiagonalChannel) -> np.ndarray:

@@ -39,7 +39,7 @@ from .channels import (
     random_pure_state,
 )
 from .linalg import Tolerance, hermitian_eigenvalues
-from .verification import VerificationReport, param_range
+from .verification import VerificationReport, _check_trials, param_range
 
 __all__ = [
     "SpectrumWitness",
@@ -333,6 +333,7 @@ def qubit_equivalence_check(
 
     if not 0 < p < 1:
         raise ValueError(f"conjugation check expects 0 < p < 1, got {p}")
+    _check_trials(trials)
     signs = {1: (1, 1, 1), 2: (1, -1, 1), 3: (-1, -1, 1), 4: (-1, 1, 1)}
 
     def variant(idx: int, param: float) -> DiagonalChannel:

@@ -20,6 +20,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
+    "as_matrix_stack",
     "frobenius_norm",
     "hermitian_inner",
     "bilinear_trace",
@@ -63,7 +64,16 @@ def as_matrix(m: Any, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 array, rejecting non-finite entries."""
 
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    return as_matrix_stack(arr, name)
+
+
+def as_matrix_stack(m: Any, name: str = "matrix") -> np.ndarray:
+    """Coerce to a complex128 array of shape (..., n, n), rejecting non-finite entries."""
+
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError(f"{name} contains non-finite entries")

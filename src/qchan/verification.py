@@ -8,6 +8,10 @@ conventions:
   threshold scaled to the Choi matrix's Frobenius norm;
 * trace preservation is the partial trace of the Choi matrix over the
   output factor against the identity;
+* channel objects (``FamilyChannel``, ``DiagonalChannel``) take fast
+  paths that use their structure: block-wise Choi checks and batched
+  application to stacks of states; any other linear map is checked
+  through its dense Choi matrix and one state at a time;
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
   multiplier moduli agree, in which case every pure input maps to output
   Frobenius norm sqrt(1/n + t^2 (1 - 1/n)).
@@ -33,6 +37,7 @@ from .channels import (
     QubitLambda,
     as_linear_map,
     cptp_range,
+    diagonal_image,
     family_apply,
     family_to_diagonal,
     random_pure_state,
@@ -126,8 +131,14 @@ def param_range(family: Family, n: int) -> ParamRange:
 def is_cptp(
     apply_fn: Callable[[np.ndarray], np.ndarray], n: int, tol: Tolerance = DEFAULT_TOL
 ) -> VerificationReport:
-    """Choi-based complete positivity + trace preservation check."""
+    """Choi-based complete positivity + trace preservation check.
 
+    A channel object is checked block by block (:func:`_is_cptp_blocks`);
+    any other map through its dense n^2 x n^2 Choi matrix.
+    """
+
+    if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
+        return _is_cptp_blocks(apply_fn, n, tol)
     choi = to_choi(apply_fn, n)
     scale = frobenius_norm(choi)
     herm_dev = float(np.max(np.abs(choi - choi.conj().T)))
@@ -139,11 +150,22 @@ def is_cptp(
     eigs = np.linalg.eigvalsh(hermitian_part(choi))
     smallest = float(eigs[0])
     trace_dev = float(np.max(np.abs(partial_trace_second(choi, n) - np.eye(n))))
+    return _choi_verdict(smallest, scale, trace_dev, tol, where="")
+
+
+def _choi_verdict(
+    smallest: float, scale: float, trace_dev: float, tol: Tolerance, where: str
+) -> VerificationReport:
+    """PSD within tol of the Choi norm ``scale``, partial trace within tol of I.
+
+    ``where`` names the part of the Choi matrix holding ``smallest``.
+    """
+
     psd_ok = smallest >= -tol.bound(scale)
     tp_ok = trace_dev <= tol.bound(1.0)
     witness = None
     if not psd_ok:
-        witness = f"negative Choi eigenvalue {smallest:.6e}"
+        witness = f"negative Choi eigenvalue {smallest:.6e}{where}"
     elif not tp_ok:
         witness = f"partial trace deviates from identity by {trace_dev:.3e}"
     return VerificationReport(
@@ -152,6 +174,40 @@ def is_cptp(
         trace_violation=trace_dev,
         witness=witness,
     )
+
+
+def _is_cptp_blocks(ch: AnyChannel, n: int, tol: Tolerance) -> VerificationReport:
+    """The Choi check of a basis-diagonal channel in O(n^3) time, O(n^2) memory.
+
+    The Choi matrix sum_ij E_ij ⊗ Phi(E_ij) of such a channel is block
+    diagonal: the n x n "classical" block on span{|ii>} has diagonal
+    D_ii and off-diagonal a_kl, and for each pair k < l a 2 x 2 block on
+    span{|kl>, |lk>} is [[D_lk, b_kl], [b_kl, D_kl]], where
+    D[j, i] = Phi(E_jj)_ii and (a, b) are the pair weights.  Eigenvalues,
+    Frobenius norm and partial trace all come from these blocks, with the
+    thresholds of the dense check.
+    """
+
+    diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
+    if diag.dim != n:
+        raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
+    a, b = diag.pair_weights
+    d = diagonal_image(diag, np.eye(n))
+    classical = a.copy()
+    np.fill_diagonal(classical, np.diag(d))
+    classical_min = float(np.linalg.eigvalsh(classical)[0])
+    k, l = np.triu_indices(n, 1)
+    x, y = d[k, l], d[l, k]
+    pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, b[k, l])
+    worst = int(np.argmin(pair_mins))
+    if classical_min <= pair_mins[worst]:
+        smallest, where = classical_min, " in classical block"
+    else:
+        smallest, where = float(pair_mins[worst]), f" in pair block ({k[worst] + 1},{l[worst] + 1})"
+    scale = frobenius_norm(np.stack([d, a, b]))
+    # Tr_2 of the Choi matrix is diag(Tr Phi(E_jj)); off-diagonal entries vanish.
+    trace_dev = float(np.max(np.abs(d.sum(axis=1) - 1)))
+    return _choi_verdict(smallest, scale, trace_dev, tol, where)
 
 
 def constant_fnorm_criterion(
@@ -179,19 +235,55 @@ def witness_states(n: int) -> list[np.ndarray]:
     then (i e_k + e_l)/sqrt(2) projectors, pairs in lexicographic order.
     """
 
-    states: list[np.ndarray] = []
-    for k in range(n):
-        v = np.zeros(n, dtype=complex)
-        v[k] = 1
-        states.append(np.outer(v, v.conj()))
-    for phase in (1.0, 1j):
-        for k, l in pairs(n):
-            v = np.zeros(n, dtype=complex)
-            v[k - 1] = phase
-            v[l - 1] = 1
-            v /= np.linalg.norm(v)
-            states.append(np.outer(v, v.conj()))
-    return states
+    return list(_projectors(_witness_vectors(n, 0, n * n)))
+
+
+def _witness_vectors(n: int, start: int, stop: int) -> np.ndarray:
+    """Unit vectors of witness states start..stop-1, as a (stop-start, n) array."""
+
+    k, l = np.triu_indices(n, 1)
+    npairs = len(k)
+    index = np.arange(start, stop)
+    v = np.zeros((stop - start, n), dtype=complex)
+    basis_rows = index < n
+    v[basis_rows, index[basis_rows]] = 1
+    rows = np.flatnonzero(~basis_rows)
+    q = index[rows] - n
+    v[rows, k[q % npairs]] = np.where(q < npairs, 1.0, 1j)
+    v[rows, l[q % npairs]] = 1
+    v[rows] /= np.linalg.norm(v[rows], axis=-1, keepdims=True)
+    return v
+
+
+def _projectors(v: np.ndarray) -> np.ndarray:
+    """|v><v| for each row of v, entry by entry as np.outer computes it."""
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
+# Bytes of states built and applied at once by the batched sample test.  Small,
+# so memory stays flat however many states (n^2 witnesses + samples) it checks:
+# an apply holds a few chunk-sized temporaries, and larger chunks raised peak
+# memory at small n without speeding up n <= 20.
+_CHUNK_BYTES = 1 << 16
+
+
+def _state_chunks(n: int, samples: int, seed: int):
+    """witness_states(n), then ``samples`` random_pure_state draws, in stacks.
+
+    The states, and their order, are exactly those of the per-state loop.
+    """
+
+    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    for start in range(0, n * n, per_chunk):
+        yield _projectors(_witness_vectors(n, start, min(start + per_chunk, n * n)))
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, per_chunk):
+        # One (real, imaginary) draw of n normals per state, as random_pure_state.
+        g = rng.standard_normal((min(per_chunk, samples - start), 2, n))
+        v = g[:, 0] + 1j * g[:, 1]
+        for row in v:
+            row /= np.linalg.norm(row)  # per row, for random_pure_state's exact bits
+        yield _projectors(v)
 
 
 def witness_state_labels(n: int) -> list[str]:
@@ -212,21 +304,29 @@ def constant_fnorm_sample_test(
 
     Passes when the spread of output Frobenius norms stays within
     tolerance of the largest observed norm; the witness field names the
-    states achieving the extreme norms otherwise.
+    states achieving the extreme norms otherwise.  A channel object is
+    applied to stacks of states; any other map to one state at a time.
+    Both see the same states and give the same report.
     """
 
-    states = witness_states(n)
-    labels = witness_state_labels(n)
-    rng = np.random.default_rng(seed)
-    for i in range(samples):
-        states.append(random_pure_state(n, rng))
-        labels.append(f"haar_{i}")
-    norms = np.array([frobenius_norm(apply_fn(s)) for s in states])
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
+        if apply_fn.dim != n:
+            raise ValueError(f"dimension mismatch: channel dim {apply_fn.dim}, n={n}")
+        norms = np.array(
+            [frobenius_norm(out) for chunk in _state_chunks(n, samples, seed) for out in apply_fn(chunk)]
+        )
+    else:
+        rng = np.random.default_rng(seed)
+        states = witness_states(n) + [random_pure_state(n, rng) for _ in range(samples)]
+        norms = np.array([frobenius_norm(apply_fn(s)) for s in states])
     spread = float(norms.max() - norms.min())
     mean = float(norms.mean())
     passed = spread <= tol.bound(float(norms.max()))
     witness = None
     if not passed:
+        labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
         witness = (
             f"norm spread {spread:.6e}: max {norms.max():.12f} at {labels[int(norms.argmax())]}, "
             f"min {norms.min():.12f} at {labels[int(norms.argmin())]}"
@@ -236,7 +336,7 @@ def constant_fnorm_sample_test(
         max_deviation=spread,
         mean_deviation=float(np.mean(np.abs(norms - mean))),
         witness=witness,
-        samples_used=len(states),
+        samples_used=len(norms),
     )
 
 
@@ -335,6 +435,7 @@ def verify_sum_identities(
     text.
     """
 
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     eye = np.eye(n, dtype=complex)
     worst = 0.0
@@ -383,6 +484,7 @@ def verify_representations(
 ) -> VerificationReport:
     """Both conjugation-sum expansions against the closed family form."""
 
+    _check_trials(trials)
     coeffs = repr_coefficients(family, p, n)
     prs = pairs(n)
     sigma = {
@@ -420,10 +522,16 @@ def verify_representations(
     return VerificationReport(
         passed=passed,
         max_deviation=worst,
-        mean_deviation=worst_mean / trials if trials else None,
+        mean_deviation=worst_mean / trials,
         witness=None if passed else f"representation mismatch {worst:.3e} for {family.value}, p={p}, n={n}",
         samples_used=trials,
     )
+
+
+def _check_trials(trials: int) -> None:
+    """Reject trial counts that would let a check pass without checking anything."""
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
 
 
 # --- Qubit classification -------------------------------------------------

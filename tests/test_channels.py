@@ -165,6 +165,32 @@ class TestDiagonalPicture:
         )
 
 
+class TestCallableChannels:
+    def test_as_linear_map_is_the_channel(self):
+        fam = FamilyChannel(Family.TRD, 0.2, 3)
+        diag = family_to_diagonal(fam)
+        assert as_linear_map(fam) is fam
+        assert as_linear_map(diag) is diag
+        s = random_pure_state(3, 4)
+        assert np.array_equal(fam(s), family_apply(fam, s))
+        assert np.array_equal(diag(s), diagonal_apply(diag, s))
+
+    def test_as_linear_map_rejects_other_objects(self):
+        with pytest.raises(TypeError, match="FamilyChannel"):
+            as_linear_map(lambda s: s)
+
+    def test_diagonal_apply_accepts_non_hermitian_input(self):
+        # The linear extension: E_12 goes to a E_12 + b E_21.
+        ch = DiagonalChannel(2, np.array([0.5, 0.1, -0.2]))
+        unit = np.array([[0, 1], [0, 0]], dtype=complex)
+        np.testing.assert_allclose(diagonal_apply(ch, unit), [[0, 0.3], [0.2, 0]], atol=1e-15)
+
+    def test_diagonal_apply_rejects_wrong_dimension(self):
+        ch = DiagonalChannel(3, np.zeros(8))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            diagonal_apply(ch, np.zeros((2, 4, 4)))
+
+
 class TestChoi:
     def test_identity_channel(self):
         choi = to_choi(lambda s: s, 2)
@@ -213,6 +239,38 @@ class TestChoi:
         choi_family = to_choi(as_linear_map(ch), 4)
         choi_diag = to_choi(as_linear_map(family_to_diagonal(ch)), 4)
         np.testing.assert_allclose(choi_family, choi_diag, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_map",
+        [
+            lambda n: FamilyChannel(Family.DCQ, 0.07, n),
+            lambda n: DiagonalChannel(n, np.linspace(-0.3, 0.2, n * n - 1)),
+            lambda n: (lambda s: 0.3 * s @ s.T + np.trace(s) * np.eye(n) - 0.2j * s.T),
+        ],
+        ids=["family", "diagonal", "generic"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_blockwise_build_equals_kron_accumulation(self, make_map, n):
+        apply_fn = make_map(n)
+        reference = np.zeros((n * n, n * n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                unit = np.zeros((n, n), dtype=complex)
+                unit[i, j] = 1
+                if i == j:
+                    image = np.asarray(apply_fn(unit), dtype=complex)
+                else:
+                    h = (unit + unit.conj().T) / 2
+                    a = (unit - unit.conj().T) / 2j
+                    image = np.asarray(apply_fn(h), dtype=complex) + 1j * np.asarray(
+                        apply_fn(a), dtype=complex
+                    )
+                reference += np.kron(unit, image)
+        assert np.array_equal(to_choi(apply_fn, n), reference)
+
+    def test_rejects_wrongly_shaped_images(self):
+        with pytest.raises(ValueError, match="shape"):
+            to_choi(lambda s: np.trace(s), 3)
 
 
 class TestReprCoefficients:

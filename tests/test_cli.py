@@ -167,6 +167,29 @@ class TestChecks:
         assert code == 0
         assert json.loads(out)["report"]["passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "--dim", "4", "--trials", "0"],
+            ["qubit-equiv", "--p", "0.3", "--trials", "0"],
+            ["qubit-equiv", "--p", "0.3", "--trials", "-2"],
+            ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "-5"],
+            ["report", "--dim", "3", "--samples", "-1"],
+        ],
+    )
+    def test_empty_or_negative_counts_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
+    def test_zero_samples_checks_the_witness_states(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "0"
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["samples_used"] == 9
+
     def test_detcheck(self, capsys):
         code, out, _ = run_cli(capsys, "detcheck", "--dim", "5", "--grid", "21")
         assert code == 0

@@ -189,6 +189,11 @@ class TestQubitEquivalence:
     def test_various_parameters(self, p):
         assert qubit_equivalence_check(p, trials=20, seed=2).passed
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_empty_runs(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            qubit_equivalence_check(0.5, trials=trials)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, 2.0])
     def test_parameter_domain(self, p):
         with pytest.raises(ValueError, match="0 < p < 1"):

@@ -74,6 +74,27 @@ class TestIsCptp:
         report = is_cptp(as_linear_map(FamilyChannel(Family.DCQ, 0.3, 3)), 3)
         assert report.min_choi_eigenvalue == pytest.approx(-0.2 / 3, abs=1e-12)
 
+    def test_witness_names_the_pair_block(self):
+        # tcq above p_max = 1/(n+1) fails first in the 2x2 blocks.
+        report = is_cptp(FamilyChannel(Family.TCQ, 0.3, 3), 3)
+        assert report.witness == "negative Choi eigenvalue -6.666667e-02 in pair block (1,2)"
+
+    def test_witness_names_the_classical_block(self):
+        report = is_cptp(FamilyChannel(Family.DCQ, 0.3, 3), 3)
+        assert report.witness.endswith("in classical block")
+
+    def test_witness_of_a_diagonal_channel_names_its_block(self):
+        t = np.zeros(8)
+        t[2], t[5] = 0.6, -0.6  # pair (2,3): a = 0, b = 0.6 > D_23 = 1/3
+        report = is_cptp(DiagonalChannel(3, t), 3)
+        assert not report.passed
+        assert report.witness.endswith("in pair block (2,3)")
+        assert report.min_choi_eigenvalue == pytest.approx(1 / 3 - 0.6, abs=1e-15)
+
+    def test_channel_dimension_must_match(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            is_cptp(FamilyChannel(Family.DEP, 0.1, 3), 4)
+
     def test_trace_violation_detected(self):
         report = is_cptp(lambda s: 0.5 * s, 2)
         assert not report.passed
@@ -163,6 +184,15 @@ class TestSampleTest:
         assert report.max_deviation > 1e-5
         assert "norm spread" in report.witness
 
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 3, samples=-5)
+
+    def test_zero_samples_still_checks_witnesses(self):
+        report = constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 3, samples=0)
+        assert report.passed
+        assert report.samples_used == 9
+
     def test_deterministic(self):
         ch = as_linear_map(FamilyChannel(Family.DCQ, 0.1, 3))
         a = constant_fnorm_sample_test(ch, 3, samples=64, seed=9)
@@ -217,6 +247,18 @@ class TestSumIdentities:
         # for the transpose-free variants; it must be at float-dust level.
         assert "symmetric" in report.witness
         assert float(report.witness.rsplit(" ", 1)[1]) < 1e-12
+
+
+class TestNoVacuousPasses:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sum_identities_reject_empty_runs(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            verify_sum_identities(3, trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_representations_reject_empty_runs(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            verify_representations(Family.DEP, 0.2, 3, trials=trials)
 
 
 class TestRepresentations:
