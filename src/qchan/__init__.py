@@ -25,7 +25,6 @@ from .channels import (
     KrausSet,
     QubitLambda,
     ReprCoefficients,
-    adjoint_diagonal,
     apply_kraus,
     as_linear_map,
     channel_from_json,
@@ -43,7 +42,6 @@ from .channels import (
     repr_coefficients,
     stokes,
     to_choi,
-    to_superoperator,
     validate_state,
 )
 from .equivalence import (
@@ -61,12 +59,9 @@ from .equivalence import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    bilinear_trace,
     frobenius_norm,
     hermitian_eigenvalues,
-    hermitian_inner,
     is_psd,
-    kron,
     matrix_from_json,
     matrix_to_json,
 )

@@ -104,14 +104,36 @@ def m_z(n: int, k: int) -> np.ndarray:
     return np.diag(d)
 
 
+@lru_cache(maxsize=None)
+def _pauli_stacks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized sigma_x, sigma_y, sigma_z of every pair, as (pairs, n, n) stacks.
+
+    Entry i of each read-only stack is :func:`pauli_matrix` of the i-th
+    pair in lexicographic order; the z stack is the two-level sigma_z.
+    """
+
+    _check_dim(n)
+    k, l = np.triu_indices(n, 1)
+    i = np.arange(len(k))
+    x, y, z = (np.zeros((len(k), n, n), dtype=complex) for _ in range(3))
+    x[i, k, l] = x[i, l, k] = 1
+    y[i, k, l] = -1j
+    y[i, l, k] = 1j
+    z[i, k, k] = 1
+    z[i, l, l] = -1
+    for stack in (x, y, z):
+        stack.flags.writeable = False
+    return x, y, z
+
+
 @dataclass(frozen=True)
 class BasisE:
     """Orthonormal Hermitian basis, ordered identity / x / y / z.
 
     ``labels[i]`` is a ("0"|"x"|"y"|"z", index) tag: x and y indices count
     pairs lexicographically (1..N), z indices count staircase matrices
-    (1..n-1).  ``stacked`` holds the same elements as an (n^2, n, n) array
-    for fast contraction.
+    (1..n-1).  ``stacked`` holds the elements as an (n^2, n, n) array;
+    ``elements`` are read-only views into it.
     """
 
     dim: int
@@ -128,20 +150,22 @@ def build_basis(n: int) -> BasisE:
     """Construct (and cache) the orthonormal basis for dimension ``n``."""
 
     _check_dim(n)
-    labels: list[tuple[str, int]] = [("0", 1)]
-    elements: list[np.ndarray] = [np.eye(n, dtype=complex) / sqrt(n)]
-    for sector in ("x", "y"):
-        for i, pr in enumerate(pairs(n), start=1):
-            labels.append((sector, i))
-            elements.append(pauli_matrix(n, sector, pr) / sqrt(2))
-    for k in range(1, n):
-        labels.append(("z", k))
-        elements.append(m_z(n, k) / sqrt(k * (k + 1)))
-    stacked = np.stack(elements)
-    for arr in elements:
-        arr.flags.writeable = False
+    cnt = pair_count(n)
+    x, y, _ = _pauli_stacks(n)
+    j = np.arange(1, n)
+    # Row j-1 is the diagonal of the staircase M_z(j): j ones, then -j.
+    staircase = np.tri(n - 1, n, dtype=complex)
+    staircase[j - 1, j] = -j
+    stacked = np.zeros((n * n, n, n), dtype=complex)
+    stacked[0] = np.eye(n, dtype=complex) / sqrt(n)
+    stacked[1 : 1 + cnt] = x / sqrt(2)
+    stacked[1 + cnt : 1 + 2 * cnt] = y / sqrt(2)
+    idx = np.arange(n)
+    stacked[1 + 2 * cnt :, idx, idx] = staircase / np.sqrt(j * (j + 1))[:, None]
     stacked.flags.writeable = False
-    return BasisE(dim=n, labels=tuple(labels), elements=tuple(elements), stacked=stacked)
+    labels = [("0", 1)] + [(sector, i) for sector in ("x", "y") for i in range(1, cnt + 1)]
+    labels += [("z", k) for k in range(1, n)]
+    return BasisE(dim=n, labels=tuple(labels), elements=tuple(stacked), stacked=stacked)
 
 
 def decompose(s: np.ndarray, basis: BasisE, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -11,7 +11,7 @@ diagonal and zeroes the rest; T is plain transposition):
 Each is diagonal over the Hermitian basis of :mod:`qchan.basis` with
 multiplier 1 on the identity component and a sign pattern times p on the
 x / y / z sectors.  This module converts between the closed forms, the
-diagonal picture, Choi matrices, superoperators and (on the CPTP
+diagonal picture, Choi matrices and (on the CPTP
 parameter range) Kraus sets, plus the dedicated qubit parameterization.
 """
 
@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import sqrt
 from typing import Any, Callable, Union
 
 import numpy as np
 
-from .basis import pair_count, pairs, pauli_matrix
+from .basis import _pauli_stacks, pair_count
 from .jsonio import SchemaError, require, require_number
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_matrix_stack, frobenius_norm, is_hermitian
 
@@ -41,10 +41,8 @@ __all__ = [
     "family_to_diagonal",
     "diagonal_apply",
     "diagonal_image",
-    "adjoint_diagonal",
     "as_linear_map",
     "to_choi",
-    "to_superoperator",
     "repr_coefficients",
     "kraus_from_family",
     "kraus_completeness",
@@ -315,11 +313,6 @@ def _diag_embed(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjoint_diagonal(ch: DiagonalChannel) -> DiagonalChannel:
-    """Adjoint w.r.t. Tr(a† b); real diagonal channels are self-adjoint."""
-    return DiagonalChannel(dim=ch.dim, t=np.array(ch.t))
-
-
 AnyChannel = Union[FamilyChannel, DiagonalChannel]
 
 
@@ -364,11 +357,6 @@ def to_choi(apply_fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     return choi.reshape(n * n, n * n)
 
 
-def to_superoperator(ch: DiagonalChannel) -> np.ndarray:
-    """Matrix of the channel over the Hermitian basis: diag(1, t)."""
-    return np.diag(np.concatenate([[1.0], ch.t]).astype(complex))
-
-
 def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
     """Weights of the two conjugation-sum expansions of a family member.
 
@@ -411,20 +399,6 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
     return ReprCoefficients(c0=c0, cx=cx, cy=cy, cz=cz, e0=e0, ex=ex, ey=ey, ez=ez)
 
 
-@lru_cache(maxsize=None)
-def _pauli_sectors(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Unnormalized sigma_x / sigma_y / sigma_z matrices for every pair."""
-
-    prs = pairs(n)
-    out = []
-    for sector in ("x", "y", "z"):
-        mats = tuple(pauli_matrix(n, sector, pr) for pr in prs)
-        for mat in mats:
-            mat.flags.writeable = False
-        out.append(mats)
-    return tuple(out)
-
-
 def kraus_from_family(
     family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
 ) -> KrausSet:
@@ -436,9 +410,9 @@ def kraus_from_family(
     """
 
     coeffs = repr_coefficients(family, p, n)
-    sx, sy, sz = _pauli_sectors(n)
+    sx, sy, sz = _pauli_stacks(n)
     groups = [
-        ("c0", coeffs.c0, (np.eye(n, dtype=complex),)),
+        ("c0", coeffs.c0, np.eye(n, dtype=complex)[None]),
         ("cx", coeffs.cx, sx),
         ("cy", coeffs.cy, sy),
         ("cz", coeffs.cz, sz),
@@ -453,7 +427,7 @@ def kraus_from_family(
             )
         if weight > 0:
             root = sqrt(weight)
-            operators.extend(root * mat for mat in mats)
+            operators.extend(root * mats)
     return KrausSet(operators=tuple(operators))
 
 

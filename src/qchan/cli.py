@@ -26,22 +26,19 @@ from . import jsonio
 from .basis import build_basis
 from .channels import (
     FAMILY_NAMES,
-    DiagonalChannel,
     Family,
     FamilyChannel,
-    as_linear_map,
     channel_from_json,
     channel_to_json,
     family_from_name,
-    family_to_diagonal,
     kraus_completeness,
     kraus_from_family,
     validate_state,
 )
 from .equivalence import (
+    GAP_THRESHOLD,
     inequivalence_certificate,
     qubit_equivalence_check,
-    spectrum_witness,
 )
 from .jsonio import SchemaError
 from .linalg import (
@@ -62,9 +59,6 @@ from .verification import (
 )
 
 __all__ = ["main", "build_parser"]
-
-# Spectral gap a witness must exhibit before a certificate is claimed.
-GAP_THRESHOLD = 1e-6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +230,7 @@ def _cmd_channel_apply(args: argparse.Namespace) -> tuple[Any, bool]:
         raise SchemaError("state", str(exc)) from None
     if state.shape[0] != channel.dim:
         raise SchemaError("state", f"state is {state.shape[0]}x{state.shape[0]}, channel dim {channel.dim}")
-    output = as_linear_map(channel)(state)
+    output = channel(state)
     payload = {
         "command": "channel-apply",
         "channel": channel_to_json(channel),
@@ -257,7 +251,7 @@ def _cmd_range(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
     channel = _load_channel(args)
-    report = is_cptp(as_linear_map(channel), channel.dim, **_tol_kwargs(args))
+    report = is_cptp(channel, channel.dim, **_tol_kwargs(args))
     payload = {
         "command": "verify-cptp",
         "channel": channel_to_json(channel),
@@ -271,7 +265,7 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
     kwargs = _tol_kwargs(args)
     holds, expected = constant_fnorm_criterion(channel, **kwargs)
     report = constant_fnorm_sample_test(
-        as_linear_map(channel), channel.dim, samples=args.samples, seed=args.seed, **kwargs
+        channel, channel.dim, samples=args.samples, seed=args.seed, **kwargs
     )
     payload = {
         "command": "verify-constant-norm",
@@ -321,29 +315,24 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
             "dcq/tcq); use `certify` for same-class pairs",
         )
     certificate = inequivalence_certificate(pair, n, args.p)
-    gap = certificate.witnesses[0].max_spectral_gap
     payload = {
         "command": "witness",
         "certificate": certificate.to_json(),
         "gap_threshold": GAP_THRESHOLD,
     }
-    return payload, gap > GAP_THRESHOLD
+    return payload, certificate.passed
 
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     pair = _parse_pair(args.pair)
     certificate = inequivalence_certificate(pair, n, args.p)
-    if certificate.method == "spectrum_witness":
-        passed = certificate.witnesses[0].max_spectral_gap > GAP_THRESHOLD
-    else:
-        passed = not any(report.feasible for report in certificate.bound_reports)
     payload = {
         "command": "certify",
         "certificate": certificate.to_json(),
         "gap_threshold": GAP_THRESHOLD,
     }
-    return payload, passed
+    return payload, certificate.passed
 
 
 def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
@@ -372,11 +361,11 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
         entry = {}
         ok = True
         for label, p in (("p_min", info.p_min), ("p_max", info.p_max)):
-            rep = is_cptp(as_linear_map(FamilyChannel(family, p, n)), n, **kwargs)
+            rep = is_cptp(FamilyChannel(family, p, n), n, **kwargs)
             entry[label] = rep.to_json()
             ok = ok and rep.passed
         for label, p in (("below", info.p_min - 0.01), ("above", info.p_max + 0.01)):
-            rep = is_cptp(as_linear_map(FamilyChannel(family, p, n)), n, **kwargs)
+            rep = is_cptp(FamilyChannel(family, p, n), n, **kwargs)
             entry[label] = rep.to_json()
             ok = ok and not rep.passed
         entry["passed"] = ok
@@ -394,7 +383,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
         channel = FamilyChannel(family, p_mid, n)
         holds, expected = constant_fnorm_criterion(channel, **kwargs)
         sample = constant_fnorm_sample_test(
-            as_linear_map(channel), n, samples=args.samples, seed=args.seed, **kwargs
+            channel, n, samples=args.samples, seed=args.seed, **kwargs
         )
         constant_norm[family.value] = {
             "p": p_mid,
@@ -440,12 +429,8 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
         for i, fam_a in enumerate(families):
             for fam_b in families[i + 1 :]:
                 cert = inequivalence_certificate((fam_a, fam_b), n)
-                if cert.method == "spectrum_witness":
-                    ok = cert.witnesses[0].max_spectral_gap > GAP_THRESHOLD
-                else:
-                    ok = not any(rep.feasible for rep in cert.bound_reports)
-                certificates.append({"certificate": cert.to_json(), "passed": ok})
-                all_passed = all_passed and ok
+                certificates.append({"certificate": cert.to_json(), "passed": cert.passed})
+                all_passed = all_passed and cert.passed
         sections["certificates"] = certificates
 
     payload = {

@@ -57,6 +57,9 @@ __all__ = [
 _HYBRID = (Family.DCQ, Family.TCQ)
 _BASE = (Family.DEP, Family.TRD)
 
+# Spectral gap a witness must exhibit before a certificate is claimed.
+GAP_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True)
 class SpectrumWitness:
@@ -159,6 +162,18 @@ class InequivalenceCertificate:
     witnesses: tuple[SpectrumWitness, ...] = ()
     bound_reports: tuple[BoundMatchingReport, ...] = ()
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """Whether the evidence certifies inequivalence.
+
+        A spectrum witness must separate its states by more than
+        ``GAP_THRESHOLD``; bound matching must find no feasible system.
+        """
+
+        if self.method == "spectrum_witness":
+            return self.witnesses[0].max_spectral_gap > GAP_THRESHOLD
+        return not any(report.feasible for report in self.bound_reports)
 
     def to_json(self) -> dict:
         return {
@@ -292,15 +307,19 @@ def bound_matching_system(
     solutions = sympy.solve(equation, m)
     solutions = sorted(solutions, key=lambda r: float(r))
     roots = tuple(float(r) for r in solutions)
-    feasible = any(abs(r - n) <= 1e-12 for r in roots)
+    # solve() returns no roots both for an inconsistent equation and for an
+    # identity; only the latter is satisfied, at every dimension.
+    identity = not solutions and sympy.cancel(equation.lhs - equation.rhs) == 0
+    feasible = identity or any(abs(r - n) <= 1e-12 for r in roots)
+    if identity:
+        verdict = f"the equation holds for every n, so dimension {n} solves the system"
+    elif feasible:
+        verdict = f"dimension {n} solves the system"
+    else:
+        verdict = f"no root equals {n}, so no affine reparameterization aligns both endpoints"
     detail = (
         f"ratio equation {sympy.sstr(equation.lhs)} = {sympy.sstr(equation.rhs)}; "
-        f"roots {{{', '.join(sympy.sstr(r) for r in solutions)}}}; "
-        + (
-            f"dimension {n} solves the system"
-            if feasible
-            else f"no root equals {n}, so no affine reparameterization aligns both endpoints"
-        )
+        f"roots {{{', '.join(sympy.sstr(r) for r in solutions)}}}; {verdict}"
     )
     return BoundMatchingReport(
         pair=pair,

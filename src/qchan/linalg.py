@@ -22,9 +22,6 @@ __all__ = [
     "as_matrix",
     "as_matrix_stack",
     "frobenius_norm",
-    "hermitian_inner",
-    "bilinear_trace",
-    "kron",
     "is_hermitian",
     "hermitian_part",
     "hermitian_eigenvalues",
@@ -83,34 +80,6 @@ def as_matrix_stack(m: Any, name: str = "matrix") -> np.ndarray:
 def frobenius_norm(m: np.ndarray) -> float:
     """sqrt(Tr(m† m)) — the Hilbert–Schmidt length of ``m``."""
     return float(np.linalg.norm(np.asarray(m)))
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def hermitian_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Sesquilinear inner product Tr(a† b); real when both are Hermitian."""
-
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_shape(a, b)
-    return complex(np.vdot(a, b))
-
-
-def bilinear_trace(a: np.ndarray, b: np.ndarray) -> complex:
-    """Bilinear trace form Tr(a b) (no conjugation)."""
-
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_shape(a, b)
-    return complex(np.einsum("ij,ji->", a, b))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the row-major block convention of np.kron."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import build_basis, m_z, pair_count, pairs, pauli_matrix
+from .basis import _pauli_stacks, build_basis, pair_count, pairs
 from .channels import (
     PAULI_X,
     PAULI_Y,
@@ -35,12 +35,10 @@ from .channels import (
     Family,
     FamilyChannel,
     QubitLambda,
-    as_linear_map,
     cptp_range,
     diagonal_image,
     family_apply,
     family_to_diagonal,
-    random_pure_state,
     repr_coefficients,
     to_choi,
 )
@@ -48,9 +46,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     frobenius_norm,
-    hermitian_eigenvalues,
     hermitian_part,
-    is_psd,
     partial_trace_second,
 )
 
@@ -311,16 +307,13 @@ def constant_fnorm_sample_test(
 
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    chunks = _state_chunks(n, samples, seed)
     if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
         if apply_fn.dim != n:
             raise ValueError(f"dimension mismatch: channel dim {apply_fn.dim}, n={n}")
-        norms = np.array(
-            [frobenius_norm(out) for chunk in _state_chunks(n, samples, seed) for out in apply_fn(chunk)]
-        )
+        norms = np.array([frobenius_norm(out) for chunk in chunks for out in apply_fn(chunk)])
     else:
-        rng = np.random.default_rng(seed)
-        states = witness_states(n) + [random_pure_state(n, rng) for _ in range(samples)]
-        norms = np.array([frobenius_norm(apply_fn(s)) for s in states])
+        norms = np.array([frobenius_norm(apply_fn(s)) for chunk in chunks for s in chunk])
     spread = float(norms.max() - norms.min())
     mean = float(norms.mean())
     passed = spread <= tol.bound(float(norms.max()))
@@ -406,19 +399,30 @@ def sum_z(s: np.ndarray, n: int) -> np.ndarray:
     return n * np.diag(np.diag(s)) - s
 
 
-def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
-    """Brute-force conjugation sums over the Pauli sectors and basis elements."""
+def _conjugation_sum(mats: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Brute-force sum_k m_k S m_k over a (k, n, n) stack.
 
-    prs = pairs(n)
-    out: dict[str, np.ndarray] = {}
-    for sector in ("x", "y", "z"):
-        mats = [pauli_matrix(n, sector, pr) for pr in prs]
-        out[sector] = sum((m @ s @ m for m in mats), np.zeros((n, n), dtype=complex))
-    basis = build_basis(n)
-    for sector in ("x", "y", "z"):
-        mats = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == sector]
-        out["e" + sector] = sum((m @ s @ m for m in mats), np.zeros((n, n), dtype=complex))
-    return out
+    Every term is a dense product, formed in two GEMMs: all m_k S at once,
+    then the row of those products times the column of the m_k.
+    """
+
+    k, n, _ = mats.shape
+    left = (mats.reshape(k * n, n) @ s).reshape(k, n, n)
+    return left.transpose(1, 0, 2).reshape(n, k * n) @ mats.reshape(k * n, n)
+
+
+def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """Brute-force conjugation sums over the Pauli sectors and basis elements.
+
+    Keys "x", "y", "z" sum over the unnormalized pair matrices; "e0",
+    "ex", "ey", "ez" over the orthonormal basis sectors.
+    """
+
+    cnt = pair_count(n)
+    e = build_basis(n).stacked
+    sectors = dict(zip("xyz", _pauli_stacks(n)))
+    sectors.update(e0=e[:1], ex=e[1 : 1 + cnt], ey=e[1 + cnt : 1 + 2 * cnt], ez=e[1 + 2 * cnt :])
+    return {key: _conjugation_sum(mats, s) for key, mats in sectors.items()}
 
 
 def verify_sum_identities(
@@ -486,16 +490,6 @@ def verify_representations(
 
     _check_trials(trials)
     coeffs = repr_coefficients(family, p, n)
-    prs = pairs(n)
-    sigma = {
-        sector: [pauli_matrix(n, sector, pr) for pr in prs] for sector in ("x", "y", "z")
-    }
-    basis = build_basis(n)
-    e_elems = {
-        sector: [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == sector]
-        for sector in ("x", "y", "z")
-    }
-    e0 = basis.elements[0]
     ch = FamilyChannel(family=family, p=p, dim=n)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -504,14 +498,16 @@ def verify_representations(
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         s = hermitian_part(g)
         expected = family_apply(ch, s)
-        pauli_form = coeffs.c0 * s
-        for weight, mats in ((coeffs.cx, sigma["x"]), (coeffs.cy, sigma["y"]), (coeffs.cz, sigma["z"])):
-            for m in mats:
-                pauli_form += weight * (m @ s @ m)
-        basis_form = coeffs.e0 * (e0 @ s @ e0)
-        for weight, mats in ((coeffs.ex, e_elems["x"]), (coeffs.ey, e_elems["y"]), (coeffs.ez, e_elems["z"])):
-            for m in mats:
-                basis_form += weight * (m @ s @ m)
+        sums = _direct_sums(s, n)
+        pauli_form = (
+            coeffs.c0 * s + coeffs.cx * sums["x"] + coeffs.cy * sums["y"] + coeffs.cz * sums["z"]
+        )
+        basis_form = (
+            coeffs.e0 * sums["e0"]
+            + coeffs.ex * sums["ex"]
+            + coeffs.ey * sums["ey"]
+            + coeffs.ez * sums["ez"]
+        )
         dev = max(
             float(np.max(np.abs(pauli_form - expected))),
             float(np.max(np.abs(basis_form - expected))),

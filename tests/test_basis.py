@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan.basis import (
+    _pauli_stacks,
     build_basis,
     decompose,
     index_from_pair,
@@ -14,7 +15,6 @@ from qchan.basis import (
     pauli_matrix,
     reconstruct,
 )
-from qchan.linalg import hermitian_inner
 
 DIMS = [2, 3, 4, 5, 6]
 
@@ -71,7 +71,7 @@ class TestPauliMatrices:
     def test_squared_norm_two(self):
         for sector in ("x", "y", "z"):
             m = pauli_matrix(4, sector, (2, 4))
-            assert hermitian_inner(m, m).real == pytest.approx(2.0)
+            assert np.vdot(m, m).real == pytest.approx(2.0)
 
     def test_bad_sector(self):
         with pytest.raises(ValueError, match="sector"):
@@ -85,7 +85,7 @@ class TestStaircase:
     def test_squared_norm(self):
         # Tr(M^2) = k (k + 1); k = 3 gives 12.
         m = m_z(4, 3)
-        assert hermitian_inner(m, m).real == pytest.approx(12.0)
+        assert np.vdot(m, m).real == pytest.approx(12.0)
 
     @pytest.mark.parametrize("n", DIMS)
     def test_traceless(self, n):
@@ -105,7 +105,7 @@ class TestBasis:
         basis = build_basis(n)
         assert len(basis) == n * n
         gram = np.array(
-            [[hermitian_inner(a, b).real for b in basis.elements] for a in basis.elements]
+            [[np.vdot(a, b).real for b in basis.elements] for a in basis.elements]
         )
         np.testing.assert_allclose(gram, np.eye(n * n), atol=1e-12)
 
@@ -127,8 +127,26 @@ class TestBasis:
         for element, want in zip(basis.elements, expected):
             np.testing.assert_allclose(element, want, atol=1e-15)
 
+    @pytest.mark.parametrize("n", DIMS)
+    def test_elements_match_the_single_matrix_builders(self, n):
+        basis = build_basis(n)
+        expected = [np.eye(n, dtype=complex) / np.sqrt(n)]
+        expected += [pauli_matrix(n, sector, pr) / np.sqrt(2) for sector in "xy" for pr in pairs(n)]
+        expected += [m_z(n, k) / np.sqrt(k * (k + 1)) for k in range(1, n)]
+        np.testing.assert_array_equal(basis.stacked, np.array(expected))
+        assert all(np.shares_memory(e, basis.stacked) for e in basis.elements)
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_pauli_stacks_match_pauli_matrix(self, n):
+        for sector, stack in zip("xyz", _pauli_stacks(n)):
+            assert not stack.flags.writeable
+            np.testing.assert_array_equal(
+                stack, np.array([pauli_matrix(n, sector, pr) for pr in pairs(n)])
+            )
+
     def test_cached(self):
         assert build_basis(3) is build_basis(3)
+        assert _pauli_stacks(3) is _pauli_stacks(3)
 
     def test_elements_read_only(self):
         basis = build_basis(3)

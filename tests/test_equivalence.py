@@ -10,6 +10,7 @@ from qchan.channels import (
     random_unitary,
 )
 from qchan.equivalence import (
+    InequivalenceCertificate,
     alpha_interval,
     bound_matching_system,
     inequivalence_certificate,
@@ -168,6 +169,16 @@ class TestBoundMatching:
         with pytest.raises(ValueError, match="distinct"):
             bound_matching_system((Family.DEP, Family.DEP), 3, same_sign=True)
 
+    @pytest.mark.parametrize("pair", [(Family.TRD, Family.TCQ), (Family.TCQ, Family.TRD)])
+    def test_identity_equation_is_feasible(self, pair):
+        # trd and tcq share their CPTP range, so the same-sign ratio
+        # equation holds for every n and solve() finds no roots.
+        report = bound_matching_system(pair, 4, same_sign=True)
+        assert report.roots == ()
+        assert report.feasible
+        assert "holds for every n" in report.detail
+        assert not bound_matching_system(pair, 4, same_sign=False).feasible
+
     @pytest.mark.parametrize("same_sign", [True, False])
     @pytest.mark.parametrize("pair", [
         (Family.DEP, Family.TRD),
@@ -226,6 +237,7 @@ class TestCertificates:
         cert = inequivalence_certificate(pair, n)
         assert cert.method == "spectrum_witness"
         assert cert.witnesses[0].max_spectral_gap > 1e-6
+        assert cert.passed
 
     @pytest.mark.parametrize("pair", [
         (Family.DEP, Family.TRD),
@@ -238,6 +250,15 @@ class TestCertificates:
         assert len(cert.bound_reports) == 2
         assert {r.same_sign for r in cert.bound_reports} == {True, False}
         assert not any(r.feasible for r in cert.bound_reports)
+        assert cert.passed
+
+    def test_failed_evidence_does_not_pass(self):
+        # A witness without a spectral gap, or a feasible bound-matching system.
+        flat = spectrum_witness(Family.DEP, 0.2, 3)
+        pair = (Family.DEP, Family.TRD)
+        assert not InequivalenceCertificate(pair, 3, "spectrum_witness", witnesses=(flat,)).passed
+        feasible = bound_matching_system(pair, 2, same_sign=False)
+        assert not InequivalenceCertificate(pair, 2, "bound_matching", bound_reports=(feasible,)).passed
 
     def test_dim_two_has_no_certificate(self):
         with pytest.raises(ValueError, match="dimension 2"):

@@ -7,13 +7,10 @@ from qchan.jsonio import SchemaError
 from qchan.linalg import (
     DEFAULT_TOL,
     Tolerance,
-    bilinear_trace,
     frobenius_norm,
     hermitian_eigenvalues,
-    hermitian_inner,
     is_hermitian,
     is_psd,
-    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace_second,
@@ -43,9 +40,7 @@ class TestFrobeniusNorm:
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            assert frobenius_norm(m) ** 2 == pytest.approx(
-                hermitian_inner(m, m).real, rel=1e-12
-            )
+            assert frobenius_norm(m) ** 2 == pytest.approx(np.vdot(m, m).real, rel=1e-12)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(1)
@@ -53,31 +48,6 @@ class TestFrobeniusNorm:
             m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             u, v = random_unitary(5, rng), random_unitary(5, rng)
             assert frobenius_norm(u @ m @ v) == pytest.approx(frobenius_norm(m), rel=1e-12)
-
-
-class TestInnerProducts:
-    def test_hermitian_inner_is_trace(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert hermitian_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b), rel=1e-12)
-
-    def test_bilinear_trace_is_trace(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert bilinear_trace(a, b) == pytest.approx(np.trace(a @ b), rel=1e-12)
-
-    def test_real_on_hermitian_pairs(self):
-        rng = np.random.default_rng(4)
-        a, b = random_hermitian(4, rng), random_hermitian(4, rng)
-        assert abs(hermitian_inner(a, b).imag) < 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            hermitian_inner(np.eye(2), np.eye(3))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            bilinear_trace(np.eye(2), np.eye(3))
 
 
 class TestEigenvalues:
@@ -125,35 +95,13 @@ class TestPsd:
         assert ok
 
 
-class TestKron:
-    def test_shape_and_blocks(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.eye(3, dtype=complex)
-        k = kron(a, b)
-        assert k.shape == (6, 6)
-        np.testing.assert_allclose(k[:3, 3:], 2 * b)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(9)
-        a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in "ab")
-        c, d = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in "cd")
-        np.testing.assert_allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-10)
-
-
 class TestPartialTrace:
     def test_traces_out_second_factor(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         np.testing.assert_allclose(
-            partial_trace_second(kron(a, b), 3), a * np.trace(b), atol=1e-12
+            partial_trace_second(np.kron(a, b), 3), a * np.trace(b), atol=1e-12
         )
 
     def test_shape_check(self):

@@ -1,9 +1,28 @@
-"""The README's library example must run as printed."""
+"""The README's library example and CLI examples must run as printed."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from qchan import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _cli_block() -> list[str]:
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    return re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1).splitlines()
+
+
+# Examples that read no input file; the README documents the exit-1 one.
+CLI_EXAMPLES = [
+    line
+    for line in _cli_block()
+    if line.startswith("qchan ") and not any(arg.endswith(".json") for arg in shlex.split(line))
+]
+EXIT_ONE = {"qchan verify cptp --family tcq --dim 3 --p 0.3"}
 
 
 def test_library_example_runs(capsys):
@@ -14,3 +33,26 @@ def test_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "True"
     assert lines[-1].startswith("spectrum_witness ")
+
+
+def test_cli_examples_are_found():
+    assert len(CLI_EXAMPLES) == 10
+    assert EXIT_ONE <= set(CLI_EXAMPLES)
+
+
+@pytest.mark.parametrize("line", CLI_EXAMPLES)
+def test_cli_example_runs(line, capsys):
+    code = cli.main(shlex.split(line)[1:])
+    assert code == (1 if line in EXIT_ONE else 0), capsys.readouterr().out
+
+
+def test_range_example_prints_the_documented_json(capsys):
+    lines = _cli_block()
+    start = lines.index("qchan range --family dcq --dim 3") + 1
+    printed = []
+    for text in lines[start:]:
+        if not text.startswith("# "):
+            break
+        printed.append(text[2:])
+    assert cli.main(["range", "--family", "dcq", "--dim", "3"]) == 0
+    assert capsys.readouterr().out == "\n".join(printed) + "\n"

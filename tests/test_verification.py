@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qchan.basis import pauli_matrix
+from qchan import verification
+from qchan.basis import build_basis, pairs, pauli_matrix
 from qchan.channels import (
     DiagonalChannel,
     Family,
@@ -230,6 +231,19 @@ class TestSumIdentities:
         report = verify_sum_identities(n, trials=20, seed=3)
         assert report.passed, report.witness
         assert report.max_deviation < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_direct_sums_match_the_per_matrix_loop(self, n):
+        rng = np.random.default_rng(n)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        basis = build_basis(n)
+        mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs(n)] for sector in "xyz"}
+        for sector in "0xyz":
+            mats["e" + sector] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == sector]
+        direct = verification._direct_sums(s, n)
+        assert direct.keys() == mats.keys()
+        for key, group in mats.items():
+            np.testing.assert_allclose(direct[key], sum(m @ s @ m for m in group), atol=1e-12)
 
     def test_transpose_matters_on_e12(self):
         # The x-sector conjugation sum of E_12 at n = 2 is E_21: the
