@@ -104,7 +104,13 @@ def m_z(n: int, k: int) -> np.ndarray:
     return np.diag(d)
 
 
-@lru_cache(maxsize=None)
+# Dimensions whose sector stacks and basis stay cached.  Together they hold
+# about 2.5 n^4 complex entries per dimension, so an unbounded cache would
+# keep every dimension a process ever asked for.
+_CACHED_DIMS = 4
+
+
+@lru_cache(maxsize=_CACHED_DIMS)
 def _pauli_stacks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unnormalized sigma_x, sigma_y, sigma_z of every pair, as (pairs, n, n) stacks.
 
@@ -145,7 +151,7 @@ class BasisE:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_DIMS)
 def build_basis(n: int) -> BasisE:
     """Construct (and cache) the orthonormal basis for dimension ``n``."""
 

@@ -87,9 +87,9 @@ _SIGNS = {
 def cptp_range(family: Family, n):
     """Endpoints (p_min, p_max) of the CPTP parameter interval.
 
-    Works with a plain integer or a symbolic dimension, so the same
-    expressions feed both numeric range checks and the symbolic
-    bound-matching systems.
+    Works with an integer or a ``fractions.Fraction`` dimension; given a
+    Fraction it returns exact rationals, which the bound-matching
+    verdicts compare for equality.
     """
 
     if family is Family.DEP:

@@ -21,10 +21,10 @@ conjugations, which :func:`qubit_equivalence_check` verifies numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import sympy
 
 from .channels import (
     PAULI_X,
@@ -119,11 +119,12 @@ class AlphaInterval:
 
 @dataclass(frozen=True)
 class BoundMatchingReport:
-    """Roots of one endpoint-matching system, solved symbolically.
+    """Roots of one endpoint-matching system and its verdict at one dimension.
 
     ``roots`` are the dimensions at which an affine reparameterization
-    could align both CPTP endpoints of the two families; ``feasible`` says
-    whether the queried dimension is such a root.
+    could align both CPTP endpoints of the two families, ``roots_exact``
+    the same roots as exact expressions; ``feasible`` says whether the
+    ratio equation holds exactly at the queried dimension.
     """
 
     pair: tuple[Family, Family]
@@ -282,51 +283,88 @@ def alpha_interval(family: Family, p: float, n: int) -> AlphaInterval:
     return AlphaInterval(family=family, p=p, dim=n, alpha_min=lo, alpha_max=hi)
 
 
+# The ratio equations of bound_matching_system do not depend on n, so their
+# printed sides and roots are fixed.  Each row, keyed by
+# (family_a, family_b, same_sign), holds the lhs and rhs text, the exact roots
+# and the same roots as floats, in ascending order; no roots marks an equation
+# that holds identically.  tests/test_equivalence.py re-derives every row
+# symbolically.  ``feasible`` never reads a row: it is exact rational equality at n.
+_SQRT17_ROOTS = (
+    ("0", "5/2 - sqrt(17)/2", "sqrt(17)/2 + 5/2"),
+    (0.0, 0.4384471871911697, 4.561552812808831),
+)
+_RATIO_EQUATIONS = {
+    (Family.DEP, Family.TRD, True): ("-(1 - n**2)/(n - 1)", "1/(n + 1)", ("-2", "0"), (-2.0, 0.0)),
+    (Family.DEP, Family.TRD, False): ("(1 - n**2)/(n + 1)", "-1/(n - 1)", ("0", "2"), (0.0, 2.0)),
+    (Family.DEP, Family.DCQ, True):
+        ("-(1 - n**2)/(2*n - 1)", "(n - 1)**(-2)", ("0", "2"), (0.0, 2.0)),
+    (Family.DEP, Family.DCQ, False): ("(1 - n**2)/(n - 1)**2", "-1/(2*n - 1)", ("0",), (0.0,)),
+    (Family.DEP, Family.TCQ, True): ("-(1 - n**2)/(n - 1)", "1/(n + 1)", ("-2", "0"), (-2.0, 0.0)),
+    (Family.DEP, Family.TCQ, False): ("(1 - n**2)/(n + 1)", "-1/(n - 1)", ("0", "2"), (0.0, 2.0)),
+    (Family.TRD, Family.DEP, True): ("-(1 - n)/(n**2 - 1)", "n + 1", ("-2", "0"), (-2.0, 0.0)),
+    (Family.TRD, Family.DEP, False): ("1 - n", "-(n + 1)/(n**2 - 1)", ("0", "2"), (0.0, 2.0)),
+    (Family.TRD, Family.DCQ, True): ("-(1 - n)/(2*n - 1)", "(n + 1)/(n - 1)**2", *_SQRT17_ROOTS),
+    (Family.TRD, Family.DCQ, False):
+        ("(1 - n)/(n - 1)**2", "-(n + 1)/(2*n - 1)", ("0", "2"), (0.0, 2.0)),
+    (Family.TRD, Family.TCQ, True): ("-(1 - n)/(n - 1)", "1", (), ()),
+    (Family.TRD, Family.TCQ, False): ("(1 - n)/(n + 1)", "-(n + 1)/(n - 1)", ("0",), (0.0,)),
+    (Family.DCQ, Family.DEP, True):
+        ("-(1 - 2*n)/(n**2 - 1)", "(n - 1)**2", ("0", "2"), (0.0, 2.0)),
+    (Family.DCQ, Family.DEP, False): ("1 - 2*n", "-(n - 1)**2/(n**2 - 1)", ("0",), (0.0,)),
+    (Family.DCQ, Family.TRD, True): ("-(1 - 2*n)/(n - 1)", "(n - 1)**2/(n + 1)", *_SQRT17_ROOTS),
+    (Family.DCQ, Family.TRD, False): ("(1 - 2*n)/(n + 1)", "1 - n", ("0", "2"), (0.0, 2.0)),
+    (Family.DCQ, Family.TCQ, True): ("-(1 - 2*n)/(n - 1)", "(n - 1)**2/(n + 1)", *_SQRT17_ROOTS),
+    (Family.DCQ, Family.TCQ, False): ("(1 - 2*n)/(n + 1)", "1 - n", ("0", "2"), (0.0, 2.0)),
+    (Family.TCQ, Family.DEP, True): ("-(1 - n)/(n**2 - 1)", "n + 1", ("-2", "0"), (-2.0, 0.0)),
+    (Family.TCQ, Family.DEP, False): ("1 - n", "-(n + 1)/(n**2 - 1)", ("0", "2"), (0.0, 2.0)),
+    (Family.TCQ, Family.TRD, True): ("-(1 - n)/(n - 1)", "1", (), ()),
+    (Family.TCQ, Family.TRD, False): ("(1 - n)/(n + 1)", "-(n + 1)/(n - 1)", ("0",), (0.0,)),
+    (Family.TCQ, Family.DCQ, True): ("-(1 - n)/(2*n - 1)", "(n + 1)/(n - 1)**2", *_SQRT17_ROOTS),
+    (Family.TCQ, Family.DCQ, False):
+        ("(1 - n)/(n - 1)**2", "-(n + 1)/(2*n - 1)", ("0", "2"), (0.0, 2.0)),
+}
+
+
 def bound_matching_system(
     pair: tuple[Family, Family], n: int, same_sign: bool
 ) -> BoundMatchingReport:
-    """Solve one endpoint-matching system symbolically in the dimension.
+    """Decide one endpoint-matching system exactly at dimension ``n``.
 
     If conjugations mapped family A at parameter p onto family B at p~,
     the affine scaling freedom would identify the two alpha intervals; for
     parameters of equal (resp. opposite) sign that forces the ratio p~/p
     to match lower-to-lower and upper-to-upper (resp. crossed) endpoint
-    quotients.  The report lists every dimension solving the system.
+    quotients.  ``feasible`` is exact rational equality of the two
+    quotients at ``n``; the report also lists every dimension solving the
+    system.
     """
 
     fam_a, fam_b = pair
     if fam_a is fam_b:
         raise ValueError("bound matching needs two distinct families")
-    m = sympy.Symbol("n")
-    lo_a, hi_a = cptp_range(fam_a, m)
-    lo_b, hi_b = cptp_range(fam_b, m)
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    exact_n = Fraction(int(n))
+    lo_a, hi_a = cptp_range(fam_a, exact_n)
+    lo_b, hi_b = cptp_range(fam_b, exact_n)
     if same_sign:
-        equation = sympy.Eq(lo_b / lo_a, hi_b / hi_a)
+        feasible = lo_b / lo_a == hi_b / hi_a
     else:
-        equation = sympy.Eq(hi_b / lo_a, lo_b / hi_a)
-    solutions = sympy.solve(equation, m)
-    solutions = sorted(solutions, key=lambda r: float(r))
-    roots = tuple(float(r) for r in solutions)
-    # solve() returns no roots both for an inconsistent equation and for an
-    # identity; only the latter is satisfied, at every dimension.
-    identity = not solutions and sympy.cancel(equation.lhs - equation.rhs) == 0
-    feasible = identity or any(abs(r - n) <= 1e-12 for r in roots)
-    if identity:
+        feasible = hi_b / lo_a == lo_b / hi_a
+    lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[fam_a, fam_b, same_sign]
+    if feasible and not roots:
         verdict = f"the equation holds for every n, so dimension {n} solves the system"
     elif feasible:
         verdict = f"dimension {n} solves the system"
     else:
         verdict = f"no root equals {n}, so no affine reparameterization aligns both endpoints"
-    detail = (
-        f"ratio equation {sympy.sstr(equation.lhs)} = {sympy.sstr(equation.rhs)}; "
-        f"roots {{{', '.join(sympy.sstr(r) for r in solutions)}}}; {verdict}"
-    )
+    detail = f"ratio equation {lhs} = {rhs}; roots {{{', '.join(roots_exact)}}}; {verdict}"
     return BoundMatchingReport(
         pair=pair,
         dim=n,
         same_sign=same_sign,
         roots=roots,
-        roots_exact=tuple(sympy.sstr(r) for r in solutions),
+        roots_exact=roots_exact,
         feasible=feasible,
         detail=detail,
     )

@@ -148,6 +148,14 @@ class TestBasis:
         assert build_basis(3) is build_basis(3)
         assert _pauli_stacks(3) is _pauli_stacks(3)
 
+    def test_caches_are_bounded(self):
+        for n in range(2, 12):
+            build_basis(n)
+        for cached in (build_basis, _pauli_stacks):
+            info = cached.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize < 10
+
     def test_elements_read_only(self):
         basis = build_basis(3)
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +348,38 @@ class TestOutputContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["p_min"] == pytest.approx(-0.2)
+
+    def test_runs_without_sympy(self):
+        # sympy is a test oracle only: with its import blocked, certify and
+        # report must still succeed and load no sympy module.
+        script = textwrap.dedent(
+            """
+            import contextlib
+            import io
+            import sys
+
+            sys.modules["sympy"] = None
+            import qchan.cli
+
+            for argv in (
+                ["certify", "--pair", "dep,trd", "--dim", "5"],
+                ["certify", "--pair", "tcq,dcq", "--dim", "4"],
+                ["report", "--dim", "3"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = qchan.cli.main(argv)
+                assert code == 0, (argv, code)
+            loaded = [
+                name for name, module in sys.modules.items()
+                if name.startswith("sympy") and module is not None
+            ]
+            assert loaded == [], loaded
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from qchan.channels import (
     Family,
     FamilyChannel,
     as_linear_map,
+    cptp_range,
     family_apply,
     random_pure_state,
     random_unitary,
 )
 from qchan.equivalence import (
+    _RATIO_EQUATIONS,
     InequivalenceCertificate,
     alpha_interval,
     bound_matching_system,
@@ -22,6 +26,14 @@ from qchan.linalg import hermitian_eigenvalues
 from qchan.verification import param_range
 
 SQRT17 = np.sqrt(17.0)
+
+# Every bound-matching system: ordered pair of distinct families, sign case.
+SYSTEMS = [
+    (fam_a, fam_b, same_sign)
+    for fam_a, fam_b in itertools.permutations(Family, 2)
+    for same_sign in (True, False)
+]
+SYSTEM_IDS = [f"{a.value}-{b.value}-{'same' if s else 'opposite'}" for a, b, s in SYSTEMS]
 
 
 class TestSpectrumWitness:
@@ -188,6 +200,45 @@ class TestBoundMatching:
     def test_no_integer_roots_from_three(self, pair, same_sign, n):
         report = bound_matching_system(pair, n, same_sign=same_sign)
         assert not report.feasible
+
+
+class TestRatioEquationTable:
+    def test_one_row_per_system(self):
+        assert set(_RATIO_EQUATIONS) == set(SYSTEMS)
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+    def test_row_matches_sympy_derivation(self, system):
+        sympy = pytest.importorskip("sympy")
+        fam_a, fam_b, same_sign = system
+        m = sympy.Symbol("n")
+        lo_a, hi_a = cptp_range(fam_a, m)
+        lo_b, hi_b = cptp_range(fam_b, m)
+        if same_sign:
+            equation = sympy.Eq(lo_b / lo_a, hi_b / hi_a)
+        else:
+            equation = sympy.Eq(hi_b / lo_a, lo_b / hi_a)
+        solutions = sorted(sympy.solve(equation, m), key=float)
+        lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[system]
+        assert (lhs, rhs) == (sympy.sstr(equation.lhs), sympy.sstr(equation.rhs))
+        assert roots_exact == tuple(sympy.sstr(r) for r in solutions)
+        assert [r.hex() for r in roots] == [float(r).hex() for r in solutions]
+        identity = sympy.cancel(equation.lhs - equation.rhs) == 0
+        assert (not roots) == identity
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+    def test_verdict_is_identity_or_root(self, system):
+        fam_a, fam_b, same_sign = system
+        lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[system]
+        for n in range(2, 65):
+            report = bound_matching_system((fam_a, fam_b), n, same_sign=same_sign)
+            assert report.feasible is (not roots or n in roots), n
+            assert (report.roots, report.roots_exact) == (roots, roots_exact)
+            assert report.detail.startswith(f"ratio equation {lhs} = {rhs}; ")
+
+    @pytest.mark.parametrize("n", [1, 0, -2, 3.0, 4.561552812808831])
+    def test_dimension_must_be_an_integer_from_two(self, n):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            bound_matching_system((Family.DEP, Family.TRD), n, same_sign=True)
 
 
 class TestQubitEquivalence:
