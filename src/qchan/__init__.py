@@ -10,10 +10,8 @@ from .basis import (
     BasisE,
     build_basis,
     decompose,
-    index_from_pair,
     m_z,
     pair_count,
-    pair_from_index,
     pairs,
     pauli_matrix,
     reconstruct,

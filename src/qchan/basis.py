@@ -27,8 +27,6 @@ from .linalg import DEFAULT_TOL, Tolerance, as_matrix, frobenius_norm, is_hermit
 __all__ = [
     "pair_count",
     "pairs",
-    "index_from_pair",
-    "pair_from_index",
     "pauli_matrix",
     "m_z",
     "BasisE",
@@ -48,24 +46,6 @@ def pairs(n: int) -> list[tuple[int, int]]:
     """All pairs (k, l), 1 <= k < l <= n, in lexicographic order."""
     _check_dim(n)
     return [(k, l) for k in range(1, n) for l in range(k + 1, n + 1)]
-
-
-def index_from_pair(k: int, l: int, n: int) -> int:
-    """1-based lexicographic position of the pair (k, l)."""
-    _check_pair(n, (k, l))
-    return (k - 1) * n - k * (k - 1) // 2 + (l - k)
-
-
-def pair_from_index(i: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`index_from_pair`."""
-    _check_dim(n)
-    if not 1 <= i <= pair_count(n):
-        raise ValueError(f"pair index {i} out of range 1..{pair_count(n)}")
-    k = 1
-    while i > n - k:
-        i -= n - k
-        k += 1
-    return k, k + i
 
 
 def pauli_matrix(n: int, sector: str, pair: tuple[int, int]) -> np.ndarray:

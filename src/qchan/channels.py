@@ -201,8 +201,9 @@ class ReprCoefficients:
     """Conjugation-sum representation weights for one family member.
 
     ``c0..cz`` weight the identity and the unnormalized generalized Pauli
-    sectors; ``e0..ez`` weight the orthonormal basis elements instead.
-    Both expansions reproduce the same channel.
+    sectors; ``e0..ez`` = (n c0, 2 cx, 2 cy, n cz) weight the orthonormal
+    basis elements instead.  Both expansions reproduce the same channel;
+    the e-weights are its Choi eigenvalues (see :func:`repr_coefficients`).
     """
 
     c0: float
@@ -242,17 +243,9 @@ def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
 def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
     """Multiplier vector of the family member over the Hermitian basis."""
 
-    n = ch.dim
-    cnt = pair_count(n)
-    sx, sy, sz = _SIGNS[ch.family]
-    t = np.concatenate(
-        [
-            np.full(cnt, sx * ch.p),
-            np.full(cnt, sy * ch.p),
-            np.full(n - 1, sz * ch.p),
-        ]
-    )
-    return DiagonalChannel(dim=n, t=t)
+    cnt = pair_count(ch.dim)
+    t = np.repeat([s * ch.p for s in _SIGNS[ch.family]], [cnt, cnt, ch.dim - 1])
+    return DiagonalChannel(dim=ch.dim, t=t)
 
 
 def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
@@ -364,39 +357,25 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
     + cz sum_i sz_i S sz_i`` over the unnormalized generalized Paulis, and
     likewise with the e-weights over the orthonormal basis elements
     (identity term ``e0 e_0 S e_0``).
+
+    All eight solve the sector equations once from the multipliers
+    (t_x, t_y, t_z) = p * signs.  The e-weights are the Choi eigenvalues
+    that ``is_cptp`` checks (e0 once and ez n-1 times in the classical
+    block, ex and ey in each pair block), so both expansions are Kraus
+    sets exactly on the CPTP range.  A ``Fraction`` p gives exact weights.
     """
 
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    n2 = n * n
-    if family is Family.DEP:
-        c0 = (1 + (n2 - 1) * p) / n2
-        cx = cy = (1 - p) / (2 * n)
-        cz = (1 - p) / n2
-        e0 = (1 + (n2 - 1) * p) / n
-        ex = ey = ez = (1 - p) / n
-    elif family is Family.TRD:
-        c0 = cz = (1 + (n - 1) * p) / n2
-        cx = (1 + (n - 1) * p) / (2 * n)
-        cy = (1 - (n + 1) * p) / (2 * n)
-        e0 = ex = ez = (1 + (n - 1) * p) / n
-        ey = (1 - (n + 1) * p) / n
-    elif family is Family.DCQ:
-        c0 = (1 - (n - 1) ** 2 * p) / n2
-        cx = cy = (1 - p) / (2 * n)
-        cz = (1 + (2 * n - 1) * p) / n2
-        e0 = (1 - (n - 1) ** 2 * p) / n
-        ex = ey = (1 - p) / n
-        ez = (1 + (2 * n - 1) * p) / n
-    elif family is Family.TCQ:
-        c0 = cz = (1 + (n - 1) * p) / n2
-        cx = (1 - (n + 1) * p) / (2 * n)
-        cy = (1 + (n - 1) * p) / (2 * n)
-        e0 = ey = ez = (1 + (n - 1) * p) / n
-        ex = (1 - (n + 1) * p) / n
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return ReprCoefficients(c0=c0, cx=cx, cy=cy, cz=cz, e0=e0, ex=ex, ey=ey, ez=ez)
+    t_x, t_y, t_z = (s * p for s in _SIGNS[family])
+    u = (1 - t_z) / n
+    cx = (u + (t_x - t_y) / 2) / 2
+    cy = (u - (t_x - t_y) / 2) / 2
+    cz = (t_z + u - (t_x + t_y) / 2) / n
+    c0 = cz + (t_x + t_y) / 2
+    return ReprCoefficients(
+        c0=c0, cx=cx, cy=cy, cz=cz, e0=n * c0, ex=2 * cx, ey=2 * cy, ez=n * cz
+    )
 
 
 def kraus_from_family(
@@ -404,9 +383,10 @@ def kraus_from_family(
 ) -> KrausSet:
     """Kraus operators sqrt(c) * (I or generalized Pauli) for p in range.
 
-    Raises ValueError naming the first negative weight when p lies outside
-    the CPTP interval; weights that vanish at an endpoint drop out of the
-    set instead of producing zero operators.
+    Raises ValueError naming the first weight below ``-tol.bound(1.0)``:
+    p lies outside the CPTP interval.  Weights within ``tol.bound(1.0)``
+    of zero vanish (at an endpoint, up to rounding) and drop out of the
+    set instead of producing near-zero operators.
     """
 
     coeffs = repr_coefficients(family, p, n)
@@ -425,7 +405,7 @@ def kraus_from_family(
                 f"{FAMILY_NAMES[family]} at p={p}, dim={n}: coefficient {name}={weight} "
                 f"is negative; p lies outside the CPTP range [{lo}, {hi}]"
             )
-        if weight > 0:
+        if weight > tol.bound(1.0):
             root = sqrt(weight)
             operators.extend(root * mats)
     return KrausSet(operators=tuple(operators))

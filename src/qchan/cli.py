@@ -36,6 +36,7 @@ from .channels import (
     validate_state,
 )
 from .equivalence import (
+    _HYBRID,
     GAP_THRESHOLD,
     inequivalence_certificate,
     qubit_equivalence_check,
@@ -307,8 +308,7 @@ def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
 def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     pair = _parse_pair(args.pair)
-    hybrids = [f for f in pair if f in (Family.DCQ, Family.TCQ)]
-    if len(hybrids) != 1:
+    if len([f for f in pair if f in _HYBRID]) != 1:
         raise SchemaError(
             "pair",
             "spectrum witnesses separate mixed pairs only (one of dep/trd vs one of "
@@ -415,12 +415,12 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     sections["identities"] = identities.to_json()
     all_passed = all_passed and identities.passed
 
-    det = verify_det_recurrence(n)
+    det = verify_det_recurrence(n, **kwargs)
     sections["determinant"] = det.to_json()
     all_passed = all_passed and det.passed
 
     if n == 2:
-        qe = qubit_equivalence_check(0.5, trials=50, seed=args.seed)
+        qe = qubit_equivalence_check(0.5, trials=50, seed=args.seed, **kwargs)
         sections["qubit_equivalence"] = qe.to_json()
         all_passed = all_passed and qe.passed
     else:
@@ -487,10 +487,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         payload, passed = _dispatch(args)
         _emit(payload, args.output)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if passed else 1

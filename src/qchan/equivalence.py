@@ -36,6 +36,7 @@ from .channels import (
     cptp_range,
     diagonal_apply,
     family_apply,
+    family_to_diagonal,
     random_pure_state,
 )
 from .linalg import Tolerance, hermitian_eigenvalues
@@ -378,8 +379,8 @@ def qubit_equivalence_check(
 ) -> VerificationReport:
     """Verify the dimension-2 Pauli conjugations joining the four variants.
 
-    With Phi_1..Phi_4 the diagonal qubit channels with multiplier signs
-    (+,+,+), (+,-,+), (-,-,+), (-,+,+) times p:
+    With Phi_1..Phi_4 the four families (dep, trd, dcq, tcq) at
+    dimension 2 in their diagonal picture:
 
     * sigma_y Phi_2(-p, S) sigma_y = Phi_1(p, S)
     * sigma_z Phi_3(p, S)  sigma_z = Phi_1(p, S)
@@ -391,17 +392,15 @@ def qubit_equivalence_check(
     if not 0 < p < 1:
         raise ValueError(f"conjugation check expects 0 < p < 1, got {p}")
     _check_trials(trials)
-    signs = {1: (1, 1, 1), 2: (1, -1, 1), 3: (-1, -1, 1), 4: (-1, 1, 1)}
 
-    def variant(idx: int, param: float) -> DiagonalChannel:
-        sx, sy, sz = signs[idx]
-        return DiagonalChannel(dim=2, t=np.array([sx * param, sy * param, sz * param]))
+    def variant(family: Family, param: float) -> DiagonalChannel:
+        return family_to_diagonal(FamilyChannel(family, param, 2))
 
-    phi1 = variant(1, p)
+    phi1 = variant(Family.DEP, p)
     cases = [
-        ("sigma_y . Phi_2(-p) . sigma_y", PAULI_Y, variant(2, -p)),
-        ("sigma_z . Phi_3(p) . sigma_z", PAULI_Z, variant(3, p)),
-        ("sigma_x . Phi_4(-p) . sigma_x", PAULI_X, variant(4, -p)),
+        ("sigma_y . Phi_2(-p) . sigma_y", PAULI_Y, variant(Family.TRD, -p)),
+        ("sigma_z . Phi_3(p) . sigma_z", PAULI_Z, variant(Family.DCQ, p)),
+        ("sigma_x . Phi_4(-p) . sigma_x", PAULI_X, variant(Family.TCQ, -p)),
     ]
     rng = np.random.default_rng(seed)
     worst = 0.0

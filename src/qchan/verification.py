@@ -27,6 +27,7 @@ import numpy as np
 
 from .basis import _pauli_stacks, build_basis, pair_count, pairs
 from .channels import (
+    _SIGNS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -62,7 +63,6 @@ __all__ = [
     "witness_state_labels",
     "constant_fnorm_sample_test",
     "dcq_det_formula",
-    "dcq_det_matrix",
     "verify_det_recurrence",
     "sum_x",
     "sum_y",
@@ -188,9 +188,7 @@ def _is_cptp_blocks(ch: AnyChannel, n: int, tol: Tolerance) -> VerificationRepor
     if diag.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
     a, b = diag.pair_weights
-    d = diagonal_image(diag, np.eye(n))
-    classical = a.copy()
-    np.fill_diagonal(classical, np.diag(d))
+    classical, d = _classical_block(diag)
     classical_min = float(np.linalg.eigvalsh(classical)[0])
     k, l = np.triu_indices(n, 1)
     x, y = d[k, l], d[l, k]
@@ -204,6 +202,15 @@ def _is_cptp_blocks(ch: AnyChannel, n: int, tol: Tolerance) -> VerificationRepor
     # Tr_2 of the Choi matrix is diag(Tr Phi(E_jj)); off-diagonal entries vanish.
     trace_dev = float(np.max(np.abs(d.sum(axis=1) - 1)))
     return _choi_verdict(smallest, scale, trace_dev, tol, where)
+
+
+def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The classical Choi block (D_ii on the diagonal, a_kl off it), and D."""
+
+    d = diagonal_image(diag, np.eye(diag.dim))
+    block = diag.pair_weights[0].copy()
+    np.fill_diagonal(block, np.diag(d))
+    return block, d
 
 
 def constant_fnorm_criterion(
@@ -341,14 +348,6 @@ def dcq_det_formula(n: int, p: float) -> float:
     return (2 * p + (1 - p) / n) ** (n - 1) * (1 - (n - 1) ** 2 * p) / n
 
 
-def dcq_det_matrix(n: int, p: float) -> np.ndarray:
-    """The n x n matrix with diagonal p + (1-p)/n and off-diagonal -p."""
-
-    m = np.full((n, n), -p, dtype=float)
-    np.fill_diagonal(m, p + (1 - p) / n)
-    return m
-
-
 def verify_det_recurrence(
     n: int,
     grid: int = 21,
@@ -358,6 +357,9 @@ def verify_det_recurrence(
 ) -> VerificationReport:
     """Compare the closed-form determinant with LAPACK over a p grid.
 
+    LAPACK takes the determinant of the dcq member's classical Choi block
+    (diagonal p + (1-p)/n, off-diagonal -p); the closed form is the
+    product e0 ez^(n-1) of its eigenvalues (see ``repr_coefficients``).
     The absolute floor matters: the formula has analytic zeros inside the
     grid (p = 1/(n-1)^2) where a purely relative comparison is vacuous.
     """
@@ -367,7 +369,8 @@ def verify_det_recurrence(
     passed = True
     for p in np.linspace(lo, hi, grid):
         formula = dcq_det_formula(n, float(p))
-        direct = float(np.linalg.det(dcq_det_matrix(n, float(p))))
+        block, _ = _classical_block(family_to_diagonal(FamilyChannel(Family.DCQ, float(p), n)))
+        direct = float(np.linalg.det(block))
         dev = abs(formula - direct)
         if dev > worst:
             worst, worst_p = dev, float(p)
@@ -549,7 +552,8 @@ class QubitClassification:
     p: Optional[float] = None
 
 
-_VARIANT_BY_SIGNS = {(1, 1): 1, (1, -1): 2, (-1, -1): 3, (-1, 1): 4}
+# Variant i is the i-th family at n = 2, keyed by its (x, y) multiplier signs.
+_VARIANT_BY_SIGNS = {_SIGNS[family][:2]: i for i, family in enumerate(Family, 1)}
 
 
 def classify_qubit(l: QubitLambda, tol: Tolerance = DEFAULT_TOL) -> QubitClassification:

@@ -7,10 +7,8 @@ from qchan.basis import (
     _pauli_stacks,
     build_basis,
     decompose,
-    index_from_pair,
     m_z,
     pair_count,
-    pair_from_index,
     pairs,
     pauli_matrix,
     reconstruct,
@@ -25,20 +23,6 @@ class TestPairIndexing:
 
     def test_lexicographic_order(self):
         assert pairs(4) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-
-    @pytest.mark.parametrize("n", DIMS)
-    def test_bijection(self, n):
-        for i, (k, l) in enumerate(pairs(n), start=1):
-            assert index_from_pair(k, l, n) == i
-            assert pair_from_index(i, n) == (k, l)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pair_from_index(4, 3)
-        with pytest.raises(ValueError):
-            index_from_pair(2, 2, 3)
-        with pytest.raises(ValueError):
-            index_from_pair(3, 1, 3)
 
 
 class TestPauliMatrices:

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from qchan import channels
 from qchan.basis import build_basis, pair_count
 from qchan.channels import (
     PAULI_X,
@@ -308,6 +311,26 @@ class TestKraus:
         for op in ks.operators:
             # Every remaining operator is a scaled generalized Pauli, hence traceless.
             assert abs(np.trace(op)) < 1e-12
+
+    def test_vanishing_weights_drop_out(self, monkeypatch):
+        # One operator per weight that is exactly nonzero in rational
+        # arithmetic, however its float rounds.  1x1 placeholders of the
+        # right length stand in for the sector stacks, so the sweep to
+        # n = 64 stays small.
+        monkeypatch.setattr(
+            channels,
+            "_pauli_stacks",
+            lambda n: tuple(np.zeros((pair_count(n), 1, 1)) for _ in range(3)),
+        )
+        for family in FAMILIES:
+            for n in range(2, 65):
+                lo, hi = cptp_range(family, Fraction(n))
+                for p in (lo, hi, (lo + hi) / 2, Fraction(0)):
+                    c = repr_coefficients(family, Fraction(p), n)
+                    nonzero = [c.cx != 0, c.cy != 0, c.cz != 0]
+                    expected = (c.c0 != 0) + pair_count(n) * sum(nonzero)
+                    ks = kraus_from_family(family, float(p), n)
+                    assert len(ks) == expected, (family, n, p)
 
     def test_out_of_range_names_coefficient(self):
         with pytest.raises(ValueError, match="c0"):

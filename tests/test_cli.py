@@ -10,8 +10,9 @@ import pytest
 
 from qchan.channels import DiagonalChannel, Family, FamilyChannel, channel_to_json, family_to_diagonal
 from qchan.cli import main
+from qchan.equivalence import qubit_equivalence_check
 from qchan.jsonio import dumps
-from qchan.linalg import matrix_to_json
+from qchan.linalg import Tolerance, matrix_to_json
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +287,27 @@ class TestReport:
         assert code == 0
         payload = json.loads(out)
         assert payload["sections"]["qubit_equivalence"]["passed"] is True
+
+
+    def test_tolerance_reaches_the_determinant(self, capsys):
+        # The determinant section decides with --tol, as detcheck does.
+        code, out, _ = run_cli(capsys, "report", "--dim", "3", "--samples", "10", "--tol", "1e-30")
+        assert code == 1
+        assert json.loads(out)["sections"]["determinant"]["passed"] is False
+
+    def test_tolerance_reaches_the_qubit_equivalences(self, capsys, monkeypatch):
+        seen = []
+
+        def recorder(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return qubit_equivalence_check(*args, **kwargs)
+
+        monkeypatch.setattr("qchan.cli.qubit_equivalence_check", recorder)
+        code, _, _ = run_cli(capsys, "report", "--dim", "2", "--samples", "10", "--tol", "1e-3")
+        assert code == 0
+        assert seen == [Tolerance(absolute=1e-3, relative=1e-3)]
+        run_cli(capsys, "report", "--dim", "2", "--samples", "10")
+        assert seen[1:] == [None]
 
 
 class TestOutputContract:

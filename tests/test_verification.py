@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchan import verification
 from qchan.basis import build_basis, pairs, pauli_matrix
@@ -9,8 +13,10 @@ from qchan.channels import (
     FamilyChannel,
     QubitLambda,
     as_linear_map,
+    cptp_range,
     family_to_diagonal,
     qubit_apply,
+    repr_coefficients,
 )
 from qchan.linalg import Tolerance
 from qchan.verification import (
@@ -18,7 +24,6 @@ from qchan.verification import (
     constant_fnorm_criterion,
     constant_fnorm_sample_test,
     dcq_det_formula,
-    dcq_det_matrix,
     expected_constant_norm,
     is_cptp,
     param_range,
@@ -30,6 +35,38 @@ from qchan.verification import (
 )
 
 FAMILIES = list(Family)
+
+
+def smallest_weight(family, p, n):
+    c = repr_coefficients(family, p, n)
+    return min(c.e0, c.ex, c.ey, c.ez)
+
+
+class TestCptpRangeFromChoiEigenvalues:
+    """The e-weights are the Choi eigenvalues, so cptp_range is where the smallest crosses 0."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_endpoints_are_the_zeros(self, family):
+        step = Fraction(1, 10**9)
+        for n in range(2, 65):
+            lo, hi = (Fraction(v) for v in cptp_range(family, Fraction(n)))
+            assert smallest_weight(family, lo, n) == 0, n
+            assert smallest_weight(family, hi, n) == 0, n
+            assert smallest_weight(family, (lo + hi) / 2, n) > 0, n
+            assert smallest_weight(family, lo - step, n) < 0, n
+            assert smallest_weight(family, hi + step, n) < 0, n
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(min_value=2, max_value=24),
+        st.floats(min_value=-1, max_value=1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_verdict_minimum(self, family, n, p):
+        report = is_cptp(FamilyChannel(family, p, n), n)
+        assert report.min_choi_eigenvalue == pytest.approx(
+            smallest_weight(family, p, n), rel=0, abs=1e-12
+        )
 
 
 class TestParamRange:
@@ -214,7 +251,8 @@ class TestDeterminant:
             assert dcq_det_formula(n, 1 / (n - 1) ** 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_matrix_layout(self):
-        m = dcq_det_matrix(3, 0.2)
+        # The determinant is LAPACK's on the dcq member's classical Choi block.
+        m, _ = verification._classical_block(family_to_diagonal(FamilyChannel(Family.DCQ, 0.2, 3)))
         assert m[0, 0] == pytest.approx(0.2 + 0.8 / 3)
         assert m[0, 1] == -0.2
 
