@@ -384,9 +384,9 @@ def kraus_from_family(
     """Kraus operators sqrt(c) * (I or generalized Pauli) for p in range.
 
     Raises ValueError naming the first weight below ``-tol.bound(1.0)``:
-    p lies outside the CPTP interval.  Weights within ``tol.bound(1.0)``
-    of zero vanish (at an endpoint, up to rounding) and drop out of the
-    set instead of producing near-zero operators.
+    p lies outside the CPTP interval.  Weights up to 4 eps (4 ulps of 1)
+    are the float dust of a weight vanishing at an endpoint and drop out;
+    that threshold ignores ``tol``, so a loose tolerance drops no weight.
     """
 
     coeffs = repr_coefficients(family, p, n)
@@ -405,7 +405,7 @@ def kraus_from_family(
                 f"{FAMILY_NAMES[family]} at p={p}, dim={n}: coefficient {name}={weight} "
                 f"is negative; p lies outside the CPTP range [{lo}, {hi}]"
             )
-        if weight > tol.bound(1.0):
+        if weight > 4 * np.finfo(float).eps:
             root = sqrt(weight)
             operators.extend(root * mats)
     return KrausSet(operators=tuple(operators))

@@ -293,8 +293,6 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    if args.grid < 2:
-        raise SchemaError("grid", f"expected at least 2 grid points, got {args.grid}")
     report = verify_det_recurrence(n, grid=args.grid, **_tol_kwargs(args))
     payload = {
         "command": "detcheck",

@@ -246,10 +246,11 @@ def scale_family(
     """Member with parameter alpha*p, after verifying the affine identity.
 
     Every family satisfies Phi(alpha p, S) = alpha Phi(p, S)
-    + (1 - alpha)/n Tr(S) I; the identity is spot-checked on random pure
-    states before the scaled member is returned.
+    + (1 - alpha)/n Tr(S) I; the identity is spot-checked on ``trials``
+    (at least one) random pure states before the scaled member is returned.
     """
 
+    _check_trials(trials)
     scaled = FamilyChannel(family=ch.family, p=alpha * ch.p, dim=ch.dim)
     rng_info = param_range(ch.family, ch.dim)
     if not rng_info.contains(scaled.p):

@@ -362,8 +362,11 @@ def verify_det_recurrence(
     product e0 ez^(n-1) of its eigenvalues (see ``repr_coefficients``).
     The absolute floor matters: the formula has analytic zeros inside the
     grid (p = 1/(n-1)^2) where a purely relative comparison is vacuous.
+    A grid of fewer than 2 points raises ValueError.
     """
 
+    if grid < 2:
+        raise ValueError(f"grid must have at least 2 points, got {grid}")
     worst = 0.0
     worst_p = lo
     passed = True
@@ -414,17 +417,17 @@ def _conjugation_sum(mats: np.ndarray, s: np.ndarray) -> np.ndarray:
     return left.transpose(1, 0, 2).reshape(n, k * n) @ mats.reshape(k * n, n)
 
 
-def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
-    """Brute-force conjugation sums over the Pauli sectors and basis elements.
+def _direct_sums(s: np.ndarray, n: int, staircase: bool = True) -> dict[str, np.ndarray]:
+    """Brute-force conjugation sums, one per distinct sector.
 
-    Keys "x", "y", "z" sum over the unnormalized pair matrices; "e0",
-    "ex", "ey", "ez" over the orthonormal basis sectors.
+    Keys "x", "y", "z" sum over the unnormalized pair matrices, "ez" (if
+    ``staircase``) over the staircase z block of the orthonormal basis.
+    Its I/sqrt(n), x/sqrt(2), y/sqrt(2) elements sum to S/n, "x"/2, "y"/2.
     """
 
-    cnt = pair_count(n)
-    e = build_basis(n).stacked
     sectors = dict(zip("xyz", _pauli_stacks(n)))
-    sectors.update(e0=e[:1], ex=e[1 : 1 + cnt], ey=e[1 + cnt : 1 + 2 * cnt], ez=e[1 + 2 * cnt :])
+    if staircase:
+        sectors["ez"] = build_basis(n).stacked[1 + 2 * pair_count(n) :]
     return {key: _conjugation_sum(mats, s) for key, mats in sectors.items()}
 
 
@@ -436,10 +439,11 @@ def verify_sum_identities(
 ) -> VerificationReport:
     """Check the closed conjugation-sum forms against brute-force sums.
 
-    Uses generic complex inputs.  The closed x/y forms carry a transpose;
-    the transpose-free variants coincide with them exactly on complex
-    symmetric inputs, which is also verified and recorded in the witness
-    text.
+    Uses generic complex inputs and checks the x, y, z and staircase "ez"
+    sums (the orthonormal x/y sectors sum to half the x/y sums).  The
+    closed x/y forms carry a transpose; the transpose-free variants
+    coincide with them exactly on complex symmetric inputs, which is also
+    verified and recorded in the witness text.
     """
 
     _check_trials(trials)
@@ -454,15 +458,13 @@ def verify_sum_identities(
             "x": sum_x(s, n),
             "y": sum_y(s, n),
             "z": sum_z(s, n),
-            "ex": sum_x(s, n) / 2,
-            "ey": sum_y(s, n) / 2,
             "ez": np.diag(np.diag(s)) - s / n,
         }
         for key, mat in closed.items():
             worst = max(worst, float(np.max(np.abs(direct[key] - mat))))
         # Transpose-free variants on a complex symmetric input.
         sym = (s + s.T) / 2
-        direct_sym = _direct_sums(sym, n)
+        direct_sym = _direct_sums(sym, n, staircase=False)
         printed = {
             "x": sym + np.trace(sym) * eye - 2 * np.diag(np.diag(sym)),
             "y": np.trace(sym) * eye - sym,
@@ -489,7 +491,10 @@ def verify_representations(
     seed: int = 0,
     tol: Tolerance = Tolerance(absolute=1e-12, relative=0.0),
 ) -> VerificationReport:
-    """Both conjugation-sum expansions against the closed family form."""
+    """Both conjugation-sum expansions against the closed family form.
+
+    The basis form is e0 S/n + ex X/2 + ey Y/2 + ez EZ (see ``_direct_sums``).
+    """
 
     _check_trials(trials)
     coeffs = repr_coefficients(family, p, n)
@@ -506,15 +511,12 @@ def verify_representations(
             coeffs.c0 * s + coeffs.cx * sums["x"] + coeffs.cy * sums["y"] + coeffs.cz * sums["z"]
         )
         basis_form = (
-            coeffs.e0 * sums["e0"]
-            + coeffs.ex * sums["ex"]
-            + coeffs.ey * sums["ey"]
+            coeffs.e0 * s / n
+            + coeffs.ex * sums["x"] / 2
+            + coeffs.ey * sums["y"] / 2
             + coeffs.ez * sums["ez"]
         )
-        dev = max(
-            float(np.max(np.abs(pauli_form - expected))),
-            float(np.max(np.abs(basis_form - expected))),
-        )
+        dev = max(float(np.max(np.abs(form - expected))) for form in (pauli_form, basis_form))
         worst = max(worst, dev)
         worst_mean += dev
     passed = worst <= tol.bound(1.0)

@@ -33,7 +33,7 @@ from qchan.channels import (
     validate_state,
 )
 from qchan.jsonio import SchemaError
-from qchan.linalg import frobenius_norm
+from qchan.linalg import Tolerance, frobenius_norm
 
 FAMILIES = list(Family)
 DIMS = [2, 3, 4, 5, 6]
@@ -331,6 +331,12 @@ class TestKraus:
                     expected = (c.c0 != 0) + pair_count(n) * sum(nonzero)
                     ks = kraus_from_family(family, float(p), n)
                     assert len(ks) == expected, (family, n, p)
+
+    def test_loose_tolerance_keeps_genuine_weights(self):
+        # The drop threshold is float dust, not the caller's tolerance.
+        ks = kraus_from_family(Family.DEP, 0.5, 30, tol=Tolerance(1e-2, 1e-2))
+        assert len(ks) == 1 + 3 * pair_count(30)
+        np.testing.assert_allclose(kraus_completeness(ks), np.eye(30), atol=1e-12)
 
     def test_out_of_range_names_coefficient(self):
         with pytest.raises(ValueError, match="c0"):

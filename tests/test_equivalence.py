@@ -116,6 +116,11 @@ class TestScaleFamily:
         with pytest.raises(ValueError, match="outside"):
             scale_family(FamilyChannel(Family.DEP, 0.5, 3), 3.0)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_empty_runs_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            scale_family(FamilyChannel(Family.DEP, 0.5, 3), 0.4, trials=trials)
+
 
 class TestAlphaInterval:
     def test_positive_p(self):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,11 @@ class TestDeterminant:
         assert report.passed, report.witness
         assert report.samples_used == 21
 
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_grid_below_two_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            verify_det_recurrence(3, grid=grid)
+
 
 class TestSumIdentities:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -276,12 +282,25 @@ class TestSumIdentities:
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         basis = build_basis(n)
         mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs(n)] for sector in "xyz"}
-        for sector in "0xyz":
-            mats["e" + sector] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == sector]
+        mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == "z"]
         direct = verification._direct_sums(s, n)
         assert direct.keys() == mats.keys()
         for key, group in mats.items():
             np.testing.assert_allclose(direct[key], sum(m @ s @ m for m in group), atol=1e-12)
+        assert verification._direct_sums(s, n, staircase=False).keys() == set("xyz")
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_orthonormal_sectors_sum_to_scaled_pauli_sums(self, n):
+        # The basis's identity, x and y elements are I/sqrt(n), x/sqrt(2)
+        # and y/sqrt(2): their sums are S/n, X/2 and Y/2.
+        rng = np.random.default_rng(n)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        basis = build_basis(n)
+        direct = verification._direct_sums(s, n)
+        expected = {"0": s / n, "x": direct["x"] / 2, "y": direct["y"] / 2}
+        for sector, target in expected.items():
+            group = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == sector]
+            np.testing.assert_allclose(sum(m @ s @ m for m in group), target, atol=1e-12)
 
     def test_transpose_matters_on_e12(self):
         # The x-sector conjugation sum of E_12 at n = 2 is E_21: the
@@ -326,6 +345,17 @@ class TestRepresentations:
         report = verify_representations(Family.DEP, 0.3, 3, trials=5, seed=6)
         assert report.max_deviation < 1e-13
         assert report.mean_deviation <= report.max_deviation
+
+    @pytest.mark.parametrize("weight", ["c0", "cx", "cy", "cz", "e0", "ex", "ey", "ez"])
+    def test_every_weight_is_checked(self, monkeypatch, weight):
+        def perturbed(*args):
+            c = repr_coefficients(*args)
+            return dataclasses.replace(c, **{weight: getattr(c, weight) + 1e-9})
+
+        monkeypatch.setattr(verification, "repr_coefficients", perturbed)
+        report = verify_representations(Family.DCQ, 0.05, 4, trials=3, seed=1)
+        assert not report.passed
+        assert report.max_deviation > 1e-12
 
 
 class TestClassifyQubit:
