@@ -17,7 +17,7 @@ parameter range) Kraus sets, plus the dedicated qubit parameterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from math import sqrt
@@ -111,7 +111,7 @@ class FamilyChannel:
     family: Family
     p: float
     dim: int
-    in_cptp_range: bool = False
+    in_cptp_range: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:

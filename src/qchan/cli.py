@@ -6,7 +6,8 @@ through the exit code:
 
 * 0 — command ran and every requested check passed,
 * 1 — command ran but a verification failed,
-* 2 — invalid input (bad flags, malformed JSON, out-of-range requests).
+* 2 — invalid input (bad flags, malformed JSON, out-of-range requests,
+  requests too large to allocate).
 
 ``--tol`` (or the QCHAN_TOL environment variable) replaces the default
 absolute/relative tolerance with the given value for both components.
@@ -15,6 +16,7 @@ absolute/relative tolerance with the given value for both components.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -47,7 +49,6 @@ from .linalg import (
     Tolerance,
     frobenius_norm,
     matrix_from_json,
-    matrix_to_json,
 )
 from .verification import (
     constant_fnorm_criterion,
@@ -213,11 +214,10 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
             norm = frobenius_norm(element)
             lines.append(f"  e_{sector},{index}  norm={norm:.12f}")
         return "\n".join(lines), True
-    elements = []
-    for (sector, index), element in zip(basis.labels, basis.elements):
-        elements.append(
-            {"sector": sector, "index": index, "matrix": matrix_to_json(element)}
-        )
+    elements = [
+        {"sector": sector, "index": index, "matrix": element}
+        for (sector, index), element in zip(basis.labels, basis.elements)
+    ]
     return {"command": "basis", "dim": n, "elements": elements}, True
 
 
@@ -235,7 +235,7 @@ def _cmd_channel_apply(args: argparse.Namespace) -> tuple[Any, bool]:
     payload = {
         "command": "channel-apply",
         "channel": channel_to_json(channel),
-        "output": matrix_to_json(output),
+        "output": output,
         "output_trace": float(np.trace(output).real),
         "output_frobenius_norm": frobenius_norm(output),
     }
@@ -246,7 +246,7 @@ def _cmd_range(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     family = family_from_name(args.family, "family")
     info = param_range(family, n)
-    payload = {"command": "range", **info.to_json(), "name": FAMILY_NAMES[family]}
+    payload = {"command": "range", **dataclasses.asdict(info), "name": FAMILY_NAMES[family]}
     return payload, True
 
 
@@ -256,7 +256,7 @@ def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
     payload = {
         "command": "verify-cptp",
         "channel": channel_to_json(channel),
-        "report": report.to_json(),
+        "report": report,
     }
     return payload, report.passed
 
@@ -273,7 +273,7 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
         "channel": channel_to_json(channel),
         "criterion_holds": holds,
         "expected_norm": expected,
-        "report": report.to_json(),
+        "report": report,
     }
     return payload, holds and report.passed
 
@@ -286,7 +286,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
         "dim": n,
         "trials": args.trials,
         "seed": args.seed,
-        "report": report.to_json(),
+        "report": report,
     }
     return payload, report.passed
 
@@ -298,7 +298,7 @@ def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
         "command": "detcheck",
         "dim": n,
         "grid": args.grid,
-        "report": report.to_json(),
+        "report": report,
     }
     return payload, report.passed
 
@@ -315,7 +315,7 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
     certificate = inequivalence_certificate(pair, n, args.p)
     payload = {
         "command": "witness",
-        "certificate": certificate.to_json(),
+        "certificate": certificate,
         "gap_threshold": GAP_THRESHOLD,
     }
     return payload, certificate.passed
@@ -327,7 +327,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
     certificate = inequivalence_certificate(pair, n, args.p)
     payload = {
         "command": "certify",
-        "certificate": certificate.to_json(),
+        "certificate": certificate,
         "gap_threshold": GAP_THRESHOLD,
     }
     return payload, certificate.passed
@@ -340,7 +340,7 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
         "p": args.p,
         "trials": args.trials,
         "seed": args.seed,
-        "report": report.to_json(),
+        "report": report,
     }
     return payload, report.passed
 
@@ -355,16 +355,16 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     endpoints = {}
     for family in Family:
         info = param_range(family, n)
-        ranges[family.value] = info.to_json()
+        ranges[family.value] = info
         entry = {}
         ok = True
         for label, p in (("p_min", info.p_min), ("p_max", info.p_max)):
             rep = is_cptp(FamilyChannel(family, p, n), n, **kwargs)
-            entry[label] = rep.to_json()
+            entry[label] = rep
             ok = ok and rep.passed
         for label, p in (("below", info.p_min - 0.01), ("above", info.p_max + 0.01)):
             rep = is_cptp(FamilyChannel(family, p, n), n, **kwargs)
-            entry[label] = rep.to_json()
+            entry[label] = rep
             ok = ok and not rep.passed
         entry["passed"] = ok
         endpoints[family.value] = entry
@@ -387,12 +387,12 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
             "p": p_mid,
             "criterion_holds": holds,
             "expected_norm": expected,
-            "report": sample.to_json(),
+            "report": sample,
         }
         all_passed = all_passed and holds and sample.passed
 
         rep = verify_representations(family, p_mid, n, trials=50, seed=args.seed, **kwargs)
-        representations[family.value] = {"p": p_mid, "report": rep.to_json()}
+        representations[family.value] = {"p": p_mid, "report": rep}
         all_passed = all_passed and rep.passed
 
         ks = kraus_from_family(family, p_mid, n)
@@ -410,16 +410,16 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     sections["kraus"] = kraus
 
     identities = verify_sum_identities(n, trials=25, seed=args.seed, **kwargs)
-    sections["identities"] = identities.to_json()
+    sections["identities"] = identities
     all_passed = all_passed and identities.passed
 
     det = verify_det_recurrence(n, **kwargs)
-    sections["determinant"] = det.to_json()
+    sections["determinant"] = det
     all_passed = all_passed and det.passed
 
     if n == 2:
         qe = qubit_equivalence_check(0.5, trials=50, seed=args.seed, **kwargs)
-        sections["qubit_equivalence"] = qe.to_json()
+        sections["qubit_equivalence"] = qe
         all_passed = all_passed and qe.passed
     else:
         certificates = []
@@ -427,7 +427,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
         for i, fam_a in enumerate(families):
             for fam_b in families[i + 1 :]:
                 cert = inequivalence_certificate((fam_a, fam_b), n)
-                certificates.append({"certificate": cert.to_json(), "passed": cert.passed})
+                certificates.append({"certificate": cert, "passed": cert.passed})
                 all_passed = all_passed and cert.passed
         sections["certificates"] = certificates
 
@@ -485,7 +485,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         payload, passed = _dispatch(args)
         _emit(payload, args.output)
-    except (ValueError, OSError) as exc:  # SchemaError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if passed else 1

@@ -82,21 +82,6 @@ class SpectrumWitness:
     max_spectral_gap: float
     notes: str = ""
 
-    def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
-        return {
-            "family": self.family.value,
-            "p": self.p,
-            "dim": self.dim,
-            "state_a": matrix_to_json(self.state_a),
-            "state_b": matrix_to_json(self.state_b),
-            "spectrum_a": [float(v) for v in self.spectrum_a],
-            "spectrum_b": [float(v) for v in self.spectrum_b],
-            "max_spectral_gap": self.max_spectral_gap,
-            "notes": self.notes,
-        }
-
 
 @dataclass(frozen=True)
 class AlphaInterval:
@@ -107,15 +92,6 @@ class AlphaInterval:
     dim: int
     alpha_min: float
     alpha_max: float
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family.value,
-            "p": self.p,
-            "dim": self.dim,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-        }
 
 
 @dataclass(frozen=True)
@@ -135,17 +111,6 @@ class BoundMatchingReport:
     roots_exact: tuple[str, ...]
     feasible: bool
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "pair": [self.pair[0].value, self.pair[1].value],
-            "dim": self.dim,
-            "same_sign": self.same_sign,
-            "roots": list(self.roots),
-            "roots_exact": list(self.roots_exact),
-            "feasible": self.feasible,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -169,23 +134,18 @@ class InequivalenceCertificate:
     def passed(self) -> bool:
         """Whether the evidence certifies inequivalence.
 
-        A spectrum witness must separate its states by more than
-        ``GAP_THRESHOLD``; bound matching must find no feasible system.
+        The first spectrum witness must separate its states by more than
+        ``GAP_THRESHOLD``; bound matching needs a same-sign and an
+        opposite-sign report and no feasible system.  Missing evidence or
+        an unknown method does not pass.
         """
 
         if self.method == "spectrum_witness":
-            return self.witnesses[0].max_spectral_gap > GAP_THRESHOLD
-        return not any(report.feasible for report in self.bound_reports)
-
-    def to_json(self) -> dict:
-        return {
-            "pair": [self.pair[0].value, self.pair[1].value],
-            "dim": self.dim,
-            "method": self.method,
-            "witnesses": [w.to_json() for w in self.witnesses],
-            "bound_reports": [r.to_json() for r in self.bound_reports],
-            "detail": self.detail,
-        }
+            return bool(self.witnesses) and self.witnesses[0].max_spectral_gap > GAP_THRESHOLD
+        if self.method == "bound_matching":
+            signs = {report.same_sign for report in self.bound_reports}
+            return signs == {True, False} and not any(r.feasible for r in self.bound_reports)
+        return False
 
 
 def _witness_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,11 +245,11 @@ def alpha_interval(family: Family, p: float, n: int) -> AlphaInterval:
     return AlphaInterval(family=family, p=p, dim=n, alpha_min=lo, alpha_max=hi)
 
 
-# The ratio equations of bound_matching_system do not depend on n, so their
-# printed sides and roots are fixed.  Each row, keyed by
-# (family_a, family_b, same_sign), holds the lhs and rhs text, the exact roots
-# and the same roots as floats, in ascending order; no roots marks an equation
-# that holds identically.  tests/test_equivalence.py re-derives every row
+# The ratio equations of bound_matching_system depend only on the two CPTP
+# ranges and not on n, so their printed sides and roots are fixed.  Each row,
+# keyed by _ratio_key, holds the lhs and rhs text, the exact roots and the
+# same roots as floats, in ascending order; no roots marks an equation that
+# holds identically.  tests/test_equivalence.py re-derives every row
 # symbolically.  ``feasible`` never reads a row: it is exact rational equality at n.
 _SQRT17_ROOTS = (
     ("0", "5/2 - sqrt(17)/2", "sqrt(17)/2 + 5/2"),
@@ -301,30 +261,26 @@ _RATIO_EQUATIONS = {
     (Family.DEP, Family.DCQ, True):
         ("-(1 - n**2)/(2*n - 1)", "(n - 1)**(-2)", ("0", "2"), (0.0, 2.0)),
     (Family.DEP, Family.DCQ, False): ("(1 - n**2)/(n - 1)**2", "-1/(2*n - 1)", ("0",), (0.0,)),
-    (Family.DEP, Family.TCQ, True): ("-(1 - n**2)/(n - 1)", "1/(n + 1)", ("-2", "0"), (-2.0, 0.0)),
-    (Family.DEP, Family.TCQ, False): ("(1 - n**2)/(n + 1)", "-1/(n - 1)", ("0", "2"), (0.0, 2.0)),
     (Family.TRD, Family.DEP, True): ("-(1 - n)/(n**2 - 1)", "n + 1", ("-2", "0"), (-2.0, 0.0)),
     (Family.TRD, Family.DEP, False): ("1 - n", "-(n + 1)/(n**2 - 1)", ("0", "2"), (0.0, 2.0)),
     (Family.TRD, Family.DCQ, True): ("-(1 - n)/(2*n - 1)", "(n + 1)/(n - 1)**2", *_SQRT17_ROOTS),
     (Family.TRD, Family.DCQ, False):
         ("(1 - n)/(n - 1)**2", "-(n + 1)/(2*n - 1)", ("0", "2"), (0.0, 2.0)),
-    (Family.TRD, Family.TCQ, True): ("-(1 - n)/(n - 1)", "1", (), ()),
-    (Family.TRD, Family.TCQ, False): ("(1 - n)/(n + 1)", "-(n + 1)/(n - 1)", ("0",), (0.0,)),
+    (Family.TRD, Family.TRD, True): ("-(1 - n)/(n - 1)", "1", (), ()),
+    (Family.TRD, Family.TRD, False): ("(1 - n)/(n + 1)", "-(n + 1)/(n - 1)", ("0",), (0.0,)),
     (Family.DCQ, Family.DEP, True):
         ("-(1 - 2*n)/(n**2 - 1)", "(n - 1)**2", ("0", "2"), (0.0, 2.0)),
     (Family.DCQ, Family.DEP, False): ("1 - 2*n", "-(n - 1)**2/(n**2 - 1)", ("0",), (0.0,)),
     (Family.DCQ, Family.TRD, True): ("-(1 - 2*n)/(n - 1)", "(n - 1)**2/(n + 1)", *_SQRT17_ROOTS),
     (Family.DCQ, Family.TRD, False): ("(1 - 2*n)/(n + 1)", "1 - n", ("0", "2"), (0.0, 2.0)),
-    (Family.DCQ, Family.TCQ, True): ("-(1 - 2*n)/(n - 1)", "(n - 1)**2/(n + 1)", *_SQRT17_ROOTS),
-    (Family.DCQ, Family.TCQ, False): ("(1 - 2*n)/(n + 1)", "1 - n", ("0", "2"), (0.0, 2.0)),
-    (Family.TCQ, Family.DEP, True): ("-(1 - n)/(n**2 - 1)", "n + 1", ("-2", "0"), (-2.0, 0.0)),
-    (Family.TCQ, Family.DEP, False): ("1 - n", "-(n + 1)/(n**2 - 1)", ("0", "2"), (0.0, 2.0)),
-    (Family.TCQ, Family.TRD, True): ("-(1 - n)/(n - 1)", "1", (), ()),
-    (Family.TCQ, Family.TRD, False): ("(1 - n)/(n + 1)", "-(n + 1)/(n - 1)", ("0",), (0.0,)),
-    (Family.TCQ, Family.DCQ, True): ("-(1 - n)/(2*n - 1)", "(n + 1)/(n - 1)**2", *_SQRT17_ROOTS),
-    (Family.TCQ, Family.DCQ, False):
-        ("(1 - n)/(n - 1)**2", "-(n + 1)/(2*n - 1)", ("0", "2"), (0.0, 2.0)),
 }
+
+
+def _ratio_key(fam_a: Family, fam_b: Family, same_sign: bool) -> tuple[Family, Family, bool]:
+    """Key of one system's row: tcq has trd's CPTP range, so it reads trd's rows."""
+
+    fam_a, fam_b = (Family.TRD if f is Family.TCQ else f for f in (fam_a, fam_b))
+    return fam_a, fam_b, same_sign
 
 
 def bound_matching_system(
@@ -353,7 +309,7 @@ def bound_matching_system(
         feasible = lo_b / lo_a == hi_b / hi_a
     else:
         feasible = hi_b / lo_a == lo_b / hi_a
-    lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[fam_a, fam_b, same_sign]
+    lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[_ratio_key(fam_a, fam_b, same_sign)]
     if feasible and not roots:
         verdict = f"the equation holds for every n, so dimension {n} solves the system"
     elif feasible:

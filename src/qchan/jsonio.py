@@ -9,9 +9,12 @@ part of their input was rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
+
+import numpy as np
 
 __all__ = ["SchemaError", "dumps", "format_float", "require", "require_number"]
 
@@ -34,22 +37,24 @@ def format_float(x: float) -> str:
     return text
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize ``obj`` (dict/list/str/float/int/bool/None) deterministically."""
+def dumps(obj: Any) -> str:
+    """Serialize ``obj`` deterministically, two-space indented.
+
+    Accepts dict/list/tuple/str/float/int/bool/None and result records: a
+    dataclass becomes an object of its fields in declaration order, a 2-D
+    array goes through :func:`qchan.linalg.matrix_to_json`, a 1-D array
+    becomes a list of floats, and a ``Family`` is its value (a ``str``).
+    """
 
     pieces: list[str] = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     return "".join(pieces)
 
 
-def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing_pad = " " * (indent * level)
-    if obj is None or obj is True or obj is False:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, bool):  # pragma: no cover - handled above
+def _write(obj: Any, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    closing_pad = "  " * level
+    if obj is None or obj is True or obj is False or isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
@@ -64,7 +69,7 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
             out.append(pad + json.dumps(key) + ": ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -74,9 +79,19 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing_pad + "]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        _write(fields, out, level)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2:
+        # Looked up at call time: linalg imports this module.
+        from . import linalg
+
+        _write(linalg.matrix_to_json(obj), out, level)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
+        _write([float(v) for v in obj], out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 

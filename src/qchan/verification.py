@@ -85,17 +85,6 @@ class VerificationReport:
     witness: Optional[str] = None
     samples_used: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_choi_eigenvalue": self.min_choi_eigenvalue,
-            "trace_violation": self.trace_violation,
-            "max_deviation": self.max_deviation,
-            "mean_deviation": self.mean_deviation,
-            "witness": self.witness,
-            "samples_used": self.samples_used,
-        }
-
 
 @dataclass(frozen=True)
 class ParamRange:
@@ -109,14 +98,6 @@ class ParamRange:
     def contains(self, p: float, tol: Tolerance = DEFAULT_TOL) -> bool:
         slack = tol.bound(max(abs(self.p_min), abs(self.p_max)))
         return self.p_min - slack <= p <= self.p_max + slack
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family.value,
-            "dim": self.dim,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-        }
 
 
 def param_range(family: Family, n: int) -> ParamRange:

@@ -100,6 +100,12 @@ class TestFamilyApply:
         assert FamilyChannel(Family.DCQ, -0.2, 3).in_cptp_range
         assert not FamilyChannel(Family.DCQ, 0.26, 3).in_cptp_range
 
+    def test_in_range_flag_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            FamilyChannel(Family.DEP, 5.0, 3, True)
+        with pytest.raises(TypeError):
+            FamilyChannel(Family.DEP, 5.0, 3, in_cptp_range=True)
+
 
 class TestDiagonalPicture:
     @pytest.mark.parametrize("family,signs", [

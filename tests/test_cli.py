@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qchan import cli
 from qchan.channels import DiagonalChannel, Family, FamilyChannel, channel_to_json, family_to_diagonal
 from qchan.cli import main
 from qchan.equivalence import qubit_equivalence_check
@@ -361,6 +362,16 @@ class TestOutputContract:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_allocation_failure_exits_2(self, capsys, monkeypatch):
+        def allocate(args):
+            raise MemoryError("Unable to allocate 190. GiB for an array")
+
+        monkeypatch.setitem(cli._HANDLERS, "basis", allocate)
+        code, out, err = run_cli(capsys, "basis", "--dim", "400", "--json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Unable to allocate 190. GiB for an array\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from qchan.channels import (
 )
 from qchan.equivalence import (
     _RATIO_EQUATIONS,
+    GAP_THRESHOLD,
     InequivalenceCertificate,
+    _ratio_key,
     alpha_interval,
     bound_matching_system,
     inequivalence_certificate,
@@ -22,6 +26,7 @@ from qchan.equivalence import (
     scale_family,
     spectrum_witness,
 )
+from qchan.jsonio import dumps
 from qchan.linalg import hermitian_eigenvalues
 from qchan.verification import param_range
 
@@ -209,7 +214,9 @@ class TestBoundMatching:
 
 class TestRatioEquationTable:
     def test_one_row_per_system(self):
-        assert set(_RATIO_EQUATIONS) == set(SYSTEMS)
+        keys = {_ratio_key(*system) for system in SYSTEMS}
+        assert keys <= set(_RATIO_EQUATIONS)  # every system resolves to a row
+        assert keys >= set(_RATIO_EQUATIONS)  # every row serves some system
 
     @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
     def test_row_matches_sympy_derivation(self, system):
@@ -223,7 +230,7 @@ class TestRatioEquationTable:
         else:
             equation = sympy.Eq(hi_b / lo_a, lo_b / hi_a)
         solutions = sorted(sympy.solve(equation, m), key=float)
-        lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[system]
+        lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[_ratio_key(*system)]
         assert (lhs, rhs) == (sympy.sstr(equation.lhs), sympy.sstr(equation.rhs))
         assert roots_exact == tuple(sympy.sstr(r) for r in solutions)
         assert [r.hex() for r in roots] == [float(r).hex() for r in solutions]
@@ -233,7 +240,7 @@ class TestRatioEquationTable:
     @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
     def test_verdict_is_identity_or_root(self, system):
         fam_a, fam_b, same_sign = system
-        lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[system]
+        lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[_ratio_key(*system)]
         for n in range(2, 65):
             report = bound_matching_system((fam_a, fam_b), n, same_sign=same_sign)
             assert report.feasible is (not roots or n in roots), n
@@ -316,6 +323,27 @@ class TestCertificates:
         feasible = bound_matching_system(pair, 2, same_sign=False)
         assert not InequivalenceCertificate(pair, 2, "bound_matching", bound_reports=(feasible,)).passed
 
+    def test_missing_evidence_does_not_pass(self):
+        pair = (Family.DEP, Family.TRD)
+        assert not InequivalenceCertificate(pair, 3, "spectrum_witness").passed
+        assert not InequivalenceCertificate(pair, 3, "bound_matching").passed
+
+    @pytest.mark.parametrize("same_sign", [True, False])
+    def test_one_sided_bound_matching_does_not_pass(self, same_sign):
+        pair = (Family.DEP, Family.TRD)
+        report = bound_matching_system(pair, 3, same_sign=same_sign)
+        assert not report.feasible
+        one_sided = InequivalenceCertificate(pair, 3, "bound_matching", bound_reports=(report,) * 2)
+        assert not one_sided.passed
+
+    def test_unknown_method_does_not_pass(self):
+        real = inequivalence_certificate((Family.DEP, Family.TRD), 3)
+        assert real.passed
+        assert not dataclasses.replace(real, method="bound-matching").passed
+        witnessed = inequivalence_certificate((Family.DEP, Family.DCQ), 3)
+        assert witnessed.witnesses[0].max_spectral_gap > GAP_THRESHOLD
+        assert not dataclasses.replace(witnessed, method="").passed
+
     def test_dim_two_has_no_certificate(self):
         with pytest.raises(ValueError, match="dimension 2"):
             inequivalence_certificate((Family.DEP, Family.DCQ), 2)
@@ -326,7 +354,7 @@ class TestCertificates:
 
     def test_json_is_self_contained(self):
         cert = inequivalence_certificate((Family.TRD, Family.TCQ), 3)
-        encoded = cert.to_json()
+        encoded = json.loads(dumps(cert))
         assert encoded["method"] == "spectrum_witness"
         witness = encoded["witnesses"][0]
         assert witness["state_a"]["rows"] == 3

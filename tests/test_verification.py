@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from qchan.channels import (
     qubit_apply,
     repr_coefficients,
 )
+from qchan.jsonio import dumps
 from qchan.linalg import Tolerance
 from qchan.verification import (
     classify_qubit,
@@ -146,7 +148,7 @@ class TestIsCptp:
 
     def test_report_json_layout(self):
         report = is_cptp(as_linear_map(FamilyChannel(Family.DEP, 0.5, 2)), 2)
-        encoded = report.to_json()
+        encoded = json.loads(dumps(report))
         assert list(encoded) == [
             "passed",
             "min_choi_eigenvalue",
