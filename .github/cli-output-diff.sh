@@ -17,6 +17,8 @@ unset QCHAN_TOL
 
 printf '{"kind": "family", "family": "dcq", "p": 0.2, "dim": 3}\n' > "$work/channel.json"
 printf '{"kind": "diagonal", "dim": 2, "t": [0.4, -0.4, 0.4]}\n' > "$work/diagonal.json"
+printf '{"kind": "diagonal", "dim": 3, "t": [0.1, 0.2, 0.3, -0.15, 0.25, 0.05, 0.12, -0.08]}\n' \
+    > "$work/unequal.json"
 printf '{"rows": 3, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}\n' \
     > "$work/state.json"
 
@@ -27,6 +29,7 @@ commands=(
     "verify cptp --family tcq --dim 3 --p 0.3"
     "verify cptp --channel $work/diagonal.json"
     "verify constant-norm --family dep --dim 4 --p 0.5 --samples 500 --seed 7"
+    "verify constant-norm --channel $work/unequal.json"
     "identities --dim 5 --trials 40 --seed 1"
     "detcheck --dim 4 --grid 21"
     "witness --pair dep,dcq --dim 3 --p 0.2"
@@ -38,6 +41,7 @@ commands=(
     "report --dim 2"
     "report --dim 3 --seed 0"
     "report --dim 6 --seed 7"
+    "report --dim 10 --seed 3"
     "report --dim 4 --tol 1e-14"
     "witness --pair dep,trd --dim 3"
     "certify --pair dep,dcq --dim 2"

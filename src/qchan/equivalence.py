@@ -136,15 +136,26 @@ class InequivalenceCertificate:
 
         The first spectrum witness must separate its states by more than
         ``GAP_THRESHOLD``; bound matching needs a same-sign and an
-        opposite-sign report and no feasible system.  Missing evidence or
-        an unknown method does not pass.
+        opposite-sign report and no feasible system.  All evidence must
+        belong to the certificate: every witness at ``dim`` for a family of
+        ``pair``, every bound report at ``dim`` for the same unordered pair.
+        Missing or foreign evidence, or an unknown method, does not pass.
         """
 
         if self.method == "spectrum_witness":
-            return bool(self.witnesses) and self.witnesses[0].max_spectral_gap > GAP_THRESHOLD
+            witnesses = self.witnesses
+            return (
+                all(w.dim == self.dim and w.family in self.pair for w in witnesses)
+                and bool(witnesses)
+                and witnesses[0].max_spectral_gap > GAP_THRESHOLD
+            )
         if self.method == "bound_matching":
-            signs = {report.same_sign for report in self.bound_reports}
-            return signs == {True, False} and not any(r.feasible for r in self.bound_reports)
+            reports = self.bound_reports
+            return (
+                all(r.dim == self.dim and set(r.pair) == set(self.pair) for r in reports)
+                and {r.same_sign for r in reports} == {True, False}
+                and not any(r.feasible for r in reports)
+            )
         return False
 
 

@@ -9,8 +9,9 @@ conventions:
 * trace preservation is the partial trace of the Choi matrix over the
   output factor against the identity;
 * channel objects (``FamilyChannel``, ``DiagonalChannel``) take fast
-  paths that use their structure: block-wise Choi checks and batched
-  application to stacks of states; any other linear map is checked
+  paths that use their structure: block-wise Choi checks, witness-state
+  norms in closed form from the Choi block data (D D^T and t_x, t_y) and
+  Haar samples applied in batches; any other linear map is checked
   through its dense Choi matrix and one state at a time;
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
   multiplier moduli agree, in which case every pure input maps to output
@@ -244,11 +245,16 @@ def _projectors(v: np.ndarray) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-# Bytes of states built and applied at once by the batched sample test.  Small,
-# so memory stays flat however many states (n^2 witnesses + samples) it checks:
-# an apply holds a few chunk-sized temporaries, and larger chunks raised peak
-# memory at small n without speeding up n <= 20.
+# Bytes of states built and applied at once by the sample test.  Small, so
+# memory stays flat however many states it draws (Haar samples; the n^2
+# witnesses too for a generic callable): an apply holds a few chunk-sized
+# temporaries, and larger chunks raised peak memory at small n without
+# speeding up n <= 20.
 _CHUNK_BYTES = 1 << 16
+
+
+def _states_per_chunk(n: int) -> int:
+    return max(1, _CHUNK_BYTES // (16 * n * n))
 
 
 def _state_chunks(n: int, samples: int, seed: int):
@@ -257,9 +263,16 @@ def _state_chunks(n: int, samples: int, seed: int):
     The states, and their order, are exactly those of the per-state loop.
     """
 
-    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    per_chunk = _states_per_chunk(n)
     for start in range(0, n * n, per_chunk):
         yield _projectors(_witness_vectors(n, start, min(start + per_chunk, n * n)))
+    yield from _haar_chunks(n, samples, seed)
+
+
+def _haar_chunks(n: int, samples: int, seed: int):
+    """The ``samples`` random_pure_state draws of ``seed``, bit for bit, in stacks."""
+
+    per_chunk = _states_per_chunk(n)
     rng = np.random.default_rng(seed)
     for start in range(0, samples, per_chunk):
         # One (real, imaginary) draw of n normals per state, as random_pure_state.
@@ -268,6 +281,24 @@ def _state_chunks(n: int, samples: int, seed: int):
         for row in v:
             row /= np.linalg.norm(row)  # per row, for random_pure_state's exact bits
         yield _projectors(v)
+
+
+def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
+    """Output Frobenius norms of the witness states, in O(n^3) time, O(n^2) memory.
+
+    The outputs are Choi block data (see :func:`_is_cptp_blocks`): with
+    D[j, i] = Phi(E_jj)_ii, Phi(psi_j) = diag(D_j) and
+    Phi(xi_kl) = diag(D_k + D_l)/2 + (t_x,kl / 2) sigma_x^(k,l), and
+    Phi(eta_kl) likewise with t_y,kl.  So every squared norm is an entry
+    of G = D D^T, plus t_x,kl^2/2 or t_y,kl^2/2 for a pair state.
+    """
+
+    d = diagonal_image(diag, np.eye(diag.dim))
+    g = d @ d.T
+    k, l = np.triu_indices(diag.dim, 1)  # lexicographic pair order, as t_x and t_y
+    pair_diag = (g[k, k] + g[l, l] + 2 * g[k, l]) / 4
+    squares = [np.diag(g), pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]
+    return np.sqrt(np.concatenate(squares))
 
 
 def witness_state_labels(n: int) -> list[str]:
@@ -288,19 +319,26 @@ def constant_fnorm_sample_test(
 
     Passes when the spread of output Frobenius norms stays within
     tolerance of the largest observed norm; the witness field names the
-    states achieving the extreme norms otherwise.  A channel object is
-    applied to stacks of states; any other map to one state at a time.
-    Both see the same states and give the same report.
+    states achieving the extreme norms otherwise.  A channel object gets
+    its n^2 witness norms in closed form from its Choi block data
+    (:func:`_witness_norms`, O(n^3)) and its Haar samples applied in
+    batches; any other map is applied to one state at a time.  Both see
+    the same states and reach the same verdict, with norms that agree up
+    to rounding.
     """
 
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    chunks = _state_chunks(n, samples, seed)
     if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
         if apply_fn.dim != n:
             raise ValueError(f"dimension mismatch: channel dim {apply_fn.dim}, n={n}")
-        norms = np.array([frobenius_norm(out) for chunk in chunks for out in apply_fn(chunk)])
+        diag = family_to_diagonal(apply_fn) if isinstance(apply_fn, FamilyChannel) else apply_fn
+        haar = _haar_chunks(n, samples, seed)
+        norms = np.concatenate(
+            [_witness_norms(diag), *(np.linalg.norm(apply_fn(c), axis=(-2, -1)) for c in haar)]
+        )
     else:
+        chunks = _state_chunks(n, samples, seed)
         norms = np.array([frobenius_norm(apply_fn(s)) for chunk in chunks for s in chunk])
     spread = float(norms.max() - norms.min())
     mean = float(norms.mean())

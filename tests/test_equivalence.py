@@ -344,6 +344,33 @@ class TestCertificates:
         assert witnessed.witnesses[0].max_spectral_gap > GAP_THRESHOLD
         assert not dataclasses.replace(witnessed, method="").passed
 
+    @pytest.mark.parametrize("pair", list(itertools.permutations(Family, 2)))
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_built_certificates_pass(self, pair, n):
+        assert inequivalence_certificate(pair, n).passed
+
+    def test_foreign_bound_reports_do_not_pass(self):
+        real = inequivalence_certificate((Family.DEP, Family.TRD), 5)
+        other_pair = inequivalence_certificate((Family.DCQ, Family.TCQ), 5)
+        other_dim = inequivalence_certificate((Family.TRD, Family.DEP), 4)
+        assert other_pair.passed and other_dim.passed
+        assert not dataclasses.replace(real, bound_reports=other_pair.bound_reports).passed
+        assert not dataclasses.replace(real, bound_reports=other_dim.bound_reports).passed
+        # The reversed pair's reports at the same dimension are the certificate's own.
+        reversed_pair = inequivalence_certificate((Family.TRD, Family.DEP), 5)
+        assert dataclasses.replace(real, bound_reports=reversed_pair.bound_reports).passed
+
+    def test_foreign_witnesses_do_not_pass(self):
+        real = inequivalence_certificate((Family.DEP, Family.TRD), 3)
+        other_pair = inequivalence_certificate((Family.DEP, Family.DCQ), 3)
+        assert other_pair.passed
+        foreign = dataclasses.replace(
+            real, method="spectrum_witness", witnesses=other_pair.witnesses, bound_reports=()
+        )
+        assert not foreign.passed
+        other_dim = inequivalence_certificate((Family.DEP, Family.DCQ), 4)
+        assert not dataclasses.replace(other_pair, witnesses=other_dim.witnesses).passed
+
     def test_dim_two_has_no_certificate(self):
         with pytest.raises(ValueError, match="dimension 2"):
             inequivalence_certificate((Family.DEP, Family.DCQ), 2)

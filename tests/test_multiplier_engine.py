@@ -1,10 +1,13 @@
 """Fast channel paths against their independent slow oracles.
 
 Channel objects take the sector-wise apply, the block-structured CP check
-and the batched sample test; wrapping the same channel in a lambda forces
-the generic dense-Choi and per-state routes, and decompose -> scale ->
-reconstruct over the explicit basis is the reference for the apply.
+and the sample test with closed-form witness norms and batched Haar
+samples; wrapping the same channel in a lambda forces the generic
+dense-Choi and per-state routes, and decompose -> scale -> reconstruct
+over the explicit basis is the reference for the apply.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -23,10 +26,12 @@ from qchan.channels import (
     family_to_diagonal,
     random_pure_state,
 )
+from qchan.linalg import frobenius_norm
 from qchan.verification import (
     constant_fnorm_sample_test,
     is_cptp,
     param_range,
+    witness_state_labels,
     witness_states,
 )
 
@@ -35,7 +40,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @st.composite
-def diagonal_channels(draw):
+def diagonal_channels(draw, dims=dims):
     """Random multipliers, scaled so that some channels are CPTP and some are not."""
 
     n = draw(dims)
@@ -45,7 +50,7 @@ def diagonal_channels(draw):
 
 
 @st.composite
-def family_channels(draw):
+def family_channels(draw, dims=dims):
     """Family members inside, at and just outside the CPTP endpoints."""
 
     n = draw(dims)
@@ -78,6 +83,38 @@ def basis_apply(ch, s):
         coeffs[1:] *= ch.t
         out = out + weight * reconstruct(coeffs, basis)
     return out
+
+
+def witness_labels(report):
+    """The states a failing sample report names: (max, min), or None if it passed."""
+
+    if report.witness is None:
+        return None
+    return re.fullmatch(r"norm spread \S+: max \S+ at (.+), min \S+ at (.+)", report.witness).groups()
+
+
+def assert_sample_test_matches_per_state_loop(ch, samples, seed):
+    """Same verdict, state count and witness labels; the norms may move in the last bits.
+
+    A label may differ only where rounding broke an exact tie: the
+    per-state norms at the two labels then agree within 1e-15.
+    """
+
+    n = ch.dim
+    fast = constant_fnorm_sample_test(ch, n, samples=samples, seed=seed)
+    oracle = constant_fnorm_sample_test(lambda s: ch(s), n, samples=samples, seed=seed)
+    assert fast.passed is oracle.passed
+    assert fast.samples_used == oracle.samples_used
+    assert abs(fast.max_deviation - oracle.max_deviation) <= 1e-15
+    assert abs(fast.mean_deviation - oracle.mean_deviation) <= 1e-15
+    assert (fast.witness is None) is (oracle.witness is None)
+    if oracle.witness is None:
+        return
+    chunks = verification._state_chunks(n, samples, seed)
+    norms = [frobenius_norm(ch(s)) for chunk in chunks for s in chunk]
+    labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
+    for got, want in zip(witness_labels(fast), witness_labels(oracle)):
+        assert got == want or abs(norms[labels.index(got)] - norms[labels.index(want)]) <= 1e-15
 
 
 def old_family_apply(ch, s):
@@ -144,9 +181,46 @@ def test_stacked_family_apply_is_bit_identical(ch, seed):
 @given(st.one_of(diagonal_channels(), family_channels()), st.integers(0, 40), seeds)
 @settings(max_examples=40, deadline=None)
 def test_batched_sample_test_matches_per_state_loop(ch, samples, seed):
-    batched = constant_fnorm_sample_test(ch, ch.dim, samples=samples, seed=seed)
-    looped = constant_fnorm_sample_test(lambda s: ch(s), ch.dim, samples=samples, seed=seed)
-    assert batched == looped
+    assert_sample_test_matches_per_state_loop(ch, samples, seed)
+
+
+@given(st.one_of(diagonal_channels(st.integers(2, 12)), family_channels(st.integers(2, 12))))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_witness_norms_match_the_applied_states(ch):
+    diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
+    closed = verification._witness_norms(diag)
+    applied = np.array([frobenius_norm(ch(s)) for s in witness_states(ch.dim)])
+    assert closed.shape == applied.shape
+    assert np.max(np.abs(closed - applied)) <= 1e-15
+
+
+class WitnessStateBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [
+        FamilyChannel(Family.TCQ, 0.1, 9),
+        DiagonalChannel(4, np.linspace(-0.2, 0.3, 15)),
+    ],
+)
+def test_channel_objects_build_no_witness_state(monkeypatch, ch):
+    """Channel objects take the O(n^3) closed form; a generic callable builds the states."""
+
+    expected = constant_fnorm_sample_test(ch, ch.dim, samples=30, seed=1)
+
+    def refuse(*args):
+        raise WitnessStateBuilt
+
+    monkeypatch.setattr(verification, "_witness_vectors", refuse)
+    report = constant_fnorm_sample_test(ch, ch.dim, samples=30, seed=1)
+    assert report == expected
+    assert report.samples_used == ch.dim**2 + 30
+    assert report.max_deviation is not None and report.mean_deviation is not None
+    assert (report.witness is None) is isinstance(ch, FamilyChannel)
+    with pytest.raises(WitnessStateBuilt):
+        constant_fnorm_sample_test(lambda s: ch(s), ch.dim, samples=30, seed=1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -159,9 +233,7 @@ def test_state_chunks_are_the_per_state_draws(monkeypatch, n, chunk_bytes):
     expected = witness_states(n) + [random_pure_state(n, rng) for _ in range(samples)]
     assert np.array_equal(chunked, np.array(expected))
     ch = family_to_diagonal(FamilyChannel(Family.DCQ, 0.01, n))
-    assert constant_fnorm_sample_test(ch, n, samples=samples, seed=seed) == (
-        constant_fnorm_sample_test(lambda s: ch(s), n, samples=samples, seed=seed)
-    )
+    assert_sample_test_matches_per_state_loop(ch, samples, seed)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
