@@ -5,7 +5,9 @@
 #   .github/cli-output-diff.sh BASE_TREE HEAD_TREE >> "$GITHUB_STEP_SUMMARY"
 #
 # Each tree is a checkout with the package under src/.  The script only
-# reports: it exits 0 whatever it finds.
+# reports: it exits 0 whatever it finds.  Keep every command small enough
+# for both trees: older trees form the conjugation sums from dense n^4
+# stacks (about 11 GB at n = 128).
 set -u
 
 base=$1
@@ -31,6 +33,8 @@ commands=(
     "verify constant-norm --family dep --dim 4 --p 0.5 --samples 500 --seed 7"
     "verify constant-norm --channel $work/unequal.json"
     "identities --dim 5 --trials 40 --seed 1"
+    "identities --dim 16 --trials 10 --seed 2"
+    "identities --dim 48 --trials 3"
     "detcheck --dim 4 --grid 21"
     "witness --pair dep,dcq --dim 3 --p 0.2"
     "witness --pair trd,tcq --dim 5"
@@ -42,6 +46,7 @@ commands=(
     "report --dim 3 --seed 0"
     "report --dim 6 --seed 7"
     "report --dim 10 --seed 3"
+    "report --dim 16 --seed 5"
     "report --dim 4 --tol 1e-14"
     "witness --pair dep,trd --dim 3"
     "certify --pair dep,dcq --dim 2"

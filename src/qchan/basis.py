@@ -84,10 +84,17 @@ def m_z(n: int, k: int) -> np.ndarray:
     return np.diag(d)
 
 
-# Dimensions whose sector stacks and basis stay cached.  Together they hold
+# Dimensions whose sector stacks and basis (and sum plans) stay cached.  The first two hold
 # about 2.5 n^4 complex entries per dimension, so an unbounded cache would
 # keep every dimension a process ever asked for.
 _CACHED_DIMS = 4
+
+_MAX_DENSE_GIB = 2  # dense n^4-sized builders refuse larger requests before allocating
+
+
+def _check_dense_bytes(nbytes: int, what: str) -> None:
+    if nbytes > _MAX_DENSE_GIB << 30:
+        raise ValueError(f"{what}: about {nbytes / 2**30:.1f} GiB, over the {_MAX_DENSE_GIB} GiB limit")
 
 
 @lru_cache(maxsize=_CACHED_DIMS)
@@ -98,7 +105,7 @@ def _pauli_stacks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pair in lexicographic order; the z stack is the two-level sigma_z.
     """
 
-    _check_dim(n)
+    _check_dense_bytes(48 * int(pair_count(n)) * int(n) ** 2, f"the sector stacks at dim {n}")
     k, l = np.triu_indices(n, 1)
     i = np.arange(len(k))
     x, y, z = (np.zeros((len(k), n, n), dtype=complex) for _ in range(3))
@@ -135,7 +142,6 @@ class BasisE:
 def build_basis(n: int) -> BasisE:
     """Construct (and cache) the orthonormal basis for dimension ``n``."""
 
-    _check_dim(n)
     cnt = pair_count(n)
     x, y, _ = _pauli_stacks(n)
     j = np.arange(1, n)

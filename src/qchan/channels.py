@@ -25,7 +25,7 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-from .basis import _pauli_stacks, pair_count
+from .basis import _check_dense_bytes, _pauli_stacks, pair_count
 from .jsonio import SchemaError, require, require_number
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_matrix_stack, frobenius_norm, is_hermitian
 
@@ -328,9 +328,10 @@ def to_choi(apply_fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     ``apply_fn`` only ever sees Hermitian arguments: each matrix unit is
     split into Hermitian and anti-Hermitian parts and the images are
     recombined linearly, so maps defined only on Hermitian matrices work
-    unchanged.  Each image is written into its (i, j) block, O(n^4) in all.
+    unchanged.  Images fill their (i, j) blocks: O(n^4), refused past 2 GiB.
     """
 
+    _check_dense_bytes(16 * int(n) ** 4, f"the dense Choi matrix at dim {n}")
     choi = np.zeros((n, n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):

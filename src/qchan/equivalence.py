@@ -410,6 +410,8 @@ def inequivalence_certificate(
     fam_a, fam_b = pair
     if fam_a is fam_b:
         raise ValueError("certificate needs two distinct families")
+    if p is not None and not np.isfinite(p):
+        raise ValueError(f"parameter p must be finite, got {p!r}")
     if n == 2:
         raise ValueError(
             "at dimension 2 the four families are pairwise equivalent "

@@ -15,18 +15,20 @@ conventions:
   through its dense Choi matrix and one state at a time;
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
   multiplier moduli agree, in which case every pure input maps to output
-  Frobenius norm sqrt(1/n + t^2 (1 - 1/n)).
+  Frobenius norm sqrt(1/n + t^2 (1 - 1/n));
+* brute-force conjugation sums come from the basis elements' entries, O(n^2) each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import _pauli_stacks, build_basis, pair_count, pairs
+from .basis import _CACHED_DIMS, m_z, pairs
 from .channels import (
     _SIGNS,
     PAULI_X,
@@ -424,30 +426,47 @@ def sum_z(s: np.ndarray, n: int) -> np.ndarray:
     return n * np.diag(np.diag(s)) - s
 
 
-def _conjugation_sum(mats: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Brute-force sum_k m_k S m_k over a (k, n, n) stack.
+@lru_cache(maxsize=_CACHED_DIMS)
+def _sum_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse terms of the x, y, z pair sums; the staircase sum is W * S, W = sum_k z_k z_k^T.
 
-    Every term is a dense product, formed in two GEMMs: all m_k S at once,
-    then the row of those products times the column of the m_k.
+    A pair matrix v_a E_(r_a c_a) + v_b E_(r_b c_b) (``entries``: sigma_x, sigma_y, sigma_z of
+    :mod:`qchan.basis`) gives m S m four terms v_a v_b S[c_a, r_b] at (r_a, c_b).  Term i adds
+    coef[i] S.flat[gather[i]] at dest[i] of a (2, 3, n, n) buffer: plane 0 holds the one term of
+    each off-diagonal entry per sector, plane 1 the n - 1 terms of (i, i) at (i, partner).
     """
 
-    k, n, _ = mats.shape
-    left = (mats.reshape(k * n, n) @ s).reshape(k, n, n)
-    return left.transpose(1, 0, 2).reshape(n, k * n) @ mats.reshape(k * n, n)
+    k, l = np.triu_indices(n, 1)
+    entries = [((k, l), (l, k), (1, 1)), ((k, l), (l, k), (-1j, 1j)), ((k, l), (k, l), (1, -1))]
+    gather, coef, dest = [], [], []
+    for sector, (rows, cols, values) in enumerate(entries):
+        for r_a, c_a, v_a in zip(rows, cols, values):
+            for r_b, c_b, v_b in zip(rows, cols, values):
+                on_diagonal = r_a == c_b  # then the column is the pair partner of r_a
+                gather.append(c_a * n + r_b)
+                coef.append(np.full(len(k), v_a * v_b, dtype=complex))
+                col = np.where(on_diagonal, k + l - r_a, c_b)
+                dest.append(((on_diagonal * 3 + sector) * n + r_a) * n + col)
+    z = np.array([np.diag(m_z(n, j)).real / sqrt(j * (j + 1)) for j in range(1, n)])
+    return np.concatenate(gather), np.concatenate(coef), np.concatenate(dest), z.T @ z
 
 
 def _direct_sums(s: np.ndarray, n: int, staircase: bool = True) -> dict[str, np.ndarray]:
-    """Brute-force conjugation sums, one per distinct sector.
+    """Brute-force conjugation sums, one per distinct sector, in O(n^2).
 
     Keys "x", "y", "z" sum over the unnormalized pair matrices, "ez" (if
     ``staircase``) over the staircase z block of the orthonormal basis.
     Its I/sqrt(n), x/sqrt(2), y/sqrt(2) elements sum to S/n, "x"/2, "y"/2.
     """
 
-    sectors = dict(zip("xyz", _pauli_stacks(n)))
+    gather, coef, dest, w = _sum_plan(n)
+    buf = np.zeros((2, 3, n, n), dtype=complex)
+    np.put(buf, dest, coef * s.take(gather))
+    buf[0].reshape(3, -1)[:, :: n + 1] = buf[1].sum(axis=-1)  # pairwise: accurate at large n
+    sums = dict(zip("xyz", buf[0]))
     if staircase:
-        sectors["ez"] = build_basis(n).stacked[1 + 2 * pair_count(n) :]
-    return {key: _conjugation_sum(mats, s) for key, mats in sectors.items()}
+        sums["ez"] = w * s
+    return sums
 
 
 def verify_sum_identities(

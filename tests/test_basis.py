@@ -140,6 +140,15 @@ class TestBasis:
             assert info.maxsize is not None
             assert info.currsize <= info.maxsize < 10
 
+    def test_oversized_stacks_rejected_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        for builder in (_pauli_stacks, build_basis):
+            with pytest.raises(ValueError, match="sector stacks at dim 120: about 4.6 GiB"):
+                builder(120)
+
     def test_elements_read_only(self):
         basis = build_basis(3)
         with pytest.raises(ValueError):

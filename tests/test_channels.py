@@ -270,6 +270,16 @@ class TestChoi:
         with pytest.raises(ValueError, match="shape"):
             to_choi(lambda s: np.trace(s), 3)
 
+    def test_oversized_choi_rejected_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ValueError, match=r"dense Choi matrix at dim 200: about 23\.8 GiB"):
+            to_choi(lambda s: s, 200)
+        with pytest.raises(ValueError, match="sector stacks at dim 120"):
+            kraus_from_family(Family.DEP, 0.5, 120)
+
 
 class TestReprCoefficients:
     def test_dep_example(self):

@@ -65,6 +65,16 @@ class TestBasis:
         assert "9 elements" in out
         assert "e_z,2" in out
 
+    def test_oversized_basis_exits_2_before_allocating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        code, out, err = run_cli(capsys, "basis", "--dim", "200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the sector stacks at dim 200: about 35.6 GiB")
+
 
 class TestChannelApply:
     def test_apply_family(self, tmp_path, capsys):
@@ -243,6 +253,19 @@ class TestWitnessAndCertify:
         code, _, err = run_cli(capsys, "certify", "--pair", "dep,dcq", "--dim", "2")
         assert code == 2
         assert "dimension 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--pair", "dep,trd", "--dim", "5", "--p", "nan"],
+            ["witness", "--pair", "dep,dcq", "--dim", "3", "--p", "nan"],
+        ],
+    )
+    def test_non_finite_p_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: parameter p must be finite, got nan\n"
 
     def test_pair_parsing(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--pair", "dep", "--dim", "3")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchan import basis as basis_module
 from qchan import verification
 from qchan.basis import build_basis, pairs, pauli_matrix
 from qchan.channels import (
@@ -290,6 +291,43 @@ class TestSumIdentities:
         for key, group in mats.items():
             np.testing.assert_allclose(direct[key], sum(m @ s @ m for m in group), atol=1e-12)
         assert verification._direct_sums(s, n, staircase=False).keys() == set("xyz")
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_sparse_sums_match_the_per_matrix_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        basis = build_basis(n)
+        mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs(n)] for sector in "xyz"}
+        mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == "z"]
+        direct = verification._direct_sums(s, n)
+        for key, group in mats.items():
+            np.testing.assert_allclose(direct[key], sum(m @ s @ m for m in group), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_plan_writes_each_destination_once_per_sector(self, n):
+        gather, coef, dest, _ = verification._sum_plan(n)
+        assert gather.shape == coef.shape == dest.shape == (12 * n * (n - 1) // 2,)
+        plane = dest // (n * n)  # (diagonal plane, sector) of each term
+        for index in range(6):
+            written = dest[plane == index] % (n * n)
+            assert len(np.unique(written)) == len(written) == n * (n - 1)
+            assert not np.any(written // n == written % n)  # never on the diagonal
+
+    def test_sums_build_no_dense_stack(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"dense basis stack built at n={n}")
+
+        for name in ("_pauli_stacks", "build_basis"):
+            monkeypatch.setattr(basis_module, name, refuse)
+            monkeypatch.setattr(verification, name, refuse, raising=False)
+        assert verify_sum_identities(9, trials=2).passed
+        assert verify_representations(Family.TCQ, 0.05, 9, trials=2).passed
+
+    def test_pairwise_diagonal_reduction_holds_at_256(self):
+        report = verify_sum_identities(256, trials=2)
+        assert report.passed, report.witness
+        assert report.max_deviation <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_orthonormal_sectors_sum_to_scaled_pauli_sums(self, n):
