@@ -27,6 +27,7 @@ printf '{"rows": 3, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], 
 commands=(
     "range --family dcq --dim 3"
     "basis --dim 3 --json"
+    "basis --dim 12 --json"
     "channel apply --channel $work/channel.json --state $work/state.json"
     "verify cptp --family tcq --dim 3 --p 0.3"
     "verify cptp --channel $work/diagonal.json"
@@ -47,6 +48,7 @@ commands=(
     "report --dim 6 --seed 7"
     "report --dim 10 --seed 3"
     "report --dim 16 --seed 5"
+    "report --dim 24 --seed 1"
     "report --dim 4 --tol 1e-14"
     "witness --pair dep,trd --dim 3"
     "certify --pair dep,dcq --dim 2"

@@ -17,7 +17,6 @@ Hermitian matrix has real coordinates over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -84,10 +83,14 @@ def m_z(n: int, k: int) -> np.ndarray:
     return np.diag(d)
 
 
-# Dimensions whose sector stacks and basis (and sum plans) stay cached.  The first two hold
-# about 2.5 n^4 complex entries per dimension, so an unbounded cache would
-# keep every dimension a process ever asked for.
-_CACHED_DIMS = 4
+def _pair_entries(k: np.ndarray, l: np.ndarray) -> tuple:
+    """(rows, cols, values) of the two nonzeros of sigma_x, sigma_y and sigma_z, in that order.
+
+    ``k``, ``l`` are zero-based pair index arrays; entry a of a sector's matrix
+    for pair i is values[a] at (rows[a][i], cols[a][i]), as in :func:`pauli_matrix`.
+    """
+    return ((k, l), (l, k), (1, 1)), ((k, l), (l, k), (-1j, 1j)), ((k, l), (k, l), (1, -1))
+
 
 _MAX_DENSE_GIB = 2  # dense n^4-sized builders refuse larger requests before allocating
 
@@ -95,28 +98,6 @@ _MAX_DENSE_GIB = 2  # dense n^4-sized builders refuse larger requests before all
 def _check_dense_bytes(nbytes: int, what: str) -> None:
     if nbytes > _MAX_DENSE_GIB << 30:
         raise ValueError(f"{what}: about {nbytes / 2**30:.1f} GiB, over the {_MAX_DENSE_GIB} GiB limit")
-
-
-@lru_cache(maxsize=_CACHED_DIMS)
-def _pauli_stacks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized sigma_x, sigma_y, sigma_z of every pair, as (pairs, n, n) stacks.
-
-    Entry i of each read-only stack is :func:`pauli_matrix` of the i-th
-    pair in lexicographic order; the z stack is the two-level sigma_z.
-    """
-
-    _check_dense_bytes(48 * int(pair_count(n)) * int(n) ** 2, f"the sector stacks at dim {n}")
-    k, l = np.triu_indices(n, 1)
-    i = np.arange(len(k))
-    x, y, z = (np.zeros((len(k), n, n), dtype=complex) for _ in range(3))
-    x[i, k, l] = x[i, l, k] = 1
-    y[i, k, l] = -1j
-    y[i, l, k] = 1j
-    z[i, k, k] = 1
-    z[i, l, l] = -1
-    for stack in (x, y, z):
-        stack.flags.writeable = False
-    return x, y, z
 
 
 @dataclass(frozen=True)
@@ -138,20 +119,22 @@ class BasisE:
         return len(self.elements)
 
 
-@lru_cache(maxsize=_CACHED_DIMS)
 def build_basis(n: int) -> BasisE:
-    """Construct (and cache) the orthonormal basis for dimension ``n``."""
+    """Construct the orthonormal basis for dimension ``n``: O(n^4), refused past 2 GiB."""
 
     cnt = pair_count(n)
-    x, y, _ = _pauli_stacks(n)
+    _check_dense_bytes(16 * int(n) ** 4, f"the basis at dim {n}")
+    k, l = np.triu_indices(n, 1)
+    i = np.arange(cnt)
     j = np.arange(1, n)
     # Row j-1 is the diagonal of the staircase M_z(j): j ones, then -j.
     staircase = np.tri(n - 1, n, dtype=complex)
     staircase[j - 1, j] = -j
     stacked = np.zeros((n * n, n, n), dtype=complex)
     stacked[0] = np.eye(n, dtype=complex) / sqrt(n)
-    stacked[1 : 1 + cnt] = x / sqrt(2)
-    stacked[1 + cnt : 1 + 2 * cnt] = y / sqrt(2)
+    for first, (rows, cols, values) in zip((1, 1 + cnt), _pair_entries(k, l)):
+        for r, c, v in zip(rows, cols, values):
+            stacked[first + i, r, c] = v / sqrt(2)
     idx = np.arange(n)
     stacked[1 + 2 * cnt :, idx, idx] = staircase / np.sqrt(j * (j + 1))[:, None]
     stacked.flags.writeable = False

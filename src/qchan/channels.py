@@ -17,7 +17,7 @@ parameter range) Kraus sets, plus the dedicated qubit parameterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import sqrt
@@ -25,7 +25,7 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-from .basis import _check_dense_bytes, _pauli_stacks, pair_count
+from .basis import _check_dense_bytes, _pair_entries, pair_count
 from .jsonio import SchemaError, require, require_number
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_matrix_stack, frobenius_norm, is_hermitian
 
@@ -111,15 +111,12 @@ class FamilyChannel:
     family: Family
     p: float
     dim: int
-    in_cptp_range: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
         if not np.isfinite(self.p):
             raise ValueError(f"parameter p must be finite, got {self.p!r}")
-        lo, hi = cptp_range(self.family, self.dim)
-        object.__setattr__(self, "in_cptp_range", bool(lo <= self.p <= hi))
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return family_apply(self, s)
@@ -388,18 +385,15 @@ def kraus_from_family(
     p lies outside the CPTP interval.  Weights up to 4 eps (4 ulps of 1)
     are the float dust of a weight vanishing at an endpoint and drop out;
     that threshold ignores ``tol``, so a loose tolerance drops no weight.
+    The operators are dense, O(n^4) in all, and refused past 2 GiB.
     """
 
     coeffs = repr_coefficients(family, p, n)
-    sx, sy, sz = _pauli_stacks(n)
-    groups = [
-        ("c0", coeffs.c0, np.eye(n, dtype=complex)[None]),
-        ("cx", coeffs.cx, sx),
-        ("cy", coeffs.cy, sy),
-        ("cz", coeffs.cz, sz),
-    ]
+    _check_dense_bytes(16 * (1 + 3 * pair_count(n)) * int(n) ** 2, f"the Kraus operators at dim {n}")
+    x, y, z = _pair_entries(*np.triu_indices(n, 1))
+    groups = [("c0", coeffs.c0, None), ("cx", coeffs.cx, x), ("cy", coeffs.cy, y), ("cz", coeffs.cz, z)]
     operators: list[np.ndarray] = []
-    for name, weight, mats in groups:
+    for name, weight, entries in groups:
         if weight < -tol.bound(1.0):
             lo, hi = cptp_range(family, n)
             raise ValueError(
@@ -407,9 +401,21 @@ def kraus_from_family(
                 f"is negative; p lies outside the CPTP range [{lo}, {hi}]"
             )
         if weight > 4 * np.finfo(float).eps:
-            root = sqrt(weight)
-            operators.extend(root * mats)
+            operators.extend(_scaled_operators(sqrt(weight), entries, n))
     return KrausSet(operators=tuple(operators))
+
+
+def _scaled_operators(root: float, entries, n: int) -> np.ndarray:
+    """root times the identity (``entries`` None) or every pair matrix of one sector."""
+
+    if entries is None:
+        return root * np.eye(n, dtype=complex)[None]
+    rows, cols, values = entries
+    ops = np.zeros((len(rows[0]), n, n), dtype=complex)
+    i = np.arange(len(ops))
+    for r, c, v in zip(rows, cols, values):
+        ops[i, r, c] = root * v
+    return ops
 
 
 def kraus_completeness(ks: KrausSet) -> np.ndarray:

@@ -405,6 +405,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
             "passed": kraus_ok,
         }
         all_passed = all_passed and kraus_ok
+        del ks  # frees this family's n^4 operators before the next family builds its own
     sections["constant_norm"] = constant_norm
     sections["representations"] = representations
     sections["kraus"] = kraus

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import _CACHED_DIMS, m_z, pairs
+from .basis import _pair_entries, m_z, pairs
 from .channels import (
     _SIGNS,
     PAULI_X,
@@ -372,11 +372,9 @@ def dcq_det_formula(n: int, p: float) -> float:
 def verify_det_recurrence(
     n: int,
     grid: int = 21,
-    lo: float = -0.5,
-    hi: float = 0.5,
     tol: Tolerance = Tolerance(absolute=1e-12, relative=1e-10),
 ) -> VerificationReport:
-    """Compare the closed-form determinant with LAPACK over a p grid.
+    """Compare the closed-form determinant with LAPACK on a p grid over [-1/2, 1/2].
 
     LAPACK takes the determinant of the dcq member's classical Choi block
     (diagonal p + (1-p)/n, off-diagonal -p); the closed form is the
@@ -389,9 +387,9 @@ def verify_det_recurrence(
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
     worst = 0.0
-    worst_p = lo
+    worst_p = -0.5
     passed = True
-    for p in np.linspace(lo, hi, grid):
+    for p in np.linspace(-0.5, 0.5, grid):
         formula = dcq_det_formula(n, float(p))
         block, _ = _classical_block(family_to_diagonal(FamilyChannel(Family.DCQ, float(p), n)))
         direct = float(np.linalg.det(block))
@@ -426,20 +424,24 @@ def sum_z(s: np.ndarray, n: int) -> np.ndarray:
     return n * np.diag(np.diag(s)) - s
 
 
+# Dimensions whose sum plans stay cached: each is O(n^2), but an unbounded
+# cache would keep every dimension a process ever asked for.
+_CACHED_DIMS = 4
+
+
 @lru_cache(maxsize=_CACHED_DIMS)
 def _sum_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sparse terms of the x, y, z pair sums; the staircase sum is W * S, W = sum_k z_k z_k^T.
 
-    A pair matrix v_a E_(r_a c_a) + v_b E_(r_b c_b) (``entries``: sigma_x, sigma_y, sigma_z of
-    :mod:`qchan.basis`) gives m S m four terms v_a v_b S[c_a, r_b] at (r_a, c_b).  Term i adds
+    A pair matrix v_a E_(r_a c_a) + v_b E_(r_b c_b) (sigma_x, sigma_y, sigma_z from
+    ``basis._pair_entries``) gives m S m four terms v_a v_b S[c_a, r_b] at (r_a, c_b).  Term i adds
     coef[i] S.flat[gather[i]] at dest[i] of a (2, 3, n, n) buffer: plane 0 holds the one term of
     each off-diagonal entry per sector, plane 1 the n - 1 terms of (i, i) at (i, partner).
     """
 
     k, l = np.triu_indices(n, 1)
-    entries = [((k, l), (l, k), (1, 1)), ((k, l), (l, k), (-1j, 1j)), ((k, l), (k, l), (1, -1))]
     gather, coef, dest = [], [], []
-    for sector, (rows, cols, values) in enumerate(entries):
+    for sector, (rows, cols, values) in enumerate(_pair_entries(k, l)):
         for r_a, c_a, v_a in zip(rows, cols, values):
             for r_b, c_b, v_b in zip(rows, cols, values):
                 on_diagonal = r_a == c_b  # then the column is the pair partner of r_a
@@ -451,11 +453,11 @@ def _sum_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(gather), np.concatenate(coef), np.concatenate(dest), z.T @ z
 
 
-def _direct_sums(s: np.ndarray, n: int, staircase: bool = True) -> dict[str, np.ndarray]:
+def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
     """Brute-force conjugation sums, one per distinct sector, in O(n^2).
 
-    Keys "x", "y", "z" sum over the unnormalized pair matrices, "ez" (if
-    ``staircase``) over the staircase z block of the orthonormal basis.
+    Keys "x", "y", "z" sum over the unnormalized pair matrices, "ez" over
+    the staircase z block of the orthonormal basis.
     Its I/sqrt(n), x/sqrt(2), y/sqrt(2) elements sum to S/n, "x"/2, "y"/2.
     """
 
@@ -463,10 +465,7 @@ def _direct_sums(s: np.ndarray, n: int, staircase: bool = True) -> dict[str, np.
     buf = np.zeros((2, 3, n, n), dtype=complex)
     np.put(buf, dest, coef * s.take(gather))
     buf[0].reshape(3, -1)[:, :: n + 1] = buf[1].sum(axis=-1)  # pairwise: accurate at large n
-    sums = dict(zip("xyz", buf[0]))
-    if staircase:
-        sums["ez"] = w * s
-    return sums
+    return dict(zip("xyz", buf[0]), ez=w * s)
 
 
 def verify_sum_identities(
@@ -502,7 +501,7 @@ def verify_sum_identities(
             worst = max(worst, float(np.max(np.abs(direct[key] - mat))))
         # Transpose-free variants on a complex symmetric input.
         sym = (s + s.T) / 2
-        direct_sym = _direct_sums(sym, n, staircase=False)
+        direct_sym = _direct_sums(sym, n)
         printed = {
             "x": sym + np.trace(sym) * eye - 2 * np.diag(np.diag(sym)),
             "y": np.trace(sym) * eye - sym,

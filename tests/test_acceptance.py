@@ -224,7 +224,7 @@ def test_criterion_07_determinant_closed_form():
     worst = 0.0
     tol = Tolerance(absolute=1e-12, relative=1e-10)
     for n in (2, 3, 4, 5, 6):
-        rep = verify_det_recurrence(n, grid=21, lo=-0.5, hi=0.5, tol=tol)
+        rep = verify_det_recurrence(n, grid=21, tol=tol)
         worst = max(worst, rep.max_deviation)
         ok = ok and rep.passed
     _report(

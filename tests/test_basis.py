@@ -1,10 +1,13 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchan import verification
 from qchan.basis import (
-    _pauli_stacks,
+    _pair_entries,
     build_basis,
     decompose,
     m_z,
@@ -111,43 +114,49 @@ class TestBasis:
         for element, want in zip(basis.elements, expected):
             np.testing.assert_allclose(element, want, atol=1e-15)
 
-    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_elements_match_the_single_matrix_builders(self, n):
+        # Bit for bit, so the sign of every zero counts: sigma_y's -1j entry
+        # divided by sqrt(2) keeps a -0.0 real part, which `basis --json` prints.
         basis = build_basis(n)
-        expected = [np.eye(n, dtype=complex) / np.sqrt(n)]
-        expected += [pauli_matrix(n, sector, pr) / np.sqrt(2) for sector in "xy" for pr in pairs(n)]
+        expected = [np.eye(n, dtype=complex) / sqrt(n)]
+        expected += [pauli_matrix(n, sector, pr) / sqrt(2) for sector in "xy" for pr in pairs(n)]
         expected += [m_z(n, k) / np.sqrt(k * (k + 1)) for k in range(1, n)]
-        np.testing.assert_array_equal(basis.stacked, np.array(expected))
+        assert basis.stacked.tobytes() == np.array(expected).tobytes()
         assert all(np.shares_memory(e, basis.stacked) for e in basis.elements)
 
     @pytest.mark.parametrize("n", DIMS)
     def test_pauli_stacks_match_pauli_matrix(self, n):
-        for sector, stack in zip("xyz", _pauli_stacks(n)):
-            assert not stack.flags.writeable
-            np.testing.assert_array_equal(
-                stack, np.array([pauli_matrix(n, sector, pr) for pr in pairs(n)])
-            )
-
-    def test_cached(self):
-        assert build_basis(3) is build_basis(3)
-        assert _pauli_stacks(3) is _pauli_stacks(3)
+        # The pair entry table, scattered into one stack per sector, gives
+        # pauli_matrix of every pair in lexicographic order.
+        k, l = np.triu_indices(n, 1)
+        for sector, (rows, cols, values) in zip("xyz", _pair_entries(k, l)):
+            stack = np.zeros((len(k), n, n), dtype=complex)
+            for r, c, v in zip(rows, cols, values):
+                stack[np.arange(len(k)), r, c] = v
+            expected = np.array([pauli_matrix(n, sector, pr) for pr in pairs(n)])
+            assert stack.tobytes() == expected.tobytes()
 
     def test_caches_are_bounded(self):
+        # The basis is built per call and kept by no one; the O(n^2) sum
+        # plans are the only per-dimension cache, and they keep a few.
+        assert build_basis(3) is not build_basis(3)
+        assert verification._sum_plan(3) is verification._sum_plan(3)
         for n in range(2, 12):
-            build_basis(n)
-        for cached in (build_basis, _pauli_stacks):
-            info = cached.cache_info()
-            assert info.maxsize is not None
-            assert info.currsize <= info.maxsize < 10
+            verification._sum_plan(n)
+        info = verification._sum_plan.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < 10
 
-    def test_oversized_stacks_rejected_before_allocating(self, monkeypatch):
+    def test_oversized_basis_rejected_before_allocating(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("allocated")
 
         monkeypatch.setattr(np, "zeros", refuse)
-        for builder in (_pauli_stacks, build_basis):
-            with pytest.raises(ValueError, match="sector stacks at dim 120: about 4.6 GiB"):
-                builder(120)
+        with pytest.raises(ValueError, match=r"the basis at dim 108: about 2\.0 GiB"):
+            build_basis(108)
+        with pytest.raises(AssertionError, match="allocated"):
+            build_basis(107)  # 16 n^4 bytes is just under 2 GiB
 
     def test_elements_read_only(self):
         basis = build_basis(3)

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
 
 from qchan import channels
-from qchan.basis import build_basis, pair_count
+from qchan.basis import build_basis, pair_count, pairs, pauli_matrix
 from qchan.channels import (
     PAULI_X,
     PAULI_Y,
@@ -93,18 +94,6 @@ class TestFamilyApply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             family_apply(FamilyChannel(Family.DEP, 0.5, 3), np.eye(2, dtype=complex))
-
-    def test_in_range_flag(self):
-        assert FamilyChannel(Family.DEP, 1.0, 3).in_cptp_range
-        assert not FamilyChannel(Family.DEP, 1.01, 3).in_cptp_range
-        assert FamilyChannel(Family.DCQ, -0.2, 3).in_cptp_range
-        assert not FamilyChannel(Family.DCQ, 0.26, 3).in_cptp_range
-
-    def test_in_range_flag_is_not_an_argument(self):
-        with pytest.raises(TypeError):
-            FamilyChannel(Family.DEP, 5.0, 3, True)
-        with pytest.raises(TypeError):
-            FamilyChannel(Family.DEP, 5.0, 3, in_cptp_range=True)
 
 
 class TestDiagonalPicture:
@@ -277,8 +266,10 @@ class TestChoi:
         monkeypatch.setattr(np, "zeros", refuse)
         with pytest.raises(ValueError, match=r"dense Choi matrix at dim 200: about 23\.8 GiB"):
             to_choi(lambda s: s, 200)
-        with pytest.raises(ValueError, match="sector stacks at dim 120"):
-            kraus_from_family(Family.DEP, 0.5, 120)
+        with pytest.raises(ValueError, match=r"the Kraus operators at dim 98: about 2\.0 GiB"):
+            kraus_from_family(Family.DEP, 0.5, 98)
+        with pytest.raises(AssertionError, match="allocated"):
+            kraus_from_family(Family.DEP, 0.5, 97)  # 1 + 3 n(n-1)/2 operators: just under 2 GiB
 
 
 class TestReprCoefficients:
@@ -328,15 +319,31 @@ class TestKraus:
             # Every remaining operator is a scaled generalized Pauli, hence traceless.
             assert abs(np.trace(op)) < 1e-12
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_operators_match_pauli_matrix_bit_for_bit(self, family, n):
+        # sqrt(c) times each pauli_matrix, in (I, x, y, z) order; bytes, so
+        # the sign of zero counts (root * -1j has a +0.0 real part).
+        lo, hi = (float(v) for v in cptp_range(family, n))
+        for p in (lo, hi, (lo + hi) / 2):
+            c = repr_coefficients(family, p, n)
+            groups = [(c.c0, [np.eye(n, dtype=complex)])]
+            for w, sector in zip((c.cx, c.cy, c.cz), "xyz"):
+                groups.append((w, [pauli_matrix(n, sector, pr) for pr in pairs(n)]))
+            expected = [sqrt(w) * m for w, mats in groups if w > 4 * np.finfo(float).eps for m in mats]
+            ks = kraus_from_family(family, p, n)
+            assert len(ks) == len(expected), p
+            assert b"".join(op.tobytes() for op in ks.operators) == b"".join(m.tobytes() for m in expected), p
+
     def test_vanishing_weights_drop_out(self, monkeypatch):
         # One operator per weight that is exactly nonzero in rational
-        # arithmetic, however its float rounds.  1x1 placeholders of the
-        # right length stand in for the sector stacks, so the sweep to
-        # n = 64 stays small.
+        # arithmetic, however its float rounds.  1x1 placeholders, one per
+        # operator of the sector, stand in for the operators, so the sweep
+        # to n = 64 stays small.
         monkeypatch.setattr(
             channels,
-            "_pauli_stacks",
-            lambda n: tuple(np.zeros((pair_count(n), 1, 1)) for _ in range(3)),
+            "_scaled_operators",
+            lambda root, entries, n: np.zeros((1 if entries is None else len(entries[0][0]), 1, 1)),
         )
         for family in FAMILIES:
             for n in range(2, 65):

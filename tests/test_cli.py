@@ -73,7 +73,7 @@ class TestBasis:
         code, out, err = run_cli(capsys, "basis", "--dim", "200")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: the sector stacks at dim 200: about 35.6 GiB")
+        assert err.startswith("error: the basis at dim 200: about 23.8 GiB")
 
 
 class TestChannelApply:

@@ -21,6 +21,7 @@ from qchan.channels import (
     DiagonalChannel,
     Family,
     FamilyChannel,
+    cptp_range,
     diagonal_apply,
     family_apply,
     family_to_diagonal,
@@ -142,7 +143,8 @@ def test_block_verdict_matches_dense_choi(ch):
     assert fast.trace_violation == pytest.approx(dense.trace_violation, abs=1e-12)
     assert (fast.witness is None) is (dense.witness is None)
     if isinstance(ch, FamilyChannel):
-        assert fast.passed is ch.in_cptp_range
+        lo, hi = cptp_range(ch.family, ch.dim)
+        assert fast.passed is bool(lo <= ch.p <= hi)
 
 
 @given(diagonal_channels(), seeds)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import basis as basis_module
-from qchan import verification
-from qchan.basis import build_basis, pairs, pauli_matrix
+from qchan import channels, verification
+from qchan.basis import build_basis, m_z, pairs, pauli_matrix
 from qchan.channels import (
     DiagonalChannel,
     Family,
@@ -290,7 +290,6 @@ class TestSumIdentities:
         assert direct.keys() == mats.keys()
         for key, group in mats.items():
             np.testing.assert_allclose(direct[key], sum(m @ s @ m for m in group), atol=1e-12)
-        assert verification._direct_sums(s, n, staircase=False).keys() == set("xyz")
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
@@ -314,12 +313,43 @@ class TestSumIdentities:
             assert len(np.unique(written)) == len(written) == n * (n - 1)
             assert not np.any(written // n == written % n)  # never on the diagonal
 
-    def test_sums_build_no_dense_stack(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"dense basis stack built at n={n}")
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_plan_matches_pauli_matrix_bit_for_bit(self, n):
+        # Rebuild the plan from pauli_matrix's nonzeros (row-major: the pair's
+        # k row first) with the plan's scalar arithmetic: real entries read
+        # as floats, complex ones as Python complex, so zero signs agree.
+        def plain(v):
+            return v.real if v.imag == 0 else complex(v)
 
-        for name in ("_pauli_stacks", "build_basis"):
-            monkeypatch.setattr(basis_module, name, refuse)
+        gather, coef, dest = [], [], []
+        for sector, name in enumerate("xyz"):
+            mats = {(k - 1, l - 1): pauli_matrix(n, name, (k, l)) for k, l in pairs(n)}
+            for a in range(2):
+                for b in range(2):
+                    for (k, l), m in mats.items():
+                        nonzeros = list(zip(*np.nonzero(m)))
+                        (r_a, c_a), (r_b, c_b) = nonzeros[a], nonzeros[b]
+                        gather.append(c_a * n + r_b)
+                        coef.append(plain(m[r_a, c_a]) * plain(m[r_b, c_b]))
+                        on_diagonal = r_a == c_b
+                        col = k + l - r_a if on_diagonal else c_b
+                        dest.append(((on_diagonal * 3 + sector) * n + r_a) * n + col)
+        z = np.array([np.diag(m_z(n, j)).real / np.sqrt(j * (j + 1)) for j in range(1, n)])
+        expected = (np.array(gather), np.array(coef, dtype=complex), np.array(dest), z.T @ z)
+        for got, want in zip(verification._sum_plan(n), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_sums_build_no_dense_stack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense n^4 array built")
+
+        for module, name in (
+            (basis_module, "build_basis"),
+            (channels, "_scaled_operators"),
+            (channels, "to_choi"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
             monkeypatch.setattr(verification, name, refuse, raising=False)
         assert verify_sum_identities(9, trials=2).passed
         assert verify_representations(Family.TCQ, 0.05, 9, trials=2).passed
