@@ -137,11 +137,14 @@ class TestBasis:
             expected = np.array([pauli_matrix(n, sector, pr) for pr in pairs(n)])
             assert stack.tobytes() == expected.tobytes()
 
-    def test_caches_are_bounded(self):
-        # The basis is built per call and kept by no one; the O(n^2) sum
-        # plans are the only per-dimension cache, and they keep a few.
-        assert build_basis(3) is not build_basis(3)
+    def test_cached(self):
+        # The O(n^2) sum plans built from the pair entry table are the only
+        # per-dimension cache; the basis is built per call and kept by no one.
         assert verification._sum_plan(3) is verification._sum_plan(3)
+        assert build_basis(3) is not build_basis(3)
+
+    def test_caches_are_bounded(self):
+        # The sum plans keep only a few dimensions.
         for n in range(2, 12):
             verification._sum_plan(n)
         info = verification._sum_plan.cache_info()
