@@ -7,7 +7,8 @@
 # Each tree is a checkout with the package under src/.  The script only
 # reports: it exits 0 whatever it finds.  Keep every command small enough
 # for both trees: older trees form the conjugation sums from dense n^4
-# stacks (about 11 GB at n = 128).
+# stacks (about 11 GB at n = 128), and older `report` builds its Kraus
+# operators densely (about 410 MB peak at n = 64).
 set -u
 
 base=$1
@@ -49,6 +50,7 @@ commands=(
     "report --dim 10 --seed 3"
     "report --dim 16 --seed 5"
     "report --dim 24 --seed 1"
+    "report --dim 64 --seed 3"
     "report --dim 4 --tol 1e-14"
     "witness --pair dep,trd --dim 3"
     "certify --pair dep,dcq --dim 2"

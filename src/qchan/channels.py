@@ -385,15 +385,31 @@ def kraus_from_family(
     p lies outside the CPTP interval.  Weights up to 4 eps (4 ulps of 1)
     are the float dust of a weight vanishing at an endpoint and drop out;
     that threshold ignores ``tol``, so a loose tolerance drops no weight.
-    The operators are dense, O(n^4) in all, and refused past 2 GiB.
+    The operators are dense, O(n^4) in all, and refused past 2 GiB;
+    :func:`_kraus_count_and_deviation` gives their count and completeness
+    from the weights alone.
+    """
+
+    kept = _kept_weights(family, p, n, tol)
+    _check_dense_bytes(16 * (1 + 3 * pair_count(n)) * int(n) ** 2, f"the Kraus operators at dim {n}")
+    entries = (None, *_pair_entries(*np.triu_indices(n, 1)))
+    operators: list[np.ndarray] = []
+    for sector, weight in kept:
+        operators.extend(_scaled_operators(sqrt(weight), entries[sector], n))
+    return KrausSet(operators=tuple(operators))
+
+
+def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tuple[int, float]]:
+    """(sector, weight) of each Kraus weight that keeps its operators, in c0, cx, cy, cz order.
+
+    Sector 0 is the identity, 1..3 the x, y and two-level z pair sectors.
+    Raises ValueError naming the first weight below ``-tol.bound(1.0)``.
     """
 
     coeffs = repr_coefficients(family, p, n)
-    _check_dense_bytes(16 * (1 + 3 * pair_count(n)) * int(n) ** 2, f"the Kraus operators at dim {n}")
-    x, y, z = _pair_entries(*np.triu_indices(n, 1))
-    groups = [("c0", coeffs.c0, None), ("cx", coeffs.cx, x), ("cy", coeffs.cy, y), ("cz", coeffs.cz, z)]
-    operators: list[np.ndarray] = []
-    for name, weight, entries in groups:
+    kept = []
+    for sector, name in enumerate(("c0", "cx", "cy", "cz")):
+        weight = getattr(coeffs, name)
         if weight < -tol.bound(1.0):
             lo, hi = cptp_range(family, n)
             raise ValueError(
@@ -401,8 +417,29 @@ def kraus_from_family(
                 f"is negative; p lies outside the CPTP range [{lo}, {hi}]"
             )
         if weight > 4 * np.finfo(float).eps:
-            operators.extend(_scaled_operators(sqrt(weight), entries, n))
-    return KrausSet(operators=tuple(operators))
+            kept.append((sector, weight))
+    return kept
+
+
+def _kraus_count_and_deviation(
+    family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
+) -> tuple[int, float]:
+    """len(kraus_from_family(...)) and max |kraus_completeness - I|, bit for bit, in O(n).
+
+    The identity operator gives fl(sqrt(c0))^2 I and a pair operator
+    sqrt(c) sigma gives fl(sqrt(c))^2 (E_kk + E_ll), so every diagonal
+    entry of the dense sum receives fl(sqrt(c0))^2 once, then fl(sqrt(c))^2
+    n - 1 times for each kept pair sector, in x, y, z order; the
+    off-diagonal entries are exactly 0.  No operator is built.
+    """
+
+    count, entry = 0, 0.0
+    for sector, weight in _kept_weights(family, p, n, tol):
+        root = sqrt(weight)
+        count += 1 if sector == 0 else pair_count(n)
+        for _ in range(1 if sector == 0 else n - 1):
+            entry += root * root
+    return count, abs(entry - 1)
 
 
 def _scaled_operators(root: float, entries, n: int) -> np.ndarray:

@@ -25,16 +25,15 @@ from typing import Any, Optional
 import numpy as np
 
 from . import jsonio
-from .basis import build_basis
+from .basis import _check_dense_bytes, build_basis
 from .channels import (
     FAMILY_NAMES,
     Family,
     FamilyChannel,
+    _kraus_count_and_deviation,
     channel_from_json,
     channel_to_json,
     family_from_name,
-    kraus_completeness,
-    kraus_from_family,
     validate_state,
 )
 from .equivalence import (
@@ -51,12 +50,13 @@ from .linalg import (
     matrix_from_json,
 )
 from .verification import (
+    _representation_reports,
+    _sample_reports,
     constant_fnorm_criterion,
     constant_fnorm_sample_test,
     is_cptp,
     param_range,
     verify_det_recurrence,
-    verify_representations,
     verify_sum_identities,
 )
 
@@ -345,8 +345,14 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, report.passed
 
 
+# Bytes of report JSON per n^2, rounded up: 6.1 MB at n = 64, mostly the
+# certificates' witness states.  No other part of a report grows faster.
+_REPORT_BYTES_PER_N2 = 1500
+
+
 def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
+    _check_dense_bytes(_REPORT_BYTES_PER_N2 * n * n, f"the report at dim {n}")
     kwargs = _tol_kwargs(args)
     sections: dict[str, Any] = {}
     all_passed = True
@@ -372,17 +378,18 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     sections["ranges"] = ranges
     sections["cptp_endpoints"] = endpoints
 
+    # Each family is checked at the midpoint of its range, against one
+    # shared draw of the sample states and one of the representation inputs.
+    members = [(f, (ranges[f.value].p_min + ranges[f.value].p_max) / 2) for f in Family]
+    channels = [FamilyChannel(family, p, n) for family, p in members]
+    samples = _sample_reports(channels, n, args.samples, args.seed, **kwargs)
+    reps = _representation_reports(members, n, 50, args.seed, **kwargs)
     constant_norm = {}
     representations = {}
     kraus = {}
-    for family in Family:
-        info = param_range(family, n)
-        p_mid = (info.p_min + info.p_max) / 2
-        channel = FamilyChannel(family, p_mid, n)
+    for channel, sample, rep in zip(channels, samples, reps):
+        family, p_mid = channel.family, channel.p
         holds, expected = constant_fnorm_criterion(channel, **kwargs)
-        sample = constant_fnorm_sample_test(
-            channel, n, samples=args.samples, seed=args.seed, **kwargs
-        )
         constant_norm[family.value] = {
             "p": p_mid,
             "criterion_holds": holds,
@@ -391,21 +398,18 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
         }
         all_passed = all_passed and holds and sample.passed
 
-        rep = verify_representations(family, p_mid, n, trials=50, seed=args.seed, **kwargs)
         representations[family.value] = {"p": p_mid, "report": rep}
         all_passed = all_passed and rep.passed
 
-        ks = kraus_from_family(family, p_mid, n)
-        completeness_dev = float(np.max(np.abs(kraus_completeness(ks) - np.eye(n))))
+        operators, completeness_dev = _kraus_count_and_deviation(family, p_mid, n)
         kraus_ok = completeness_dev <= (kwargs.get("tol") or DEFAULT_TOL).bound(1.0)
         kraus[family.value] = {
             "p": p_mid,
-            "operators": len(ks),
+            "operators": operators,
             "completeness_deviation": completeness_dev,
             "passed": kraus_ok,
         }
         all_passed = all_passed and kraus_ok
-        del ks  # frees this family's n^4 operators before the next family builds its own
     sections["constant_norm"] = constant_norm
     sections["representations"] = representations
     sections["kraus"] = kraus
@@ -469,9 +473,11 @@ def _emit(payload: Any, output: Optional[str]) -> None:
     text = payload if isinstance(payload, str) else jsonio.dumps(payload)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

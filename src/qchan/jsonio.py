@@ -42,8 +42,9 @@ def dumps(obj: Any) -> str:
 
     Accepts dict/list/tuple/str/float/int/bool/None and result records: a
     dataclass becomes an object of its fields in declaration order, a 2-D
-    array goes through :func:`qchan.linalg.matrix_to_json`, a 1-D array
-    becomes a list of floats, and a ``Family`` is its value (a ``str``).
+    array is written as the object :func:`qchan.linalg.matrix_to_json`
+    returns (without building it), a 1-D array becomes a list of floats,
+    and a ``Family`` is its value (a ``str``).
     """
 
     pieces: list[str] = []
@@ -86,14 +87,44 @@ def _write(obj: Any, out: list[str], level: int) -> None:
         fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
         _write(fields, out, level)
     elif isinstance(obj, np.ndarray) and obj.ndim == 2:
-        # Looked up at call time: linalg imports this module.
-        from . import linalg
-
-        _write(linalg.matrix_to_json(obj), out, level)
+        _write_matrix(obj, out, level)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1:
         _write([float(v) for v in obj], out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _write_matrix(m: np.ndarray, out: list[str], level: int) -> None:
+    """The text ``_write(linalg.matrix_to_json(m), out, level)`` writes, in one pass.
+
+    Each distinct float is formatted once, keyed on its bits: -0.0 and
+    0.0 print differently.
+    """
+
+    # Looked up at call time: linalg imports this module.
+    from . import linalg
+
+    m = linalg.as_matrix(m)
+    if not m.size:
+        _write(linalg.matrix_to_json(m), out, level)
+        return
+    parts = np.ascontiguousarray(m).reshape(-1).view(float)  # re, im of each entry
+    bits, index = np.unique(parts.view(np.uint64), return_inverse=True)
+    texts = [format_float(x) for x in bits.view(float).tolist()]
+    pad, entry_pad, part_pad = ("  " * (level + k) for k in (1, 2, 3))
+    # Each distinct value's text as a real part, then as an imaginary part
+    # closing its entry; the parts pick theirs in data order.
+    pieces = np.array(
+        [f"{entry_pad}[\n{part_pad}{text},\n" for text in texts]
+        + [f"{part_pad}{text}\n{entry_pad}],\n" for text in texts],
+        dtype=object,
+    )
+    index[1::2] += len(texts)
+    data = "".join(pieces[index].tolist())[:-2]  # no comma after the last entry
+    out.append(
+        f'{{\n{pad}"rows": {m.shape[0]},\n{pad}"cols": {m.shape[1]},\n'
+        f'{pad}"data": [\n{data}\n{pad}]\n{"  " * level}}}'
+    )
 
 
 def require(obj: Any, field: str, context: str = "") -> Any:

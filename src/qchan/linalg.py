@@ -83,8 +83,9 @@ def frobenius_norm(m: np.ndarray) -> float:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†)/2 of a matrix, or of each matrix of an (..., n, n) stack."""
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
 
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

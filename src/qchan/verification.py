@@ -16,7 +16,9 @@ conventions:
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
   multiplier moduli agree, in which case every pure input maps to output
   Frobenius norm sqrt(1/n + t^2 (1 - 1/n));
-* brute-force conjugation sums come from the basis elements' entries, O(n^2) each.
+* brute-force conjugation sums come from the basis elements' entries, O(n^2) each,
+  for a stack of trials at once; ``report`` checks all four families
+  against one draw of its inputs, with the reports their own calls give.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .channels import (
     Family,
     FamilyChannel,
     QubitLambda,
+    _diag_embed,
     cptp_range,
     diagonal_image,
     family_apply,
@@ -324,24 +327,51 @@ def constant_fnorm_sample_test(
     states achieving the extreme norms otherwise.  A channel object gets
     its n^2 witness norms in closed form from its Choi block data
     (:func:`_witness_norms`, O(n^3)) and its Haar samples applied in
-    batches; any other map is applied to one state at a time.  Both see
-    the same states and reach the same verdict, with norms that agree up
-    to rounding.
+    batches (:func:`_sample_reports`); any other map is applied to one
+    state at a time.  Both see the same states and reach the same
+    verdict, with norms that agree up to rounding.
     """
 
+    if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
+        return _sample_reports([apply_fn], n, samples, seed, tol)[0]
+    _check_samples(samples)
+    chunks = _state_chunks(n, samples, seed)
+    norms = np.array([frobenius_norm(apply_fn(s)) for chunk in chunks for s in chunk])
+    return _norm_spread_report(norms, n, samples, tol)
+
+
+def _sample_reports(
+    channels: list[AnyChannel], n: int, samples: int, seed: int, tol: Tolerance = DEFAULT_TOL
+) -> list[VerificationReport]:
+    """``constant_fnorm_sample_test`` of each channel object, from one set of Haar draws.
+
+    Each chunk of the ``samples`` states of ``seed`` is drawn once and
+    applied to every channel, so the reports equal those of one call per
+    channel, bit for bit.
+    """
+
+    _check_samples(samples)
+    for ch in channels:
+        if ch.dim != n:
+            raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
+    diags = [family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch for ch in channels]
+    norms = [[_witness_norms(diag)] for diag in diags]
+    for chunk in _haar_chunks(n, samples, seed):
+        for ch, found in zip(channels, norms):
+            found.append(np.linalg.norm(ch(chunk), axis=(-2, -1)))
+    return [_norm_spread_report(np.concatenate(found), n, samples, tol) for found in norms]
+
+
+def _check_samples(samples: int) -> None:
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
-        if apply_fn.dim != n:
-            raise ValueError(f"dimension mismatch: channel dim {apply_fn.dim}, n={n}")
-        diag = family_to_diagonal(apply_fn) if isinstance(apply_fn, FamilyChannel) else apply_fn
-        haar = _haar_chunks(n, samples, seed)
-        norms = np.concatenate(
-            [_witness_norms(diag), *(np.linalg.norm(apply_fn(c), axis=(-2, -1)) for c in haar)]
-        )
-    else:
-        chunks = _state_chunks(n, samples, seed)
-        norms = np.array([frobenius_norm(apply_fn(s)) for chunk in chunks for s in chunk])
+
+
+def _norm_spread_report(
+    norms: np.ndarray, n: int, samples: int, tol: Tolerance
+) -> VerificationReport:
+    """The sample test's verdict on the output norms of the witness states, then the Haar samples."""
+
     spread = float(norms.max() - norms.min())
     mean = float(norms.mean())
     passed = spread <= tol.bound(float(norms.max()))
@@ -410,18 +440,27 @@ def verify_det_recurrence(
 
 
 def sum_x(s: np.ndarray, n: int) -> np.ndarray:
-    """sum over pairs of sigma_x S sigma_x = S^T + Tr(S) I - 2 diag(S)."""
-    return s.T + np.trace(s) * np.eye(n, dtype=complex) - 2 * np.diag(np.diag(s))
+    """sum over pairs of sigma_x S sigma_x = S^T + Tr(S) I - 2 diag(S); S may be a stack."""
+    return np.swapaxes(s, -1, -2) + _trace_eye(s, n) - 2 * _diag_part(s)
 
 
 def sum_y(s: np.ndarray, n: int) -> np.ndarray:
-    """sum over pairs of sigma_y S sigma_y = Tr(S) I - S^T."""
-    return np.trace(s) * np.eye(n, dtype=complex) - s.T
+    """sum over pairs of sigma_y S sigma_y = Tr(S) I - S^T; S may be a stack."""
+    return _trace_eye(s, n) - np.swapaxes(s, -1, -2)
 
 
 def sum_z(s: np.ndarray, n: int) -> np.ndarray:
-    """sum over pairs of sigma_z S sigma_z = n diag(S) - S."""
-    return n * np.diag(np.diag(s)) - s
+    """sum over pairs of sigma_z S sigma_z = n diag(S) - S; S may be a stack."""
+    return n * _diag_part(s) - s
+
+
+def _trace_eye(s: np.ndarray, n: int) -> np.ndarray:
+    """Tr(S) I for each matrix of an (..., n, n) stack."""
+    return np.trace(s, axis1=-2, axis2=-1)[..., None, None] * np.eye(n, dtype=complex)
+
+
+def _diag_part(s: np.ndarray) -> np.ndarray:
+    return _diag_embed(np.diagonal(s, axis1=-2, axis2=-1))
 
 
 # Dimensions whose sum plans stay cached: each is O(n^2), but an unbounded
@@ -454,25 +493,55 @@ def _sum_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
-    """Brute-force conjugation sums, one per distinct sector, in O(n^2).
+    """Brute-force conjugation sums of an (..., n, n) stack, one per distinct sector, O(n^2) each.
 
     Keys "x", "y", "z" sum over the unnormalized pair matrices, "ez" over
-    the staircase z block of the orthonormal basis.
+    the staircase z block of the orthonormal basis; each value has the
+    shape of ``s``, and its matrices equal the sums of each matrix alone.
     Its I/sqrt(n), x/sqrt(2), y/sqrt(2) elements sum to S/n, "x"/2, "y"/2.
     """
 
     gather, coef, dest, w = _sum_plan(n)
-    buf = np.zeros((2, 3, n, n), dtype=complex)
-    np.put(buf, dest, coef * s.take(gather))
-    buf[0].reshape(3, -1)[:, :: n + 1] = buf[1].sum(axis=-1)  # pairwise: accurate at large n
-    return dict(zip("xyz", buf[0]), ez=w * s)
+    flat = s.reshape(-1, n * n)
+    buf = np.zeros((len(flat), 2, 3, n, n), dtype=complex)
+    terms = np.take(flat, gather, axis=1)
+    terms *= coef
+    np.put(buf, dest + 6 * n * n * np.arange(len(flat))[:, None], terms)
+    idx = np.arange(n)
+    planes = buf[:, 0]
+    planes[..., idx, idx] = buf[:, 1].sum(axis=-1)  # pairwise: accurate at large n
+    return {key: planes[:, i].reshape(s.shape) for i, key in enumerate("xyz")} | {"ez": w * s}
+
+
+# Bytes of conjugation-sum buffer (96 n^2 per trial) formed at once by the
+# identity and representation checks: the default trial counts of n <= 16
+# run in one chunk, and memory stays flat at large n (chunks of 10 trials
+# raised the peak of `report --dim 128` from 101 to 151 MB).
+_TRIAL_CHUNK_BYTES = 1 << 21
+
+
+def _trial_chunks(n: int, trials: int, seed: int):
+    """The ``trials`` complex Gaussian n x n inputs of ``seed``, in (chunk, n, n) stacks.
+
+    One (chunk, 2, n, n) draw reads the generator's stream exactly as the
+    per-trial (real, imaginary) pairs of n x n draws do.
+    """
+
+    per_chunk = max(1, _TRIAL_CHUNK_BYTES // (96 * n * n))
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, per_chunk):
+        g = rng.standard_normal((min(per_chunk, trials - start), 2, n, n))
+        yield g[:, 0] + 1j * g[:, 1]
+
+
+_SUM_TOL = Tolerance(absolute=1e-12, relative=0.0)
 
 
 def verify_sum_identities(
     n: int,
     trials: int = 50,
     seed: int = 0,
-    tol: Tolerance = Tolerance(absolute=1e-12, relative=0.0),
+    tol: Tolerance = _SUM_TOL,
 ) -> VerificationReport:
     """Check the closed conjugation-sum forms against brute-force sums.
 
@@ -480,32 +549,31 @@ def verify_sum_identities(
     sums (the orthonormal x/y sectors sum to half the x/y sums).  The
     closed x/y forms carry a transpose; the transpose-free variants
     coincide with them exactly on complex symmetric inputs, which is also
-    verified and recorded in the witness text.
+    verified and recorded in the witness text.  The trials run in stacks
+    of :func:`_trial_chunks`.
     """
 
     _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    eye = np.eye(n, dtype=complex)
     worst = 0.0
     worst_sym = 0.0
-    for _ in range(trials):
-        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for s in _trial_chunks(n, trials, seed):
         direct = _direct_sums(s, n)
         closed = {
             "x": sum_x(s, n),
             "y": sum_y(s, n),
             "z": sum_z(s, n),
-            "ez": np.diag(np.diag(s)) - s / n,
+            "ez": _diag_part(s) - s / n,
         }
         for key, mat in closed.items():
             worst = max(worst, float(np.max(np.abs(direct[key] - mat))))
         # Transpose-free variants on a complex symmetric input.
-        sym = (s + s.T) / 2
+        sym = (s + np.swapaxes(s, -1, -2)) / 2
         direct_sym = _direct_sums(sym, n)
+        trace_eye = _trace_eye(sym, n)
         printed = {
-            "x": sym + np.trace(sym) * eye - 2 * np.diag(np.diag(sym)),
-            "y": np.trace(sym) * eye - sym,
-            "z": n * np.diag(np.diag(sym)) - sym.T,
+            "x": sym + trace_eye - 2 * _diag_part(sym),
+            "y": trace_eye - sym,
+            "z": n * _diag_part(sym) - np.swapaxes(sym, -1, -2),
         }
         for key, mat in printed.items():
             worst_sym = max(worst_sym, float(np.max(np.abs(direct_sym[key] - mat))))
@@ -526,44 +594,67 @@ def verify_representations(
     n: int,
     trials: int = 100,
     seed: int = 0,
-    tol: Tolerance = Tolerance(absolute=1e-12, relative=0.0),
+    tol: Tolerance = _SUM_TOL,
 ) -> VerificationReport:
     """Both conjugation-sum expansions against the closed family form.
 
     The basis form is e0 S/n + ex X/2 + ey Y/2 + ez EZ (see ``_direct_sums``).
     """
 
+    return _representation_reports([(family, p)], n, trials, seed, tol)[0]
+
+
+def _representation_reports(
+    members: list[tuple[Family, float]],
+    n: int,
+    trials: int,
+    seed: int,
+    tol: Tolerance = _SUM_TOL,
+) -> list[VerificationReport]:
+    """``verify_representations`` of each (family, p), from one draw of the inputs.
+
+    The Hermitian inputs of ``seed`` are drawn once, in stacks, and their
+    brute-force sums are weighted for every member, so the reports equal
+    those of one call per member, bit for bit: every form is elementwise,
+    and the mean deviation stays a sequential sum over the trials.
+    """
+
     _check_trials(trials)
-    coeffs = repr_coefficients(family, p, n)
-    ch = FamilyChannel(family=family, p=p, dim=n)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_mean = 0.0
-    for _ in range(trials):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    coeffs = [repr_coefficients(family, p, n) for family, p in members]
+    channels = [FamilyChannel(family=family, p=p, dim=n) for family, p in members]
+    devs: list[list[float]] = [[] for _ in members]
+    for g in _trial_chunks(n, trials, seed):
         s = hermitian_part(g)
-        expected = family_apply(ch, s)
         sums = _direct_sums(s, n)
-        pauli_form = (
-            coeffs.c0 * s + coeffs.cx * sums["x"] + coeffs.cy * sums["y"] + coeffs.cz * sums["z"]
+        for ch, c, found in zip(channels, coeffs, devs):
+            expected = family_apply(ch, s)
+            pauli_form = c.c0 * s + c.cx * sums["x"] + c.cy * sums["y"] + c.cz * sums["z"]
+            basis_form = (
+                c.e0 * s / n + c.ex * sums["x"] / 2 + c.ey * sums["y"] / 2 + c.ez * sums["ez"]
+            )
+            # One deviation per trial: the worse of the two forms.
+            pauli_dev = np.abs(pauli_form - expected).max(axis=(-2, -1)).tolist()
+            basis_dev = np.abs(basis_form - expected).max(axis=(-2, -1)).tolist()
+            found.extend(max(a, b) for a, b in zip(pauli_dev, basis_dev))
+    reports = []
+    for (family, p), found in zip(members, devs):
+        worst = 0.0
+        total = 0.0
+        for dev in found:  # in trial order: Python's sum() of floats is compensated from 3.12 on
+            worst = max(worst, dev)
+            total += dev
+        passed = worst <= tol.bound(1.0)
+        witness = None if passed else f"representation mismatch {worst:.3e} for {family.value}, p={p}, n={n}"
+        reports.append(
+            VerificationReport(
+                passed=passed,
+                max_deviation=worst,
+                mean_deviation=total / trials,
+                witness=witness,
+                samples_used=trials,
+            )
         )
-        basis_form = (
-            coeffs.e0 * s / n
-            + coeffs.ex * sums["x"] / 2
-            + coeffs.ey * sums["y"] / 2
-            + coeffs.ez * sums["ez"]
-        )
-        dev = max(float(np.max(np.abs(form - expected))) for form in (pauli_form, basis_form))
-        worst = max(worst, dev)
-        worst_mean += dev
-    passed = worst <= tol.bound(1.0)
-    return VerificationReport(
-        passed=passed,
-        max_deviation=worst,
-        mean_deviation=worst_mean / trials,
-        witness=None if passed else f"representation mismatch {worst:.3e} for {family.value}, p={p}, n={n}",
-        samples_used=trials,
-    )
+    return reports
 
 
 def _check_trials(trials: int) -> None:

@@ -355,6 +355,24 @@ class TestKraus:
                     ks = kraus_from_family(family, float(p), n)
                     assert len(ks) == expected, (family, n, p)
 
+    @pytest.mark.parametrize("n", [*range(2, 41), 48, 64])
+    def test_closed_form_completeness_equals_the_dense_sum(self, n):
+        # Count and deviation from the weights alone, bit for bit against
+        # the dense operators and kraus_completeness.
+        for family in FAMILIES:
+            lo, hi = (float(v) for v in cptp_range(family, n))
+            for p in (lo, hi, (lo + hi) / 2, 0.0):
+                ks = kraus_from_family(family, p, n)
+                dense = float(np.max(np.abs(kraus_completeness(ks) - np.eye(n))))
+                assert channels._kraus_count_and_deviation(family, p, n) == (len(ks), dense), (family, p)
+                del ks  # n^4 entries: free before the next build
+
+    def test_closed_form_builds_no_operator_and_keeps_the_range_check(self, monkeypatch):
+        monkeypatch.setattr(channels, "_scaled_operators", None)
+        assert channels._kraus_count_and_deviation(Family.DEP, 0.5, 500)[0] == 1 + 3 * pair_count(500)
+        with pytest.raises(ValueError, match="c0"):
+            channels._kraus_count_and_deviation(Family.DCQ, 0.5, 3)
+
     def test_loose_tolerance_keeps_genuine_weights(self):
         # The drop threshold is float dust, not the caller's tolerance.
         ks = kraus_from_family(Family.DEP, 0.5, 30, tol=Tolerance(1e-2, 1e-2))

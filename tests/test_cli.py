@@ -313,6 +313,27 @@ class TestReport:
         assert payload["sections"]["qubit_equivalence"]["passed"] is True
 
 
+    def test_oversized_report_exits_2_before_any_work(self, capsys, monkeypatch):
+        # About 1.46 KiB of JSON per n^2: refused from n = 1197, the first
+        # dimension whose estimate passes 2 GiB.
+        def refuse(*args, **kwargs):
+            raise AssertionError("report work started")
+
+        monkeypatch.setattr(cli, "_tol_kwargs", refuse)
+        code, out, err = run_cli(capsys, "report", "--dim", "1197")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the report at dim 1197: about 2.0 GiB, over the 2 GiB limit")
+        with pytest.raises(AssertionError, match="work started"):
+            main(["report", "--dim", "1196"])
+
+    def test_report_builds_no_kraus_operator(self, capsys, monkeypatch):
+        monkeypatch.setattr("qchan.channels._scaled_operators", None)
+        code, out, _ = run_cli(capsys, "report", "--dim", "4", "--samples", "10")
+        assert code == 0
+        kraus = json.loads(out)["sections"]["kraus"]
+        assert [entry["operators"] for entry in kraus.values()] == [1 + 3 * 6] * 4
+
     def test_tolerance_reaches_the_determinant(self, capsys):
         # The determinant section decides with --tol, as detcheck does.
         code, out, _ = run_cli(capsys, "report", "--dim", "3", "--samples", "10", "--tol", "1e-30")

@@ -1,10 +1,12 @@
 """JSON layout of every result record, as written by ``jsonio.dumps``."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from qchan import jsonio
 from qchan.channels import Family, FamilyChannel
 from qchan.cli import main
 from qchan.equivalence import (
@@ -139,3 +141,35 @@ def test_cli_embeds_records_as_dumps_writes_them(capsys):
     assert json.loads(out)["certificate"] == encode(cert)
     lines = dumps(cert).splitlines()
     assert '  "certificate": ' + "\n  ".join(lines) + ",\n" in out
+
+
+MATRICES = {
+    "signed zeros": np.array([[-0.0, 0.0], [0.0 - 0.0j, -0.0 + 1j]]),
+    "one by one": np.array([[0.5 - 2e-300j]]),
+    "repeated values": np.eye(4) / np.sqrt(2) + 1j * np.ones((4, 4)),
+    "generic": np.random.default_rng(5).standard_normal((5, 5)) * (1 + 1e-9j),
+    "integers": np.arange(9).reshape(3, 3),
+    "empty": np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", MATRICES)
+@pytest.mark.parametrize("level", range(4))
+def test_matrix_text_equals_the_matrix_to_json_object(name, level):
+    # The direct writer prints exactly what writing matrix_to_json's object prints.
+    direct, via_object = [], []
+    jsonio._write(MATRICES[name], direct, level)
+    jsonio._write(matrix_to_json(MATRICES[name]), via_object, level)
+    assert "".join(direct) == "".join(via_object)
+
+
+def test_matrix_writer_keeps_the_sign_of_zero():
+    # -0.0 and 0.0 compare equal, but each keeps its own text.
+    data = json.loads(dumps(np.array([[-0.0, 0.0], [0.0, -0.0]])))["data"]
+    assert [[math.copysign(1, x) for x in pair] for pair in data] == [[-1, 1], [1, 1], [1, 1], [-1, 1]]
+
+
+@pytest.mark.parametrize("value", [np.ones((2, 3)), np.array([[np.nan]])])
+def test_matrix_writer_rejects_what_matrix_to_json_rejects(value):
+    with pytest.raises(ValueError, match="square|non-finite"):
+        dumps(value)

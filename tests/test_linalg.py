@@ -9,6 +9,7 @@ from qchan.linalg import (
     Tolerance,
     frobenius_norm,
     hermitian_eigenvalues,
+    hermitian_part,
     is_hermitian,
     is_psd,
     matrix_from_json,
@@ -75,6 +76,18 @@ class TestEigenvalues:
             hermitian_eigenvalues(m),
             atol=1e-12,
         )
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3), (2, 3, 3), (2, 4, 5, 5)])
+    def test_acts_on_each_matrix_of_a_stack(self, shape):
+        # A stack is not one matrix: (m + m^dagger)/2 pairs entries within each matrix.
+        rng = np.random.default_rng(len(shape))
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = hermitian_part(m)
+        flat = m.reshape(-1, shape[-1], shape[-1])
+        expected = np.array([(a + a.conj().T) / 2 for a in flat]).reshape(shape)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPsd:
