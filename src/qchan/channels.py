@@ -421,9 +421,7 @@ def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tupl
     return kept
 
 
-def _kraus_count_and_deviation(
-    family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[int, float]:
+def _kraus_count_and_deviation(family: Family, p: float, n: int) -> tuple[int, float]:
     """len(kraus_from_family(...)) and max |kraus_completeness - I|, bit for bit, in O(n).
 
     The identity operator gives fl(sqrt(c0))^2 I and a pair operator
@@ -434,7 +432,7 @@ def _kraus_count_and_deviation(
     """
 
     count, entry = 0, 0.0
-    for sector, weight in _kept_weights(family, p, n, tol):
+    for sector, weight in _kept_weights(family, p, n, DEFAULT_TOL):
         root = sqrt(weight)
         count += 1 if sector == 0 else pair_count(n)
         for _ in range(1 if sector == 0 else n - 1):

@@ -345,9 +345,12 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, report.passed
 
 
-# Bytes of report JSON per n^2, rounded up: 6.1 MB at n = 64, mostly the
-# certificates' witness states.  No other part of a report grows faster.
-_REPORT_BYTES_PER_N2 = 1500
+# Peak bytes of a report process per n^2, rounded up from 4.3-4.5 KB measured
+# at n = 128..256.  The JSON is 1.5 KB per n^2, mostly the certificates'
+# witness states, and the peak holds it three times: `jsonio.dumps`' pieces
+# and their join, then the encoded copy written out.  The cached sum plan and
+# the checks' arrays are O(n^2) too, and nothing in a report grows faster.
+_REPORT_BYTES_PER_N2 = 4700
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:

@@ -513,11 +513,17 @@ def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
     return {key: planes[:, i].reshape(s.shape) for i, key in enumerate("xyz")} | {"ez": w * s}
 
 
-# Bytes of conjugation-sum buffer (96 n^2 per trial) formed at once by the
-# identity and representation checks: the default trial counts of n <= 16
-# run in one chunk, and memory stays flat at large n (chunks of 10 trials
-# raised the peak of `report --dim 128` from 101 to 151 MB).
-_TRIAL_CHUNK_BYTES = 1 << 21
+# Peak bytes per trial per n^2 of a trial stack, every array counted: the
+# draw, the input, and `_direct_sums`' buffer, terms and scatter index, plus
+# the forms.  Measured with tracemalloc at n = 64: 284 in the representation
+# checks, 462 in the identity check (two stacks of sums alive at once).
+_TRIAL_BYTES_PER_N2 = 480
+
+# Peak bytes of one trial stack: the default trial counts of n <= 16 run in
+# one chunk, and memory stays flat at large n (one trial per chunk from
+# n = 96; chunks of 10 trials raised the peak of `report --dim 128` from
+# 101 to 151 MB).
+_TRIAL_CHUNK_BYTES = 8 << 20
 
 
 def _trial_chunks(n: int, trials: int, seed: int):
@@ -527,7 +533,7 @@ def _trial_chunks(n: int, trials: int, seed: int):
     per-trial (real, imaginary) pairs of n x n draws do.
     """
 
-    per_chunk = max(1, _TRIAL_CHUNK_BYTES // (96 * n * n))
+    per_chunk = max(1, _TRIAL_CHUNK_BYTES // (_TRIAL_BYTES_PER_N2 * n * n))
     rng = np.random.default_rng(seed)
     for start in range(0, trials, per_chunk):
         g = rng.standard_normal((min(per_chunk, trials - start), 2, n, n))

@@ -314,18 +314,18 @@ class TestReport:
 
 
     def test_oversized_report_exits_2_before_any_work(self, capsys, monkeypatch):
-        # About 1.46 KiB of JSON per n^2: refused from n = 1197, the first
-        # dimension whose estimate passes 2 GiB.
+        # About 4.6 KiB of peak memory per n^2: refused from n = 676, the
+        # first dimension whose estimate passes 2 GiB.
         def refuse(*args, **kwargs):
             raise AssertionError("report work started")
 
         monkeypatch.setattr(cli, "_tol_kwargs", refuse)
-        code, out, err = run_cli(capsys, "report", "--dim", "1197")
+        code, out, err = run_cli(capsys, "report", "--dim", "676")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: the report at dim 1197: about 2.0 GiB, over the 2 GiB limit")
+        assert err.startswith("error: the report at dim 676: about 2.0 GiB, over the 2 GiB limit")
         with pytest.raises(AssertionError, match="work started"):
-            main(["report", "--dim", "1196"])
+            main(["report", "--dim", "675"])
 
     def test_report_builds_no_kraus_operator(self, capsys, monkeypatch):
         monkeypatch.setattr("qchan.channels._scaled_operators", None)

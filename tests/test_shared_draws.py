@@ -44,7 +44,7 @@ per_chunk = st.one_of(st.none(), st.integers(min_value=1, max_value=5))
 
 
 def trial_chunks_of(size, n):
-    bytes_ = verification._TRIAL_CHUNK_BYTES if size is None else size * 96 * n * n
+    bytes_ = verification._TRIAL_CHUNK_BYTES if size is None else size * verification._TRIAL_BYTES_PER_N2 * n * n
     return mock.patch.object(verification, "_TRIAL_CHUNK_BYTES", bytes_)
 
 
