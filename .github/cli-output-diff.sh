@@ -33,6 +33,8 @@ commands=(
     "verify cptp --family tcq --dim 3 --p 0.3"
     "verify cptp --channel $work/diagonal.json"
     "verify constant-norm --family dep --dim 4 --p 0.5 --samples 500 --seed 7"
+    "verify constant-norm --family tcq --dim 20 --p 0.01 --samples 500 --seed 3"
+    "verify constant-norm --family trd --dim 70 --p 0.0001 --samples 30 --seed 1"
     "verify constant-norm --channel $work/unequal.json"
     "identities --dim 5 --trials 40 --seed 1"
     "identities --dim 16 --trials 10 --seed 2"

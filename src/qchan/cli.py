@@ -172,17 +172,31 @@ def _load_json_file(path: str) -> Any:
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
+# Peak bytes per n^2 of `verify cptp` and `verify constant-norm`, rounded up
+# from tracemalloc peaks at n = 200..1000: 84-90 for the block CP check,
+# 61-66 for the constant-norm check without samples and 72-96 with Haar
+# samples (one state per stack at these n).  Both are O(n^2) in memory but
+# O(n^3) in time, so this also keeps their eigensolves short.
+_VERIFY_BYTES_PER_N2 = 100
+
+
 def _load_channel(args: argparse.Namespace):
+    """The channel of a verify command, refused if the check would pass 2 GiB."""
+
     if getattr(args, "channel", None):
-        return channel_from_json(_load_json_file(args.channel))
-    family = getattr(args, "family", None)
-    dim = getattr(args, "dim", None)
-    p = getattr(args, "p", None)
-    if family is None or dim is None or p is None:
-        raise SchemaError("channel", "provide --channel FILE or all of --family/--dim/--p")
-    if dim < 2:
-        raise SchemaError("dim", f"expected an integer >= 2, got {dim}")
-    return FamilyChannel(family=family_from_name(family, "family"), p=p, dim=dim)
+        channel = channel_from_json(_load_json_file(args.channel))
+    else:
+        family = getattr(args, "family", None)
+        dim = getattr(args, "dim", None)
+        p = getattr(args, "p", None)
+        if family is None or dim is None or p is None:
+            raise SchemaError("channel", "provide --channel FILE or all of --family/--dim/--p")
+        if dim < 2:
+            raise SchemaError("dim", f"expected an integer >= 2, got {dim}")
+        channel = FamilyChannel(family=family_from_name(family, "family"), p=p, dim=dim)
+    n = channel.dim
+    _check_dense_bytes(_VERIFY_BYTES_PER_N2 * n * n, f"verify {args.verify_command} at dim {n}")
+    return channel
 
 
 def _parse_pair(text: str) -> tuple[Family, Family]:
@@ -194,6 +208,22 @@ def _parse_pair(text: str) -> tuple[Family, Family]:
     if fam_a is fam_b:
         raise SchemaError("pair", "the two families must be distinct")
     return fam_a, fam_b
+
+
+def _is_mixed(pair: tuple[Family, Family]) -> bool:
+    """One of dep/trd and one of dcq/tcq: the pairs a spectrum witness separates."""
+    return len([f for f in pair if f in _HYBRID]) == 1
+
+
+# Peak bytes per n^2 of `witness` and of `certify` for a mixed pair, rounded
+# up from 665-673 measured with tracemalloc at n = 200..701: mostly the JSON
+# of the four n x n witness states, held as `jsonio.dumps`' pieces and their
+# join.  Same-class pairs build nothing of size n^2.
+_WITNESS_BYTES_PER_N2 = 700
+
+
+def _check_witness_bytes(n: int) -> None:
+    _check_dense_bytes(_WITNESS_BYTES_PER_N2 * n * n, f"the spectrum witnesses at dim {n}")
 
 
 def _check_dim(args: argparse.Namespace) -> int:
@@ -306,12 +336,13 @@ def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
 def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     pair = _parse_pair(args.pair)
-    if len([f for f in pair if f in _HYBRID]) != 1:
+    if not _is_mixed(pair):
         raise SchemaError(
             "pair",
             "spectrum witnesses separate mixed pairs only (one of dep/trd vs one of "
             "dcq/tcq); use `certify` for same-class pairs",
         )
+    _check_witness_bytes(n)
     certificate = inequivalence_certificate(pair, n, args.p)
     payload = {
         "command": "witness",
@@ -324,6 +355,8 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
 def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     pair = _parse_pair(args.pair)
+    if _is_mixed(pair):
+        _check_witness_bytes(n)
     certificate = inequivalence_certificate(pair, n, args.p)
     payload = {
         "command": "certify",

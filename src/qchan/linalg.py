@@ -72,7 +72,7 @@ def as_matrix_stack(m: Any, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry is finite iff both parts are
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -250,11 +250,16 @@ def _projectors(v: np.ndarray) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-# Bytes of states built and applied at once by the sample test.  Small, so
-# memory stays flat however many states it draws (Haar samples; the n^2
-# witnesses too for a generic callable): an apply holds a few chunk-sized
-# temporaries, and larger chunks raised peak memory at small n without
-# speeding up n <= 20.
+# Bytes of one stack of states in the sample test.  It bounds both the unit
+# vectors drawn or built at once (16 n bytes each, so 204 states per draw at
+# n = 20) and the projector stacks applied at once (16 n^2 bytes per state),
+# for the Haar samples and, for a generic callable, the n^2 witnesses; so
+# memory stays flat however many states are drawn.  Projector stacks keep
+# this size for the printed bits: the norms np.linalg.norm(axis=(-2, -1))
+# takes of a whole output stack equal the per-state ones only while the stack
+# holds at most 16384 entries; past that, tcq and trd norms changed in the
+# last bit (first at 41 states for n = 20, p = 0.01, and at 263 states for
+# n = 8).
 _CHUNK_BYTES = 1 << 16
 
 
@@ -262,30 +267,61 @@ def _states_per_chunk(n: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * n * n))
 
 
+def _vectors_per_draw(n: int) -> int:
+    return max(1, _CHUNK_BYTES // (16 * n))
+
+
+def _projector_stacks(v: np.ndarray):
+    """The projectors of the rows of v, in stacks of :func:`_states_per_chunk` states."""
+
+    per_chunk = _states_per_chunk(v.shape[1])
+    for first in range(0, len(v), per_chunk):
+        yield _projectors(v[first : first + per_chunk])
+
+
 def _state_chunks(n: int, samples: int, seed: int):
     """witness_states(n), then ``samples`` random_pure_state draws, in stacks.
 
     The states, and their order, are exactly those of the per-state loop.
+    The witness vectors are built in stacks as the Haar draws are (their
+    norms are sqrt(1) or sqrt(2) however they are summed).
     """
 
-    per_chunk = _states_per_chunk(n)
-    for start in range(0, n * n, per_chunk):
-        yield _projectors(_witness_vectors(n, start, min(start + per_chunk, n * n)))
+    per_draw = _vectors_per_draw(n)
+    for start in range(0, n * n, per_draw):
+        yield from _projector_stacks(_witness_vectors(n, start, min(start + per_draw, n * n)))
     yield from _haar_chunks(n, samples, seed)
 
 
 def _haar_chunks(n: int, samples: int, seed: int):
-    """The ``samples`` random_pure_state draws of ``seed``, bit for bit, in stacks."""
+    """The ``samples`` random_pure_state draws of ``seed``, bit for bit, as projector stacks.
 
-    per_chunk = _states_per_chunk(n)
+    The unit vectors are drawn in stacks of at most ``_CHUNK_BYTES`` of
+    normals (16 n bytes per state), so no Python code runs once per
+    state; their projectors are yielded in stacks of
+    :func:`_states_per_chunk` states, the size that keeps the apply's
+    per-state norms (see ``_CHUNK_BYTES``).
+    """
+
+    per_draw = _vectors_per_draw(n)
     rng = np.random.default_rng(seed)
-    for start in range(0, samples, per_chunk):
+    for start in range(0, samples, per_draw):
         # One (real, imaginary) draw of n normals per state, as random_pure_state.
-        g = rng.standard_normal((min(per_chunk, samples - start), 2, n))
-        v = g[:, 0] + 1j * g[:, 1]
-        for row in v:
-            row /= np.linalg.norm(row)  # per row, for random_pure_state's exact bits
-        yield _projectors(v)
+        g = rng.standard_normal((min(per_draw, samples - start), 2, n))
+        yield from _projector_stacks(_normalize_rows(g[:, 0] + 1j * g[:, 1]))
+
+
+def _normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Divide each row of a (k, n) complex array by its norm in place, bit for bit.
+
+    ``np.linalg.norm(row)`` is sqrt(re . re + im . im) over the strided real
+    and imaginary views; the (k, 1, n) @ (k, n, 1) products make the same
+    BLAS dot calls, one per row, so the rows equal ``row /= np.linalg.norm(row)``.
+    """
+
+    re, im = v.real, v.imag
+    v /= np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    return v
 
 
 def _witness_norms(diag: DiagonalChannel) -> np.ndarray:

@@ -276,6 +276,61 @@ class TestWitnessAndCertify:
         assert "distinct" in err
 
 
+class TestSizeGuards:
+    """An oversized --dim exits 2, naming the 2 GiB limit, before any work starts.
+
+    The estimates are 100 bytes of peak memory per n^2 for the verify
+    commands and 700 for spectrum witnesses, so the verify commands are
+    refused from n = 4635 and mixed-pair witnesses from n = 1752.
+    """
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "_tol_kwargs", refuse)
+        monkeypatch.setattr(cli, "inequivalence_certificate", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["verify", "cptp", "--family", "dep", "--dim", "30000", "--p", "0.1"], "verify cptp at dim 30000: about 83.8"),
+            (
+                ["verify", "constant-norm", "--family", "trd", "--dim", "4635", "--p", "0", "--samples", "0"],
+                "verify constant-norm at dim 4635: about 2.0",
+            ),
+            (["witness", "--pair", "dep,dcq", "--dim", "1752"], "the spectrum witnesses at dim 1752: about 2.0"),
+            (["certify", "--pair", "tcq,dep", "--dim", "100000"], "the spectrum witnesses at dim 100000: about 6519.3"),
+        ],
+    )
+    def test_oversized_dim_exits_2(self, capsys, no_work, argv, what):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {what} GiB, over the 2 GiB limit\n"
+
+    def test_oversized_channel_file_exits_2(self, tmp_path, capsys, no_work):
+        ch = write_json(tmp_path / "c.json", {"kind": "family", "family": "dcq", "p": 0.0, "dim": 5000})
+        code, out, err = run_cli(capsys, "verify", "cptp", "--channel", ch)
+        assert code == 2
+        assert err == "error: verify cptp at dim 5000: about 2.3 GiB, over the 2 GiB limit\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "cptp", "--family", "dep", "--dim", "4634", "--p", "0.1"],
+            ["verify", "constant-norm", "--family", "trd", "--dim", "4634", "--p", "0"],
+            ["witness", "--pair", "dep,dcq", "--dim", "1751"],
+            ["certify", "--pair", "tcq,dep", "--dim", "1751"],
+            ["certify", "--pair", "dep,trd", "--dim", "100000"],  # bound matching: nothing of size n^2
+        ],
+    )
+    def test_largest_accepted_dims_start_work(self, no_work, argv):
+        with pytest.raises(AssertionError, match="work started"):
+            main(argv)
+
+
 class TestQubitEquiv:
     def test_passes(self, capsys):
         code, out, _ = run_cli(capsys, "qubit-equiv", "--p", "0.7", "--trials", "50", "--seed", "1")

@@ -7,6 +7,7 @@ from qchan.jsonio import SchemaError
 from qchan.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_matrix_stack,
     frobenius_norm,
     hermitian_eigenvalues,
     hermitian_part,
@@ -88,6 +89,21 @@ class TestHermitianPart:
         flat = m.reshape(-1, shape[-1], shape[-1])
         expected = np.array([(a + a.conj().T) / 2 for a in flat]).reshape(shape)
         assert got.tobytes() == expected.tobytes()
+
+
+class TestAsMatrixStack:
+    @pytest.mark.parametrize(
+        "entry", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 1), complex(1, -np.inf)]
+    )
+    def test_rejects_a_non_finite_part(self, entry):
+        m = np.zeros((3, 2, 2), dtype=complex)
+        m[1, 0, 1] = entry
+        with pytest.raises(ValueError, match=r"^stack contains non-finite entries$"):
+            as_matrix_stack(m, "stack")
+
+    def test_accepts_finite_entries(self):
+        m = np.full((3, 2, 2), complex(1e308, -1e308))
+        assert as_matrix_stack(m) is m
 
 
 class TestPsd:

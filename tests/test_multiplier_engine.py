@@ -8,6 +8,8 @@ over the explicit basis is the reference for the apply.
 """
 
 import re
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,26 +227,13 @@ def test_channel_objects_build_no_witness_state(monkeypatch, ch):
         constant_fnorm_sample_test(lambda s: ch(s), ch.dim, samples=30, seed=1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7])
-@pytest.mark.parametrize("chunk_bytes", [1, 16 * 7 * 7 * 5, 1 << 16])
-def test_state_chunks_are_the_per_state_draws(monkeypatch, n, chunk_bytes):
-    monkeypatch.setattr(verification, "_CHUNK_BYTES", chunk_bytes)
-    samples, seed = 23, 5
-    chunked = np.concatenate(list(verification._state_chunks(n, samples, seed)))
-    rng = np.random.default_rng(seed)
-    expected = witness_states(n) + [random_pure_state(n, rng) for _ in range(samples)]
-    assert np.array_equal(chunked, np.array(expected))
-    ch = family_to_diagonal(FamilyChannel(Family.DCQ, 0.01, n))
-    assert_sample_test_matches_per_state_loop(ch, samples, seed)
+def witness_states_one_by_one(n):
+    """witness_states(n), one np.outer at a time, without holding all n^2 states."""
 
-
-@pytest.mark.parametrize("n", [2, 3, 6])
-def test_witness_states_match_the_per_vector_construction(n):
-    expected = []
     for k in range(n):
         v = np.zeros(n, dtype=complex)
         v[k] = 1
-        expected.append(np.outer(v, v.conj()))
+        yield np.outer(v, v.conj())
     for phase in (1.0, 1j):
         for k in range(n):
             for l in range(k + 1, n):
@@ -252,5 +241,63 @@ def test_witness_states_match_the_per_vector_construction(n):
                 v[k] = phase
                 v[l] = 1
                 v /= np.linalg.norm(v)
-                expected.append(np.outer(v, v.conj()))
-    assert np.array_equal(np.array(witness_states(n)), np.array(expected))
+                yield np.outer(v, v.conj())
+
+
+def random_pure_states(n, samples, seed):
+    rng = np.random.default_rng(seed)
+    return (random_pure_state(n, rng) for _ in range(samples))
+
+
+def assert_stream_is(chunks, expected):
+    """The states of a stream of (k, n, n) stacks equal ``expected`` bit for bit, in order; returns their count."""
+
+    states = (s for chunk in chunks for s in chunk)
+    count = 0
+    for got, want in zip(states, expected, strict=True):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        count += 1
+    return count
+
+
+# 302752 bytes puts 2..4730 states in each projector stack at these n, and
+# never a whole number of them in a draw stack.
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 64, 97])
+@pytest.mark.parametrize("chunk_bytes", [1, 16 * 7 * 7 * 5, 1 << 16, 302752])
+def test_state_chunks_are_the_per_state_draws(monkeypatch, n, chunk_bytes):
+    monkeypatch.setattr(verification, "_CHUNK_BYTES", chunk_bytes)
+    per_draw = max(1, chunk_bytes // (16 * n))
+    samples, seed = 2 * per_draw + 5, 5  # three draw stacks, the last one short
+    expected = chain(witness_states_one_by_one(n), random_pure_states(n, samples, seed))
+    assert assert_stream_is(verification._state_chunks(n, samples, seed), expected) == n * n + samples
+    if n <= 20:  # the per-state oracle applies n^2 + samples states one at a time
+        ch = family_to_diagonal(FamilyChannel(Family.DCQ, 0.01, n))
+        assert_sample_test_matches_per_state_loop(ch, samples, seed)
+
+
+@given(st.integers(1, 300), st.integers(1, 40), seeds)
+@settings(max_examples=60, deadline=None)
+def test_batched_normalization_is_the_per_row_norm(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    expected = v.copy()
+    for row in expected:
+        row /= np.linalg.norm(row)
+    got = verification._normalize_rows(v)
+    assert got is v
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@given(st.integers(1, 100), st.integers(0, 60), seeds, st.sampled_from([1, 300, 5000, 1 << 16]))
+@settings(max_examples=60, deadline=None)
+def test_haar_chunks_are_the_random_pure_state_draws(n, samples, seed, chunk_bytes):
+    with mock.patch.object(verification, "_CHUNK_BYTES", chunk_bytes):
+        chunks = list(verification._haar_chunks(n, samples, seed))
+    per_chunk = max(1, chunk_bytes // (16 * n * n))
+    assert all(len(chunk) <= per_chunk for chunk in chunks)
+    assert assert_stream_is(chunks, random_pure_states(n, samples, seed)) == samples
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_witness_states_match_the_per_vector_construction(n):
+    assert np.array_equal(np.array(witness_states(n)), np.array(list(witness_states_one_by_one(n))))
