@@ -24,6 +24,7 @@ printf '{"kind": "diagonal", "dim": 3, "t": [0.1, 0.2, 0.3, -0.15, 0.25, 0.05, 0
     > "$work/unequal.json"
 printf '{"rows": 3, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}\n' \
     > "$work/state.json"
+printf '{"kind": "family", "family": ' > "$work/malformed.json"
 
 commands=(
     "range --family dcq --dim 3"
@@ -58,6 +59,11 @@ commands=(
     "certify --pair dep,dcq --dim 2"
     "range --family xyz --dim 3"
     "detcheck --dim 3 --grid 1"
+    "identities --dim 3 --trials 0"
+    "qubit-equiv --p 0.5 --trials 0"
+    "report --dim 3 --samples -1"
+    "verify constant-norm --family dep --dim 3 --p 0.1 --samples -1"
+    "channel apply --channel $work/malformed.json --state $work/state.json"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

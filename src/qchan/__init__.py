@@ -4,80 +4,106 @@ Construction of the orthonormal Hermitian operator basis, four
 one-parameter channel families diagonal over it, CPTP verification via
 Choi matrices, constant output-norm criteria and sampling, and
 machine-checkable (in)equivalence certificates.
+
+The public names are resolved on first access (PEP 562): ``import qchan``
+loads no submodule, and the names of :mod:`qchan.exact` (families, CPTP
+ranges, tolerances, bound matching, certificates) resolve without NumPy.
 """
 
-from .basis import (
-    BasisE,
-    build_basis,
-    decompose,
-    m_z,
-    pair_count,
-    pairs,
-    pauli_matrix,
-    reconstruct,
-)
-from .channels import (
-    DiagonalChannel,
-    Family,
-    FamilyChannel,
-    KrausSet,
-    QubitLambda,
-    ReprCoefficients,
-    apply_kraus,
-    as_linear_map,
-    channel_from_json,
-    channel_to_json,
-    cptp_range,
-    diagonal_apply,
-    family_apply,
-    family_to_diagonal,
-    kraus_completeness,
-    kraus_from_family,
-    qubit_apply,
-    qubit_norm_formula,
-    random_pure_state,
-    random_unitary,
-    repr_coefficients,
-    stokes,
-    to_choi,
-    validate_state,
-)
-from .equivalence import (
-    AlphaInterval,
-    BoundMatchingReport,
-    InequivalenceCertificate,
-    SpectrumWitness,
-    alpha_interval,
-    bound_matching_system,
-    inequivalence_certificate,
-    qubit_equivalence_check,
-    scale_family,
-    spectrum_witness,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    frobenius_norm,
-    hermitian_eigenvalues,
-    is_psd,
-    matrix_from_json,
-    matrix_to_json,
-)
-from .verification import (
-    ParamRange,
-    QubitClassification,
-    VerificationReport,
-    classify_qubit,
-    constant_fnorm_criterion,
-    constant_fnorm_sample_test,
-    dcq_det_formula,
-    expected_constant_norm,
-    is_cptp,
-    param_range,
-    verify_det_recurrence,
-    verify_representations,
-    verify_sum_identities,
-    witness_states,
-)
+from importlib import import_module as _import_module
 
+# Home module of every public name.
+_EXPORTS = {
+    "basis": (
+        "BasisE",
+        "build_basis",
+        "decompose",
+        "m_z",
+        "pair_count",
+        "pairs",
+        "pauli_matrix",
+        "reconstruct",
+    ),
+    "channels": (
+        "DiagonalChannel",
+        "FamilyChannel",
+        "KrausSet",
+        "QubitLambda",
+        "ReprCoefficients",
+        "apply_kraus",
+        "as_linear_map",
+        "channel_from_json",
+        "channel_to_json",
+        "diagonal_apply",
+        "family_apply",
+        "family_to_diagonal",
+        "kraus_completeness",
+        "kraus_from_family",
+        "qubit_apply",
+        "qubit_norm_formula",
+        "random_pure_state",
+        "random_unitary",
+        "repr_coefficients",
+        "stokes",
+        "to_choi",
+        "validate_state",
+    ),
+    "equivalence": (
+        "AlphaInterval",
+        "SpectrumWitness",
+        "alpha_interval",
+        "qubit_equivalence_check",
+        "scale_family",
+        "spectrum_witness",
+    ),
+    "exact": (
+        "DEFAULT_TOL",
+        "BoundMatchingReport",
+        "Family",
+        "InequivalenceCertificate",
+        "ParamRange",
+        "Tolerance",
+        "bound_matching_system",
+        "cptp_range",
+        "inequivalence_certificate",
+        "param_range",
+    ),
+    "linalg": (
+        "frobenius_norm",
+        "hermitian_eigenvalues",
+        "is_psd",
+        "matrix_from_json",
+        "matrix_to_json",
+    ),
+    "verification": (
+        "QubitClassification",
+        "VerificationReport",
+        "classify_qubit",
+        "constant_fnorm_criterion",
+        "constant_fnorm_sample_test",
+        "dcq_det_formula",
+        "expected_constant_norm",
+        "is_cptp",
+        "verify_det_recurrence",
+        "verify_representations",
+        "verify_sum_identities",
+        "witness_states",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

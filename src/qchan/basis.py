@@ -21,6 +21,7 @@ from math import sqrt
 
 import numpy as np
 
+from .exact import _check_dense_bytes
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, frobenius_norm, is_hermitian
 
 __all__ = [
@@ -90,14 +91,6 @@ def _pair_entries(k: np.ndarray, l: np.ndarray) -> tuple:
     for pair i is values[a] at (rows[a][i], cols[a][i]), as in :func:`pauli_matrix`.
     """
     return ((k, l), (l, k), (1, 1)), ((k, l), (l, k), (-1j, 1j)), ((k, l), (k, l), (1, -1))
-
-
-_MAX_DENSE_GIB = 2  # dense n^4-sized builders refuse larger requests before allocating
-
-
-def _check_dense_bytes(nbytes: int, what: str) -> None:
-    if nbytes > _MAX_DENSE_GIB << 30:
-        raise ValueError(f"{what}: about {nbytes / 2**30:.1f} GiB, over the {_MAX_DENSE_GIB} GiB limit")
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,26 @@ parameter range) Kraus sets, plus the dedicated qubit parameterization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from math import sqrt
 from typing import Any, Callable, Union
 
 import numpy as np
 
-from .basis import _check_dense_bytes, _pair_entries, pair_count
+from .basis import _pair_entries, pair_count
+from .exact import (
+    _SIGNS,
+    DEFAULT_TOL,
+    FAMILY_NAMES,
+    Family,
+    Tolerance,
+    _check_dense_bytes,
+    _check_finite_p,
+    cptp_range,
+    family_from_name,
+)
 from .jsonio import SchemaError, require, require_number
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_matrix_stack, frobenius_norm, is_hermitian
+from .linalg import as_matrix, as_matrix_stack, frobenius_norm, is_hermitian
 
 __all__ = [
     "Family",
@@ -61,46 +71,6 @@ __all__ = [
 ]
 
 
-class Family(str, Enum):
-    DEP = "dep"
-    TRD = "trd"
-    DCQ = "dcq"
-    TCQ = "tcq"
-
-
-FAMILY_NAMES = {
-    Family.DEP: "depolarizing",
-    Family.TRD: "transpose-depolarizing",
-    Family.DCQ: "depolarizing-to-classical",
-    Family.TCQ: "transpose-to-classical",
-}
-
-# Diagonal multiplier signs on the (x, y, z) sectors.
-_SIGNS = {
-    Family.DEP: (1, 1, 1),
-    Family.TRD: (1, -1, 1),
-    Family.DCQ: (-1, -1, 1),
-    Family.TCQ: (-1, 1, 1),
-}
-
-
-def cptp_range(family: Family, n):
-    """Endpoints (p_min, p_max) of the CPTP parameter interval.
-
-    Works with an integer or a ``fractions.Fraction`` dimension; given a
-    Fraction it returns exact rationals, which the bound-matching
-    verdicts compare for equality.
-    """
-
-    if family is Family.DEP:
-        return -1 / (n * n - 1), 1
-    if family is Family.TRD or family is Family.TCQ:
-        return -1 / (n - 1), 1 / (n + 1)
-    if family is Family.DCQ:
-        return -1 / (2 * n - 1), 1 / (n - 1) ** 2
-    raise ValueError(f"unknown family {family!r}")
-
-
 @dataclass(frozen=True)
 class FamilyChannel:
     """One member of a family: kind, parameter p, dimension.
@@ -115,8 +85,7 @@ class FamilyChannel:
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
-        if not np.isfinite(self.p):
-            raise ValueError(f"parameter p must be finite, got {self.p!r}")
+        _check_finite_p(self.p)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return family_apply(self, s)
@@ -605,14 +574,6 @@ def channel_to_json(ch: AnyChannel) -> dict:
     if isinstance(ch, DiagonalChannel):
         return {"kind": "diagonal", "dim": int(ch.dim), "t": [float(v) for v in ch.t]}
     raise TypeError(f"expected FamilyChannel or DiagonalChannel, got {type(ch).__name__}")
-
-
-def family_from_name(name: Any, field: str = "family") -> Family:
-    try:
-        return Family(name)
-    except ValueError:
-        valid = ", ".join(f.value for f in Family)
-        raise SchemaError(field, f"expected one of {valid}, got {name!r}") from None
 
 
 def channel_from_json(obj: Any) -> AnyChannel:

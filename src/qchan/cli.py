@@ -11,6 +11,12 @@ through the exit code:
 
 ``--tol`` (or the QCHAN_TOL environment variable) replaces the default
 absolute/relative tolerance with the given value for both components.
+
+Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
+handler imports the numeric modules (and with them NumPy) only once its
+arguments and input files have passed the checks that need no linear
+algebra, so ``range``, same-class ``certify`` and every such input error
+run without loading NumPy.
 """
 
 from __future__ import annotations
@@ -18,47 +24,30 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
-from typing import Any, Optional
-
-import numpy as np
+from typing import Any, Callable, Optional
 
 from . import jsonio
-from .basis import _check_dense_bytes, build_basis
-from .channels import (
-    FAMILY_NAMES,
-    Family,
-    FamilyChannel,
-    _kraus_count_and_deviation,
-    channel_from_json,
-    channel_to_json,
-    family_from_name,
-    validate_state,
-)
-from .equivalence import (
+from .exact import (
     _HYBRID,
+    DEFAULT_TOL,
+    FAMILY_NAMES,
     GAP_THRESHOLD,
+    Family,
+    Tolerance,
+    _check_conjugation_p,
+    _check_dense_bytes,
+    _check_finite_p,
+    _check_grid,
+    _check_samples,
+    _check_trials,
+    family_from_name,
     inequivalence_certificate,
-    qubit_equivalence_check,
+    param_range,
 )
 from .jsonio import SchemaError
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    frobenius_norm,
-    matrix_from_json,
-)
-from .verification import (
-    _representation_reports,
-    _sample_reports,
-    constant_fnorm_criterion,
-    constant_fnorm_sample_test,
-    is_cptp,
-    param_range,
-    verify_det_recurrence,
-    verify_sum_identities,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -152,7 +141,7 @@ def _maybe_tolerance(args: argparse.Namespace) -> Optional[Tolerance]:
                 raise SchemaError("QCHAN_TOL", f"expected a float, got {env!r}") from None
     if value is None:
         return None
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise SchemaError("tol", f"expected a positive finite number, got {value!r}")
     return Tolerance(absolute=value, relative=value)
 
@@ -180,11 +169,20 @@ def _load_json_file(path: str) -> Any:
 _VERIFY_BYTES_PER_N2 = 100
 
 
-def _load_channel(args: argparse.Namespace):
-    """The channel of a verify command, refused if the check would pass 2 GiB."""
+def _load_channel(args: argparse.Namespace) -> Callable[[], Any]:
+    """The channel of a verify command, refused if the check would pass 2 GiB.
+
+    Returns a function that builds it.  An inline ``--family`` channel is
+    checked as ``FamilyChannel`` checks it, and built only when that
+    function is called; a ``--channel`` file is parsed here.
+    """
 
     if getattr(args, "channel", None):
-        channel = channel_from_json(_load_json_file(args.channel))
+        obj = _load_json_file(args.channel)
+        from .channels import channel_from_json
+
+        channel = channel_from_json(obj)
+        n, build = channel.dim, lambda: channel
     else:
         family = getattr(args, "family", None)
         dim = getattr(args, "dim", None)
@@ -193,10 +191,17 @@ def _load_channel(args: argparse.Namespace):
             raise SchemaError("channel", "provide --channel FILE or all of --family/--dim/--p")
         if dim < 2:
             raise SchemaError("dim", f"expected an integer >= 2, got {dim}")
-        channel = FamilyChannel(family=family_from_name(family, "family"), p=p, dim=dim)
-    n = channel.dim
+        family = family_from_name(family, "family")
+        _check_finite_p(p)
+        n = dim
+
+        def build():
+            from .channels import FamilyChannel
+
+            return FamilyChannel(family=family, p=p, dim=dim)
+
     _check_dense_bytes(_VERIFY_BYTES_PER_N2 * n * n, f"verify {args.verify_command} at dim {n}")
-    return channel
+    return build
 
 
 def _parse_pair(text: str) -> tuple[Family, Family]:
@@ -237,6 +242,9 @@ def _check_dim(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
+    from .basis import build_basis
+    from .linalg import frobenius_norm
+
     basis = build_basis(n)
     if not args.json:
         lines = [f"orthonormal Hermitian basis, dim {n}, {len(basis)} elements"]
@@ -252,7 +260,11 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_channel_apply(args: argparse.Namespace) -> tuple[Any, bool]:
-    channel = channel_from_json(_load_json_file(args.channel))
+    channel_obj = _load_json_file(args.channel)
+    from .channels import channel_from_json, channel_to_json, validate_state
+    from .linalg import frobenius_norm, matrix_from_json
+
+    channel = channel_from_json(channel_obj)
     state = matrix_from_json(_load_json_file(args.state), context="state")
     kwargs = _tol_kwargs(args)
     try:
@@ -266,7 +278,7 @@ def _cmd_channel_apply(args: argparse.Namespace) -> tuple[Any, bool]:
         "command": "channel-apply",
         "channel": channel_to_json(channel),
         "output": output,
-        "output_trace": float(np.trace(output).real),
+        "output_trace": float(output.trace().real),
         "output_frobenius_norm": frobenius_norm(output),
     }
     return payload, True
@@ -281,8 +293,13 @@ def _cmd_range(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
-    channel = _load_channel(args)
-    report = is_cptp(channel, channel.dim, **_tol_kwargs(args))
+    build = _load_channel(args)
+    kwargs = _tol_kwargs(args)
+    from .channels import channel_to_json
+    from .verification import is_cptp
+
+    channel = build()
+    report = is_cptp(channel, channel.dim, **kwargs)
     payload = {
         "command": "verify-cptp",
         "channel": channel_to_json(channel),
@@ -292,8 +309,13 @@ def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
-    channel = _load_channel(args)
+    build = _load_channel(args)
     kwargs = _tol_kwargs(args)
+    _check_samples(args.samples)
+    from .channels import channel_to_json
+    from .verification import constant_fnorm_criterion, constant_fnorm_sample_test
+
+    channel = build()
     holds, expected = constant_fnorm_criterion(channel, **kwargs)
     report = constant_fnorm_sample_test(
         channel, channel.dim, samples=args.samples, seed=args.seed, **kwargs
@@ -310,7 +332,11 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    report = verify_sum_identities(n, trials=args.trials, seed=args.seed, **_tol_kwargs(args))
+    kwargs = _tol_kwargs(args)
+    _check_trials(args.trials)
+    from .verification import verify_sum_identities
+
+    report = verify_sum_identities(n, trials=args.trials, seed=args.seed, **kwargs)
     payload = {
         "command": "identities",
         "dim": n,
@@ -323,7 +349,11 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    report = verify_det_recurrence(n, grid=args.grid, **_tol_kwargs(args))
+    kwargs = _tol_kwargs(args)
+    _check_grid(args.grid)
+    from .verification import verify_det_recurrence
+
+    report = verify_det_recurrence(n, grid=args.grid, **kwargs)
     payload = {
         "command": "detcheck",
         "dim": n,
@@ -367,7 +397,12 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
-    report = qubit_equivalence_check(args.p, trials=args.trials, seed=args.seed, **_tol_kwargs(args))
+    kwargs = _tol_kwargs(args)
+    _check_conjugation_p(args.p)
+    _check_trials(args.trials)
+    from .equivalence import qubit_equivalence_check
+
+    report = qubit_equivalence_check(args.p, trials=args.trials, seed=args.seed, **kwargs)
     payload = {
         "command": "qubit-equiv",
         "p": args.p,
@@ -390,6 +425,18 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     _check_dense_bytes(_REPORT_BYTES_PER_N2 * n * n, f"the report at dim {n}")
     kwargs = _tol_kwargs(args)
+    _check_samples(args.samples)
+    from .channels import FamilyChannel, _kraus_count_and_deviation
+    from .equivalence import qubit_equivalence_check
+    from .verification import (
+        _representation_reports,
+        _sample_reports,
+        constant_fnorm_criterion,
+        is_cptp,
+        verify_det_recurrence,
+        verify_sum_identities,
+    )
+
     sections: dict[str, Any] = {}
     all_passed = True
 

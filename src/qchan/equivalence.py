@@ -16,13 +16,14 @@ machine-checkable *in*equivalence certificates:
 
 At dimension 2 all four families are equivalent via explicit Pauli
 conjugations, which :func:`qubit_equivalence_check` verifies numerically.
+
+The bound-matching systems and the composed certificates need no linear
+algebra; they live in :mod:`qchan.exact` and are re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -31,16 +32,29 @@ from .channels import (
     PAULI_Y,
     PAULI_Z,
     DiagonalChannel,
-    Family,
     FamilyChannel,
-    cptp_range,
     diagonal_apply,
     family_apply,
     family_to_diagonal,
     random_pure_state,
 )
-from .linalg import Tolerance, hermitian_eigenvalues
-from .verification import VerificationReport, _check_trials, param_range
+# GAP_THRESHOLD, the certificate records and functions moved to qchan.exact;
+# they are imported here so that their qchan.equivalence paths still resolve.
+from .exact import (
+    _HYBRID,
+    GAP_THRESHOLD,
+    BoundMatchingReport,
+    Family,
+    InequivalenceCertificate,
+    Tolerance,
+    _check_conjugation_p,
+    _check_trials,
+    bound_matching_system,
+    inequivalence_certificate,
+    param_range,
+)
+from .linalg import hermitian_eigenvalues
+from .verification import VerificationReport
 
 __all__ = [
     "SpectrumWitness",
@@ -54,12 +68,6 @@ __all__ = [
     "qubit_equivalence_check",
     "inequivalence_certificate",
 ]
-
-_HYBRID = (Family.DCQ, Family.TCQ)
-_BASE = (Family.DEP, Family.TRD)
-
-# Spectral gap a witness must exhibit before a certificate is claimed.
-GAP_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,71 +100,6 @@ class AlphaInterval:
     dim: int
     alpha_min: float
     alpha_max: float
-
-
-@dataclass(frozen=True)
-class BoundMatchingReport:
-    """Roots of one endpoint-matching system and its verdict at one dimension.
-
-    ``roots`` are the dimensions at which an affine reparameterization
-    could align both CPTP endpoints of the two families, ``roots_exact``
-    the same roots as exact expressions; ``feasible`` says whether the
-    ratio equation holds exactly at the queried dimension.
-    """
-
-    pair: tuple[Family, Family]
-    dim: int
-    same_sign: bool
-    roots: tuple[float, ...]
-    roots_exact: tuple[str, ...]
-    feasible: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class InequivalenceCertificate:
-    """Self-contained evidence that two families are not conjugate.
-
-    ``method`` is "spectrum_witness" (mixed pairs: one spectrum-preserving
-    family, one not) or "bound_matching" (pairs within the same class).
-    All concrete numbers are embedded so the certificate can be re-checked
-    without this library.
-    """
-
-    pair: tuple[Family, Family]
-    dim: int
-    method: str
-    witnesses: tuple[SpectrumWitness, ...] = ()
-    bound_reports: tuple[BoundMatchingReport, ...] = ()
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        """Whether the evidence certifies inequivalence.
-
-        The first spectrum witness must separate its states by more than
-        ``GAP_THRESHOLD``; bound matching needs a same-sign and an
-        opposite-sign report and no feasible system.  All evidence must
-        belong to the certificate: every witness at ``dim`` for a family of
-        ``pair``, every bound report at ``dim`` for the same unordered pair.
-        Missing or foreign evidence, or an unknown method, does not pass.
-        """
-
-        if self.method == "spectrum_witness":
-            witnesses = self.witnesses
-            return (
-                all(w.dim == self.dim and w.family in self.pair for w in witnesses)
-                and bool(witnesses)
-                and witnesses[0].max_spectral_gap > GAP_THRESHOLD
-            )
-        if self.method == "bound_matching":
-            reports = self.bound_reports
-            return (
-                all(r.dim == self.dim and set(r.pair) == set(self.pair) for r in reports)
-                and {r.same_sign for r in reports} == {True, False}
-                and not any(r.feasible for r in reports)
-            )
-        return False
 
 
 def _witness_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,89 +199,6 @@ def alpha_interval(family: Family, p: float, n: int) -> AlphaInterval:
     return AlphaInterval(family=family, p=p, dim=n, alpha_min=lo, alpha_max=hi)
 
 
-# The ratio equations of bound_matching_system depend only on the two CPTP
-# ranges and not on n, so their printed sides and roots are fixed.  Each row,
-# keyed by _ratio_key, holds the lhs and rhs text, the exact roots and the
-# same roots as floats, in ascending order; no roots marks an equation that
-# holds identically.  tests/test_equivalence.py re-derives every row
-# symbolically.  ``feasible`` never reads a row: it is exact rational equality at n.
-_SQRT17_ROOTS = (
-    ("0", "5/2 - sqrt(17)/2", "sqrt(17)/2 + 5/2"),
-    (0.0, 0.4384471871911697, 4.561552812808831),
-)
-_RATIO_EQUATIONS = {
-    (Family.DEP, Family.TRD, True): ("-(1 - n**2)/(n - 1)", "1/(n + 1)", ("-2", "0"), (-2.0, 0.0)),
-    (Family.DEP, Family.TRD, False): ("(1 - n**2)/(n + 1)", "-1/(n - 1)", ("0", "2"), (0.0, 2.0)),
-    (Family.DEP, Family.DCQ, True):
-        ("-(1 - n**2)/(2*n - 1)", "(n - 1)**(-2)", ("0", "2"), (0.0, 2.0)),
-    (Family.DEP, Family.DCQ, False): ("(1 - n**2)/(n - 1)**2", "-1/(2*n - 1)", ("0",), (0.0,)),
-    (Family.TRD, Family.DEP, True): ("-(1 - n)/(n**2 - 1)", "n + 1", ("-2", "0"), (-2.0, 0.0)),
-    (Family.TRD, Family.DEP, False): ("1 - n", "-(n + 1)/(n**2 - 1)", ("0", "2"), (0.0, 2.0)),
-    (Family.TRD, Family.DCQ, True): ("-(1 - n)/(2*n - 1)", "(n + 1)/(n - 1)**2", *_SQRT17_ROOTS),
-    (Family.TRD, Family.DCQ, False):
-        ("(1 - n)/(n - 1)**2", "-(n + 1)/(2*n - 1)", ("0", "2"), (0.0, 2.0)),
-    (Family.TRD, Family.TRD, True): ("-(1 - n)/(n - 1)", "1", (), ()),
-    (Family.TRD, Family.TRD, False): ("(1 - n)/(n + 1)", "-(n + 1)/(n - 1)", ("0",), (0.0,)),
-    (Family.DCQ, Family.DEP, True):
-        ("-(1 - 2*n)/(n**2 - 1)", "(n - 1)**2", ("0", "2"), (0.0, 2.0)),
-    (Family.DCQ, Family.DEP, False): ("1 - 2*n", "-(n - 1)**2/(n**2 - 1)", ("0",), (0.0,)),
-    (Family.DCQ, Family.TRD, True): ("-(1 - 2*n)/(n - 1)", "(n - 1)**2/(n + 1)", *_SQRT17_ROOTS),
-    (Family.DCQ, Family.TRD, False): ("(1 - 2*n)/(n + 1)", "1 - n", ("0", "2"), (0.0, 2.0)),
-}
-
-
-def _ratio_key(fam_a: Family, fam_b: Family, same_sign: bool) -> tuple[Family, Family, bool]:
-    """Key of one system's row: tcq has trd's CPTP range, so it reads trd's rows."""
-
-    fam_a, fam_b = (Family.TRD if f is Family.TCQ else f for f in (fam_a, fam_b))
-    return fam_a, fam_b, same_sign
-
-
-def bound_matching_system(
-    pair: tuple[Family, Family], n: int, same_sign: bool
-) -> BoundMatchingReport:
-    """Decide one endpoint-matching system exactly at dimension ``n``.
-
-    If conjugations mapped family A at parameter p onto family B at p~,
-    the affine scaling freedom would identify the two alpha intervals; for
-    parameters of equal (resp. opposite) sign that forces the ratio p~/p
-    to match lower-to-lower and upper-to-upper (resp. crossed) endpoint
-    quotients.  ``feasible`` is exact rational equality of the two
-    quotients at ``n``; the report also lists every dimension solving the
-    system.
-    """
-
-    fam_a, fam_b = pair
-    if fam_a is fam_b:
-        raise ValueError("bound matching needs two distinct families")
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    exact_n = Fraction(int(n))
-    lo_a, hi_a = cptp_range(fam_a, exact_n)
-    lo_b, hi_b = cptp_range(fam_b, exact_n)
-    if same_sign:
-        feasible = lo_b / lo_a == hi_b / hi_a
-    else:
-        feasible = hi_b / lo_a == lo_b / hi_a
-    lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[_ratio_key(fam_a, fam_b, same_sign)]
-    if feasible and not roots:
-        verdict = f"the equation holds for every n, so dimension {n} solves the system"
-    elif feasible:
-        verdict = f"dimension {n} solves the system"
-    else:
-        verdict = f"no root equals {n}, so no affine reparameterization aligns both endpoints"
-    detail = f"ratio equation {lhs} = {rhs}; roots {{{', '.join(roots_exact)}}}; {verdict}"
-    return BoundMatchingReport(
-        pair=pair,
-        dim=n,
-        same_sign=same_sign,
-        roots=roots,
-        roots_exact=roots_exact,
-        feasible=feasible,
-        detail=detail,
-    )
-
-
 def qubit_equivalence_check(
     p: float,
     trials: int = 100,
@@ -357,8 +217,7 @@ def qubit_equivalence_check(
     checked entrywise on random pure states.
     """
 
-    if not 0 < p < 1:
-        raise ValueError(f"conjugation check expects 0 < p < 1, got {p}")
+    _check_conjugation_p(p)
     _check_trials(trials)
 
     def variant(family: Family, param: float) -> DiagonalChannel:
@@ -387,68 +246,4 @@ def qubit_equivalence_check(
         max_deviation=worst,
         witness=None if passed else f"identity {worst_case} violated by {worst:.3e}",
         samples_used=trials,
-    )
-
-
-def _default_witness_p(family: Family, n: int) -> float:
-    hi = float(cptp_range(family, n)[1])
-    return min(0.2, 0.8 * hi)
-
-
-def inequivalence_certificate(
-    pair: tuple[Family, Family], n: int, p: Optional[float] = None
-) -> InequivalenceCertificate:
-    """Certificate that two distinct families are inequivalent at dim n >= 3.
-
-    Mixed pairs (one of dep/trd, one of dcq/tcq) get a spectrum witness:
-    the to-classical member sends isospectral pure inputs to outputs with
-    different spectra, while the depolarizing-type member provably cannot.
-    Same-class pairs get the two bound-matching obstructions instead,
-    since both members preserve (or both break) spectra identically.
-    """
-
-    fam_a, fam_b = pair
-    if fam_a is fam_b:
-        raise ValueError("certificate needs two distinct families")
-    if p is not None and not np.isfinite(p):
-        raise ValueError(f"parameter p must be finite, got {p!r}")
-    if n == 2:
-        raise ValueError(
-            "at dimension 2 the four families are pairwise equivalent "
-            "(see qubit_equivalence_check); no inequivalence certificate exists"
-        )
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    hybrids = [f for f in pair if f in _HYBRID]
-    bases = [f for f in pair if f in _BASE]
-    if len(hybrids) == 1:
-        hybrid, base = hybrids[0], bases[0]
-        p_hybrid = p if p is not None else _default_witness_p(hybrid, n)
-        p_base = p if p is not None else _default_witness_p(base, n)
-        witness_h = spectrum_witness(hybrid, p_hybrid, n)
-        witness_b = spectrum_witness(base, p_base, n)
-        detail = (
-            f"unitary/antiunitary conjugations preserve output spectra on isospectral "
-            f"inputs; {base.value} outputs are isospectral for every parameter "
-            f"(observed gap {witness_b.max_spectral_gap:.3e}), while {hybrid.value} at "
-            f"p={p_hybrid} separates the two witnesses by {witness_h.max_spectral_gap:.6e}"
-        )
-        return InequivalenceCertificate(
-            pair=pair,
-            dim=n,
-            method="spectrum_witness",
-            witnesses=(witness_h, witness_b),
-            detail=detail,
-        )
-    reports = (
-        bound_matching_system(pair, n, same_sign=True),
-        bound_matching_system(pair, n, same_sign=False),
-    )
-    detail = (
-        "equivalence would let the affine scaling freedom align both CPTP interval "
-        "endpoints; neither the same-sign nor the opposite-sign ratio system has a "
-        f"root at dimension {n}"
-    )
-    return InequivalenceCertificate(
-        pair=pair, dim=n, method="bound_matching", bound_reports=reports, detail=detail
     )

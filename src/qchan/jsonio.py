@@ -12,9 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from typing import Any
-
-import numpy as np
 
 __all__ = ["SchemaError", "dumps", "format_float", "require", "require_number"]
 
@@ -86,22 +85,36 @@ def _write(obj: Any, out: list[str], level: int) -> None:
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
         _write(fields, out, level)
-    elif isinstance(obj, np.ndarray) and obj.ndim == 2:
+    elif _is_array(obj, 2):
         _write_matrix(obj, out, level)
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
+    elif _is_array(obj, 1):
         _write([float(v) for v in obj], out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _write_matrix(m: np.ndarray, out: list[str], level: int) -> None:
+def _is_array(obj: Any, ndim: int) -> bool:
+    """Whether ``obj`` is an ndarray of ``ndim`` dimensions.
+
+    Looked up in ``sys.modules``: an ndarray exists only once NumPy is
+    loaded, so documents without one are written without importing it.
+    """
+
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray) and obj.ndim == ndim
+
+
+def _write_matrix(m, out: list[str], level: int) -> None:
     """The text ``_write(linalg.matrix_to_json(m), out, level)`` writes, in one pass.
 
     Each distinct float is formatted once, keyed on its bits: -0.0 and
     0.0 print differently.
     """
 
-    # Looked up at call time: linalg imports this module.
+    # Looked up at call time: linalg imports this module, and NumPy is loaded
+    # whenever there is an array to write.
+    import numpy as np
+
     from . import linalg
 
     m = linalg.as_matrix(m)

@@ -5,15 +5,17 @@ The helpers are thin wrappers over LAPACK (through ``numpy.linalg``)
 fixing the conventions everything downstream relies on: eigenvalues come
 back ascending, Hermitian inputs are symmetrized before eigensolves, and
 positivity thresholds scale with the Frobenius norm of the operator.
+``Tolerance`` and ``DEFAULT_TOL`` live in :mod:`qchan.exact` and are
+re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from .exact import DEFAULT_TOL, Tolerance
 from .jsonio import SchemaError, require
 
 __all__ = [
@@ -30,31 +32,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Combined absolute/relative threshold.
-
-    Two reals compare equal when ``|x - y| <= absolute + relative * max(|x|, |y|)``.
-    """
-
-    absolute: float = 1e-10
-    relative: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.absolute < 0 or self.relative < 0:
-            raise ValueError("tolerance components must be non-negative")
-
-    def bound(self, scale: float) -> float:
-        """Largest deviation accepted at the given magnitude scale."""
-        return self.absolute + self.relative * abs(scale)
-
-    def close(self, x: float, y: float) -> bool:
-        return abs(x - y) <= self.bound(max(abs(x), abs(y)))
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def as_matrix(m: Any, name: str = "matrix") -> np.ndarray:

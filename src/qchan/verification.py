@@ -32,30 +32,32 @@ import numpy as np
 
 from .basis import _pair_entries, m_z, pairs
 from .channels import (
-    _SIGNS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     AnyChannel,
     DiagonalChannel,
-    Family,
     FamilyChannel,
     QubitLambda,
     _diag_embed,
-    cptp_range,
     diagonal_image,
     family_apply,
     family_to_diagonal,
     repr_coefficients,
     to_choi,
 )
-from .linalg import (
+from .exact import (
+    _SIGNS,
     DEFAULT_TOL,
+    Family,
+    ParamRange,
     Tolerance,
-    frobenius_norm,
-    hermitian_part,
-    partial_trace_second,
+    _check_grid,
+    _check_samples,
+    _check_trials,
+    param_range,
 )
+from .linalg import frobenius_norm, hermitian_part, partial_trace_second
 
 __all__ = [
     "VerificationReport",
@@ -90,25 +92,6 @@ class VerificationReport:
     mean_deviation: Optional[float] = None
     witness: Optional[str] = None
     samples_used: int = 0
-
-
-@dataclass(frozen=True)
-class ParamRange:
-    """Closed CPTP parameter interval of one family at one dimension."""
-
-    family: Family
-    dim: int
-    p_min: float
-    p_max: float
-
-    def contains(self, p: float, tol: Tolerance = DEFAULT_TOL) -> bool:
-        slack = tol.bound(max(abs(self.p_min), abs(self.p_max)))
-        return self.p_min - slack <= p <= self.p_max + slack
-
-
-def param_range(family: Family, n: int) -> ParamRange:
-    lo, hi = cptp_range(family, n)
-    return ParamRange(family=family, dim=n, p_min=float(lo), p_max=float(hi))
 
 
 def is_cptp(
@@ -398,11 +381,6 @@ def _sample_reports(
     return [_norm_spread_report(np.concatenate(found), n, samples, tol) for found in norms]
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-
-
 def _norm_spread_report(
     norms: np.ndarray, n: int, samples: int, tol: Tolerance
 ) -> VerificationReport:
@@ -450,8 +428,7 @@ def verify_det_recurrence(
     A grid of fewer than 2 points raises ValueError.
     """
 
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid}")
+    _check_grid(grid)
     worst = 0.0
     worst_p = -0.5
     passed = True
@@ -697,12 +674,6 @@ def _representation_reports(
             )
         )
     return reports
-
-
-def _check_trials(trials: int) -> None:
-    """Reject trial counts that would let a check pass without checking anything."""
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
 
 
 # --- Qubit classification -------------------------------------------------

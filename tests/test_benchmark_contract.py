@@ -5,6 +5,8 @@ functions in every loaded qchan module, which would leak into the tests
 that share this process.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +42,13 @@ def test_benchmark_traces_and_runs_a_verdict():
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_traced_function_resolves():
+    # qchan's package and CLI load the numeric modules lazily, so a traced
+    # name must resolve once its module is imported, from its old home.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr in spans.TRACED:
+        assert callable(getattr(importlib.import_module(f"qchan.{module}"), attr)), (module, attr)

@@ -382,6 +382,16 @@ class TestReport:
         with pytest.raises(AssertionError, match="work started"):
             main(["report", "--dim", "675"])
 
+    def test_negative_samples_exit_2_before_the_cptp_sections(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("report work started")
+
+        monkeypatch.setattr("qchan.verification._is_cptp_blocks", refuse)
+        code, out, err = run_cli(capsys, "report", "--dim", "200", "--samples", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: samples must be >= 0, got -1\n"
+
     def test_report_builds_no_kraus_operator(self, capsys, monkeypatch):
         monkeypatch.setattr("qchan.channels._scaled_operators", None)
         code, out, _ = run_cli(capsys, "report", "--dim", "4", "--samples", "10")
@@ -402,7 +412,7 @@ class TestReport:
             seen.append(kwargs.get("tol"))
             return qubit_equivalence_check(*args, **kwargs)
 
-        monkeypatch.setattr("qchan.cli.qubit_equivalence_check", recorder)
+        monkeypatch.setattr("qchan.equivalence.qubit_equivalence_check", recorder)
         code, _, _ = run_cli(capsys, "report", "--dim", "2", "--samples", "10", "--tol", "1e-3")
         assert code == 0
         assert seen == [Tolerance(absolute=1e-3, relative=1e-3)]
@@ -515,3 +525,64 @@ class TestOutputContract:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+
+NUMPY_PROBE = textwrap.dedent(
+    """
+    import contextlib
+    import io
+    import json
+    import sys
+
+    import qchan.cli
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = qchan.cli.main(sys.argv[1:])
+    print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+    """
+)
+
+
+def _run_numpy_probe(argv, cwd):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestNumpyFreeCommands:
+    """Commands that need no linear algebra run, and fail, without loading NumPy.
+
+    Each runs ``qchan.cli.main`` in a fresh interpreter, which then reports
+    whether NumPy is in ``sys.modules``.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["range", "--family", "dcq", "--dim", "7"], 0),
+            (["certify", "--pair", "dep,trd", "--dim", "5"], 0),
+            (["certify", "--pair", "tcq,dcq", "--dim", "4"], 0),
+            (["range", "--family", "dep", "--dim", "1"], 2),
+            (["range", "--family", "uvwx", "--dim", "3"], 2),
+            (["channel", "apply", "--channel", "malformed.json", "--state", "missing.json"], 2),
+            (["identities", "--dim", "3", "--trials", "0"], 2),
+            (["qubit-equiv", "--p", "0.5", "--trials", "0"], 2),
+            (["detcheck", "--dim", "3", "--grid", "1"], 2),
+            (["report", "--dim", "3", "--samples", "-1"], 2),
+            (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "-1"], 2),
+        ],
+    )
+    def test_runs_without_numpy(self, tmp_path, argv, code):
+        (tmp_path / "malformed.json").write_text('{"kind": "family", "family": ', encoding="utf-8")
+        assert _run_numpy_probe(argv, tmp_path) == {"code": code, "numpy": False}
+
+    def test_numeric_commands_load_numpy(self, tmp_path):
+        # The probe can tell: a command that needs linear algebra loads NumPy.
+        argv = ["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1"]
+        assert _run_numpy_probe(argv, tmp_path) == {"code": 0, "numpy": True}

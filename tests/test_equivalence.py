@@ -15,10 +15,8 @@ from qchan.channels import (
     random_unitary,
 )
 from qchan.equivalence import (
-    _RATIO_EQUATIONS,
     GAP_THRESHOLD,
     InequivalenceCertificate,
-    _ratio_key,
     alpha_interval,
     bound_matching_system,
     inequivalence_certificate,
@@ -26,6 +24,7 @@ from qchan.equivalence import (
     scale_family,
     spectrum_witness,
 )
+from qchan.exact import _RATIO_EQUATIONS, _ratio_key
 from qchan.jsonio import dumps
 from qchan.linalg import hermitian_eigenvalues
 from qchan.verification import param_range
