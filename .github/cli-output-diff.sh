@@ -37,6 +37,7 @@ commands=(
     "verify constant-norm --family tcq --dim 20 --p 0.01 --samples 500 --seed 3"
     "verify constant-norm --family trd --dim 70 --p 0.0001 --samples 30 --seed 1"
     "verify constant-norm --channel $work/unequal.json"
+    "verify constant-norm --channel $work/diagonal.json"
     "identities --dim 5 --trials 40 --seed 1"
     "identities --dim 16 --trials 10 --seed 2"
     "identities --dim 48 --trials 3"
@@ -58,6 +59,7 @@ commands=(
     "witness --pair dep,trd --dim 3"
     "certify --pair dep,dcq --dim 2"
     "range --family xyz --dim 3"
+    "basis --dim 200"
     "detcheck --dim 3 --grid 1"
     "identities --dim 3 --trials 0"
     "qubit-equiv --p 0.5 --trials 0"

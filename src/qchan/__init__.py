@@ -39,12 +39,8 @@ _EXPORTS = {
         "family_to_diagonal",
         "kraus_completeness",
         "kraus_from_family",
-        "qubit_apply",
-        "qubit_norm_formula",
         "random_pure_state",
-        "random_unitary",
         "repr_coefficients",
-        "stokes",
         "to_choi",
         "validate_state",
     ),

@@ -21,7 +21,7 @@ from math import sqrt
 
 import numpy as np
 
-from .exact import _check_dense_bytes
+from .exact import _check_basis_bytes, _check_dim
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, frobenius_norm, is_hermitian
 
 __all__ = [
@@ -116,7 +116,7 @@ def build_basis(n: int) -> BasisE:
     """Construct the orthonormal basis for dimension ``n``: O(n^4), refused past 2 GiB."""
 
     cnt = pair_count(n)
-    _check_dense_bytes(16 * int(n) ** 4, f"the basis at dim {n}")
+    _check_basis_bytes(n)
     k, l = np.triu_indices(n, 1)
     i = np.arange(cnt)
     j = np.arange(1, n)
@@ -160,11 +160,6 @@ def reconstruct(coeffs: np.ndarray, basis: BasisE) -> np.ndarray:
             f"expected {basis.dim * basis.dim} coefficients, got shape {coeffs.shape}"
         )
     return np.einsum("k,kij->ij", coeffs.astype(complex), basis.stacked)
-
-
-def _check_dim(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
 
 
 def _check_pair(n: int, pair: tuple[int, int]) -> None:

@@ -12,7 +12,8 @@ Each is diagonal over the Hermitian basis of :mod:`qchan.basis` with
 multiplier 1 on the identity component and a sign pattern times p on the
 x / y / z sectors.  This module converts between the closed forms, the
 diagonal picture, Choi matrices and (on the CPTP
-parameter range) Kraus sets, plus the dedicated qubit parameterization.
+parameter range) Kraus sets.  A qubit map in the affine Stokes picture
+(:class:`QubitLambda`) is the n = 2 diagonal channel plus a translation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-from .basis import _pair_entries, pair_count
+from .basis import _pair_entries, pair_count, pauli_matrix
 from .exact import (
     _SIGNS,
     DEFAULT_TOL,
@@ -32,12 +33,13 @@ from .exact import (
     Family,
     Tolerance,
     _check_dense_bytes,
+    _check_dim,
     _check_finite_p,
     cptp_range,
     family_from_name,
 )
 from .jsonio import SchemaError, require, require_number
-from .linalg import as_matrix, as_matrix_stack, frobenius_norm, is_hermitian
+from .linalg import as_matrix, as_matrix_stack, is_hermitian
 
 __all__ = [
     "Family",
@@ -58,14 +60,7 @@ __all__ = [
     "kraus_completeness",
     "apply_kraus",
     "validate_state",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "stokes",
-    "qubit_apply",
-    "qubit_norm_formula",
     "random_pure_state",
-    "random_unitary",
     "channel_to_json",
     "channel_from_json",
 ]
@@ -83,8 +78,7 @@ class FamilyChannel:
     dim: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
+        _check_dim(self.dim)
         _check_finite_p(self.p)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
@@ -105,8 +99,7 @@ class DiagonalChannel:
     t: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
+        _check_dim(self.dim)
         t = np.asarray(self.t, dtype=float)
         expected = self.dim * self.dim - 1
         if t.shape != (expected,):
@@ -461,13 +454,6 @@ def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 # --- Qubit picture -------------------------------------------------------
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-for _m in _PAULIS:
-    _m.flags.writeable = False
-
 
 @dataclass(frozen=True)
 class QubitLambda:
@@ -475,7 +461,9 @@ class QubitLambda:
 
     A state with Stokes vector a maps to the state with Stokes vector
     ``t + lam * a`` (componentwise): ``t`` is the translation, ``lam`` the
-    three axis multipliers.
+    three axis multipliers.  Calling the map applies ``DiagonalChannel(2,
+    lam)`` plus Tr(S) (t . sigma) / 2, the linear extension to any 2 x 2
+    matrix or (..., 2, 2) stack.
     """
 
     t: tuple[float, float, float]
@@ -491,48 +479,11 @@ class QubitLambda:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "lam", lam)
 
-
-def stokes(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Stokes vector (Tr(sigma_x s), Tr(sigma_y s), Tr(sigma_z s)) of a qubit state."""
-
-    s = as_matrix(s, name="state")
-    if s.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got {s.shape}")
-    comps = np.array([np.trace(sig @ s) for sig in _PAULIS])
-    if float(np.max(np.abs(comps.imag))) > tol.bound(frobenius_norm(s)):
-        raise ValueError("state is not Hermitian: Stokes components are complex")
-    return comps.real
-
-
-def qubit_apply(l: QubitLambda, m: np.ndarray) -> np.ndarray:
-    """Linear extension of the affine Stokes action to any 2x2 matrix.
-
-    On a density matrix this is (I + sum_a (t_a + lam_a a_a) sigma_a)/2
-    with a the input's Stokes vector; general inputs scale the translation
-    by Tr(m) so the map stays linear.
-    """
-
-    m = as_matrix(m, name="input")
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 input, got {m.shape}")
-    trace = complex(np.trace(m))
-    out = trace * np.eye(2, dtype=complex)
-    for t_a, lam_a, sig in zip(l.t, l.lam, _PAULIS):
-        out += (t_a * trace + lam_a * complex(np.trace(sig @ m))) * sig
-    return out / 2
-
-
-def qubit_norm_formula(l: QubitLambda, a: np.ndarray) -> float:
-    """Squared output Frobenius norm on the pure state with Stokes vector a.
-
-    Equals (1 + sum_a (t_a + lam_a a_a)^2) / 2 for unit vectors a.
-    """
-
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a Stokes 3-vector, got shape {a.shape}")
-    out = np.array(l.t) + np.array(l.lam) * a
-    return float((1 + np.dot(out, out)) / 2)
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        s = as_matrix_stack(s, name="input")
+        out = diagonal_apply(DiagonalChannel(2, self.lam), s)
+        shift = sum(t_a * pauli_matrix(2, a, (1, 2)) for t_a, a in zip(self.t, "xyz")) / 2
+        return out + np.trace(s, axis1=-2, axis2=-1)[..., None, None] * shift
 
 
 # --- Random inputs -------------------------------------------------------
@@ -551,18 +502,6 @@ def random_pure_state(n: int, rng: Union[int, np.random.Generator, None] = None)
     v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
-
-
-def random_unitary(n: int, rng: Union[int, np.random.Generator, None] = None) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-
-    gen = _as_rng(rng)
-    g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    # Fix the phase ambiguity of QR so the distribution is Haar.
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
 
 
 # --- JSON ----------------------------------------------------------------

@@ -37,6 +37,7 @@ from .exact import (
     GAP_THRESHOLD,
     Family,
     Tolerance,
+    _check_basis_bytes,
     _check_conjugation_p,
     _check_dense_bytes,
     _check_finite_p,
@@ -242,6 +243,7 @@ def _check_dim(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
+    _check_basis_bytes(n)
     from .basis import build_basis
     from .linalg import frobenius_norm
 

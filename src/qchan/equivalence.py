@@ -27,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import pauli_matrix
 from .channels import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     DiagonalChannel,
     FamilyChannel,
     diagonal_apply,
@@ -225,9 +223,9 @@ def qubit_equivalence_check(
 
     phi1 = variant(Family.DEP, p)
     cases = [
-        ("sigma_y . Phi_2(-p) . sigma_y", PAULI_Y, variant(Family.TRD, -p)),
-        ("sigma_z . Phi_3(p) . sigma_z", PAULI_Z, variant(Family.DCQ, p)),
-        ("sigma_x . Phi_4(-p) . sigma_x", PAULI_X, variant(Family.TCQ, -p)),
+        ("sigma_y . Phi_2(-p) . sigma_y", pauli_matrix(2, "y", (1, 2)), variant(Family.TRD, -p)),
+        ("sigma_z . Phi_3(p) . sigma_z", pauli_matrix(2, "z", (1, 2)), variant(Family.DCQ, p)),
+        ("sigma_x . Phi_4(-p) . sigma_x", pauli_matrix(2, "x", (1, 2)), variant(Family.TCQ, -p)),
     ]
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -76,6 +76,16 @@ def _check_dense_bytes(nbytes: int, what: str) -> None:
         raise ValueError(f"{what}: about {nbytes / 2**30:.1f} GiB, over the {_MAX_DENSE_GIB} GiB limit")
 
 
+def _check_basis_bytes(n: int) -> None:
+    """The basis is an (n^2, n, n) complex stack: 16 n^4 bytes."""
+    _check_dense_bytes(16 * int(n) ** 4, f"the basis at dim {n}")
+
+
+def _check_dim(n: int) -> None:
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+
+
 def _check_trials(trials: int) -> None:
     """Reject trial counts that would let a check pass without checking anything."""
     if trials <= 0:
@@ -169,6 +179,7 @@ class ParamRange:
 
 
 def param_range(family: Family, n: int) -> ParamRange:
+    _check_dim(n)
     lo, hi = cptp_range(family, n)
     return ParamRange(family=family, dim=n, p_min=float(lo), p_max=float(hi))
 
@@ -302,8 +313,7 @@ def bound_matching_system(
     fam_a, fam_b = pair
     if fam_a is fam_b:
         raise ValueError("bound matching needs two distinct families")
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    _check_dim(n)
     exact_n = Fraction(int(n))
     lo_a, hi_a = cptp_range(fam_a, exact_n)
     lo_b, hi_b = cptp_range(fam_b, exact_n)

@@ -32,9 +32,6 @@ import numpy as np
 
 from .basis import _pair_entries, m_z, pairs
 from .channels import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     AnyChannel,
     DiagonalChannel,
     FamilyChannel,
@@ -52,6 +49,7 @@ from .exact import (
     Family,
     ParamRange,
     Tolerance,
+    _check_dim,
     _check_grid,
     _check_samples,
     _check_trials,
@@ -572,6 +570,7 @@ def verify_sum_identities(
     of :func:`_trial_chunks`.
     """
 
+    _check_dim(n)
     _check_trials(trials)
     worst = 0.0
     worst_sym = 0.0
@@ -713,9 +712,8 @@ def classify_qubit(l: QubitLambda, tol: Tolerance = DEFAULT_TOL) -> QubitClassif
     if np.all(np.abs(lam) <= eps):
         if np.linalg.norm(t) > 1 + eps:
             raise ValueError(f"translation {l.t} leaves the Bloch ball: not a channel")
-        fixed = np.eye(2, dtype=complex) / 2
-        for t_a, sig in zip(l.t, (PAULI_X, PAULI_Y, PAULI_Z)):
-            fixed = fixed + t_a * sig / 2
+        # Every state maps to the image of I/2: I/2 + (t . sigma)/2.
+        fixed = l(np.eye(2, dtype=complex) / 2)
         return QubitClassification(tag="completely_depolarizing", fixed_output=fixed)
     moduli = np.abs(lam)
     if np.all(np.abs(t) <= eps) and float(moduli.max() - moduli.min()) <= eps:

@@ -27,8 +27,6 @@ from qchan.channels import (
     family_to_diagonal,
     kraus_completeness,
     kraus_from_family,
-    qubit_apply,
-    qubit_norm_formula,
     random_pure_state,
 )
 from qchan.equivalence import (
@@ -49,6 +47,8 @@ from qchan.verification import (
     verify_sum_identities,
     witness_states,
 )
+
+from test_channels import PAULIS, qubit_norm_formula
 
 FAMILIES = list(Family)
 
@@ -235,7 +235,13 @@ def test_criterion_07_determinant_closed_form():
     )
 
 
+# Variant of a diagonal qubit map with lam_z >= 0, keyed by the signs of (lam_x, lam_y).
+_QUBIT_VARIANTS = {(1, 1): 1, (1, -1): 2, (-1, -1): 3, (-1, 1): 4}
+
+
 def _stratified_qubit_lambdas(count: int = 200) -> list:
+    """(map, tag, variant, p) with the verdict each map is built to get, cycling the three tags."""
+
     rng = np.random.default_rng(88)
     instances = []
     for i in range(count):
@@ -244,18 +250,20 @@ def _stratified_qubit_lambdas(count: int = 200) -> list:
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             t = tuple(rng.uniform(0, 0.9) * direction)
-            instances.append(QubitLambda(t=t, lam=(0.0, 0.0, 0.0)))
+            instances.append((QubitLambda(t=t, lam=(0.0, 0.0, 0.0)), "completely_depolarizing", None, None))
         elif kind == 1:
             p = rng.uniform(0.05, 0.95)
             signs = rng.choice([-1.0, 1.0], size=3)
-            instances.append(QubitLambda(t=(0.0, 0.0, 0.0), lam=tuple(signs * p)))
+            # A sigma_y conjugation flips lam_x and lam_z together.
+            variant = _QUBIT_VARIANTS[(int(signs[0] * signs[2]), int(signs[1]))]
+            instances.append((QubitLambda(t=(0.0, 0.0, 0.0), lam=tuple(signs * p)), "diagonal", variant, p))
         else:
             while True:
                 lam = rng.uniform(-1, 1, 3)
                 if np.abs(lam).max() - np.abs(lam).min() >= 0.05:
                     break
             t = tuple(rng.uniform(-0.3, 0.3, 3))
-            instances.append(QubitLambda(t=t, lam=tuple(lam)))
+            instances.append((QubitLambda(t=t, lam=tuple(lam)), "not_constant_norm", None, None))
     return instances
 
 
@@ -269,12 +277,14 @@ def test_criterion_08_qubit_equivalences_and_classification():
         worst = max(worst, rep.max_deviation)
         ok = ok and rep.passed and rep.max_deviation <= 1e-12
     mismatches = 0
-    for l in _stratified_qubit_lambdas(200):
+    for l, tag, variant, p in _stratified_qubit_lambdas(200):
         verdict = classify_qubit(l)
-        sample = constant_fnorm_sample_test(lambda s: qubit_apply(l, s), 2, samples=50, seed=4)
+        sample = constant_fnorm_sample_test(l, 2, samples=50, seed=4)
         if (verdict.tag != "not_constant_norm") != sample.passed:
             mismatches += 1
-        if verdict.tag == "diagonal" and verdict.variant not in (1, 2, 3, 4):
+        if (verdict.tag, verdict.variant) != (tag, variant):
+            mismatches += 1
+        if (verdict.p is None) != (p is None) or (p is not None and abs(verdict.p - p) > 1e-15):
             mismatches += 1
     ok = ok and mismatches == 0
     _report(
@@ -318,20 +328,15 @@ def test_criterion_09_witnesses_and_bound_matching():
 
 def test_criterion_10_qubit_norm_formula():
     rng = np.random.default_rng(10)
-    paulis = (
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    )
     worst = 0.0
     for _ in range(1000):
         l = QubitLambda(t=tuple(rng.uniform(-1, 1, 3)), lam=tuple(rng.uniform(-1, 1, 3)))
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
         state = np.eye(2, dtype=complex) / 2
-        for a_comp, sigma in zip(a, paulis):
+        for a_comp, sigma in zip(a, PAULIS):
             state += a_comp * sigma / 2
-        direct = frobenius_norm(qubit_apply(l, state)) ** 2
+        direct = frobenius_norm(l(state)) ** 2
         worst = max(worst, abs(qubit_norm_formula(l, a) - direct))
     _report(
         10,

@@ -3,13 +3,12 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchan import channels
 from qchan.basis import build_basis, pair_count, pairs, pauli_matrix
 from qchan.channels import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     DiagonalChannel,
     Family,
     FamilyChannel,
@@ -24,12 +23,8 @@ from qchan.channels import (
     family_to_diagonal,
     kraus_completeness,
     kraus_from_family,
-    qubit_apply,
-    qubit_norm_formula,
     random_pure_state,
-    random_unitary,
     repr_coefficients,
-    stokes,
     to_choi,
     validate_state,
 )
@@ -401,6 +396,39 @@ class TestKraus:
                 )
 
 
+# The affine Stokes picture of a qubit map, kept as the oracle for QubitLambda's call.
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def stokes(s):
+    """Stokes vector (Tr(sigma_x s), Tr(sigma_y s), Tr(sigma_z s)) of a Hermitian 2x2 matrix."""
+
+    comps = np.array([np.trace(sig @ s) for sig in PAULIS])
+    assert np.max(np.abs(comps.imag)) <= 1e-12
+    return comps.real
+
+
+def qubit_apply(l, m):
+    """(Tr(m) I + sum_a (t_a Tr(m) + lam_a Tr(sigma_a m)) sigma_a) / 2 for one 2x2 matrix."""
+
+    trace = complex(np.trace(m))
+    out = trace * np.eye(2, dtype=complex)
+    for t_a, lam_a, sig in zip(l.t, l.lam, PAULIS):
+        out += (t_a * trace + lam_a * complex(np.trace(sig @ m))) * sig
+    return out / 2
+
+
+def qubit_norm_formula(l, a):
+    """Squared output norm (1 + |t + lam * a|^2) / 2 on the pure state with unit Stokes vector a."""
+
+    out = np.array(l.t) + np.array(l.lam) * np.asarray(a)
+    return float((1 + np.dot(out, out)) / 2)
+
+
 class TestQubit:
     def test_stokes_examples(self):
         np.testing.assert_allclose(stokes(np.diag([1.0, 0.0]).astype(complex)), [0, 0, 1])
@@ -414,7 +442,7 @@ class TestQubit:
         l = QubitLambda(t=(0.1, -0.2, 0.3), lam=(0.5, 0.4, -0.6))
         s = random_pure_state(2, 11)
         a = stokes(s)
-        out = qubit_apply(l, s)
+        out = l(s)
         np.testing.assert_allclose(
             stokes(out), np.array(l.t) + np.array(l.lam) * a, atol=1e-13
         )
@@ -427,7 +455,7 @@ class TestQubit:
         rng = np.random.default_rng(12)
         for _ in range(10):
             s = random_pure_state(2, rng)
-            np.testing.assert_allclose(qubit_apply(l, s), family_apply(ch, s), atol=1e-14)
+            np.testing.assert_allclose(l(s), family_apply(ch, s), atol=1e-14)
 
     def test_norm_formula_is_squared_norm(self):
         rng = np.random.default_rng(13)
@@ -435,8 +463,8 @@ class TestQubit:
             l = QubitLambda(t=tuple(rng.uniform(-1, 1, 3)), lam=tuple(rng.uniform(-1, 1, 3)))
             a = rng.standard_normal(3)
             a /= np.linalg.norm(a)
-            s = (np.eye(2, dtype=complex) + a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z) / 2
-            direct = frobenius_norm(qubit_apply(l, s)) ** 2
+            s = (np.eye(2, dtype=complex) + sum(c * sig for c, sig in zip(a, PAULIS))) / 2
+            direct = frobenius_norm(l(s)) ** 2
             assert qubit_norm_formula(l, a) == pytest.approx(direct, abs=1e-13)
 
     def test_lambda_validation(self):
@@ -444,6 +472,38 @@ class TestQubit:
             QubitLambda(t=(0, 0), lam=(0, 0, 0))
         with pytest.raises(ValueError):
             QubitLambda(t=(0, 0, np.inf), lam=(0, 0, 0))
+
+    def test_call_is_the_diagonal_channel_without_translation(self):
+        lam = (0.4, -0.3, 0.2)
+        s = random_pure_state(2, 14)
+        np.testing.assert_array_equal(QubitLambda(t=(0, 0, 0), lam=lam)(s), DiagonalChannel(2, lam)(s))
+
+    def test_call_rejects_other_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            QubitLambda(t=(0, 0, 0), lam=(1, 1, 1))(np.eye(3))
+
+
+_UNIT = st.floats(min_value=-1, max_value=1, allow_nan=False)
+
+
+@given(
+    st.tuples(_UNIT, _UNIT, _UNIT),
+    st.tuples(_UNIT, _UNIT, _UNIT),
+    st.lists(st.integers(min_value=1, max_value=3), max_size=2),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_qubit_call_matches_the_affine_stokes_oracle(t, lam, stack, seed):
+    # Complex (not only Hermitian) inputs, as one matrix or an (..., 2, 2) stack.
+    l = QubitLambda(t=t, lam=lam)
+    rng = np.random.default_rng(seed)
+    shape = (*stack, 2, 2)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = l(m)
+    assert out.shape == shape
+    flat = m.reshape(-1, 2, 2)
+    expected = np.array([qubit_apply(l, x) for x in flat]).reshape(shape)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
 
 
 class TestRandomInputs:
@@ -462,10 +522,6 @@ class TestRandomInputs:
         first = random_pure_state(3, rng)
         second = random_pure_state(3, rng)
         assert not np.allclose(first, second)
-
-    def test_unitary(self):
-        u = random_unitary(4, 7)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-13)
 
 
 class TestStateValidation:

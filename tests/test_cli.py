@@ -576,6 +576,7 @@ class TestNumpyFreeCommands:
             (["detcheck", "--dim", "3", "--grid", "1"], 2),
             (["report", "--dim", "3", "--samples", "-1"], 2),
             (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "-1"], 2),
+            (["basis", "--dim", "200"], 2),
         ],
     )
     def test_runs_without_numpy(self, tmp_path, argv, code):

@@ -12,7 +12,6 @@ from qchan.channels import (
     cptp_range,
     family_apply,
     random_pure_state,
-    random_unitary,
 )
 from qchan.equivalence import (
     GAP_THRESHOLD,
@@ -28,6 +27,8 @@ from qchan.exact import _RATIO_EQUATIONS, _ratio_key
 from qchan.jsonio import dumps
 from qchan.linalg import hermitian_eigenvalues
 from qchan.verification import param_range
+
+from test_linalg import random_unitary
 
 SQRT17 = np.sqrt(17.0)
 
@@ -81,6 +82,11 @@ class TestSpectrumWitness:
     def test_out_of_range_p_rejected(self):
         with pytest.raises(ValueError, match="CPTP range"):
             spectrum_witness(Family.DCQ, 0.5, 3)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_dimension_below_two_rejected(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            spectrum_witness(Family.DCQ, 0.1, n)
 
     def test_dressed_depolarizing_stays_isospectral(self):
         # Unitary dressing U1 Phi(U2 . U2^) U1^ cannot create a spectrum
@@ -157,6 +163,11 @@ class TestAlphaInterval:
     def test_p_zero_rejected(self):
         with pytest.raises(ValueError, match="p = 0"):
             alpha_interval(Family.DEP, 0.0, 3)
+
+    @pytest.mark.parametrize("n", [1, 0, 2.5])
+    def test_dimension_must_be_an_integer_from_two(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            alpha_interval(Family.DEP, 0.1, n)
 
 
 class TestBoundMatching:

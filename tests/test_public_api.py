@@ -61,16 +61,12 @@ PUBLIC_NAMES = [
     "pairs",
     "param_range",
     "pauli_matrix",
-    "qubit_apply",
     "qubit_equivalence_check",
-    "qubit_norm_formula",
     "random_pure_state",
-    "random_unitary",
     "reconstruct",
     "repr_coefficients",
     "scale_family",
     "spectrum_witness",
-    "stokes",
     "to_choi",
     "validate_state",
     "verify_det_recurrence",
@@ -87,7 +83,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(qchan, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 63
+    assert len(names) == 59
 
 
 def test_every_module_export_resolves():
@@ -125,7 +121,7 @@ def test_names_are_resolved_on_first_access():
         assert loaded == [], loaded
         assert "numpy" not in sys.modules
         names = [name for name in dir(qchan) if not name.startswith("_")]
-        assert len(names) == 63, names
+        assert len(names) == 59, names
         assert qchan.param_range(qchan.Family.DCQ, 3).p_max == 0.25
         assert qchan.inequivalence_certificate((qchan.Family.DEP, qchan.Family.TRD), 5).passed
         assert qchan.Tolerance() == qchan.DEFAULT_TOL

@@ -18,7 +18,6 @@ from qchan.channels import (
     as_linear_map,
     cptp_range,
     family_to_diagonal,
-    qubit_apply,
     repr_coefficients,
 )
 from qchan.jsonio import dumps
@@ -91,6 +90,11 @@ class TestParamRange:
         r = param_range(Family.DEP, 3)
         assert r.contains(0.0) and r.contains(1.0) and r.contains(-1 / 8)
         assert not r.contains(1.001)
+
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 3.0])
+    def test_dimension_must_be_an_integer_from_two(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            param_range(Family.DEP, n)
 
 
 class TestIsCptp:
@@ -396,6 +400,11 @@ class TestNoVacuousPasses:
         with pytest.raises(ValueError, match="trials"):
             verify_sum_identities(3, trials=trials)
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_sum_identities_reject_dimensions_below_two(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            verify_sum_identities(n)
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_representations_reject_empty_runs(self, trials):
         with pytest.raises(ValueError, match="trials"):
@@ -442,7 +451,7 @@ class TestClassifyQubit:
         from qchan.channels import random_pure_state
 
         for _ in range(5):
-            out = qubit_apply(l, random_pure_state(2, rng))
+            out = l(random_pure_state(2, rng))
             np.testing.assert_allclose(out, result.fixed_output, atol=1e-13)
 
     def test_translation_outside_ball_rejected(self):
@@ -482,5 +491,5 @@ class TestClassifyQubit:
         else:
             l = QubitLambda(t=(0.2, 0, 0), lam=(0.5, 0.3, 0.6))
         verdict = classify_qubit(l)
-        report = constant_fnorm_sample_test(lambda s: qubit_apply(l, s), 2, samples=50, seed=2)
+        report = constant_fnorm_sample_test(l, 2, samples=50, seed=2)
         assert (verdict.tag != "not_constant_norm") == report.passed
