@@ -8,7 +8,9 @@
 # reports: it exits 0 whatever it finds.  Keep every command small enough
 # for both trees: older trees form the conjugation sums from dense n^4
 # stacks (about 11 GB at n = 128), and older `report` builds its Kraus
-# operators densely (about 410 MB peak at n = 64).
+# operators densely (about 410 MB peak at n = 64); `report --dim 128`
+# assumes both trees have the sparse sums and the weight-only Kraus
+# section (about 107 MB peak).
 set -u
 
 base=$1
@@ -19,6 +21,8 @@ export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 unset QCHAN_TOL
 
 printf '{"kind": "family", "family": "dcq", "p": 0.2, "dim": 3}\n' > "$work/channel.json"
+printf '{"kind": "family", "family": "tcq", "p": 0.2, "dim": 3}\n' > "$work/tcq_plus.json"
+printf '{"kind": "family", "family": "tcq", "p": -0.2, "dim": 3}\n' > "$work/tcq_minus.json"
 printf '{"kind": "diagonal", "dim": 2, "t": [0.4, -0.4, 0.4]}\n' > "$work/diagonal.json"
 printf '{"kind": "diagonal", "dim": 3, "t": [0.1, 0.2, 0.3, -0.15, 0.25, 0.05, 0.12, -0.08]}\n' \
     > "$work/unequal.json"
@@ -31,6 +35,8 @@ commands=(
     "basis --dim 3 --json"
     "basis --dim 12 --json"
     "channel apply --channel $work/channel.json --state $work/state.json"
+    "channel apply --channel $work/tcq_plus.json --state $work/state.json"
+    "channel apply --channel $work/tcq_minus.json --state $work/state.json"
     "verify cptp --family tcq --dim 3 --p 0.3"
     "verify cptp --channel $work/diagonal.json"
     "verify constant-norm --family dep --dim 4 --p 0.5 --samples 500 --seed 7"
@@ -55,6 +61,7 @@ commands=(
     "report --dim 16 --seed 5"
     "report --dim 24 --seed 1"
     "report --dim 64 --seed 3"
+    "report --dim 128 --seed 1"
     "report --dim 4 --tol 1e-14"
     "witness --pair dep,trd --dim 3"
     "certify --pair dep,dcq --dim 2"

@@ -17,6 +17,7 @@ Hermitian matrix has real coordinates over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -46,6 +47,20 @@ def pairs(n: int) -> list[tuple[int, int]]:
     """All pairs (k, l), 1 <= k < l <= n, in lexicographic order."""
     _check_dim(n)
     return [(k, l) for k in range(1, n) for l in range(k + 1, n + 1)]
+
+
+# Dimensions whose per-n index tables stay cached: each is O(n^2), but an
+# unbounded cache would keep every dimension a process ever asked for.
+_CACHED_DIMS = 4
+
+
+@lru_cache(maxsize=_CACHED_DIMS)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based (k, l) index arrays of the pairs k < l in lexicographic order; read-only."""
+    k, l = np.triu_indices(n, 1)
+    k.flags.writeable = False
+    l.flags.writeable = False
+    return k, l
 
 
 def pauli_matrix(n: int, sector: str, pair: tuple[int, int]) -> np.ndarray:
@@ -117,7 +132,7 @@ def build_basis(n: int) -> BasisE:
 
     cnt = pair_count(n)
     _check_basis_bytes(n)
-    k, l = np.triu_indices(n, 1)
+    k, l = _pair_index(n)
     i = np.arange(cnt)
     j = np.arange(1, n)
     # Row j-1 is the diagonal of the staircase M_z(j): j ones, then -j.

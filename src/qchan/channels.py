@@ -25,7 +25,7 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-from .basis import _pair_entries, pair_count, pauli_matrix
+from .basis import _pair_entries, _pair_index, pair_count, pauli_matrix
 from .exact import (
     _SIGNS,
     DEFAULT_TOL,
@@ -81,6 +81,14 @@ class FamilyChannel:
         _check_dim(self.dim)
         _check_finite_p(self.p)
 
+    @cached_property
+    def _diagonal(self) -> DiagonalChannel:
+        """The member over the Hermitian basis, built once (see :func:`family_to_diagonal`)."""
+
+        cnt = pair_count(self.dim)
+        t = np.repeat([s * self.p for s in _SIGNS[self.family]], [cnt, cnt, self.dim - 1])
+        return DiagonalChannel(dim=self.dim, t=t)
+
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return family_apply(self, s)
 
@@ -112,15 +120,15 @@ class DiagonalChannel:
 
     @property
     def t_x(self) -> np.ndarray:
-        return self.t[: pair_count(self.dim)]
+        return self.t[: self.dim * (self.dim - 1) // 2]
 
     @property
     def t_y(self) -> np.ndarray:
-        return self.t[pair_count(self.dim) : 2 * pair_count(self.dim)]
+        return self.t[self.dim * (self.dim - 1) // 2 : self.dim * (self.dim - 1)]
 
     @property
     def t_z(self) -> np.ndarray:
-        return self.t[2 * pair_count(self.dim) :]
+        return self.t[self.dim * (self.dim - 1) :]
 
     @cached_property
     def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +140,7 @@ class DiagonalChannel:
         """
 
         n = self.dim
-        k, l = np.triu_indices(n, 1)  # lexicographic pair order, 0-based
+        k, l = _pair_index(n)
         a = np.zeros((n, n))
         b = np.zeros((n, n))
         a[k, l] = a[l, k] = (self.t_x + self.t_y) / 2
@@ -140,6 +148,14 @@ class DiagonalChannel:
         a.flags.writeable = False
         b.flags.writeable = False
         return a, b
+
+    @cached_property
+    def _unit_images(self) -> np.ndarray:
+        """D[j, i] = Phi(E_jj)_ii, the Choi block data of the diagonal; read-only."""
+
+        d = diagonal_image(self, np.eye(self.dim))
+        d.flags.writeable = False
+        return d
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return diagonal_apply(self, s)
@@ -183,28 +199,44 @@ def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
     """
 
     s = as_matrix_stack(s, name="input")
-    n = ch.dim
-    _check_input_dim(s, n)
-    p = ch.p
-    trace = np.trace(s, axis1=-2, axis2=-1)
-    uniform = ((1 - p) / n * trace)[..., None, None] * np.eye(n, dtype=complex)
-    if ch.family is Family.DEP:
-        return p * s + uniform
-    s_t = np.swapaxes(s, -1, -2)
-    if ch.family is Family.TRD:
-        return p * s_t + uniform
-    diag_part = 2 * p * _diag_embed(np.diagonal(s, axis1=-2, axis2=-1))
-    if ch.family is Family.DCQ:
-        return -p * s + uniform + diag_part
-    return -p * s_t + uniform + diag_part
+    _check_input_dim(s, ch.dim)
+    out = np.empty(s.shape, dtype=complex)
+    _family_into(ch, s, out)
+    return out
+
+
+def _family_into(ch: FamilyChannel, s: np.ndarray, out: np.ndarray) -> None:
+    """Write the closed form of ``ch`` on a checked (..., n, n) input into ``out``.
+
+    ``out`` gets +-p S or +-p S^T, then its diagonal is replaced by that
+    of the full form: ((+-p S_ii + c) + 2p S_ii), c = (1-p)/n Tr(S), the
+    last term only for dcq and tcq.  The bits are those of summing the
+    dense terms c I and 2p d(S): off the diagonal those add the complex
+    zeros c * 0 and 2p * 0, whose signs the single added ``zero`` keeps.
+    """
+
+    n, p = ch.dim, ch.p
+    classical = ch.family in (Family.DCQ, Family.TCQ)
+    scale = -p if classical else p
+    src = s if ch.family in (Family.DEP, Family.DCQ) else np.swapaxes(s, -1, -2)
+    c = np.asarray((1 - p) / n * np.trace(s, axis1=-2, axis2=-1))
+    zero = c * 0j
+    if classical:
+        zero += 2 * p * np.zeros((), dtype=complex)
+    np.multiply(src, scale, out=out)
+    out += zero[..., None, None]
+    d = np.diagonal(s, axis1=-2, axis2=-1)
+    diag = _diagonal_view(out)
+    np.multiply(d, scale, out=diag)
+    diag += (c * (1 + 0j))[..., None]
+    if classical:
+        diag += 2 * p * d
 
 
 def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
-    """Multiplier vector of the family member over the Hermitian basis."""
+    """Multiplier vector of the family member over the Hermitian basis (built once per channel)."""
 
-    cnt = pair_count(ch.dim)
-    t = np.repeat([s * ch.p for s in _SIGNS[ch.family]], [cnt, cnt, ch.dim - 1])
-    return DiagonalChannel(dim=ch.dim, t=t)
+    return ch._diagonal
 
 
 def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
@@ -217,14 +249,26 @@ def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
     """
 
     s = as_matrix_stack(s, name="input")
-    n = ch.dim
-    _check_input_dim(s, n)
-    a, b = ch.pair_weights
-    out = a * s
-    out += b * np.swapaxes(s, -1, -2)  # in place: one (..., n, n) temporary fewer
-    idx = np.arange(n)
-    out[..., idx, idx] = diagonal_image(ch, s[..., idx, idx])
+    _check_input_dim(s, ch.dim)
+    out = np.empty(s.shape, dtype=complex)
+    _diagonal_into(ch, s, out)
     return out
+
+
+def _diagonal_into(ch: DiagonalChannel, s: np.ndarray, out: np.ndarray) -> None:
+    """Write ``ch`` applied to a checked (..., n, n) input into ``out``."""
+
+    a, b = ch.pair_weights
+    np.multiply(a, s, out=out)
+    out += b * np.swapaxes(s, -1, -2)
+    _diagonal_view(out)[...] = diagonal_image(ch, np.diagonal(s, axis1=-2, axis2=-1))
+
+
+def _diagonal_view(out: np.ndarray) -> np.ndarray:
+    """Writable (..., n) view of the diagonals of a C-contiguous (..., n, n) array."""
+
+    n = out.shape[-1]
+    return out.reshape(out.shape[:-2] + (n * n,))[..., :: n + 1]
 
 
 def diagonal_image(ch: DiagonalChannel, d: np.ndarray) -> np.ndarray:
@@ -253,16 +297,6 @@ def _check_input_dim(s: np.ndarray, n: int) -> None:
         raise ValueError(
             f"dimension mismatch: input is {s.shape[-1]}x{s.shape[-1]}, channel dim {n}"
         )
-
-
-def _diag_embed(d: np.ndarray) -> np.ndarray:
-    """Stack of diagonal matrices with the given (..., n) diagonals."""
-
-    n = d.shape[-1]
-    out = np.zeros(d.shape + (n,), dtype=d.dtype)
-    idx = np.arange(n)
-    out[..., idx, idx] = d
-    return out
 
 
 AnyChannel = Union[FamilyChannel, DiagonalChannel]
@@ -325,8 +359,7 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
     sets exactly on the CPTP range.  A ``Fraction`` p gives exact weights.
     """
 
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_dim(n)
     t_x, t_y, t_z = (s * p for s in _SIGNS[family])
     u = (1 - t_z) / n
     cx = (u + (t_x - t_y) / 2) / 2
@@ -354,7 +387,7 @@ def kraus_from_family(
 
     kept = _kept_weights(family, p, n, tol)
     _check_dense_bytes(16 * (1 + 3 * pair_count(n)) * int(n) ** 2, f"the Kraus operators at dim {n}")
-    entries = (None, *_pair_entries(*np.triu_indices(n, 1)))
+    entries = (None, *_pair_entries(*_pair_index(n)))
     operators: list[np.ndarray] = []
     for sector, weight in kept:
         operators.extend(_scaled_operators(sqrt(weight), entries[sector], n))

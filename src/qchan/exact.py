@@ -363,13 +363,12 @@ def inequivalence_certificate(
         raise ValueError("certificate needs two distinct families")
     if p is not None:
         _check_finite_p(p)
+    _check_dim(n)
     if n == 2:
         raise ValueError(
             "at dimension 2 the four families are pairwise equivalent "
             "(see qubit_equivalence_check); no inequivalence certificate exists"
         )
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
     hybrids = [f for f in pair if f in _HYBRID]
     bases = [f for f in pair if f in _BASE]
     if len(hybrids) == 1:

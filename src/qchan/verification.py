@@ -30,14 +30,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import _pair_entries, m_z, pairs
+from .basis import _CACHED_DIMS, _pair_entries, _pair_index, m_z, pairs
 from .channels import (
     AnyChannel,
     DiagonalChannel,
     FamilyChannel,
     QubitLambda,
-    _diag_embed,
-    diagonal_image,
+    _diagonal_into,
+    _diagonal_view,
+    _family_into,
     family_apply,
     family_to_diagonal,
     repr_coefficients,
@@ -158,7 +159,7 @@ def _is_cptp_blocks(ch: AnyChannel, n: int, tol: Tolerance) -> VerificationRepor
     a, b = diag.pair_weights
     classical, d = _classical_block(diag)
     classical_min = float(np.linalg.eigvalsh(classical)[0])
-    k, l = np.triu_indices(n, 1)
+    k, l = _pair_index(n)
     x, y = d[k, l], d[l, k]
     pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, b[k, l])
     worst = int(np.argmin(pair_mins))
@@ -175,7 +176,7 @@ def _is_cptp_blocks(ch: AnyChannel, n: int, tol: Tolerance) -> VerificationRepor
 def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
     """The classical Choi block (D_ii on the diagonal, a_kl off it), and D."""
 
-    d = diagonal_image(diag, np.eye(diag.dim))
+    d = diag._unit_images
     block = diag.pair_weights[0].copy()
     np.fill_diagonal(block, np.diag(d))
     return block, d
@@ -212,7 +213,7 @@ def witness_states(n: int) -> list[np.ndarray]:
 def _witness_vectors(n: int, start: int, stop: int) -> np.ndarray:
     """Unit vectors of witness states start..stop-1, as a (stop-start, n) array."""
 
-    k, l = np.triu_indices(n, 1)
+    k, l = _pair_index(n)
     npairs = len(k)
     index = np.arange(start, stop)
     v = np.zeros((stop - start, n), dtype=complex)
@@ -235,12 +236,10 @@ def _projectors(v: np.ndarray) -> np.ndarray:
 # vectors drawn or built at once (16 n bytes each, so 204 states per draw at
 # n = 20) and the projector stacks applied at once (16 n^2 bytes per state),
 # for the Haar samples and, for a generic callable, the n^2 witnesses; so
-# memory stays flat however many states are drawn.  Projector stacks keep
-# this size for the printed bits: the norms np.linalg.norm(axis=(-2, -1))
-# takes of a whole output stack equal the per-state ones only while the stack
-# holds at most 16384 entries; past that, tcq and trd norms changed in the
-# last bit (first at 41 states for n = 20, p = 0.01, and at 263 states for
-# n = 8).
+# memory stays flat however many states are drawn.  The size is chosen for
+# speed: the per-state norms do not depend on it, and on lib-verdicts' ops
+# (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took 1.33, 1.04 and 1.17
+# times as long as 64 KiB.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -280,8 +279,7 @@ def _haar_chunks(n: int, samples: int, seed: int):
     The unit vectors are drawn in stacks of at most ``_CHUNK_BYTES`` of
     normals (16 n bytes per state), so no Python code runs once per
     state; their projectors are yielded in stacks of
-    :func:`_states_per_chunk` states, the size that keeps the apply's
-    per-state norms (see ``_CHUNK_BYTES``).
+    :func:`_states_per_chunk` states.
     """
 
     per_draw = _vectors_per_draw(n)
@@ -315,9 +313,9 @@ def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
     of G = D D^T, plus t_x,kl^2/2 or t_y,kl^2/2 for a pair state.
     """
 
-    d = diagonal_image(diag, np.eye(diag.dim))
+    d = diag._unit_images
     g = d @ d.T
-    k, l = np.triu_indices(diag.dim, 1)  # lexicographic pair order, as t_x and t_y
+    k, l = _pair_index(diag.dim)  # lexicographic pair order, as t_x and t_y
     pair_diag = (g[k, k] + g[l, l] + 2 * g[k, l]) / 4
     squares = [np.diag(g), pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]
     return np.sqrt(np.concatenate(squares))
@@ -364,7 +362,8 @@ def _sample_reports(
 
     Each chunk of the ``samples`` states of ``seed`` is drawn once and
     applied to every channel, so the reports equal those of one call per
-    channel, bit for bit.
+    channel, bit for bit.  The apply engines write into one output and
+    one square buffer of a full chunk, allocated once per call.
     """
 
     _check_samples(samples)
@@ -373,9 +372,20 @@ def _sample_reports(
             raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
     diags = [family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch for ch in channels]
     norms = [[_witness_norms(diag)] for diag in diags]
+    applies = [_family_into if isinstance(ch, FamilyChannel) else _diagonal_into for ch in channels]
+    shape = (min(_states_per_chunk(n), samples), n, n)
+    out, sq = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for chunk in _haar_chunks(n, samples, seed):
-        for ch, found in zip(channels, norms):
-            found.append(np.linalg.norm(ch(chunk), axis=(-2, -1)))
+        k = len(chunk)
+        images, squares = out[:k], sq[:k]
+        # Each state's squared norm is one contiguous sum over its n^2
+        # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
+        entries = squares.real.reshape(k, n * n)
+        for ch, apply, found in zip(channels, applies, norms):
+            apply(ch, chunk, images)
+            np.conjugate(images, out=squares)
+            squares *= images
+            found.append(np.sqrt(np.add.reduce(entries, axis=-1)))
     return [_norm_spread_report(np.concatenate(found), n, samples, tol) for found in norms]
 
 
@@ -471,12 +481,11 @@ def _trace_eye(s: np.ndarray, n: int) -> np.ndarray:
 
 
 def _diag_part(s: np.ndarray) -> np.ndarray:
-    return _diag_embed(np.diagonal(s, axis1=-2, axis2=-1))
+    """diag(S) as a matrix, for each matrix of an (..., n, n) stack."""
 
-
-# Dimensions whose sum plans stay cached: each is O(n^2), but an unbounded
-# cache would keep every dimension a process ever asked for.
-_CACHED_DIMS = 4
+    out = np.zeros(s.shape, dtype=s.dtype)
+    _diagonal_view(out)[...] = np.diagonal(s, axis1=-2, axis2=-1)
+    return out
 
 
 @lru_cache(maxsize=_CACHED_DIMS)
@@ -489,7 +498,7 @@ def _sum_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     each off-diagonal entry per sector, plane 1 the n - 1 terms of (i, i) at (i, partner).
     """
 
-    k, l = np.triu_indices(n, 1)
+    k, l = _pair_index(n)
     gather, coef, dest = [], [], []
     for sector, (rows, cols, values) in enumerate(_pair_entries(k, l)):
         for r_a, c_a, v_a in zip(rows, cols, values):

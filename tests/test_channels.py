@@ -289,6 +289,11 @@ class TestReprCoefficients:
             c = repr_coefficients(family, p, n)
             assert c.c0 + (n - 1) * (c.cx + c.cy + c.cz) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 2.5])
+    def test_dimension_must_be_an_integer_from_two(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            repr_coefficients(Family.DEP, 0.1, n)
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_two_forms_related(self, family):
         # e_x/e_y elements are sigma/sqrt(2), so ex = 2 cx, ey = 2 cy,

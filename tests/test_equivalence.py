@@ -294,6 +294,12 @@ class TestCertificates:
         assert base.family is Family.DEP
         assert base.max_spectral_gap < 1e-12
 
+    @pytest.mark.parametrize("pair", [(Family.DEP, Family.DCQ), (Family.DEP, Family.TRD)])
+    @pytest.mark.parametrize("n", [0, 1, 2.5])
+    def test_dimension_must_be_an_integer_from_two(self, pair, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            inequivalence_certificate(pair, n)
+
     def test_default_parameter_reproduces_example(self):
         cert = inequivalence_certificate((Family.DEP, Family.DCQ), 3)
         assert cert.witnesses[0].p == pytest.approx(0.2)
