@@ -26,6 +26,8 @@ printf '{"kind": "family", "family": "tcq", "p": -0.2, "dim": 3}\n' > "$work/tcq
 printf '{"kind": "diagonal", "dim": 2, "t": [0.4, -0.4, 0.4]}\n' > "$work/diagonal.json"
 printf '{"kind": "diagonal", "dim": 3, "t": [0.1, 0.2, 0.3, -0.15, 0.25, 0.05, 0.12, -0.08]}\n' \
     > "$work/unequal.json"
+printf '{"kind": "diagonal", "dim": 3, "t": [-0.2, -0.2, -0.2, -0.2, -0.2, -0.2, 0.2, 0.2]}\n' \
+    > "$work/dcq_diagonal.json"
 printf '{"rows": 3, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}\n' \
     > "$work/state.json"
 printf '{"kind": "family", "family": ' > "$work/malformed.json"
@@ -44,6 +46,8 @@ commands=(
     "verify constant-norm --family trd --dim 70 --p 0.0001 --samples 30 --seed 1"
     "verify constant-norm --channel $work/unequal.json"
     "verify constant-norm --channel $work/diagonal.json"
+    "verify constant-norm --family dcq --dim 40 --p 0.0001 --samples 300 --seed 2"
+    "verify constant-norm --channel $work/dcq_diagonal.json"
     "identities --dim 5 --trials 40 --seed 1"
     "identities --dim 16 --trials 10 --seed 2"
     "identities --dim 48 --trials 3"

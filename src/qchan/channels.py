@@ -208,29 +208,18 @@ def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
 def _family_into(ch: FamilyChannel, s: np.ndarray, out: np.ndarray) -> None:
     """Write the closed form of ``ch`` on a checked (..., n, n) input into ``out``.
 
-    ``out`` gets +-p S or +-p S^T, then its diagonal is replaced by that
-    of the full form: ((+-p S_ii + c) + 2p S_ii), c = (1-p)/n Tr(S), the
-    last term only for dcq and tcq.  The bits are those of summing the
-    dense terms c I and 2p d(S): off the diagonal those add the complex
-    zeros c * 0 and 2p * 0, whose signs the single added ``zero`` keeps.
+    The pair-sector stage writes +-p S or +-p S^T, and the output-diagonal
+    stage then the diagonal.  The bits are those of summing the dense
+    terms c I and 2p d(S), c = (1-p)/n Tr(S): off the diagonal those add
+    the complex zeros c * 0 and 2p * 0, whose signs the added ``zero`` keeps.
     """
 
-    n, p = ch.dim, ch.p
-    classical = ch.family in (Family.DCQ, Family.TCQ)
-    scale = -p if classical else p
-    src = s if ch.family in (Family.DEP, Family.DCQ) else np.swapaxes(s, -1, -2)
-    c = np.asarray((1 - p) / n * np.trace(s, axis1=-2, axis2=-1))
-    zero = c * 0j
-    if classical:
-        zero += 2 * p * np.zeros((), dtype=complex)
-    np.multiply(src, scale, out=out)
+    zero = np.asarray((1 - ch.p) / ch.dim * np.trace(s, axis1=-2, axis2=-1)) * 0j
+    if ch.family in (Family.DCQ, Family.TCQ):
+        zero += 2 * ch.p * np.zeros((), dtype=complex)
+    _pair_sectors_into(*_pair_sector_weights(ch), s, out)
     out += zero[..., None, None]
-    d = np.diagonal(s, axis1=-2, axis2=-1)
-    diag = _diagonal_view(out)
-    np.multiply(d, scale, out=diag)
-    diag += (c * (1 + 0j))[..., None]
-    if classical:
-        diag += 2 * p * d
+    _diagonal_view(out)[...] = _output_diagonals(ch, np.diagonal(s, axis1=-2, axis2=-1))
 
 
 def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
@@ -256,12 +245,50 @@ def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_into(ch: DiagonalChannel, s: np.ndarray, out: np.ndarray) -> None:
-    """Write ``ch`` applied to a checked (..., n, n) input into ``out``."""
+    """Write ``ch`` applied to a checked (..., n, n) input into ``out``, stage by stage."""
 
-    a, b = ch.pair_weights
+    _pair_sectors_into(*ch.pair_weights, s, out)
+    _diagonal_view(out)[...] = _output_diagonals(ch, np.diagonal(s, axis1=-2, axis2=-1))
+
+
+def _pair_sector_weights(ch: AnyChannel) -> tuple:
+    """Weights (a, b) of S and S^T in the pair sectors: +-p on one of them, None on the other, for a family."""
+
+    if isinstance(ch, DiagonalChannel):
+        return ch.pair_weights
+    scale = -ch.p if ch.family in (Family.DCQ, Family.TCQ) else ch.p
+    return (scale, None) if ch.family in (Family.DEP, Family.DCQ) else (None, scale)
+
+
+def _pair_sectors_into(a, b, s: np.ndarray, out: np.ndarray) -> None:
+    """The pair-sector stage: a S + b S^T into ``out``, a None weight left out, the diagonal unfinished."""
+
+    if a is None:  # two None weights write zeros
+        np.multiply(0.0 if b is None else b, np.swapaxes(s, -1, -2), out=out)
+        return
     np.multiply(a, s, out=out)
-    out += b * np.swapaxes(s, -1, -2)
-    _diagonal_view(out)[...] = diagonal_image(ch, np.diagonal(s, axis1=-2, axis2=-1))
+    if b is not None:
+        out += b * np.swapaxes(s, -1, -2)
+
+
+def _output_diagonals(ch: AnyChannel, d: np.ndarray) -> np.ndarray:
+    """The output-diagonal stage: output diagonals of the inputs whose diagonals are ``d`` (..., n).
+
+    Off-diagonal input entries never reach them.  They are
+    :func:`diagonal_image` for a diagonal channel, and ((+-p d + c) + 2p d)
+    for a family member, the last term only for dcq and tcq, with
+    c = (1-p)/n Tr(S) and Tr(S) summed from ``d`` as np.trace sums it.
+    """
+
+    if isinstance(ch, DiagonalChannel):
+        return diagonal_image(ch, d)
+    classical = ch.family in (Family.DCQ, Family.TCQ)
+    c = (1 - ch.p) / ch.dim * np.add.reduce(d, axis=-1)
+    out = d * (-ch.p if classical else ch.p)
+    out += (c * (1 + 0j))[..., None]
+    if classical:
+        out += 2 * ch.p * d
+    return out
 
 
 def _diagonal_view(out: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ conventions:
 * channel objects (``FamilyChannel``, ``DiagonalChannel``) take fast
   paths that use their structure: block-wise Choi checks, witness-state
   norms in closed form from the Choi block data (D D^T and t_x, t_y) and
-  Haar samples applied in batches; any other linear map is checked
+  Haar samples applied in batches, each output diagonal once per draw
+  from the diagonal v conj(v) of |v><v|; any other linear map is checked
   through its dense Choi matrix and one state at a time;
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
   multiplier moduli agree, in which case every pure input maps to output
@@ -36,9 +37,10 @@ from .channels import (
     DiagonalChannel,
     FamilyChannel,
     QubitLambda,
-    _diagonal_into,
     _diagonal_view,
-    _family_into,
+    _output_diagonals,
+    _pair_sector_weights,
+    _pair_sectors_into,
     family_apply,
     family_to_diagonal,
     repr_coefficients,
@@ -238,8 +240,8 @@ def _projectors(v: np.ndarray) -> np.ndarray:
 # for the Haar samples and, for a generic callable, the n^2 witnesses; so
 # memory stays flat however many states are drawn.  The size is chosen for
 # speed: the per-state norms do not depend on it, and on lib-verdicts' ops
-# (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took 1.33, 1.04 and 1.17
-# times as long as 64 KiB.
+# (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took 1.11-1.18,
+# 1.09-1.23 and 1.35-1.50 times as long as 64 KiB.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -274,12 +276,17 @@ def _state_chunks(n: int, samples: int, seed: int):
 
 
 def _haar_chunks(n: int, samples: int, seed: int):
-    """The ``samples`` random_pure_state draws of ``seed``, bit for bit, as projector stacks.
+    """The ``samples`` random_pure_state draws of ``seed``, bit for bit, as projector stacks."""
 
-    The unit vectors are drawn in stacks of at most ``_CHUNK_BYTES`` of
-    normals (16 n bytes per state), so no Python code runs once per
-    state; their projectors are yielded in stacks of
-    :func:`_states_per_chunk` states.
+    for v in _haar_vectors(n, samples, seed):
+        yield from _projector_stacks(v)
+
+
+def _haar_vectors(n: int, samples: int, seed: int):
+    """The unit vectors of the ``samples`` random_pure_state draws of ``seed``, bit for bit.
+
+    They are drawn in (k, n) stacks of at most ``_CHUNK_BYTES`` of normals
+    (16 n bytes per state), so no Python code runs once per state.
     """
 
     per_draw = _vectors_per_draw(n)
@@ -287,7 +294,7 @@ def _haar_chunks(n: int, samples: int, seed: int):
     for start in range(0, samples, per_draw):
         # One (real, imaginary) draw of n normals per state, as random_pure_state.
         g = rng.standard_normal((min(per_draw, samples - start), 2, n))
-        yield from _projector_stacks(_normalize_rows(g[:, 0] + 1j * g[:, 1]))
+        yield _normalize_rows(g[:, 0] + 1j * g[:, 1])
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -342,9 +349,9 @@ def constant_fnorm_sample_test(
     states achieving the extreme norms otherwise.  A channel object gets
     its n^2 witness norms in closed form from its Choi block data
     (:func:`_witness_norms`, O(n^3)) and its Haar samples applied in
-    batches (:func:`_sample_reports`); any other map is applied to one
-    state at a time.  Both see the same states and reach the same
-    verdict, with norms that agree up to rounding.
+    batches, output diagonals once per draw (:func:`_sample_reports`);
+    any other map is applied to one state at a time.  Both see the same
+    states and reach the same verdict, with norms that agree up to rounding.
     """
 
     if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
@@ -360,10 +367,12 @@ def _sample_reports(
 ) -> list[VerificationReport]:
     """``constant_fnorm_sample_test`` of each channel object, from one set of Haar draws.
 
-    Each chunk of the ``samples`` states of ``seed`` is drawn once and
-    applied to every channel, so the reports equal those of one call per
-    channel, bit for bit.  The apply engines write into one output and
-    one square buffer of a full chunk, allocated once per call.
+    Each draw of unit vectors v is shared by every channel: its output
+    diagonals come from v conj(v), the diagonals of the projectors, in one
+    call per channel; each projector stack, built into a reused buffer,
+    gets only the pair sectors and those rows.  Every value is that of the
+    apply engine up to the signs of zeros, so the reports equal those of
+    one call per channel, bit for bit.
     """
 
     _check_samples(samples)
@@ -372,20 +381,27 @@ def _sample_reports(
             raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
     diags = [family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch for ch in channels]
     norms = [[_witness_norms(diag)] for diag in diags]
-    applies = [_family_into if isinstance(ch, FamilyChannel) else _diagonal_into for ch in channels]
-    shape = (min(_states_per_chunk(n), samples), n, n)
-    out, sq = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for chunk in _haar_chunks(n, samples, seed):
-        k = len(chunk)
-        images, squares = out[:k], sq[:k]
-        # Each state's squared norm is one contiguous sum over its n^2
-        # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
-        entries = squares.real.reshape(k, n * n)
-        for ch, apply, found in zip(channels, applies, norms):
-            apply(ch, chunk, images)
-            np.conjugate(images, out=squares)
-            squares *= images
-            found.append(np.sqrt(np.add.reduce(entries, axis=-1)))
+    # A weight that is zero throughout adds only zeros, whose signs no squared modulus sees.
+    weights = [[w if np.any(w) else None for w in _pair_sector_weights(ch)] for ch in channels]
+    per_chunk = min(_states_per_chunk(n), samples)
+    proj, out, sq = (np.empty((per_chunk, n, n), dtype=complex) for _ in range(3))
+    for v in _haar_vectors(n, samples, seed):
+        v_conj = v.conj()
+        d = v * v_conj  # the diagonals of the projectors
+        rows = [_output_diagonals(ch, d) for ch in channels]
+        for first in range(0, len(v), per_chunk):
+            k = min(per_chunk, len(v) - first)
+            chunk, images, squares = proj[:k], out[:k], sq[:k]
+            np.multiply(v[first : first + k, :, None], v_conj[first : first + k, None, :], out=chunk)
+            # Each state's squared norm is one contiguous sum over its n^2
+            # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
+            entries = squares.real.reshape(k, n * n)
+            for (a, b), diagonals, found in zip(weights, rows, norms):
+                _pair_sectors_into(a, b, chunk, images)
+                _diagonal_view(images)[...] = diagonals[first : first + k]
+                np.conjugate(images, out=squares)
+                squares *= images
+                found.append(np.sqrt(np.add.reduce(entries, axis=-1)))
     return [_norm_spread_report(np.concatenate(found), n, samples, tol) for found in norms]
 
 

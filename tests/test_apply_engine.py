@@ -2,7 +2,10 @@
 
 ``family_apply`` and ``diagonal_apply`` validate, allocate and call
 ``channels._family_into`` / ``channels._diagonal_into``, which write into
-a given buffer; the sample test calls the buffer forms directly.  The
+a given buffer in two stages: the pair sectors, then the output diagonal.
+The sample test runs the stages itself: the output diagonals once per
+draw of unit vectors v, from v conj(v), and the pair sectors once per
+projector stack, without a pair weight that is zero throughout.  The
 oracles below are the bodies the wrappers had before, summing the dense
 terms c I and 2p d(S).  Equal ``tobytes()`` also pins the signs of zeros,
 which those terms set off the diagonal.
@@ -25,6 +28,7 @@ from qchan.channels import (
     diagonal_apply,
     diagonal_image,
     family_apply,
+    family_to_diagonal,
     random_pure_state,
 )
 from qchan.verification import param_range
@@ -140,14 +144,21 @@ def test_diagonal_engine_is_the_dense_sum(n):
 
 @st.composite
 def channels(draw):
+    """Family members, the same as diagonal channels (b = 0 for dep and dcq,
+    a = 0 for trd and tcq), t = 0, and dense random t."""
+
     n = draw(st.integers(2, 100))
-    if draw(st.booleans()):
-        family = draw(st.sampled_from(list(Family)))
-        r = param_range(family, n)
-        p = draw(st.sampled_from([float(r.p_min), float(r.p_max), 0.01, -0.01, 0.0]))
-        return FamilyChannel(family, p, n)
-    seed = draw(st.integers(0, 2**32 - 1))
-    return DiagonalChannel(n, np.random.default_rng(seed).uniform(-0.5, 0.5, n * n - 1))
+    kind = draw(st.sampled_from(["family", "family_to_diagonal", "zero", "random"]))
+    if kind == "zero":
+        return DiagonalChannel(n, np.zeros(n * n - 1))
+    if kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        return DiagonalChannel(n, np.random.default_rng(seed).uniform(-0.5, 0.5, n * n - 1))
+    family = draw(st.sampled_from(list(Family)))
+    r = param_range(family, n)
+    p = draw(st.sampled_from([float(r.p_min), float(r.p_max), 0.01, -0.01, 0.0]))
+    ch = FamilyChannel(family, p, n)
+    return ch if kind == "family" else family_to_diagonal(ch)
 
 
 # 1 and 1 << 16 are one-state and small stacks; 1 << 20 and 1 << 22 put up to
@@ -185,3 +196,19 @@ def test_sample_norms_are_the_one_state_norms(ch, samples, seed, chunk_bytes):
 )
 def test_large_stack_norms_are_the_one_state_norms(ch, samples, seed):
     test_sample_norms_are_the_one_state_norms.hypothesis.inner_test(ch, samples, seed, 1 << 22)
+
+
+# The sample test's output diagonals rest on this: the diagonal of |v><v|
+# is v conj(v), and its trace is add.reduce of that, as np.trace sums it.
+@pytest.mark.parametrize(
+    "n, samples", [(2, 50), (3, 50), (9, 50), (17, 50), (64, 20), (129, 8), (500, 3)]
+)
+def test_projector_diagonals_and_traces_come_from_the_vectors(n, samples):
+    for v in verification._haar_vectors(n, samples, n):
+        projectors = verification._projectors(v)
+        d = v * v.conj()
+        traces = np.add.reduce(d, axis=-1)
+        assert_same_bits(d, np.diagonal(projectors, axis1=-2, axis2=-1))
+        assert_same_bits(traces, np.trace(projectors, axis1=-2, axis2=-1))
+        for i, projector in enumerate(projectors):  # one state, as the apply engine sums it
+            assert traces[i].tobytes() == np.trace(projector).tobytes()

@@ -222,8 +222,11 @@ def test_failing_representation_reports_equal_the_loops():
     chunk_bytes=st.sampled_from([1 << 16, 16 * 4 * 4, 1]),
 )
 def test_shared_sample_reports_equal_the_loops(n, samples, seed, where, chunk_bytes):
-    # The four families plus a channel of unequal moduli, whose witness names its states.
+    # The four families, the same as diagonal channels (whose b or a is 0),
+    # t = 0, and a channel of unequal moduli, whose witness names its states.
     channels = [FamilyChannel(f, p, n) for f, p in members_at(where, n)]
+    channels += [family_to_diagonal(ch) for ch in channels]
+    channels.append(DiagonalChannel(dim=n, t=np.zeros(n * n - 1)))
     t = np.linspace(0.1, 0.4, n * n - 1)
     channels.append(DiagonalChannel(dim=n, t=t))
     with mock.patch.object(verification, "_CHUNK_BYTES", chunk_bytes):
