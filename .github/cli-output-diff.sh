@@ -30,6 +30,8 @@ printf '{"kind": "diagonal", "dim": 3, "t": [-0.2, -0.2, -0.2, -0.2, -0.2, -0.2,
     > "$work/dcq_diagonal.json"
 printf '{"rows": 3, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}\n' \
     > "$work/state.json"
+printf '{"rows": 3, "cols": 3, "data": [[1, 0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [0, 0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [0, 0]]}\n' \
+    > "$work/signed_zero_state.json"
 printf '{"kind": "family", "family": ' > "$work/malformed.json"
 
 commands=(
@@ -39,6 +41,7 @@ commands=(
     "channel apply --channel $work/channel.json --state $work/state.json"
     "channel apply --channel $work/tcq_plus.json --state $work/state.json"
     "channel apply --channel $work/tcq_minus.json --state $work/state.json"
+    "channel apply --channel $work/unequal.json --state $work/signed_zero_state.json"
     "verify cptp --family tcq --dim 3 --p 0.3"
     "verify cptp --channel $work/diagonal.json"
     "verify constant-norm --family dep --dim 4 --p 0.5 --samples 500 --seed 7"

@@ -71,19 +71,12 @@ def pauli_matrix(n: int, sector: str, pair: tuple[int, int]) -> np.ndarray:
     """
 
     _check_pair(n, pair)
-    k, l = pair[0] - 1, pair[1] - 1
-    m = np.zeros((n, n), dtype=complex)
-    if sector == "x":
-        m[k, l] = 1
-        m[l, k] = 1
-    elif sector == "y":
-        m[k, l] = -1j
-        m[l, k] = 1j
-    elif sector == "z":
-        m[k, k] = 1
-        m[l, l] = -1
-    else:
+    if sector not in ("x", "y", "z"):
         raise ValueError(f"unknown sector {sector!r}, expected 'x', 'y' or 'z'")
+    rows, cols, values = _pair_entries(pair[0] - 1, pair[1] - 1)[("x", "y", "z").index(sector)]
+    m = np.zeros((n, n), dtype=complex)
+    for r, c, v in zip(rows, cols, values):
+        m[r, c] = v
     return m
 
 
@@ -102,8 +95,8 @@ def m_z(n: int, k: int) -> np.ndarray:
 def _pair_entries(k: np.ndarray, l: np.ndarray) -> tuple:
     """(rows, cols, values) of the two nonzeros of sigma_x, sigma_y and sigma_z, in that order.
 
-    ``k``, ``l`` are zero-based pair index arrays; entry a of a sector's matrix
-    for pair i is values[a] at (rows[a][i], cols[a][i]), as in :func:`pauli_matrix`.
+    ``k``, ``l`` are zero-based pair indices, arrays or ints (:func:`pauli_matrix`); entry a
+    of a sector's matrix for pair i is values[a] at (rows[a][i], cols[a][i]).
     """
     return ((k, l), (l, k), (1, 1)), ((k, l), (l, k), (-1j, 1j)), ((k, l), (k, l), (1, -1))
 

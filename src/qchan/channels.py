@@ -27,6 +27,7 @@ import numpy as np
 
 from .basis import _pair_entries, _pair_index, pair_count, pauli_matrix
 from .exact import (
+    _HYBRID,
     _SIGNS,
     DEFAULT_TOL,
     FAMILY_NAMES,
@@ -195,31 +196,10 @@ def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
     """Closed-form action of the family member on a square matrix.
 
     Also takes an (..., n, n) stack; each matrix of the result is
-    bit-identical to applying the map to that matrix alone.
+    bit-identical to applying the map to that matrix alone (see :func:`_apply`).
     """
 
-    s = as_matrix_stack(s, name="input")
-    _check_input_dim(s, ch.dim)
-    out = np.empty(s.shape, dtype=complex)
-    _family_into(ch, s, out)
-    return out
-
-
-def _family_into(ch: FamilyChannel, s: np.ndarray, out: np.ndarray) -> None:
-    """Write the closed form of ``ch`` on a checked (..., n, n) input into ``out``.
-
-    The pair-sector stage writes +-p S or +-p S^T, and the output-diagonal
-    stage then the diagonal.  The bits are those of summing the dense
-    terms c I and 2p d(S), c = (1-p)/n Tr(S): off the diagonal those add
-    the complex zeros c * 0 and 2p * 0, whose signs the added ``zero`` keeps.
-    """
-
-    zero = np.asarray((1 - ch.p) / ch.dim * np.trace(s, axis1=-2, axis2=-1)) * 0j
-    if ch.family in (Family.DCQ, Family.TCQ):
-        zero += 2 * ch.p * np.zeros((), dtype=complex)
-    _pair_sectors_into(*_pair_sector_weights(ch), s, out)
-    out += zero[..., None, None]
-    _diagonal_view(out)[...] = _output_diagonals(ch, np.diagonal(s, axis1=-2, axis2=-1))
+    return _apply(ch, s)
 
 
 def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
@@ -234,21 +214,34 @@ def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
     This is the linear extension of the basis picture to every complex
     input, computed sector by sector in O(n^2) per matrix: the x/y sectors
     of a pair {k, l} mix (S_kl, S_lk) with :attr:`DiagonalChannel.pair_weights`,
-    and the diagonal goes through :func:`diagonal_image`.
+    and the diagonal goes through :func:`diagonal_image` (see :func:`_apply`).
+    """
+
+    return _apply(ch, s)
+
+
+def _apply(ch: AnyChannel, s: np.ndarray) -> np.ndarray:
+    """The apply engine of both kinds: the pair sectors, then the output diagonal, into a new array.
+
+    In between, a family member adds one complex zero per matrix: the dense
+    terms c I and 2p d(S), c = (1-p)/n Tr(S), added c * 0 and 2p * 0 off the
+    diagonal, and the zero keeps their signs, so the bits are those of that sum.
     """
 
     s = as_matrix_stack(s, name="input")
-    _check_input_dim(s, ch.dim)
+    if s.shape[-1] != ch.dim:
+        raise ValueError(
+            f"dimension mismatch: input is {s.shape[-1]}x{s.shape[-1]}, channel dim {ch.dim}"
+        )
     out = np.empty(s.shape, dtype=complex)
-    _diagonal_into(ch, s, out)
-    return out
-
-
-def _diagonal_into(ch: DiagonalChannel, s: np.ndarray, out: np.ndarray) -> None:
-    """Write ``ch`` applied to a checked (..., n, n) input into ``out``, stage by stage."""
-
-    _pair_sectors_into(*ch.pair_weights, s, out)
+    _pair_sectors_into(*_pair_sector_weights(ch), s, out)
+    if isinstance(ch, FamilyChannel):
+        zero = np.asarray((1 - ch.p) / ch.dim * np.trace(s, axis1=-2, axis2=-1)) * 0j
+        if ch.family in _HYBRID:
+            zero += 2 * ch.p * np.zeros((), dtype=complex)
+        out += zero[..., None, None]
     _diagonal_view(out)[...] = _output_diagonals(ch, np.diagonal(s, axis1=-2, axis2=-1))
+    return out
 
 
 def _pair_sector_weights(ch: AnyChannel) -> tuple:
@@ -256,7 +249,7 @@ def _pair_sector_weights(ch: AnyChannel) -> tuple:
 
     if isinstance(ch, DiagonalChannel):
         return ch.pair_weights
-    scale = -ch.p if ch.family in (Family.DCQ, Family.TCQ) else ch.p
+    scale = -ch.p if ch.family in _HYBRID else ch.p
     return (scale, None) if ch.family in (Family.DEP, Family.DCQ) else (None, scale)
 
 
@@ -282,7 +275,7 @@ def _output_diagonals(ch: AnyChannel, d: np.ndarray) -> np.ndarray:
 
     if isinstance(ch, DiagonalChannel):
         return diagonal_image(ch, d)
-    classical = ch.family in (Family.DCQ, Family.TCQ)
+    classical = ch.family in _HYBRID
     c = (1 - ch.p) / ch.dim * np.add.reduce(d, axis=-1)
     out = d * (-ch.p if classical else ch.p)
     out += (c * (1 + 0j))[..., None]
@@ -317,13 +310,6 @@ def diagonal_image(ch: DiagonalChannel, d: np.ndarray) -> np.ndarray:
     out[..., :-1] += np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
     out[..., 1:] -= j * w
     return out
-
-
-def _check_input_dim(s: np.ndarray, n: int) -> None:
-    if s.shape[-1] != n:
-        raise ValueError(
-            f"dimension mismatch: input is {s.shape[-1]}x{s.shape[-1]}, channel dim {n}"
-        )
 
 
 AnyChannel = Union[FamilyChannel, DiagonalChannel]
@@ -549,16 +535,10 @@ class QubitLambda:
 # --- Random inputs -------------------------------------------------------
 
 
-def _as_rng(rng: Union[int, np.random.Generator, None]) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def random_pure_state(n: int, rng: Union[int, np.random.Generator, None] = None) -> np.ndarray:
     """Haar-random rank-one projector |v><v| on C^n (deterministic per seed)."""
 
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())

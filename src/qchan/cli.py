@@ -332,8 +332,15 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, holds and report.passed
 
 
+# Peak bytes per n^2 of `identities`, rounded up from 845-892 (tracemalloc,
+# n = 128..400, default trials): the sum plan and one trial stack.  `detcheck`
+# peaks at 65-85 bytes per n^2 and shares the verify estimate.
+_IDENTITIES_BYTES_PER_N2 = 900
+
+
 def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
+    _check_dense_bytes(_IDENTITIES_BYTES_PER_N2 * n * n, f"identities at dim {n}")
     kwargs = _tol_kwargs(args)
     _check_trials(args.trials)
     from .verification import verify_sum_identities
@@ -351,6 +358,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
+    _check_dense_bytes(_VERIFY_BYTES_PER_N2 * n * n, f"detcheck at dim {n}")
     kwargs = _tol_kwargs(args)
     _check_grid(args.grid)
     from .verification import verify_det_recurrence

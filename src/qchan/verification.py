@@ -13,7 +13,8 @@ conventions:
   norms in closed form from the Choi block data (D D^T and t_x, t_y) and
   Haar samples applied in batches, each output diagonal once per draw
   from the diagonal v conj(v) of |v><v|; any other linear map is checked
-  through its dense Choi matrix and one state at a time;
+  through its dense Choi matrix and one state at a time, each projector
+  np.outer(v, v.conj()) built from a stream of unit vectors;
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
   multiplier moduli agree, in which case every pure input maps to output
   Frobenius norm sqrt(1/n + t^2 (1 - 1/n));
@@ -209,7 +210,7 @@ def witness_states(n: int) -> list[np.ndarray]:
     then (i e_k + e_l)/sqrt(2) projectors, pairs in lexicographic order.
     """
 
-    return list(_projectors(_witness_vectors(n, 0, n * n)))
+    return [np.outer(v, v.conj()) for v in _witness_vectors(n, 0, n * n)]
 
 
 def _witness_vectors(n: int, start: int, stop: int) -> np.ndarray:
@@ -229,16 +230,12 @@ def _witness_vectors(n: int, start: int, stop: int) -> np.ndarray:
     return v
 
 
-def _projectors(v: np.ndarray) -> np.ndarray:
-    """|v><v| for each row of v, entry by entry as np.outer computes it."""
-    return v[:, :, None] * v.conj()[:, None, :]
-
-
 # Bytes of one stack of states in the sample test.  It bounds both the unit
 # vectors drawn or built at once (16 n bytes each, so 204 states per draw at
-# n = 20) and the projector stacks applied at once (16 n^2 bytes per state),
-# for the Haar samples and, for a generic callable, the n^2 witnesses; so
-# memory stays flat however many states are drawn.  The size is chosen for
+# n = 20), for the Haar samples and, for a generic callable, the n^2
+# witnesses, and the projector stacks a channel object's pair sectors are
+# applied to (16 n^2 bytes per state); so memory stays flat however many
+# states are drawn.  The size is chosen for
 # speed: the per-state norms do not depend on it, and on lib-verdicts' ops
 # (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took 1.11-1.18,
 # 1.09-1.23 and 1.35-1.50 times as long as 64 KiB.
@@ -253,33 +250,18 @@ def _vectors_per_draw(n: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * n))
 
 
-def _projector_stacks(v: np.ndarray):
-    """The projectors of the rows of v, in stacks of :func:`_states_per_chunk` states."""
+def _state_vectors(n: int, samples: int, seed: int):
+    """Unit vectors of witness_states(n), then of ``samples`` random_pure_state draws, in stacks.
 
-    per_chunk = _states_per_chunk(v.shape[1])
-    for first in range(0, len(v), per_chunk):
-        yield _projectors(v[first : first + per_chunk])
-
-
-def _state_chunks(n: int, samples: int, seed: int):
-    """witness_states(n), then ``samples`` random_pure_state draws, in stacks.
-
-    The states, and their order, are exactly those of the per-state loop.
-    The witness vectors are built in stacks as the Haar draws are (their
-    norms are sqrt(1) or sqrt(2) however they are summed).
+    The states np.outer(v, v.conj()), and their order, are exactly those of
+    the per-state loop.  The witness vectors are built in stacks as the Haar
+    draws are (their norms are sqrt(1) or sqrt(2) however they are summed).
     """
 
     per_draw = _vectors_per_draw(n)
     for start in range(0, n * n, per_draw):
-        yield from _projector_stacks(_witness_vectors(n, start, min(start + per_draw, n * n)))
-    yield from _haar_chunks(n, samples, seed)
-
-
-def _haar_chunks(n: int, samples: int, seed: int):
-    """The ``samples`` random_pure_state draws of ``seed``, bit for bit, as projector stacks."""
-
-    for v in _haar_vectors(n, samples, seed):
-        yield from _projector_stacks(v)
+        yield _witness_vectors(n, start, min(start + per_draw, n * n))
+    yield from _haar_vectors(n, samples, seed)
 
 
 def _haar_vectors(n: int, samples: int, seed: int):
@@ -350,15 +332,16 @@ def constant_fnorm_sample_test(
     its n^2 witness norms in closed form from its Choi block data
     (:func:`_witness_norms`, O(n^3)) and its Haar samples applied in
     batches, output diagonals once per draw (:func:`_sample_reports`);
-    any other map is applied to one state at a time.  Both see the same
+    any other map is applied to one projector at a time, built from the
+    unit vectors of :func:`_state_vectors`.  Both see the same
     states and reach the same verdict, with norms that agree up to rounding.
     """
 
     if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
         return _sample_reports([apply_fn], n, samples, seed, tol)[0]
     _check_samples(samples)
-    chunks = _state_chunks(n, samples, seed)
-    norms = np.array([frobenius_norm(apply_fn(s)) for chunk in chunks for s in chunk])
+    vectors = (v for stack in _state_vectors(n, samples, seed) for v in stack)
+    norms = np.array([frobenius_norm(apply_fn(np.outer(v, v.conj()))) for v in vectors])
     return _norm_spread_report(norms, n, samples, tol)
 
 

@@ -1,14 +1,14 @@
-"""The buffer-writing apply engine and the sample test's per-state norms, bit for bit.
+"""The apply engine and the sample test's per-state norms, bit for bit.
 
-``family_apply`` and ``diagonal_apply`` validate, allocate and call
-``channels._family_into`` / ``channels._diagonal_into``, which write into
-a given buffer in two stages: the pair sectors, then the output diagonal.
+``family_apply`` and ``diagonal_apply`` (and calling a channel) run one
+engine, ``channels._apply``, in two stages: the pair sectors, then the
+output diagonal, with a family member's signed zero added in between.
 The sample test runs the stages itself: the output diagonals once per
 draw of unit vectors v, from v conj(v), and the pair sectors once per
 projector stack, without a pair weight that is zero throughout.  The
-oracles below are the bodies the wrappers had before, summing the dense
-terms c I and 2p d(S).  Equal ``tobytes()`` also pins the signs of zeros,
-which those terms set off the diagonal.
+oracles below are the bodies the public functions had before, summing
+the dense terms c I and 2p d(S).  Equal ``tobytes()`` also pins the signs
+of zeros, which those terms set off the diagonal.
 """
 
 from unittest import mock
@@ -23,8 +23,6 @@ from qchan.channels import (
     DiagonalChannel,
     Family,
     FamilyChannel,
-    _diagonal_into,
-    _family_into,
     diagonal_apply,
     diagonal_image,
     family_apply,
@@ -119,27 +117,32 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_engine(ch, apply, into, oracle):
+def nan_filled(shape, dtype=float):
+    return np.full(shape, np.nan, dtype=dtype)
+
+
+def assert_engine(ch, apply, oracle):
     cases = inputs(ch.dim)
     stack = np.array(cases)
     for s in [*cases, stack, stack[:3], stack.reshape(-1, 1, ch.dim, ch.dim)]:
-        out = apply(ch, s)
-        assert_same_bits(out, oracle(ch, s))
-        buf = np.full(s.shape, np.nan, dtype=complex)  # any entry left unwritten shows
-        into(ch, s, buf)
-        assert_same_bits(buf, out)
+        want = oracle(ch, s)
+        assert_same_bits(apply(ch, s), want)
+        assert_same_bits(ch(s), want)
+        # The engine allocates its output with np.empty; any entry left unwritten shows.
+        with mock.patch.object(np, "empty", nan_filled):
+            assert_same_bits(apply(ch, s), want)
 
 
 @pytest.mark.parametrize("n", DIMS)
 def test_family_engine_is_the_dense_sum(n):
     for ch in family_members(n):
-        assert_engine(ch, family_apply, _family_into, dense_family_apply)
+        assert_engine(ch, family_apply, dense_family_apply)
 
 
 @pytest.mark.parametrize("n", DIMS)
 def test_diagonal_engine_is_the_dense_sum(n):
     for ch in diagonal_members(n):
-        assert_engine(ch, diagonal_apply, _diagonal_into, dense_diagonal_apply)
+        assert_engine(ch, diagonal_apply, dense_diagonal_apply)
 
 
 @st.composite
@@ -205,10 +208,11 @@ def test_large_stack_norms_are_the_one_state_norms(ch, samples, seed):
 )
 def test_projector_diagonals_and_traces_come_from_the_vectors(n, samples):
     for v in verification._haar_vectors(n, samples, n):
-        projectors = verification._projectors(v)
+        projectors = v[:, :, None] * v.conj()[:, None, :]  # as the sample test builds them
         d = v * v.conj()
         traces = np.add.reduce(d, axis=-1)
         assert_same_bits(d, np.diagonal(projectors, axis1=-2, axis2=-1))
         assert_same_bits(traces, np.trace(projectors, axis1=-2, axis2=-1))
         for i, projector in enumerate(projectors):  # one state, as the apply engine sums it
+            assert_same_bits(projector, np.outer(v[i], v[i].conj()))
             assert traces[i].tobytes() == np.trace(projector).tobytes()

@@ -64,6 +64,19 @@ class TestPauliMatrices:
         with pytest.raises(ValueError, match="sector"):
             pauli_matrix(3, "w", (1, 2))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_entries_are_the_written_out_matrices(self, n):
+        # pauli_matrix reads the pair entry table; its entries written out one by one.
+        for k, l in pairs(n):
+            expected = {sector: np.zeros((n, n), dtype=complex) for sector in "xyz"}
+            expected["x"][k - 1, l - 1] = expected["x"][l - 1, k - 1] = 1
+            expected["y"][k - 1, l - 1] = -1j
+            expected["y"][l - 1, k - 1] = 1j
+            expected["z"][k - 1, k - 1] = 1
+            expected["z"][l - 1, l - 1] = -1
+            for sector, m in expected.items():
+                assert pauli_matrix(n, sector, (k, l)).tobytes() == m.tobytes()
+
 
 class TestStaircase:
     def test_example(self):

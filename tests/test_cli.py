@@ -280,8 +280,9 @@ class TestSizeGuards:
     """An oversized --dim exits 2, naming the 2 GiB limit, before any work starts.
 
     The estimates are 100 bytes of peak memory per n^2 for the verify
-    commands and 700 for spectrum witnesses, so the verify commands are
-    refused from n = 4635 and mixed-pair witnesses from n = 1752.
+    commands and detcheck, 900 for identities and 700 for spectrum
+    witnesses, so the verify commands and detcheck are refused from
+    n = 4635, identities from n = 1545 and mixed-pair witnesses from n = 1752.
     """
 
     @pytest.fixture
@@ -302,6 +303,9 @@ class TestSizeGuards:
             ),
             (["witness", "--pair", "dep,dcq", "--dim", "1752"], "the spectrum witnesses at dim 1752: about 2.0"),
             (["certify", "--pair", "tcq,dep", "--dim", "100000"], "the spectrum witnesses at dim 100000: about 6519.3"),
+            (["identities", "--dim", "1545"], "identities at dim 1545: about 2.0"),
+            (["identities", "--dim", "5000"], "identities at dim 5000: about 21.0"),
+            (["detcheck", "--dim", "4635"], "detcheck at dim 4635: about 2.0"),
         ],
     )
     def test_oversized_dim_exits_2(self, capsys, no_work, argv, what):
@@ -324,6 +328,8 @@ class TestSizeGuards:
             ["witness", "--pair", "dep,dcq", "--dim", "1751"],
             ["certify", "--pair", "tcq,dep", "--dim", "1751"],
             ["certify", "--pair", "dep,trd", "--dim", "100000"],  # bound matching: nothing of size n^2
+            ["identities", "--dim", "1544"],
+            ["detcheck", "--dim", "4634"],
         ],
     )
     def test_largest_accepted_dims_start_work(self, no_work, argv):
@@ -577,6 +583,8 @@ class TestNumpyFreeCommands:
             (["report", "--dim", "3", "--samples", "-1"], 2),
             (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "-1"], 2),
             (["basis", "--dim", "200"], 2),
+            (["identities", "--dim", "5000"], 2),
+            (["detcheck", "--dim", "5000"], 2),
         ],
     )
     def test_runs_without_numpy(self, tmp_path, argv, code):

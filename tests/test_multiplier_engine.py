@@ -113,8 +113,8 @@ def assert_sample_test_matches_per_state_loop(ch, samples, seed):
     assert (fast.witness is None) is (oracle.witness is None)
     if oracle.witness is None:
         return
-    chunks = verification._state_chunks(n, samples, seed)
-    norms = [frobenius_norm(ch(s)) for chunk in chunks for s in chunk]
+    stacks = verification._state_vectors(n, samples, seed)
+    norms = [frobenius_norm(ch(np.outer(v, v.conj()))) for stack in stacks for v in stack]
     labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
     for got, want in zip(witness_labels(fast), witness_labels(oracle)):
         assert got == want or abs(norms[labels.index(got)] - norms[labels.index(want)]) <= 1e-15
@@ -249,10 +249,11 @@ def random_pure_states(n, samples, seed):
     return (random_pure_state(n, rng) for _ in range(samples))
 
 
-def assert_stream_is(chunks, expected):
-    """The states of a stream of (k, n, n) stacks equal ``expected`` bit for bit, in order; returns their count."""
+def assert_stream_is(stacks, expected):
+    """The states np.outer(v, v.conj()) of a stream of (k, n) vector stacks equal ``expected``
+    bit for bit, in order; returns their count."""
 
-    states = (s for chunk in chunks for s in chunk)
+    states = (np.outer(v, v.conj()) for stack in stacks for v in stack)
     count = 0
     for got, want in zip(states, expected, strict=True):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -260,16 +261,18 @@ def assert_stream_is(chunks, expected):
     return count
 
 
-# 302752 bytes puts 2..4730 states in each projector stack at these n, and
-# never a whole number of them in a draw stack.
+# 302752 bytes puts 2..4730 states in each projector stack of the sample test
+# at these n, and never a whole number of them in a draw stack.
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 64, 97])
 @pytest.mark.parametrize("chunk_bytes", [1, 16 * 7 * 7 * 5, 1 << 16, 302752])
 def test_state_chunks_are_the_per_state_draws(monkeypatch, n, chunk_bytes):
     monkeypatch.setattr(verification, "_CHUNK_BYTES", chunk_bytes)
     per_draw = max(1, chunk_bytes // (16 * n))
     samples, seed = 2 * per_draw + 5, 5  # three draw stacks, the last one short
+    stacks = list(verification._state_vectors(n, samples, seed))
+    assert all(len(stack) <= per_draw for stack in stacks)
     expected = chain(witness_states_one_by_one(n), random_pure_states(n, samples, seed))
-    assert assert_stream_is(verification._state_chunks(n, samples, seed), expected) == n * n + samples
+    assert assert_stream_is(stacks, expected) == n * n + samples
     if n <= 20:  # the per-state oracle applies n^2 + samples states one at a time
         ch = family_to_diagonal(FamilyChannel(Family.DCQ, 0.01, n))
         assert_sample_test_matches_per_state_loop(ch, samples, seed)
@@ -292,10 +295,10 @@ def test_batched_normalization_is_the_per_row_norm(n, rows, seed):
 @settings(max_examples=60, deadline=None)
 def test_haar_chunks_are_the_random_pure_state_draws(n, samples, seed, chunk_bytes):
     with mock.patch.object(verification, "_CHUNK_BYTES", chunk_bytes):
-        chunks = list(verification._haar_chunks(n, samples, seed))
-    per_chunk = max(1, chunk_bytes // (16 * n * n))
-    assert all(len(chunk) <= per_chunk for chunk in chunks)
-    assert assert_stream_is(chunks, random_pure_states(n, samples, seed)) == samples
+        stacks = list(verification._haar_vectors(n, samples, seed))
+    per_draw = max(1, chunk_bytes // (16 * n))
+    assert all(len(stack) <= per_draw for stack in stacks)
+    assert assert_stream_is(stacks, random_pure_states(n, samples, seed)) == samples
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

@@ -140,9 +140,10 @@ def identities_loop(n, trials, seed, tol=SUM_TOL):
 
 
 def sample_test_loop(ch, n, samples, seed, tol=DEFAULT_TOL):
-    """One channel's sample test with its own Haar draws."""
+    """One channel's sample test with its own Haar draws, applied one state at a time."""
     diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
-    haar = verification._haar_chunks(n, samples, seed)
+    vectors = (v for stack in verification._haar_vectors(n, samples, seed) for v in stack)
+    haar = (np.outer(v, v.conj())[None] for v in vectors)
     norms = np.concatenate(
         [verification._witness_norms(diag), *(np.linalg.norm(ch(c), axis=(-2, -1)) for c in haar)]
     )
