@@ -33,6 +33,13 @@ printf '{"rows": 3, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], 
 printf '{"rows": 3, "cols": 3, "data": [[1, 0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [0, 0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [0, 0]]}\n' \
     > "$work/signed_zero_state.json"
 printf '{"kind": "family", "family": ' > "$work/malformed.json"
+# Overflowing Frobenius norms: squares of 1e155 Choi data and of 1e200 state entries.
+printf '{"kind": "diagonal", "dim": 3, "t": [1e155, 1e155, 1e155, 1e155, 1e155, 1e155, 0, 0]}\n' \
+    > "$work/huge_multipliers.json"
+printf '{"kind": "family", "family": "dep", "p": 0.5, "dim": 2}\n' > "$work/dep_qubit.json"
+printf '{"rows": 2, "cols": 2, "data": [[0.5, 0], [1e200, 0], [1e200, 0], [0.5, 0]]}\n' \
+    > "$work/huge_state.json"
+printf '{"kind": "diagonal", "dim": 1, "t": []}\n' > "$work/dim_one.json"
 
 commands=(
     "range --family dcq --dim 3"
@@ -80,6 +87,11 @@ commands=(
     "report --dim 3 --samples -1"
     "verify constant-norm --family dep --dim 3 --p 0.1 --samples -1"
     "channel apply --channel $work/malformed.json --state $work/state.json"
+    "verify cptp --channel $work/huge_multipliers.json"
+    "channel apply --channel $work/dep_qubit.json --state $work/huge_state.json"
+    "verify cptp --family dep --dim 1 --p 0.1"
+    "verify cptp --channel $work/dim_one.json"
+    "identities --dim 3 --tol 0"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -39,7 +39,7 @@ from .exact import (
     cptp_range,
     family_from_name,
 )
-from .jsonio import SchemaError, require, require_number
+from .jsonio import SchemaError, finite_number, require, require_int, require_number
 from .linalg import as_matrix, as_matrix_stack, is_hermitian
 
 __all__ = [
@@ -560,22 +560,13 @@ def channel_from_json(obj: Any) -> AnyChannel:
     if kind == "family":
         family = family_from_name(require(obj, "family"))
         p = require_number(obj, "p")
-        dim = require(obj, "dim")
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
-            raise SchemaError("dim", f"expected an integer >= 2, got {dim!r}")
-        return FamilyChannel(family=family, p=p, dim=dim)
+        return FamilyChannel(family=family, p=p, dim=require_int(obj, "dim", 2))
     if kind == "diagonal":
-        dim = require(obj, "dim")
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
-            raise SchemaError("dim", f"expected an integer >= 2, got {dim!r}")
+        dim = require_int(obj, "dim", 2)
         t = require(obj, "t")
         expected = dim * dim - 1
         if not isinstance(t, list) or len(t) != expected:
             raise SchemaError("t", f"expected a list of {expected} numbers")
-        values = []
-        for i, v in enumerate(t):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-                raise SchemaError(f"t[{i}]", "expected a finite number")
-            values.append(float(v))
+        values = [finite_number(v, f"t[{i}]") for i, v in enumerate(t)]
         return DiagonalChannel(dim=dim, t=np.array(values))
     raise SchemaError("kind", f"expected 'family' or 'diagonal', got {kind!r}")

@@ -62,57 +62,68 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_basis = sub.add_parser("basis", help="emit the orthonormal Hermitian basis")
+    p_basis.set_defaults(handler=_cmd_basis)
     p_basis.add_argument("--dim", type=int, required=True)
     p_basis.add_argument("--json", action="store_true", help="emit full matrices as JSON")
 
     p_channel = sub.add_parser("channel", help="channel operations")
     channel_sub = p_channel.add_subparsers(dest="channel_command", required=True)
     p_apply = channel_sub.add_parser("apply", help="apply a channel to a state")
+    p_apply.set_defaults(handler=_cmd_channel_apply)
     p_apply.add_argument("--channel", required=True, help="channel JSON file")
     p_apply.add_argument("--state", required=True, help="state matrix JSON file")
     p_apply.add_argument("--tol", type=float)
 
     p_range = sub.add_parser("range", help="CPTP parameter range of a family")
+    p_range.set_defaults(handler=_cmd_range)
     p_range.add_argument("--family", required=True)
     p_range.add_argument("--dim", type=int, required=True)
 
     p_verify = sub.add_parser("verify", help="verification checks")
     verify_sub = p_verify.add_subparsers(dest="verify_command", required=True)
     p_cptp = verify_sub.add_parser("cptp", help="Choi-based CPTP check")
+    p_cptp.set_defaults(handler=_cmd_verify_cptp)
     _add_channel_args(p_cptp)
     p_const = verify_sub.add_parser("constant-norm", help="constant output-norm check")
+    p_const.set_defaults(handler=_cmd_verify_constant_norm)
     _add_channel_args(p_const)
     p_const.add_argument("--samples", type=int, default=1000)
     p_const.add_argument("--seed", type=int, default=0)
 
     p_ident = sub.add_parser("identities", help="conjugation-sum identities")
+    p_ident.set_defaults(handler=_cmd_identities)
     p_ident.add_argument("--dim", type=int, required=True)
     p_ident.add_argument("--trials", type=int, default=50)
     p_ident.add_argument("--seed", type=int, default=0)
     p_ident.add_argument("--tol", type=float)
 
     p_det = sub.add_parser("detcheck", help="determinant closed form vs LAPACK")
+    p_det.set_defaults(handler=_cmd_detcheck)
     p_det.add_argument("--dim", type=int, required=True)
     p_det.add_argument("--grid", type=int, default=21)
     p_det.add_argument("--tol", type=float)
 
     p_wit = sub.add_parser("witness", help="spectrum witness for a mixed family pair")
+    p_wit.set_defaults(handler=_cmd_witness)
     p_wit.add_argument("--pair", required=True, help="comma-separated pair, e.g. dep,dcq")
     p_wit.add_argument("--dim", type=int, required=True)
     p_wit.add_argument("--p", type=float)
 
     p_cert = sub.add_parser("certify", help="inequivalence certificate for a family pair")
+    p_cert.set_defaults(handler=_cmd_certify)
     p_cert.add_argument("--pair", required=True, help="comma-separated pair, e.g. dcq,tcq")
     p_cert.add_argument("--dim", type=int, required=True)
     p_cert.add_argument("--p", type=float)
 
     p_qe = sub.add_parser("qubit-equiv", help="dimension-2 conjugation equivalences")
+    p_qe.set_defaults(handler=_cmd_qubit_equiv)
     p_qe.add_argument("--p", type=float, required=True)
     p_qe.add_argument("--trials", type=int, default=100)
     p_qe.add_argument("--seed", type=int, default=0)
     p_qe.add_argument("--tol", type=float)
 
     p_rep = sub.add_parser("report", help="full verification bundle for one dimension")
+    p_rep.set_defaults(handler=_cmd_report)
     p_rep.add_argument("--dim", type=int, required=True)
     p_rep.add_argument("--samples", type=int, default=200)
     p_rep.add_argument("--seed", type=int, default=0)
@@ -132,7 +143,7 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
 def _maybe_tolerance(args: argparse.Namespace) -> Optional[Tolerance]:
     """User tolerance from --tol or QCHAN_TOL; None keeps per-check defaults."""
 
-    value = getattr(args, "tol", None)
+    value = args.tol
     if value is None:
         env = os.environ.get("QCHAN_TOL")
         if env is not None:
@@ -178,28 +189,23 @@ def _load_channel(args: argparse.Namespace) -> Callable[[], Any]:
     function is called; a ``--channel`` file is parsed here.
     """
 
-    if getattr(args, "channel", None):
+    if args.channel:
         obj = _load_json_file(args.channel)
         from .channels import channel_from_json
 
         channel = channel_from_json(obj)
         n, build = channel.dim, lambda: channel
     else:
-        family = getattr(args, "family", None)
-        dim = getattr(args, "dim", None)
-        p = getattr(args, "p", None)
-        if family is None or dim is None or p is None:
+        if args.family is None or args.dim is None or args.p is None:
             raise SchemaError("channel", "provide --channel FILE or all of --family/--dim/--p")
-        if dim < 2:
-            raise SchemaError("dim", f"expected an integer >= 2, got {dim}")
-        family = family_from_name(family, "family")
-        _check_finite_p(p)
-        n = dim
+        n = _check_dim(args)
+        family = family_from_name(args.family, "family")
+        _check_finite_p(args.p)
 
         def build():
             from .channels import FamilyChannel
 
-            return FamilyChannel(family=family, p=p, dim=dim)
+            return FamilyChannel(family=family, p=args.p, dim=n)
 
     _check_dense_bytes(_VERIFY_BYTES_PER_N2 * n * n, f"verify {args.verify_command} at dim {n}")
     return build
@@ -228,17 +234,18 @@ def _is_mixed(pair: tuple[Family, Family]) -> bool:
 _WITNESS_BYTES_PER_N2 = 700
 
 
-def _check_witness_bytes(n: int) -> None:
-    _check_dense_bytes(_WITNESS_BYTES_PER_N2 * n * n, f"the spectrum witnesses at dim {n}")
-
-
 def _check_dim(args: argparse.Namespace) -> int:
-    if args.dim is None or args.dim < 2:
+    if args.dim < 2:
         raise SchemaError("dim", f"expected an integer >= 2, got {args.dim}")
     return args.dim
 
 
 # --- command handlers: each returns (payload, passed) ----------------------
+
+
+def _report_payload(command: str, report: Any, **fields: Any) -> tuple[Any, bool]:
+    """``{"command", <fields>, "report"}`` and the report's verdict."""
+    return {"command": command, **fields, "report": report}, report.passed
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
@@ -302,12 +309,7 @@ def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
 
     channel = build()
     report = is_cptp(channel, channel.dim, **kwargs)
-    payload = {
-        "command": "verify-cptp",
-        "channel": channel_to_json(channel),
-        "report": report,
-    }
-    return payload, report.passed
+    return _report_payload("verify-cptp", report, channel=channel_to_json(channel))
 
 
 def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
@@ -346,14 +348,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
     from .verification import verify_sum_identities
 
     report = verify_sum_identities(n, trials=args.trials, seed=args.seed, **kwargs)
-    payload = {
-        "command": "identities",
-        "dim": n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "report": report,
-    }
-    return payload, report.passed
+    return _report_payload("identities", report, dim=n, trials=args.trials, seed=args.seed)
 
 
 def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
@@ -364,45 +359,29 @@ def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
     from .verification import verify_det_recurrence
 
     report = verify_det_recurrence(n, grid=args.grid, **kwargs)
-    payload = {
-        "command": "detcheck",
-        "dim": n,
-        "grid": args.grid,
-        "report": report,
-    }
-    return payload, report.passed
+    return _report_payload("detcheck", report, dim=n, grid=args.grid)
 
 
 def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
-    n = _check_dim(args)
-    pair = _parse_pair(args.pair)
-    if not _is_mixed(pair):
+    """``certify`` for a mixed pair only."""
+
+    _check_dim(args)
+    if not _is_mixed(_parse_pair(args.pair)):
         raise SchemaError(
             "pair",
             "spectrum witnesses separate mixed pairs only (one of dep/trd vs one of "
             "dcq/tcq); use `certify` for same-class pairs",
         )
-    _check_witness_bytes(n)
-    certificate = inequivalence_certificate(pair, n, args.p)
-    payload = {
-        "command": "witness",
-        "certificate": certificate,
-        "gap_threshold": GAP_THRESHOLD,
-    }
-    return payload, certificate.passed
+    return _cmd_certify(args)
 
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     pair = _parse_pair(args.pair)
     if _is_mixed(pair):
-        _check_witness_bytes(n)
+        _check_dense_bytes(_WITNESS_BYTES_PER_N2 * n * n, f"the spectrum witnesses at dim {n}")
     certificate = inequivalence_certificate(pair, n, args.p)
-    payload = {
-        "command": "certify",
-        "certificate": certificate,
-        "gap_threshold": GAP_THRESHOLD,
-    }
+    payload = {"command": args.command, "certificate": certificate, "gap_threshold": GAP_THRESHOLD}
     return payload, certificate.passed
 
 
@@ -413,14 +392,7 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
     from .equivalence import qubit_equivalence_check
 
     report = qubit_equivalence_check(args.p, trials=args.trials, seed=args.seed, **kwargs)
-    payload = {
-        "command": "qubit-equiv",
-        "p": args.p,
-        "trials": args.trials,
-        "seed": args.seed,
-        "report": report,
-    }
-    return payload, report.passed
+    return _report_payload("qubit-equiv", report, p=args.p, trials=args.trials, seed=args.seed)
 
 
 # Peak bytes of a report process per n^2, rounded up from 4.3-4.5 KB measured
@@ -540,28 +512,6 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, all_passed
 
 
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "range": _cmd_range,
-    "identities": _cmd_identities,
-    "detcheck": _cmd_detcheck,
-    "witness": _cmd_witness,
-    "certify": _cmd_certify,
-    "qubit-equiv": _cmd_qubit_equiv,
-    "report": _cmd_report,
-}
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[Any, bool]:
-    if args.command == "channel":
-        return _cmd_channel_apply(args)
-    if args.command == "verify":
-        if args.verify_command == "cptp":
-            return _cmd_verify_cptp(args)
-        return _cmd_verify_constant_norm(args)
-    return _HANDLERS[args.command](args)
-
-
 def _emit(payload: Any, output: Optional[str]) -> None:
     text = payload if isinstance(payload, str) else jsonio.dumps(payload)
     if output:
@@ -583,7 +533,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         return 2
     try:
-        payload, passed = _dispatch(args)
+        payload, passed = args.handler(args)
         _emit(payload, args.output)
     except (ValueError, OSError, MemoryError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -56,7 +56,13 @@ class Tolerance:
             raise ValueError("tolerance components must be non-negative")
 
     def bound(self, scale: float) -> float:
-        """Largest deviation accepted at the given magnitude scale."""
+        """Largest deviation accepted at the given magnitude scale.
+
+        A non-finite scale raises ValueError: its bound would accept any deviation.
+        """
+
+        if not math.isfinite(scale):
+            raise ValueError(f"cannot bound a deviation at the non-finite scale {scale!r}")
         return self.absolute + self.relative * abs(scale)
 
     def close(self, x: float, y: float) -> bool:

@@ -15,7 +15,15 @@ import math
 import sys
 from typing import Any
 
-__all__ = ["SchemaError", "dumps", "format_float", "require", "require_number"]
+__all__ = [
+    "SchemaError",
+    "dumps",
+    "finite_number",
+    "format_float",
+    "require",
+    "require_int",
+    "require_number",
+]
 
 
 class SchemaError(ValueError):
@@ -152,11 +160,26 @@ def require(obj: Any, field: str, context: str = "") -> Any:
 
 
 def require_number(obj: Any, field: str, context: str = "") -> float:
+    return finite_number(require(obj, field, context), f"{context}.{field}" if context else field)
+
+
+def require_int(obj: Any, field: str, minimum: int, context: str = "") -> int:
+    """Fetch ``obj[field]`` as an integer (not a bool) of at least ``minimum``."""
+
     value = require(obj, field, context)
-    path = f"{context}.{field}" if context else field
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        raise SchemaError(path, "expected a finite number")
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        path = f"{context}.{field}" if context else field
+        raise SchemaError(path, f"expected an integer >= {minimum}, got {value!r}")
     return value
+
+
+def finite_number(value: Any, path: str) -> float:
+    """``value`` as a float, if it is a finite JSON number (not a bool); ``path`` names it."""
+
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan  # a bool is neither
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(path, "expected a finite number")
+    return number

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .exact import DEFAULT_TOL, Tolerance
-from .jsonio import SchemaError, require
+from .jsonio import SchemaError, finite_number, require, require_int
 
 __all__ = [
     "Tolerance",
@@ -55,8 +55,20 @@ def as_matrix_stack(m: Any, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt(Tr(m† m)) — the Hilbert–Schmidt length of ``m``."""
-    return float(np.linalg.norm(np.asarray(m)))
+    """sqrt(Tr(m† m)) — the Hilbert–Schmidt length of ``m``.
+
+    Where the plain sum of squares overflows but every entry is finite, the
+    norm is taken of ``m`` divided by its largest real or imaginary part and
+    scaled back, so it is ``inf`` only if the length itself is past the float range.
+    """
+
+    m = np.asarray(m)
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        norm = float(np.linalg.norm(m))
+    if norm == np.inf and np.isfinite(m).all():
+        scale = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+        norm = scale * float(np.linalg.norm(m / scale))
+    return norm
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -115,24 +127,17 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: Any, context: str = "matrix") -> np.ndarray:
-    rows = require(obj, "rows", context)
-    cols = require(obj, "cols", context)
+    rows = require_int(obj, "rows", 1, context)
+    cols = require_int(obj, "cols", 1, context)
     data = require(obj, "data", context)
-    if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
-        raise SchemaError(f"{context}.rows", "expected a positive integer")
-    if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
-        raise SchemaError(f"{context}.cols", "expected a positive integer")
     if rows != cols:
         raise SchemaError(f"{context}.cols", f"expected a square matrix, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(f"{context}.data", f"expected {rows * cols} [re, im] pairs")
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{context}.data[{i}]", "expected an [re, im] pair of numbers")
-        flat[i] = complex(pair[0], pair[1])
-    return as_matrix(flat.reshape(rows, cols), name=context)
+        re, im = (finite_number(x, f"{context}.data[{i}][{j}]") for j, x in enumerate(pair))
+        flat[i] = complex(re, im)
+    return flat.reshape(rows, cols)

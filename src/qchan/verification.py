@@ -317,6 +317,18 @@ def witness_state_labels(n: int) -> list[str]:
     return labels
 
 
+def _state_label(n: int, i: int) -> str:
+    """Label of the sample test's state i: ``witness_state_labels(n)[i]``, then ``haar_{i - n^2}``."""
+
+    if i < n:
+        return f"psi_{i}"
+    if i >= n * n:
+        return f"haar_{i - n * n}"
+    k, l = _pair_index(n)
+    sector, q = divmod(i - n, len(k))
+    return f"{('xi', 'eta')[sector]}_({k[q] + 1},{l[q] + 1})"
+
+
 def constant_fnorm_sample_test(
     apply_fn: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -342,7 +354,7 @@ def constant_fnorm_sample_test(
     _check_samples(samples)
     vectors = (v for stack in _state_vectors(n, samples, seed) for v in stack)
     norms = np.array([frobenius_norm(apply_fn(np.outer(v, v.conj()))) for v in vectors])
-    return _norm_spread_report(norms, n, samples, tol)
+    return _norm_spread_report(norms, n, tol)
 
 
 def _sample_reports(
@@ -385,12 +397,10 @@ def _sample_reports(
                 np.conjugate(images, out=squares)
                 squares *= images
                 found.append(np.sqrt(np.add.reduce(entries, axis=-1)))
-    return [_norm_spread_report(np.concatenate(found), n, samples, tol) for found in norms]
+    return [_norm_spread_report(np.concatenate(found), n, tol) for found in norms]
 
 
-def _norm_spread_report(
-    norms: np.ndarray, n: int, samples: int, tol: Tolerance
-) -> VerificationReport:
+def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> VerificationReport:
     """The sample test's verdict on the output norms of the witness states, then the Haar samples."""
 
     spread = float(norms.max() - norms.min())
@@ -398,10 +408,10 @@ def _norm_spread_report(
     passed = spread <= tol.bound(float(norms.max()))
     witness = None
     if not passed:
-        labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
+        top, bottom = (_state_label(n, int(i)) for i in (norms.argmax(), norms.argmin()))
         witness = (
-            f"norm spread {spread:.6e}: max {norms.max():.12f} at {labels[int(norms.argmax())]}, "
-            f"min {norms.min():.12f} at {labels[int(norms.argmin())]}"
+            f"norm spread {spread:.6e}: max {norms.max():.12f} at {top}, "
+            f"min {norms.min():.12f} at {bottom}"
         )
     return VerificationReport(
         passed=passed,

@@ -124,6 +124,13 @@ class TestDiagonalPicture:
         with pytest.raises(ValueError, match="multipliers"):
             DiagonalChannel(dim=3, t=np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_multipliers_rejected(self, bad):
+        t = np.zeros(3)
+        t[1] = bad
+        with pytest.raises(ValueError, match="^multipliers must be finite$"):
+            DiagonalChannel(dim=2, t=t)
+
     def test_adjoint_is_self(self):
         # A real diagonal channel is its own adjoint in the trace pairing.
         diag = DiagonalChannel(dim=3, t=np.linspace(-0.5, 0.5, 8))
@@ -546,6 +553,10 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             validate_state(m)
 
+    def test_rejects_negative_at_an_overflowing_norm(self):
+        with pytest.raises(ValueError, match=r"not positive semidefinite \(min eigenvalue -1e\+200\)"):
+            validate_state(np.array([[0.5, 1e200], [1e200, 0.5]]))
+
 
 class TestChannelJson:
     def test_family_round_trip(self):
@@ -578,3 +589,32 @@ class TestChannelJson:
     def test_bad_dim(self):
         with pytest.raises(SchemaError, match="dim"):
             channel_from_json({"kind": "family", "family": "dep", "p": 0.5, "dim": 1})
+
+    @pytest.mark.parametrize("dim", [1, 0, True, 2.0, "3", None])
+    def test_diagonal_dim_is_an_integer_of_at_least_two(self, dim):
+        with pytest.raises(SchemaError) as info:
+            channel_from_json({"kind": "diagonal", "dim": dim, "t": []})
+        assert info.value.field == "dim"
+
+    @pytest.mark.parametrize(
+        "t, field",
+        [
+            ([True, 0, 0], "t[0]"),
+            ([0, "x", 0], "t[1]"),
+            ([0, 0, float("inf")], "t[2]"),
+            ([float("nan"), 0, 0], "t[0]"),
+            ([0, None, 0], "t[1]"),
+            ([0, 0, 10**400], "t[2]"),  # an integer past the float range
+        ],
+    )
+    def test_each_multiplier_is_a_finite_number(self, t, field):
+        with pytest.raises(SchemaError) as info:
+            channel_from_json({"kind": "diagonal", "dim": 2, "t": t})
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("p", [True, "0.1", float("nan"), float("inf"), None, -(10**400)])
+    def test_family_p_is_a_finite_number(self, p):
+        with pytest.raises(SchemaError) as info:
+            channel_from_json({"kind": "family", "family": "dep", "p": p, "dim": 3})
+        assert info.value.field == "p"
+

@@ -276,6 +276,68 @@ class TestWitnessAndCertify:
         assert "distinct" in err
 
 
+class TestFieldErrors:
+    """Each refused flag or file field exits 2 and names the field on stderr."""
+
+    @pytest.mark.parametrize("value", ["0", "nan", "-1e-3", "inf"])
+    def test_tol_must_be_positive_and_finite(self, capsys, value):
+        code, out, err = run_cli(capsys, "identities", "--dim", "3", f"--tol={value}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: field 'tol': expected a positive finite number")
+
+    def test_env_tol_must_be_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCHAN_TOL", "-1")
+        code, out, err = run_cli(capsys, "identities", "--dim", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: field 'tol': expected a positive finite number, got -1.0\n"
+
+    def test_inline_family_dim_below_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "cptp", "--family", "dep", "--dim", "1", "--p", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: field 'dim': expected an integer >= 2, got 1\n"
+
+    @pytest.mark.parametrize(
+        "channel, field",
+        [
+            ({"kind": "diagonal", "dim": 1, "t": []}, "dim"),
+            ({"kind": "diagonal", "dim": True, "t": [0, 0, 0]}, "dim"),
+            ({"kind": "diagonal", "dim": 2.0, "t": [0, 0, 0]}, "dim"),
+            ({"kind": "family", "family": "dep", "p": 0.1, "dim": 1}, "dim"),
+            ({"kind": "family", "family": "dep", "p": 0.1, "dim": "3"}, "dim"),
+            ({"kind": "diagonal", "dim": 2, "t": [True, 0, 0]}, "t[0]"),
+            ({"kind": "diagonal", "dim": 2, "t": [0, "x", 0]}, "t[1]"),
+            ({"kind": "diagonal", "dim": 2, "t": [0, 0, float("inf")]}, "t[2]"),
+            ({"kind": "diagonal", "dim": 2, "t": [0, 0, float("nan")]}, "t[2]"),
+            ({"kind": "family", "family": "dep", "p": True, "dim": 3}, "p"),
+            ({"kind": "family", "family": "dep", "p": float("-inf"), "dim": 3}, "p"),
+        ],
+    )
+    def test_channel_file_fields(self, tmp_path, capsys, channel, field):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(channel), encoding="utf-8")  # writes Infinity and NaN as such
+        code, out, err = run_cli(capsys, "verify", "cptp", "--channel", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: field '{field}': ")
+
+    @pytest.mark.parametrize(
+        "state, field",
+        [
+            ({"rows": 0, "cols": 0, "data": []}, "state.rows"),
+            ({"rows": -2, "cols": 2, "data": []}, "state.rows"),
+            ({"rows": 2.0, "cols": 2, "data": []}, "state.rows"),
+            ({"rows": 2, "cols": True, "data": []}, "state.cols"),
+            ({"rows": 2, "cols": "2", "data": []}, "state.cols"),
+        ],
+    )
+    def test_state_file_shape_fields(self, tmp_path, capsys, state, field):
+        ch = write_json(tmp_path / "ch.json", channel_to_json(FamilyChannel(Family.DEP, 0.5, 2)))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(state), encoding="utf-8")
+        code, out, err = run_cli(capsys, "channel", "apply", "--channel", ch, "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: field '{field}': ")
+
+
 class TestSizeGuards:
     """An oversized --dim exits 2, naming the 2 GiB limit, before any work starts.
 
@@ -482,7 +544,7 @@ class TestOutputContract:
         def allocate(args):
             raise MemoryError("Unable to allocate 190. GiB for an array")
 
-        monkeypatch.setitem(cli._HANDLERS, "basis", allocate)
+        monkeypatch.setattr(cli, "_cmd_basis", allocate)
         code, out, err = run_cli(capsys, "basis", "--dim", "400", "--json")
         assert code == 2
         assert out == ""

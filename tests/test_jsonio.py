@@ -169,6 +169,31 @@ def test_matrix_writer_keeps_the_sign_of_zero():
     assert [[math.copysign(1, x) for x in pair] for pair in data] == [[-1, 1], [1, 1], [1, 1], [-1, 1]]
 
 
+@pytest.mark.parametrize("value", [0, True, 2.0, "2", None])
+def test_integer_rule_has_one_message(value):
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.require_int({"rows": value}, "rows", 1, "state")
+    assert str(info.value) == f"field 'state.rows': expected an integer >= 1, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [True, "1", None, [1], math.inf, math.nan, 10**400])
+def test_finite_number_rule_has_one_message(value):
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.finite_number(value, "t[3]")
+    assert str(info.value) == "field 't[3]': expected a finite number"
+
+
+def test_finite_number_is_a_float():
+    assert [jsonio.finite_number(v, "p") for v in (3, -0.0, 10**300)] == [3.0, -0.0, 1e300]
+    assert math.copysign(1, jsonio.finite_number(-0.0, "p")) == -1
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_format_float_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="^cannot serialize non-finite float"):
+        jsonio.format_float(value)
+
+
 @pytest.mark.parametrize("value", [np.ones((2, 3)), np.array([[np.nan]])])
 def test_matrix_writer_rejects_what_matrix_to_json_rejects(value):
     with pytest.raises(ValueError, match="square|non-finite"):

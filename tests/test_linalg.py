@@ -44,6 +44,21 @@ class TestFrobeniusNorm:
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             assert frobenius_norm(m) ** 2 == pytest.approx(np.vdot(m, m).real, rel=1e-12)
 
+    def test_overflowing_sum_of_squares_is_rescaled(self):
+        # The squares of 1e154 overflow; the length itself does not.
+        assert frobenius_norm(np.full((2, 2), 1e154)) == 2e154
+        assert frobenius_norm(np.array([[complex(1e308, 1e308)]])) == pytest.approx(np.sqrt(2) * 1e308)
+
+    def test_past_the_float_range_or_non_finite_is_inf(self):
+        assert frobenius_norm(np.full((2, 2), 1e308)) == np.inf
+        assert frobenius_norm(np.array([[np.inf, 0.0]])) == np.inf
+
+    def test_plain_norm_keeps_its_bits(self):
+        rng = np.random.default_rng(2)
+        for scale in (1e-300, 1.0, 1e150):
+            m = scale * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+            assert frobenius_norm(m) == float(np.linalg.norm(m))
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -117,6 +132,11 @@ class TestPsd:
         assert not ok
         assert smallest == pytest.approx(-0.5, abs=1e-14)
 
+    def test_overflowing_norm_does_not_make_any_matrix_psd(self):
+        ok, smallest = is_psd(np.array([[0.5, 1e154], [1e154, 0.5]]))
+        assert not ok
+        assert smallest == pytest.approx(-1e154)
+
     def test_threshold_scales_with_norm(self):
         # A tiny negative eigenvalue on a large-norm matrix still verifies.
         m = np.diag([1e6, -1e-6]).astype(complex)
@@ -153,6 +173,11 @@ class TestTolerance:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Tolerance(absolute=-1.0)
+
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_is_refused(self, scale):
+        with pytest.raises(ValueError, match="non-finite scale"):
+            DEFAULT_TOL.bound(scale)
 
 
 @given(
@@ -193,3 +218,17 @@ class TestMatrixJson:
     def test_bad_entry(self):
         with pytest.raises(SchemaError, match=r"data\[0\]"):
             matrix_from_json({"rows": 1, "cols": 1, "data": [[0, 0, 0]]})
+
+    @pytest.mark.parametrize("part", [True, "1", None, float("inf"), float("nan"), 10**400])
+    def test_each_part_is_a_finite_number(self, part):
+        with pytest.raises(SchemaError) as info:
+            matrix_from_json({"rows": 1, "cols": 1, "data": [[0, part]]}, context="state")
+        assert info.value.field == "state.data[0][1]"
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [0, -1, True, 2.0, "2", None])
+    def test_shape_is_a_positive_integer(self, field, value):
+        obj = {"rows": 2, "cols": 2, "data": [[0, 0]] * 4, field: value}
+        with pytest.raises(SchemaError) as info:
+            matrix_from_json(obj, context="state")
+        assert info.value.field == f"state.{field}"

@@ -137,6 +137,17 @@ class TestIsCptp:
         assert report.witness.endswith("in pair block (2,3)")
         assert report.min_choi_eigenvalue == pytest.approx(1 / 3 - 0.6, abs=1e-15)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_overflowing_choi_norm_does_not_pass(self, dense):
+        # The squares of the Choi data overflow; the threshold must not become inf.
+        ch = DiagonalChannel(3, np.array([1e155] * 6 + [0.0, 0.0]))
+        report = is_cptp((lambda s: ch(s)) if dense else ch, 3)
+        assert not report.passed
+        assert report.min_choi_eigenvalue == pytest.approx(-1e155)
+        assert report.witness == (
+            "negative Choi eigenvalue -1.000000e+155" + ("" if dense else " in classical block")
+        )
+
     def test_channel_dimension_must_match(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             is_cptp(FamilyChannel(Family.DEP, 0.1, 3), 4)
@@ -146,6 +157,13 @@ class TestIsCptp:
         assert not report.passed
         assert report.trace_violation == pytest.approx(0.5, abs=1e-12)
         assert "partial trace" in report.witness
+
+    def test_non_hermitian_choi_fails_the_dense_check(self):
+        # i S maps Hermitian inputs to anti-Hermitian outputs: its Choi matrix is i C.
+        report = is_cptp(lambda s: 1j * s, 2)
+        assert not report.passed
+        assert report.witness == "Choi matrix is not Hermitian (deviation 2.000e+00)"
+        assert report.min_choi_eigenvalue is None
 
     def test_diagonal_channel_accepted(self):
         ch = family_to_diagonal(FamilyChannel(Family.TRD, 0.2, 3))
@@ -229,6 +247,28 @@ class TestSampleTest:
         assert not report.passed
         assert report.max_deviation > 1e-5
         assert "norm spread" in report.witness
+
+    @pytest.mark.parametrize(
+        "seed, witness",
+        [
+            (0, "norm spread 3.343638e-02: max 0.615278512969 at eta_(1,2), min 0.581842132872 at psi_0"),
+            (5, "norm spread 3.901665e-02: max 0.618837013406 at psi_2, min 0.579820368182 at haar_173"),
+        ],
+    )
+    def test_witness_names_a_witness_state_or_haar_extreme(self, seed, witness):
+        t = np.random.default_rng(seed).uniform(-0.3, 0.3, 8)
+        report = constant_fnorm_sample_test(DiagonalChannel(3, t), 3, samples=200, seed=seed)
+        assert report.witness == witness
+
+    @pytest.mark.parametrize("n, samples", [(2, 0), (2, 3), (3, 4), (5, 2)])
+    def test_each_extreme_gets_its_label_from_the_state_list(self, n, samples):
+        labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
+        for top in range(len(labels)):
+            bottom = (top + 1) % len(labels)
+            norms = np.full(len(labels), 0.5)
+            norms[top], norms[bottom] = 0.75, 0.25
+            report = verification._norm_spread_report(norms, n, Tolerance())
+            assert report.witness.endswith(f"at {labels[top]}, min 0.250000000000 at {labels[bottom]}")
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
