@@ -66,6 +66,8 @@ class Tolerance:
         return self.absolute + self.relative * abs(scale)
 
     def close(self, x: float, y: float) -> bool:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"cannot compare the non-finite values {x!r} and {y!r}")
         return abs(x - y) <= self.bound(max(abs(x), abs(y)))
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import _CACHED_DIMS, _pair_entries, _pair_index, m_z, pairs
+from .basis import _CACHED_DIMS, _pair_entries, _pair_index, m_z
 from .channels import (
     AnyChannel,
     DiagonalChannel,
@@ -311,14 +311,12 @@ def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
 
 
 def witness_state_labels(n: int) -> list[str]:
-    labels = [f"psi_{k}" for k in range(n)]
-    labels += [f"xi_({k},{l})" for k, l in pairs(n)]
-    labels += [f"eta_({k},{l})" for k, l in pairs(n)]
-    return labels
+    _check_dim(n)
+    return [_state_label(n, i) for i in range(n * n)]
 
 
 def _state_label(n: int, i: int) -> str:
-    """Label of the sample test's state i: ``witness_state_labels(n)[i]``, then ``haar_{i - n^2}``."""
+    """Label of the sample test's state i: psi_k, xi_(k,l), eta_(k,l) in witness order, then haar_{i - n^2}."""
 
     if i < n:
         return f"psi_{i}"

@@ -166,6 +166,13 @@ class TestTolerance:
         # Relative part dominates at large scale.
         assert tol.close(1e6, 1e6 + 5e-5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_close_rejects_non_finite_in_either_position(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            DEFAULT_TOL.close(bad, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            DEFAULT_TOL.close(1.0, bad)
+
     def test_defaults(self):
         assert DEFAULT_TOL.absolute == 1e-10
         assert DEFAULT_TOL.relative == 1e-10
