@@ -33,7 +33,7 @@ printf '{"rows": 3, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], 
 printf '{"rows": 3, "cols": 3, "data": [[1, 0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [0, 0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [0, 0]]}\n' \
     > "$work/signed_zero_state.json"
 printf '{"kind": "family", "family": ' > "$work/malformed.json"
-# Overflowing Frobenius norms: squares of 1e155 Choi data and of 1e200 state entries.
+# Overflowing Frobenius norms: squares of 1e155 Choi data and outputs, and of 1e200 state entries.
 printf '{"kind": "diagonal", "dim": 3, "t": [1e155, 1e155, 1e155, 1e155, 1e155, 1e155, 0, 0]}\n' \
     > "$work/huge_multipliers.json"
 printf '{"kind": "family", "family": "dep", "p": 0.5, "dim": 2}\n' > "$work/dep_qubit.json"
@@ -88,6 +88,8 @@ commands=(
     "verify constant-norm --family dep --dim 3 --p 0.1 --samples -1"
     "channel apply --channel $work/malformed.json --state $work/state.json"
     "verify cptp --channel $work/huge_multipliers.json"
+    "verify constant-norm --channel $work/huge_multipliers.json --samples 0"
+    "verify constant-norm --channel $work/huge_multipliers.json --samples 20"
     "channel apply --channel $work/dep_qubit.json --state $work/huge_state.json"
     "verify cptp --family dep --dim 1 --p 0.1"
     "verify cptp --channel $work/dim_one.json"

@@ -20,7 +20,6 @@ _EXPORTS = {
         "decompose",
         "m_z",
         "pair_count",
-        "pairs",
         "pauli_matrix",
         "reconstruct",
     ),
@@ -30,7 +29,6 @@ _EXPORTS = {
         "KrausSet",
         "QubitLambda",
         "ReprCoefficients",
-        "apply_kraus",
         "as_linear_map",
         "channel_from_json",
         "channel_to_json",

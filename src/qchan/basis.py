@@ -27,7 +27,6 @@ from .linalg import DEFAULT_TOL, Tolerance, as_matrix, frobenius_norm, is_hermit
 
 __all__ = [
     "pair_count",
-    "pairs",
     "pauli_matrix",
     "m_z",
     "BasisE",
@@ -41,12 +40,6 @@ def pair_count(n: int) -> int:
     """Number of index pairs 1 <= k < l <= n."""
     _check_dim(n)
     return n * (n - 1) // 2
-
-
-def pairs(n: int) -> list[tuple[int, int]]:
-    """All pairs (k, l), 1 <= k < l <= n, in lexicographic order."""
-    _check_dim(n)
-    return [(k, l) for k in range(1, n) for l in range(k + 1, n + 1)]
 
 
 # Dimensions whose per-n index tables stay cached: each is O(n^2), but an

@@ -59,7 +59,6 @@ __all__ = [
     "repr_coefficients",
     "kraus_from_family",
     "kraus_completeness",
-    "apply_kraus",
     "validate_state",
     "random_pure_state",
     "channel_to_json",
@@ -318,9 +317,8 @@ AnyChannel = Union[FamilyChannel, DiagonalChannel]
 def as_linear_map(ch: AnyChannel) -> Callable[[np.ndarray], np.ndarray]:
     """The channel as a function on matrices: the callable channel itself.
 
-    Returning the object (not a wrapper) lets ``is_cptp`` and
-    ``constant_fnorm_sample_test`` recognise it and take their
-    block-structured and batched paths.
+    Every verdict of :mod:`qchan.verification` takes its channel through
+    here, so anything but a channel object raises this TypeError.
     """
 
     if isinstance(ch, (FamilyChannel, DiagonalChannel)):
@@ -331,6 +329,7 @@ def as_linear_map(ch: AnyChannel) -> Callable[[np.ndarray], np.ndarray]:
 def to_choi(apply_fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     """Choi matrix sum_ij E_ij ⊗ Phi(E_ij) of a linear map on n x n inputs.
 
+    No verdict builds it: it is the dense reference for ``is_cptp``'s blocks.
     ``apply_fn`` only ever sees Hermitian arguments: each matrix unit is
     split into Hermitian and anti-Hermitian parts and the images are
     recombined linearly, so maps defined only on Hermitian matrices work
@@ -471,14 +470,6 @@ def kraus_completeness(ks: KrausSet) -> np.ndarray:
     for op in ks.operators:
         total += op.conj().T @ op
     return total
-
-
-def apply_kraus(ks: KrausSet, s: np.ndarray) -> np.ndarray:
-    s = as_matrix(s, name="input")
-    out = np.zeros_like(s)
-    for op in ks.operators:
-        out += op @ s @ op.conj().T
-    return out
 
 
 def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

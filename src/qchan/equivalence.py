@@ -1,9 +1,11 @@
 """(In)equivalence machinery for the four channel families.
 
 Two channels are called equivalent when unitary or antiunitary
-conjugations before and after one of them produce the other.  Such
-conjugations preserve output spectra on isospectral inputs, and they can
-only connect whole parameter ranges affinely; both facts yield
+conjugations before and after one of them produce the other.  A
+transpose on one side alone is not part of this notion: trd(p) = dep(p)∘T
+and tcq(p) = dcq(p)∘T exactly, so it would join those pairs at every n.
+The conjugations preserve output spectra on isospectral inputs, and they
+can only connect whole parameter ranges affinely; both facts yield
 machine-checkable *in*equivalence certificates:
 
 * a spectrum witness — two isospectral pure inputs whose outputs under

@@ -28,7 +28,6 @@ __all__ = [
     "hermitian_part",
     "hermitian_eigenvalues",
     "is_psd",
-    "partial_trace_second",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -107,15 +106,6 @@ def is_psd(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     eigs = hermitian_eigenvalues(m, tol)
     smallest = float(eigs[0]) if eigs.size else 0.0
     return smallest >= -tol.bound(frobenius_norm(m)), smallest
-
-
-def partial_trace_second(m: np.ndarray, n: int) -> np.ndarray:
-    """Trace out the second factor of an (n*n) x (n*n) matrix on C^n ⊗ C^n."""
-
-    m = as_matrix(m)
-    if m.shape[0] != n * n:
-        raise ValueError(f"expected shape ({n * n}, {n * n}), got {m.shape}")
-    return np.trace(m.reshape(n, n, n, n), axis1=1, axis2=3)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

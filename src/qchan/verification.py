@@ -4,17 +4,16 @@ Everything here returns plain records with the measured numbers embedded,
 so a report can be re-checked without re-running the computation.  The
 conventions:
 
+* every verdict takes a channel object (``FamilyChannel``,
+  ``DiagonalChannel``; anything else raises the TypeError of
+  ``as_linear_map``) and uses its structure: block-wise Choi checks,
+  witness-state norms in closed form from the Choi block data (D D^T and
+  t_x, t_y) and Haar samples applied in batches, each output diagonal
+  once per draw from the diagonal v conj(v) of |v><v|;
 * complete positivity is decided by the smallest Choi eigenvalue with a
   threshold scaled to the Choi matrix's Frobenius norm;
 * trace preservation is the partial trace of the Choi matrix over the
   output factor against the identity;
-* channel objects (``FamilyChannel``, ``DiagonalChannel``) take fast
-  paths that use their structure: block-wise Choi checks, witness-state
-  norms in closed form from the Choi block data (D D^T and t_x, t_y) and
-  Haar samples applied in batches, each output diagonal once per draw
-  from the diagonal v conj(v) of |v><v|; any other linear map is checked
-  through its dense Choi matrix and one state at a time, each projector
-  np.outer(v, v.conj()) built from a stream of unit vectors;
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
   multiplier moduli agree, in which case every pure input maps to output
   Frobenius norm sqrt(1/n + t^2 (1 - 1/n));
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,10 +41,10 @@ from .channels import (
     _output_diagonals,
     _pair_sector_weights,
     _pair_sectors_into,
+    as_linear_map,
     family_apply,
     family_to_diagonal,
     repr_coefficients,
-    to_choi,
 )
 from .exact import (
     _SIGNS,
@@ -59,7 +58,7 @@ from .exact import (
     _check_trials,
     param_range,
 )
-from .linalg import frobenius_norm, hermitian_part, partial_trace_second
+from .linalg import frobenius_norm, hermitian_part
 
 __all__ = [
     "VerificationReport",
@@ -96,67 +95,20 @@ class VerificationReport:
     samples_used: int = 0
 
 
-def is_cptp(
-    apply_fn: Callable[[np.ndarray], np.ndarray], n: int, tol: Tolerance = DEFAULT_TOL
-) -> VerificationReport:
-    """Choi-based complete positivity + trace preservation check.
+def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+    """Choi-based complete positivity + trace preservation check, O(n^3) time, O(n^2) memory.
 
-    A channel object is checked block by block (:func:`_is_cptp_blocks`);
-    any other map through its dense n^2 x n^2 Choi matrix.
-    """
-
-    if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
-        return _is_cptp_blocks(apply_fn, n, tol)
-    choi = to_choi(apply_fn, n)
-    scale = frobenius_norm(choi)
-    herm_dev = float(np.max(np.abs(choi - choi.conj().T)))
-    if herm_dev > tol.bound(scale):
-        return VerificationReport(
-            passed=False,
-            witness=f"Choi matrix is not Hermitian (deviation {herm_dev:.3e})",
-        )
-    eigs = np.linalg.eigvalsh(hermitian_part(choi))
-    smallest = float(eigs[0])
-    trace_dev = float(np.max(np.abs(partial_trace_second(choi, n) - np.eye(n))))
-    return _choi_verdict(smallest, scale, trace_dev, tol, where="")
-
-
-def _choi_verdict(
-    smallest: float, scale: float, trace_dev: float, tol: Tolerance, where: str
-) -> VerificationReport:
-    """PSD within tol of the Choi norm ``scale``, partial trace within tol of I.
-
-    ``where`` names the part of the Choi matrix holding ``smallest``.
-    """
-
-    psd_ok = smallest >= -tol.bound(scale)
-    tp_ok = trace_dev <= tol.bound(1.0)
-    witness = None
-    if not psd_ok:
-        witness = f"negative Choi eigenvalue {smallest:.6e}{where}"
-    elif not tp_ok:
-        witness = f"partial trace deviates from identity by {trace_dev:.3e}"
-    return VerificationReport(
-        passed=psd_ok and tp_ok,
-        min_choi_eigenvalue=smallest,
-        trace_violation=trace_dev,
-        witness=witness,
-    )
-
-
-def _is_cptp_blocks(ch: AnyChannel, n: int, tol: Tolerance) -> VerificationReport:
-    """The Choi check of a basis-diagonal channel in O(n^3) time, O(n^2) memory.
-
-    The Choi matrix sum_ij E_ij ⊗ Phi(E_ij) of such a channel is block
+    The Choi matrix sum_ij E_ij ⊗ Phi(E_ij) of a channel object is block
     diagonal: the n x n "classical" block on span{|ii>} has diagonal
     D_ii and off-diagonal a_kl, and for each pair k < l a 2 x 2 block on
     span{|kl>, |lk>} is [[D_lk, b_kl], [b_kl, D_kl]], where
     D[j, i] = Phi(E_jj)_ii and (a, b) are the pair weights.  Eigenvalues,
-    Frobenius norm and partial trace all come from these blocks, with the
-    thresholds of the dense check.
+    Frobenius norm and partial trace all come from these blocks.  CP
+    holds when the smallest eigenvalue is above -tol of the Choi norm, TP
+    when the partial trace is within tol of I.
     """
 
-    diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
+    diag = _as_diagonal(ch)
     if diag.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
     a, b = diag.pair_weights
@@ -173,7 +125,26 @@ def _is_cptp_blocks(ch: AnyChannel, n: int, tol: Tolerance) -> VerificationRepor
     scale = frobenius_norm(np.stack([d, a, b]))
     # Tr_2 of the Choi matrix is diag(Tr Phi(E_jj)); off-diagonal entries vanish.
     trace_dev = float(np.max(np.abs(d.sum(axis=1) - 1)))
-    return _choi_verdict(smallest, scale, trace_dev, tol, where)
+    psd_ok = smallest >= -tol.bound(scale)
+    tp_ok = trace_dev <= tol.bound(1.0)
+    witness = None
+    if not psd_ok:
+        witness = f"negative Choi eigenvalue {smallest:.6e}{where}"
+    elif not tp_ok:
+        witness = f"partial trace deviates from identity by {trace_dev:.3e}"
+    return VerificationReport(
+        passed=psd_ok and tp_ok,
+        min_choi_eigenvalue=smallest,
+        trace_violation=trace_dev,
+        witness=witness,
+    )
+
+
+def _as_diagonal(ch: AnyChannel) -> DiagonalChannel:
+    """The channel object ``ch`` over the Hermitian basis; TypeError for anything else."""
+
+    ch = as_linear_map(ch)
+    return family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
 
 
 def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +161,7 @@ def constant_fnorm_criterion(
 ) -> tuple[bool, Optional[float]]:
     """(holds, expected output norm) — holds iff all multiplier moduli agree."""
 
-    diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
+    diag = _as_diagonal(ch)
     moduli = np.abs(diag.t)
     spread = float(moduli.max() - moduli.min())
     if spread > tol.bound(float(moduli.max())):
@@ -210,35 +181,31 @@ def witness_states(n: int) -> list[np.ndarray]:
     then (i e_k + e_l)/sqrt(2) projectors, pairs in lexicographic order.
     """
 
-    return [np.outer(v, v.conj()) for v in _witness_vectors(n, 0, n * n)]
+    return [np.outer(v, v.conj()) for v in _witness_vectors(n)]
 
 
-def _witness_vectors(n: int, start: int, stop: int) -> np.ndarray:
-    """Unit vectors of witness states start..stop-1, as a (stop-start, n) array."""
+def _witness_vectors(n: int) -> np.ndarray:
+    """Unit vectors of the witness states, in their order, as an (n^2, n) array."""
 
     k, l = _pair_index(n)
-    npairs = len(k)
-    index = np.arange(start, stop)
-    v = np.zeros((stop - start, n), dtype=complex)
-    basis_rows = index < n
-    v[basis_rows, index[basis_rows]] = 1
-    rows = np.flatnonzero(~basis_rows)
-    q = index[rows] - n
-    v[rows, k[q % npairs]] = np.where(q < npairs, 1.0, 1j)
-    v[rows, l[q % npairs]] = 1
-    v[rows] /= np.linalg.norm(v[rows], axis=-1, keepdims=True)
+    q = np.arange(len(k))
+    v = np.zeros((n * n, n), dtype=complex)
+    v[:n] = np.eye(n)
+    xi, eta = v[n : n + len(k)], v[n + len(k) :]
+    xi[q, k] = 1
+    eta[q, k] = 1j
+    xi[q, l] = eta[q, l] = 1
+    v[n:] /= sqrt(2)
     return v
 
 
-# Bytes of one stack of states in the sample test.  It bounds both the unit
-# vectors drawn or built at once (16 n bytes each, so 204 states per draw at
-# n = 20), for the Haar samples and, for a generic callable, the n^2
-# witnesses, and the projector stacks a channel object's pair sectors are
-# applied to (16 n^2 bytes per state); so memory stays flat however many
-# states are drawn.  The size is chosen for
-# speed: the per-state norms do not depend on it, and on lib-verdicts' ops
-# (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took 1.11-1.18,
-# 1.09-1.23 and 1.35-1.50 times as long as 64 KiB.
+# Bytes of one stack of states in the sample test.  It bounds both the Haar
+# unit vectors drawn at once (16 n bytes each, so 204 states per draw at
+# n = 20) and the projector stacks the pair sectors are applied to (16 n^2
+# bytes per state); so memory stays flat however many states are drawn.
+# The size is chosen for speed: the per-state norms do not depend on it, and
+# on lib-verdicts' ops (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took
+# 1.11-1.18, 1.09-1.23 and 1.35-1.50 times as long as 64 KiB.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -248,20 +215,6 @@ def _states_per_chunk(n: int) -> int:
 
 def _vectors_per_draw(n: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * n))
-
-
-def _state_vectors(n: int, samples: int, seed: int):
-    """Unit vectors of witness_states(n), then of ``samples`` random_pure_state draws, in stacks.
-
-    The states np.outer(v, v.conj()), and their order, are exactly those of
-    the per-state loop.  The witness vectors are built in stacks as the Haar
-    draws are (their norms are sqrt(1) or sqrt(2) however they are summed).
-    """
-
-    per_draw = _vectors_per_draw(n)
-    for start in range(0, n * n, per_draw):
-        yield _witness_vectors(n, start, min(start + per_draw, n * n))
-    yield from _haar_vectors(n, samples, seed)
 
 
 def _haar_vectors(n: int, samples: int, seed: int):
@@ -295,19 +248,29 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
 def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
     """Output Frobenius norms of the witness states, in O(n^3) time, O(n^2) memory.
 
-    The outputs are Choi block data (see :func:`_is_cptp_blocks`): with
+    The outputs are Choi block data (see :func:`is_cptp`): with
     D[j, i] = Phi(E_jj)_ii, Phi(psi_j) = diag(D_j) and
     Phi(xi_kl) = diag(D_k + D_l)/2 + (t_x,kl / 2) sigma_x^(k,l), and
     Phi(eta_kl) likewise with t_y,kl.  So every squared norm is an entry
-    of G = D D^T, plus t_x,kl^2/2 or t_y,kl^2/2 for a pair state.
+    of G = D D^T, plus t_x,kl^2/2 or t_y,kl^2/2 for a pair state, rescaled
+    where a square overflows, as :func:`frobenius_norm` does.
     """
 
-    d = diag._unit_images
+    d, t_x, t_y = diag._unit_images, diag.t_x, diag.t_y
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled below
+        norms = _witness_norm_formula(d, t_x, t_y)
+    lost = ~np.isfinite(norms)
+    if lost.any() and np.isfinite(d).all():
+        scale = max(float(np.max(np.abs(d))), float(np.max(np.abs(diag.t))))
+        norms[lost] = scale * _witness_norm_formula(d / scale, t_x / scale, t_y / scale)[lost]
+    return norms
+
+
+def _witness_norm_formula(d: np.ndarray, t_x: np.ndarray, t_y: np.ndarray) -> np.ndarray:
     g = d @ d.T
-    k, l = _pair_index(diag.dim)  # lexicographic pair order, as t_x and t_y
+    k, l = _pair_index(len(d))  # lexicographic pair order, as t_x and t_y
     pair_diag = (g[k, k] + g[l, l] + 2 * g[k, l]) / 4
-    squares = [np.diag(g), pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]
-    return np.sqrt(np.concatenate(squares))
+    return np.sqrt(np.concatenate([np.diag(g), pair_diag + t_x**2 / 2, pair_diag + t_y**2 / 2]))
 
 
 def witness_state_labels(n: int) -> list[str]:
@@ -328,7 +291,7 @@ def _state_label(n: int, i: int) -> str:
 
 
 def constant_fnorm_sample_test(
-    apply_fn: Callable[[np.ndarray], np.ndarray],
+    ch: AnyChannel,
     n: int,
     samples: int = 1000,
     seed: int = 0,
@@ -338,21 +301,13 @@ def constant_fnorm_sample_test(
 
     Passes when the spread of output Frobenius norms stays within
     tolerance of the largest observed norm; the witness field names the
-    states achieving the extreme norms otherwise.  A channel object gets
-    its n^2 witness norms in closed form from its Choi block data
-    (:func:`_witness_norms`, O(n^3)) and its Haar samples applied in
-    batches, output diagonals once per draw (:func:`_sample_reports`);
-    any other map is applied to one projector at a time, built from the
-    unit vectors of :func:`_state_vectors`.  Both see the same
-    states and reach the same verdict, with norms that agree up to rounding.
+    states achieving the extreme norms otherwise.  The n^2 witness norms
+    come in closed form from the channel's Choi block data
+    (:func:`_witness_norms`, O(n^3)), and the Haar samples are applied in
+    batches, output diagonals once per draw (:func:`_sample_reports`).
     """
 
-    if isinstance(apply_fn, (FamilyChannel, DiagonalChannel)):
-        return _sample_reports([apply_fn], n, samples, seed, tol)[0]
-    _check_samples(samples)
-    vectors = (v for stack in _state_vectors(n, samples, seed) for v in stack)
-    norms = np.array([frobenius_norm(apply_fn(np.outer(v, v.conj()))) for v in vectors])
-    return _norm_spread_report(norms, n, tol)
+    return _sample_reports([ch], n, samples, seed, tol)[0]
 
 
 def _sample_reports(
@@ -365,37 +320,47 @@ def _sample_reports(
     call per channel; each projector stack, built into a reused buffer,
     gets only the pair sectors and those rows.  Every value is that of the
     apply engine up to the signs of zeros, so the reports equal those of
-    one call per channel, bit for bit.
+    one call per channel, bit for bit.  A norm whose squares overflow is
+    retaken by :func:`frobenius_norm` from the output of its redrawn state.
     """
 
     _check_samples(samples)
-    for ch in channels:
-        if ch.dim != n:
-            raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
-    diags = [family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch for ch in channels]
+    diags = [_as_diagonal(ch) for ch in channels]
+    for diag in diags:
+        if diag.dim != n:
+            raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
     norms = [[_witness_norms(diag)] for diag in diags]
     # A weight that is zero throughout adds only zeros, whose signs no squared modulus sees.
     weights = [[w if np.any(w) else None for w in _pair_sector_weights(ch)] for ch in channels]
     per_chunk = min(_states_per_chunk(n), samples)
     proj, out, sq = (np.empty((per_chunk, n, n), dtype=complex) for _ in range(3))
-    for v in _haar_vectors(n, samples, seed):
-        v_conj = v.conj()
-        d = v * v_conj  # the diagonals of the projectors
-        rows = [_output_diagonals(ch, d) for ch in channels]
-        for first in range(0, len(v), per_chunk):
-            k = min(per_chunk, len(v) - first)
-            chunk, images, squares = proj[:k], out[:k], sq[:k]
-            np.multiply(v[first : first + k, :, None], v_conj[first : first + k, None, :], out=chunk)
-            # Each state's squared norm is one contiguous sum over its n^2
-            # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
-            entries = squares.real.reshape(k, n * n)
-            for (a, b), diagonals, found in zip(weights, rows, norms):
-                _pair_sectors_into(a, b, chunk, images)
-                _diagonal_view(images)[...] = diagonals[first : first + k]
-                np.conjugate(images, out=squares)
-                squares *= images
-                found.append(np.sqrt(np.add.reduce(entries, axis=-1)))
-    return [_norm_spread_report(np.concatenate(found), n, tol) for found in norms]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled below
+        for v in _haar_vectors(n, samples, seed):
+            v_conj = v.conj()
+            d = v * v_conj  # the diagonals of the projectors
+            rows = [_output_diagonals(ch, d) for ch in channels]
+            for first in range(0, len(v), per_chunk):
+                k = min(per_chunk, len(v) - first)
+                chunk, images, squares = proj[:k], out[:k], sq[:k]
+                np.multiply(v[first : first + k, :, None], v_conj[first : first + k, None, :], out=chunk)
+                # Each state's squared norm is one contiguous sum over its n^2
+                # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
+                entries = squares.real.reshape(k, n * n)
+                for (a, b), diagonals, found in zip(weights, rows, norms):
+                    _pair_sectors_into(a, b, chunk, images)
+                    _diagonal_view(images)[...] = diagonals[first : first + k]
+                    np.conjugate(images, out=squares)
+                    squares *= images
+                    found.append(np.sqrt(np.add.reduce(entries, axis=-1)))
+    reports = []
+    for ch, found in zip(channels, norms):
+        found = np.concatenate(found)
+        lost = np.flatnonzero(np.isinf(found[n * n :]))  # Haar states whose squares overflowed
+        if len(lost):
+            v = np.concatenate(list(_haar_vectors(n, samples, seed)))[lost]
+            found[n * n + lost] = [frobenius_norm(ch(np.outer(u, u.conj()))) for u in v]
+        reports.append(_norm_spread_report(found, n, tol))
+    return reports
 
 
 def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> VerificationReport:

@@ -21,7 +21,6 @@ from qchan.channels import (
     Family,
     FamilyChannel,
     QubitLambda,
-    apply_kraus,
     as_linear_map,
     family_apply,
     family_to_diagonal,
@@ -48,7 +47,8 @@ from qchan.verification import (
     witness_states,
 )
 
-from test_channels import PAULIS, qubit_norm_formula
+from dense_oracles import per_state_sample_test
+from test_channels import PAULIS, kraus_action, qubit_norm_formula
 
 FAMILIES = list(Family)
 
@@ -182,7 +182,7 @@ def test_criterion_05_kraus_sets():
                     s = random_pure_state(n, rng)
                     worst_action = max(
                         worst_action,
-                        float(np.max(np.abs(apply_kraus(ks, s) - family_apply(ch, s)))),
+                        float(np.max(np.abs(kraus_action(ks, s) - family_apply(ch, s)))),
                     )
     ok = worst_complete <= 1e-12 and worst_action <= 1e-12
     _report(
@@ -279,7 +279,7 @@ def test_criterion_08_qubit_equivalences_and_classification():
     mismatches = 0
     for l, tag, variant, p in _stratified_qubit_lambdas(200):
         verdict = classify_qubit(l)
-        sample = constant_fnorm_sample_test(l, 2, samples=50, seed=4)
+        sample = per_state_sample_test(l, 2, samples=50, seed=4)
         if (verdict.tag != "not_constant_norm") != sample.passed:
             mismatches += 1
         if (verdict.tag, verdict.variant) != (tag, variant):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,19 @@ class TestVerifyConstantNorm:
         payload = json.loads(out)
         assert payload["criterion_holds"] is False
         assert payload["report"]["passed"] is False
+
+    @pytest.mark.parametrize("samples", ["0", "20"])
+    def test_overflowing_output_squares_exit_1(self, tmp_path, capsys, samples):
+        # Output norms near 1e155 have squares past the float range, but are finite.
+        t = np.array([1e155] * 6 + [0.0, 0.0])
+        ch = write_json(tmp_path / "huge.json", channel_to_json(DiagonalChannel(dim=3, t=t)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "constant-norm", "--channel", ch, "--samples", samples)
+        assert (code, err) == (1, "")
+        report = json.loads(out)["report"]
+        assert report["passed"] is False
+        assert report["max_deviation"] == pytest.approx(8.11040e154 if samples == "20" else 1e155 / np.sqrt(2))
 
 
 class TestChecks:
@@ -454,7 +468,7 @@ class TestReport:
         def refuse(*args, **kwargs):
             raise AssertionError("report work started")
 
-        monkeypatch.setattr("qchan.verification._is_cptp_blocks", refuse)
+        monkeypatch.setattr("qchan.verification.is_cptp", refuse)
         code, out, err = run_cli(capsys, "report", "--dim", "200", "--samples", "-1")
         assert code == 2
         assert out == ""

@@ -403,3 +403,24 @@ class TestCertificates:
         assert witness["state_a"]["rows"] == 3
         assert len(witness["spectrum_a"]) == 3
         assert witness["max_spectral_gap"] > 1e-6
+
+
+class TestOneSidedTranspose:
+    """A transpose on one side alone is not part of the notion of equivalence.
+
+    It would join trd to dep and tcq to dcq at every n: each transposing
+    family is the plain one after a transpose, bit for bit.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize(
+        "transposing, plain", [(Family.TRD, Family.DEP), (Family.TCQ, Family.DCQ)], ids=["trd", "tcq"]
+    )
+    def test_transposing_family_is_the_plain_one_after_a_transpose(self, transposing, plain, n):
+        rng = np.random.default_rng(n)
+        s = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        lo, hi = (float(v) for v in cptp_range(transposing, n))
+        for p in (lo, (lo + hi) / 2, hi, 0.0, 0.7):
+            direct = family_apply(FamilyChannel(transposing, p, n), s)
+            composed = family_apply(FamilyChannel(plain, p, n), np.swapaxes(s, -1, -2))
+            assert np.array_equal(direct.view(np.int64), composed.view(np.int64)), p

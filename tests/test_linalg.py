@@ -15,7 +15,6 @@ from qchan.linalg import (
     is_psd,
     matrix_from_json,
     matrix_to_json,
-    partial_trace_second,
 )
 
 
@@ -142,20 +141,6 @@ class TestPsd:
         m = np.diag([1e6, -1e-6]).astype(complex)
         ok, _ = is_psd(m, Tolerance(absolute=0.0, relative=1e-10))
         assert ok
-
-
-class TestPartialTrace:
-    def test_traces_out_second_factor(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(
-            partial_trace_second(np.kron(a, b), 3), a * np.trace(b), atol=1e-12
-        )
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError, match="expected shape"):
-            partial_trace_second(np.eye(5), 2)
 
 
 class TestTolerance:

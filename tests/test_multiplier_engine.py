@@ -2,9 +2,9 @@
 
 Channel objects take the sector-wise apply, the block-structured CP check
 and the sample test with closed-form witness norms and batched Haar
-samples; wrapping the same channel in a lambda forces the generic
-dense-Choi and per-state routes, and decompose -> scale -> reconstruct
-over the explicit basis is the reference for the apply.
+samples; the oracles of ``dense_oracles`` decide the same channel through
+its dense Choi matrix and one state at a time, and decompose -> scale ->
+reconstruct over the explicit basis is the reference for the apply.
 """
 
 import re
@@ -37,6 +37,8 @@ from qchan.verification import (
     witness_state_labels,
     witness_states,
 )
+
+from dense_oracles import dense_is_cptp, per_state_sample_test
 
 dims = st.integers(min_value=2, max_value=8)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -105,7 +107,7 @@ def assert_sample_test_matches_per_state_loop(ch, samples, seed):
 
     n = ch.dim
     fast = constant_fnorm_sample_test(ch, n, samples=samples, seed=seed)
-    oracle = constant_fnorm_sample_test(lambda s: ch(s), n, samples=samples, seed=seed)
+    oracle = per_state_sample_test(ch, n, samples=samples, seed=seed)
     assert fast.passed is oracle.passed
     assert fast.samples_used == oracle.samples_used
     assert abs(fast.max_deviation - oracle.max_deviation) <= 1e-15
@@ -113,8 +115,9 @@ def assert_sample_test_matches_per_state_loop(ch, samples, seed):
     assert (fast.witness is None) is (oracle.witness is None)
     if oracle.witness is None:
         return
-    stacks = verification._state_vectors(n, samples, seed)
-    norms = [frobenius_norm(ch(np.outer(v, v.conj()))) for stack in stacks for v in stack]
+    rng = np.random.default_rng(seed)
+    states = chain(witness_states(n), (random_pure_state(n, rng) for _ in range(samples)))
+    norms = [frobenius_norm(ch(s)) for s in states]
     labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
     for got, want in zip(witness_labels(fast), witness_labels(oracle)):
         assert got == want or abs(norms[labels.index(got)] - norms[labels.index(want)]) <= 1e-15
@@ -139,7 +142,7 @@ def old_family_apply(ch, s):
 @settings(max_examples=80, deadline=None)
 def test_block_verdict_matches_dense_choi(ch):
     fast = is_cptp(ch, ch.dim)
-    dense = is_cptp(lambda s: ch(s), ch.dim)
+    dense = dense_is_cptp(ch, ch.dim)
     assert fast.passed is dense.passed
     assert fast.min_choi_eigenvalue == pytest.approx(dense.min_choi_eigenvalue, abs=1e-12)
     assert fast.trace_violation == pytest.approx(dense.trace_violation, abs=1e-12)
@@ -210,7 +213,7 @@ class WitnessStateBuilt(Exception):
     ],
 )
 def test_channel_objects_build_no_witness_state(monkeypatch, ch):
-    """Channel objects take the O(n^3) closed form; a generic callable builds the states."""
+    """Channel objects take their witness norms in O(n^3) closed form."""
 
     expected = constant_fnorm_sample_test(ch, ch.dim, samples=30, seed=1)
 
@@ -223,8 +226,6 @@ def test_channel_objects_build_no_witness_state(monkeypatch, ch):
     assert report.samples_used == ch.dim**2 + 30
     assert report.max_deviation is not None and report.mean_deviation is not None
     assert (report.witness is None) is isinstance(ch, FamilyChannel)
-    with pytest.raises(WitnessStateBuilt):
-        constant_fnorm_sample_test(lambda s: ch(s), ch.dim, samples=30, seed=1)
 
 
 def witness_states_one_by_one(n):
@@ -269,8 +270,9 @@ def test_state_chunks_are_the_per_state_draws(monkeypatch, n, chunk_bytes):
     monkeypatch.setattr(verification, "_CHUNK_BYTES", chunk_bytes)
     per_draw = max(1, chunk_bytes // (16 * n))
     samples, seed = 2 * per_draw + 5, 5  # three draw stacks, the last one short
-    stacks = list(verification._state_vectors(n, samples, seed))
-    assert all(len(stack) <= per_draw for stack in stacks)
+    haar = list(verification._haar_vectors(n, samples, seed))
+    assert all(len(stack) <= per_draw for stack in haar)
+    stacks = [verification._witness_vectors(n), *haar]
     expected = chain(witness_states_one_by_one(n), random_pure_states(n, samples, seed))
     assert assert_stream_is(stacks, expected) == n * n + samples
     if n <= 20:  # the per-state oracle applies n^2 + samples states one at a time

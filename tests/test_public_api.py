@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "Tolerance",
     "VerificationReport",
     "alpha_interval",
-    "apply_kraus",
     "as_linear_map",
     "bound_matching_system",
     "build_basis",
@@ -58,7 +57,6 @@ PUBLIC_NAMES = [
     "matrix_from_json",
     "matrix_to_json",
     "pair_count",
-    "pairs",
     "param_range",
     "pauli_matrix",
     "qubit_equivalence_check",
@@ -83,7 +81,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(qchan, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 59
+    assert len(names) == 57
 
 
 def test_every_module_export_resolves():
@@ -121,7 +119,7 @@ def test_names_are_resolved_on_first_access():
         assert loaded == [], loaded
         assert "numpy" not in sys.modules
         names = [name for name in dir(qchan) if not name.startswith("_")]
-        assert len(names) == 59, names
+        assert len(names) == 57, names
         assert qchan.param_range(qchan.Family.DCQ, 3).p_max == 0.25
         assert qchan.inequivalence_certificate((qchan.Family.DEP, qchan.Family.TRD), 5).passed
         assert qchan.Tolerance() == qchan.DEFAULT_TOL

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from qchan import basis as basis_module
 from qchan import channels, verification
-from qchan.basis import build_basis, m_z, pairs, pauli_matrix
+from qchan.basis import build_basis, m_z, pauli_matrix
 from qchan.channels import (
     DiagonalChannel,
     Family,
@@ -36,6 +38,8 @@ from qchan.verification import (
     witness_state_labels,
     witness_states,
 )
+
+from dense_oracles import dense_is_cptp, per_state_sample_test
 
 FAMILIES = list(Family)
 
@@ -141,7 +145,7 @@ class TestIsCptp:
     def test_overflowing_choi_norm_does_not_pass(self, dense):
         # The squares of the Choi data overflow; the threshold must not become inf.
         ch = DiagonalChannel(3, np.array([1e155] * 6 + [0.0, 0.0]))
-        report = is_cptp((lambda s: ch(s)) if dense else ch, 3)
+        report = dense_is_cptp(ch, 3) if dense else is_cptp(ch, 3)
         assert not report.passed
         assert report.min_choi_eigenvalue == pytest.approx(-1e155)
         assert report.witness == (
@@ -153,14 +157,23 @@ class TestIsCptp:
             is_cptp(FamilyChannel(Family.DEP, 0.1, 3), 4)
 
     def test_trace_violation_detected(self):
-        report = is_cptp(lambda s: 0.5 * s, 2)
+        # A channel object is trace preserving by construction; the dense oracle sees any map.
+        report = dense_is_cptp(lambda s: 0.5 * s, 2)
         assert not report.passed
         assert report.trace_violation == pytest.approx(0.5, abs=1e-12)
         assert "partial trace" in report.witness
 
+    def test_dense_oracle_traces_out_the_output_factor(self):
+        # S -> Tr(S) rho is trace preserving but not unital: its Choi matrix
+        # I ⊗ rho has Tr_2 = I and Tr_1 = n rho, so only Tr_2 passes it.
+        rho = np.diag([0.5, 0.25, 0.25]).astype(complex)
+        report = dense_is_cptp(lambda s: np.trace(s) * rho, 3)
+        assert report.passed
+        assert report.trace_violation == 0.0
+
     def test_non_hermitian_choi_fails_the_dense_check(self):
         # i S maps Hermitian inputs to anti-Hermitian outputs: its Choi matrix is i C.
-        report = is_cptp(lambda s: 1j * s, 2)
+        report = dense_is_cptp(lambda s: 1j * s, 2)
         assert not report.passed
         assert report.witness == "Choi matrix is not Hermitian (deviation 2.000e+00)"
         assert report.min_choi_eigenvalue is None
@@ -181,6 +194,26 @@ class TestIsCptp:
             "witness",
             "samples_used",
         ]
+
+
+class TestChannelObjectsOnly:
+    @pytest.mark.parametrize(
+        "verdict",
+        [
+            lambda m: is_cptp(m, 2),
+            lambda m: constant_fnorm_criterion(m),
+            lambda m: constant_fnorm_sample_test(m, 2, samples=3),
+        ],
+        ids=["is_cptp", "criterion", "sample_test"],
+    )
+    @pytest.mark.parametrize(
+        "apply_fn, name",
+        [(lambda s: s, "function"), (QubitLambda(t=(0, 0, 0), lam=(0.2, 0.2, 0.2)), "QubitLambda")],
+        ids=["lambda", "qubit_lambda"],
+    )
+    def test_other_maps_raise_type_error(self, verdict, apply_fn, name):
+        with pytest.raises(TypeError, match=f"^expected FamilyChannel or DiagonalChannel, got {name}$"):
+            verdict(apply_fn)
 
 
 class TestConstantNormCriterion:
@@ -279,6 +312,27 @@ class TestSampleTest:
         assert report.passed
         assert report.samples_used == 9
 
+    @pytest.mark.parametrize(
+        "samples, extremes",
+        [
+            (0, "at xi_(1,2), min 0.577350269190 at psi_0"),
+            (20, "at haar_17, min 0.577350269190 at psi_0"),
+        ],
+        ids=["witnesses", "haar"],
+    )
+    def test_overflowing_squares_give_finite_norms(self, samples, extremes):
+        # The squared output norms pass the float range; the norms, about 1e155, do not.
+        ch = DiagonalChannel(3, np.array([1e155] * 6 + [0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = constant_fnorm_sample_test(ch, 3, samples=samples, seed=0)
+        oracle = per_state_sample_test(ch, 3, samples=samples, seed=0)
+        assert not report.passed and not oracle.passed
+        assert report.samples_used == oracle.samples_used == 9 + samples
+        assert report.max_deviation == pytest.approx(oracle.max_deviation, rel=1e-15, abs=0)
+        assert report.mean_deviation == pytest.approx(oracle.mean_deviation, rel=1e-15, abs=0)
+        assert report.witness.endswith(extremes) and oracle.witness.endswith(extremes)
+
     def test_deterministic(self):
         ch = as_linear_map(FamilyChannel(Family.DCQ, 0.1, 3))
         a = constant_fnorm_sample_test(ch, 3, samples=64, seed=9)
@@ -328,7 +382,8 @@ class TestSumIdentities:
         rng = np.random.default_rng(n)
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         basis = build_basis(n)
-        mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs(n)] for sector in "xyz"}
+        pairs = list(combinations(range(1, n + 1), 2))
+        mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs] for sector in "xyz"}
         mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == "z"]
         direct = verification._direct_sums(s, n)
         assert direct.keys() == mats.keys()
@@ -341,7 +396,8 @@ class TestSumIdentities:
         rng = np.random.default_rng(seed)
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         basis = build_basis(n)
-        mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs(n)] for sector in "xyz"}
+        pairs = list(combinations(range(1, n + 1), 2))
+        mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs] for sector in "xyz"}
         mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == "z"]
         direct = verification._direct_sums(s, n)
         for key, group in mats.items():
@@ -367,7 +423,8 @@ class TestSumIdentities:
 
         gather, coef, dest = [], [], []
         for sector, name in enumerate("xyz"):
-            mats = {(k - 1, l - 1): pauli_matrix(n, name, (k, l)) for k, l in pairs(n)}
+            pairs = combinations(range(1, n + 1), 2)
+            mats = {(k - 1, l - 1): pauli_matrix(n, name, (k, l)) for k, l in pairs}
             for a in range(2):
                 for b in range(2):
                     for (k, l), m in mats.items():
@@ -531,5 +588,5 @@ class TestClassifyQubit:
         else:
             l = QubitLambda(t=(0.2, 0, 0), lam=(0.5, 0.3, 0.6))
         verdict = classify_qubit(l)
-        report = constant_fnorm_sample_test(l, 2, samples=50, seed=2)
+        report = per_state_sample_test(l, 2, samples=50, seed=2)
         assert (verdict.tag != "not_constant_norm") == report.passed
