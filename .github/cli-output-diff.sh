@@ -90,6 +90,7 @@ commands=(
     "verify cptp --channel $work/huge_multipliers.json"
     "verify constant-norm --channel $work/huge_multipliers.json --samples 0"
     "verify constant-norm --channel $work/huge_multipliers.json --samples 20"
+    "verify constant-norm --family dep --dim 3 --p 1e155 --samples 5"
     "channel apply --channel $work/dep_qubit.json --state $work/huge_state.json"
     "verify cptp --family dep --dim 1 --p 0.1"
     "verify cptp --channel $work/dim_one.json"

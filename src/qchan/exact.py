@@ -8,16 +8,20 @@ the certificate records, the size guard and the argument checks that the
 CLI runs before it loads any numeric module.  The other modules import
 from here and re-export what moved, so every ``qchan.<module>.<name>``
 path still resolves.
+
+The records are ``typing.NamedTuple`` classes (copy one with ``_replace``,
+read its fields with ``_asdict``), and ``fractions`` is imported only by
+bound matching: importing this module loads neither ``dataclasses`` (and
+with it ``inspect``) nor ``fractions``, which a fresh CLI process would
+otherwise pay for on every command.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from .jsonio import SchemaError
 
@@ -41,19 +45,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
+# Tolerance's fields.  A NamedTuple body may not define ``__new__``, so the
+# check runs in the subclass.
+class _ToleranceFields(NamedTuple):
+    absolute: float = 1e-10
+    relative: float = 1e-10
+
+
+class Tolerance(_ToleranceFields):
     """Combined absolute/relative threshold.
 
     Two reals compare equal when ``|x - y| <= absolute + relative * max(|x|, |y|)``.
     """
 
-    absolute: float = 1e-10
-    relative: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: float, **kwargs: float) -> Tolerance:
+        self = super().__new__(cls, *args, **kwargs)
         if self.absolute < 0 or self.relative < 0:
             raise ValueError("tolerance components must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Tolerance:
+        # ``_replace`` builds through ``_make``, which would skip the check above.
+        return cls(*iterable)
 
     def bound(self, scale: float) -> float:
         """Largest deviation accepted at the given magnitude scale.
@@ -172,8 +188,7 @@ def family_from_name(name: Any, field: str = "family") -> Family:
         raise SchemaError(field, f"expected one of {valid}, got {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ParamRange:
+class ParamRange(NamedTuple):
     """Closed CPTP parameter interval of one family at one dimension."""
 
     family: Family
@@ -201,8 +216,7 @@ _BASE = (Family.DEP, Family.TRD)
 GAP_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True)
-class BoundMatchingReport:
+class BoundMatchingReport(NamedTuple):
     """Roots of one endpoint-matching system and its verdict at one dimension.
 
     ``roots`` are the dimensions at which an affine reparameterization
@@ -220,8 +234,7 @@ class BoundMatchingReport:
     detail: str
 
 
-@dataclass(frozen=True)
-class InequivalenceCertificate:
+class InequivalenceCertificate(NamedTuple):
     """Self-contained evidence that two families are not conjugate.
 
     ``method`` is "spectrum_witness" (mixed pairs: one spectrum-preserving
@@ -317,6 +330,8 @@ def bound_matching_system(
     quotients at ``n``; the report also lists every dimension solving the
     system.
     """
+
+    from fractions import Fraction  # not at module level: the CLI front would pay its import
 
     fam_a, fam_b = pair
     if fam_a is fam_b:

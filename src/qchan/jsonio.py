@@ -9,7 +9,6 @@ part of their input was rejected.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -48,10 +47,11 @@ def dumps(obj: Any) -> str:
     """Serialize ``obj`` deterministically, two-space indented.
 
     Accepts dict/list/tuple/str/float/int/bool/None and result records: a
-    dataclass becomes an object of its fields in declaration order, a 2-D
-    array is written as the object :func:`qchan.linalg.matrix_to_json`
-    returns (without building it), a 1-D array becomes a list of floats,
-    and a ``Family`` is its value (a ``str``).
+    NamedTuple or dataclass becomes an object of its fields in declaration
+    order, a 2-D array is written as the object
+    :func:`qchan.linalg.matrix_to_json` returns (without building it), a
+    1-D array becomes a list of floats, and a ``Family`` is its value (a
+    ``str``).
     """
 
     pieces: list[str] = []
@@ -80,6 +80,8 @@ def _write(obj: Any, out: list[str], level: int) -> None:
             _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing_pad + "}")
+    elif isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a NamedTuple record
+        _write(obj._asdict(), out, level)
     elif isinstance(obj, (list, tuple)):
         if not len(obj):
             out.append("[]")
@@ -90,8 +92,8 @@ def _write(obj: Any, out: list[str], level: int) -> None:
             _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing_pad + "]")
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif _is_dataclass(obj):
+        fields = {f.name: getattr(obj, f.name) for f in sys.modules["dataclasses"].fields(obj)}
         _write(fields, out, level)
     elif _is_array(obj, 2):
         _write_matrix(obj, out, level)
@@ -99,6 +101,18 @@ def _write(obj: Any, out: list[str], level: int) -> None:
         _write([float(v) for v in obj], out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _is_dataclass(obj: Any) -> bool:
+    """Whether ``obj`` is a dataclass instance.
+
+    Looked up in ``sys.modules``, as ``_is_array`` looks up NumPy: a
+    dataclass instance exists only once ``dataclasses`` is loaded, and the
+    records written without NumPy are NamedTuples.
+    """
+
+    dc = sys.modules.get("dataclasses")
+    return dc is not None and dc.is_dataclass(obj) and not isinstance(obj, type)
 
 
 def _is_array(obj: Any, ndim: int) -> bool:

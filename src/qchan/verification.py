@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 from typing import Optional
 
 import numpy as np
@@ -171,7 +171,10 @@ def constant_fnorm_criterion(
 
 def expected_constant_norm(n: int, t: float) -> float:
     """Output Frobenius norm on pure inputs when all moduli equal |t|."""
-    return sqrt(1 / n + t * t * (1 - 1 / n))
+    square = t * t
+    if square == inf:  # from |t| ~ 1.3e154 on, where 1/n is far below an ulp of t^2 (1 - 1/n)
+        return abs(t) * sqrt(1 - 1 / n)
+    return sqrt(1 / n + square * (1 - 1 / n))
 
 
 def witness_states(n: int) -> list[np.ndarray]:

@@ -1,5 +1,9 @@
+import ast
+import gc
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -188,6 +192,18 @@ class TestVerifyConstantNorm:
         report = json.loads(out)["report"]
         assert report["passed"] is False
         assert report["max_deviation"] == pytest.approx(8.11040e154 if samples == "20" else 1e155 / np.sqrt(2))
+
+    def test_family_past_the_square_range_has_a_finite_expected_norm(self, capsys):
+        # p * p overflows; the expected norm, p sqrt(1 - 1/n), does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "1e155", "--samples", "5"
+            )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["criterion_holds"] is True
+        assert payload["expected_norm"] == pytest.approx(1e155 * np.sqrt(2 / 3), rel=1e-15)
 
 
 class TestChecks:
@@ -609,6 +625,9 @@ class TestOutputContract:
         assert proc.returncode == 0, proc.stderr
 
 
+# Runs qchan.cli.main on its arguments and prints the exit code and the
+# modules that importing and running qchan added to sys.modules.  The
+# snapshot is taken after start-up, so what `site` loads does not count.
 NUMPY_PROBE = textwrap.dedent(
     """
     import contextlib
@@ -616,32 +635,54 @@ NUMPY_PROBE = textwrap.dedent(
     import json
     import sys
 
+    before = set(sys.modules)
     import qchan.cli
 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = qchan.cli.main(sys.argv[1:])
-    print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+    print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+    """
+)
+
+# Runs `python -m qchan` on its arguments, after registering an exit handler
+# that reports on stderr whether the heap was frozen.
+EXIT_PROBE = textwrap.dedent(
+    """
+    import atexit
+    import gc
+    import runpy
+    import sys
+
+    atexit.register(lambda: sys.stderr.write(f"exit handler ran, frozen: {gc.get_freeze_count() > 0}\\n"))
+    runpy.run_module("qchan", run_name="__main__")
     """
 )
 
 
-def _run_numpy_probe(argv, cwd):
+def _run_script(script, argv, cwd):
+    """``python -c script *argv`` in ``cwd``, importing qchan from this tree's ``src``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], cwd=cwd, env=env, capture_output=True, timeout=120
     )
+
+
+def _run_numpy_probe(argv, cwd):
+    proc = _run_script(NUMPY_PROBE, argv, cwd)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    result = json.loads(proc.stdout)
+    return result["code"], set(result["added"])
 
 
 class TestNumpyFreeCommands:
     """Commands that need no linear algebra run, and fail, without loading NumPy.
 
     Each runs ``qchan.cli.main`` in a fresh interpreter, which then reports
-    whether NumPy is in ``sys.modules``.
+    the modules qchan added to ``sys.modules``.  Besides NumPy, these
+    commands load neither ``dataclasses`` nor ``inspect``, and only bound
+    matching loads ``fractions``.
     """
 
     @pytest.mark.parametrize(
@@ -665,9 +706,63 @@ class TestNumpyFreeCommands:
     )
     def test_runs_without_numpy(self, tmp_path, argv, code):
         (tmp_path / "malformed.json").write_text('{"kind": "family", "family": ', encoding="utf-8")
-        assert _run_numpy_probe(argv, tmp_path) == {"code": code, "numpy": False}
+        got, added = _run_numpy_probe(argv, tmp_path)
+        assert got == code
+        assert "qchan.cli" in added
+        assert added.isdisjoint({"numpy", "dataclasses", "inspect"})
+        # The certify rows are the same-class pairs, which run bound matching.
+        assert ("fractions" in added) == (argv[0] == "certify")
 
     def test_numeric_commands_load_numpy(self, tmp_path):
         # The probe can tell: a command that needs linear algebra loads NumPy.
         argv = ["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1"]
-        assert _run_numpy_probe(argv, tmp_path) == {"code": 0, "numpy": True}
+        code, added = _run_numpy_probe(argv, tmp_path)
+        assert code == 0 and "numpy" in added
+
+
+class TestExitPath:
+    """``python -m qchan`` and the ``qchan`` script end through ``cli.run``.
+
+    It freezes the heap and exits with ``main``'s code; exit handlers and
+    the output streams still run as in any interpreter exit.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["range", "--family", "dep", "--dim", "3"], 0),
+            (["verify", "cptp", "--family", "tcq", "--dim", "3", "--p", "0.3"], 1),
+            (["range", "--family", "dep", "--dim", "1"], 2),
+        ],
+    )
+    def test_exit_code_streams_and_exit_handlers(self, tmp_path, capsys, argv, code):
+        proc = _run_script(EXIT_PROBE, argv, tmp_path)
+        expected, out, err = run_cli(capsys, *argv)
+        assert proc.returncode == expected == code
+        assert proc.stdout == out.encode("utf-8")
+        assert proc.stderr.decode("utf-8") == err + "exit handler ran, frozen: True\n"
+
+    def test_output_file_holds_the_whole_document(self, tmp_path, capsys):
+        argv = ["report", "--dim", "3", "--seed", "0"]
+        proc = _run_script(EXIT_PROBE, ["--output", "report.json", *argv], tmp_path)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert (tmp_path / "report.json").read_bytes() == out.encode("utf-8")
+
+    def test_main_does_not_freeze_the_heap(self, capsys):
+        frozen = gc.get_freeze_count()
+        run_cli(capsys, "range", "--family", "dep", "--dim", "3")
+        assert gc.get_freeze_count() == frozen
+
+    def test_script_target_is_the_function_the_main_module_calls(self):
+        import qchan.__main__
+
+        root = Path(__file__).resolve().parents[1]
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        module, name = re.search(r'^qchan = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        tree = ast.parse(Path(qchan.__main__.__file__).read_text(encoding="utf-8"))
+        called = {
+            node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert called == {name}
+        assert getattr(qchan.__main__, name) is getattr(importlib.import_module(module), name)

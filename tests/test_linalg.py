@@ -163,8 +163,14 @@ class TestTolerance:
         assert DEFAULT_TOL.relative == 1e-10
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Tolerance(absolute=-1.0)
+        # Keyword, positional and _replace construction all run the check.
+        for build in (
+            lambda: Tolerance(absolute=-1.0),
+            lambda: Tolerance(1e-10, -1.0),
+            lambda: DEFAULT_TOL._replace(relative=-1.0),
+        ):
+            with pytest.raises(ValueError, match="non-negative"):
+                build()
 
     @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
     def test_non_finite_scale_is_refused(self, scale):

@@ -227,6 +227,15 @@ class TestConstantNormCriterion:
         assert expected_constant_norm(4, 1.0) == pytest.approx(1.0)
         assert expected_constant_norm(4, 0.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("t", [1e155, -1e155, 1.7e308])
+    def test_expected_norm_past_the_square_range(self, t):
+        # t * t overflows; the norm |t| sqrt(1 - 1/n) does not.
+        assert expected_constant_norm(3, t) == pytest.approx(abs(t) * np.sqrt(2 / 3), rel=1e-15)
+
+    @pytest.mark.parametrize("t", [1e154, -1.3e154, 0.37])
+    def test_expected_norm_keeps_its_bits_where_the_square_is_finite(self, t):
+        assert expected_constant_norm(3, t) == np.sqrt(1 / 3 + t * t * (1 - 1 / 3))
+
     def test_unequal_moduli_rejected(self):
         t = np.full(8, 0.3)
         t[5] = 0.2
