@@ -95,6 +95,8 @@ commands=(
     "verify cptp --family dep --dim 1 --p 0.1"
     "verify cptp --channel $work/dim_one.json"
     "identities --dim 3 --tol 0"
+    "certify --pair dep,trd --dim 3 --p 0.1"
+    "verify cptp --channel $work/channel.json --family dep --dim 5 --p 0.9"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -26,7 +26,6 @@ _EXPORTS = {
     "channels": (
         "DiagonalChannel",
         "FamilyChannel",
-        "KrausSet",
         "QubitLambda",
         "ReprCoefficients",
         "as_linear_map",
@@ -43,11 +42,8 @@ _EXPORTS = {
         "validate_state",
     ),
     "equivalence": (
-        "AlphaInterval",
         "SpectrumWitness",
-        "alpha_interval",
         "qubit_equivalence_check",
-        "scale_family",
         "spectrum_witness",
     ),
     "exact": (

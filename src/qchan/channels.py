@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
-from typing import Any, Callable, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "Family",
     "FamilyChannel",
     "DiagonalChannel",
-    "KrausSet",
     "ReprCoefficients",
     "QubitLambda",
     "cptp_range",
@@ -161,18 +160,7 @@ class DiagonalChannel:
         return diagonal_apply(self, s)
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """Operators V_i of a representation S -> sum_i V_i S V_i†."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-
-@dataclass(frozen=True)
-class ReprCoefficients:
+class ReprCoefficients(NamedTuple):
     """Conjugation-sum representation weights for one family member.
 
     ``c0..cz`` weight the identity and the unnormalized generalized Pauli
@@ -385,8 +373,8 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
 
 def kraus_from_family(
     family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
-) -> KrausSet:
-    """Kraus operators sqrt(c) * (I or generalized Pauli) for p in range.
+) -> tuple[np.ndarray, ...]:
+    """Tuple of Kraus operators sqrt(c) * (I or generalized Pauli) for p in range.
 
     Raises ValueError naming the first weight below ``-tol.bound(1.0)``:
     p lies outside the CPTP interval.  Weights up to 4 eps (4 ulps of 1)
@@ -403,7 +391,7 @@ def kraus_from_family(
     operators: list[np.ndarray] = []
     for sector, weight in kept:
         operators.extend(_scaled_operators(sqrt(weight), entries[sector], n))
-    return KrausSet(operators=tuple(operators))
+    return tuple(operators)
 
 
 def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tuple[int, float]]:
@@ -460,14 +448,14 @@ def _scaled_operators(root: float, entries, n: int) -> np.ndarray:
     return ops
 
 
-def kraus_completeness(ks: KrausSet) -> np.ndarray:
-    """sum_i V_i† V_i; equals the identity exactly when trace preserving."""
+def kraus_completeness(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_i V_i† V_i over a non-empty sequence of operators; I exactly when trace preserving."""
 
-    if not ks.operators:
+    if not len(operators):
         raise ValueError("empty Kraus set")
-    n = ks.operators[0].shape[0]
+    n = operators[0].shape[0]
     total = np.zeros((n, n), dtype=complex)
-    for op in ks.operators:
+    for op in operators:
         total += op.conj().T @ op
     return total
 

@@ -16,9 +16,9 @@ Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
 handler imports the numeric modules (and with them NumPy) only once its
 arguments and input files have passed the checks that need no linear
 algebra, so ``range``, same-class ``certify`` and every such input error
-run without loading NumPy.  Nor do they load ``dataclasses``: the four
-records of :mod:`qchan.exact` are NamedTuples (``_replace``, ``_asdict``),
-and ``fractions`` is imported only by same-class ``certify``.
+run without loading NumPy.  Nor do they load ``dataclasses``: every
+result record is a NamedTuple (``_replace``, ``_asdict``), and
+``fractions`` is imported only by same-class ``certify``.
 
 ``python -m qchan`` and the ``qchan`` script run :func:`run`, which exits
 with :func:`main`'s code after freezing the heap.
@@ -191,9 +191,13 @@ def _load_channel(args: argparse.Namespace) -> Callable[[], Any]:
 
     Returns a function that builds it.  An inline ``--family`` channel is
     checked as ``FamilyChannel`` checks it, and built only when that
-    function is called; a ``--channel`` file is parsed here.
+    function is called; a ``--channel`` file is parsed here.  A file given
+    with any inline flag is refused, since one of the two would be ignored.
     """
 
+    inline = args.family is not None or args.dim is not None or args.p is not None
+    if args.channel and inline:
+        raise SchemaError("channel", "provide --channel FILE or --family/--dim/--p, not both")
     if args.channel:
         obj = _load_json_file(args.channel)
         from .channels import channel_from_json

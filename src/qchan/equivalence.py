@@ -25,7 +25,7 @@ algebra; they live in :mod:`qchan.exact` and are re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,20 +58,16 @@ from .verification import VerificationReport
 
 __all__ = [
     "SpectrumWitness",
-    "AlphaInterval",
     "BoundMatchingReport",
     "InequivalenceCertificate",
     "spectrum_witness",
-    "scale_family",
-    "alpha_interval",
     "bound_matching_system",
     "qubit_equivalence_check",
     "inequivalence_certificate",
 ]
 
 
-@dataclass(frozen=True)
-class SpectrumWitness:
+class SpectrumWitness(NamedTuple):
     """Two isospectral pure inputs and the spectra of their outputs.
 
     ``state_a`` is a computational basis projector, ``state_b`` the
@@ -89,17 +85,6 @@ class SpectrumWitness:
     spectrum_b: np.ndarray
     max_spectral_gap: float
     notes: str = ""
-
-
-@dataclass(frozen=True)
-class AlphaInterval:
-    """Scaling factors alpha keeping alpha*p inside the CPTP range."""
-
-    family: Family
-    p: float
-    dim: int
-    alpha_min: float
-    alpha_max: float
 
 
 def _witness_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,55 +133,6 @@ def spectrum_witness(family: Family, p: float, n: int) -> SpectrumWitness:
         max_spectral_gap=gap,
         notes=notes,
     )
-
-
-def scale_family(
-    ch: FamilyChannel,
-    alpha: float,
-    trials: int = 20,
-    seed: int = 0,
-    tol: Tolerance = Tolerance(absolute=1e-12, relative=0.0),
-) -> FamilyChannel:
-    """Member with parameter alpha*p, after verifying the affine identity.
-
-    Every family satisfies Phi(alpha p, S) = alpha Phi(p, S)
-    + (1 - alpha)/n Tr(S) I; the identity is spot-checked on ``trials``
-    (at least one) random pure states before the scaled member is returned.
-    """
-
-    _check_trials(trials)
-    scaled = FamilyChannel(family=ch.family, p=alpha * ch.p, dim=ch.dim)
-    rng_info = param_range(ch.family, ch.dim)
-    if not rng_info.contains(scaled.p):
-        raise ValueError(
-            f"alpha={alpha} drives p to {scaled.p}, outside "
-            f"[{rng_info.p_min}, {rng_info.p_max}] for {ch.family.value} at dim {ch.dim}"
-        )
-    rng = np.random.default_rng(seed)
-    n = ch.dim
-    for _ in range(trials):
-        s = random_pure_state(n, rng)
-        lhs = family_apply(scaled, s)
-        rhs = alpha * family_apply(ch, s) + (1 - alpha) / n * np.trace(s) * np.eye(n)
-        if float(np.max(np.abs(lhs - rhs))) > tol.bound(1.0):
-            raise RuntimeError(
-                f"affine scaling identity violated for {ch.family.value}, "
-                f"p={ch.p}, alpha={alpha}, dim={n}"
-            )
-    return scaled
-
-
-def alpha_interval(family: Family, p: float, n: int) -> AlphaInterval:
-    """All alpha with alpha*p inside the CPTP range (p = 0 is an error)."""
-
-    if p == 0:
-        raise ValueError("alpha interval is unbounded at p = 0")
-    rng_info = param_range(family, n)
-    if p > 0:
-        lo, hi = rng_info.p_min / p, rng_info.p_max / p
-    else:
-        lo, hi = rng_info.p_max / p, rng_info.p_min / p
-    return AlphaInterval(family=family, p=p, dim=n, alpha_min=lo, alpha_max=hi)
 
 
 def qubit_equivalence_check(

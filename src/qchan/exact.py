@@ -9,11 +9,12 @@ CLI runs before it loads any numeric module.  The other modules import
 from here and re-export what moved, so every ``qchan.<module>.<name>``
 path still resolves.
 
-The records are ``typing.NamedTuple`` classes (copy one with ``_replace``,
-read its fields with ``_asdict``), and ``fractions`` is imported only by
-bound matching: importing this module loads neither ``dataclasses`` (and
-with it ``inspect``) nor ``fractions``, which a fresh CLI process would
-otherwise pay for on every command.
+The records are ``typing.NamedTuple`` classes, as every result record of
+qchan is (copy one with ``_replace``, read its fields with ``_asdict``),
+and ``fractions`` is imported only by bound matching: importing this
+module loads neither ``dataclasses`` (and with it ``inspect``) nor
+``fractions``, which a fresh CLI process would otherwise pay for on
+every command.
 """
 
 from __future__ import annotations
@@ -379,6 +380,7 @@ def inequivalence_certificate(
     Same-class pairs get the two bound-matching obstructions instead,
     since both members preserve (or both break) spectra identically; they
     need no linear algebra, and only a mixed pair loads the numeric modules.
+    ``p`` sets the witnesses' parameter, so a same-class pair refuses it.
     """
 
     fam_a, fam_b = pair
@@ -394,6 +396,11 @@ def inequivalence_certificate(
         )
     hybrids = [f for f in pair if f in _HYBRID]
     bases = [f for f in pair if f in _BASE]
+    if len(hybrids) != 1 and p is not None:
+        raise ValueError(
+            f"p={p} applies to spectrum witnesses only; the same-class pair "
+            f"{fam_a.value},{fam_b.value} is certified by bound matching, which takes no p"
+        )
     if len(hybrids) == 1:
         from .equivalence import spectrum_witness
 

@@ -47,11 +47,11 @@ def dumps(obj: Any) -> str:
     """Serialize ``obj`` deterministically, two-space indented.
 
     Accepts dict/list/tuple/str/float/int/bool/None and result records: a
-    NamedTuple or dataclass becomes an object of its fields in declaration
-    order, a 2-D array is written as the object
-    :func:`qchan.linalg.matrix_to_json` returns (without building it), a
-    1-D array becomes a list of floats, and a ``Family`` is its value (a
-    ``str``).
+    NamedTuple becomes an object of its fields in declaration order, a 2-D
+    array is written as the object :func:`qchan.linalg.matrix_to_json`
+    returns (without building it), a 1-D array becomes a list of floats,
+    and a ``Family`` is its value (a ``str``).  Anything else, a channel
+    object included, raises TypeError.
     """
 
     pieces: list[str] = []
@@ -92,27 +92,12 @@ def _write(obj: Any, out: list[str], level: int) -> None:
             _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing_pad + "]")
-    elif _is_dataclass(obj):
-        fields = {f.name: getattr(obj, f.name) for f in sys.modules["dataclasses"].fields(obj)}
-        _write(fields, out, level)
     elif _is_array(obj, 2):
         _write_matrix(obj, out, level)
     elif _is_array(obj, 1):
         _write([float(v) for v in obj], out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def _is_dataclass(obj: Any) -> bool:
-    """Whether ``obj`` is a dataclass instance.
-
-    Looked up in ``sys.modules``, as ``_is_array`` looks up NumPy: a
-    dataclass instance exists only once ``dataclasses`` is loaded, and the
-    records written without NumPy are NamedTuples.
-    """
-
-    dc = sys.modules.get("dataclasses")
-    return dc is not None and dc.is_dataclass(obj) and not isinstance(obj, type)
 
 
 def _is_array(obj: Any, ndim: int) -> bool:

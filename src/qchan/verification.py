@@ -24,10 +24,9 @@ conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -69,7 +68,6 @@ __all__ = [
     "constant_fnorm_criterion",
     "expected_constant_norm",
     "witness_states",
-    "witness_state_labels",
     "constant_fnorm_sample_test",
     "dcq_det_formula",
     "verify_det_recurrence",
@@ -82,8 +80,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one numerical check, with the numbers that decided it."""
 
     passed: bool
@@ -274,11 +271,6 @@ def _witness_norm_formula(d: np.ndarray, t_x: np.ndarray, t_y: np.ndarray) -> np
     k, l = _pair_index(len(d))  # lexicographic pair order, as t_x and t_y
     pair_diag = (g[k, k] + g[l, l] + 2 * g[k, l]) / 4
     return np.sqrt(np.concatenate([np.diag(g), pair_diag + t_x**2 / 2, pair_diag + t_y**2 / 2]))
-
-
-def witness_state_labels(n: int) -> list[str]:
-    _check_dim(n)
-    return [_state_label(n, i) for i in range(n * n)]
 
 
 def _state_label(n: int, i: int) -> str:
@@ -662,8 +654,7 @@ def _representation_reports(
 # --- Qubit classification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QubitClassification:
+class QubitClassification(NamedTuple):
     """Verdict of the constant-norm trichotomy for a qubit channel.
 
     ``tag`` is "completely_depolarizing" (lam = 0; ``fixed_output`` holds

@@ -9,6 +9,9 @@ and witness strings:
   ``to_choi``, eigensolves it and takes its partial trace;
 * ``per_state_sample_test`` applies the map to ``witness_states(n)``,
   then to ``random_pure_state`` draws, one state at a time.
+
+``state_labels`` spells out the names the sample test's witness text
+gives those states.
 """
 
 from itertools import chain
@@ -57,3 +60,19 @@ def per_state_sample_test(apply_fn, n, samples=1000, seed=0, tol=DEFAULT_TOL):
     states = chain(witness_states(n), (random_pure_state(n, rng) for _ in range(samples)))
     norms = np.array([frobenius_norm(apply_fn(s)) for s in states])
     return verification._norm_spread_report(norms, n, tol)
+
+
+def state_labels(n, samples=0):
+    """Names of the sample test's states in order: psi_k, xi_(k,l), eta_(k,l), then haar_i.
+
+    psi_k (k from 0) is the k-th computational projector; xi and eta name
+    the pair states of k < l (from 1), pairs in lexicographic order.
+    """
+
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    return (
+        [f"psi_{k}" for k in range(n)]
+        + [f"xi_({k},{l})" for k, l in pairs]
+        + [f"eta_({k},{l})" for k, l in pairs]
+        + [f"haar_{i}" for i in range(samples)]
+    )

@@ -315,14 +315,14 @@ class TestKraus:
     def test_dep_p_one_single_identity(self):
         ks = kraus_from_family(Family.DEP, 1.0, 3)
         assert len(ks) == 1
-        np.testing.assert_allclose(ks.operators[0], np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(ks[0], np.eye(3), atol=1e-15)
 
     def test_identity_dropped_at_dcq_upper_endpoint(self):
         # c0 vanishes at p = 1/(n-1)^2, so the identity operator drops out.
         n = 3
         ks = kraus_from_family(Family.DCQ, 0.25, n)
         assert len(ks) == 3 * pair_count(n)
-        for op in ks.operators:
+        for op in ks:
             # Every remaining operator is a scaled generalized Pauli, hence traceless.
             assert abs(np.trace(op)) < 1e-12
 
@@ -341,7 +341,7 @@ class TestKraus:
             expected = [sqrt(w) * m for w, mats in groups if w > 4 * np.finfo(float).eps for m in mats]
             ks = kraus_from_family(family, p, n)
             assert len(ks) == len(expected), p
-            assert b"".join(op.tobytes() for op in ks.operators) == b"".join(m.tobytes() for m in expected), p
+            assert b"".join(op.tobytes() for op in ks) == b"".join(m.tobytes() for m in expected), p
 
     def test_vanishing_weights_drop_out(self, monkeypatch):
         # One operator per weight that is exactly nonzero in rational
@@ -387,6 +387,15 @@ class TestKraus:
         assert len(ks) == 1 + 3 * pair_count(30)
         np.testing.assert_allclose(kraus_completeness(ks), np.eye(30), atol=1e-12)
 
+    def test_operators_are_a_tuple_and_completeness_takes_any_sequence(self):
+        ks = kraus_from_family(Family.TRD, 0.2, 3)
+        assert type(ks) is tuple and len(ks) == 1 + 3 * pair_count(3)
+        total = kraus_completeness(ks)
+        for operators in (list(ks), np.stack(ks)):
+            assert kraus_completeness(operators).tobytes() == total.tobytes()
+        with pytest.raises(ValueError, match="empty Kraus set"):
+            kraus_completeness([])
+
     def test_out_of_range_names_coefficient(self):
         with pytest.raises(ValueError, match="c0"):
             kraus_from_family(Family.DCQ, 0.5, 3)
@@ -409,7 +418,7 @@ class TestKraus:
 
 def kraus_action(ks, s):
     """sum_i V_i S V_i† over a Kraus set."""
-    return sum(op @ s @ op.conj().T for op in ks.operators)
+    return sum(op @ s @ op.conj().T for op in ks)
 
 
 # The affine Stokes picture of a qubit map, kept as the oracle for QubitLambda's call.

@@ -297,6 +297,14 @@ class TestWitnessAndCertify:
         assert out == ""
         assert err == "error: parameter p must be finite, got nan\n"
 
+    def test_certify_same_class_pair_refuses_p(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--pair", "dep,trd", "--dim", "3", "--p", "0.1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: p=0.1 applies to spectrum witnesses only; the same-class pair dep,trd "
+            "is certified by bound matching, which takes no p\n"
+        )
+
     def test_pair_parsing(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--pair", "dep", "--dim", "3")
         assert code == 2
@@ -325,6 +333,23 @@ class TestFieldErrors:
         code, out, err = run_cli(capsys, "verify", "cptp", "--family", "dep", "--dim", "1", "--p", "0.1")
         assert (code, out) == (2, "")
         assert err == "error: field 'dim': expected an integer >= 2, got 1\n"
+
+    @pytest.mark.parametrize("command", ["cptp", "constant-norm"])
+    @pytest.mark.parametrize(
+        "inline",
+        [
+            ["--family", "dep", "--dim", "5", "--p", "0.9"],
+            ["--family", "dep"],
+            ["--dim", "5"],
+            ["--p", "0.9"],
+        ],
+    )
+    def test_channel_file_with_inline_flags_refused(self, tmp_path, capsys, command, inline):
+        # One of the two channels would be ignored, so neither is checked.
+        ch = write_json(tmp_path / "c.json", channel_to_json(FamilyChannel(Family.DCQ, 0.2, 3)))
+        code, out, err = run_cli(capsys, "verify", command, "--channel", ch, *inline)
+        assert (code, out) == (2, "")
+        assert err == "error: field 'channel': provide --channel FILE or --family/--dim/--p, not both\n"
 
     @pytest.mark.parametrize(
         "channel, field",

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchan.channels import (
     Family,
@@ -10,22 +12,18 @@ from qchan.channels import (
     as_linear_map,
     cptp_range,
     family_apply,
-    random_pure_state,
 )
 from qchan.equivalence import (
     GAP_THRESHOLD,
     InequivalenceCertificate,
-    alpha_interval,
     bound_matching_system,
     inequivalence_certificate,
     qubit_equivalence_check,
-    scale_family,
     spectrum_witness,
 )
 from qchan.exact import _RATIO_EQUATIONS, _ratio_key
 from qchan.jsonio import dumps
 from qchan.linalg import hermitian_eigenvalues
-from qchan.verification import param_range
 
 from test_linalg import random_unitary
 
@@ -106,67 +104,27 @@ class TestSpectrumWitness:
 
 
 class TestScaleFamily:
-    def test_returns_scaled_member(self):
-        ch = FamilyChannel(Family.DEP, 0.5, 3)
-        scaled = scale_family(ch, 0.4)
-        assert scaled.p == pytest.approx(0.2)
-        assert scaled.family is Family.DEP
+    """Every family satisfies Phi(alpha p, S) = alpha Phi(p, S) + (1 - alpha)/n Tr(S) I."""
 
-    def test_affine_identity_holds(self):
-        # Checked internally; also verify directly on one state.
-        ch = FamilyChannel(Family.TCQ, 0.1, 3)
-        scaled = scale_family(ch, -2.0)
-        s = random_pure_state(3, 1)
-        lhs = family_apply(scaled, s)
-        rhs = -2.0 * family_apply(ch, s) + 3.0 / 3 * np.trace(s) * np.eye(3)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-13)
-
-    def test_out_of_range_alpha_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            scale_family(FamilyChannel(Family.DEP, 0.5, 3), 3.0)
-
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_empty_runs_rejected(self, trials):
-        with pytest.raises(ValueError, match="trials"):
-            scale_family(FamilyChannel(Family.DEP, 0.5, 3), 0.4, trials=trials)
-
-
-class TestAlphaInterval:
-    def test_positive_p(self):
-        interval = alpha_interval(Family.DEP, 0.5, 3)
-        assert interval.alpha_min == pytest.approx(-0.25)
-        assert interval.alpha_max == pytest.approx(2.0)
-
-    def test_negative_p(self):
-        interval = alpha_interval(Family.TCQ, -0.1, 3)
-        assert interval.alpha_min == pytest.approx(-2.5)
-        assert interval.alpha_max == pytest.approx(5.0)
-
-    def test_upper_endpoint_maps_to_one(self):
-        r = param_range(Family.DCQ, 4)
-        interval = alpha_interval(Family.DCQ, r.p_max, 4)
-        assert interval.alpha_max == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("family", list(Family))
-    def test_endpoints_land_on_range(self, family):
-        r = param_range(family, 5)
-        for p in (0.03, -0.03):
-            interval = alpha_interval(family, p, 5)
-            assert interval.alpha_min * p == pytest.approx(
-                r.p_min if p > 0 else r.p_max, abs=1e-15
-            )
-            assert interval.alpha_max * p == pytest.approx(
-                r.p_max if p > 0 else r.p_min, abs=1e-15
-            )
-
-    def test_p_zero_rejected(self):
-        with pytest.raises(ValueError, match="p = 0"):
-            alpha_interval(Family.DEP, 0.0, 3)
-
-    @pytest.mark.parametrize("n", [1, 0, 2.5])
-    def test_dimension_must_be_an_integer_from_two(self, n):
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
-            alpha_interval(Family.DEP, 0.1, n)
+    @given(
+        st.sampled_from(list(Family)),
+        st.integers(2, 6),
+        st.floats(0, 1),
+        st.floats(-1e6, 1e6),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_affine_identity_holds(self, family, n, where, alpha, count, seed):
+        lo, hi = (float(v) for v in cptp_range(family, n))
+        p = lo + where * (hi - lo)
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        lhs = family_apply(FamilyChannel(family, alpha * p, n), s)
+        trace = np.trace(s, axis1=-2, axis2=-1)[:, None, None]
+        rhs = alpha * family_apply(FamilyChannel(family, p, n), s) + (1 - alpha) / n * trace * np.eye(n)
+        bound = 1e-14 * n * (1 + abs(alpha)) * (1 + float(np.abs(s).max()))
+        assert float(np.max(np.abs(lhs - rhs))) <= bound
 
 
 class TestBoundMatching:
@@ -329,6 +287,16 @@ class TestCertificates:
         assert {r.same_sign for r in cert.bound_reports} == {True, False}
         assert not any(r.feasible for r in cert.bound_reports)
         assert cert.passed
+
+    @pytest.mark.parametrize("pair", [
+        (Family.DEP, Family.TRD),
+        (Family.TCQ, Family.DCQ),
+    ])
+    @pytest.mark.parametrize("p", [0.1, 0.0])
+    def test_same_class_pairs_refuse_p(self, pair, p):
+        # p sets only the spectrum witnesses' parameter; bound matching would ignore it.
+        with pytest.raises(ValueError, match=rf"^p={p} applies to spectrum witnesses only"):
+            inequivalence_certificate(pair, 4, p)
 
     def test_failed_evidence_does_not_pass(self):
         # A witness without a spectral gap, or a feasible bound-matching system.

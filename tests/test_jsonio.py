@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from qchan import jsonio
-from qchan.channels import Family, FamilyChannel
-from qchan.cli import main
+from qchan.channels import DiagonalChannel, Family, FamilyChannel
+from qchan.cli import build_parser, main
 from qchan.equivalence import (
-    AlphaInterval,
     BoundMatchingReport,
     InequivalenceCertificate,
     SpectrumWitness,
-    alpha_interval,
     bound_matching_system,
     inequivalence_certificate,
     spectrum_witness,
@@ -55,18 +53,6 @@ def test_param_range():
         ("dim", 3),
         ("p_min", -0.2),
         ("p_max", 0.25),
-    ]
-
-
-def test_alpha_interval():
-    interval = alpha_interval(Family.DEP, 0.5, 3)
-    assert isinstance(interval, AlphaInterval)
-    assert list(encode(interval).items()) == [
-        ("family", "dep"),
-        ("p", 0.5),
-        ("dim", 3),
-        ("alpha_min", -0.25),
-        ("alpha_max", 2.0),
     ]
 
 
@@ -128,10 +114,52 @@ def test_records_nest_at_the_indentation_of_their_parent():
     assert nested == expected
 
 
-@pytest.mark.parametrize("value", [np.zeros((2, 2, 2)), np.array(1.0), object()])
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.zeros((2, 2, 2)),
+        np.array(1.0),
+        object(),
+        FamilyChannel(Family.DEP, 0.5, 3),
+        DiagonalChannel(2, np.zeros(3)),
+    ],
+)
 def test_other_objects_are_rejected(value):
+    # A channel object is not a record: a payload holds its channel_to_json object.
     with pytest.raises(TypeError, match="cannot serialize"):
         dumps(value)
+
+
+def records(obj):
+    """Every object of a payload that is not a JSON builtin, an array or a Family, and the ones in it."""
+
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from records(value)
+    elif isinstance(obj, list) or type(obj) is tuple:
+        for value in obj:
+            yield from records(value)
+    elif not (obj is None or isinstance(obj, (str, int, float, np.ndarray))):  # bool is an int
+        yield obj
+        if hasattr(obj, "_asdict"):
+            yield from records(obj._asdict())
+
+
+@pytest.mark.parametrize(
+    "n, names",
+    [
+        (2, {"ParamRange", "VerificationReport"}),
+        (3, {"BoundMatchingReport", "InequivalenceCertificate", "ParamRange",
+             "SpectrumWitness", "VerificationReport"}),
+    ],
+)
+def test_every_record_a_report_writes_is_a_named_tuple(n, names):
+    args = build_parser().parse_args(["report", "--dim", str(n), "--samples", "5"])
+    payload, _ = args.handler(args)
+    found = list(records(payload))
+    assert {type(record).__name__ for record in found} == names
+    for record in found:
+        assert isinstance(record, tuple) and hasattr(record, "_asdict"), type(record).__name__
 
 
 def test_cli_embeds_records_as_dumps_writes_them(capsys):

@@ -34,11 +34,10 @@ from qchan.verification import (
     constant_fnorm_sample_test,
     is_cptp,
     param_range,
-    witness_state_labels,
     witness_states,
 )
 
-from dense_oracles import dense_is_cptp, per_state_sample_test
+from dense_oracles import dense_is_cptp, per_state_sample_test, state_labels
 
 dims = st.integers(min_value=2, max_value=8)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -118,7 +117,7 @@ def assert_sample_test_matches_per_state_loop(ch, samples, seed):
     rng = np.random.default_rng(seed)
     states = chain(witness_states(n), (random_pure_state(n, rng) for _ in range(samples)))
     norms = [frobenius_norm(ch(s)) for s in states]
-    labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
+    labels = state_labels(n, samples)
     for got, want in zip(witness_labels(fast), witness_labels(oracle)):
         assert got == want or abs(norms[labels.index(got)] - norms[labels.index(want)]) <= 1e-15
 

@@ -14,7 +14,6 @@ import pytest
 import qchan
 
 PUBLIC_NAMES = [
-    "AlphaInterval",
     "BasisE",
     "BoundMatchingReport",
     "DEFAULT_TOL",
@@ -22,7 +21,6 @@ PUBLIC_NAMES = [
     "Family",
     "FamilyChannel",
     "InequivalenceCertificate",
-    "KrausSet",
     "ParamRange",
     "QubitClassification",
     "QubitLambda",
@@ -30,7 +28,6 @@ PUBLIC_NAMES = [
     "SpectrumWitness",
     "Tolerance",
     "VerificationReport",
-    "alpha_interval",
     "as_linear_map",
     "bound_matching_system",
     "build_basis",
@@ -63,7 +60,6 @@ PUBLIC_NAMES = [
     "random_pure_state",
     "reconstruct",
     "repr_coefficients",
-    "scale_family",
     "spectrum_witness",
     "to_choi",
     "validate_state",
@@ -81,7 +77,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(qchan, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 57
+    assert len(names) == 53
 
 
 def test_every_module_export_resolves():
@@ -119,7 +115,7 @@ def test_names_are_resolved_on_first_access():
         assert loaded == [], loaded
         assert "numpy" not in sys.modules
         names = [name for name in dir(qchan) if not name.startswith("_")]
-        assert len(names) == 57, names
+        assert len(names) == 53, names
         assert qchan.param_range(qchan.Family.DCQ, 3).p_max == 0.25
         assert qchan.inequivalence_certificate((qchan.Family.DEP, qchan.Family.TRD), 5).passed
         assert qchan.Tolerance() == qchan.DEFAULT_TOL

@@ -32,8 +32,9 @@ from qchan.verification import (
     constant_fnorm_sample_test,
     verify_representations,
     verify_sum_identities,
-    witness_state_labels,
 )
+
+from dense_oracles import state_labels
 
 SUM_TOL = Tolerance(absolute=1e-12, relative=0.0)
 dims = st.integers(min_value=2, max_value=12)
@@ -152,7 +153,7 @@ def sample_test_loop(ch, n, samples, seed, tol=DEFAULT_TOL):
     passed = spread <= tol.bound(float(norms.max()))
     witness = None
     if not passed:
-        labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
+        labels = state_labels(n, samples)
         witness = (
             f"norm spread {spread:.6e}: max {norms.max():.12f} at {labels[int(norms.argmax())]}, "
             f"min {norms.min():.12f} at {labels[int(norms.argmin())]}"

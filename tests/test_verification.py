@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import warnings
 from fractions import Fraction
@@ -35,11 +34,10 @@ from qchan.verification import (
     verify_det_recurrence,
     verify_representations,
     verify_sum_identities,
-    witness_state_labels,
     witness_states,
 )
 
-from dense_oracles import dense_is_cptp, per_state_sample_test
+from dense_oracles import dense_is_cptp, per_state_sample_test, state_labels
 
 FAMILIES = list(Family)
 
@@ -254,14 +252,14 @@ class TestWitnessStates:
     def test_count_and_purity(self, n):
         states = witness_states(n)
         assert len(states) == n * n
-        assert len(witness_state_labels(n)) == n * n
+        assert len(state_labels(n)) == n * n
         for s in states:
             assert np.trace(s) == pytest.approx(1.0, abs=1e-14)
             np.testing.assert_allclose(s @ s, s, atol=1e-14)
 
     def test_specific_states(self):
         states = witness_states(2)
-        labels = witness_state_labels(2)
+        labels = state_labels(2)
         assert labels == ["psi_0", "psi_1", "xi_(1,2)", "eta_(1,2)"]
         np.testing.assert_array_equal(states[0], np.diag([1, 0]).astype(complex))
         np.testing.assert_allclose(states[2], np.full((2, 2), 0.5), atol=1e-15)
@@ -304,7 +302,7 @@ class TestSampleTest:
 
     @pytest.mark.parametrize("n, samples", [(2, 0), (2, 3), (3, 4), (5, 2)])
     def test_each_extreme_gets_its_label_from_the_state_list(self, n, samples):
-        labels = witness_state_labels(n) + [f"haar_{i}" for i in range(samples)]
+        labels = state_labels(n, samples)
         for top in range(len(labels)):
             bottom = (top + 1) % len(labels)
             norms = np.full(len(labels), 0.5)
@@ -535,7 +533,7 @@ class TestRepresentations:
     def test_every_weight_is_checked(self, monkeypatch, weight):
         def perturbed(*args):
             c = repr_coefficients(*args)
-            return dataclasses.replace(c, **{weight: getattr(c, weight) + 1e-9})
+            return c._replace(**{weight: getattr(c, weight) + 1e-9})
 
         monkeypatch.setattr(verification, "repr_coefficients", perturbed)
         report = verify_representations(Family.DCQ, 0.05, 4, trials=3, seed=1)
