@@ -97,6 +97,10 @@ commands=(
     "identities --dim 3 --tol 0"
     "certify --pair dep,trd --dim 3 --p 0.1"
     "verify cptp --channel $work/channel.json --family dep --dim 5 --p 0.9"
+    "qubit-equiv --p 0.3 --trials 5000 --seed 11"
+    "qubit-equiv --p 0.6 --trials 7 --seed 0"
+    "report --dim 2 --seed 4"
+    "witness --pair trd,tcq --dim 5 --p 0.05"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

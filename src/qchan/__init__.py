@@ -7,7 +7,7 @@ machine-checkable (in)equivalence certificates.
 
 The public names are resolved on first access (PEP 562): ``import qchan``
 loads no submodule, and the names of :mod:`qchan.exact` (families, CPTP
-ranges, tolerances, bound matching, certificates) resolve without NumPy.
+ranges, tolerances, bound matching, every result record) resolve without NumPy.
 """
 
 from importlib import import_module as _import_module
@@ -27,7 +27,6 @@ _EXPORTS = {
         "DiagonalChannel",
         "FamilyChannel",
         "QubitLambda",
-        "ReprCoefficients",
         "as_linear_map",
         "channel_from_json",
         "channel_to_json",
@@ -37,12 +36,10 @@ _EXPORTS = {
         "kraus_completeness",
         "kraus_from_family",
         "random_pure_state",
-        "repr_coefficients",
         "to_choi",
         "validate_state",
     ),
     "equivalence": (
-        "SpectrumWitness",
         "qubit_equivalence_check",
         "spectrum_witness",
     ),
@@ -52,11 +49,16 @@ _EXPORTS = {
         "Family",
         "InequivalenceCertificate",
         "ParamRange",
+        "QubitClassification",
+        "ReprCoefficients",
+        "SpectrumWitness",
         "Tolerance",
+        "VerificationReport",
         "bound_matching_system",
         "cptp_range",
         "inequivalence_certificate",
         "param_range",
+        "repr_coefficients",
     ),
     "linalg": (
         "frobenius_norm",
@@ -66,8 +68,6 @@ _EXPORTS = {
         "matrix_to_json",
     ),
     "verification": (
-        "QubitClassification",
-        "VerificationReport",
         "classify_qubit",
         "constant_fnorm_criterion",
         "constant_fnorm_sample_test",

@@ -19,26 +19,24 @@ machine-checkable *in*equivalence certificates:
 At dimension 2 all four families are equivalent via explicit Pauli
 conjugations, which :func:`qubit_equivalence_check` verifies numerically.
 
-The bound-matching systems and the composed certificates need no linear
-algebra; they live in :mod:`qchan.exact` and are re-exported here.
+The bound-matching systems, the certificates and the records need no linear algebra;
+they live in :mod:`qchan.exact` and are re-exported here.  Nothing here imports
+:mod:`qchan.verification`.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .basis import pauli_matrix
 from .channels import (
-    DiagonalChannel,
     FamilyChannel,
+    _haar_vectors,
     diagonal_apply,
     family_apply,
     family_to_diagonal,
-    random_pure_state,
 )
-# GAP_THRESHOLD, the certificate records and functions moved to qchan.exact;
+# GAP_THRESHOLD, the records and the certificate functions moved to qchan.exact;
 # they are imported here so that their qchan.equivalence paths still resolve.
 from .exact import (
     _HYBRID,
@@ -46,7 +44,9 @@ from .exact import (
     BoundMatchingReport,
     Family,
     InequivalenceCertificate,
+    SpectrumWitness,
     Tolerance,
+    VerificationReport,
     _check_conjugation_p,
     _check_trials,
     bound_matching_system,
@@ -54,7 +54,6 @@ from .exact import (
     param_range,
 )
 from .linalg import hermitian_eigenvalues
-from .verification import VerificationReport
 
 __all__ = [
     "SpectrumWitness",
@@ -65,33 +64,6 @@ __all__ = [
     "qubit_equivalence_check",
     "inequivalence_certificate",
 ]
-
-
-class SpectrumWitness(NamedTuple):
-    """Two isospectral pure inputs and the spectra of their outputs.
-
-    ``state_a`` is a computational basis projector, ``state_b`` the
-    projector onto the uniform superposition; both are rank one, hence
-    isospectral.  Spectra are ascending; ``max_spectral_gap`` is the
-    largest entrywise difference of the sorted spectra.
-    """
-
-    family: Family
-    p: float
-    dim: int
-    state_a: np.ndarray
-    state_b: np.ndarray
-    spectrum_a: np.ndarray
-    spectrum_b: np.ndarray
-    max_spectral_gap: float
-    notes: str = ""
-
-
-def _witness_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.zeros((n, n), dtype=complex)
-    a[0, 0] = 1
-    b = np.ones((n, n), dtype=complex) / n
-    return a, b
 
 
 def spectrum_witness(family: Family, p: float, n: int) -> SpectrumWitness:
@@ -109,7 +81,9 @@ def spectrum_witness(family: Family, p: float, n: int) -> SpectrumWitness:
             f"p={p} outside the CPTP range [{rng_info.p_min}, {rng_info.p_max}] "
             f"of {family.value} at dim {n}"
         )
-    state_a, state_b = _witness_inputs(n)
+    state_a = np.zeros((n, n), dtype=complex)
+    state_a[0, 0] = 1
+    state_b = np.ones((n, n), dtype=complex) / n
     ch = FamilyChannel(family=family, p=p, dim=n)
     spectrum_a = hermitian_eigenvalues(family_apply(ch, state_a))
     spectrum_b = hermitian_eigenvalues(family_apply(ch, state_b))
@@ -150,32 +124,29 @@ def qubit_equivalence_check(
     * sigma_z Phi_3(p, S)  sigma_z = Phi_1(p, S)
     * sigma_x Phi_4(-p, S) sigma_x = Phi_1(p, S)
 
-    checked entrywise on random pure states.
+    checked entrywise on stacks of up to 2048 Haar states of ``seed``
+    (``random_pure_state``'s bits); ``witness`` names the first worst case.
     """
 
     _check_conjugation_p(p)
     _check_trials(trials)
-
-    def variant(family: Family, param: float) -> DiagonalChannel:
-        return family_to_diagonal(FamilyChannel(family, param, 2))
-
-    phi1 = variant(Family.DEP, p)
+    members = zip(Family, (p, -p, p, -p))  # Phi_1..Phi_4 and their parameters
+    phi1, phi2, phi3, phi4 = (family_to_diagonal(FamilyChannel(f, q, 2)) for f, q in members)
     cases = [
-        ("sigma_y . Phi_2(-p) . sigma_y", pauli_matrix(2, "y", (1, 2)), variant(Family.TRD, -p)),
-        ("sigma_z . Phi_3(p) . sigma_z", pauli_matrix(2, "z", (1, 2)), variant(Family.DCQ, p)),
-        ("sigma_x . Phi_4(-p) . sigma_x", pauli_matrix(2, "x", (1, 2)), variant(Family.TCQ, -p)),
+        ("sigma_y . Phi_2(-p) . sigma_y", pauli_matrix(2, "y", (1, 2)), phi2),
+        ("sigma_z . Phi_3(p) . sigma_z", pauli_matrix(2, "z", (1, 2)), phi3),
+        ("sigma_x . Phi_4(-p) . sigma_x", pauli_matrix(2, "x", (1, 2)), phi4),
     ]
-    rng = np.random.default_rng(seed)
     worst = 0.0
     worst_case = None
-    for _ in range(trials):
-        s = random_pure_state(2, rng)
+    for v in _haar_vectors(2, trials, seed):
+        s = v[:, :, None] * v.conj()[:, None, :]  # the projectors, as the sample test builds them
         target = diagonal_apply(phi1, s)
-        for name, sigma, channel in cases:
-            conjugated = sigma @ diagonal_apply(channel, s) @ sigma
-            dev = float(np.max(np.abs(conjugated - target)))
-            if dev > worst:
-                worst, worst_case = dev, name
+        conjugated = np.stack([sigma @ diagonal_apply(ch, s) @ sigma for _, sigma, ch in cases], axis=1)
+        devs = np.abs(conjugated - target[:, None]).max(axis=(-2, -1))  # (trials, cases)
+        i = int(devs.argmax())  # the first largest in trial-major, case-minor order, as the loop met it
+        if devs.flat[i] > worst:
+            worst, worst_case = float(devs.flat[i]), cases[i % len(cases)][0]
     passed = worst <= tol.bound(1.0)
     return VerificationReport(
         passed=passed,

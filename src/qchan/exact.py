@@ -1,20 +1,15 @@
 """The part of qchan that needs no linear algebra, importable without NumPy.
 
-The paper's exact claims are rational arithmetic in n: the four families'
-CPTP intervals and the bound-matching obstruction separating same-class
-pairs.  This module holds them with the plain records and checks they
-rest on: tolerances, the family names and sign patterns, the ratio table,
-the certificate records, the size guard and the argument checks that the
-CLI runs before it loads any numeric module.  The other modules import
-from here and re-export what moved, so every ``qchan.<module>.<name>``
-path still resolves.
-
-The records are ``typing.NamedTuple`` classes, as every result record of
-qchan is (copy one with ``_replace``, read its fields with ``_asdict``),
-and ``fractions`` is imported only by bound matching: importing this
-module loads neither ``dataclasses`` (and with it ``inspect``) nor
-``fractions``, which a fresh CLI process would otherwise pay for on
-every command.
+The paper's exact claims are rational arithmetic in n: the families' CPTP
+intervals, the conjugation-sum weights of ``repr_coefficients`` and the
+bound-matching obstruction separating same-class pairs.  They live here
+with what they rest on (tolerances, family names and sign patterns, the
+ratio table, the size guard and the CLI's argument checks) and with every
+result record of qchan: ``typing.NamedTuple`` classes, whose ``Any``
+fields hold the arrays of the numeric modules.  Those modules re-export
+what moved here, so every ``qchan.<module>.<name>`` path still resolves.
+Importing this module loads neither ``dataclasses`` (and with it
+``inspect``) nor ``fractions``, which only bound matching imports.
 """
 
 from __future__ import annotations
@@ -22,23 +17,25 @@ from __future__ import annotations
 import math
 import numbers
 from enum import Enum
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from .jsonio import SchemaError
-
-if TYPE_CHECKING:
-    from .equivalence import SpectrumWitness
 
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
+    "VerificationReport",
+    "QubitClassification",
     "Family",
     "FAMILY_NAMES",
     "cptp_range",
     "family_from_name",
     "ParamRange",
     "param_range",
+    "ReprCoefficients",
+    "repr_coefficients",
     "GAP_THRESHOLD",
+    "SpectrumWitness",
     "BoundMatchingReport",
     "InequivalenceCertificate",
     "bound_matching_system",
@@ -89,6 +86,36 @@ class Tolerance(_ToleranceFields):
 
 
 DEFAULT_TOL = Tolerance()
+
+
+# --- Result records -------------------------------------------------------------
+
+
+class VerificationReport(NamedTuple):
+    """Outcome of one numerical check, with the numbers that decided it."""
+
+    passed: bool
+    min_choi_eigenvalue: Optional[float] = None
+    trace_violation: Optional[float] = None
+    max_deviation: Optional[float] = None
+    mean_deviation: Optional[float] = None
+    witness: Optional[str] = None
+    samples_used: int = 0
+
+
+class QubitClassification(NamedTuple):
+    """Verdict of the constant-norm trichotomy for a qubit channel.
+
+    ``tag`` is "completely_depolarizing" (lam = 0; ``fixed_output`` holds
+    the constant output state), "diagonal" (t = 0, equal moduli;
+    ``variant`` in 1..4 and ``p`` = |lam_z| describe the member), or
+    "not_constant_norm".
+    """
+
+    tag: str
+    fixed_output: Any = None
+    variant: Optional[int] = None
+    p: Optional[float] = None
 
 
 # --- Checks shared by the library and the CLI -------------------------------
@@ -208,6 +235,50 @@ def param_range(family: Family, n: int) -> ParamRange:
     return ParamRange(family=family, dim=n, p_min=float(lo), p_max=float(hi))
 
 
+class ReprCoefficients(NamedTuple):
+    """Conjugation-sum representation weights for one family member.
+
+    ``c0..cz`` weight the identity and the unnormalized generalized Pauli
+    sectors; ``e0..ez`` = (n c0, 2 cx, 2 cy, n cz) weight the orthonormal
+    basis elements instead.  Both expansions reproduce the same channel;
+    the e-weights are its Choi eigenvalues (see :func:`repr_coefficients`).
+    """
+
+    c0: float
+    cx: float
+    cy: float
+    cz: float
+    e0: float
+    ex: float
+    ey: float
+    ez: float
+
+
+def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
+    """Weights of the two conjugation-sum expansions of a family member.
+
+    The channel equals ``c0 S + cx sum_i sx_i S sx_i + cy sum_i sy_i S sy_i
+    + cz sum_i sz_i S sz_i`` over the unnormalized generalized Paulis, and
+    likewise with the e-weights over the orthonormal basis elements
+    (identity term ``e0 e_0 S e_0``).
+
+    All eight solve the sector equations once from the multipliers
+    (t_x, t_y, t_z) = p * signs.  The e-weights are the Choi eigenvalues
+    that ``is_cptp`` checks (e0 once and ez n-1 times in the classical
+    block, ex and ey in each pair block), so both expansions are Kraus
+    sets exactly on the CPTP range.  A ``Fraction`` p gives exact weights.
+    """
+
+    _check_dim(n)
+    t_x, t_y, t_z = (s * p for s in _SIGNS[family])
+    u = (1 - t_z) / n
+    cx = (u + (t_x - t_y) / 2) / 2
+    cy = (u - (t_x - t_y) / 2) / 2
+    cz = (t_z + u - (t_x + t_y) / 2) / n
+    c0 = cz + (t_x + t_y) / 2
+    return ReprCoefficients(c0, cx, cy, cz, e0=n * c0, ex=2 * cx, ey=2 * cy, ez=n * cz)
+
+
 # --- Inequivalence certificates ------------------------------------------------
 
 _HYBRID = (Family.DCQ, Family.TCQ)
@@ -215,6 +286,26 @@ _BASE = (Family.DEP, Family.TRD)
 
 # Spectral gap a witness must exhibit before a certificate is claimed.
 GAP_THRESHOLD = 1e-6
+
+
+class SpectrumWitness(NamedTuple):
+    """Two isospectral pure inputs and the spectra of their outputs.
+
+    ``state_a`` is a computational basis projector, ``state_b`` the
+    projector onto the uniform superposition; both are rank one, hence
+    isospectral.  Spectra are ascending; ``max_spectral_gap`` is the
+    largest entrywise difference of the sorted spectra.
+    """
+
+    family: Family
+    p: float
+    dim: int
+    state_a: Any
+    state_b: Any
+    spectrum_a: Any
+    spectrum_b: Any
+    max_spectral_gap: float
+    notes: str = ""
 
 
 class BoundMatchingReport(NamedTuple):

@@ -1,8 +1,8 @@
 """Numerical verification: CPTP ranges, constant-norm behaviour, identities.
 
-Everything here returns plain records with the measured numbers embedded,
-so a report can be re-checked without re-running the computation.  The
-conventions:
+Everything here returns the plain records of :mod:`qchan.exact` with the
+measured numbers embedded, so a report can be re-checked without
+re-running the computation.  The conventions:
 
 * every verdict takes a channel object (``FamilyChannel``,
   ``DiagonalChannel``; anything else raises the TypeError of
@@ -19,14 +19,16 @@ conventions:
   Frobenius norm sqrt(1/n + t^2 (1 - 1/n));
 * brute-force conjugation sums come from the basis elements' entries, O(n^2) each,
   for a stack of trials at once; ``report`` checks all four families
-  against one draw of its inputs, with the reports their own calls give.
+  against one draw of its inputs, with the reports their own calls give;
+* Haar states and trial matrices come in stacks from the one random
+  stream of :mod:`qchan.channels`, with the bits of one-at-a-time draws.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import inf, sqrt
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,26 +38,31 @@ from .channels import (
     DiagonalChannel,
     FamilyChannel,
     QubitLambda,
+    _complex_normals,
     _diagonal_view,
+    _haar_vectors,
     _output_diagonals,
     _pair_sector_weights,
     _pair_sectors_into,
+    _states_per_chunk,
     as_linear_map,
     family_apply,
     family_to_diagonal,
-    repr_coefficients,
 )
 from .exact import (
     _SIGNS,
     DEFAULT_TOL,
     Family,
     ParamRange,
+    QubitClassification,
     Tolerance,
+    VerificationReport,
     _check_dim,
     _check_grid,
     _check_samples,
     _check_trials,
     param_range,
+    repr_coefficients,
 )
 from .linalg import frobenius_norm, hermitian_part
 
@@ -78,18 +85,6 @@ __all__ = [
     "verify_representations",
     "classify_qubit",
 ]
-
-
-class VerificationReport(NamedTuple):
-    """Outcome of one numerical check, with the numbers that decided it."""
-
-    passed: bool
-    min_choi_eigenvalue: Optional[float] = None
-    trace_violation: Optional[float] = None
-    max_deviation: Optional[float] = None
-    mean_deviation: Optional[float] = None
-    witness: Optional[str] = None
-    samples_used: int = 0
 
 
 def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
@@ -196,52 +191,6 @@ def _witness_vectors(n: int) -> np.ndarray:
     eta[q, k] = 1j
     xi[q, l] = eta[q, l] = 1
     v[n:] /= sqrt(2)
-    return v
-
-
-# Bytes of one stack of states in the sample test.  It bounds both the Haar
-# unit vectors drawn at once (16 n bytes each, so 204 states per draw at
-# n = 20) and the projector stacks the pair sectors are applied to (16 n^2
-# bytes per state); so memory stays flat however many states are drawn.
-# The size is chosen for speed: the per-state norms do not depend on it, and
-# on lib-verdicts' ops (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took
-# 1.11-1.18, 1.09-1.23 and 1.35-1.50 times as long as 64 KiB.
-_CHUNK_BYTES = 1 << 16
-
-
-def _states_per_chunk(n: int) -> int:
-    return max(1, _CHUNK_BYTES // (16 * n * n))
-
-
-def _vectors_per_draw(n: int) -> int:
-    return max(1, _CHUNK_BYTES // (16 * n))
-
-
-def _haar_vectors(n: int, samples: int, seed: int):
-    """The unit vectors of the ``samples`` random_pure_state draws of ``seed``, bit for bit.
-
-    They are drawn in (k, n) stacks of at most ``_CHUNK_BYTES`` of normals
-    (16 n bytes per state), so no Python code runs once per state.
-    """
-
-    per_draw = _vectors_per_draw(n)
-    rng = np.random.default_rng(seed)
-    for start in range(0, samples, per_draw):
-        # One (real, imaginary) draw of n normals per state, as random_pure_state.
-        g = rng.standard_normal((min(per_draw, samples - start), 2, n))
-        yield _normalize_rows(g[:, 0] + 1j * g[:, 1])
-
-
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Divide each row of a (k, n) complex array by its norm in place, bit for bit.
-
-    ``np.linalg.norm(row)`` is sqrt(re . re + im . im) over the strided real
-    and imaginary views; the (k, 1, n) @ (k, n, 1) products make the same
-    BLAS dot calls, one per row, so the rows equal ``row /= np.linalg.norm(row)``.
-    """
-
-    re, im = v.real, v.imag
-    v /= np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
     return v
 
 
@@ -514,17 +463,10 @@ _TRIAL_CHUNK_BYTES = 8 << 20
 
 
 def _trial_chunks(n: int, trials: int, seed: int):
-    """The ``trials`` complex Gaussian n x n inputs of ``seed``, in (chunk, n, n) stacks.
-
-    One (chunk, 2, n, n) draw reads the generator's stream exactly as the
-    per-trial (real, imaginary) pairs of n x n draws do.
-    """
+    """The ``trials`` complex Gaussian n x n inputs of ``seed``, in (chunk, n, n) stacks of the shared stream."""
 
     per_chunk = max(1, _TRIAL_CHUNK_BYTES // (_TRIAL_BYTES_PER_N2 * n * n))
-    rng = np.random.default_rng(seed)
-    for start in range(0, trials, per_chunk):
-        g = rng.standard_normal((min(per_chunk, trials - start), 2, n, n))
-        yield g[:, 0] + 1j * g[:, 1]
+    return _complex_normals(seed, trials, per_chunk, (n, n))
 
 
 _SUM_TOL = Tolerance(absolute=1e-12, relative=0.0)
@@ -652,21 +594,6 @@ def _representation_reports(
 
 
 # --- Qubit classification -------------------------------------------------
-
-
-class QubitClassification(NamedTuple):
-    """Verdict of the constant-norm trichotomy for a qubit channel.
-
-    ``tag`` is "completely_depolarizing" (lam = 0; ``fixed_output`` holds
-    the constant output state), "diagonal" (t = 0, equal moduli;
-    ``variant`` in 1..4 and ``p`` = |lam_z| describe the member), or
-    "not_constant_norm".
-    """
-
-    tag: str
-    fixed_output: Optional[np.ndarray] = None
-    variant: Optional[int] = None
-    p: Optional[float] = None
 
 
 # Variant i is the i-th family at n = 2, keyed by its (x, y) multiplier signs.

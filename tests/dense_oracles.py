@@ -1,14 +1,17 @@
-"""Slow, independent oracles for the verdicts of qchan.verification.
+"""Slow, independent oracles for the verdicts of qchan.verification and qchan.equivalence.
 
-The verdicts take channel objects only and use their structure.  These
-take any linear map on n x n matrices (a channel object, a lambda, a
-``QubitLambda``) and decide it the long way, with the same thresholds
-and witness strings:
+The verdicts take channel objects only, use their structure and draw
+their random states in stacks.  These oracles decide the same questions
+the long way, with the same thresholds and witness strings; the first
+two take any linear map on n x n matrices (a channel object, a lambda,
+a ``QubitLambda``):
 
 * ``dense_is_cptp`` builds the dense n^2 x n^2 Choi matrix with
   ``to_choi``, eigensolves it and takes its partial trace;
 * ``per_state_sample_test`` applies the map to ``witness_states(n)``,
-  then to ``random_pure_state`` draws, one state at a time.
+  then to ``random_pure_state`` draws, one state at a time;
+* ``per_trial_qubit_check`` is ``qubit_equivalence_check`` one
+  ``random_pure_state`` draw and one conjugation at a time.
 
 ``state_labels`` spells out the names the sample test's witness text
 gives those states.
@@ -19,8 +22,17 @@ from itertools import chain
 import numpy as np
 
 from qchan import verification
-from qchan.channels import random_pure_state, to_choi
-from qchan.linalg import DEFAULT_TOL, frobenius_norm, hermitian_part
+from qchan.basis import pauli_matrix
+from qchan.channels import (
+    DiagonalChannel,
+    Family,
+    FamilyChannel,
+    diagonal_apply,
+    family_to_diagonal,
+    random_pure_state,
+    to_choi,
+)
+from qchan.linalg import DEFAULT_TOL, Tolerance, frobenius_norm, hermitian_part
 from qchan.verification import VerificationReport, witness_states
 
 
@@ -60,6 +72,38 @@ def per_state_sample_test(apply_fn, n, samples=1000, seed=0, tol=DEFAULT_TOL):
     states = chain(witness_states(n), (random_pure_state(n, rng) for _ in range(samples)))
     norms = np.array([frobenius_norm(apply_fn(s)) for s in states])
     return verification._norm_spread_report(norms, n, tol)
+
+
+def per_trial_qubit_check(p, trials=100, seed=0, tol=Tolerance(absolute=1e-12, relative=0.0)):
+    """``qubit_equivalence_check`` as a loop over trials, then over the three conjugations."""
+
+    def variant(family: Family, param: float) -> DiagonalChannel:
+        return family_to_diagonal(FamilyChannel(family, param, 2))
+
+    phi1 = variant(Family.DEP, p)
+    cases = [
+        ("sigma_y . Phi_2(-p) . sigma_y", pauli_matrix(2, "y", (1, 2)), variant(Family.TRD, -p)),
+        ("sigma_z . Phi_3(p) . sigma_z", pauli_matrix(2, "z", (1, 2)), variant(Family.DCQ, p)),
+        ("sigma_x . Phi_4(-p) . sigma_x", pauli_matrix(2, "x", (1, 2)), variant(Family.TCQ, -p)),
+    ]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    worst_case = None
+    for _ in range(trials):
+        s = random_pure_state(2, rng)
+        target = diagonal_apply(phi1, s)
+        for name, sigma, channel in cases:
+            conjugated = sigma @ diagonal_apply(channel, s) @ sigma
+            dev = float(np.max(np.abs(conjugated - target)))
+            if dev > worst:
+                worst, worst_case = dev, name
+    passed = worst <= tol.bound(1.0)
+    return VerificationReport(
+        passed=passed,
+        max_deviation=worst,
+        witness=None if passed else f"identity {worst_case} violated by {worst:.3e}",
+        samples_used=trials,
+    )
 
 
 def state_labels(n, samples=0):

@@ -744,6 +744,19 @@ class TestNumpyFreeCommands:
         code, added = _run_numpy_probe(argv, tmp_path)
         assert code == 0 and "numpy" in added
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--pair", "dep,dcq", "--dim", "4", "--p", "0.05"],
+            ["witness", "--pair", "trd,tcq", "--dim", "5", "--p", "0.05"],
+        ],
+    )
+    def test_spectrum_witnesses_load_no_verification(self, tmp_path, argv):
+        code, added = _run_numpy_probe(argv, tmp_path)
+        assert code == 0
+        assert {"numpy", "qchan.equivalence"} <= added
+        assert "qchan.verification" not in added
+
 
 class TestExitPath:
     """``python -m qchan`` and the ``qchan`` script end through ``cli.run``.

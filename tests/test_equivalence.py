@@ -1,11 +1,15 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchan import channels as qchan_channels
+from qchan import equivalence
+from qchan.basis import pauli_matrix
 from qchan.channels import (
     Family,
     FamilyChannel,
@@ -25,6 +29,8 @@ from qchan.exact import _RATIO_EQUATIONS, _ratio_key
 from qchan.jsonio import dumps
 from qchan.linalg import hermitian_eigenvalues
 
+import dense_oracles
+from dense_oracles import per_trial_qubit_check
 from test_linalg import random_unitary
 
 SQRT17 = np.sqrt(17.0)
@@ -239,6 +245,47 @@ class TestQubitEquivalence:
     def test_parameter_domain(self, p):
         with pytest.raises(ValueError, match="0 < p < 1"):
             qubit_equivalence_check(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        trials=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stacked_check_is_the_per_trial_check(self, p, trials, seed):
+        got = qubit_equivalence_check(p, trials=trials, seed=seed)
+        assert dumps(got) == dumps(per_trial_qubit_check(p, trials=trials, seed=seed))
+
+    @pytest.mark.parametrize("chunk_bytes, trials", [(16 * 2 * 5, 13), (16 * 2 * 4, 12), (1, 3)])
+    def test_stacks_of_a_small_chunk_are_the_per_trial_check(self, chunk_bytes, trials):
+        with mock.patch.object(qchan_channels, "_CHUNK_BYTES", chunk_bytes):
+            assert len(list(qchan_channels._haar_vectors(2, trials, 8))) >= 3
+            got = qubit_equivalence_check(0.35, trials=trials, seed=8)
+        assert dumps(got) == dumps(per_trial_qubit_check(0.35, trials=trials, seed=8))
+
+    @pytest.mark.parametrize(
+        "axis, case",
+        [
+            ("y", "sigma_y . Phi_2(-p) . sigma_y"),
+            ("z", "sigma_z . Phi_3(p) . sigma_z"),
+            ("x", "sigma_x . Phi_4(-p) . sigma_x"),
+        ],
+    )
+    def test_a_wrong_identity_fails_as_in_the_per_trial_check(self, axis, case):
+        # The identity in place of one case's Pauli factor, in both checks,
+        # over stacks of 5 states.
+        def factor(n, which, pair):
+            return np.eye(2, dtype=complex) if which == axis else pauli_matrix(n, which, pair)
+
+        with mock.patch.object(equivalence, "pauli_matrix", factor), \
+                mock.patch.object(dense_oracles, "pauli_matrix", factor), \
+                mock.patch.object(qchan_channels, "_CHUNK_BYTES", 16 * 2 * 5):
+            got = qubit_equivalence_check(0.4, trials=23, seed=5)
+            expected = per_trial_qubit_check(0.4, trials=23, seed=5)
+        assert not got.passed
+        assert got.max_deviation > 0.01
+        assert got.witness == f"identity {case} violated by {got.max_deviation:.3e}"
+        assert dumps(got) == dumps(expected)
 
 
 class TestCertificates:

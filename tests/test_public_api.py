@@ -102,12 +102,14 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_names_are_resolved_on_first_access():
-    # A fresh `import qchan` loads no submodule and no NumPy; the exact names
-    # resolve without NumPy, and dir() lists every name before any is loaded.
+    # A fresh `import qchan` loads no submodule and no NumPy; the exact names,
+    # every result record and repr_coefficients among them, resolve without
+    # NumPy, and dir() lists every name before any is loaded.
     script = textwrap.dedent(
         """
         import sys
         import types
+        from fractions import Fraction
 
         import qchan
 
@@ -119,6 +121,14 @@ def test_names_are_resolved_on_first_access():
         assert qchan.param_range(qchan.Family.DCQ, 3).p_max == 0.25
         assert qchan.inequivalence_certificate((qchan.Family.DEP, qchan.Family.TRD), 5).passed
         assert qchan.Tolerance() == qchan.DEFAULT_TOL
+        assert qchan.VerificationReport(passed=True).samples_used == 0
+        assert qchan.QubitClassification("not_constant_norm").variant is None
+        assert qchan.SpectrumWitness._fields[-2:] == ("max_spectral_gap", "notes")
+        weights = qchan.repr_coefficients(qchan.Family.DEP, Fraction(1, 3), 3)
+        assert isinstance(weights, qchan.ReprCoefficients)
+        assert (weights.c0, weights.e0, weights.ez) == (Fraction(11, 27), Fraction(11, 9), Fraction(2, 9))
+        loaded = sorted(name for name in sys.modules if name.startswith("qchan."))
+        assert loaded == ["qchan.exact", "qchan.jsonio"], loaded
         assert "numpy" not in sys.modules
         assert qchan.is_cptp is sys.modules["qchan.verification"].is_cptp
         assert "numpy" in sys.modules
@@ -149,6 +159,12 @@ def test_names_are_resolved_on_first_access():
         ("equivalence", "InequivalenceCertificate"),
         ("equivalence", "bound_matching_system"),
         ("equivalence", "inequivalence_certificate"),
+        ("verification", "VerificationReport"),
+        ("verification", "QubitClassification"),
+        ("equivalence", "SpectrumWitness"),
+        ("equivalence", "VerificationReport"),
+        ("channels", "ReprCoefficients"),
+        ("channels", "repr_coefficients"),
     ],
 )
 def test_moved_names_keep_their_old_paths(module, name):

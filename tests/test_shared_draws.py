@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchan import channels as qchan_channels
 from qchan import jsonio, verification
 from qchan.channels import (
     DiagonalChannel,
@@ -143,7 +144,7 @@ def identities_loop(n, trials, seed, tol=SUM_TOL):
 def sample_test_loop(ch, n, samples, seed, tol=DEFAULT_TOL):
     """One channel's sample test with its own Haar draws, applied one state at a time."""
     diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
-    vectors = (v for stack in verification._haar_vectors(n, samples, seed) for v in stack)
+    vectors = (v for stack in qchan_channels._haar_vectors(n, samples, seed) for v in stack)
     haar = (np.outer(v, v.conj())[None] for v in vectors)
     norms = np.concatenate(
         [verification._witness_norms(diag), *(np.linalg.norm(ch(c), axis=(-2, -1)) for c in haar)]
@@ -215,6 +216,23 @@ def test_failing_representation_reports_equal_the_loops():
     assert shared == expected
 
 
+# Chunks of 4 divide 12 trials, chunks of 5 and 7 leave a short last stack.
+@pytest.mark.parametrize("n, trials, size", [(3, 12, 4), (3, 12, 5), (6, 12, 7), (2, 5, 1), (4, 9, None)])
+def test_trial_chunks_are_the_shared_generator_stacks(n, trials, size):
+    seed = 21
+    with trial_chunks_of(size, n):
+        stacks = list(verification._trial_chunks(n, trials, seed))
+    per_chunk = size or trials  # the default chunk holds all 9 trials at n = 4
+    assert [len(stack) for stack in stacks] == [
+        min(per_chunk, trials - start) for start in range(0, trials, per_chunk)
+    ]
+    shared = list(qchan_channels._complex_normals(seed, trials, per_chunk, (n, n)))
+    assert [stack.tobytes() for stack in stacks] == [stack.tobytes() for stack in shared]
+    rng = np.random.default_rng(seed)
+    per_trial = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(trials)]
+    assert np.concatenate(stacks).tobytes() == np.array(per_trial).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=dims,
@@ -231,7 +249,7 @@ def test_shared_sample_reports_equal_the_loops(n, samples, seed, where, chunk_by
     channels.append(DiagonalChannel(dim=n, t=np.zeros(n * n - 1)))
     t = np.linspace(0.1, 0.4, n * n - 1)
     channels.append(DiagonalChannel(dim=n, t=t))
-    with mock.patch.object(verification, "_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(qchan_channels, "_CHUNK_BYTES", chunk_bytes):
         shared = verification._sample_reports(channels, n, samples, seed)
         single = [constant_fnorm_sample_test(ch, n, samples=samples, seed=seed) for ch in channels]
         expected = [sample_test_loop(ch, n, samples, seed) for ch in channels]
