@@ -6,11 +6,12 @@
 #
 # Each tree is a checkout with the package under src/.  The script only
 # reports: it exits 0 whatever it finds.  Keep every command small enough
-# for both trees: older trees form the conjugation sums from dense n^4
-# stacks (about 11 GB at n = 128), and older `report` builds its Kraus
-# operators densely (about 410 MB peak at n = 64); `report --dim 128`
-# assumes both trees have the sparse sums and the weight-only Kraus
-# section (about 107 MB peak).
+# for both trees.  Every tree the script is run on forms the conjugation
+# sums from the basis entries in O(n^2) memory and the Kraus section from
+# the weights alone; the largest rows, `report --dim 128` and `identities
+# --dim 256`, peak near 100 MB.  `basis --dim 63 --json` is the first
+# size that trees with a guard on the basis JSON refuse; a tree without
+# that guard writes about 0.9 GB of JSON at a peak near 2.2 GB.
 set -u
 
 base=$1
@@ -101,6 +102,10 @@ commands=(
     "qubit-equiv --p 0.6 --trials 7 --seed 0"
     "report --dim 2 --seed 4"
     "witness --pair trd,tcq --dim 5 --p 0.05"
+    "identities --dim 256 --trials 5 --seed 4"
+    "identities --dim 2 --trials 3 --seed 9"
+    "report --dim 3 --tol 1e-3"
+    "basis --dim 63 --json"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -372,23 +372,27 @@ def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tupl
     return kept
 
 
-def _kraus_count_and_deviation(family: Family, p: float, n: int) -> tuple[int, float]:
-    """len(kraus_from_family(...)) and max |kraus_completeness - I|, bit for bit, in O(n).
+def _kraus_count_and_deviation(
+    family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
+) -> tuple[int, float, bool]:
+    """len(kraus_from_family(..., tol)), max |kraus_completeness - I| bit for bit, and its verdict.
 
-    The identity operator gives fl(sqrt(c0))^2 I and a pair operator
+    Completeness holds when the deviation is within ``tol`` of 0.  The
+    identity operator gives fl(sqrt(c0))^2 I and a pair operator
     sqrt(c) sigma gives fl(sqrt(c))^2 (E_kk + E_ll), so every diagonal
     entry of the dense sum receives fl(sqrt(c0))^2 once, then fl(sqrt(c))^2
     n - 1 times for each kept pair sector, in x, y, z order; the
-    off-diagonal entries are exactly 0.  No operator is built.
+    off-diagonal entries are exactly 0.  No operator is built: O(n).
     """
 
     count, entry = 0, 0.0
-    for sector, weight in _kept_weights(family, p, n, DEFAULT_TOL):
+    for sector, weight in _kept_weights(family, p, n, tol):
         root = sqrt(weight)
         count += 1 if sector == 0 else pair_count(n)
         for _ in range(1 if sector == 0 else n - 1):
             entry += root * root
-    return count, abs(entry - 1)
+    deviation = abs(entry - 1)
+    return count, deviation, deviation <= tol.bound(1.0)
 
 
 def _scaled_operators(root: float, entries, n: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every command emits a deterministic JSON report (identical configuration
-and seed produce byte-identical output) and communicates its verdict
-through the exit code:
+Every command emits a deterministic report (identical configuration and
+seed produce byte-identical output): a JSON document, except ``basis``
+without ``--json``, which prints a text listing.  The verdict is the
+exit code:
 
 * 0 — command ran and every requested check passed,
 * 1 — command ran but a verification failed,
@@ -37,7 +38,6 @@ from typing import Any, Callable, NoReturn, Optional
 from . import jsonio
 from .exact import (
     _HYBRID,
-    DEFAULT_TOL,
     FAMILY_NAMES,
     GAP_THRESHOLD,
     Family,
@@ -257,9 +257,17 @@ def _report_payload(command: str, report: Any, **fields: Any) -> tuple[Any, bool
     return {"command": command, **fields, "report": report}, report.passed
 
 
+# Peak bytes per n^4 of `basis --json`, rounded up from 133-138 measured with
+# tracemalloc at n = 16..40: the 16-byte basis entries, and the JSON of about
+# 58 bytes per entry held as `jsonio.dumps`' pieces and their join.
+_BASIS_JSON_BYTES_PER_N4 = 140
+
+
 def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     _check_basis_bytes(n)
+    if args.json:
+        _check_dense_bytes(_BASIS_JSON_BYTES_PER_N4 * n**4, f"the basis JSON at dim {n}")
     from .basis import build_basis
     from .linalg import frobenius_norm
 
@@ -343,10 +351,10 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, holds and report.passed
 
 
-# Peak bytes per n^2 of `identities`, rounded up from 845-892 (tracemalloc,
-# n = 128..400, default trials): the sum plan and one trial stack.  `detcheck`
-# peaks at 65-85 bytes per n^2 and shares the verify estimate.
-_IDENTITIES_BYTES_PER_N2 = 900
+# Peak bytes per n^2 of `identities`, rounded up from 529-542 (tracemalloc,
+# n = 128..400, default trials): one trial stack and its two stacks of sums.
+# `detcheck` peaks at 65-85 bytes per n^2 and shares the verify estimate.
+_IDENTITIES_BYTES_PER_N2 = 550
 
 
 def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
@@ -407,8 +415,8 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
 # Peak bytes of a report process per n^2, rounded up from 4.3-4.5 KB measured
 # at n = 128..256.  The JSON is 1.5 KB per n^2, mostly the certificates'
 # witness states, and the peak holds it three times: `jsonio.dumps`' pieces
-# and their join, then the encoded copy written out.  The cached sum plan and
-# the checks' arrays are O(n^2) too, and nothing in a report grows faster.
+# and their join, then the encoded copy written out.  The checks' arrays are
+# O(n^2) too, and nothing in a report grows faster.
 _REPORT_BYTES_PER_N2 = 4700
 
 
@@ -475,8 +483,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
         representations[family.value] = {"p": p_mid, "report": rep}
         all_passed = all_passed and rep.passed
 
-        operators, completeness_dev = _kraus_count_and_deviation(family, p_mid, n)
-        kraus_ok = completeness_dev <= (kwargs.get("tol") or DEFAULT_TOL).bound(1.0)
+        operators, completeness_dev, kraus_ok = _kraus_count_and_deviation(family, p_mid, n, **kwargs)
         kraus[family.value] = {
             "p": p_mid,
             "operators": operators,

@@ -405,27 +405,11 @@ def _diag_part(s: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHED_DIMS)
-def _sum_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse terms of the x, y, z pair sums; the staircase sum is W * S, W = sum_k z_k z_k^T.
+def _staircase_gram(n: int) -> np.ndarray:
+    """W = sum_j z_j z_j^T over the normalized staircase diagonals z_j; the staircase sum is W * S."""
 
-    A pair matrix v_a E_(r_a c_a) + v_b E_(r_b c_b) (sigma_x, sigma_y, sigma_z from
-    ``basis._pair_entries``) gives m S m four terms v_a v_b S[c_a, r_b] at (r_a, c_b).  Term i adds
-    coef[i] S.flat[gather[i]] at dest[i] of a (2, 3, n, n) buffer: plane 0 holds the one term of
-    each off-diagonal entry per sector, plane 1 the n - 1 terms of (i, i) at (i, partner).
-    """
-
-    k, l = _pair_index(n)
-    gather, coef, dest = [], [], []
-    for sector, (rows, cols, values) in enumerate(_pair_entries(k, l)):
-        for r_a, c_a, v_a in zip(rows, cols, values):
-            for r_b, c_b, v_b in zip(rows, cols, values):
-                on_diagonal = r_a == c_b  # then the column is the pair partner of r_a
-                gather.append(c_a * n + r_b)
-                coef.append(np.full(len(k), v_a * v_b, dtype=complex))
-                col = np.where(on_diagonal, k + l - r_a, c_b)
-                dest.append(((on_diagonal * 3 + sector) * n + r_a) * n + col)
     z = np.array([np.diag(m_z(n, j)).real / sqrt(j * (j + 1)) for j in range(1, n)])
-    return np.concatenate(gather), np.concatenate(coef), np.concatenate(dest), z.T @ z
+    return z.T @ z
 
 
 def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
@@ -435,25 +419,31 @@ def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
     the staircase z block of the orthonormal basis; each value has the
     shape of ``s``, and its matrices equal the sums of each matrix alone.
     Its I/sqrt(n), x/sqrt(2), y/sqrt(2) elements sum to S/n, "x"/2, "y"/2.
+
+    A pair matrix v_a E_(r_a c_a) + v_b E_(r_b c_b) (``basis._pair_entries``) gives m S m
+    four terms v_a v_b S[c_a, r_b] at (r_a, c_b), c_b being r_a or its partner k + l - r_a.
+    Plane 0 takes the one term of each off-diagonal entry per sector, plane 1 the n - 1 terms
+    of (i, i) at (i, partner).
     """
 
-    gather, coef, dest, w = _sum_plan(n)
-    flat = s.reshape(-1, n * n)
-    buf = np.zeros((len(flat), 2, 3, n, n), dtype=complex)
-    terms = np.take(flat, gather, axis=1)
-    terms *= coef
-    np.put(buf, dest + 6 * n * n * np.arange(len(flat))[:, None], terms)
+    buf = np.zeros((*s.shape[:-2], 2, 3, n, n), dtype=complex)
+    k, l = _pair_index(n)
+    for sector, (rows, cols, values) in enumerate(_pair_entries(k, l)):
+        for r_a, c_a, v_a in zip(rows, cols, values):
+            for r_b, c_b, v_b in zip(rows, cols, values):
+                plane = int(r_a[0] == c_b[0])  # the same for every pair
+                buf[..., plane, sector, r_a, k + l - r_a] = (v_a * v_b) * s[..., c_a, r_b]
     idx = np.arange(n)
-    planes = buf[:, 0]
-    planes[..., idx, idx] = buf[:, 1].sum(axis=-1)  # pairwise: accurate at large n
-    return {key: planes[:, i].reshape(s.shape) for i, key in enumerate("xyz")} | {"ez": w * s}
+    planes = buf[..., 0, :, :, :]
+    planes[..., idx, idx] = buf[..., 1, :, :, :].sum(axis=-1)  # pairwise: accurate at large n
+    return {key: planes[..., i, :, :] for i, key in enumerate("xyz")} | {"ez": _staircase_gram(n) * s}
 
 
 # Peak bytes per trial per n^2 of a trial stack, every array counted: the
-# draw, the input, and `_direct_sums`' buffer, terms and scatter index, plus
-# the forms.  Measured with tracemalloc at n = 64: 284 in the representation
-# checks, 462 in the identity check (two stacks of sums alive at once).
-_TRIAL_BYTES_PER_N2 = 480
+# draw, the input, `_direct_sums`' buffer and the forms.  Measured with
+# tracemalloc at n = 32..128: 242-261 in the representation checks, 424-437
+# in the identity check (two stacks of sums alive at once).
+_TRIAL_BYTES_PER_N2 = 440
 
 # Peak bytes of one trial stack: the default trial counts of n <= 16 run in
 # one chunk, and memory stays flat at large n (one trial per chunk from

@@ -11,13 +11,16 @@ a ``QubitLambda``):
 * ``per_state_sample_test`` applies the map to ``witness_states(n)``,
   then to ``random_pure_state`` draws, one state at a time;
 * ``per_trial_qubit_check`` is ``qubit_equivalence_check`` one
-  ``random_pure_state`` draw and one conjugation at a time.
+  ``random_pure_state`` draw and one conjugation at a time;
+* ``per_pair_sums`` forms the x, y, z conjugation sums of one matrix a
+  pair and a term at a time from the nonzeros of ``pauli_matrix``.
 
 ``state_labels`` spells out the names the sample test's witness text
 gives those states.
 """
 
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -104,6 +107,50 @@ def per_trial_qubit_check(p, trials=100, seed=0, tol=Tolerance(absolute=1e-12, r
         witness=None if passed else f"identity {worst_case} violated by {worst:.3e}",
         samples_used=trials,
     )
+
+
+@lru_cache(maxsize=None)
+def _pauli_nonzeros(n):
+    """(sector, k, l, terms) of each pauli_matrix, k < l from 0; terms are its nonzeros, row-major.
+
+    Each nonzero is ((row, col), value), the value read as a float when
+    real and as a Python complex otherwise, so products keep the signs of
+    zeros that ``basis._pair_entries`` gives.
+    """
+
+    def plain(v):
+        return v.real if v.imag == 0 else complex(v)
+
+    pairs = []
+    for sector, name in enumerate("xyz"):
+        for k, l in combinations(range(1, n + 1), 2):
+            m = pauli_matrix(n, name, (k, l))
+            nonzeros = [((r, c), plain(m[r, c])) for r, c in zip(*np.nonzero(m))]
+            pairs.append((sector, k - 1, l - 1, nonzeros))
+    return pairs
+
+
+def per_pair_sums(s, n):
+    """The "x", "y", "z" sums of ``verification._direct_sums`` for one matrix, term by term.
+
+    A pair matrix v_a E_(r_a c_a) + v_b E_(r_b c_b) gives m S m the terms
+    v_a v_b S[c_a, r_b] at (r_a, c_b).  A term on the diagonal goes to
+    (r_a, partner) of a separate plane whose rows are summed, as there.
+    """
+
+    out = np.zeros((3, n, n), dtype=complex)
+    diagonal = np.zeros((3, n, n), dtype=complex)
+    for sector, k, l, nonzeros in _pauli_nonzeros(n):
+        for (r_a, c_a), v_a in nonzeros:
+            for (r_b, c_b), v_b in nonzeros:
+                term = v_a * v_b * s[c_a, r_b]
+                if r_a == c_b:
+                    diagonal[sector, r_a, k + l - r_a] = term
+                else:
+                    out[sector, r_a, c_b] = term
+    idx = np.arange(n)
+    out[:, idx, idx] = diagonal.sum(axis=-1)
+    return dict(zip("xyz", out))
 
 
 def state_labels(n, samples=0):

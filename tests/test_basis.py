@@ -155,18 +155,20 @@ class TestBasis:
             assert stack.tobytes() == expected.tobytes()
 
     def test_cached(self):
-        # The O(n^2) sum plans built from the pair entry table are the only
-        # per-dimension cache; the basis is built per call and kept by no one.
-        assert verification._sum_plan(3) is verification._sum_plan(3)
+        # The O(n) pair index and the O(n^2) staircase Gram matrix are the
+        # per-dimension caches; the basis is built per call and kept by no one.
+        assert _pair_index(3) is _pair_index(3)
+        assert verification._staircase_gram(3) is verification._staircase_gram(3)
         assert build_basis(3) is not build_basis(3)
 
     def test_caches_are_bounded(self):
-        # The sum plans keep only a few dimensions.
-        for n in range(2, 12):
-            verification._sum_plan(n)
-        info = verification._sum_plan.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize < 10
+        # Both caches keep only a few dimensions.
+        for cached in (_pair_index, verification._staircase_gram):
+            for n in range(2, 12):
+                cached(n)
+            info = cached.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize < 10
 
     def test_oversized_basis_rejected_before_allocating(self, monkeypatch):
         def refuse(*args, **kwargs):

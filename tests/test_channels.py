@@ -29,7 +29,7 @@ from qchan.channels import (
     validate_state,
 )
 from qchan.jsonio import SchemaError
-from qchan.linalg import Tolerance, frobenius_norm
+from qchan.linalg import DEFAULT_TOL, Tolerance, frobenius_norm
 
 FAMILIES = list(Family)
 DIMS = [2, 3, 4, 5, 6]
@@ -372,7 +372,8 @@ class TestKraus:
             for p in (lo, hi, (lo + hi) / 2, 0.0):
                 ks = kraus_from_family(family, p, n)
                 dense = float(np.max(np.abs(kraus_completeness(ks) - np.eye(n))))
-                assert channels._kraus_count_and_deviation(family, p, n) == (len(ks), dense), (family, p)
+                got = channels._kraus_count_and_deviation(family, p, n)
+                assert got == (len(ks), dense, dense <= DEFAULT_TOL.bound(1.0)), (family, p)
                 del ks  # n^4 entries: free before the next build
 
     def test_closed_form_builds_no_operator_and_keeps_the_range_check(self, monkeypatch):
@@ -380,6 +381,13 @@ class TestKraus:
         assert channels._kraus_count_and_deviation(Family.DEP, 0.5, 500)[0] == 1 + 3 * pair_count(500)
         with pytest.raises(ValueError, match="c0"):
             channels._kraus_count_and_deviation(Family.DCQ, 0.5, 3)
+
+    def test_closed_form_completeness_verdict_takes_the_tolerance(self):
+        # trd at n = 2, p = 0.01 misses completeness by one ulp of 1.
+        count, deviation, passed = channels._kraus_count_and_deviation(Family.TRD, 0.01, 2)
+        assert (count, deviation, passed) == (4, 2.0**-52, True)
+        tight = Tolerance(absolute=1e-16, relative=0.0)
+        assert channels._kraus_count_and_deviation(Family.TRD, 0.01, 2, tight) == (4, 2.0**-52, False)
 
     def test_loose_tolerance_keeps_genuine_weights(self):
         # The drop threshold is float dust, not the caller's tolerance.

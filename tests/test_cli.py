@@ -80,6 +80,21 @@ class TestBasis:
         assert out == ""
         assert err.startswith("error: the basis at dim 200: about 23.8 GiB")
 
+    def test_oversized_json_basis_exits_2_before_allocating(self, capsys, monkeypatch):
+        # The JSON document holds about 140 bytes per n^4 at its peak, so
+        # --json is refused from n = 63, below the text listing's n = 108.
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        code, out, err = run_cli(capsys, "basis", "--dim", "63", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the basis JSON at dim 63: about 2.1 GiB")
+        for argv in (["--dim", "62", "--json"], ["--dim", "63"]):
+            with pytest.raises(AssertionError, match="allocated"):
+                main(["basis", *argv])
+
 
 class TestChannelApply:
     def test_apply_family(self, tmp_path, capsys):
@@ -397,9 +412,9 @@ class TestSizeGuards:
     """An oversized --dim exits 2, naming the 2 GiB limit, before any work starts.
 
     The estimates are 100 bytes of peak memory per n^2 for the verify
-    commands and detcheck, 900 for identities and 700 for spectrum
+    commands and detcheck, 550 for identities and 700 for spectrum
     witnesses, so the verify commands and detcheck are refused from
-    n = 4635, identities from n = 1545 and mixed-pair witnesses from n = 1752.
+    n = 4635, identities from n = 1976 and mixed-pair witnesses from n = 1752.
     """
 
     @pytest.fixture
@@ -420,8 +435,8 @@ class TestSizeGuards:
             ),
             (["witness", "--pair", "dep,dcq", "--dim", "1752"], "the spectrum witnesses at dim 1752: about 2.0"),
             (["certify", "--pair", "tcq,dep", "--dim", "100000"], "the spectrum witnesses at dim 100000: about 6519.3"),
-            (["identities", "--dim", "1545"], "identities at dim 1545: about 2.0"),
-            (["identities", "--dim", "5000"], "identities at dim 5000: about 21.0"),
+            (["identities", "--dim", "1976"], "identities at dim 1976: about 2.0"),
+            (["identities", "--dim", "5000"], "identities at dim 5000: about 12.8"),
             (["detcheck", "--dim", "4635"], "detcheck at dim 4635: about 2.0"),
         ],
     )
@@ -445,7 +460,7 @@ class TestSizeGuards:
             ["witness", "--pair", "dep,dcq", "--dim", "1751"],
             ["certify", "--pair", "tcq,dep", "--dim", "1751"],
             ["certify", "--pair", "dep,trd", "--dim", "100000"],  # bound matching: nothing of size n^2
-            ["identities", "--dim", "1544"],
+            ["identities", "--dim", "1975"],
             ["detcheck", "--dim", "4634"],
         ],
     )
@@ -467,6 +482,19 @@ class TestQubitEquiv:
 
 
 class TestReport:
+    def test_loose_tolerance_fails_on_correct_data(self, capsys):
+        # dep at p_max + 0.01 has smallest Choi eigenvalue -1/300, which
+        # --tol 1e-3 accepts: that probe outside the range passes, so the
+        # endpoint check fails and the report exits 1.
+        code, out, _ = run_cli(capsys, "report", "--dim", "3", "--tol", "1e-3")
+        assert code == 1
+        payload = json.loads(out)
+        endpoints = payload["sections"]["cptp_endpoints"]
+        assert endpoints["dep"]["above"]["passed"] is True
+        assert endpoints["dep"]["above"]["min_choi_eigenvalue"] == pytest.approx(-1 / 300)
+        assert [f for f, entry in endpoints.items() if not entry["passed"]] == ["dep"]
+        assert payload["passed"] is False
+
     def test_dim_three_bundle(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--dim", "3", "--samples", "50", "--seed", "0")
         assert code == 0
@@ -725,6 +753,7 @@ class TestNumpyFreeCommands:
             (["report", "--dim", "3", "--samples", "-1"], 2),
             (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "-1"], 2),
             (["basis", "--dim", "200"], 2),
+            (["basis", "--dim", "63", "--json"], 2),
             (["identities", "--dim", "5000"], 2),
             (["detcheck", "--dim", "5000"], 2),
         ],

@@ -35,7 +35,7 @@ from qchan.verification import (
     verify_sum_identities,
 )
 
-from dense_oracles import state_labels
+from dense_oracles import per_pair_sums, state_labels
 
 SUM_TOL = Tolerance(absolute=1e-12, relative=0.0)
 dims = st.integers(min_value=2, max_value=12)
@@ -66,12 +66,8 @@ fractions = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_si
 
 
 def direct_sums_one(s, n):
-    """The brute-force sums of one matrix, as formed before trial stacks."""
-    gather, coef, dest, w = verification._sum_plan(n)
-    buf = np.zeros((2, 3, n, n), dtype=complex)
-    np.put(buf, dest, coef * s.take(gather))
-    buf[0].reshape(3, -1)[:, :: n + 1] = buf[1].sum(axis=-1)
-    return dict(zip("xyz", buf[0]), ez=w * s)
+    """The brute-force sums of one matrix, a pair and a term at a time."""
+    return per_pair_sums(s, n) | {"ez": verification._staircase_gram(n) * s}
 
 
 def representations_loop(family, p, n, trials, seed, tol=SUM_TOL):

@@ -37,7 +37,7 @@ from qchan.verification import (
     witness_states,
 )
 
-from dense_oracles import dense_is_cptp, per_state_sample_test, state_labels
+from dense_oracles import dense_is_cptp, per_pair_sums, per_state_sample_test, state_labels
 
 FAMILIES = list(Family)
 
@@ -412,41 +412,38 @@ class TestSumIdentities:
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_plan_writes_each_destination_once_per_sector(self, n):
-        gather, coef, dest, _ = verification._sum_plan(n)
-        assert gather.shape == coef.shape == dest.shape == (12 * n * (n - 1) // 2,)
-        plane = dest // (n * n)  # (diagonal plane, sector) of each term
-        for index in range(6):
-            written = dest[plane == index] % (n * n)
-            assert len(np.unique(written)) == len(written) == n * (n - 1)
-            assert not np.any(written // n == written % n)  # never on the diagonal
+        # Every off-diagonal output of a sector's sum is one off-diagonal
+        # input entry times +1 or -1, and each input entry feeds one output.
+        s = (1 + np.arange(n * n).reshape(n, n)) * (1 + 0.5j)
+        sources = {v: divmod(i, n) for i, v in enumerate(s.flat)}
+        off_diagonal = ~np.eye(n, dtype=bool)
+        sums = verification._direct_sums(s, n)
+        for key in "xyz":
+            used = []
+            for value in sums[key][off_diagonal]:
+                signed = [sign * value for sign in (1, -1) if sign * value in sources]
+                assert len(signed) == 1, (key, value)
+                row, col = sources[signed[0]]
+                assert row != col
+                used.append((row, col))
+            assert len(set(used)) == len(used) == n * (n - 1)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_plan_matches_pauli_matrix_bit_for_bit(self, n):
-        # Rebuild the plan from pauli_matrix's nonzeros (row-major: the pair's
-        # k row first) with the plan's scalar arithmetic: real entries read
-        # as floats, complex ones as Python complex, so zero signs agree.
-        def plain(v):
-            return v.real if v.imag == 0 else complex(v)
-
-        gather, coef, dest = [], [], []
-        for sector, name in enumerate("xyz"):
-            pairs = combinations(range(1, n + 1), 2)
-            mats = {(k - 1, l - 1): pauli_matrix(n, name, (k, l)) for k, l in pairs}
-            for a in range(2):
-                for b in range(2):
-                    for (k, l), m in mats.items():
-                        nonzeros = list(zip(*np.nonzero(m)))
-                        (r_a, c_a), (r_b, c_b) = nonzeros[a], nonzeros[b]
-                        gather.append(c_a * n + r_b)
-                        coef.append(plain(m[r_a, c_a]) * plain(m[r_b, c_b]))
-                        on_diagonal = r_a == c_b
-                        col = k + l - r_a if on_diagonal else c_b
-                        dest.append(((on_diagonal * 3 + sector) * n + r_a) * n + col)
+        # Generic, Hermitian and complex symmetric inputs, with signed zeros
+        # in one row and one column, alone and stacked.
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        g[:, 0, :] = -0.0
+        g[:, :, -1] = complex(0.0, -0.0)
         z = np.array([np.diag(m_z(n, j)).real / np.sqrt(j * (j + 1)) for j in range(1, n)])
-        expected = (np.array(gather), np.array(coef, dtype=complex), np.array(dest), z.T @ z)
-        for got, want in zip(verification._sum_plan(n), expected):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        for stack in (g, (g + np.swapaxes(g, -1, -2).conj()) / 2, (g + np.swapaxes(g, -1, -2)) / 2):
+            sums = verification._direct_sums(stack, n)
+            for i, s in enumerate(stack):
+                alone = verification._direct_sums(s, n)
+                expected = per_pair_sums(s, n) | {"ez": (z.T @ z) * s}
+                for key, mat in expected.items():
+                    assert alone[key].tobytes() == sums[key][i].tobytes() == mat.tobytes(), (key, i)
 
     def test_sums_build_no_dense_stack(self, monkeypatch):
         def refuse(*args, **kwargs):
