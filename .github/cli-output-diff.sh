@@ -8,10 +8,11 @@
 # reports: it exits 0 whatever it finds.  Keep every command small enough
 # for both trees.  Every tree the script is run on forms the conjugation
 # sums from the basis entries in O(n^2) memory and the Kraus section from
-# the weights alone; the largest rows, `report --dim 128` and `identities
-# --dim 256`, peak near 100 MB.  `basis --dim 63 --json` is the first
-# size that trees with a guard on the basis JSON refuse; a tree without
-# that guard writes about 0.9 GB of JSON at a peak near 2.2 GB.
+# the weights alone; `report --dim 128` and `identities --dim 256` peak
+# near 100 MB, and `identities --dim 1000` at up to 600 MB in about 1 s.
+# `basis --dim 63 --json` is the first size that trees with a guard on the
+# basis JSON refuse; a tree without that guard writes about 0.9 GB of JSON
+# at a peak near 2.2 GB.
 set -u
 
 base=$1
@@ -106,6 +107,9 @@ commands=(
     "identities --dim 2 --trials 3 --seed 9"
     "report --dim 3 --tol 1e-3"
     "basis --dim 63 --json"
+    "identities --dim 1000 --trials 1 --seed 0"
+    "report --dim 5 --samples 20000 --seed 3"
+    "verify constant-norm --family tcq --dim 64 --p 0.001 --samples 2000 --seed 5"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

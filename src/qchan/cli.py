@@ -38,6 +38,7 @@ from typing import Any, Callable, NoReturn, Optional
 from . import jsonio
 from .exact import (
     _HYBRID,
+    _TRIAL_BYTES_PER_N2,
     FAMILY_NAMES,
     GAP_THRESHOLD,
     Family,
@@ -186,8 +187,18 @@ def _load_json_file(path: str) -> Any:
 _VERIFY_BYTES_PER_N2 = 100
 
 
-def _load_channel(args: argparse.Namespace) -> Callable[[], Any]:
-    """The channel of a verify command, refused if the check would pass 2 GiB.
+def _sample_bytes(channels: int, samples: int) -> int:
+    """Peak bytes that ``samples`` Haar states add to the sample test of ``channels`` channels.
+
+    Each channel keeps one float64 norm per state, and each verdict takes
+    two more arrays of that length: the deviations from the mean and their moduli.
+    """
+
+    return (8 * channels + 16) * samples
+
+
+def _load_channel(args: argparse.Namespace, samples: int = 0) -> Callable[[], Any]:
+    """The channel of a verify command, refused if the check with ``samples`` Haar states would pass 2 GiB.
 
     Returns a function that builds it.  An inline ``--family`` channel is
     checked as ``FamilyChannel`` checks it, and built only when that
@@ -216,7 +227,8 @@ def _load_channel(args: argparse.Namespace) -> Callable[[], Any]:
 
             return FamilyChannel(family=family, p=args.p, dim=n)
 
-    _check_dense_bytes(_VERIFY_BYTES_PER_N2 * n * n, f"verify {args.verify_command} at dim {n}")
+    nbytes = _VERIFY_BYTES_PER_N2 * n * n + _sample_bytes(1, samples)
+    _check_dense_bytes(nbytes, f"verify {args.verify_command} at dim {n}")
     return build
 
 
@@ -330,7 +342,7 @@ def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
-    build = _load_channel(args)
+    build = _load_channel(args, args.samples)
     kwargs = _tol_kwargs(args)
     _check_samples(args.samples)
     from .channels import channel_to_json
@@ -351,15 +363,10 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, holds and report.passed
 
 
-# Peak bytes per n^2 of `identities`, rounded up from 529-542 (tracemalloc,
-# n = 128..400, default trials): one trial stack and its two stacks of sums.
-# `detcheck` peaks at 65-85 bytes per n^2 and shares the verify estimate.
-_IDENTITIES_BYTES_PER_N2 = 550
-
-
 def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    _check_dense_bytes(_IDENTITIES_BYTES_PER_N2 * n * n, f"identities at dim {n}")
+    # From n = 123 on each trial stack holds one trial, whose peak this is.
+    _check_dense_bytes(_TRIAL_BYTES_PER_N2 * n * n, f"identities at dim {n}")
     kwargs = _tol_kwargs(args)
     _check_trials(args.trials)
     from .verification import verify_sum_identities
@@ -370,6 +377,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
+    # It peaks at 65-85 bytes per n^2, within the verify estimate.
     _check_dense_bytes(_VERIFY_BYTES_PER_N2 * n * n, f"detcheck at dim {n}")
     kwargs = _tol_kwargs(args)
     _check_grid(args.grid)
@@ -416,13 +424,14 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
 # at n = 128..256.  The JSON is 1.5 KB per n^2, mostly the certificates'
 # witness states, and the peak holds it three times: `jsonio.dumps`' pieces
 # and their join, then the encoded copy written out.  The checks' arrays are
-# O(n^2) too, and nothing in a report grows faster.
+# O(n^2) too; only the Haar samples add to this, `_sample_bytes` of them.
 _REPORT_BYTES_PER_N2 = 4700
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    _check_dense_bytes(_REPORT_BYTES_PER_N2 * n * n, f"the report at dim {n}")
+    nbytes = _REPORT_BYTES_PER_N2 * n * n + _sample_bytes(len(Family), args.samples)
+    _check_dense_bytes(nbytes, f"the report at dim {n}")
     kwargs = _tol_kwargs(args)
     _check_samples(args.samples)
     from .channels import FamilyChannel, _kraus_count_and_deviation

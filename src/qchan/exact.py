@@ -128,6 +128,13 @@ def _check_dense_bytes(nbytes: int, what: str) -> None:
         raise ValueError(f"{what}: about {nbytes / 2**30:.1f} GiB, over the {_MAX_DENSE_GIB} GiB limit")
 
 
+# Peak bytes per trial per n^2 of the trial checks, rounded up from tracemalloc
+# peaks of one trial at n = 128 and 256: 208-224 in `verify_sum_identities`
+# (271 with the per-dimension caches cold), 232-257 in the representation
+# checks, and 224-226 for a whole `identities` process at n = 400..1000.
+_TRIAL_BYTES_PER_N2 = 280
+
+
 def _check_basis_bytes(n: int) -> None:
     """The basis is an (n^2, n, n) complex stack: 16 n^4 bytes."""
     _check_dense_bytes(16 * int(n) ** 4, f"the basis at dim {n}")

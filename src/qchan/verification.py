@@ -51,6 +51,7 @@ from .channels import (
 )
 from .exact import (
     _SIGNS,
+    _TRIAL_BYTES_PER_N2,
     DEFAULT_TOL,
     Family,
     ParamRange,
@@ -273,11 +274,13 @@ def _sample_reports(
     for diag in diags:
         if diag.dim != n:
             raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
-    norms = [[_witness_norms(diag)] for diag in diags]
+    norms = np.empty((len(channels), n * n + samples))  # per channel: witness states, then Haar samples
+    norms[:, : n * n] = [_witness_norms(diag) for diag in diags]
     # A weight that is zero throughout adds only zeros, whose signs no squared modulus sees.
     weights = [[w if np.any(w) else None for w in _pair_sector_weights(ch)] for ch in channels]
     per_chunk = min(_states_per_chunk(n), samples)
     proj, out, sq = (np.empty((per_chunk, n, n), dtype=complex) for _ in range(3))
+    pos = n * n
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled below
         for v in _haar_vectors(n, samples, seed):
             v_conj = v.conj()
@@ -295,10 +298,10 @@ def _sample_reports(
                     _diagonal_view(images)[...] = diagonals[first : first + k]
                     np.conjugate(images, out=squares)
                     squares *= images
-                    found.append(np.sqrt(np.add.reduce(entries, axis=-1)))
+                    np.sqrt(np.add.reduce(entries, axis=-1), out=found[pos : pos + k])
+                pos += k
     reports = []
     for ch, found in zip(channels, norms):
-        found = np.concatenate(found)
         lost = np.flatnonzero(np.isinf(found[n * n :]))  # Haar states whose squares overflowed
         if len(lost):
             v = np.concatenate(list(_haar_vectors(n, samples, seed)))[lost]
@@ -439,15 +442,9 @@ def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
     return {key: planes[..., i, :, :] for i, key in enumerate("xyz")} | {"ez": _staircase_gram(n) * s}
 
 
-# Peak bytes per trial per n^2 of a trial stack, every array counted: the
-# draw, the input, `_direct_sums`' buffer and the forms.  Measured with
-# tracemalloc at n = 32..128: 242-261 in the representation checks, 424-437
-# in the identity check (two stacks of sums alive at once).
-_TRIAL_BYTES_PER_N2 = 440
-
 # Peak bytes of one trial stack: the default trial counts of n <= 16 run in
 # one chunk, and memory stays flat at large n (one trial per chunk from
-# n = 96; chunks of 10 trials raised the peak of `report --dim 128` from
+# n = 123; chunks of 10 trials raised the peak of `report --dim 128` from
 # 101 to 151 MB).
 _TRIAL_CHUNK_BYTES = 8 << 20
 
@@ -459,7 +456,10 @@ def _trial_chunks(n: int, trials: int, seed: int):
     return _complex_normals(seed, trials, per_chunk, (n, n))
 
 
-_SUM_TOL = Tolerance(absolute=1e-12, relative=0.0)
+_SUM_TOL = Tolerance(absolute=1e-12, relative=1e-14)
+
+# The closed form of each brute-force sum of ``_direct_sums``.
+_CLOSED_SUMS = {"x": sum_x, "y": sum_y, "z": sum_z, "ez": lambda s, n: _diag_part(s) - s / n}
 
 
 def verify_sum_identities(
@@ -470,46 +470,33 @@ def verify_sum_identities(
 ) -> VerificationReport:
     """Check the closed conjugation-sum forms against brute-force sums.
 
-    Uses generic complex inputs and checks the x, y, z and staircase "ez"
-    sums (the orthonormal x/y sectors sum to half the x/y sums).  The
-    closed x/y forms carry a transpose; the transpose-free variants
-    coincide with them exactly on complex symmetric inputs, which is also
-    verified and recorded in the witness text.  The trials run in stacks
-    of :func:`_trial_chunks`.
+    Each trial checks the x, y, z and staircase "ez" sums of a generic
+    complex input S (the orthonormal x/y sectors sum to half the x/y sums),
+    then the x, y, z sums of its complex symmetric part (S + S^T)/2.  Every
+    transpose in the closed forms is a no-op there, so on that input they
+    are the transpose-free variants, whose deviation the witness text
+    records.  Each input is decided at ``tol.bound`` of the largest entry
+    of its closed forms, which grows like n |S_ii| in the z sums.  The
+    trials run in stacks of :func:`_trial_chunks`.
     """
 
     _check_dim(n)
     _check_trials(trials)
-    worst = 0.0
-    worst_sym = 0.0
+    found = np.zeros((2, 2))  # (largest deviation, largest closed-form entry) of S, then of (S + S^T)/2
     for s in _trial_chunks(n, trials, seed):
-        direct = _direct_sums(s, n)
-        closed = {
-            "x": sum_x(s, n),
-            "y": sum_y(s, n),
-            "z": sum_z(s, n),
-            "ez": _diag_part(s) - s / n,
-        }
-        for key, mat in closed.items():
-            worst = max(worst, float(np.max(np.abs(direct[key] - mat))))
-        # Transpose-free variants on a complex symmetric input.
-        sym = (s + np.swapaxes(s, -1, -2)) / 2
-        direct_sym = _direct_sums(sym, n)
-        trace_eye = _trace_eye(sym, n)
-        printed = {
-            "x": sym + trace_eye - 2 * _diag_part(sym),
-            "y": trace_eye - sym,
-            "z": n * _diag_part(sym) - np.swapaxes(sym, -1, -2),
-        }
-        for key, mat in printed.items():
-            worst_sym = max(worst_sym, float(np.max(np.abs(direct_sym[key] - mat))))
-    passed = worst <= tol.bound(1.0) and worst_sym <= tol.bound(1.0)
+        for symmetric, row in enumerate(found):
+            x = (s + np.swapaxes(s, -1, -2)) / 2 if symmetric else s
+            direct = _direct_sums(x, n)
+            for key in ("x", "y", "z") if symmetric else _CLOSED_SUMS:
+                closed = _CLOSED_SUMS[key](x, n)
+                row[0] = max(row[0], float(np.max(np.abs(direct[key] - closed))))
+                row[1] = max(row[1], float(np.max(np.abs(closed))))
+            del direct, closed  # before the next input's sums are built
+    (worst, scale), (worst_sym, scale_sym) = found.tolist()
     return VerificationReport(
-        passed=passed,
+        passed=worst <= tol.bound(scale) and worst_sym <= tol.bound(scale_sym),
         max_deviation=worst,
-        witness=(
-            f"transpose-free variants on symmetric inputs: max deviation {worst_sym:.3e}"
-        ),
+        witness=f"transpose-free variants on symmetric inputs: max deviation {worst_sym:.3e}",
         samples_used=trials,
     )
 
@@ -548,27 +535,25 @@ def _representation_reports(
     _check_trials(trials)
     coeffs = [repr_coefficients(family, p, n) for family, p in members]
     channels = [FamilyChannel(family=family, p=p, dim=n) for family, p in members]
-    devs: list[list[float]] = [[] for _ in members]
+    devs = np.empty((len(members), trials))  # per member, the worse of the two forms' deviations per trial
+    pos = 0
     for g in _trial_chunks(n, trials, seed):
         s = hermitian_part(g)
         sums = _direct_sums(s, n)
-        for ch, c, found in zip(channels, coeffs, devs):
+        for ch, c, row in zip(channels, coeffs, devs):
             expected = family_apply(ch, s)
             pauli_form = c.c0 * s + c.cx * sums["x"] + c.cy * sums["y"] + c.cz * sums["z"]
             basis_form = (
                 c.e0 * s / n + c.ex * sums["x"] / 2 + c.ey * sums["y"] / 2 + c.ez * sums["ez"]
             )
-            # One deviation per trial: the worse of the two forms.
-            pauli_dev = np.abs(pauli_form - expected).max(axis=(-2, -1)).tolist()
-            basis_dev = np.abs(basis_form - expected).max(axis=(-2, -1)).tolist()
-            found.extend(max(a, b) for a, b in zip(pauli_dev, basis_dev))
+            pauli_dev = np.abs(pauli_form - expected).max(axis=(-2, -1))
+            basis_dev = np.abs(basis_form - expected).max(axis=(-2, -1))
+            np.maximum(pauli_dev, basis_dev, out=row[pos : pos + len(s)])
+        pos += len(s)
     reports = []
-    for (family, p), found in zip(members, devs):
-        worst = 0.0
-        total = 0.0
-        for dev in found:  # in trial order: Python's sum() of floats is compensated from 3.12 on
-            worst = max(worst, dev)
-            total += dev
+    for (family, p), row in zip(members, devs):
+        worst = float(row.max())
+        total = float(np.add.accumulate(row)[-1])  # in trial order, one addition at a time
         passed = worst <= tol.bound(1.0)
         witness = None if passed else f"representation mismatch {worst:.3e} for {family.value}, p={p}, n={n}"
         reports.append(

@@ -227,6 +227,16 @@ class TestChecks:
         assert code == 0
         assert json.loads(out)["report"]["passed"] is True
 
+    def test_identities_pass_at_dim_1000(self, capsys):
+        # The z sums' entries reach about 3800 here and their rounding about
+        # 1.5e-12, past the absolute 1e-12; the bound relative to the largest
+        # entry of the closed forms passes them.
+        code, out, _ = run_cli(capsys, "identities", "--dim", "1000", "--trials", "1")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["passed"] is True
+        assert 1e-12 < report["max_deviation"] < 1e-14 * 3000
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -412,9 +422,11 @@ class TestSizeGuards:
     """An oversized --dim exits 2, naming the 2 GiB limit, before any work starts.
 
     The estimates are 100 bytes of peak memory per n^2 for the verify
-    commands and detcheck, 550 for identities and 700 for spectrum
+    commands and detcheck, 280 for identities and 700 for spectrum
     witnesses, so the verify commands and detcheck are refused from
-    n = 4635, identities from n = 1976 and mixed-pair witnesses from n = 1752.
+    n = 4635, identities from n = 2770 and mixed-pair witnesses from n = 1752.
+    Each Haar sample adds 24 bytes to `verify constant-norm` and 48 to
+    `report`, so at n = 3 they are refused from 89478448 and 44738362 samples.
     """
 
     @pytest.fixture
@@ -435,9 +447,18 @@ class TestSizeGuards:
             ),
             (["witness", "--pair", "dep,dcq", "--dim", "1752"], "the spectrum witnesses at dim 1752: about 2.0"),
             (["certify", "--pair", "tcq,dep", "--dim", "100000"], "the spectrum witnesses at dim 100000: about 6519.3"),
-            (["identities", "--dim", "1976"], "identities at dim 1976: about 2.0"),
-            (["identities", "--dim", "5000"], "identities at dim 5000: about 12.8"),
+            (["identities", "--dim", "2770"], "identities at dim 2770: about 2.0"),
+            (["identities", "--dim", "5000"], "identities at dim 5000: about 6.5"),
             (["detcheck", "--dim", "4635"], "detcheck at dim 4635: about 2.0"),
+            (
+                ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478448"],
+                "verify constant-norm at dim 3: about 2.0",
+            ),
+            (
+                ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "300000000"],
+                "verify constant-norm at dim 3: about 6.7",
+            ),
+            (["report", "--dim", "3", "--samples", "44738362"], "the report at dim 3: about 2.0"),
         ],
     )
     def test_oversized_dim_exits_2(self, capsys, no_work, argv, what):
@@ -460,8 +481,10 @@ class TestSizeGuards:
             ["witness", "--pair", "dep,dcq", "--dim", "1751"],
             ["certify", "--pair", "tcq,dep", "--dim", "1751"],
             ["certify", "--pair", "dep,trd", "--dim", "100000"],  # bound matching: nothing of size n^2
-            ["identities", "--dim", "1975"],
+            ["identities", "--dim", "2769"],
             ["detcheck", "--dim", "4634"],
+            ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478447"],
+            ["report", "--dim", "3", "--samples", "44738361"],
         ],
     )
     def test_largest_accepted_dims_start_work(self, no_work, argv):
@@ -756,6 +779,8 @@ class TestNumpyFreeCommands:
             (["basis", "--dim", "63", "--json"], 2),
             (["identities", "--dim", "5000"], 2),
             (["detcheck", "--dim", "5000"], 2),
+            (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "300000000"], 2),
+            (["report", "--dim", "3", "--samples", "300000000"], 2),
         ],
     )
     def test_runs_without_numpy(self, tmp_path, argv, code):

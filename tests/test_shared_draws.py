@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import channels as qchan_channels
-from qchan import jsonio, verification
+from qchan import exact, jsonio, verification
 from qchan.channels import (
     DiagonalChannel,
     Family,
@@ -37,7 +37,7 @@ from qchan.verification import (
 
 from dense_oracles import per_pair_sums, state_labels
 
-SUM_TOL = Tolerance(absolute=1e-12, relative=0.0)
+SUM_TOL = Tolerance(absolute=1e-12, relative=1e-14)
 dims = st.integers(min_value=2, max_value=12)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 # Trials per chunk, or None for the default chunk size; small chunks put
@@ -46,7 +46,7 @@ per_chunk = st.one_of(st.none(), st.integers(min_value=1, max_value=5))
 
 
 def trial_chunks_of(size, n):
-    bytes_ = verification._TRIAL_CHUNK_BYTES if size is None else size * verification._TRIAL_BYTES_PER_N2 * n * n
+    bytes_ = verification._TRIAL_CHUNK_BYTES if size is None else size * exact._TRIAL_BYTES_PER_N2 * n * n
     return mock.patch.object(verification, "_TRIAL_CHUNK_BYTES", bytes_)
 
 
@@ -106,8 +106,8 @@ def representations_loop(family, p, n, trials, seed, tol=SUM_TOL):
 def identities_loop(n, trials, seed, tol=SUM_TOL):
     rng = np.random.default_rng(seed)
     eye = np.eye(n, dtype=complex)
-    worst = 0.0
-    worst_sym = 0.0
+    worst = scale = 0.0
+    worst_sym = scale_sym = 0.0
     for _ in range(trials):
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         direct = direct_sums_one(s, n)
@@ -119,6 +119,8 @@ def identities_loop(n, trials, seed, tol=SUM_TOL):
         }
         for key, mat in closed.items():
             worst = max(worst, float(np.max(np.abs(direct[key] - mat))))
+            scale = max(scale, float(np.max(np.abs(mat))))
+        # The transpose-free variants, on a complex symmetric input.
         sym = (s + s.T) / 2
         direct_sym = direct_sums_one(sym, n)
         printed = {
@@ -128,7 +130,8 @@ def identities_loop(n, trials, seed, tol=SUM_TOL):
         }
         for key, mat in printed.items():
             worst_sym = max(worst_sym, float(np.max(np.abs(direct_sym[key] - mat))))
-    passed = worst <= tol.bound(1.0) and worst_sym <= tol.bound(1.0)
+            scale_sym = max(scale_sym, float(np.max(np.abs(mat))))
+    passed = worst <= tol.bound(scale) and worst_sym <= tol.bound(scale_sym)
     return VerificationReport(
         passed=passed,
         max_deviation=worst,
@@ -252,6 +255,27 @@ def test_shared_sample_reports_equal_the_loops(n, samples, seed, where, chunk_by
     assert shared[-1].witness is not None
     assert shared == expected
     assert single == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_reports_filled_across_many_stacks_equal_the_loops(n):
+    # Trial stacks of 2 split 7 trials into four, the last one short; chunks
+    # of 32 n^2 bytes draw 50 Haar states in stacks of 2n, the last one short,
+    # and apply each stack two states at a time.  So the entries of each
+    # report's array of deviations or norms are written by many stacks.
+    members = members_at([0.25, 0.5, 0.75, 1.0], n)
+    with trial_chunks_of(2, n):
+        shared = verification._representation_reports(members, n, 7, 5)
+        identities = verify_sum_identities(n, trials=7, seed=5)
+    assert shared == [representations_loop(f, p, n, 7, 5) for f, p in members]
+    assert identities == identities_loop(n, 7, 5)
+    channels = [FamilyChannel(f, p, n) for f, p in members]
+    with mock.patch.object(qchan_channels, "_CHUNK_BYTES", 32 * n * n):
+        assert [len(v) for v in qchan_channels._haar_vectors(n, 50, 5)] == [2 * n] * (50 // (2 * n)) + [2]
+        assert qchan_channels._states_per_chunk(n) == 2
+        shared = verification._sample_reports(channels, n, 50, 5)
+        expected = [sample_test_loop(ch, n, 50, 5) for ch in channels]
+    assert shared == expected
 
 
 def test_report_sections_equal_the_single_calls(capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import basis as basis_module
-from qchan import channels, verification
+from qchan import channels, cli, exact, verification
 from qchan.basis import build_basis, m_z, pauli_matrix
 from qchan.channels import (
     DiagonalChannel,
@@ -459,6 +460,24 @@ class TestSumIdentities:
         assert verify_sum_identities(9, trials=2).passed
         assert verify_representations(Family.TCQ, 0.05, 9, trials=2).passed
 
+    @pytest.mark.parametrize("n, sector", [(64, "x"), (64, "y"), (64, "z"), (1000, "z")])
+    def test_a_sum_missing_one_term_fails(self, monkeypatch, n, sector):
+        # The bound grows with the largest closed-form entry, about 3800 in
+        # the z sums at n = 1000, yet stays far below one term: a sum
+        # without pair (1, 2)'s term misses by an input entry, of order 1.
+        direct_sums = verification._direct_sums
+        m = pauli_matrix(2, sector, (1, 2))  # the pair's 2 x 2 block, the same at every n
+
+        def missing_a_term(s, n):
+            sums = direct_sums(s, n)
+            sums[sector][..., :2, :2] -= m @ s[..., :2, :2] @ m
+            return sums
+
+        monkeypatch.setattr(verification, "_direct_sums", missing_a_term)
+        report = verify_sum_identities(n, trials=1)
+        assert not report.passed
+        assert report.max_deviation > 1e-3
+
     def test_pairwise_diagonal_reduction_holds_at_256(self):
         report = verify_sum_identities(256, trials=2)
         assert report.passed, report.witness
@@ -594,3 +613,45 @@ class TestClassifyQubit:
         verdict = classify_qubit(l)
         report = per_state_sample_test(l, 2, samples=50, seed=2)
         assert (verdict.tag != "not_constant_norm") == report.passed
+
+
+def traced_peak(check):
+    """Peak bytes that tracemalloc sees allocated while ``check()`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        check()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryEstimates:
+    """The byte estimates of the size guards bound what the checks allocate."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda n: verify_sum_identities(n, trials=1),
+            lambda n: verify_representations(Family.TCQ, 0.001, n, trials=1),
+            lambda n: verification._representation_reports([(f, 0.001) for f in Family], n, 1, 0),
+        ],
+        ids=["identities", "representations", "shared-representations"],
+    )
+    def test_one_trial_stays_within_the_trial_estimate(self, check):
+        n = 128
+        check(n)  # the per-dimension caches are not per-trial memory
+        assert traced_peak(lambda: check(n)) <= exact._TRIAL_BYTES_PER_N2 * n * n
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_samples_grow_within_the_sample_estimate(self, n):
+        ch = FamilyChannel(Family.TCQ, 0.001, n)
+        low, high = (
+            traced_peak(lambda: constant_fnorm_sample_test(ch, n, samples=samples)) for samples in (10**4, 5 * 10**4)
+        )
+        assert high - low <= cli._sample_bytes(1, 4 * 10**4)
+
+    def test_shared_samples_grow_within_the_report_estimate(self):
+        chs = [FamilyChannel(f, 0.001, 3) for f in Family]
+        low, high = (traced_peak(lambda: verification._sample_reports(chs, 3, samples, 0)) for samples in (10**4, 5 * 10**4))
+        assert high - low <= cli._sample_bytes(len(chs), 4 * 10**4)
