@@ -12,7 +12,8 @@
 # near 100 MB, and `identities --dim 1000` at up to 600 MB in about 1 s.
 # `basis --dim 63 --json` is the first size that trees with a guard on the
 # basis JSON refuse; a tree without that guard writes about 0.9 GB of JSON
-# at a peak near 2.2 GB.
+# at a peak near 2.2 GB.  The rows at the first size each size guard
+# refuses (`--dim 4635`, `--samples 89478448`, ...) exit 2 at once.
 set -u
 
 base=$1
@@ -110,6 +111,14 @@ commands=(
     "identities --dim 1000 --trials 1 --seed 0"
     "report --dim 5 --samples 20000 --seed 3"
     "verify constant-norm --family tcq --dim 64 --p 0.001 --samples 2000 --seed 5"
+    "verify cptp --family dep --dim 4635 --p 0.1"
+    "detcheck --dim 4635"
+    "identities --dim 2770"
+    "witness --pair dep,dcq --dim 1752"
+    "report --dim 676"
+    "verify constant-norm --family dep --dim 3 --p 0.1 --samples 89478448"
+    "report --dim 3 --samples 44738362"
+    "verify constant-norm --channel $work/huge_multipliers.json --samples 20000"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -22,7 +22,7 @@ from math import sqrt
 
 import numpy as np
 
-from .exact import _check_basis_bytes, _check_dim
+from .exact import _check_dim, _check_peak_bytes
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, frobenius_norm, is_hermitian
 
 __all__ = [
@@ -47,10 +47,10 @@ def pair_count(n: int) -> int:
 _CACHED_DIMS = 4
 
 
-@lru_cache(maxsize=_CACHED_DIMS)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based (k, l) index arrays of the pairs k < l in lexicographic order; read-only."""
-    k, l = np.triu_indices(n, 1)
+@lru_cache(maxsize=2 * _CACHED_DIMS)
+def _pair_index(n: int, by_l: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based (k, l) index arrays of the pairs k < l in lexicographic order, or by l, then k; read-only."""
+    l, k = np.tril_indices(n, -1) if by_l else np.triu_indices(n, 1)[::-1]
     k.flags.writeable = False
     l.flags.writeable = False
     return k, l
@@ -117,7 +117,7 @@ def build_basis(n: int) -> BasisE:
     """Construct the orthonormal basis for dimension ``n``: O(n^4), refused past 2 GiB."""
 
     cnt = pair_count(n)
-    _check_basis_bytes(n)
+    _check_peak_bytes("basis", n)
     k, l = _pair_index(n)
     i = np.arange(cnt)
     j = np.arange(1, n)

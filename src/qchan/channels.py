@@ -42,7 +42,7 @@ from .exact import (
     repr_coefficients,
 )
 from .jsonio import SchemaError, finite_number, require, require_int, require_number
-from .linalg import as_matrix, as_matrix_stack, is_hermitian
+from .linalg import _row_norms, as_matrix, as_matrix_stack, is_hermitian
 
 __all__ = [
     "Family",
@@ -520,15 +520,9 @@ def _haar_vectors(n: int, samples: int, seed: int):
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Divide each row of a (k, n) complex array by its norm in place, bit for bit.
+    """Divide each row of a (k, n) complex array by its norm in place, as ``row /= np.linalg.norm(row)``."""
 
-    ``np.linalg.norm(row)`` is sqrt(re . re + im . im) over the strided real
-    and imaginary views; the (k, 1, n) @ (k, n, 1) products make the same
-    BLAS dot calls, one per row, so the rows equal ``row /= np.linalg.norm(row)``.
-    """
-
-    re, im = v.real, v.imag
-    v /= np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    v /= _row_norms(v)[:, None]
     return v
 
 

@@ -8,7 +8,7 @@ exit code:
 * 0 — command ran and every requested check passed,
 * 1 — command ran but a verification failed,
 * 2 — invalid input (bad flags, malformed JSON, out-of-range requests,
-  requests too large to allocate).
+  requests whose peak memory, estimated by ``exact._check_peak_bytes``, passes 2 GiB).
 
 ``--tol`` (or the QCHAN_TOL environment variable) replaces the default
 absolute/relative tolerance with the given value for both components.
@@ -38,16 +38,14 @@ from typing import Any, Callable, NoReturn, Optional
 from . import jsonio
 from .exact import (
     _HYBRID,
-    _TRIAL_BYTES_PER_N2,
     FAMILY_NAMES,
     GAP_THRESHOLD,
     Family,
     Tolerance,
-    _check_basis_bytes,
     _check_conjugation_p,
-    _check_dense_bytes,
     _check_finite_p,
     _check_grid,
+    _check_peak_bytes,
     _check_samples,
     _check_trials,
     family_from_name,
@@ -179,24 +177,6 @@ def _load_json_file(path: str) -> Any:
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
-# Peak bytes per n^2 of `verify cptp` and `verify constant-norm`, rounded up
-# from tracemalloc peaks at n = 200..1000: 84-90 for the block CP check,
-# 61-66 for the constant-norm check without samples and 72-96 with Haar
-# samples (one state per stack at these n).  Both are O(n^2) in memory but
-# O(n^3) in time, so this also keeps their eigensolves short.
-_VERIFY_BYTES_PER_N2 = 100
-
-
-def _sample_bytes(channels: int, samples: int) -> int:
-    """Peak bytes that ``samples`` Haar states add to the sample test of ``channels`` channels.
-
-    Each channel keeps one float64 norm per state, and each verdict takes
-    two more arrays of that length: the deviations from the mean and their moduli.
-    """
-
-    return (8 * channels + 16) * samples
-
-
 def _load_channel(args: argparse.Namespace, samples: int = 0) -> Callable[[], Any]:
     """The channel of a verify command, refused if the check with ``samples`` Haar states would pass 2 GiB.
 
@@ -227,8 +207,7 @@ def _load_channel(args: argparse.Namespace, samples: int = 0) -> Callable[[], An
 
             return FamilyChannel(family=family, p=args.p, dim=n)
 
-    nbytes = _VERIFY_BYTES_PER_N2 * n * n + _sample_bytes(1, samples)
-    _check_dense_bytes(nbytes, f"verify {args.verify_command} at dim {n}")
+    _check_peak_bytes(f"verify {args.verify_command}", n, samples)
     return build
 
 
@@ -248,13 +227,6 @@ def _is_mixed(pair: tuple[Family, Family]) -> bool:
     return len([f for f in pair if f in _HYBRID]) == 1
 
 
-# Peak bytes per n^2 of `witness` and of `certify` for a mixed pair, rounded
-# up from 665-673 measured with tracemalloc at n = 200..701: mostly the JSON
-# of the four n x n witness states, held as `jsonio.dumps`' pieces and their
-# join.  Same-class pairs build nothing of size n^2.
-_WITNESS_BYTES_PER_N2 = 700
-
-
 def _check_dim(args: argparse.Namespace) -> int:
     if args.dim < 2:
         raise SchemaError("dim", f"expected an integer >= 2, got {args.dim}")
@@ -269,17 +241,9 @@ def _report_payload(command: str, report: Any, **fields: Any) -> tuple[Any, bool
     return {"command": command, **fields, "report": report}, report.passed
 
 
-# Peak bytes per n^4 of `basis --json`, rounded up from 133-138 measured with
-# tracemalloc at n = 16..40: the 16-byte basis entries, and the JSON of about
-# 58 bytes per entry held as `jsonio.dumps`' pieces and their join.
-_BASIS_JSON_BYTES_PER_N4 = 140
-
-
 def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    _check_basis_bytes(n)
-    if args.json:
-        _check_dense_bytes(_BASIS_JSON_BYTES_PER_N4 * n**4, f"the basis JSON at dim {n}")
+    _check_peak_bytes("basis --json" if args.json else "basis", n)
     from .basis import build_basis
     from .linalg import frobenius_norm
 
@@ -365,8 +329,7 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    # From n = 123 on each trial stack holds one trial, whose peak this is.
-    _check_dense_bytes(_TRIAL_BYTES_PER_N2 * n * n, f"identities at dim {n}")
+    _check_peak_bytes("identities", n)
     kwargs = _tol_kwargs(args)
     _check_trials(args.trials)
     from .verification import verify_sum_identities
@@ -377,8 +340,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    # It peaks at 65-85 bytes per n^2, within the verify estimate.
-    _check_dense_bytes(_VERIFY_BYTES_PER_N2 * n * n, f"detcheck at dim {n}")
+    _check_peak_bytes("detcheck", n)
     kwargs = _tol_kwargs(args)
     _check_grid(args.grid)
     from .verification import verify_det_recurrence
@@ -404,7 +366,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
     pair = _parse_pair(args.pair)
     if _is_mixed(pair):
-        _check_dense_bytes(_WITNESS_BYTES_PER_N2 * n * n, f"the spectrum witnesses at dim {n}")
+        _check_peak_bytes("witness", n)
     certificate = inequivalence_certificate(pair, n, args.p)
     payload = {"command": args.command, "certificate": certificate, "gap_threshold": GAP_THRESHOLD}
     return payload, certificate.passed
@@ -420,18 +382,9 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
     return _report_payload("qubit-equiv", report, p=args.p, trials=args.trials, seed=args.seed)
 
 
-# Peak bytes of a report process per n^2, rounded up from 4.3-4.5 KB measured
-# at n = 128..256.  The JSON is 1.5 KB per n^2, mostly the certificates'
-# witness states, and the peak holds it three times: `jsonio.dumps`' pieces
-# and their join, then the encoded copy written out.  The checks' arrays are
-# O(n^2) too; only the Haar samples add to this, `_sample_bytes` of them.
-_REPORT_BYTES_PER_N2 = 4700
-
-
 def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     n = _check_dim(args)
-    nbytes = _REPORT_BYTES_PER_N2 * n * n + _sample_bytes(len(Family), args.samples)
-    _check_dense_bytes(nbytes, f"the report at dim {n}")
+    _check_peak_bytes("report", n, args.samples)
     kwargs = _tol_kwargs(args)
     _check_samples(args.samples)
     from .channels import FamilyChannel, _kraus_count_and_deviation

@@ -4,7 +4,7 @@ The paper's exact claims are rational arithmetic in n: the families' CPTP
 intervals, the conjugation-sum weights of ``repr_coefficients`` and the
 bound-matching obstruction separating same-class pairs.  They live here
 with what they rest on (tolerances, family names and sign patterns, the
-ratio table, the size guard and the CLI's argument checks) and with every
+ratio table, the size guards and the CLI's argument checks) and with every
 result record of qchan: ``typing.NamedTuple`` classes, whose ``Any``
 fields hold the arrays of the numeric modules.  Those modules re-export
 what moved here, so every ``qchan.<module>.<name>`` path still resolves.
@@ -120,7 +120,7 @@ class QubitClassification(NamedTuple):
 
 # --- Checks shared by the library and the CLI -------------------------------
 
-_MAX_DENSE_GIB = 2  # dense n^4-sized builders refuse larger requests before allocating
+_MAX_DENSE_GIB = 2  # every size guard refuses a larger request before allocating
 
 
 def _check_dense_bytes(nbytes: int, what: str) -> None:
@@ -128,16 +128,35 @@ def _check_dense_bytes(nbytes: int, what: str) -> None:
         raise ValueError(f"{what}: about {nbytes / 2**30:.1f} GiB, over the {_MAX_DENSE_GIB} GiB limit")
 
 
-# Peak bytes per trial per n^2 of the trial checks, rounded up from tracemalloc
-# peaks of one trial at n = 128 and 256: 208-224 in `verify_sum_identities`
-# (271 with the per-dimension caches cold), 232-257 in the representation
-# checks, and 224-226 for a whole `identities` process at n = 400..1000.
-_TRIAL_BYTES_PER_N2 = 280
+class _PeakBytes(NamedTuple):
+    """Peak bytes of a guarded command per n^2, per n^4 and per Haar sample, and what its refusal names."""
+
+    what: str
+    per_n2: int = 0
+    per_n4: int = 0
+    per_sample: int = 0  # for all the channels the command checks
 
 
-def _check_basis_bytes(n: int) -> None:
-    """The basis is an (n^2, n, n) complex stack: 16 n^4 bytes."""
-    _check_dense_bytes(16 * int(n) ** 4, f"the basis at dim {n}")
+# Each row is rounded up from the growth tracemalloc measures between two sizes of its command,
+# and is at most four times that growth (tests/test_cli.py measures it; README says what it holds).
+_PEAK_BYTES = {
+    "verify cptp": _PeakBytes("verify cptp", per_n2=100),
+    "verify constant-norm": _PeakBytes("verify constant-norm", per_n2=100, per_sample=24),
+    "detcheck": _PeakBytes("detcheck", per_n2=100),
+    "identities": _PeakBytes("identities", per_n2=280),  # also sizes verification's trial stacks
+    "witness": _PeakBytes("the spectrum witnesses", per_n2=700),  # and mixed-pair certify
+    "report": _PeakBytes("the report", per_n2=4700, per_sample=48),
+    "basis": _PeakBytes("the basis", per_n2=500, per_n4=16),
+    "basis --json": _PeakBytes("the basis JSON", per_n4=140),
+}
+
+
+def _check_peak_bytes(command: str, n: int, samples: int = 0) -> None:
+    """Refuse ``command`` at dim ``n`` with ``samples`` Haar states if its ``_PEAK_BYTES`` row passes 2 GiB."""
+
+    row, n = _PEAK_BYTES[command], int(n)
+    nbytes = row.per_n2 * n**2 + row.per_n4 * n**4 + row.per_sample * samples
+    _check_dense_bytes(nbytes, f"{row.what} at dim {n}")
 
 
 def _check_dim(n: int) -> None:

@@ -50,8 +50,8 @@ from .channels import (
     family_to_diagonal,
 )
 from .exact import (
+    _PEAK_BYTES,
     _SIGNS,
-    _TRIAL_BYTES_PER_N2,
     DEFAULT_TOL,
     Family,
     ParamRange,
@@ -65,7 +65,7 @@ from .exact import (
     param_range,
     repr_coefficients,
 )
-from .linalg import frobenius_norm, hermitian_part
+from .linalg import _frobenius_norms, frobenius_norm, hermitian_part
 
 __all__ = [
     "VerificationReport",
@@ -266,7 +266,8 @@ def _sample_reports(
     gets only the pair sectors and those rows.  Every value is that of the
     apply engine up to the signs of zeros, so the reports equal those of
     one call per channel, bit for bit.  A norm whose squares overflow is
-    retaken by :func:`frobenius_norm` from the output of its redrawn state.
+    retaken once its draw is done, from the same buffers, as
+    :func:`frobenius_norm` takes it of the state's output.
     """
 
     _check_samples(samples)
@@ -283,6 +284,7 @@ def _sample_reports(
     pos = n * n
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled below
         for v in _haar_vectors(n, samples, seed):
+            start = pos
             v_conj = v.conj()
             d = v * v_conj  # the diagonals of the projectors
             rows = [_output_diagonals(ch, d) for ch in channels]
@@ -300,14 +302,16 @@ def _sample_reports(
                     squares *= images
                     np.sqrt(np.add.reduce(entries, axis=-1), out=found[pos : pos + k])
                 pos += k
-    reports = []
-    for ch, found in zip(channels, norms):
-        lost = np.flatnonzero(np.isinf(found[n * n :]))  # Haar states whose squares overflowed
-        if len(lost):
-            v = np.concatenate(list(_haar_vectors(n, samples, seed)))[lost]
-            found[n * n + lost] = [frobenius_norm(ch(np.outer(u, u.conj()))) for u in v]
-        reports.append(_norm_spread_report(found, n, tol))
-    return reports
+            for (a, b), diagonals, found in zip(weights, rows, norms):
+                lost = np.flatnonzero(np.isinf(found[start:pos]))  # this draw's overflowed squares
+                for first in range(0, len(lost), per_chunk):
+                    q = lost[first : first + per_chunk]
+                    chunk, images = proj[: len(q)], out[: len(q)]
+                    np.multiply(v[q, :, None], v_conj[q, None, :], out=chunk)
+                    _pair_sectors_into(a, b, chunk, images)
+                    _diagonal_view(images)[...] = diagonals[q]
+                    found[start + q] = _frobenius_norms(images, sq[: len(q)])
+    return [_norm_spread_report(found, n, tol) for found in norms]
 
 
 def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> VerificationReport:
@@ -430,9 +434,11 @@ def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
     """
 
     buf = np.zeros((*s.shape[:-2], 2, 3, n, n), dtype=complex)
-    k, l = _pair_index(n)
-    for sector, (rows, cols, values) in enumerate(_pair_entries(k, l)):
-        for r_a, c_a, v_a in zip(rows, cols, values):
+    # Term a writes the rows of entry a, which are k for a = 0 and l for a = 1, so
+    # each takes the pairs in an order that writes the plane row by row.
+    for a, (k, l) in enumerate((_pair_index(n), _pair_index(n, by_l=True))):
+        for sector, (rows, cols, values) in enumerate(_pair_entries(k, l)):
+            r_a, c_a, v_a = rows[a], cols[a], values[a]
             for r_b, c_b, v_b in zip(rows, cols, values):
                 plane = int(r_a[0] == c_b[0])  # the same for every pair
                 buf[..., plane, sector, r_a, k + l - r_a] = (v_a * v_b) * s[..., c_a, r_b]
@@ -452,7 +458,7 @@ _TRIAL_CHUNK_BYTES = 8 << 20
 def _trial_chunks(n: int, trials: int, seed: int):
     """The ``trials`` complex Gaussian n x n inputs of ``seed``, in (chunk, n, n) stacks of the shared stream."""
 
-    per_chunk = max(1, _TRIAL_CHUNK_BYTES // (_TRIAL_BYTES_PER_N2 * n * n))
+    per_chunk = max(1, _TRIAL_CHUNK_BYTES // (_PEAK_BYTES["identities"].per_n2 * n * n))
     return _complex_normals(seed, trials, per_chunk, (n, n))
 
 

@@ -7,13 +7,14 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qchan import cli
+from qchan import basis, cli, exact, verification
 from qchan.channels import DiagonalChannel, Family, FamilyChannel, channel_to_json, family_to_diagonal
 from qchan.cli import main
 from qchan.equivalence import qubit_equivalence_check
@@ -78,7 +79,7 @@ class TestBasis:
         code, out, err = run_cli(capsys, "basis", "--dim", "200")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: the basis at dim 200: about 23.8 GiB")
+        assert err.startswith("error: the basis at dim 200: about 23.9 GiB")
 
     def test_oversized_json_basis_exits_2_before_allocating(self, capsys, monkeypatch):
         # The JSON document holds about 140 bytes per n^4 at its peak, so
@@ -418,16 +419,87 @@ class TestFieldErrors:
         assert err.startswith(f"error: field '{field}': ")
 
 
-class TestSizeGuards:
-    """An oversized --dim exits 2, naming the 2 GiB limit, before any work starts.
+def peak_case(command, kind, line, sizes, body=None):
+    """A case of the memory test: ``line`` run in process at a size (``{}``), or ``body(size)``."""
+    if body is None:
+        body = lambda size, where: main(["--output", f"{where}/out.json", *line.format(size, dir=where).split()])
+    return pytest.param(command, kind, body, sizes, id=line.format("N", dir="DIR"))
 
-    The estimates are 100 bytes of peak memory per n^2 for the verify
-    commands and detcheck, 280 for identities and 700 for spectrum
-    witnesses, so the verify commands and detcheck are refused from
-    n = 4635, identities from n = 2770 and mixed-pair witnesses from n = 1752.
-    Each Haar sample adds 24 bytes to `verify constant-norm` and 48 to
-    `report`, so at n = 3 they are refused from 89478448 and 44738362 samples.
+
+HUGE_MULTIPLIERS = {"kind": "diagonal", "dim": 3, "t": [1e155] * 6 + [0, 0]}
+NORM = "verify constant-norm --family tcq --p 0.001"
+SAMPLES = (10**4, 5 * 10**4)
+
+# Each row of `exact._PEAK_BYTES`, with the bodies it bounds and the two sizes
+# each runs at: dimensions, or Haar sample counts.  The 1e155 channel's squares
+# overflow, so its norms are retaken; the representation checks share the
+# identities row's trial stacks.
+PEAK_CASES = [
+    peak_case("verify cptp", "dim", "verify cptp --family dep --p 0.1 --dim {}", (256, 512)),
+    peak_case("verify constant-norm", "dim", NORM + " --samples 100 --dim {}", (256, 512)),
+    peak_case("verify constant-norm", "samples", NORM + " --dim 3 --samples {}", SAMPLES),
+    peak_case("verify constant-norm", "samples", NORM + " --dim 64 --samples {}", (2000, 10**4)),
+    peak_case("verify constant-norm", "samples", "verify constant-norm --channel {dir}/huge.json --samples {}", SAMPLES),
+    peak_case("detcheck", "dim", "detcheck --dim {}", (256, 512)),
+    peak_case("identities", "dim", "identities --trials 2 --dim {}", (256, 512)),
+    peak_case(
+        "identities", "dim", "verify_representations(tcq, 0.001, N, trials=1)", (128, 256),
+        lambda n, where: verification.verify_representations(Family.TCQ, 0.001, n, trials=1),
+    ),
+    peak_case(
+        "identities", "dim", "_representation_reports(each family at 0.001, N, trials=1)", (128, 256),
+        lambda n, where: verification._representation_reports([(f, 0.001) for f in Family], n, 1, 0),
+    ),
+    peak_case("witness", "dim", "witness --pair dep,dcq --dim {}", (200, 400)),
+    peak_case("witness", "dim", "certify --pair tcq,dep --dim {}", (200, 400)),
+    peak_case("report", "dim", "report --dim {}", (64, 128)),
+    peak_case("report", "samples", "report --dim 3 --samples {}", SAMPLES),
+    peak_case("basis", "dim", "basis --dim {}", (16, 32)),
+    peak_case("basis --json", "dim", "basis --json --dim {}", (16, 24)),
+]
+
+
+def traced_peak(body):
+    """Peak bytes that tracemalloc sees allocated while ``body()`` runs, from cold per-dimension caches."""
+    basis._pair_index.cache_clear()
+    verification._staircase_gram.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        body()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def estimated_bytes(command, dim=3, samples=0):
+    """The bytes that ``exact._check_peak_bytes`` estimates for ``command``."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_check_dense_bytes", lambda nbytes, what: seen.append(nbytes))
+        exact._check_peak_bytes(command, dim, samples)
+    return seen[0]
+
+
+class TestSizeGuards:
+    """An oversized --dim or --samples exits 2, naming the 2 GiB limit, before any work starts.
+
+    One table, ``exact._PEAK_BYTES``, estimates every guarded command's peak
+    memory; README's size-guard table states each row and its first refused
+    sizes, and tests/test_readme.py derives those sizes from the table.
     """
+
+    @pytest.mark.parametrize("command, kind, body, sizes", PEAK_CASES)
+    def test_estimate_bounds_the_measured_growth(self, tmp_path, command, kind, body, sizes):
+        write_json(tmp_path / "huge.json", HUGE_MULTIPLIERS)
+        body(sizes[0], tmp_path)  # imports and one-time allocations are not the command's peak
+        measured = [traced_peak(lambda: body(size, tmp_path)) for size in sizes]
+        estimated = [estimated_bytes(command, **{kind: size}) for size in sizes]
+        growth, estimate = measured[1] - measured[0], estimated[1] - estimated[0]
+        assert growth <= estimate <= 4 * growth, (growth, estimate)
+
+    def test_every_row_is_measured(self):
+        assert {case.values[0] for case in PEAK_CASES} == set(exact._PEAK_BYTES)
 
     @pytest.fixture
     def no_work(self, monkeypatch):

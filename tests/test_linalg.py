@@ -7,6 +7,7 @@ from qchan.jsonio import SchemaError
 from qchan.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _frobenius_norms,
     as_matrix_stack,
     frobenius_norm,
     hermitian_eigenvalues,
@@ -57,6 +58,16 @@ class TestFrobeniusNorm:
         for scale in (1e-300, 1.0, 1e150):
             m = scale * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
             assert frobenius_norm(m) == float(np.linalg.norm(m))
+
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_stacked_norms_are_each_matrix_norm(self, n):
+        # Plain, rescaled and non-finite matrices in one stack keep the bits of each alone.
+        rng = np.random.default_rng(n)
+        scales = np.array([1e-300, 1.0, 1e150, 1e154, 1e155, 1e200, 1e307])
+        m = scales[:, None, None] * (rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n)))
+        m = np.concatenate([m, np.full((1, n, n), np.inf + 0j)])
+        expected = [frobenius_norm(one) for one in m]
+        assert _frobenius_norms(m, np.empty_like(m)).tobytes() == np.array(expected).tobytes()
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(1)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qchan import cli
+from qchan import cli, exact
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,3 +56,45 @@ def test_range_example_prints_the_documented_json(capsys):
         printed.append(text[2:])
     assert cli.main(["range", "--family", "dcq", "--dim", "3"]) == 0
     assert capsys.readouterr().out == "\n".join(printed) + "\n"
+
+
+def _fits(command, n, samples=0):
+    try:
+        exact._check_peak_bytes(command, n, samples)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_refused(fits):
+    """The smallest size >= 1 that ``fits`` refuses, where every smaller size fits."""
+    lo, hi = 0, 1
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return hi
+
+
+def _size_guard_rows():
+    """README's size-guard table: command -> its other cells."""
+    section = README.read_text(encoding="utf-8").split("Size guards.", 1)[1]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| `"):
+            rows[cells[0].strip("`")] = cells[1:]
+    return rows
+
+
+def test_size_guard_table_states_the_first_refused_sizes():
+    rows = _size_guard_rows()
+    assert set(rows) == set(exact._PEAK_BYTES)
+    for command, row in exact._PEAK_BYTES.items():
+        refused = f"n = {_first_refused(lambda n: _fits(command, n))}"
+        if row.per_sample:
+            samples = _first_refused(lambda s: _fits(command, 3, s))
+            refused += f"; {samples:,} samples at n = 3"
+        counts = [str(count or "") for count in (row.per_n2, row.per_n4, row.per_sample)]
+        assert rows[command] == [*counts, refused], command

@@ -46,7 +46,8 @@ per_chunk = st.one_of(st.none(), st.integers(min_value=1, max_value=5))
 
 
 def trial_chunks_of(size, n):
-    bytes_ = verification._TRIAL_CHUNK_BYTES if size is None else size * exact._TRIAL_BYTES_PER_N2 * n * n
+    per_trial = exact._PEAK_BYTES["identities"].per_n2 * n * n
+    bytes_ = verification._TRIAL_CHUNK_BYTES if size is None else size * per_trial
     return mock.patch.object(verification, "_TRIAL_CHUNK_BYTES", bytes_)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import basis as basis_module
-from qchan import channels, cli, exact, verification
+from qchan import channels, exact, verification
 from qchan.basis import build_basis, m_z, pauli_matrix
 from qchan.channels import (
     DiagonalChannel,
@@ -20,6 +21,7 @@ from qchan.channels import (
     as_linear_map,
     cptp_range,
     family_to_diagonal,
+    random_pure_state,
     repr_coefficients,
 )
 from qchan.jsonio import dumps
@@ -38,7 +40,7 @@ from qchan.verification import (
     witness_states,
 )
 
-from dense_oracles import dense_is_cptp, per_pair_sums, per_state_sample_test, state_labels
+from dense_oracles import dense_is_cptp, per_pair_sums, per_state_sample_test, redrawn_retake, state_labels
 
 FAMILIES = list(Family)
 
@@ -341,6 +343,34 @@ class TestSampleTest:
         assert report.mean_deviation == pytest.approx(oracle.mean_deviation, rel=1e-15, abs=0)
         assert report.witness.endswith(extremes) and oracle.witness.endswith(extremes)
 
+    @pytest.mark.parametrize(
+        "ch, samples, chunk_bytes",
+        [
+            (DiagonalChannel(3, np.array([1e155] * 6 + [0.0, 0.0])), 5 * 10**4, channels._CHUNK_BYTES),
+            (DiagonalChannel(3, np.array([3e154] * 3 + [1e154] * 3 + [0.0, 0.0])), 3000, 1 << 10),
+            (FamilyChannel(Family.DEP, 1e155, 3), 300, channels._CHUNK_BYTES),
+            (FamilyChannel(Family.DCQ, 1e155, 70), 20, channels._CHUNK_BYTES),
+        ],
+        ids=["5e4 samples", "some lost, many draws", "family", "one state per chunk"],
+    )
+    def test_overflow_retake_is_the_redrawn_retake(self, ch, samples, chunk_bytes):
+        # The lost norms are retaken per draw from the vectors in hand; their
+        # bits are those of drawing every vector again and measuring each alone.
+        seen = []
+        with mock.patch.object(channels, "_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(verification, "_norm_spread_report", lambda norms, *args: seen.append(norms)):
+            constant_fnorm_sample_test(ch, ch.dim, samples=samples, seed=0)
+        (norms,) = seen
+        n = ch.dim
+        rng = np.random.default_rng(0)
+        expected = norms.copy()
+        with np.errstate(over="ignore"):
+            states = (random_pure_state(n, rng)[None] for _ in range(samples))
+            expected[n * n :] = [np.linalg.norm(ch(state), axis=(-2, -1))[0] for state in states]
+        assert np.isinf(expected[n * n :]).any()
+        redrawn_retake(ch, n, samples, 0, expected)
+        assert norms.tobytes() == expected.tobytes()
+
     def test_deterministic(self):
         ch = as_linear_map(FamilyChannel(Family.DCQ, 0.1, 3))
         a = constant_fnorm_sample_test(ch, 3, samples=64, seed=9)
@@ -627,21 +657,20 @@ def traced_peak(check):
 
 
 class TestMemoryEstimates:
-    """The byte estimates of the size guards bound what the checks allocate."""
+    """The byte estimates of the size guards bound what the checks allocate, called directly."""
 
     @pytest.mark.parametrize(
         "check",
         [
             lambda n: verify_sum_identities(n, trials=1),
             lambda n: verify_representations(Family.TCQ, 0.001, n, trials=1),
-            lambda n: verification._representation_reports([(f, 0.001) for f in Family], n, 1, 0),
         ],
-        ids=["identities", "representations", "shared-representations"],
+        ids=["identities", "representations"],
     )
     def test_one_trial_stays_within_the_trial_estimate(self, check):
         n = 128
         check(n)  # the per-dimension caches are not per-trial memory
-        assert traced_peak(lambda: check(n)) <= exact._TRIAL_BYTES_PER_N2 * n * n
+        assert traced_peak(lambda: check(n)) <= exact._PEAK_BYTES["identities"].per_n2 * n * n
 
     @pytest.mark.parametrize("n", [3, 64])
     def test_samples_grow_within_the_sample_estimate(self, n):
@@ -649,9 +678,4 @@ class TestMemoryEstimates:
         low, high = (
             traced_peak(lambda: constant_fnorm_sample_test(ch, n, samples=samples)) for samples in (10**4, 5 * 10**4)
         )
-        assert high - low <= cli._sample_bytes(1, 4 * 10**4)
-
-    def test_shared_samples_grow_within_the_report_estimate(self):
-        chs = [FamilyChannel(f, 0.001, 3) for f in Family]
-        low, high = (traced_peak(lambda: verification._sample_reports(chs, 3, samples, 0)) for samples in (10**4, 5 * 10**4))
-        assert high - low <= cli._sample_bytes(len(chs), 4 * 10**4)
+        assert high - low <= exact._PEAK_BYTES["verify constant-norm"].per_sample * 4 * 10**4
