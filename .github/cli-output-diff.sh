@@ -107,6 +107,7 @@ commands=(
     "identities --dim 256 --trials 5 --seed 4"
     "identities --dim 2 --trials 3 --seed 9"
     "report --dim 3 --tol 1e-3"
+    "report --dim 2 --samples 10 --tol 1e-30"
     "basis --dim 63 --json"
     "identities --dim 1000 --trials 1 --seed 0"
     "report --dim 5 --samples 20000 --seed 3"

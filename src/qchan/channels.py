@@ -42,7 +42,7 @@ from .exact import (
     repr_coefficients,
 )
 from .jsonio import SchemaError, finite_number, require, require_int, require_number
-from .linalg import _row_norms, as_matrix, as_matrix_stack, is_hermitian
+from .linalg import _row_norms, as_matrix, as_matrix_stack, is_hermitian, is_psd
 
 __all__ = [
     "Family",
@@ -422,8 +422,6 @@ def kraus_completeness(operators: Sequence[np.ndarray]) -> np.ndarray:
 
 def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Check Hermitian, unit trace, PSD; returns the coerced array."""
-
-    from .linalg import is_psd  # local import keeps module load order simple
 
     s = as_matrix(s, name="state")
     if not is_hermitian(s, tol):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import os
@@ -37,7 +38,6 @@ from typing import Any, Callable, NoReturn, Optional
 
 from . import jsonio
 from .exact import (
-    _HYBRID,
     FAMILY_NAMES,
     GAP_THRESHOLD,
     Family,
@@ -48,6 +48,7 @@ from .exact import (
     _check_peak_bytes,
     _check_samples,
     _check_trials,
+    _is_mixed,
     family_from_name,
     inequivalence_certificate,
     param_range,
@@ -222,11 +223,6 @@ def _parse_pair(text: str) -> tuple[Family, Family]:
     return fam_a, fam_b
 
 
-def _is_mixed(pair: tuple[Family, Family]) -> bool:
-    """One of dep/trd and one of dcq/tcq: the pairs a spectrum witness separates."""
-    return len([f for f in pair if f in _HYBRID]) == 1
-
-
 def _check_dim(args: argparse.Namespace) -> int:
     if args.dim < 2:
         raise SchemaError("dim", f"expected an integer >= 2, got {args.dim}")
@@ -398,96 +394,64 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
         verify_sum_identities,
     )
 
-    sections: dict[str, Any] = {}
-    all_passed = True
-
-    ranges = {}
+    ranges = {family.value: param_range(family, n) for family in Family}
     endpoints = {}
-    for family in Family:
-        info = param_range(family, n)
-        ranges[family.value] = info
-        entry = {}
-        ok = True
-        for label, p in (("p_min", info.p_min), ("p_max", info.p_max)):
-            rep = is_cptp(FamilyChannel(family, p, n), n, **kwargs)
-            entry[label] = rep
-            ok = ok and rep.passed
-        for label, p in (("below", info.p_min - 0.01), ("above", info.p_max + 0.01)):
-            rep = is_cptp(FamilyChannel(family, p, n), n, **kwargs)
-            entry[label] = rep
-            ok = ok and not rep.passed
-        entry["passed"] = ok
+    for family, info in zip(Family, ranges.values()):
+        # The range's endpoints must pass and the members 0.01 outside it must fail.
+        probes = {"p_min": info.p_min, "p_max": info.p_max, "below": info.p_min - 0.01, "above": info.p_max + 0.01}
+        entry = {label: is_cptp(FamilyChannel(family, p, n), n, **kwargs) for label, p in probes.items()}
+        entry["passed"] = [rep.passed for rep in entry.values()] == [True, True, False, False]
         endpoints[family.value] = entry
-        all_passed = all_passed and ok
-    sections["ranges"] = ranges
-    sections["cptp_endpoints"] = endpoints
 
     # Each family is checked at the midpoint of its range, against one
     # shared draw of the sample states and one of the representation inputs.
-    members = [(f, (ranges[f.value].p_min + ranges[f.value].p_max) / 2) for f in Family]
-    channels = [FamilyChannel(family, p, n) for family, p in members]
+    channels = [FamilyChannel(f, (info.p_min + info.p_max) / 2, n) for f, info in zip(Family, ranges.values())]
     samples = _sample_reports(channels, n, args.samples, args.seed, **kwargs)
-    reps = _representation_reports(members, n, 50, args.seed, **kwargs)
-    constant_norm = {}
-    representations = {}
-    kraus = {}
-    for channel, sample, rep in zip(channels, samples, reps):
-        family, p_mid = channel.family, channel.p
-        holds, expected = constant_fnorm_criterion(channel, **kwargs)
-        constant_norm[family.value] = {
-            "p": p_mid,
-            "criterion_holds": holds,
-            "expected_norm": expected,
-            "report": sample,
-        }
-        all_passed = all_passed and holds and sample.passed
-
-        representations[family.value] = {"p": p_mid, "report": rep}
-        all_passed = all_passed and rep.passed
-
-        operators, completeness_dev, kraus_ok = _kraus_count_and_deviation(family, p_mid, n, **kwargs)
-        kraus[family.value] = {
-            "p": p_mid,
-            "operators": operators,
-            "completeness_deviation": completeness_dev,
-            "passed": kraus_ok,
-        }
-        all_passed = all_passed and kraus_ok
-    sections["constant_norm"] = constant_norm
-    sections["representations"] = representations
-    sections["kraus"] = kraus
+    reps = _representation_reports(channels, n, 50, args.seed, **kwargs)
+    constant_norm, representations, kraus = {}, {}, {}
+    for ch, sample, rep in zip(channels, samples, reps):
+        holds, expected = constant_fnorm_criterion(ch, **kwargs)
+        name = ch.family.value
+        constant_norm[name] = {"p": ch.p, "criterion_holds": holds, "expected_norm": expected, "report": sample}
+        representations[name] = {"p": ch.p, "report": rep}
+        count, deviation, ok = _kraus_count_and_deviation(ch.family, ch.p, n, **kwargs)
+        kraus[name] = {"p": ch.p, "operators": count, "completeness_deviation": deviation, "passed": ok}
 
     identities = verify_sum_identities(n, trials=25, seed=args.seed, **kwargs)
-    sections["identities"] = identities
-    all_passed = all_passed and identities.passed
-
     det = verify_det_recurrence(n, **kwargs)
-    sections["determinant"] = det
-    all_passed = all_passed and det.passed
-
+    # The qubit equivalences at n = 2, and every pair's inequivalence certificate above.
     if n == 2:
-        qe = qubit_equivalence_check(0.5, trials=50, seed=args.seed, **kwargs)
-        sections["qubit_equivalence"] = qe
-        all_passed = all_passed and qe.passed
+        equivalence = [qubit_equivalence_check(0.5, trials=50, seed=args.seed, **kwargs)]
+        equivalence_section = {"qubit_equivalence": equivalence[0]}
     else:
-        certificates = []
-        families = list(Family)
-        for i, fam_a in enumerate(families):
-            for fam_b in families[i + 1 :]:
-                cert = inequivalence_certificate((fam_a, fam_b), n)
-                certificates.append({"certificate": cert, "passed": cert.passed})
-                all_passed = all_passed and cert.passed
-        sections["certificates"] = certificates
-
+        equivalence = [inequivalence_certificate(pair, n) for pair in itertools.combinations(Family, 2)]
+        equivalence_section = {"certificates": [{"certificate": c, "passed": c.passed} for c in equivalence]}
+    sections = {
+        "ranges": ranges,
+        "cptp_endpoints": endpoints,
+        "constant_norm": constant_norm,
+        "representations": representations,
+        "kraus": kraus,
+        "identities": identities,
+        "determinant": det,
+        **equivalence_section,
+    }
+    passed = all(
+        [
+            *(entry["passed"] for entry in (*endpoints.values(), *kraus.values())),
+            *(entry["criterion_holds"] for entry in constant_norm.values()),
+            *(record.passed for record in (*samples, *reps, identities, det, *equivalence)),
+        ]
+    )
     payload = {
         "command": "report",
         "dim": n,
         "samples": args.samples,
         "seed": args.seed,
         "sections": sections,
-        "passed": all_passed,
+        "passed": passed,
     }
-    return payload, all_passed
+    return payload, passed
 
 
 def _emit(payload: Any, output: Optional[str]) -> None:

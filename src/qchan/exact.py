@@ -308,7 +308,12 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
 # --- Inequivalence certificates ------------------------------------------------
 
 _HYBRID = (Family.DCQ, Family.TCQ)
-_BASE = (Family.DEP, Family.TRD)
+
+
+def _is_mixed(pair: tuple[Family, Family]) -> bool:
+    """One of dep/trd and one of dcq/tcq: the pairs a spectrum witness separates."""
+    return (pair[0] in _HYBRID) != (pair[1] in _HYBRID)
+
 
 # Spectral gap a witness must exhibit before a certificate is claimed.
 GAP_THRESHOLD = 1e-6
@@ -511,17 +516,16 @@ def inequivalence_certificate(
             "at dimension 2 the four families are pairwise equivalent "
             "(see qubit_equivalence_check); no inequivalence certificate exists"
         )
-    hybrids = [f for f in pair if f in _HYBRID]
-    bases = [f for f in pair if f in _BASE]
-    if len(hybrids) != 1 and p is not None:
+    mixed = _is_mixed(pair)
+    if not mixed and p is not None:
         raise ValueError(
             f"p={p} applies to spectrum witnesses only; the same-class pair "
             f"{fam_a.value},{fam_b.value} is certified by bound matching, which takes no p"
         )
-    if len(hybrids) == 1:
+    if mixed:
         from .equivalence import spectrum_witness
 
-        hybrid, base = hybrids[0], bases[0]
+        hybrid, base = pair if fam_a in _HYBRID else (fam_b, fam_a)
         p_hybrid = p if p is not None else _default_witness_p(hybrid, n)
         p_base = p if p is not None else _default_witness_p(base, n)
         witness_h = spectrum_witness(hybrid, p_hybrid, n)

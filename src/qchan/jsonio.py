@@ -38,7 +38,7 @@ def format_float(x: float) -> str:
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     text = format(float(x), ".17g")
     # Keep floats recognizably floats so round-trips preserve the type.
-    if "e" not in text and "." not in text and "n" not in text:
+    if "e" not in text and "." not in text:
         text += ".0"
     return text
 

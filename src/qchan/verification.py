@@ -520,17 +520,18 @@ def verify_representations(
     The basis form is e0 S/n + ex X/2 + ey Y/2 + ez EZ (see ``_direct_sums``).
     """
 
-    return _representation_reports([(family, p)], n, trials, seed, tol)[0]
+    _check_trials(trials)
+    return _representation_reports([FamilyChannel(family=family, p=p, dim=n)], n, trials, seed, tol)[0]
 
 
 def _representation_reports(
-    members: list[tuple[Family, float]],
+    channels: list[FamilyChannel],
     n: int,
     trials: int,
     seed: int,
     tol: Tolerance = _SUM_TOL,
 ) -> list[VerificationReport]:
-    """``verify_representations`` of each (family, p), from one draw of the inputs.
+    """``verify_representations`` of each family member, from one draw of the inputs.
 
     The Hermitian inputs of ``seed`` are drawn once, in stacks, and their
     brute-force sums are weighted for every member, so the reports equal
@@ -539,9 +540,8 @@ def _representation_reports(
     """
 
     _check_trials(trials)
-    coeffs = [repr_coefficients(family, p, n) for family, p in members]
-    channels = [FamilyChannel(family=family, p=p, dim=n) for family, p in members]
-    devs = np.empty((len(members), trials))  # per member, the worse of the two forms' deviations per trial
+    coeffs = [repr_coefficients(ch.family, ch.p, n) for ch in channels]
+    devs = np.empty((len(channels), trials))  # per member, the worse of the two forms' deviations per trial
     pos = 0
     for g in _trial_chunks(n, trials, seed):
         s = hermitian_part(g)
@@ -557,11 +557,11 @@ def _representation_reports(
             np.maximum(pauli_dev, basis_dev, out=row[pos : pos + len(s)])
         pos += len(s)
     reports = []
-    for (family, p), row in zip(members, devs):
+    for ch, row in zip(channels, devs):
         worst = float(row.max())
         total = float(np.add.accumulate(row)[-1])  # in trial order, one addition at a time
         passed = worst <= tol.bound(1.0)
-        witness = None if passed else f"representation mismatch {worst:.3e} for {family.value}, p={p}, n={n}"
+        witness = None if passed else f"representation mismatch {worst:.3e} for {ch.family.value}, p={ch.p}, n={n}"
         reports.append(
             VerificationReport(
                 passed=passed,

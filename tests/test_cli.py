@@ -448,7 +448,7 @@ PEAK_CASES = [
     ),
     peak_case(
         "identities", "dim", "_representation_reports(each family at 0.001, N, trials=1)", (128, 256),
-        lambda n, where: verification._representation_reports([(f, 0.001) for f in Family], n, 1, 0),
+        lambda n, where: verification._representation_reports([FamilyChannel(f, 0.001, n) for f in Family], n, 1, 0),
     ),
     peak_case("witness", "dim", "witness --pair dep,dcq --dim {}", (200, 400)),
     peak_case("witness", "dim", "certify --pair tcq,dep --dim {}", (200, 400)),
@@ -576,6 +576,39 @@ class TestQubitEquiv:
         assert "0 < p < 1" in err
 
 
+def failed(record):
+    return record._replace(passed=False)
+
+
+# One case per section of `report`: the callee whose first result is made to
+# fail, how it is made to fail, the dimension, and the section it lands in.
+SECTION_FAILURES = [
+    pytest.param("qchan.verification.is_cptp", failed, 3, "cptp_endpoints", id="endpoint-probe"),
+    pytest.param(
+        "qchan.verification.constant_fnorm_criterion", lambda r: (False, r[1]), 3, "constant_norm", id="criterion"
+    ),
+    pytest.param(
+        "qchan.verification._sample_reports", lambda r: [failed(r[0]), *r[1:]], 3, "constant_norm", id="samples"
+    ),
+    pytest.param(
+        "qchan.verification._representation_reports",
+        lambda r: [failed(r[0]), *r[1:]],
+        3,
+        "representations",
+        id="representations",
+    ),
+    pytest.param("qchan.channels._kraus_count_and_deviation", lambda r: (*r[:2], False), 3, "kraus", id="kraus"),
+    pytest.param("qchan.verification.verify_sum_identities", failed, 3, "identities", id="identities"),
+    pytest.param("qchan.verification.verify_det_recurrence", failed, 3, "determinant", id="determinant"),
+    pytest.param(
+        "qchan.cli.inequivalence_certificate", lambda r: r._replace(method="none"), 3, "certificates", id="certificate"
+    ),
+    pytest.param(
+        "qchan.equivalence.qubit_equivalence_check", failed, 2, "qubit_equivalence", id="qubit-equivalence"
+    ),
+]
+
+
 class TestReport:
     def test_loose_tolerance_fails_on_correct_data(self, capsys):
         # dep at p_max + 0.01 has smallest Choi eigenvalue -1/300, which
@@ -664,6 +697,30 @@ class TestReport:
         assert seen == [Tolerance(absolute=1e-3, relative=1e-3)]
         run_cli(capsys, "report", "--dim", "2", "--samples", "10")
         assert seen[1:] == [None]
+
+    @pytest.mark.parametrize("target, spoil, n, section", SECTION_FAILURES)
+    def test_each_section_verdict_reaches_the_report(self, capsys, monkeypatch, target, spoil, n, section):
+        argv = ["report", "--dim", str(n), "--samples", "10"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        before = json.loads(out)["sections"]
+        module, name = target.rsplit(".", 1)
+        real = getattr(importlib.import_module(module), name)
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args)
+            result = real(*args, **kwargs)
+            return spoil(result) if len(calls) == 1 else result
+
+        monkeypatch.setattr(target, first_fails)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        after = payload["sections"]
+        assert after.keys() == before.keys()
+        assert [key for key in before if after[key] != before[key]] == [section]
 
 
 class TestOutputContract:

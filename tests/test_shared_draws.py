@@ -192,7 +192,7 @@ def test_stacked_sums_equal_the_sums_of_each_matrix(n):
 def test_shared_representation_reports_equal_the_loops(n, trials, seed, size, where):
     members = members_at(where, n)
     with trial_chunks_of(size, n):
-        shared = verification._representation_reports(members, n, trials, seed)
+        shared = verification._representation_reports([FamilyChannel(f, p, n) for f, p in members], n, trials, seed)
         single = [verify_representations(f, p, n, trials=trials, seed=seed) for f, p in members]
     expected = [representations_loop(f, p, n, trials, seed) for f, p in members]
     assert shared == expected
@@ -210,7 +210,7 @@ def test_batched_sum_identities_equal_the_loop(n, trials, seed, size):
 def test_failing_representation_reports_equal_the_loops():
     members = members_at([0.5] * 4, 5)
     tol = Tolerance(absolute=1e-18, relative=0.0)
-    shared = verification._representation_reports(members, 5, 7, 3, tol)
+    shared = verification._representation_reports([FamilyChannel(f, p, 5) for f, p in members], 5, 7, 3, tol)
     expected = [representations_loop(f, p, 5, 7, 3, tol) for f, p in members]
     assert not any(report.passed for report in expected)
     assert shared == expected
@@ -265,12 +265,12 @@ def test_reports_filled_across_many_stacks_equal_the_loops(n):
     # and apply each stack two states at a time.  So the entries of each
     # report's array of deviations or norms are written by many stacks.
     members = members_at([0.25, 0.5, 0.75, 1.0], n)
+    channels = [FamilyChannel(f, p, n) for f, p in members]
     with trial_chunks_of(2, n):
-        shared = verification._representation_reports(members, n, 7, 5)
+        shared = verification._representation_reports(channels, n, 7, 5)
         identities = verify_sum_identities(n, trials=7, seed=5)
     assert shared == [representations_loop(f, p, n, 7, 5) for f, p in members]
     assert identities == identities_loop(n, 7, 5)
-    channels = [FamilyChannel(f, p, n) for f, p in members]
     with mock.patch.object(qchan_channels, "_CHUNK_BYTES", 32 * n * n):
         assert [len(v) for v in qchan_channels._haar_vectors(n, 50, 5)] == [2 * n] * (50 // (2 * n)) + [2]
         assert qchan_channels._states_per_chunk(n) == 2

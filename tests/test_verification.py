@@ -671,11 +671,3 @@ class TestMemoryEstimates:
         n = 128
         check(n)  # the per-dimension caches are not per-trial memory
         assert traced_peak(lambda: check(n)) <= exact._PEAK_BYTES["identities"].per_n2 * n * n
-
-    @pytest.mark.parametrize("n", [3, 64])
-    def test_samples_grow_within_the_sample_estimate(self, n):
-        ch = FamilyChannel(Family.TCQ, 0.001, n)
-        low, high = (
-            traced_peak(lambda: constant_fnorm_sample_test(ch, n, samples=samples)) for samples in (10**4, 5 * 10**4)
-        )
-        assert high - low <= exact._PEAK_BYTES["verify constant-norm"].per_sample * 4 * 10**4
