@@ -13,7 +13,9 @@
 # `basis --dim 63 --json` is the first size that trees with a guard on the
 # basis JSON refuse; a tree without that guard writes about 0.9 GB of JSON
 # at a peak near 2.2 GB.  The rows at the first size each size guard
-# refuses (`--dim 4635`, `--samples 89478448`, ...) exit 2 at once.
+# refuses (`--dim 4635`, `--samples 89478448`, ...) exit 2 at once.  The
+# `-1e-05`, `-1e-3` and `1e308`/`8e307` rows differ from trees that read a
+# negative exponent-form value as an option or let the Choi data overflow.
 set -u
 
 base=$1
@@ -120,6 +122,18 @@ commands=(
     "verify constant-norm --family dep --dim 3 --p 0.1 --samples 89478448"
     "report --dim 3 --samples 44738362"
     "verify constant-norm --channel $work/huge_multipliers.json --samples 20000"
+    "-h"
+    "verify cptp -h"
+    "channel apply -h"
+    "report -h"
+    "verify cptp --family dep --dim 100 --p -1e-05"
+    "certify --pair dep,dcq --dim 5 --p -1e-3"
+    "verify cptp --family dep --dim 3 --p 0.1 --tol -1e-3"
+    "verify cptp --family dep --dim 3 --p 1e308"
+    "verify cptp --family dep --dim 3 --p 8e307"
+    "verify constant-norm --family dep --dim 3 --p 1e308 --samples 5"
+    "verify cptp --family dep --dim 3 --p 1e300"
+    "verify constant-norm --family dep --dim 3 --p 1e300 --samples 5"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

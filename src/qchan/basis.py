@@ -16,13 +16,12 @@ Hermitian matrix has real coordinates over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
-from .exact import _check_dim, _check_peak_bytes
+from .exact import _Frozen, _check_dim, _check_peak_bytes
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, frobenius_norm, is_hermitian
 
 __all__ = [
@@ -94,8 +93,7 @@ def _pair_entries(k: np.ndarray, l: np.ndarray) -> tuple:
     return ((k, l), (l, k), (1, 1)), ((k, l), (l, k), (-1j, 1j)), ((k, l), (k, l), (1, -1))
 
 
-@dataclass(frozen=True)
-class BasisE:
+class BasisE(_Frozen):
     """Orthonormal Hermitian basis, ordered identity / x / y / z.
 
     ``labels[i]`` is a ("0"|"x"|"y"|"z", index) tag: x and y indices count
@@ -104,10 +102,10 @@ class BasisE:
     ``elements`` are read-only views into it.
     """
 
-    dim: int
-    labels: tuple[tuple[str, int], ...]
-    elements: tuple[np.ndarray, ...]
-    stacked: np.ndarray
+    _fields = ("dim", "labels", "elements", "stacked")
+
+    def __init__(self, dim: int, labels: tuple, elements: tuple, stacked: np.ndarray) -> None:
+        self._set(dim, labels, elements, stacked)
 
     def __len__(self) -> int:
         return len(self.elements)

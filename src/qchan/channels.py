@@ -18,7 +18,6 @@ parameter range) Kraus sets.  A qubit map in the affine Stokes picture
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
 from typing import Any, Callable, Sequence, Union
@@ -34,6 +33,7 @@ from .exact import (
     Family,
     ReprCoefficients,
     Tolerance,
+    _Frozen,
     _check_dense_bytes,
     _check_dim,
     _check_finite_p,
@@ -67,20 +67,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilyChannel:
+class FamilyChannel(_Frozen):
     """One member of a family: kind, parameter p, dimension.
 
     Calling the channel applies its closed form (:func:`family_apply`).
     """
 
-    family: Family
-    p: float
-    dim: int
+    _fields = ("family", "p", "dim")
 
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        _check_finite_p(self.p)
+    def __init__(self, family: Family, p: float, dim: int) -> None:
+        _check_dim(dim)
+        _check_finite_p(p)
+        self._set(family, p, dim)
 
     @cached_property
     def _diagonal(self) -> DiagonalChannel:
@@ -94,8 +92,7 @@ class FamilyChannel:
         return family_apply(self, s)
 
 
-@dataclass(frozen=True)
-class DiagonalChannel:
+class DiagonalChannel(_Frozen):
     """Channel diagonal over the Hermitian basis.
 
     ``t`` holds the n^2 - 1 multipliers of the traceless sectors in basis
@@ -104,20 +101,19 @@ class DiagonalChannel:
     it (:func:`diagonal_apply`).
     """
 
-    dim: int
-    t: np.ndarray
+    _fields = ("dim", "t")
 
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        t = np.asarray(self.t, dtype=float)
-        expected = self.dim * self.dim - 1
+    def __init__(self, dim: int, t: np.ndarray) -> None:
+        _check_dim(dim)
+        t = np.asarray(t, dtype=float)
+        expected = dim * dim - 1
         if t.shape != (expected,):
             raise ValueError(f"expected {expected} multipliers, got shape {t.shape}")
         if not np.all(np.isfinite(t)):
             raise ValueError("multipliers must be finite")
         t = t.copy()
         t.flags.writeable = False
-        object.__setattr__(self, "t", t)
+        self._set(dim, t)
 
     @property
     def t_x(self) -> np.ndarray:
@@ -144,8 +140,8 @@ class DiagonalChannel:
         k, l = _pair_index(n)
         a = np.zeros((n, n))
         b = np.zeros((n, n))
-        a[k, l] = a[l, k] = (self.t_x + self.t_y) / 2
-        b[k, l] = b[l, k] = (self.t_x - self.t_y) / 2
+        a[k, l] = a[l, k] = _half_sum(self.t_x, self.t_y)
+        b[k, l] = b[l, k] = _half_sum(self.t_x, -self.t_y)
         a.flags.writeable = False
         b.flags.writeable = False
         return a, b
@@ -160,6 +156,17 @@ class DiagonalChannel:
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return diagonal_apply(self, s)
+
+
+def _half_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x + y) / 2, taken as x / 2 + y / 2 where the sum overflows: those halves are exact."""
+
+    with np.errstate(over="ignore"):  # an overflowed sum is redone below
+        half = (x + y) / 2
+    lost = np.isinf(half)
+    if lost.any():
+        half[lost] = x[lost] / 2 + y[lost] / 2
+    return half
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
@@ -438,8 +445,7 @@ def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 # --- Qubit picture -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QubitLambda:
+class QubitLambda(_Frozen):
     """Qubit channel in the affine Stokes picture.
 
     A state with Stokes vector a maps to the state with Stokes vector
@@ -449,18 +455,16 @@ class QubitLambda:
     matrix or (..., 2, 2) stack.
     """
 
-    t: tuple[float, float, float]
-    lam: tuple[float, float, float]
+    _fields = ("t", "lam")
 
-    def __post_init__(self) -> None:
-        t = tuple(float(v) for v in self.t)
-        lam = tuple(float(v) for v in self.lam)
+    def __init__(self, t: tuple[float, float, float], lam: tuple[float, float, float]) -> None:
+        t = tuple(float(v) for v in t)
+        lam = tuple(float(v) for v in lam)
         if len(t) != 3 or len(lam) != 3:
             raise ValueError("t and lam must have three components")
         if not all(np.isfinite(t)) or not all(np.isfinite(lam)):
             raise ValueError("t and lam must be finite")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "lam", lam)
+        self._set(t, lam)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         s = as_matrix_stack(s, name="input")

@@ -17,12 +17,14 @@ Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
 handler imports the numeric modules (and with them NumPy) only once its
 arguments and input files have passed the checks that need no linear
 algebra, so ``range``, same-class ``certify`` and every such input error
-run without loading NumPy.  Nor do they load ``dataclasses``: every
-result record is a NamedTuple (``_replace``, ``_asdict``), and
-``fractions`` is imported only by same-class ``certify``.
+run without loading NumPy.  No command loads ``dataclasses``: every
+result record is a NamedTuple (``_replace``, ``_asdict``), the channels
+and the basis derive from ``exact._Frozen``, and ``fractions`` is
+imported only by same-class ``certify``.
 
-``python -m qchan`` and the ``qchan`` script run :func:`run`, which exits
-with :func:`main`'s code after freezing the heap.
+``python -m qchan`` and the ``qchan`` script run :func:`run`, which runs
+:func:`main` with the cyclic garbage collector off and exits with its
+code after freezing the heap.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Any, Callable, NoReturn, Optional
 
@@ -58,8 +61,21 @@ from .jsonio import SchemaError
 __all__ = ["main", "run", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads ``-1e-05`` as a negative number, as it reads ``-0.5``.
+
+    The pattern argparse uses up to Python 3.11 has no exponent, so such a
+    value after ``--p`` or ``--tol`` was taken for an unknown option.
+    ``add_subparsers`` builds each subparser with its parent's class.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qchan",
         description="Constant-Frobenius-norm channel families: build, verify, certify.",
     )
@@ -486,14 +502,19 @@ def main(argv: Optional[list[str]] = None) -> int:
 def run() -> NoReturn:
     """Run :func:`main` on ``sys.argv`` and exit with its code.
 
-    ``python -m qchan`` and the ``qchan`` script end here.  Freezing the
-    heap moves every object into the permanent generation, which the
-    collections of interpreter shutdown skip: after ``import numpy`` those
-    walks cost about 10 ms per process.  Exit handlers and stream flushes
-    still run.  ``main`` itself does not freeze, because tests call it in
-    process, where frozen garbage would be kept for the rest of the run.
+    ``python -m qchan`` and the ``qchan`` script end here.  The cyclic
+    collector is off for the whole command: its passes, mostly while
+    NumPy imports, cost about 10 ms per process, and the only cycles a
+    command leaves are a fixed few hundred objects of NumPy's import and
+    of argparse (``tests/test_cli.py`` counts them).  Freezing the heap
+    before exit moves every object into the permanent generation, which
+    the collections of interpreter shutdown skip.  Exit handlers and
+    stream flushes still run.  ``main`` itself touches neither, because
+    tests call it in process, where disabled or frozen collection would
+    keep garbage for the rest of the run.
     """
 
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -8,8 +8,10 @@ ratio table, the size guards and the CLI's argument checks) and with every
 result record of qchan: ``typing.NamedTuple`` classes, whose ``Any``
 fields hold the arrays of the numeric modules.  Those modules re-export
 what moved here, so every ``qchan.<module>.<name>`` path still resolves.
-Importing this module loads neither ``dataclasses`` (and with it
-``inspect``) nor ``fractions``, which only bound matching imports.
+The channels and the basis, which validate, cache or act, derive from
+``_Frozen`` here instead.  Importing this module loads neither NumPy nor
+``fractions``, which only bound matching imports, and no qchan module
+loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -116,6 +118,44 @@ class QubitClassification(NamedTuple):
     fixed_output: Any = None
     variant: Optional[int] = None
     p: Optional[float] = None
+
+
+class _Frozen:
+    """Base of the immutable objects that are not records: the channels and the basis.
+
+    ``__init__`` validates, then stores the values named by ``_fields``
+    with :meth:`_set`; they decide ``==`` (same class, equal tuples),
+    ``hash`` and ``repr``, as a frozen dataclass's fields would.
+    Assignment and deletion raise AttributeError, while
+    ``functools.cached_property`` still caches, since it writes the
+    instance ``__dict__`` directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: Any) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # --- Checks shared by the library and the CLI -------------------------------

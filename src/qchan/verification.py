@@ -27,7 +27,7 @@ re-running the computation.  The conventions:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 from typing import Optional
 
 import numpy as np
@@ -98,7 +98,8 @@ def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verificatio
     D[j, i] = Phi(E_jj)_ii and (a, b) are the pair weights.  Eigenvalues,
     Frobenius norm and partial trace all come from these blocks.  CP
     holds when the smallest eigenvalue is above -tol of the Choi norm, TP
-    when the partial trace is within tol of I.
+    when the partial trace is within tol of I.  A Choi norm past the float
+    range raises ValueError: no tolerance can be scaled by it.
     """
 
     diag = _as_diagonal(ch)
@@ -106,6 +107,9 @@ def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verificatio
         raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
     a, b = diag.pair_weights
     classical, d = _classical_block(diag)
+    scale = frobenius_norm(np.stack([d, a, b]))
+    if scale == inf:
+        raise ValueError("the Frobenius norm of the Choi matrix overflows")
     classical_min = float(np.linalg.eigvalsh(classical)[0])
     k, l = _pair_index(n)
     x, y = d[k, l], d[l, k]
@@ -115,7 +119,6 @@ def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verificatio
         smallest, where = classical_min, " in classical block"
     else:
         smallest, where = float(pair_mins[worst]), f" in pair block ({k[worst] + 1},{l[worst] + 1})"
-    scale = frobenius_norm(np.stack([d, a, b]))
     # Tr_2 of the Choi matrix is diag(Tr Phi(E_jj)); off-diagonal entries vanish.
     trace_dev = float(np.max(np.abs(d.sum(axis=1) - 1)))
     psd_ok = smallest >= -tol.bound(scale)
@@ -317,9 +320,13 @@ def _sample_reports(
 def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> VerificationReport:
     """The sample test's verdict on the output norms of the witness states, then the Haar samples."""
 
-    spread = float(norms.max() - norms.min())
-    mean = float(norms.mean())
-    passed = spread <= tol.bound(float(norms.max()))
+    largest = float(norms.max())
+    if not isfinite(largest):  # a dcq or tcq member's 2p d(S) term passes the float range from |p| ~ 9e307 on
+        first = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise ValueError(f"the output of {_state_label(n, first)} overflows")
+    spread = float(largest - norms.min())
+    mean = _mean(norms)
+    passed = spread <= tol.bound(largest)
     witness = None
     if not passed:
         top, bottom = (_state_label(n, int(i)) for i in (norms.argmax(), norms.argmin()))
@@ -330,10 +337,21 @@ def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> Verificati
     return VerificationReport(
         passed=passed,
         max_deviation=spread,
-        mean_deviation=float(np.mean(np.abs(norms - mean))),
+        mean_deviation=_mean(np.abs(norms - mean)),
         witness=witness,
         samples_used=len(norms),
     )
+
+
+def _mean(values: np.ndarray) -> float:
+    """``np.mean`` of finite non-negative values, taken of them over their largest where the sum overflows."""
+
+    with np.errstate(over="ignore"):  # an overflowed sum is redone below
+        mean = float(np.mean(values))
+    if mean == inf:
+        top = float(values.max())
+        mean = top * float(np.mean(values / top))
+    return mean
 
 
 # --- Determinant recurrence ----------------------------------------------

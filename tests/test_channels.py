@@ -28,7 +28,7 @@ from qchan.channels import (
     to_choi,
     validate_state,
 )
-from qchan.jsonio import SchemaError
+from qchan.jsonio import SchemaError, dumps
 from qchan.linalg import DEFAULT_TOL, Tolerance, frobenius_norm
 
 FAMILIES = list(Family)
@@ -131,6 +131,22 @@ class TestDiagonalPicture:
         with pytest.raises(ValueError, match="^multipliers must be finite$"):
             DiagonalChannel(dim=2, t=t)
 
+    def test_pair_weights_are_the_rounded_half_sums(self):
+        # Halving is exact, so (t_x + t_y) / 2 is the rounded half sum unless the sum
+        # overflows; there the weight is x / 2 + y / 2, the same rounding, not inf.
+        big = np.finfo(float).max
+        t_x = np.array([big, big, -big, 1e308, 5e-324, 5e-324, 0.3])
+        t_y = np.array([big, -big, -0.5 * big, 1e308, 5e-324, -0.0, 0.1])
+        diag = DiagonalChannel(5, np.concatenate([t_x, [0.0] * 3, t_y, [0.0] * 3, [0.0] * 4]))
+        k, l = np.triu_indices(5, 1)[0][:7], np.triu_indices(5, 1)[1][:7]
+        a, b = diag.pair_weights
+        for weights, sign in ((a, 1), (b, -1)):
+            exact = [float((Fraction(x) + sign * Fraction(y)) / 2) for x, y in zip(t_x, t_y)]
+            assert weights[k, l].tolist() == exact
+        with np.errstate(over="ignore"):
+            plain = (t_x + t_y) / 2
+        assert np.array_equal(a[k, l][np.isfinite(plain)], plain[np.isfinite(plain)])
+
     def test_adjoint_is_self(self):
         # A real diagonal channel is its own adjoint in the trace pairing.
         diag = DiagonalChannel(dim=3, t=np.linspace(-0.5, 0.5, 8))
@@ -178,6 +194,99 @@ class TestCallableChannels:
         ch = DiagonalChannel(3, np.zeros(8))
         with pytest.raises(ValueError, match="dimension mismatch"):
             diagonal_apply(ch, np.zeros((2, 4, 4)))
+
+
+def _objects():
+    """One object of each immutable class, and its field values."""
+    t = np.linspace(-0.5, 0.5, 3)
+    basis = build_basis(2)
+    return [
+        (FamilyChannel(Family.TCQ, -0.125, 4), (Family.TCQ, -0.125, 4)),
+        (DiagonalChannel(2, t), (2, t)),
+        (QubitLambda((0.0, 0.1, 0.0), (0.5, -0.5, 0.5)), ((0.0, 0.1, 0.0), (0.5, -0.5, 0.5))),
+        (basis, (basis.dim, basis.labels, basis.elements, basis.stacked)),
+    ]
+
+
+class TestImmutableObjects:
+    """The channels and the basis behave as the frozen dataclasses they replaced."""
+
+    def test_positional_and_keyword_construction(self):
+        for obj, values in _objects():
+            cls = type(obj)
+            positional, keyword = cls(*values), cls(**dict(zip(cls._fields, values)))
+            for name in cls._fields:
+                assert np.array_equal(getattr(positional, name), getattr(keyword, name))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FamilyChannel(Family.DEP, float("nan"), 1), "dimension must be an integer >= 2, got 1"),
+            (lambda: FamilyChannel(Family.DEP, float("nan"), 3), "parameter p must be finite, got nan"),
+            (lambda: DiagonalChannel(1.5, [float("nan")]), "dimension must be an integer >= 2, got 1.5"),
+            (lambda: DiagonalChannel(3, [float("nan")] * 7), r"expected 8 multipliers, got shape \(7,\)"),
+            (lambda: DiagonalChannel(2, [0.1, float("inf"), 0.0]), "multipliers must be finite"),
+            (lambda: QubitLambda(("x", 0, 0), (0, 0)), "could not convert string to float: 'x'"),
+            (lambda: QubitLambda((float("nan"), 0, 0), (0, 0)), "t and lam must have three components"),
+            (lambda: QubitLambda((0, 0, 0), (0, 0, float("inf"))), "t and lam must be finite"),
+        ],
+    )
+    def test_validation_messages_in_order(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_equality_and_hash(self):
+        fam = FamilyChannel(Family.TCQ, -0.125, 4)
+        assert fam == FamilyChannel(family=Family.TCQ, p=-0.125, dim=4)
+        assert hash(fam) == hash(FamilyChannel(Family.TCQ, -0.125, 4))
+        assert fam != FamilyChannel(Family.TCQ, -0.125, 5)
+        assert fam != (Family.TCQ, -0.125, 4)
+        qubit = QubitLambda((0, 0, 0), (0.5, 0.5, 0.5))
+        assert qubit == QubitLambda(t=(0.0, 0.0, 0.0), lam=[0.5, 0.5, 0.5])
+        assert hash(qubit) == hash(((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)))
+        for obj, _ in _objects()[1::2]:  # an array field makes the diagonal channel and the basis unhashable
+            assert obj == obj
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
+
+    def test_repr(self):
+        assert repr(FamilyChannel(Family.TCQ, -0.125, 4)) == "FamilyChannel(family=<Family.TCQ: 'tcq'>, p=-0.125, dim=4)"
+        assert repr(DiagonalChannel(2, [0.4, -0.4, 0.4])) == "DiagonalChannel(dim=2, t=array([ 0.4, -0.4,  0.4]))"
+        assert repr(QubitLambda((0, 0, 1), (0, 0, 0))) == "QubitLambda(t=(0.0, 0.0, 1.0), lam=(0.0, 0.0, 0.0))"
+        assert repr(build_basis(2)).startswith("BasisE(dim=2, labels=(('0', 1), ('x', 1), ('y', 1), ('z', 1)), elements=(array(")
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for obj, values in _objects():
+            for name in (*obj._fields, "_diagonal", "other"):
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(obj, name, 0)
+                with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                    delattr(obj, name)
+            assert all(np.array_equal(getattr(obj, name), v) for name, v in zip(obj._fields, values))
+
+    def test_cached_properties_are_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(function):
+            def wrapper(*args):
+                calls.append(function.__name__)
+                return function(*args)
+
+            return wrapper
+
+        for name in ("pair_count", "diagonal_image", "_half_sum"):
+            monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
+        fam = FamilyChannel(Family.DEP, 0.25, 3)
+        diag = fam._diagonal
+        weights, images = diag.pair_weights, diag._unit_images
+        assert (fam._diagonal, diag.pair_weights, diag._unit_images) == (diag, weights, images)
+        assert diag.pair_weights is weights and diag._unit_images is images
+        assert calls == ["pair_count", "_half_sum", "_half_sum", "diagonal_image"]
+
+    def test_dumps_refuses_them(self):
+        for obj, _ in _objects():
+            with pytest.raises(TypeError, match=f"^cannot serialize {type(obj).__name__} to JSON$"):
+                dumps(obj)
 
 
 class TestChoi:

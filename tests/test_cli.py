@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import importlib
@@ -222,6 +223,38 @@ class TestVerifyConstantNorm:
         assert payload["expected_norm"] == pytest.approx(1e155 * np.sqrt(2 / 3), rel=1e-15)
 
 
+class TestNearTheFloatMaximum:
+    """Finite parameters whose Choi data or outputs reach the float maximum.
+
+    Each command gives a verdict or exits 2 with one message naming what
+    overflows, and no NumPy warning.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "1e308"], 2,
+             "error: the Frobenius norm of the Choi matrix overflows\n"),
+            (["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "8e307"], 2,
+             "error: the Frobenius norm of the Choi matrix overflows\n"),
+            (["verify", "cptp", "--family", "tcq", "--dim", "2", "--p", "1e308"], 1, ""),
+            (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "1e308", "--samples", "5"], 0, ""),
+            (["verify", "constant-norm", "--family", "trd", "--dim", "5", "--p", "-8e307", "--samples", "5"], 0, ""),
+            # dcq's closed form adds 2p d(S), which passes the float range here.
+            (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1e308", "--samples", "5"], 2,
+             "error: the output of haar_0 overflows\n"),
+        ],
+    )
+    def test_verdict_or_one_message(self, capsys, argv, code, err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_cli(capsys, *argv)
+        assert got[0::2] == (code, err)
+        if code != 2:
+            report = json.loads(got[1])["report"]
+            assert all(np.isfinite(v) for v in report.values() if isinstance(v, float))
+
+
 class TestChecks:
     def test_identities(self, capsys):
         code, out, _ = run_cli(capsys, "identities", "--dim", "4", "--trials", "10", "--seed", "3")
@@ -338,6 +371,63 @@ class TestWitnessAndCertify:
         code, _, err = run_cli(capsys, "certify", "--pair", "dep,dep", "--dim", "3")
         assert code == 2
         assert "distinct" in err
+
+
+def _parsers(parser):
+    """``parser`` and every subparser under it, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+class TestNegativeNumbers:
+    """A float option takes a negative value in exponent form, as it takes ``--p=-1e-05``."""
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-1E+3", "-.5e1", "-2.5e-1", "-3", "-0.25"])
+    def test_every_float_option(self, value):
+        seen = []
+        for parser in _parsers(cli.build_parser()):
+            required = [arg for a in parser._actions if a.required and a.option_strings for arg in (a.option_strings[0], "3")]
+            for action in parser._actions:
+                if action.type is float:
+                    args = parser.parse_args([*required, action.option_strings[0], value])
+                    assert getattr(args, action.dest) == float(value)
+                    seen.append(action.dest)
+        assert len(seen) == 12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "cptp", "--family", "dep", "--dim", "100", "--p", "-1e-05"],
+            ["certify", "--pair", "dep,dcq", "--dim", "5", "--p", "-1e-3"],
+            ["qubit-equiv", "--p", "0.5", "--trials", "5", "--tol", "1e-3"],
+        ],
+    )
+    def test_as_with_an_equals_sign(self, capsys, argv):
+        joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *joined)
+        assert run_cli(capsys, *argv)[0] == 0
+
+    def test_a_printed_endpoint_reads_back(self, capsys):
+        _, out, _ = run_cli(capsys, "range", "--family", "dep", "--dim", "101")
+        p_min = out.split('"p_min": ')[1].split(",")[0]
+        assert p_min == "-9.8039215686274506e-05"
+        code, out, _ = run_cli(capsys, "verify", "cptp", "--family", "dep", "--dim", "101", "--p", p_min)
+        assert code == 0
+        assert json.loads(out)["channel"]["p"] == float(p_min)
+
+    def test_negative_tol_reaches_its_check(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1", "--tol", "-1e-3")
+        assert (code, out, err) == (2, "", "error: field 'tol': expected a positive finite number, got -0.001\n")
+
+    def test_help_and_usage_are_unchanged(self, monkeypatch):
+        ours = [(parser.format_usage(), parser.format_help()) for parser in _parsers(cli.build_parser())]
+        monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+        plain = [(parser.format_usage(), parser.format_help()) for parser in _parsers(cli.build_parser())]
+        assert ours == plain
+        assert len(ours) == 14
 
 
 class TestFieldErrors:
@@ -850,7 +940,8 @@ NUMPY_PROBE = textwrap.dedent(
 )
 
 # Runs `python -m qchan` on its arguments, after registering an exit handler
-# that reports on stderr whether the heap was frozen.
+# that reports on stderr whether the heap was frozen, whether the cyclic
+# collector was on, and how many collections ran after qchan.cli was imported.
 EXIT_PROBE = textwrap.dedent(
     """
     import atexit
@@ -858,8 +949,52 @@ EXIT_PROBE = textwrap.dedent(
     import runpy
     import sys
 
-    atexit.register(lambda: sys.stderr.write(f"exit handler ran, frozen: {gc.get_freeze_count() > 0}\\n"))
+    import qchan.cli
+
+    starts = []
+    gc.callbacks.append(lambda phase, info: starts.append(info) if phase == "start" else None)
+
+
+    def report():
+        frozen, collecting = gc.get_freeze_count() > 0, gc.isenabled()
+        sys.stderr.write(f"exit handler ran, frozen: {frozen}, collecting: {collecting}, collections: {len(starts)}\\n")
+
+
+    atexit.register(report)
     runpy.run_module("qchan", run_name="__main__")
+    """
+)
+
+# Runs qchan.cli.main on its arguments with the cyclic collector off, as
+# `python -m qchan` does, and prints how many unreachable objects a
+# collection finds after each stage: importing NumPy (and fractions, which
+# bound matching imports), importing qchan's modules, building a parser and
+# parsing the arguments with it, and running the command.
+GC_PROBE = textwrap.dedent(
+    """
+    import contextlib
+    import gc
+    import io
+    import json
+    import sys
+
+    gc.disable()
+    import fractions
+    import numpy
+
+    found = {"numpy": gc.collect()}
+    import qchan.cli, qchan.basis, qchan.channels, qchan.equivalence, qchan.linalg, qchan.verification
+
+    found["qchan"] = gc.collect()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            qchan.cli.build_parser().parse_args(sys.argv[1:])
+        except SystemExit:
+            pass
+        found["argparse"] = gc.collect()
+        code = qchan.cli.main(sys.argv[1:])
+    found["command"] = gc.collect()
+    print(json.dumps({"code": code, "enabled": gc.isenabled(), **found}))
     """
 )
 
@@ -921,6 +1056,30 @@ class TestNumpyFreeCommands:
         # The certify rows are the same-class pairs, which run bound matching.
         assert ("fractions" in added) == (argv[0] == "certify")
 
+    def test_no_module_loads_dataclasses(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import contextlib
+            import io
+            import pkgutil
+            import sys
+
+            import qchan
+            import qchan.cli
+
+            for module in pkgutil.iter_modules(qchan.__path__):
+                if module.name != "__main__":
+                    __import__(f"qchan.{module.name}")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = qchan.cli.main(["verify", "cptp", "--family", "dep", "--dim", "8", "--p", "0.4"])
+            print(code, sorted(name for name in sys.modules if name.startswith("qchan")), "dataclasses" in sys.modules)
+            """
+        )
+        proc = _run_script(script, [], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        modules = ["qchan", *(f"qchan.{name}" for name in ("basis", "channels", "cli", "equivalence", "exact", "jsonio", "linalg", "verification"))]
+        assert proc.stdout.decode() == f"0 {modules} False\n"
+
     def test_numeric_commands_load_numpy(self, tmp_path):
         # The probe can tell: a command that needs linear algebra loads NumPy.
         argv = ["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1"]
@@ -954,6 +1113,7 @@ class TestExitPath:
             (["range", "--family", "dep", "--dim", "3"], 0),
             (["verify", "cptp", "--family", "tcq", "--dim", "3", "--p", "0.3"], 1),
             (["range", "--family", "dep", "--dim", "1"], 2),
+            (["report", "--dim", "16"], 0),
         ],
     )
     def test_exit_code_streams_and_exit_handlers(self, tmp_path, capsys, argv, code):
@@ -961,7 +1121,7 @@ class TestExitPath:
         expected, out, err = run_cli(capsys, *argv)
         assert proc.returncode == expected == code
         assert proc.stdout == out.encode("utf-8")
-        assert proc.stderr.decode("utf-8") == err + "exit handler ran, frozen: True\n"
+        assert proc.stderr.decode("utf-8") == err + "exit handler ran, frozen: True, collecting: False, collections: 0\n"
 
     def test_output_file_holds_the_whole_document(self, tmp_path, capsys):
         argv = ["report", "--dim", "3", "--seed", "0"]
@@ -974,6 +1134,35 @@ class TestExitPath:
         frozen = gc.get_freeze_count()
         run_cli(capsys, "range", "--family", "dep", "--dim", "3")
         assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["report", "--dim", "6"], 0),
+            (["verify", "constant-norm", "--family", "tcq", "--dim", "5", "--p", "0.1", "--samples", "300"], 0),
+            (["certify", "--pair", "tcq,dep", "--dim", "4"], 0),
+            (["channel", "apply", "--channel", "channel.json", "--state", "state.json"], 0),
+            (["qubit-equiv", "--p", "0.35", "--trials", "20"], 0),
+            (["basis", "--dim", "3", "--json"], 0),
+            (["channel", "apply", "--channel", "malformed.json", "--state", "state.json"], 2),
+            (["verify", "cptp", "--family", "dep", "--dim"], 2),
+        ],
+    )
+    def test_a_command_leaves_no_cyclic_garbage_of_its_own(self, tmp_path, argv, code):
+        # Running with the collector off keeps every cycle a process makes.
+        # Importing NumPy makes a fixed set (346 objects with NumPy 2.4), and
+        # so does argparse: each add_argument drops a HelpFormatter, and a
+        # parser's graph is cyclic.  Everything else a command does makes none.
+        write_json(tmp_path / "channel.json", channel_to_json(FamilyChannel(Family.DCQ, 0.2, 3)))
+        write_json(tmp_path / "state.json", matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)))
+        (tmp_path / "malformed.json").write_text('{"kind": "family", "family": ', encoding="utf-8")
+        proc = _run_script(GC_PROBE, argv, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        found = json.loads(proc.stdout)
+        assert (found["code"], found["enabled"]) == (code, False)
+        assert found["qchan"] == 0
+        assert found["command"] == found["argparse"]
 
     def test_script_target_is_the_function_the_main_module_calls(self):
         import qchan.__main__

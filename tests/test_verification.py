@@ -153,6 +153,16 @@ class TestIsCptp:
             "negative Choi eigenvalue -1.000000e+155" + ("" if dense else " in classical block")
         )
 
+    @pytest.mark.parametrize("p", [8e307, -1e308, np.finfo(float).max])
+    def test_choi_norm_past_the_float_range_raises(self, p):
+        # No tolerance can be scaled by it; the pair weights themselves stay finite.
+        ch = FamilyChannel(Family.DEP, p, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the Frobenius norm of the Choi matrix overflows$"):
+                is_cptp(ch, 3)
+        assert np.isfinite(ch._diagonal.pair_weights).all()
+
     def test_channel_dimension_must_match(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             is_cptp(FamilyChannel(Family.DEP, 0.1, 3), 4)
@@ -272,6 +282,23 @@ class TestWitnessStates:
 
 
 class TestSampleTest:
+    def test_mean_of_norms_whose_sum_overflows(self):
+        values = np.array([1.0e308, 1.5e308, 1.7e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = verification._mean(values)
+        assert mean == pytest.approx(float(np.mean(values / 4)) * 4, rel=1e-15)
+        assert verification._mean(values / 2**600) == float(np.mean(values / 2**600))
+
+    @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
+    def test_overflowing_output_is_named(self, family):
+        # The closed form's 2p d(S) term passes the float range; the witness norms do not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the output of haar_0 overflows$"):
+                constant_fnorm_sample_test(FamilyChannel(family, 1e308, 3), 3, samples=5)
+            assert constant_fnorm_sample_test(FamilyChannel(family, 1e308, 3), 3, samples=0).passed
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_families_pass(self, family):
         ch = FamilyChannel(family, 0.1, 3)
