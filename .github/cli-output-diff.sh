@@ -15,7 +15,10 @@
 # at a peak near 2.2 GB.  The rows at the first size each size guard
 # refuses (`--dim 4635`, `--samples 89478448`, ...) exit 2 at once.  The
 # `-1e-05`, `-1e-3` and `1e308`/`8e307` rows differ from trees that read a
-# negative exponent-form value as an option or let the Choi data overflow.
+# negative exponent-form value as an option or let the Choi data overflow,
+# and the dcq `1e308` and tcq `9e307` rows from trees that compute 2p there.
+# The `--output` rows end with an empty stdout: one writes its report to a
+# file, the other exits 2 because the file's directory does not exist.
 set -u
 
 base=$1
@@ -45,6 +48,7 @@ printf '{"kind": "family", "family": "dep", "p": 0.5, "dim": 2}\n' > "$work/dep_
 printf '{"rows": 2, "cols": 2, "data": [[0.5, 0], [1e200, 0], [1e200, 0], [0.5, 0]]}\n' \
     > "$work/huge_state.json"
 printf '{"kind": "diagonal", "dim": 1, "t": []}\n' > "$work/dim_one.json"
+printf '{"kind": "family", "family": "dcq", "p": 1e308, "dim": 3}\n' > "$work/dcq_max.json"
 
 commands=(
     "range --family dcq --dim 3"
@@ -134,6 +138,10 @@ commands=(
     "verify constant-norm --family dep --dim 3 --p 1e308 --samples 5"
     "verify cptp --family dep --dim 3 --p 1e300"
     "verify constant-norm --family dep --dim 3 --p 1e300 --samples 5"
+    "--output $work/report.json report --dim 3 --seed 0"
+    "--output $work/no_such_dir/range.json range --family dep --dim 3"
+    "channel apply --channel $work/dcq_max.json --state $work/state.json"
+    "verify constant-norm --family tcq --dim 3 --p 9e307 --samples 5"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

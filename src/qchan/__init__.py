@@ -7,7 +7,8 @@ machine-checkable (in)equivalence certificates.
 
 The public names are resolved on first access (PEP 562): ``import qchan``
 loads no submodule, and the names of :mod:`qchan.exact` (families, CPTP
-ranges, tolerances, bound matching, every result record) resolve without NumPy.
+ranges, tolerances, result records) and of :mod:`qchan.equivalence`
+(bound matching, the certificates and their records) resolve without NumPy.
 """
 
 from importlib import import_module as _import_module
@@ -19,44 +20,39 @@ _EXPORTS = {
         "build_basis",
         "decompose",
         "m_z",
-        "pair_count",
         "pauli_matrix",
         "reconstruct",
     ),
     "channels": (
         "DiagonalChannel",
         "FamilyChannel",
-        "QubitLambda",
         "as_linear_map",
         "channel_from_json",
         "channel_to_json",
         "diagonal_apply",
         "family_apply",
         "family_to_diagonal",
-        "kraus_completeness",
-        "kraus_from_family",
-        "random_pure_state",
-        "to_choi",
         "validate_state",
     ),
     "equivalence": (
+        "BoundMatchingReport",
+        "InequivalenceCertificate",
+        "SpectrumWitness",
+        "bound_matching_system",
+        "inequivalence_certificate",
         "qubit_equivalence_check",
         "spectrum_witness",
     ),
     "exact": (
         "DEFAULT_TOL",
-        "BoundMatchingReport",
         "Family",
-        "InequivalenceCertificate",
         "ParamRange",
         "QubitClassification",
         "ReprCoefficients",
-        "SpectrumWitness",
         "Tolerance",
         "VerificationReport",
-        "bound_matching_system",
         "cptp_range",
-        "inequivalence_certificate",
+        "pair_count",
         "param_range",
         "repr_coefficients",
     ),
@@ -67,16 +63,23 @@ _EXPORTS = {
         "matrix_from_json",
         "matrix_to_json",
     ),
-    "verification": (
+    "representations": (
+        "QubitLambda",
         "classify_qubit",
-        "constant_fnorm_criterion",
-        "constant_fnorm_sample_test",
         "dcq_det_formula",
-        "expected_constant_norm",
-        "is_cptp",
+        "kraus_completeness",
+        "kraus_from_family",
+        "to_choi",
         "verify_det_recurrence",
         "verify_representations",
         "verify_sum_identities",
+    ),
+    "sampling": ("random_pure_state",),
+    "verification": (
+        "constant_fnorm_criterion",
+        "constant_fnorm_sample_test",
+        "expected_constant_norm",
+        "is_cptp",
         "witness_states",
     ),
 }

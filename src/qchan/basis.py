@@ -16,13 +16,12 @@ Hermitian matrix has real coordinates over it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
-from .exact import _Frozen, _check_dim, _check_peak_bytes
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, frobenius_norm, is_hermitian
+from .exact import _Frozen, _check_dim, _check_peak_bytes, pair_count
+from .linalg import DEFAULT_TOL, Tolerance, _pair_index, as_matrix, frobenius_norm, is_hermitian
 
 __all__ = [
     "pair_count",
@@ -33,26 +32,6 @@ __all__ = [
     "decompose",
     "reconstruct",
 ]
-
-
-def pair_count(n: int) -> int:
-    """Number of index pairs 1 <= k < l <= n."""
-    _check_dim(n)
-    return n * (n - 1) // 2
-
-
-# Dimensions whose per-n index tables stay cached: each is O(n^2), but an
-# unbounded cache would keep every dimension a process ever asked for.
-_CACHED_DIMS = 4
-
-
-@lru_cache(maxsize=2 * _CACHED_DIMS)
-def _pair_index(n: int, by_l: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based (k, l) index arrays of the pairs k < l in lexicographic order, or by l, then k; read-only."""
-    l, k = np.tril_indices(n, -1) if by_l else np.triu_indices(n, 1)[::-1]
-    k.flags.writeable = False
-    l.flags.writeable = False
-    return k, l
 
 
 def pauli_matrix(n: int, sector: str, pair: tuple[int, int]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Channel families and their interchangeable representations.
+"""Channel families, the diagonal channels, and the one apply engine of both.
 
 Four one-parameter families act on n x n inputs S (d = diag(S) keeps the
 diagonal and zeroes the rest; T is plain transposition):
@@ -10,61 +10,62 @@ diagonal and zeroes the rest; T is plain transposition):
 
 Each is diagonal over the Hermitian basis of :mod:`qchan.basis` with
 multiplier 1 on the identity component and a sign pattern times p on the
-x / y / z sectors.  This module converts between the closed forms, the
-diagonal picture, Choi matrices and (on the CPTP
-parameter range) Kraus sets.  A qubit map in the affine Stokes picture
-(:class:`QubitLambda`) is the n = 2 diagonal channel plus a translation.
+x / y / z sectors.  This module holds what every command that acts on a
+channel runs: the two channel objects, their apply engine and their JSON
+form.  The Kraus sets, the dense Choi matrix and the qubit Stokes picture
+are in :mod:`qchan.representations`, and the random draws in
+:mod:`qchan.sampling`; their ``qchan.channels`` paths still resolve.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
-from math import sqrt
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
-from .basis import _pair_entries, _pair_index, pair_count, pauli_matrix
 from .exact import (
     _HYBRID,
     _SIGNS,
     DEFAULT_TOL,
-    FAMILY_NAMES,
     Family,
     ReprCoefficients,
     Tolerance,
     _Frozen,
-    _check_dense_bytes,
     _check_dim,
     _check_finite_p,
+    _forward,
     cptp_range,
     family_from_name,
+    pair_count,
     repr_coefficients,
 )
 from .jsonio import SchemaError, finite_number, require, require_int, require_number
-from .linalg import _row_norms, as_matrix, as_matrix_stack, is_hermitian, is_psd
+from .linalg import _pair_index, as_matrix, as_matrix_stack, is_hermitian, is_psd
 
 __all__ = [
     "Family",
     "FamilyChannel",
     "DiagonalChannel",
     "ReprCoefficients",
-    "QubitLambda",
     "cptp_range",
     "family_apply",
     "family_to_diagonal",
     "diagonal_apply",
     "diagonal_image",
     "as_linear_map",
-    "to_choi",
     "repr_coefficients",
-    "kraus_from_family",
-    "kraus_completeness",
     "validate_state",
-    "random_pure_state",
     "channel_to_json",
     "channel_from_json",
 ]
+
+__getattr__ = _forward(__name__, {
+    "FAMILY_NAMES": "exact",
+    **dict.fromkeys(("QubitLambda", "to_choi", "kraus_from_family", "kraus_completeness"), "representations"),
+    "random_pure_state": "sampling",
+})
 
 
 class FamilyChannel(_Frozen):
@@ -158,6 +159,18 @@ class DiagonalChannel(_Frozen):
         return diagonal_apply(self, s)
 
 
+def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The classical Choi block (D_ii on the diagonal, a_kl off it), and D.
+
+    ``is_cptp`` takes the block's eigenvalues and ``verify_det_recurrence`` its determinant.
+    """
+
+    d = diag._unit_images
+    block = diag.pair_weights[0].copy()
+    np.fill_diagonal(block, np.diag(d))
+    return block, d
+
+
 def _half_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(x + y) / 2, taken as x / 2 + y / 2 where the sum overflows: those halves are exact."""
 
@@ -215,7 +228,7 @@ def _apply(ch: AnyChannel, s: np.ndarray) -> np.ndarray:
     if isinstance(ch, FamilyChannel):
         zero = np.asarray((1 - ch.p) / ch.dim * np.trace(s, axis1=-2, axis2=-1)) * 0j
         if ch.family in _HYBRID:
-            zero += 2 * ch.p * np.zeros((), dtype=complex)
+            zero += ch.p * np.zeros((), dtype=complex)  # the signs of 2p * 0, with no 2p to overflow
         out += zero[..., None, None]
     _diagonal_view(out)[...] = _output_diagonals(ch, np.diagonal(s, axis1=-2, axis2=-1))
     return out
@@ -241,6 +254,9 @@ def _pair_sectors_into(a, b, s: np.ndarray, out: np.ndarray) -> None:
         out += b * np.swapaxes(s, -1, -2)
 
 
+_HALF_MAX = sys.float_info.max / 2  # exact: 2p is finite exactly when |p| is at most this
+
+
 def _output_diagonals(ch: AnyChannel, d: np.ndarray) -> np.ndarray:
     """The output-diagonal stage: output diagonals of the inputs whose diagonals are ``d`` (..., n).
 
@@ -248,6 +264,7 @@ def _output_diagonals(ch: AnyChannel, d: np.ndarray) -> np.ndarray:
     :func:`diagonal_image` for a diagonal channel, and ((+-p d + c) + 2p d)
     for a family member, the last term only for dcq and tcq, with
     c = (1-p)/n Tr(S) and Tr(S) summed from ``d`` as np.trace sums it.
+    Where 2p overflows (|p| > 8.9e307), p d is added twice instead.
     """
 
     if isinstance(ch, DiagonalChannel):
@@ -257,7 +274,11 @@ def _output_diagonals(ch: AnyChannel, d: np.ndarray) -> np.ndarray:
     out = d * (-ch.p if classical else ch.p)
     out += (c * (1 + 0j))[..., None]
     if classical:
-        out += 2 * ch.p * d
+        if abs(ch.p) <= _HALF_MAX:
+            out += 2 * ch.p * d
+        else:  # 2p overflows: p d added twice has the same signed zeros
+            out += ch.p * d
+            out += ch.p * d
     return out
 
 
@@ -304,129 +325,6 @@ def as_linear_map(ch: AnyChannel) -> Callable[[np.ndarray], np.ndarray]:
     raise TypeError(f"expected FamilyChannel or DiagonalChannel, got {type(ch).__name__}")
 
 
-def to_choi(apply_fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """Choi matrix sum_ij E_ij ⊗ Phi(E_ij) of a linear map on n x n inputs.
-
-    No verdict builds it: it is the dense reference for ``is_cptp``'s blocks.
-    ``apply_fn`` only ever sees Hermitian arguments: each matrix unit is
-    split into Hermitian and anti-Hermitian parts and the images are
-    recombined linearly, so maps defined only on Hermitian matrices work
-    unchanged.  Images fill their (i, j) blocks: O(n^4), refused past 2 GiB.
-    """
-
-    _check_dense_bytes(16 * int(n) ** 4, f"the dense Choi matrix at dim {n}")
-    choi = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1
-            if i == j:
-                image = np.asarray(apply_fn(unit), dtype=complex)
-            else:
-                h = (unit + unit.conj().T) / 2
-                a = (unit - unit.conj().T) / 2j
-                image = np.asarray(apply_fn(h), dtype=complex) + 1j * np.asarray(
-                    apply_fn(a), dtype=complex
-                )
-            if image.shape != (n, n):
-                raise ValueError(f"map returned shape {image.shape} for an {n}x{n} input")
-            choi[i, :, j, :] = image
-    return choi.reshape(n * n, n * n)
-
-
-def kraus_from_family(
-    family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, ...]:
-    """Tuple of Kraus operators sqrt(c) * (I or generalized Pauli) for p in range.
-
-    Raises ValueError naming the first weight below ``-tol.bound(1.0)``:
-    p lies outside the CPTP interval.  Weights up to 4 eps (4 ulps of 1)
-    are the float dust of a weight vanishing at an endpoint and drop out;
-    that threshold ignores ``tol``, so a loose tolerance drops no weight.
-    The operators are dense, O(n^4) in all, and refused past 2 GiB;
-    :func:`_kraus_count_and_deviation` gives their count and completeness
-    from the weights alone.
-    """
-
-    kept = _kept_weights(family, p, n, tol)
-    _check_dense_bytes(16 * (1 + 3 * pair_count(n)) * int(n) ** 2, f"the Kraus operators at dim {n}")
-    entries = (None, *_pair_entries(*_pair_index(n)))
-    operators: list[np.ndarray] = []
-    for sector, weight in kept:
-        operators.extend(_scaled_operators(sqrt(weight), entries[sector], n))
-    return tuple(operators)
-
-
-def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tuple[int, float]]:
-    """(sector, weight) of each Kraus weight that keeps its operators, in c0, cx, cy, cz order.
-
-    Sector 0 is the identity, 1..3 the x, y and two-level z pair sectors.
-    Raises ValueError naming the first weight below ``-tol.bound(1.0)``.
-    """
-
-    coeffs = repr_coefficients(family, p, n)
-    kept = []
-    for sector, name in enumerate(("c0", "cx", "cy", "cz")):
-        weight = getattr(coeffs, name)
-        if weight < -tol.bound(1.0):
-            lo, hi = cptp_range(family, n)
-            raise ValueError(
-                f"{FAMILY_NAMES[family]} at p={p}, dim={n}: coefficient {name}={weight} "
-                f"is negative; p lies outside the CPTP range [{lo}, {hi}]"
-            )
-        if weight > 4 * np.finfo(float).eps:
-            kept.append((sector, weight))
-    return kept
-
-
-def _kraus_count_and_deviation(
-    family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[int, float, bool]:
-    """len(kraus_from_family(..., tol)), max |kraus_completeness - I| bit for bit, and its verdict.
-
-    Completeness holds when the deviation is within ``tol`` of 0.  The
-    identity operator gives fl(sqrt(c0))^2 I and a pair operator
-    sqrt(c) sigma gives fl(sqrt(c))^2 (E_kk + E_ll), so every diagonal
-    entry of the dense sum receives fl(sqrt(c0))^2 once, then fl(sqrt(c))^2
-    n - 1 times for each kept pair sector, in x, y, z order; the
-    off-diagonal entries are exactly 0.  No operator is built: O(n).
-    """
-
-    count, entry = 0, 0.0
-    for sector, weight in _kept_weights(family, p, n, tol):
-        root = sqrt(weight)
-        count += 1 if sector == 0 else pair_count(n)
-        for _ in range(1 if sector == 0 else n - 1):
-            entry += root * root
-    deviation = abs(entry - 1)
-    return count, deviation, deviation <= tol.bound(1.0)
-
-
-def _scaled_operators(root: float, entries, n: int) -> np.ndarray:
-    """root times the identity (``entries`` None) or every pair matrix of one sector."""
-
-    if entries is None:
-        return root * np.eye(n, dtype=complex)[None]
-    rows, cols, values = entries
-    ops = np.zeros((len(rows[0]), n, n), dtype=complex)
-    i = np.arange(len(ops))
-    for r, c, v in zip(rows, cols, values):
-        ops[i, r, c] = root * v
-    return ops
-
-
-def kraus_completeness(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_i V_i† V_i over a non-empty sequence of operators; I exactly when trace preserving."""
-
-    if not len(operators):
-        raise ValueError("empty Kraus set")
-    n = operators[0].shape[0]
-    total = np.zeros((n, n), dtype=complex)
-    for op in operators:
-        total += op.conj().T @ op
-    return total
-
-
 def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Check Hermitian, unit trace, PSD; returns the coerced array."""
 
@@ -440,92 +338,6 @@ def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if not ok:
         raise ValueError(f"state is not positive semidefinite (min eigenvalue {smallest})")
     return s
-
-
-# --- Qubit picture -------------------------------------------------------
-
-
-class QubitLambda(_Frozen):
-    """Qubit channel in the affine Stokes picture.
-
-    A state with Stokes vector a maps to the state with Stokes vector
-    ``t + lam * a`` (componentwise): ``t`` is the translation, ``lam`` the
-    three axis multipliers.  Calling the map applies ``DiagonalChannel(2,
-    lam)`` plus Tr(S) (t . sigma) / 2, the linear extension to any 2 x 2
-    matrix or (..., 2, 2) stack.
-    """
-
-    _fields = ("t", "lam")
-
-    def __init__(self, t: tuple[float, float, float], lam: tuple[float, float, float]) -> None:
-        t = tuple(float(v) for v in t)
-        lam = tuple(float(v) for v in lam)
-        if len(t) != 3 or len(lam) != 3:
-            raise ValueError("t and lam must have three components")
-        if not all(np.isfinite(t)) or not all(np.isfinite(lam)):
-            raise ValueError("t and lam must be finite")
-        self._set(t, lam)
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        s = as_matrix_stack(s, name="input")
-        out = diagonal_apply(DiagonalChannel(2, self.lam), s)
-        shift = sum(t_a * pauli_matrix(2, a, (1, 2)) for t_a, a in zip(self.t, "xyz")) / 2
-        return out + np.trace(s, axis1=-2, axis2=-1)[..., None, None] * shift
-
-
-# --- Random inputs -------------------------------------------------------
-# Every check draws its complex Gaussian inputs in stacks of _complex_normals: Haar
-# states through _haar_vectors, or n x n trial matrices.  random_pure_state is their oracle.
-
-
-def random_pure_state(n: int, rng: Union[int, np.random.Generator, None] = None) -> np.ndarray:
-    """Haar-random rank-one projector |v><v| on C^n (deterministic per seed)."""
-
-    gen = np.random.default_rng(rng)
-    v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
-# Bytes of one stack of states in the sample test.  It bounds both the Haar
-# unit vectors drawn at once (16 n bytes each, so 204 states per draw at
-# n = 20) and the projector stacks the pair sectors are applied to (16 n^2
-# bytes per state); so memory stays flat however many states are drawn.
-# The size is chosen for speed: the per-state norms do not depend on it, and
-# on lib-verdicts' ops (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took
-# 1.11-1.18, 1.09-1.23 and 1.35-1.50 times as long as 64 KiB.
-_CHUNK_BYTES = 1 << 16
-
-
-def _states_per_chunk(n: int) -> int:
-    return max(1, _CHUNK_BYTES // (16 * n * n))
-
-
-def _complex_normals(seed: int, count: int, per_stack: int, shape: tuple[int, ...]):
-    """``count`` complex Gaussian arrays of ``shape``, ``per_stack`` at a time, each drawn real part first."""
-
-    rng = np.random.default_rng(seed)
-    for start in range(0, count, per_stack):
-        g = rng.standard_normal((min(per_stack, count - start), 2, *shape))
-        yield g[:, 0] + 1j * g[:, 1]
-
-
-def _haar_vectors(n: int, samples: int, seed: int):
-    """The unit vectors of the ``samples`` random_pure_state draws of ``seed``, bit for bit.
-
-    They are drawn in (k, n) stacks of at most ``_CHUNK_BYTES`` of normals
-    (16 n bytes per state), so no Python code runs once per state.
-    """
-
-    per_draw = max(1, _CHUNK_BYTES // (16 * n))
-    yield from map(_normalize_rows, _complex_normals(seed, samples, per_draw, (n,)))
-
-
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Divide each row of a (k, n) complex array by its norm in place, as ``row /= np.linalg.norm(row)``."""
-
-    v /= _row_norms(v)[:, None]
-    return v
 
 
 # --- JSON ----------------------------------------------------------------

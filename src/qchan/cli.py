@@ -14,22 +14,34 @@ exit code:
 absolute/relative tolerance with the given value for both components.
 
 Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
-handler imports the numeric modules (and with them NumPy) only once its
+handler imports the modules it runs (and with them NumPy) only once its
 arguments and input files have passed the checks that need no linear
 algebra, so ``range``, same-class ``certify`` and every such input error
-run without loading NumPy.  No command loads ``dataclasses``: every
-result record is a NamedTuple (``_replace``, ``_asdict``), the channels
-and the basis derive from ``exact._Frozen``, and ``fractions`` is
-imported only by same-class ``certify``.
+run without loading NumPy.  Code sits in the modules of the commands
+that run it, so that a process without bytecode caches compiles little
+else.  Besides those two, ``range`` loads nothing; same-class ``certify``
+:mod:`qchan.equivalence` (NumPy-free at import); mixed-pair ``certify``
+and ``witness`` also channels and linalg; ``verify`` channels, linalg,
+sampling and verification; ``channel apply`` channels and linalg;
+``basis`` basis and linalg; ``identities`` and ``detcheck`` basis,
+channels, linalg, sampling and representations; ``qubit-equiv`` basis,
+channels, equivalence, linalg and sampling; ``report`` all of them.
+
+No command loads ``dataclasses``: every result record is a NamedTuple
+(``_replace``, ``_asdict``), the channels and the basis derive from
+``exact._Frozen``, and ``fractions`` is imported only by same-class
+``certify``.
 
 ``python -m qchan`` and the ``qchan`` script run :func:`run`, which runs
-:func:`main` with the cyclic garbage collector off and exits with its
-code after freezing the heap.
+:func:`main` with the cyclic garbage collector off, runs the exit
+handlers, flushes both streams and ends the process with ``os._exit``,
+without tearing down its heap.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import itertools
 import json
@@ -42,7 +54,6 @@ from typing import Any, Callable, NoReturn, Optional
 from . import jsonio
 from .exact import (
     FAMILY_NAMES,
-    GAP_THRESHOLD,
     Family,
     Tolerance,
     _check_conjugation_p,
@@ -53,7 +64,6 @@ from .exact import (
     _check_trials,
     _is_mixed,
     family_from_name,
-    inequivalence_certificate,
     param_range,
 )
 from .jsonio import SchemaError
@@ -344,7 +354,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
     _check_peak_bytes("identities", n)
     kwargs = _tol_kwargs(args)
     _check_trials(args.trials)
-    from .verification import verify_sum_identities
+    from .representations import verify_sum_identities
 
     report = verify_sum_identities(n, trials=args.trials, seed=args.seed, **kwargs)
     return _report_payload("identities", report, dim=n, trials=args.trials, seed=args.seed)
@@ -355,7 +365,7 @@ def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
     _check_peak_bytes("detcheck", n)
     kwargs = _tol_kwargs(args)
     _check_grid(args.grid)
-    from .verification import verify_det_recurrence
+    from .representations import verify_det_recurrence
 
     report = verify_det_recurrence(n, grid=args.grid, **kwargs)
     return _report_payload("detcheck", report, dim=n, grid=args.grid)
@@ -379,6 +389,8 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
     pair = _parse_pair(args.pair)
     if _is_mixed(pair):
         _check_peak_bytes("witness", n)
+    from .equivalence import GAP_THRESHOLD, inequivalence_certificate
+
     certificate = inequivalence_certificate(pair, n, args.p)
     payload = {"command": args.command, "certificate": certificate, "gap_threshold": GAP_THRESHOLD}
     return payload, certificate.passed
@@ -399,16 +411,15 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     _check_peak_bytes("report", n, args.samples)
     kwargs = _tol_kwargs(args)
     _check_samples(args.samples)
-    from .channels import FamilyChannel, _kraus_count_and_deviation
-    from .equivalence import qubit_equivalence_check
-    from .verification import (
+    from .channels import FamilyChannel
+    from .equivalence import inequivalence_certificate, qubit_equivalence_check
+    from .representations import (
+        _kraus_count_and_deviation,
         _representation_reports,
-        _sample_reports,
-        constant_fnorm_criterion,
-        is_cptp,
         verify_det_recurrence,
         verify_sum_identities,
     )
+    from .verification import _sample_reports, constant_fnorm_criterion, is_cptp
 
     ranges = {family.value: param_range(family, n) for family in Family}
     endpoints = {}
@@ -506,18 +517,24 @@ def run() -> NoReturn:
     collector is off for the whole command: its passes, mostly while
     NumPy imports, cost about 10 ms per process, and the only cycles a
     command leaves are a fixed few hundred objects of NumPy's import and
-    of argparse (``tests/test_cli.py`` counts them).  Freezing the heap
-    before exit moves every object into the permanent generation, which
-    the collections of interpreter shutdown skip.  Exit handlers and
-    stream flushes still run.  ``main`` itself touches neither, because
-    tests call it in process, where disabled or frozen collection would
-    keep garbage for the rest of the run.
+    of argparse (``tests/test_cli.py`` counts them).  Once ``main`` has
+    returned, the exit handlers run and both streams are flushed, in the
+    order of an interpreter exit, and the process ends without tearing
+    down its heap, which takes several milliseconds once NumPy is loaded.
+    A stream that cannot be flushed leaves the exit to the interpreter,
+    which reports it as any exit does (a closed pipe: exit 120).  ``main``
+    itself leaves the collector on, because tests call it in process.
     """
 
     gc.disable()
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,17 +1,18 @@
 """The part of qchan that needs no linear algebra, importable without NumPy.
 
 The paper's exact claims are rational arithmetic in n: the families' CPTP
-intervals, the conjugation-sum weights of ``repr_coefficients`` and the
-bound-matching obstruction separating same-class pairs.  They live here
-with what they rest on (tolerances, family names and sign patterns, the
-ratio table, the size guards and the CLI's argument checks) and with every
-result record of qchan: ``typing.NamedTuple`` classes, whose ``Any``
-fields hold the arrays of the numeric modules.  Those modules re-export
-what moved here, so every ``qchan.<module>.<name>`` path still resolves.
-The channels and the basis, which validate, cache or act, derive from
-``_Frozen`` here instead.  Importing this module loads neither NumPy nor
-``fractions``, which only bound matching imports, and no qchan module
-loads ``dataclasses``.
+intervals and the conjugation-sum weights of ``repr_coefficients``.  They
+live here with what they rest on (tolerances, family names and sign
+patterns, the size guards and the CLI's argument checks) and with the
+result records every numeric module returns: ``typing.NamedTuple``
+classes, whose ``Any`` fields hold the arrays of the numeric modules.  The
+channels and the basis, which validate, cache or act, derive from
+``_Frozen`` here instead.  The numeric modules re-export what moved here,
+and the bound-matching certificates, which only ``certify``, ``witness``
+and ``report`` run, moved on to :mod:`qchan.equivalence`; every
+``qchan.<module>.<name>`` path still resolves (:func:`_forward`).
+Importing this module loads neither NumPy nor ``fractions``, and no qchan
+module loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from enum import Enum
+from importlib import import_module
 from typing import Any, NamedTuple, Optional
 
 from .jsonio import SchemaError
@@ -36,13 +38,31 @@ __all__ = [
     "param_range",
     "ReprCoefficients",
     "repr_coefficients",
-    "GAP_THRESHOLD",
-    "SpectrumWitness",
-    "BoundMatchingReport",
-    "InequivalenceCertificate",
-    "bound_matching_system",
-    "inequivalence_certificate",
+    "pair_count",
 ]
+
+
+def _forward(module: str, moved: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) that finds each name of ``moved`` in its new home.
+
+    Code moves to the module of the commands that run it, so that no other
+    command compiles it; its old ``qchan.<module>.<name>`` path resolves
+    from ``qchan.<moved[name]>``, which loads only when such a name is used.
+    """
+
+    def __getattr__(name: str) -> Any:
+        home = moved.get(name)
+        if home is None:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(f"qchan.{home}"), name)
+
+    return __getattr__
+
+
+__getattr__ = _forward(__name__, dict.fromkeys((
+    "GAP_THRESHOLD", "SpectrumWitness", "BoundMatchingReport", "InequivalenceCertificate",
+    "bound_matching_system", "inequivalence_certificate",
+), "equivalence"))
 
 
 # Tolerance's fields.  A NamedTuple body may not define ``__new__``, so the
@@ -204,6 +224,12 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
 
 
+def pair_count(n: int) -> int:
+    """Number of index pairs 1 <= k < l <= n."""
+    _check_dim(n)
+    return n * (n - 1) // 2
+
+
 def _check_trials(trials: int) -> None:
     """Reject trial counts that would let a check pass without checking anything."""
     if trials <= 0:
@@ -345,253 +371,10 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
     return ReprCoefficients(c0, cx, cy, cz, e0=n * c0, ex=2 * cx, ey=2 * cy, ez=n * cz)
 
 
-# --- Inequivalence certificates ------------------------------------------------
-
+# The to-classical families, whose closed forms add 2p d(S).
 _HYBRID = (Family.DCQ, Family.TCQ)
 
 
 def _is_mixed(pair: tuple[Family, Family]) -> bool:
     """One of dep/trd and one of dcq/tcq: the pairs a spectrum witness separates."""
     return (pair[0] in _HYBRID) != (pair[1] in _HYBRID)
-
-
-# Spectral gap a witness must exhibit before a certificate is claimed.
-GAP_THRESHOLD = 1e-6
-
-
-class SpectrumWitness(NamedTuple):
-    """Two isospectral pure inputs and the spectra of their outputs.
-
-    ``state_a`` is a computational basis projector, ``state_b`` the
-    projector onto the uniform superposition; both are rank one, hence
-    isospectral.  Spectra are ascending; ``max_spectral_gap`` is the
-    largest entrywise difference of the sorted spectra.
-    """
-
-    family: Family
-    p: float
-    dim: int
-    state_a: Any
-    state_b: Any
-    spectrum_a: Any
-    spectrum_b: Any
-    max_spectral_gap: float
-    notes: str = ""
-
-
-class BoundMatchingReport(NamedTuple):
-    """Roots of one endpoint-matching system and its verdict at one dimension.
-
-    ``roots`` are the dimensions at which an affine reparameterization
-    could align both CPTP endpoints of the two families, ``roots_exact``
-    the same roots as exact expressions; ``feasible`` says whether the
-    ratio equation holds exactly at the queried dimension.
-    """
-
-    pair: tuple[Family, Family]
-    dim: int
-    same_sign: bool
-    roots: tuple[float, ...]
-    roots_exact: tuple[str, ...]
-    feasible: bool
-    detail: str
-
-
-class InequivalenceCertificate(NamedTuple):
-    """Self-contained evidence that two families are not conjugate.
-
-    ``method`` is "spectrum_witness" (mixed pairs: one spectrum-preserving
-    family, one not) or "bound_matching" (pairs within the same class).
-    All concrete numbers are embedded so the certificate can be re-checked
-    without this library.
-    """
-
-    pair: tuple[Family, Family]
-    dim: int
-    method: str
-    witnesses: tuple[SpectrumWitness, ...] = ()
-    bound_reports: tuple[BoundMatchingReport, ...] = ()
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        """Whether the evidence certifies inequivalence.
-
-        The first spectrum witness must separate its states by more than
-        ``GAP_THRESHOLD``; bound matching needs a same-sign and an
-        opposite-sign report and no feasible system.  All evidence must
-        belong to the certificate: every witness at ``dim`` for a family of
-        ``pair``, every bound report at ``dim`` for the same unordered pair.
-        Missing or foreign evidence, or an unknown method, does not pass.
-        """
-
-        if self.method == "spectrum_witness":
-            witnesses = self.witnesses
-            return (
-                all(w.dim == self.dim and w.family in self.pair for w in witnesses)
-                and bool(witnesses)
-                and witnesses[0].max_spectral_gap > GAP_THRESHOLD
-            )
-        if self.method == "bound_matching":
-            reports = self.bound_reports
-            return (
-                all(r.dim == self.dim and set(r.pair) == set(self.pair) for r in reports)
-                and {r.same_sign for r in reports} == {True, False}
-                and not any(r.feasible for r in reports)
-            )
-        return False
-
-
-# The ratio equations of bound_matching_system depend only on the two CPTP
-# ranges and not on n, so their printed sides and roots are fixed.  Each row,
-# keyed by _ratio_key, holds the lhs and rhs text, the exact roots and the
-# same roots as floats, in ascending order; no roots marks an equation that
-# holds identically.  tests/test_equivalence.py re-derives every row
-# symbolically.  ``feasible`` never reads a row: it is exact rational equality at n.
-_SQRT17_ROOTS = (
-    ("0", "5/2 - sqrt(17)/2", "sqrt(17)/2 + 5/2"),
-    (0.0, 0.4384471871911697, 4.561552812808831),
-)
-_RATIO_EQUATIONS = {
-    (Family.DEP, Family.TRD, True): ("-(1 - n**2)/(n - 1)", "1/(n + 1)", ("-2", "0"), (-2.0, 0.0)),
-    (Family.DEP, Family.TRD, False): ("(1 - n**2)/(n + 1)", "-1/(n - 1)", ("0", "2"), (0.0, 2.0)),
-    (Family.DEP, Family.DCQ, True):
-        ("-(1 - n**2)/(2*n - 1)", "(n - 1)**(-2)", ("0", "2"), (0.0, 2.0)),
-    (Family.DEP, Family.DCQ, False): ("(1 - n**2)/(n - 1)**2", "-1/(2*n - 1)", ("0",), (0.0,)),
-    (Family.TRD, Family.DEP, True): ("-(1 - n)/(n**2 - 1)", "n + 1", ("-2", "0"), (-2.0, 0.0)),
-    (Family.TRD, Family.DEP, False): ("1 - n", "-(n + 1)/(n**2 - 1)", ("0", "2"), (0.0, 2.0)),
-    (Family.TRD, Family.DCQ, True): ("-(1 - n)/(2*n - 1)", "(n + 1)/(n - 1)**2", *_SQRT17_ROOTS),
-    (Family.TRD, Family.DCQ, False):
-        ("(1 - n)/(n - 1)**2", "-(n + 1)/(2*n - 1)", ("0", "2"), (0.0, 2.0)),
-    (Family.TRD, Family.TRD, True): ("-(1 - n)/(n - 1)", "1", (), ()),
-    (Family.TRD, Family.TRD, False): ("(1 - n)/(n + 1)", "-(n + 1)/(n - 1)", ("0",), (0.0,)),
-    (Family.DCQ, Family.DEP, True):
-        ("-(1 - 2*n)/(n**2 - 1)", "(n - 1)**2", ("0", "2"), (0.0, 2.0)),
-    (Family.DCQ, Family.DEP, False): ("1 - 2*n", "-(n - 1)**2/(n**2 - 1)", ("0",), (0.0,)),
-    (Family.DCQ, Family.TRD, True): ("-(1 - 2*n)/(n - 1)", "(n - 1)**2/(n + 1)", *_SQRT17_ROOTS),
-    (Family.DCQ, Family.TRD, False): ("(1 - 2*n)/(n + 1)", "1 - n", ("0", "2"), (0.0, 2.0)),
-}
-
-
-def _ratio_key(fam_a: Family, fam_b: Family, same_sign: bool) -> tuple[Family, Family, bool]:
-    """Key of one system's row: tcq has trd's CPTP range, so it reads trd's rows."""
-
-    fam_a, fam_b = (Family.TRD if f is Family.TCQ else f for f in (fam_a, fam_b))
-    return fam_a, fam_b, same_sign
-
-
-def bound_matching_system(
-    pair: tuple[Family, Family], n: int, same_sign: bool
-) -> BoundMatchingReport:
-    """Decide one endpoint-matching system exactly at dimension ``n``.
-
-    If conjugations mapped family A at parameter p onto family B at p~,
-    the affine scaling freedom would identify the two alpha intervals; for
-    parameters of equal (resp. opposite) sign that forces the ratio p~/p
-    to match lower-to-lower and upper-to-upper (resp. crossed) endpoint
-    quotients.  ``feasible`` is exact rational equality of the two
-    quotients at ``n``; the report also lists every dimension solving the
-    system.
-    """
-
-    from fractions import Fraction  # not at module level: the CLI front would pay its import
-
-    fam_a, fam_b = pair
-    if fam_a is fam_b:
-        raise ValueError("bound matching needs two distinct families")
-    _check_dim(n)
-    exact_n = Fraction(int(n))
-    lo_a, hi_a = cptp_range(fam_a, exact_n)
-    lo_b, hi_b = cptp_range(fam_b, exact_n)
-    if same_sign:
-        feasible = lo_b / lo_a == hi_b / hi_a
-    else:
-        feasible = hi_b / lo_a == lo_b / hi_a
-    lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[_ratio_key(fam_a, fam_b, same_sign)]
-    if feasible and not roots:
-        verdict = f"the equation holds for every n, so dimension {n} solves the system"
-    elif feasible:
-        verdict = f"dimension {n} solves the system"
-    else:
-        verdict = f"no root equals {n}, so no affine reparameterization aligns both endpoints"
-    detail = f"ratio equation {lhs} = {rhs}; roots {{{', '.join(roots_exact)}}}; {verdict}"
-    return BoundMatchingReport(
-        pair=pair,
-        dim=n,
-        same_sign=same_sign,
-        roots=roots,
-        roots_exact=roots_exact,
-        feasible=feasible,
-        detail=detail,
-    )
-
-
-def _default_witness_p(family: Family, n: int) -> float:
-    hi = float(cptp_range(family, n)[1])
-    return min(0.2, 0.8 * hi)
-
-
-def inequivalence_certificate(
-    pair: tuple[Family, Family], n: int, p: Optional[float] = None
-) -> InequivalenceCertificate:
-    """Certificate that two distinct families are inequivalent at dim n >= 3.
-
-    Mixed pairs (one of dep/trd, one of dcq/tcq) get a spectrum witness:
-    the to-classical member sends isospectral pure inputs to outputs with
-    different spectra, while the depolarizing-type member provably cannot.
-    Same-class pairs get the two bound-matching obstructions instead,
-    since both members preserve (or both break) spectra identically; they
-    need no linear algebra, and only a mixed pair loads the numeric modules.
-    ``p`` sets the witnesses' parameter, so a same-class pair refuses it.
-    """
-
-    fam_a, fam_b = pair
-    if fam_a is fam_b:
-        raise ValueError("certificate needs two distinct families")
-    if p is not None:
-        _check_finite_p(p)
-    _check_dim(n)
-    if n == 2:
-        raise ValueError(
-            "at dimension 2 the four families are pairwise equivalent "
-            "(see qubit_equivalence_check); no inequivalence certificate exists"
-        )
-    mixed = _is_mixed(pair)
-    if not mixed and p is not None:
-        raise ValueError(
-            f"p={p} applies to spectrum witnesses only; the same-class pair "
-            f"{fam_a.value},{fam_b.value} is certified by bound matching, which takes no p"
-        )
-    if mixed:
-        from .equivalence import spectrum_witness
-
-        hybrid, base = pair if fam_a in _HYBRID else (fam_b, fam_a)
-        p_hybrid = p if p is not None else _default_witness_p(hybrid, n)
-        p_base = p if p is not None else _default_witness_p(base, n)
-        witness_h = spectrum_witness(hybrid, p_hybrid, n)
-        witness_b = spectrum_witness(base, p_base, n)
-        detail = (
-            f"unitary/antiunitary conjugations preserve output spectra on isospectral "
-            f"inputs; {base.value} outputs are isospectral for every parameter "
-            f"(observed gap {witness_b.max_spectral_gap:.3e}), while {hybrid.value} at "
-            f"p={p_hybrid} separates the two witnesses by {witness_h.max_spectral_gap:.6e}"
-        )
-        return InequivalenceCertificate(
-            pair=pair,
-            dim=n,
-            method="spectrum_witness",
-            witnesses=(witness_h, witness_b),
-            detail=detail,
-        )
-    reports = (
-        bound_matching_system(pair, n, same_sign=True),
-        bound_matching_system(pair, n, same_sign=False),
-    )
-    detail = (
-        "equivalence would let the affine scaling freedom align both CPTP interval "
-        "endpoints; neither the same-sign nor the opposite-sign ratio system has a "
-        f"root at dimension {n}"
-    )
-    return InequivalenceCertificate(
-        pair=pair, dim=n, method="bound_matching", bound_reports=reports, detail=detail
-    )

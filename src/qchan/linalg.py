@@ -5,12 +5,14 @@ The helpers are thin wrappers over LAPACK (through ``numpy.linalg``)
 fixing the conventions everything downstream relies on: eigenvalues come
 back ascending, Hermitian inputs are symmetrized before eigensolves, and
 positivity thresholds scale with the Frobenius norm of the operator.
-``Tolerance`` and ``DEFAULT_TOL`` live in :mod:`qchan.exact` and are
-re-exported here.
+The index arrays of the pairs k < l, which the basis, the channels and
+the checks share, are cached here.  ``Tolerance`` and ``DEFAULT_TOL``
+live in :mod:`qchan.exact` and are re-exported here.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -129,6 +131,20 @@ def is_psd(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     eigs = hermitian_eigenvalues(m, tol)
     smallest = float(eigs[0]) if eigs.size else 0.0
     return smallest >= -tol.bound(frobenius_norm(m)), smallest
+
+
+# Dimensions whose per-n index tables stay cached: each is O(n^2), but an
+# unbounded cache would keep every dimension a process ever asked for.
+_CACHED_DIMS = 4
+
+
+@lru_cache(maxsize=2 * _CACHED_DIMS)
+def _pair_index(n: int, by_l: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based (k, l) index arrays of the pairs k < l in lexicographic order, or by l, then k; read-only."""
+    l, k = np.tril_indices(n, -1) if by_l else np.triu_indices(n, 1)[::-1]
+    k.flags.writeable = False
+    l.flags.writeable = False
+    return k, l
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -32,13 +32,13 @@ from qchan.channels import (
     DiagonalChannel,
     Family,
     FamilyChannel,
-    _haar_vectors,
     diagonal_apply,
     family_to_diagonal,
     random_pure_state,
     to_choi,
 )
 from qchan.linalg import DEFAULT_TOL, Tolerance, frobenius_norm, hermitian_part
+from qchan.sampling import _haar_vectors
 from qchan.verification import VerificationReport, witness_states
 
 
@@ -134,7 +134,7 @@ def _pauli_nonzeros(n):
 
 
 def per_pair_sums(s, n):
-    """The "x", "y", "z" sums of ``verification._direct_sums`` for one matrix, term by term.
+    """The "x", "y", "z" sums of ``representations._direct_sums`` for one matrix, term by term.
 
     A pair matrix v_a E_(r_a c_a) + v_b E_(r_b c_b) gives m S m the terms
     v_a v_b S[c_a, r_b] at (r_a, c_b).  A term on the diagonal goes to

@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import channels as qchan_channels
-from qchan import verification
+from qchan import sampling, verification
 from qchan.channels import (
     DiagonalChannel,
     Family,
@@ -180,7 +179,7 @@ def test_sample_norms_are_the_one_state_norms(ch, samples, seed, chunk_bytes):
         return spread_report(norms, *args)
 
     spread_report = verification._norm_spread_report
-    with mock.patch.object(qchan_channels, "_CHUNK_BYTES", chunk_bytes), \
+    with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes), \
             mock.patch.object(verification, "_norm_spread_report", keep):
         verification.constant_fnorm_sample_test(ch, n, samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
@@ -208,7 +207,7 @@ def test_large_stack_norms_are_the_one_state_norms(ch, samples, seed):
     "n, samples", [(2, 50), (3, 50), (9, 50), (17, 50), (64, 20), (129, 8), (500, 3)]
 )
 def test_projector_diagonals_and_traces_come_from_the_vectors(n, samples):
-    for v in qchan_channels._haar_vectors(n, samples, n):
+    for v in sampling._haar_vectors(n, samples, n):
         projectors = v[:, :, None] * v.conj()[:, None, :]  # as the sample test builds them
         d = v * v.conj()
         traces = np.add.reduce(d, axis=-1)

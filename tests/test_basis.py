@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import verification
+from qchan import representations
 from qchan.basis import (
     _pair_entries,
     _pair_index,
@@ -158,12 +158,12 @@ class TestBasis:
         # The O(n) pair index and the O(n^2) staircase Gram matrix are the
         # per-dimension caches; the basis is built per call and kept by no one.
         assert _pair_index(3) is _pair_index(3)
-        assert verification._staircase_gram(3) is verification._staircase_gram(3)
+        assert representations._staircase_gram(3) is representations._staircase_gram(3)
         assert build_basis(3) is not build_basis(3)
 
     def test_caches_are_bounded(self):
         # Both caches keep only a few dimensions.
-        for cached in (_pair_index, verification._staircase_gram):
+        for cached in (_pair_index, representations._staircase_gram):
             for n in range(2, 12):
                 cached(n)
             info = cached.cache_info()

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import sqrt
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import channels
+from qchan import channels, representations
 from qchan.basis import build_basis, pair_count, pauli_matrix
 from qchan.channels import (
     DiagonalChannel,
@@ -89,6 +90,29 @@ class TestFamilyApply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             family_apply(FamilyChannel(Family.DEP, 0.5, 3), np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
+    @pytest.mark.parametrize("p", [1e308, -1e308, 9e307, -9e307])
+    def test_to_classical_member_where_2p_overflows(self, family, p):
+        # 2p d(S) is added as p d(S) twice there: Tr(S) I/n + p (-S + 2 d(S) - Tr(S) I/n),
+        # S transposed for tcq, to an ulp of p, and no warning.
+        states = np.stack([random_pure_state(3, seed) for seed in range(20)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = family_apply(FamilyChannel(family, p, 3), states)
+        s = states if family is Family.DCQ else np.swapaxes(states, -1, -2)
+        diag = np.einsum("kii->ki", states)[:, :, None] * np.eye(3)
+        mixed = np.trace(states, axis1=-2, axis2=-1)[:, None, None] * np.eye(3) / 3
+        np.testing.assert_allclose(out, mixed + p * (2 * diag - s - mixed), rtol=0, atol=abs(p) * 1e-15)
+
+    @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_signed_zeros_where_2p_overflows(self, family, sign):
+        # The output keeps the signed zeros that 2p gives where it is finite.
+        s = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        s[~np.eye(3, dtype=bool)] = complex(-0.0, -0.0)
+        near, far = (family_apply(FamilyChannel(family, sign * p, 3), s) for p in (1e300, 1e308))
+        assert np.array_equal(np.signbit(near.view(float)), np.signbit(far.view(float)))
 
 
 class TestDiagonalPicture:
@@ -458,7 +482,7 @@ class TestKraus:
         # operator of the sector, stand in for the operators, so the sweep
         # to n = 64 stays small.
         monkeypatch.setattr(
-            channels,
+            representations,
             "_scaled_operators",
             lambda root, entries, n: np.zeros((1 if entries is None else len(entries[0][0]), 1, 1)),
         )
@@ -481,22 +505,22 @@ class TestKraus:
             for p in (lo, hi, (lo + hi) / 2, 0.0):
                 ks = kraus_from_family(family, p, n)
                 dense = float(np.max(np.abs(kraus_completeness(ks) - np.eye(n))))
-                got = channels._kraus_count_and_deviation(family, p, n)
+                got = representations._kraus_count_and_deviation(family, p, n)
                 assert got == (len(ks), dense, dense <= DEFAULT_TOL.bound(1.0)), (family, p)
                 del ks  # n^4 entries: free before the next build
 
     def test_closed_form_builds_no_operator_and_keeps_the_range_check(self, monkeypatch):
-        monkeypatch.setattr(channels, "_scaled_operators", None)
-        assert channels._kraus_count_and_deviation(Family.DEP, 0.5, 500)[0] == 1 + 3 * pair_count(500)
+        monkeypatch.setattr(representations, "_scaled_operators", None)
+        assert representations._kraus_count_and_deviation(Family.DEP, 0.5, 500)[0] == 1 + 3 * pair_count(500)
         with pytest.raises(ValueError, match="c0"):
-            channels._kraus_count_and_deviation(Family.DCQ, 0.5, 3)
+            representations._kraus_count_and_deviation(Family.DCQ, 0.5, 3)
 
     def test_closed_form_completeness_verdict_takes_the_tolerance(self):
         # trd at n = 2, p = 0.01 misses completeness by one ulp of 1.
-        count, deviation, passed = channels._kraus_count_and_deviation(Family.TRD, 0.01, 2)
+        count, deviation, passed = representations._kraus_count_and_deviation(Family.TRD, 0.01, 2)
         assert (count, deviation, passed) == (4, 2.0**-52, True)
         tight = Tolerance(absolute=1e-16, relative=0.0)
-        assert channels._kraus_count_and_deviation(Family.TRD, 0.01, 2, tight) == (4, 2.0**-52, False)
+        assert representations._kraus_count_and_deviation(Family.TRD, 0.01, 2, tight) == (4, 2.0**-52, False)
 
     def test_loose_tolerance_keeps_genuine_weights(self):
         # The drop threshold is float dust, not the caller's tolerance.

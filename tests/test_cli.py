@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qchan import basis, cli, exact, verification
+from qchan import basis, cli, exact, representations, verification
 from qchan.channels import DiagonalChannel, Family, FamilyChannel, channel_to_json, family_to_diagonal
 from qchan.cli import main
 from qchan.equivalence import qubit_equivalence_check
@@ -240,9 +240,12 @@ class TestNearTheFloatMaximum:
             (["verify", "cptp", "--family", "tcq", "--dim", "2", "--p", "1e308"], 1, ""),
             (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "1e308", "--samples", "5"], 0, ""),
             (["verify", "constant-norm", "--family", "trd", "--dim", "5", "--p", "-8e307", "--samples", "5"], 0, ""),
-            # dcq's closed form adds 2p d(S), which passes the float range here.
-            (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1e308", "--samples", "5"], 2,
-             "error: the output of haar_0 overflows\n"),
+            # dcq's closed form sums -p d(S) + (1-p)/n Tr(S) I first, which passes the float range here.
+            (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1.7e308", "--samples", "5"], 2,
+             "error: the output of haar_2 overflows\n"),
+            # Where 2p overflows, 2p d(S) is added as p d(S) twice.
+            (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1e308", "--samples", "5"], 0, ""),
+            (["verify", "constant-norm", "--family", "tcq", "--dim", "3", "--p", "9e307", "--samples", "5"], 0, ""),
         ],
     )
     def test_verdict_or_one_message(self, capsys, argv, code, err):
@@ -253,6 +256,19 @@ class TestNearTheFloatMaximum:
         if code != 2:
             report = json.loads(got[1])["report"]
             assert all(np.isfinite(v) for v in report.values() if isinstance(v, float))
+
+    def test_channel_apply_where_2p_overflows(self, tmp_path, capsys):
+        ch = write_json(tmp_path / "c.json", {"kind": "family", "family": "dcq", "p": 1e308, "dim": 3})
+        state = write_json(tmp_path / "s.json", matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "channel", "apply", "--channel", ch, "--state", state)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        # p + (1-p)/3 on the first diagonal entry, and (1-p)/3 on the others.
+        assert payload["output"]["data"][0] == [pytest.approx(1e308 / 1.5, rel=1e-15), 0.0]
+        assert payload["output"]["data"][4] == [pytest.approx(-1e308 / 3, rel=1e-15), 0.0]
+        assert payload["output_frobenius_norm"] == pytest.approx(1e308 * (2 / 3) ** 0.5, rel=1e-15)
 
 
 class TestChecks:
@@ -538,7 +554,7 @@ PEAK_CASES = [
     ),
     peak_case(
         "identities", "dim", "_representation_reports(each family at 0.001, N, trials=1)", (128, 256),
-        lambda n, where: verification._representation_reports([FamilyChannel(f, 0.001, n) for f in Family], n, 1, 0),
+        lambda n, where: representations._representation_reports([FamilyChannel(f, 0.001, n) for f in Family], n, 1, 0),
     ),
     peak_case("witness", "dim", "witness --pair dep,dcq --dim {}", (200, 400)),
     peak_case("witness", "dim", "certify --pair tcq,dep --dim {}", (200, 400)),
@@ -552,7 +568,7 @@ PEAK_CASES = [
 def traced_peak(body):
     """Peak bytes that tracemalloc sees allocated while ``body()`` runs, from cold per-dimension caches."""
     basis._pair_index.cache_clear()
-    verification._staircase_gram.cache_clear()
+    representations._staircase_gram.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -597,7 +613,7 @@ class TestSizeGuards:
             raise AssertionError("work started")
 
         monkeypatch.setattr(cli, "_tol_kwargs", refuse)
-        monkeypatch.setattr(cli, "inequivalence_certificate", refuse)
+        monkeypatch.setattr("qchan.equivalence.inequivalence_certificate", refuse)
 
     @pytest.mark.parametrize(
         "argv, what",
@@ -681,17 +697,17 @@ SECTION_FAILURES = [
         "qchan.verification._sample_reports", lambda r: [failed(r[0]), *r[1:]], 3, "constant_norm", id="samples"
     ),
     pytest.param(
-        "qchan.verification._representation_reports",
+        "qchan.representations._representation_reports",
         lambda r: [failed(r[0]), *r[1:]],
         3,
         "representations",
         id="representations",
     ),
-    pytest.param("qchan.channels._kraus_count_and_deviation", lambda r: (*r[:2], False), 3, "kraus", id="kraus"),
-    pytest.param("qchan.verification.verify_sum_identities", failed, 3, "identities", id="identities"),
-    pytest.param("qchan.verification.verify_det_recurrence", failed, 3, "determinant", id="determinant"),
+    pytest.param("qchan.representations._kraus_count_and_deviation", lambda r: (*r[:2], False), 3, "kraus", id="kraus"),
+    pytest.param("qchan.representations.verify_sum_identities", failed, 3, "identities", id="identities"),
+    pytest.param("qchan.representations.verify_det_recurrence", failed, 3, "determinant", id="determinant"),
     pytest.param(
-        "qchan.cli.inequivalence_certificate", lambda r: r._replace(method="none"), 3, "certificates", id="certificate"
+        "qchan.equivalence.inequivalence_certificate", lambda r: r._replace(method="none"), 3, "certificates", id="certificate"
     ),
     pytest.param(
         "qchan.equivalence.qubit_equivalence_check", failed, 2, "qubit_equivalence", id="qubit-equivalence"
@@ -762,7 +778,7 @@ class TestReport:
         assert err == "error: samples must be >= 0, got -1\n"
 
     def test_report_builds_no_kraus_operator(self, capsys, monkeypatch):
-        monkeypatch.setattr("qchan.channels._scaled_operators", None)
+        monkeypatch.setattr("qchan.representations._scaled_operators", None)
         code, out, _ = run_cli(capsys, "report", "--dim", "4", "--samples", "10")
         assert code == 0
         kraus = json.loads(out)["sections"]["kraus"]
@@ -965,6 +981,12 @@ EXIT_PROBE = textwrap.dedent(
     """
 )
 
+# What the interpreter reports when its exit cannot flush stdout into a closed pipe.
+BROKEN_PIPE_AT_EXIT = (
+    "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+    "BrokenPipeError: [Errno 32] Broken pipe\n"
+)
+
 # Runs qchan.cli.main on its arguments with the cyclic collector off, as
 # `python -m qchan` does, and prints how many unreachable objects a
 # collection finds after each stage: importing NumPy (and fractions, which
@@ -983,7 +1005,7 @@ GC_PROBE = textwrap.dedent(
     import numpy
 
     found = {"numpy": gc.collect()}
-    import qchan.cli, qchan.basis, qchan.channels, qchan.equivalence, qchan.linalg, qchan.verification
+    import qchan.cli, qchan.basis, qchan.channels, qchan.equivalence, qchan.linalg, qchan.representations, qchan.verification
 
     found["qchan"] = gc.collect()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -997,6 +1019,72 @@ GC_PROBE = textwrap.dedent(
     print(json.dumps({"code": code, "enabled": gc.isenabled(), **found}))
     """
 )
+
+
+# The qchan modules each command kind of the benchmark's cli-short mix loads,
+# besides qchan, qchan.cli, qchan.exact and qchan.jsonio, which every command
+# loads; `report` loads them all.  Code sits in the modules of the commands
+# that run it, so that a process without bytecode caches compiles little else.
+COMMAND_MODULES = [
+    pytest.param(["range", "--family", "dcq", "--dim", "7"], 0, set(), id="range"),
+    pytest.param(["range", "--family", "dep", "--dim", "1"], 2, set(), id="usage-error"),
+    pytest.param(["certify", "--pair", "dep,trd", "--dim", "5"], 0, {"equivalence"}, id="certify-same-class"),
+    pytest.param(
+        ["certify", "--pair", "dep,dcq", "--dim", "4", "--p", "0.05"],
+        0,
+        {"channels", "equivalence", "linalg"},
+        id="certify-mixed",
+    ),
+    pytest.param(
+        ["witness", "--pair", "trd,tcq", "--dim", "5", "--p", "0.05"],
+        0,
+        {"channels", "equivalence", "linalg"},
+        id="witness",
+    ),
+    pytest.param(
+        ["verify", "cptp", "--family", "dep", "--dim", "5", "--p", "0.1"],
+        0,
+        {"channels", "linalg", "sampling", "verification"},
+        id="verify-cptp",
+    ),
+    pytest.param(
+        ["verify", "constant-norm", "--family", "tcq", "--dim", "4", "--p", "0.1", "--samples", "20"],
+        0,
+        {"channels", "linalg", "sampling", "verification"},
+        id="verify-constant-norm",
+    ),
+    pytest.param(
+        ["channel", "apply", "--channel", "channel.json", "--state", "state.json"],
+        0,
+        {"channels", "linalg"},
+        id="channel-apply",
+    ),
+    pytest.param(["basis", "--dim", "3", "--json"], 0, {"basis", "linalg"}, id="basis"),
+    pytest.param(
+        ["identities", "--dim", "3", "--trials", "3"],
+        0,
+        {"basis", "channels", "linalg", "representations", "sampling"},
+        id="identities",
+    ),
+    pytest.param(
+        ["detcheck", "--dim", "3", "--grid", "5"],
+        0,
+        {"basis", "channels", "linalg", "representations", "sampling"},
+        id="detcheck",
+    ),
+    pytest.param(
+        ["qubit-equiv", "--p", "0.3", "--trials", "5"],
+        0,
+        {"basis", "channels", "equivalence", "linalg", "sampling"},
+        id="qubit-equiv",
+    ),
+    pytest.param(
+        ["report", "--dim", "3", "--samples", "5"],
+        0,
+        {"basis", "channels", "equivalence", "linalg", "representations", "sampling", "verification"},
+        id="report",
+    ),
+]
 
 
 def _run_script(script, argv, cwd):
@@ -1077,7 +1165,8 @@ class TestNumpyFreeCommands:
         )
         proc = _run_script(script, [], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        modules = ["qchan", *(f"qchan.{name}" for name in ("basis", "channels", "cli", "equivalence", "exact", "jsonio", "linalg", "verification"))]
+        names = ("basis", "channels", "cli", "equivalence", "exact", "jsonio", "linalg", "representations", "sampling", "verification")
+        modules = ["qchan", *(f"qchan.{name}" for name in names)]
         assert proc.stdout.decode() == f"0 {modules} False\n"
 
     def test_numeric_commands_load_numpy(self, tmp_path):
@@ -1085,6 +1174,16 @@ class TestNumpyFreeCommands:
         argv = ["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1"]
         code, added = _run_numpy_probe(argv, tmp_path)
         assert code == 0 and "numpy" in added
+
+    @pytest.mark.parametrize("argv, code, modules", COMMAND_MODULES)
+    def test_each_command_loads_only_its_modules(self, tmp_path, argv, code, modules):
+        write_json(tmp_path / "channel.json", channel_to_json(FamilyChannel(Family.DCQ, 0.2, 3)))
+        write_json(tmp_path / "state.json", matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)))
+        got, added = _run_numpy_probe(argv, tmp_path)
+        assert got == code
+        loaded = {name for name in added if name.startswith("qchan")}
+        assert loaded == {"qchan", "qchan.cli", "qchan.exact", "qchan.jsonio"} | {f"qchan.{m}" for m in modules}
+        assert ("numpy" in added) == bool(set(modules) - {"equivalence"})
 
     @pytest.mark.parametrize(
         "argv",
@@ -1103,8 +1202,9 @@ class TestNumpyFreeCommands:
 class TestExitPath:
     """``python -m qchan`` and the ``qchan`` script end through ``cli.run``.
 
-    It freezes the heap and exits with ``main``'s code; exit handlers and
-    the output streams still run as in any interpreter exit.
+    It runs the exit handlers, flushes both streams and ends the process
+    with ``main``'s code without tearing down the heap; a stream that
+    cannot be flushed leaves the exit to the interpreter.
     """
 
     @pytest.mark.parametrize(
@@ -1121,7 +1221,7 @@ class TestExitPath:
         expected, out, err = run_cli(capsys, *argv)
         assert proc.returncode == expected == code
         assert proc.stdout == out.encode("utf-8")
-        assert proc.stderr.decode("utf-8") == err + "exit handler ran, frozen: True, collecting: False, collections: 0\n"
+        assert proc.stderr.decode("utf-8") == err + "exit handler ran, frozen: False, collecting: False, collections: 0\n"
 
     def test_output_file_holds_the_whole_document(self, tmp_path, capsys):
         argv = ["report", "--dim", "3", "--seed", "0"]
@@ -1129,6 +1229,37 @@ class TestExitPath:
         code, out, _ = run_cli(capsys, *argv)
         assert (proc.returncode, proc.stdout) == (code, b"")
         assert (tmp_path / "report.json").read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, unbuffered, code, err",
+        [
+            # Output that fits the stdout buffer fails at the flush after
+            # main, which the interpreter's own exit reports.
+            (["range", "--family", "dep", "--dim", "3"], False, 120, BROKEN_PIPE_AT_EXIT),
+            (["range", "--family", "dep", "--dim", "3"], True, 2, "error: [Errno 32] Broken pipe\n"),
+            # Larger output fails while main writes it.
+            (["basis", "--dim", "6", "--json"], False, 2, "error: [Errno 32] Broken pipe\n"),
+            (["basis", "--dim", "6", "--json"], True, 2, "error: [Errno 32] Broken pipe\n"),
+            (["range", "--family", "dep", "--dim", "1"], False, 2, "error: field 'dim': expected an integer >= 2, got 1\n"),
+            (["range", "--family", "dep", "--dim", "1"], True, 2, "error: field 'dim': expected an integer >= 2, got 1\n"),
+        ],
+    )
+    def test_closed_stdout(self, tmp_path, argv, unbuffered, code, err):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qchan", *argv], cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode("utf-8")) == (code, err)
 
     def test_main_does_not_freeze_the_heap(self, capsys):
         frozen = gc.get_freeze_count()

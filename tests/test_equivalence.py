@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import channels as qchan_channels
-from qchan import equivalence
+from qchan import basis as qchan_basis
+from qchan import sampling
 from qchan.basis import pauli_matrix
 from qchan.channels import (
     Family,
@@ -18,14 +18,15 @@ from qchan.channels import (
     family_apply,
 )
 from qchan.equivalence import (
+    _RATIO_EQUATIONS,
     GAP_THRESHOLD,
     InequivalenceCertificate,
     bound_matching_system,
+    _ratio_key,
     inequivalence_certificate,
     qubit_equivalence_check,
     spectrum_witness,
 )
-from qchan.exact import _RATIO_EQUATIONS, _ratio_key
 from qchan.jsonio import dumps
 from qchan.linalg import hermitian_eigenvalues
 
@@ -258,8 +259,8 @@ class TestQubitEquivalence:
 
     @pytest.mark.parametrize("chunk_bytes, trials", [(16 * 2 * 5, 13), (16 * 2 * 4, 12), (1, 3)])
     def test_stacks_of_a_small_chunk_are_the_per_trial_check(self, chunk_bytes, trials):
-        with mock.patch.object(qchan_channels, "_CHUNK_BYTES", chunk_bytes):
-            assert len(list(qchan_channels._haar_vectors(2, trials, 8))) >= 3
+        with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes):
+            assert len(list(sampling._haar_vectors(2, trials, 8))) >= 3
             got = qubit_equivalence_check(0.35, trials=trials, seed=8)
         assert dumps(got) == dumps(per_trial_qubit_check(0.35, trials=trials, seed=8))
 
@@ -277,9 +278,9 @@ class TestQubitEquivalence:
         def factor(n, which, pair):
             return np.eye(2, dtype=complex) if which == axis else pauli_matrix(n, which, pair)
 
-        with mock.patch.object(equivalence, "pauli_matrix", factor), \
+        with mock.patch.object(qchan_basis, "pauli_matrix", factor), \
                 mock.patch.object(dense_oracles, "pauli_matrix", factor), \
-                mock.patch.object(qchan_channels, "_CHUNK_BYTES", 16 * 2 * 5):
+                mock.patch.object(sampling, "_CHUNK_BYTES", 16 * 2 * 5):
             got = qubit_equivalence_check(0.4, trials=23, seed=5)
             expected = per_trial_qubit_check(0.4, trials=23, seed=5)
         assert not got.passed

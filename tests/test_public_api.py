@@ -103,8 +103,9 @@ def test_unknown_name_raises_attribute_error():
 
 def test_names_are_resolved_on_first_access():
     # A fresh `import qchan` loads no submodule and no NumPy; the exact names,
-    # every result record and repr_coefficients among them, resolve without
-    # NumPy, and dir() lists every name before any is loaded.
+    # every result record and repr_coefficients among them, and the
+    # certificates of qchan.equivalence resolve without NumPy, and dir()
+    # lists every name before any is loaded.
     script = textwrap.dedent(
         """
         import sys
@@ -128,7 +129,7 @@ def test_names_are_resolved_on_first_access():
         assert isinstance(weights, qchan.ReprCoefficients)
         assert (weights.c0, weights.e0, weights.ez) == (Fraction(11, 27), Fraction(11, 9), Fraction(2, 9))
         loaded = sorted(name for name in sys.modules if name.startswith("qchan."))
-        assert loaded == ["qchan.exact", "qchan.jsonio"], loaded
+        assert loaded == ["qchan.equivalence", "qchan.exact", "qchan.jsonio"], loaded
         assert "numpy" not in sys.modules
         assert qchan.is_cptp is sys.modules["qchan.verification"].is_cptp
         assert "numpy" in sys.modules

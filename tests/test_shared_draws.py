@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import channels as qchan_channels
-from qchan import exact, jsonio, verification
+from qchan import exact, jsonio, representations, sampling, verification
 from qchan.channels import (
     DiagonalChannel,
     Family,
@@ -47,8 +46,8 @@ per_chunk = st.one_of(st.none(), st.integers(min_value=1, max_value=5))
 
 def trial_chunks_of(size, n):
     per_trial = exact._PEAK_BYTES["identities"].per_n2 * n * n
-    bytes_ = verification._TRIAL_CHUNK_BYTES if size is None else size * per_trial
-    return mock.patch.object(verification, "_TRIAL_CHUNK_BYTES", bytes_)
+    bytes_ = representations._TRIAL_CHUNK_BYTES if size is None else size * per_trial
+    return mock.patch.object(representations, "_TRIAL_CHUNK_BYTES", bytes_)
 
 
 def members_at(fractions, n):
@@ -68,7 +67,7 @@ fractions = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_si
 
 def direct_sums_one(s, n):
     """The brute-force sums of one matrix, a pair and a term at a time."""
-    return per_pair_sums(s, n) | {"ez": verification._staircase_gram(n) * s}
+    return per_pair_sums(s, n) | {"ez": representations._staircase_gram(n) * s}
 
 
 def representations_loop(family, p, n, trials, seed, tol=SUM_TOL):
@@ -144,7 +143,7 @@ def identities_loop(n, trials, seed, tol=SUM_TOL):
 def sample_test_loop(ch, n, samples, seed, tol=DEFAULT_TOL):
     """One channel's sample test with its own Haar draws, applied one state at a time."""
     diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
-    vectors = (v for stack in qchan_channels._haar_vectors(n, samples, seed) for v in stack)
+    vectors = (v for stack in sampling._haar_vectors(n, samples, seed) for v in stack)
     haar = (np.outer(v, v.conj())[None] for v in vectors)
     norms = np.concatenate(
         [verification._witness_norms(diag), *(np.linalg.norm(ch(c), axis=(-2, -1)) for c in haar)]
@@ -175,7 +174,7 @@ def sample_test_loop(ch, n, samples, seed, tol=DEFAULT_TOL):
 def test_stacked_sums_equal_the_sums_of_each_matrix(n):
     rng = np.random.default_rng(n)
     stack = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-    sums = verification._direct_sums(stack, n)
+    sums = representations._direct_sums(stack, n)
     for i, s in enumerate(stack):
         for key, mat in direct_sums_one(s, n).items():
             assert sums[key][i].tobytes() == mat.tobytes(), (key, i)
@@ -192,7 +191,7 @@ def test_stacked_sums_equal_the_sums_of_each_matrix(n):
 def test_shared_representation_reports_equal_the_loops(n, trials, seed, size, where):
     members = members_at(where, n)
     with trial_chunks_of(size, n):
-        shared = verification._representation_reports([FamilyChannel(f, p, n) for f, p in members], n, trials, seed)
+        shared = representations._representation_reports([FamilyChannel(f, p, n) for f, p in members], n, trials, seed)
         single = [verify_representations(f, p, n, trials=trials, seed=seed) for f, p in members]
     expected = [representations_loop(f, p, n, trials, seed) for f, p in members]
     assert shared == expected
@@ -210,7 +209,7 @@ def test_batched_sum_identities_equal_the_loop(n, trials, seed, size):
 def test_failing_representation_reports_equal_the_loops():
     members = members_at([0.5] * 4, 5)
     tol = Tolerance(absolute=1e-18, relative=0.0)
-    shared = verification._representation_reports([FamilyChannel(f, p, 5) for f, p in members], 5, 7, 3, tol)
+    shared = representations._representation_reports([FamilyChannel(f, p, 5) for f, p in members], 5, 7, 3, tol)
     expected = [representations_loop(f, p, 5, 7, 3, tol) for f, p in members]
     assert not any(report.passed for report in expected)
     assert shared == expected
@@ -221,12 +220,12 @@ def test_failing_representation_reports_equal_the_loops():
 def test_trial_chunks_are_the_shared_generator_stacks(n, trials, size):
     seed = 21
     with trial_chunks_of(size, n):
-        stacks = list(verification._trial_chunks(n, trials, seed))
+        stacks = list(representations._trial_chunks(n, trials, seed))
     per_chunk = size or trials  # the default chunk holds all 9 trials at n = 4
     assert [len(stack) for stack in stacks] == [
         min(per_chunk, trials - start) for start in range(0, trials, per_chunk)
     ]
-    shared = list(qchan_channels._complex_normals(seed, trials, per_chunk, (n, n)))
+    shared = list(sampling._complex_normals(seed, trials, per_chunk, (n, n)))
     assert [stack.tobytes() for stack in stacks] == [stack.tobytes() for stack in shared]
     rng = np.random.default_rng(seed)
     per_trial = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(trials)]
@@ -249,7 +248,7 @@ def test_shared_sample_reports_equal_the_loops(n, samples, seed, where, chunk_by
     channels.append(DiagonalChannel(dim=n, t=np.zeros(n * n - 1)))
     t = np.linspace(0.1, 0.4, n * n - 1)
     channels.append(DiagonalChannel(dim=n, t=t))
-    with mock.patch.object(qchan_channels, "_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes):
         shared = verification._sample_reports(channels, n, samples, seed)
         single = [constant_fnorm_sample_test(ch, n, samples=samples, seed=seed) for ch in channels]
         expected = [sample_test_loop(ch, n, samples, seed) for ch in channels]
@@ -267,13 +266,13 @@ def test_reports_filled_across_many_stacks_equal_the_loops(n):
     members = members_at([0.25, 0.5, 0.75, 1.0], n)
     channels = [FamilyChannel(f, p, n) for f, p in members]
     with trial_chunks_of(2, n):
-        shared = verification._representation_reports(channels, n, 7, 5)
+        shared = representations._representation_reports(channels, n, 7, 5)
         identities = verify_sum_identities(n, trials=7, seed=5)
     assert shared == [representations_loop(f, p, n, 7, 5) for f, p in members]
     assert identities == identities_loop(n, 7, 5)
-    with mock.patch.object(qchan_channels, "_CHUNK_BYTES", 32 * n * n):
-        assert [len(v) for v in qchan_channels._haar_vectors(n, 50, 5)] == [2 * n] * (50 // (2 * n)) + [2]
-        assert qchan_channels._states_per_chunk(n) == 2
+    with mock.patch.object(sampling, "_CHUNK_BYTES", 32 * n * n):
+        assert [len(v) for v in sampling._haar_vectors(n, 50, 5)] == [2 * n] * (50 // (2 * n)) + [2]
+        assert sampling._states_per_chunk(n) == 2
         shared = verification._sample_reports(channels, n, 50, 5)
         expected = [sample_test_loop(ch, n, 50, 5) for ch in channels]
     assert shared == expected

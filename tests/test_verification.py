@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import basis as basis_module
-from qchan import channels, exact, verification
+from qchan import channels, exact, representations, sampling, verification
 from qchan.basis import build_basis, m_z, pauli_matrix
 from qchan.channels import (
     DiagonalChannel,
@@ -292,12 +292,13 @@ class TestSampleTest:
 
     @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
     def test_overflowing_output_is_named(self, family):
-        # The closed form's 2p d(S) term passes the float range; the witness norms do not.
+        # The closed form's first sum, -p d(S) + (1-p)/n Tr(S) I, passes the
+        # float range on haar_2; the witness norms do not.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^the output of haar_0 overflows$"):
-                constant_fnorm_sample_test(FamilyChannel(family, 1e308, 3), 3, samples=5)
-            assert constant_fnorm_sample_test(FamilyChannel(family, 1e308, 3), 3, samples=0).passed
+            with pytest.raises(ValueError, match="^the output of haar_2 overflows$"):
+                constant_fnorm_sample_test(FamilyChannel(family, 1.7e308, 3), 3, samples=5)
+            assert constant_fnorm_sample_test(FamilyChannel(family, 1.7e308, 3), 3, samples=0).passed
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_families_pass(self, family):
@@ -373,10 +374,10 @@ class TestSampleTest:
     @pytest.mark.parametrize(
         "ch, samples, chunk_bytes",
         [
-            (DiagonalChannel(3, np.array([1e155] * 6 + [0.0, 0.0])), 5 * 10**4, channels._CHUNK_BYTES),
+            (DiagonalChannel(3, np.array([1e155] * 6 + [0.0, 0.0])), 5 * 10**4, sampling._CHUNK_BYTES),
             (DiagonalChannel(3, np.array([3e154] * 3 + [1e154] * 3 + [0.0, 0.0])), 3000, 1 << 10),
-            (FamilyChannel(Family.DEP, 1e155, 3), 300, channels._CHUNK_BYTES),
-            (FamilyChannel(Family.DCQ, 1e155, 70), 20, channels._CHUNK_BYTES),
+            (FamilyChannel(Family.DEP, 1e155, 3), 300, sampling._CHUNK_BYTES),
+            (FamilyChannel(Family.DCQ, 1e155, 70), 20, sampling._CHUNK_BYTES),
         ],
         ids=["5e4 samples", "some lost, many draws", "family", "one state per chunk"],
     )
@@ -384,7 +385,7 @@ class TestSampleTest:
         # The lost norms are retaken per draw from the vectors in hand; their
         # bits are those of drawing every vector again and measuring each alone.
         seen = []
-        with mock.patch.object(channels, "_CHUNK_BYTES", chunk_bytes), \
+        with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes), \
                 mock.patch.object(verification, "_norm_spread_report", lambda norms, *args: seen.append(norms)):
             constant_fnorm_sample_test(ch, ch.dim, samples=samples, seed=0)
         (norms,) = seen
@@ -419,7 +420,7 @@ class TestDeterminant:
 
     def test_matrix_layout(self):
         # The determinant is LAPACK's on the dcq member's classical Choi block.
-        m, _ = verification._classical_block(family_to_diagonal(FamilyChannel(Family.DCQ, 0.2, 3)))
+        m, _ = channels._classical_block(family_to_diagonal(FamilyChannel(Family.DCQ, 0.2, 3)))
         assert m[0, 0] == pytest.approx(0.2 + 0.8 / 3)
         assert m[0, 1] == -0.2
 
@@ -450,7 +451,7 @@ class TestSumIdentities:
         pairs = list(combinations(range(1, n + 1), 2))
         mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs] for sector in "xyz"}
         mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == "z"]
-        direct = verification._direct_sums(s, n)
+        direct = representations._direct_sums(s, n)
         assert direct.keys() == mats.keys()
         for key, group in mats.items():
             np.testing.assert_allclose(direct[key], sum(m @ s @ m for m in group), atol=1e-12)
@@ -464,7 +465,7 @@ class TestSumIdentities:
         pairs = list(combinations(range(1, n + 1), 2))
         mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs] for sector in "xyz"}
         mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == "z"]
-        direct = verification._direct_sums(s, n)
+        direct = representations._direct_sums(s, n)
         for key, group in mats.items():
             np.testing.assert_allclose(direct[key], sum(m @ s @ m for m in group), atol=1e-12)
 
@@ -475,7 +476,7 @@ class TestSumIdentities:
         s = (1 + np.arange(n * n).reshape(n, n)) * (1 + 0.5j)
         sources = {v: divmod(i, n) for i, v in enumerate(s.flat)}
         off_diagonal = ~np.eye(n, dtype=bool)
-        sums = verification._direct_sums(s, n)
+        sums = representations._direct_sums(s, n)
         for key in "xyz":
             used = []
             for value in sums[key][off_diagonal]:
@@ -496,9 +497,9 @@ class TestSumIdentities:
         g[:, :, -1] = complex(0.0, -0.0)
         z = np.array([np.diag(m_z(n, j)).real / np.sqrt(j * (j + 1)) for j in range(1, n)])
         for stack in (g, (g + np.swapaxes(g, -1, -2).conj()) / 2, (g + np.swapaxes(g, -1, -2)) / 2):
-            sums = verification._direct_sums(stack, n)
+            sums = representations._direct_sums(stack, n)
             for i, s in enumerate(stack):
-                alone = verification._direct_sums(s, n)
+                alone = representations._direct_sums(s, n)
                 expected = per_pair_sums(s, n) | {"ez": (z.T @ z) * s}
                 for key, mat in expected.items():
                     assert alone[key].tobytes() == sums[key][i].tobytes() == mat.tobytes(), (key, i)
@@ -509,11 +510,11 @@ class TestSumIdentities:
 
         for module, name in (
             (basis_module, "build_basis"),
-            (channels, "_scaled_operators"),
-            (channels, "to_choi"),
+            (representations, "_scaled_operators"),
+            (representations, "to_choi"),
         ):
             monkeypatch.setattr(module, name, refuse)
-            monkeypatch.setattr(verification, name, refuse, raising=False)
+            monkeypatch.setattr(representations, name, refuse, raising=False)
         assert verify_sum_identities(9, trials=2).passed
         assert verify_representations(Family.TCQ, 0.05, 9, trials=2).passed
 
@@ -522,7 +523,7 @@ class TestSumIdentities:
         # The bound grows with the largest closed-form entry, about 3800 in
         # the z sums at n = 1000, yet stays far below one term: a sum
         # without pair (1, 2)'s term misses by an input entry, of order 1.
-        direct_sums = verification._direct_sums
+        direct_sums = representations._direct_sums
         m = pauli_matrix(2, sector, (1, 2))  # the pair's 2 x 2 block, the same at every n
 
         def missing_a_term(s, n):
@@ -530,7 +531,7 @@ class TestSumIdentities:
             sums[sector][..., :2, :2] -= m @ s[..., :2, :2] @ m
             return sums
 
-        monkeypatch.setattr(verification, "_direct_sums", missing_a_term)
+        monkeypatch.setattr(representations, "_direct_sums", missing_a_term)
         report = verify_sum_identities(n, trials=1)
         assert not report.passed
         assert report.max_deviation > 1e-3
@@ -547,7 +548,7 @@ class TestSumIdentities:
         rng = np.random.default_rng(n)
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         basis = build_basis(n)
-        direct = verification._direct_sums(s, n)
+        direct = representations._direct_sums(s, n)
         expected = {"0": s / n, "x": direct["x"] / 2, "y": direct["y"] / 2}
         for sector, target in expected.items():
             group = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == sector]
@@ -608,7 +609,7 @@ class TestRepresentations:
             c = repr_coefficients(*args)
             return c._replace(**{weight: getattr(c, weight) + 1e-9})
 
-        monkeypatch.setattr(verification, "repr_coefficients", perturbed)
+        monkeypatch.setattr(representations, "repr_coefficients", perturbed)
         report = verify_representations(Family.DCQ, 0.05, 4, trials=3, seed=1)
         assert not report.passed
         assert report.max_deviation > 1e-12
