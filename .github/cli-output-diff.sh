@@ -17,6 +17,8 @@
 # `-1e-05`, `-1e-3` and `1e308`/`8e307` rows differ from trees that read a
 # negative exponent-form value as an option or let the Choi data overflow,
 # and the dcq `1e308` and tcq `9e307` rows from trees that compute 2p there.
+# The two dcq `1.7e308` rows differ from trees that let the closed form's
+# first sum, -p d(S) + (1-p)/n Tr(S) I, overflow: those exit 2.
 # The `--output` rows end with an empty stdout: one writes its report to a
 # file, the other exits 2 because the file's directory does not exist.
 set -u
@@ -49,6 +51,7 @@ printf '{"rows": 2, "cols": 2, "data": [[0.5, 0], [1e200, 0], [1e200, 0], [0.5, 
     > "$work/huge_state.json"
 printf '{"kind": "diagonal", "dim": 1, "t": []}\n' > "$work/dim_one.json"
 printf '{"kind": "family", "family": "dcq", "p": 1e308, "dim": 3}\n' > "$work/dcq_max.json"
+printf '{"kind": "family", "family": "dcq", "p": 1.7e308, "dim": 3}\n' > "$work/dcq_first_sum.json"
 
 commands=(
     "range --family dcq --dim 3"
@@ -142,6 +145,8 @@ commands=(
     "--output $work/no_such_dir/range.json range --family dep --dim 3"
     "channel apply --channel $work/dcq_max.json --state $work/state.json"
     "verify constant-norm --family tcq --dim 3 --p 9e307 --samples 5"
+    "verify constant-norm --family dcq --dim 3 --p 1.7e308 --samples 5"
+    "channel apply --channel $work/dcq_first_sum.json --state $work/state.json"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -20,11 +20,10 @@ from math import sqrt
 
 import numpy as np
 
-from .exact import _Frozen, _check_dim, _check_peak_bytes, pair_count
-from .linalg import DEFAULT_TOL, Tolerance, _pair_index, as_matrix, frobenius_norm, is_hermitian
+from .exact import DEFAULT_TOL, Tolerance, _Frozen, _check_dim, _check_peak_bytes, pair_count
+from .linalg import _pair_index, as_matrix, frobenius_norm, is_hermitian
 
 __all__ = [
-    "pair_count",
     "pauli_matrix",
     "m_z",
     "BasisE",

@@ -7,10 +7,8 @@ patterns, the size guards and the CLI's argument checks) and with the
 result records every numeric module returns: ``typing.NamedTuple``
 classes, whose ``Any`` fields hold the arrays of the numeric modules.  The
 channels and the basis, which validate, cache or act, derive from
-``_Frozen`` here instead.  The numeric modules re-export what moved here,
-and the bound-matching certificates, which only ``certify``, ``witness``
-and ``report`` run, moved on to :mod:`qchan.equivalence`; every
-``qchan.<module>.<name>`` path still resolves (:func:`_forward`).
+``_Frozen`` here instead.  The bound-matching certificates, which only
+``certify``, ``witness`` and ``report`` run, are in :mod:`qchan.equivalence`.
 Importing this module loads neither NumPy nor ``fractions``, and no qchan
 module loads ``dataclasses``.
 """
@@ -20,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from enum import Enum
-from importlib import import_module
 from typing import Any, NamedTuple, Optional
 
 from .jsonio import SchemaError
@@ -40,29 +37,6 @@ __all__ = [
     "repr_coefficients",
     "pair_count",
 ]
-
-
-def _forward(module: str, moved: dict[str, str]):
-    """A module ``__getattr__`` (PEP 562) that finds each name of ``moved`` in its new home.
-
-    Code moves to the module of the commands that run it, so that no other
-    command compiles it; its old ``qchan.<module>.<name>`` path resolves
-    from ``qchan.<moved[name]>``, which loads only when such a name is used.
-    """
-
-    def __getattr__(name: str) -> Any:
-        home = moved.get(name)
-        if home is None:
-            raise AttributeError(f"module {module!r} has no attribute {name!r}")
-        return getattr(import_module(f"qchan.{home}"), name)
-
-    return __getattr__
-
-
-__getattr__ = _forward(__name__, dict.fromkeys((
-    "GAP_THRESHOLD", "SpectrumWitness", "BoundMatchingReport", "InequivalenceCertificate",
-    "bound_matching_system", "inequivalence_certificate",
-), "equivalence"))
 
 
 # Tolerance's fields.  A NamedTuple body may not define ``__new__``, so the

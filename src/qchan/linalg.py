@@ -6,8 +6,8 @@ fixing the conventions everything downstream relies on: eigenvalues come
 back ascending, Hermitian inputs are symmetrized before eigensolves, and
 positivity thresholds scale with the Frobenius norm of the operator.
 The index arrays of the pairs k < l, which the basis, the channels and
-the checks share, are cached here.  ``Tolerance`` and ``DEFAULT_TOL``
-live in :mod:`qchan.exact` and are re-exported here.
+the checks share, are cached here.  The tolerances they take,
+``Tolerance`` and ``DEFAULT_TOL``, are in :mod:`qchan.exact`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .exact import DEFAULT_TOL, Tolerance
 from .jsonio import SchemaError, finite_number, require, require_int
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "as_matrix",
     "as_matrix_stack",
     "frobenius_norm",

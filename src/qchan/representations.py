@@ -18,8 +18,7 @@ forms and the checks that compare them with :mod:`qchan.channels`:
   trichotomy (:func:`classify_qubit`).
 
 Of the CLI commands only ``identities``, ``detcheck`` and ``report`` load
-this module; the old ``qchan.channels`` and ``qchan.verification`` paths
-of its names still resolve.
+this module.
 """
 
 from __future__ import annotations

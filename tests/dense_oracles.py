@@ -28,18 +28,12 @@ import numpy as np
 
 from qchan import verification
 from qchan.basis import pauli_matrix
-from qchan.channels import (
-    DiagonalChannel,
-    Family,
-    FamilyChannel,
-    diagonal_apply,
-    family_to_diagonal,
-    random_pure_state,
-    to_choi,
-)
-from qchan.linalg import DEFAULT_TOL, Tolerance, frobenius_norm, hermitian_part
-from qchan.sampling import _haar_vectors
-from qchan.verification import VerificationReport, witness_states
+from qchan.channels import DiagonalChannel, FamilyChannel, diagonal_apply, family_to_diagonal
+from qchan.exact import DEFAULT_TOL, Family, Tolerance, VerificationReport
+from qchan.linalg import frobenius_norm, hermitian_part
+from qchan.representations import to_choi
+from qchan.sampling import _haar_vectors, random_pure_state
+from qchan.verification import witness_states
 
 
 def dense_is_cptp(apply_fn, n, tol=DEFAULT_TOL):

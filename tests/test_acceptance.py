@@ -18,32 +18,33 @@ import numpy as np
 
 from qchan.channels import (
     DiagonalChannel,
-    Family,
     FamilyChannel,
-    QubitLambda,
     as_linear_map,
     family_apply,
     family_to_diagonal,
-    kraus_completeness,
-    kraus_from_family,
-    random_pure_state,
 )
 from qchan.equivalence import (
     bound_matching_system,
     qubit_equivalence_check,
     spectrum_witness,
 )
-from qchan.linalg import Tolerance, frobenius_norm
-from qchan.verification import (
+from qchan.exact import Family, Tolerance, param_range
+from qchan.linalg import frobenius_norm
+from qchan.representations import (
+    QubitLambda,
     classify_qubit,
+    kraus_completeness,
+    kraus_from_family,
+    verify_det_recurrence,
+    verify_representations,
+    verify_sum_identities,
+)
+from qchan.sampling import random_pure_state
+from qchan.verification import (
     constant_fnorm_criterion,
     constant_fnorm_sample_test,
     expected_constant_norm,
     is_cptp,
-    param_range,
-    verify_det_recurrence,
-    verify_representations,
-    verify_sum_identities,
     witness_states,
 )
 

@@ -21,15 +21,14 @@ from hypothesis import strategies as st
 from qchan import sampling, verification
 from qchan.channels import (
     DiagonalChannel,
-    Family,
     FamilyChannel,
     diagonal_apply,
     diagonal_image,
     family_apply,
     family_to_diagonal,
-    random_pure_state,
 )
-from qchan.verification import param_range
+from qchan.exact import Family, param_range
+from qchan.sampling import random_pure_state
 
 DIMS = [2, 3, 5]
 

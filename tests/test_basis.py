@@ -7,16 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import representations
-from qchan.basis import (
-    _pair_entries,
-    _pair_index,
-    build_basis,
-    decompose,
-    m_z,
-    pair_count,
-    pauli_matrix,
-    reconstruct,
-)
+from qchan.basis import _pair_entries, build_basis, decompose, m_z, pauli_matrix, reconstruct
+from qchan.exact import pair_count
+from qchan.linalg import _pair_index
 
 DIMS = [2, 3, 4, 5, 6]
 

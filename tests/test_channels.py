@@ -9,28 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import channels, representations
-from qchan.basis import build_basis, pair_count, pauli_matrix
+from qchan.basis import build_basis, pauli_matrix
 from qchan.channels import (
     DiagonalChannel,
-    Family,
     FamilyChannel,
-    QubitLambda,
     as_linear_map,
     channel_from_json,
     channel_to_json,
-    cptp_range,
     diagonal_apply,
     family_apply,
     family_to_diagonal,
-    kraus_completeness,
-    kraus_from_family,
-    random_pure_state,
-    repr_coefficients,
-    to_choi,
     validate_state,
 )
+from qchan.exact import DEFAULT_TOL, Family, Tolerance, cptp_range, pair_count, repr_coefficients
 from qchan.jsonio import SchemaError, dumps
-from qchan.linalg import DEFAULT_TOL, Tolerance, frobenius_norm
+from qchan.linalg import frobenius_norm
+from qchan.representations import QubitLambda, kraus_completeness, kraus_from_family, to_choi
+from qchan.sampling import random_pure_state
 
 FAMILIES = list(Family)
 DIMS = [2, 3, 4, 5, 6]

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qchan import basis, cli, exact, representations, verification
-from qchan.channels import DiagonalChannel, Family, FamilyChannel, channel_to_json, family_to_diagonal
+from qchan import cli, exact, linalg, representations
+from qchan.channels import DiagonalChannel, FamilyChannel, channel_to_json, family_to_diagonal
 from qchan.cli import main
 from qchan.equivalence import qubit_equivalence_check
+from qchan.exact import Family, Tolerance
 from qchan.jsonio import dumps
-from qchan.linalg import Tolerance, matrix_to_json
+from qchan.linalg import matrix_to_json
 
 
 def run_cli(capsys, *argv):
@@ -240,9 +241,9 @@ class TestNearTheFloatMaximum:
             (["verify", "cptp", "--family", "tcq", "--dim", "2", "--p", "1e308"], 1, ""),
             (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "1e308", "--samples", "5"], 0, ""),
             (["verify", "constant-norm", "--family", "trd", "--dim", "5", "--p", "-8e307", "--samples", "5"], 0, ""),
-            # dcq's closed form sums -p d(S) + (1-p)/n Tr(S) I first, which passes the float range here.
-            (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1.7e308", "--samples", "5"], 2,
-             "error: the output of haar_2 overflows\n"),
+            # dcq's closed form sums -p d(S) + (1-p)/n Tr(S) I first, which passes the float
+            # range here; those entries are retaken as p d(S) + (1-p)/n Tr(S) I.
+            (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1.7e308", "--samples", "5"], 0, ""),
             # Where 2p overflows, 2p d(S) is added as p d(S) twice.
             (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1e308", "--samples", "5"], 0, ""),
             (["verify", "constant-norm", "--family", "tcq", "--dim", "3", "--p", "9e307", "--samples", "5"], 0, ""),
@@ -258,17 +259,19 @@ class TestNearTheFloatMaximum:
             assert all(np.isfinite(v) for v in report.values() if isinstance(v, float))
 
     def test_channel_apply_where_2p_overflows(self, tmp_path, capsys):
-        ch = write_json(tmp_path / "c.json", {"kind": "family", "family": "dcq", "p": 1e308, "dim": 3})
         state = write_json(tmp_path / "s.json", matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "channel", "apply", "--channel", ch, "--state", state)
-        assert (code, err) == (0, "")
-        payload = json.loads(out)
-        # p + (1-p)/3 on the first diagonal entry, and (1-p)/3 on the others.
-        assert payload["output"]["data"][0] == [pytest.approx(1e308 / 1.5, rel=1e-15), 0.0]
-        assert payload["output"]["data"][4] == [pytest.approx(-1e308 / 3, rel=1e-15), 0.0]
-        assert payload["output_frobenius_norm"] == pytest.approx(1e308 * (2 / 3) ** 0.5, rel=1e-15)
+        # At 1.7e308 the first sum -p + (1-p)/3 of the first diagonal entry overflows too.
+        for p in (1e308, 1.7e308):
+            ch = write_json(tmp_path / "c.json", {"kind": "family", "family": "dcq", "p": p, "dim": 3})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "channel", "apply", "--channel", ch, "--state", state)
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            # p + (1-p)/3 on the first diagonal entry, and (1-p)/3 on the others.
+            assert payload["output"]["data"][0] == [pytest.approx(p / 1.5, rel=1e-15), 0.0]
+            assert payload["output"]["data"][4] == [pytest.approx(-p / 3, rel=1e-15), 0.0]
+            assert payload["output_frobenius_norm"] == pytest.approx(p * (2 / 3) ** 0.5, rel=1e-15)
 
 
 class TestChecks:
@@ -550,7 +553,7 @@ PEAK_CASES = [
     peak_case("identities", "dim", "identities --trials 2 --dim {}", (256, 512)),
     peak_case(
         "identities", "dim", "verify_representations(tcq, 0.001, N, trials=1)", (128, 256),
-        lambda n, where: verification.verify_representations(Family.TCQ, 0.001, n, trials=1),
+        lambda n, where: representations.verify_representations(Family.TCQ, 0.001, n, trials=1),
     ),
     peak_case(
         "identities", "dim", "_representation_reports(each family at 0.001, N, trials=1)", (128, 256),
@@ -567,7 +570,7 @@ PEAK_CASES = [
 
 def traced_peak(body):
     """Peak bytes that tracemalloc sees allocated while ``body()`` runs, from cold per-dimension caches."""
-    basis._pair_index.cache_clear()
+    linalg._pair_index.cache_clear()
     representations._staircase_gram.cache_clear()
     tracemalloc.start()
     try:

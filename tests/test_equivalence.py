@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from qchan import basis as qchan_basis
 from qchan import sampling
 from qchan.basis import pauli_matrix
-from qchan.channels import (
-    Family,
-    FamilyChannel,
-    as_linear_map,
-    cptp_range,
-    family_apply,
-)
+from qchan.channels import FamilyChannel, family_apply
 from qchan.equivalence import (
     _RATIO_EQUATIONS,
     GAP_THRESHOLD,
@@ -27,6 +21,7 @@ from qchan.equivalence import (
     qubit_equivalence_check,
     spectrum_witness,
 )
+from qchan.exact import Family, cptp_range
 from qchan.jsonio import dumps
 from qchan.linalg import hermitian_eigenvalues
 

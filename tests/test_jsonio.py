@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qchan import jsonio
-from qchan.channels import DiagonalChannel, Family, FamilyChannel
+from qchan.channels import DiagonalChannel, FamilyChannel
 from qchan.cli import build_parser, main
 from qchan.equivalence import (
     BoundMatchingReport,
@@ -17,9 +17,10 @@ from qchan.equivalence import (
     inequivalence_certificate,
     spectrum_witness,
 )
+from qchan.exact import Family, VerificationReport, param_range
 from qchan.jsonio import dumps
 from qchan.linalg import matrix_to_json
-from qchan.verification import VerificationReport, is_cptp, param_range
+from qchan.verification import is_cptp
 
 
 def encode(record):

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchan.exact import DEFAULT_TOL, Tolerance
 from qchan.jsonio import SchemaError
 from qchan.linalg import (
-    DEFAULT_TOL,
-    Tolerance,
     _frobenius_norms,
     as_matrix_stack,
     frobenius_norm,

@@ -21,21 +21,15 @@ from qchan import sampling, verification
 from qchan.basis import build_basis, decompose, reconstruct
 from qchan.channels import (
     DiagonalChannel,
-    Family,
     FamilyChannel,
-    cptp_range,
     diagonal_apply,
     family_apply,
     family_to_diagonal,
-    random_pure_state,
 )
+from qchan.exact import Family, cptp_range, param_range
 from qchan.linalg import frobenius_norm
-from qchan.verification import (
-    constant_fnorm_sample_test,
-    is_cptp,
-    param_range,
-    witness_states,
-)
+from qchan.sampling import random_pure_state
+from qchan.verification import constant_fnorm_sample_test, is_cptp, witness_states
 
 from dense_oracles import dense_is_cptp, per_state_sample_test, state_labels
 

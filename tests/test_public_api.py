@@ -1,6 +1,8 @@
-"""The public surface of qchan: its size is tracked, and every export resolves."""
+"""The public surface of qchan: its size is tracked, every export resolves, and each name has one path."""
 
+import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -144,30 +146,67 @@ def test_names_are_resolved_on_first_access():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize(
-    "module, name",
-    [
-        ("channels", "Family"),
-        ("channels", "FAMILY_NAMES"),
-        ("channels", "cptp_range"),
-        ("channels", "family_from_name"),
-        ("linalg", "Tolerance"),
-        ("linalg", "DEFAULT_TOL"),
-        ("verification", "ParamRange"),
-        ("verification", "param_range"),
-        ("equivalence", "GAP_THRESHOLD"),
-        ("equivalence", "BoundMatchingReport"),
-        ("equivalence", "InequivalenceCertificate"),
-        ("equivalence", "bound_matching_system"),
-        ("equivalence", "inequivalence_certificate"),
-        ("verification", "VerificationReport"),
-        ("verification", "QubitClassification"),
-        ("equivalence", "SpectrumWitness"),
-        ("equivalence", "VerificationReport"),
-        ("channels", "ReprCoefficients"),
-        ("channels", "repr_coefficients"),
-    ],
-)
-def test_moved_names_keep_their_old_paths(module, name):
-    old_home = importlib.import_module(f"qchan.{module}")
-    assert getattr(old_home, name) is getattr(importlib.import_module("qchan.exact"), name)
+ROOT = Path(__file__).resolve().parents[1]
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(qchan.__path__))
+
+
+def _bound_names(module: str) -> set:
+    """Names a qchan submodule binds at top level by def, class or assignment, not by an import."""
+    tree = ast.parse((ROOT / "src" / "qchan" / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            leaves = (leaf for target in targets for leaf in ast.walk(target))
+            names.update(leaf.id for leaf in leaves if isinstance(leaf, ast.Name))
+    return names
+
+
+def _qchan_imports(path: Path):
+    """(line, module, name) of every ``from qchan.<module> import <name>`` (or ``from .<module>``) in ``path``."""
+    in_package = path.parent == ROOT / "src" / "qchan"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if in_package and node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("qchan."):
+            module = node.module[len("qchan."):]
+        else:
+            continue
+        for alias in node.names:
+            yield node.lineno, module, alias.name
+
+
+def test_each_name_has_one_module_path():
+    # A name lives in the module that binds it: no submodule re-exports or
+    # forwards another's names, save the functions that the benchmark's
+    # perfbench/spans.py TRACED list still looks up in their old modules.
+    bound = {module: _bound_names(module) for module in SUBMODULES}
+    for module in SUBMODULES:
+        exported = getattr(importlib.import_module(f"qchan.{module}"), "__all__", [])
+        assert set(exported) <= bound[module], (module, set(exported) - bound[module])
+    for module, names in qchan._EXPORTS.items():
+        assert set(names) <= set(importlib.import_module(f"qchan.{module}").__all__), module
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    candidates = set().union(*bound.values())
+    for module in SUBMODULES:
+        home = importlib.import_module(f"qchan.{module}")
+        forwarded = {name for name in candidates - set(vars(home)) if hasattr(home, name)}
+        traced = {attr for owner, attr in spans.TRACED if owner == module and attr not in bound[module]}
+        assert forwarded == traced, module
+        assert ("__getattr__" in vars(home)) == bool(traced), module
+
+    paths = sorted((ROOT / "src" / "qchan").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    misplaced = [
+        f"{path.relative_to(ROOT)}:{line}: {module}.{name}"
+        for path in paths
+        for line, module, name in _qchan_imports(path)
+        if name not in bound[module]
+    ]
+    assert misplaced == []

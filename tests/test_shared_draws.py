@@ -16,23 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import exact, jsonio, representations, sampling, verification
-from qchan.channels import (
-    DiagonalChannel,
+from qchan.channels import DiagonalChannel, FamilyChannel, family_apply, family_to_diagonal
+from qchan.cli import main
+from qchan.exact import (
+    DEFAULT_TOL,
     Family,
-    FamilyChannel,
+    Tolerance,
+    VerificationReport,
     cptp_range,
-    family_apply,
-    family_to_diagonal,
     repr_coefficients,
 )
-from qchan.cli import main
-from qchan.linalg import DEFAULT_TOL, Tolerance
-from qchan.verification import (
-    VerificationReport,
-    constant_fnorm_sample_test,
-    verify_representations,
-    verify_sum_identities,
-)
+from qchan.representations import verify_representations, verify_sum_identities
+from qchan.verification import constant_fnorm_sample_test
 
 from dense_oracles import per_pair_sums, state_labels
 

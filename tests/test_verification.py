@@ -13,30 +13,23 @@ from hypothesis import strategies as st
 from qchan import basis as basis_module
 from qchan import channels, exact, representations, sampling, verification
 from qchan.basis import build_basis, m_z, pauli_matrix
-from qchan.channels import (
-    DiagonalChannel,
-    Family,
-    FamilyChannel,
-    QubitLambda,
-    as_linear_map,
-    cptp_range,
-    family_to_diagonal,
-    random_pure_state,
-    repr_coefficients,
-)
+from qchan.channels import DiagonalChannel, FamilyChannel, as_linear_map, family_to_diagonal
+from qchan.exact import Family, Tolerance, cptp_range, param_range, repr_coefficients
 from qchan.jsonio import dumps
-from qchan.linalg import Tolerance
-from qchan.verification import (
+from qchan.representations import (
+    QubitLambda,
     classify_qubit,
-    constant_fnorm_criterion,
-    constant_fnorm_sample_test,
     dcq_det_formula,
-    expected_constant_norm,
-    is_cptp,
-    param_range,
     verify_det_recurrence,
     verify_representations,
     verify_sum_identities,
+)
+from qchan.sampling import random_pure_state
+from qchan.verification import (
+    constant_fnorm_criterion,
+    constant_fnorm_sample_test,
+    expected_constant_norm,
+    is_cptp,
     witness_states,
 )
 
@@ -293,12 +286,18 @@ class TestSampleTest:
     @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
     def test_overflowing_output_is_named(self, family):
         # The closed form's first sum, -p d(S) + (1-p)/n Tr(S) I, passes the
-        # float range on haar_2; the witness norms do not.
+        # float range on haar_2 and is retaken as p d(S) + (1-p)/n Tr(S) I, so
+        # every norm is finite.  The spread check names the first output that is not.
+        seen = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^the output of haar_2 overflows$"):
+            with mock.patch.object(verification, "_norm_spread_report", lambda norms, *args: seen.append(norms)):
                 constant_fnorm_sample_test(FamilyChannel(family, 1.7e308, 3), 3, samples=5)
-            assert constant_fnorm_sample_test(FamilyChannel(family, 1.7e308, 3), 3, samples=0).passed
+        norms = seen[0]
+        assert verification._norm_spread_report(norms, 3, Tolerance()).passed and norms.max() > 1e308
+        norms[[11, 12]] = np.inf
+        with pytest.raises(ValueError, match="^the output of haar_2 overflows$"):
+            verification._norm_spread_report(norms, 3, Tolerance())
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_families_pass(self, family):
@@ -626,8 +625,6 @@ class TestClassifyQubit:
         l = QubitLambda(t=(0.3, -0.1, 0.2), lam=(0, 0, 0))
         result = classify_qubit(l)
         rng = np.random.default_rng(7)
-        from qchan.channels import random_pure_state
-
         for _ in range(5):
             out = l(random_pure_state(2, rng))
             np.testing.assert_allclose(out, result.fixed_output, atol=1e-13)
