@@ -14,11 +14,13 @@
 # basis JSON refuse; a tree without that guard writes about 0.9 GB of JSON
 # at a peak near 2.2 GB.  The rows at the first size each size guard
 # refuses (`--dim 4635`, `--samples 89478448`, ...) exit 2 at once.  The
-# `-1e-05`, `-1e-3` and `1e308`/`8e307` rows differ from trees that read a
-# negative exponent-form value as an option or let the Choi data overflow,
-# and the dcq `1e308` and tcq `9e307` rows from trees that compute 2p there.
-# The two dcq `1.7e308` rows differ from trees that let the closed form's
-# first sum, -p d(S) + (1-p)/n Tr(S) I, overflow: those exit 2.
+# `-1e-05` and `-1e-3` rows differ from trees that read a negative
+# exponent-form value as an option.  The rows with |p| or some |t_i| past
+# 1e100 (`1e155` ... `1.7e308`) exit 2 with one message in trees that bound
+# both at 1e100; older trees computed near the float maximum there.  The
+# `--p 1e100` row is at the bound and runs.  The `cancelled.json` row
+# differs from trees that take a pair state's norm from G = D D^T alone,
+# where its pair sum cancels: their minimum reads 0.
 # The `--output` rows end with an empty stdout: one writes its report to a
 # file, the other exits 2 because the file's directory does not exist.
 set -u
@@ -43,7 +45,7 @@ printf '{"rows": 3, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], 
 printf '{"rows": 3, "cols": 3, "data": [[1, 0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [0, 0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [0, 0]]}\n' \
     > "$work/signed_zero_state.json"
 printf '{"kind": "family", "family": ' > "$work/malformed.json"
-# Overflowing Frobenius norms: squares of 1e155 Choi data and outputs, and of 1e200 state entries.
+# Multipliers past the magnitude bound, and a state whose 1e200 entries have overflowing squares.
 printf '{"kind": "diagonal", "dim": 3, "t": [1e155, 1e155, 1e155, 1e155, 1e155, 1e155, 0, 0]}\n' \
     > "$work/huge_multipliers.json"
 printf '{"kind": "family", "family": "dep", "p": 0.5, "dim": 2}\n' > "$work/dep_qubit.json"
@@ -52,6 +54,7 @@ printf '{"rows": 2, "cols": 2, "data": [[0.5, 0], [1e200, 0], [1e200, 0], [0.5, 
 printf '{"kind": "diagonal", "dim": 1, "t": []}\n' > "$work/dim_one.json"
 printf '{"kind": "family", "family": "dcq", "p": 1e308, "dim": 3}\n' > "$work/dcq_max.json"
 printf '{"kind": "family", "family": "dcq", "p": 1.7e308, "dim": 3}\n' > "$work/dcq_first_sum.json"
+printf '{"kind": "diagonal", "dim": 2, "t": [0, 0, 3000618250.613841]}\n' > "$work/cancelled.json"
 
 commands=(
     "range --family dcq --dim 3"
@@ -147,6 +150,8 @@ commands=(
     "verify constant-norm --family tcq --dim 3 --p 9e307 --samples 5"
     "verify constant-norm --family dcq --dim 3 --p 1.7e308 --samples 5"
     "channel apply --channel $work/dcq_first_sum.json --state $work/state.json"
+    "verify constant-norm --channel $work/cancelled.json --samples 3"
+    "verify constant-norm --family dcq --dim 3 --p 1e100 --samples 5"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

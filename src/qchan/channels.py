@@ -20,7 +20,6 @@ are in :mod:`qchan.representations`, the random draws in
 
 from __future__ import annotations
 
-import sys
 from functools import cached_property
 from typing import Any, Callable, Union
 
@@ -35,6 +34,7 @@ from .exact import (
     _Frozen,
     _check_dim,
     _check_finite_p,
+    _check_magnitude,
     family_from_name,
     pair_count,
 )
@@ -108,6 +108,7 @@ class DiagonalChannel(_Frozen):
             raise ValueError(f"expected {expected} multipliers, got shape {t.shape}")
         if not np.all(np.isfinite(t)):
             raise ValueError("multipliers must be finite")
+        _check_magnitude("multipliers", t[np.argmax(np.abs(t))])
         t = t.copy()
         t.flags.writeable = False
         self._set(dim, t)
@@ -137,8 +138,8 @@ class DiagonalChannel(_Frozen):
         k, l = _pair_index(n)
         a = np.zeros((n, n))
         b = np.zeros((n, n))
-        a[k, l] = a[l, k] = _half_sum(self.t_x, self.t_y)
-        b[k, l] = b[l, k] = _half_sum(self.t_x, -self.t_y)
+        a[k, l] = a[l, k] = (self.t_x + self.t_y) / 2
+        b[k, l] = b[l, k] = (self.t_x - self.t_y) / 2
         a.flags.writeable = False
         b.flags.writeable = False
         return a, b
@@ -165,17 +166,6 @@ def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
     block = diag.pair_weights[0].copy()
     np.fill_diagonal(block, np.diag(d))
     return block, d
-
-
-def _half_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x + y) / 2, taken as x / 2 + y / 2 where the sum overflows: those halves are exact."""
-
-    with np.errstate(over="ignore"):  # an overflowed sum is redone below
-        half = (x + y) / 2
-    lost = np.isinf(half)
-    if lost.any():
-        half[lost] = x[lost] / 2 + y[lost] / 2
-    return half
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
@@ -224,7 +214,7 @@ def _apply(ch: AnyChannel, s: np.ndarray) -> np.ndarray:
     if isinstance(ch, FamilyChannel):
         zero = np.asarray((1 - ch.p) / ch.dim * np.trace(s, axis1=-2, axis2=-1)) * 0j
         if ch.family in _HYBRID:
-            zero += ch.p * np.zeros((), dtype=complex)  # the signs of 2p * 0, with no 2p to overflow
+            zero += ch.p * np.zeros((), dtype=complex)  # the signs of 2p * 0
         out += zero[..., None, None]
     _diagonal_view(out)[...] = _output_diagonals(ch, np.diagonal(s, axis1=-2, axis2=-1))
     return out
@@ -250,9 +240,6 @@ def _pair_sectors_into(a, b, s: np.ndarray, out: np.ndarray) -> None:
         out += b * np.swapaxes(s, -1, -2)
 
 
-_HALF_MAX = sys.float_info.max / 2  # exact: 2p is finite exactly when |p| is at most this
-
-
 def _output_diagonals(ch: AnyChannel, d: np.ndarray) -> np.ndarray:
     """The output-diagonal stage: output diagonals of the inputs whose diagonals are ``d`` (..., n).
 
@@ -260,29 +247,16 @@ def _output_diagonals(ch: AnyChannel, d: np.ndarray) -> np.ndarray:
     :func:`diagonal_image` for a diagonal channel, and ((+-p d + c) + 2p d)
     for a family member, the last term only for dcq and tcq, with
     c = (1-p)/n Tr(S) and Tr(S) summed from ``d`` as np.trace sums it.
-    Where 2p overflows (|p| > 8.9e307), p d is added twice instead.  Where
-    the first sum -p d + c overflows (from |p| ~ max / (1 + 1/n)), the
-    entry is retaken as p d + c.
     """
 
     if isinstance(ch, DiagonalChannel):
         return diagonal_image(ch, d)
     c = ((1 - ch.p) / ch.dim * np.add.reduce(d, axis=-1) * (1 + 0j))[..., None]
-    if ch.family not in _HYBRID:
-        out = d * ch.p
-        out += c
-        return out
-    out = d * -ch.p
-    with np.errstate(over="ignore", invalid="ignore"):  # a lost first sum is retaken below
-        out += c
-        lost = np.isinf(out)
-        if abs(ch.p) <= _HALF_MAX:
-            out += 2 * ch.p * d
-        else:  # 2p overflows: p d added twice has the same signed zeros
-            out += ch.p * d
-            out += ch.p * d
-    if lost.any():
-        out[lost] = (ch.p * d + c)[lost]
+    hybrid = ch.family in _HYBRID
+    out = d * (-ch.p if hybrid else ch.p)
+    out += c
+    if hybrid:
+        out += 2 * ch.p * d
     return out
 
 

@@ -7,8 +7,9 @@ exit code:
 
 * 0 — command ran and every requested check passed,
 * 1 — command ran but a verification failed,
-* 2 — invalid input (bad flags, malformed JSON, out-of-range requests,
-  requests whose peak memory, estimated by ``exact._check_peak_bytes``, passes 2 GiB).
+* 2 — invalid input (bad flags, malformed JSON, out-of-range requests, a |p|
+  or |t_i| past ``exact._MAX_MAGNITUDE`` = 1e100, requests whose peak memory,
+  estimated by ``exact._check_peak_bytes``, passes 2 GiB).
 
 ``--tol`` (or the QCHAN_TOL environment variable) replaces the default
 absolute/relative tolerance with the given value for both components.

@@ -220,9 +220,22 @@ def _check_grid(grid: int) -> None:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
 
 
+# The largest |p| and |t_i| accepted (the families are CPTP only for |p| <= 1).  At
+# the bound, Choi entries and a state's output entries are at most a few times 1e100,
+# so n^2 of their squares sum far below the float maximum for every n a ``_PEAK_BYTES`` row admits.
+_MAX_MAGNITUDE = 1e100
+
+
+def _check_magnitude(what: str, value: float) -> None:
+    """Refuse ``value``, the largest in modulus of what ``what`` names, past ``_MAX_MAGNITUDE``."""
+    if abs(value) > _MAX_MAGNITUDE:
+        raise ValueError(f"{what} must be at most {_MAX_MAGNITUDE:g} in magnitude, got {float(value)!r}")
+
+
 def _check_finite_p(p: float) -> None:
     if not math.isfinite(p):
         raise ValueError(f"parameter p must be finite, got {p!r}")
+    _check_magnitude("parameter p", p)
 
 
 def _check_conjugation_p(p: float) -> None:

@@ -70,21 +70,6 @@ def frobenius_norm(m: np.ndarray) -> float:
     return norm
 
 
-def _frobenius_norms(m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """:func:`frobenius_norm` of each matrix of a (k, n, n) stack, bit for bit, rescaled in ``scratch``."""
-
-    flat, scaled = m.reshape(len(m), -1), scratch.reshape(len(m), -1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # only rows redone are kept
-        norms = _row_norms(flat)
-        redo = np.isinf(norms) & np.isfinite(flat).all(axis=-1)
-        if redo.any():
-            re, im = flat.real, flat.imag  # the largest |part| is a max or a -min, with no temporaries
-            scale = np.maximum.reduce([re.max(axis=-1), -re.min(axis=-1), im.max(axis=-1), -im.min(axis=-1)])
-            np.divide(flat, scale[:, None], out=scaled)
-            norms[redo] = (scale * _row_norms(scaled))[redo]
-    return norms
-
-
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of a (k, m) complex array, bit for bit: it is sqrt(re . re + im . im)
     over the strided real and imaginary views, and the (k, 1, m) @ (k, m, 1) products make those dot calls."""

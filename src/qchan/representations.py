@@ -52,6 +52,7 @@ from .exact import (
     _check_dense_bytes,
     _check_dim,
     _check_grid,
+    _check_magnitude,
     _check_trials,
     cptp_range,
     pair_count,
@@ -465,6 +466,7 @@ class QubitLambda(_Frozen):
             raise ValueError("t and lam must have three components")
         if not all(np.isfinite(t)) or not all(np.isfinite(lam)):
             raise ValueError("t and lam must be finite")
+        _check_magnitude("t and lam", max(t + lam, key=abs))
         self._set(t, lam)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ determinant recurrence and the qubit classification, which only
 
 from __future__ import annotations
 
-from math import inf, isfinite, sqrt
+from math import sqrt
 from typing import Any, Optional
 
 import numpy as np
@@ -46,8 +46,8 @@ from .channels import (
     as_linear_map,
     family_to_diagonal,
 )
-from .exact import DEFAULT_TOL, Tolerance, VerificationReport, _check_samples
-from .linalg import _frobenius_norms, _pair_index, frobenius_norm
+from .exact import DEFAULT_TOL, Tolerance, VerificationReport, _check_magnitude, _check_samples
+from .linalg import _pair_index, frobenius_norm
 from .sampling import _haar_vectors, _states_per_chunk
 
 __all__ = [
@@ -78,8 +78,7 @@ def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verificatio
     D[j, i] = Phi(E_jj)_ii and (a, b) are the pair weights.  Eigenvalues,
     Frobenius norm and partial trace all come from these blocks.  CP
     holds when the smallest eigenvalue is above -tol of the Choi norm, TP
-    when the partial trace is within tol of I.  A Choi norm past the float
-    range raises ValueError: no tolerance can be scaled by it.
+    when the partial trace is within tol of I.
     """
 
     diag = _as_diagonal(ch)
@@ -88,8 +87,6 @@ def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verificatio
     a, b = diag.pair_weights
     classical, d = _classical_block(diag)
     scale = frobenius_norm(np.stack([d, a, b]))
-    if scale == inf:
-        raise ValueError("the Frobenius norm of the Choi matrix overflows")
     classical_min = float(np.linalg.eigvalsh(classical)[0])
     k, l = _pair_index(n)
     x, y = d[k, l], d[l, k]
@@ -138,10 +135,8 @@ def constant_fnorm_criterion(
 
 def expected_constant_norm(n: int, t: float) -> float:
     """Output Frobenius norm on pure inputs when all moduli equal |t|."""
-    square = t * t
-    if square == inf:  # from |t| ~ 1.3e154 on, where 1/n is far below an ulp of t^2 (1 - 1/n)
-        return abs(t) * sqrt(1 - 1 / n)
-    return sqrt(1 / n + square * (1 - 1 / n))
+    _check_magnitude("t", t)
+    return sqrt(1 / n + t * t * (1 - 1 / n))
 
 
 def witness_states(n: int) -> list[np.ndarray]:
@@ -176,25 +171,25 @@ def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
     D[j, i] = Phi(E_jj)_ii, Phi(psi_j) = diag(D_j) and
     Phi(xi_kl) = diag(D_k + D_l)/2 + (t_x,kl / 2) sigma_x^(k,l), and
     Phi(eta_kl) likewise with t_y,kl.  So every squared norm is an entry
-    of G = D D^T, plus t_x,kl^2/2 or t_y,kl^2/2 for a pair state, rescaled
-    where a square overflows, as :func:`frobenius_norm` does.
+    of G = D D^T, or |D_k + D_l|^2/4 = (G_kk + G_ll + 2 G_kl)/4 plus
+    t_x,kl^2/2 or t_y,kl^2/2 for a pair state.  Where that sum keeps at most
+    2^-10 of G_kk + G_ll, it lost over 10 bits to cancellation (rows D_k ~ -D_l,
+    from multipliers far past 1; a family member with |p| <= 1 keeps all of
+    it), so it is summed from the two rows instead, n pairs at a time.
     """
 
-    d, t_x, t_y = diag._unit_images, diag.t_x, diag.t_y
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled below
-        norms = _witness_norm_formula(d, t_x, t_y)
-    lost = ~np.isfinite(norms)
-    if lost.any() and np.isfinite(d).all():
-        scale = max(float(np.max(np.abs(d))), float(np.max(np.abs(diag.t))))
-        norms[lost] = scale * _witness_norm_formula(d / scale, t_x / scale, t_y / scale)[lost]
-    return norms
-
-
-def _witness_norm_formula(d: np.ndarray, t_x: np.ndarray, t_y: np.ndarray) -> np.ndarray:
+    d, n = diag._unit_images, diag.dim
     g = d @ d.T
-    k, l = _pair_index(len(d))  # lexicographic pair order, as t_x and t_y
-    pair_diag = (g[k, k] + g[l, l] + 2 * g[k, l]) / 4
-    return np.sqrt(np.concatenate([np.diag(g), pair_diag + t_x**2 / 2, pair_diag + t_y**2 / 2]))
+    k, l = _pair_index(n)  # lexicographic pair order, as t_x and t_y
+    terms = g[k, k] + g[l, l]
+    pair_sq = terms + 2 * g[k, l]
+    lost = np.flatnonzero(pair_sq <= terms / 1024)
+    for first in range(0, len(lost), n):
+        q = lost[first : first + n]
+        rows = d[k[q]] + d[l[q]]
+        pair_sq[q] = np.einsum("ij,ij->i", rows, rows)
+    pair_diag = pair_sq / 4
+    return np.sqrt(np.concatenate([np.diag(g), pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]))
 
 
 def _state_label(n: int, i: int) -> str:
@@ -239,9 +234,7 @@ def _sample_reports(
     call per channel; each projector stack, built into a reused buffer,
     gets only the pair sectors and those rows.  Every value is that of the
     apply engine up to the signs of zeros, so the reports equal those of
-    one call per channel, bit for bit.  A norm whose squares overflow is
-    retaken once its draw is done, from the same buffers, as
-    :func:`frobenius_norm` takes it of the state's output.
+    one call per channel, bit for bit.
     """
 
     _check_samples(samples)
@@ -256,35 +249,24 @@ def _sample_reports(
     per_chunk = min(_states_per_chunk(n), samples)
     proj, out, sq = (np.empty((per_chunk, n, n), dtype=complex) for _ in range(3))
     pos = n * n
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled below
-        for v in _haar_vectors(n, samples, seed):
-            start = pos
-            v_conj = v.conj()
-            d = v * v_conj  # the diagonals of the projectors
-            rows = [_output_diagonals(ch, d) for ch in channels]
-            for first in range(0, len(v), per_chunk):
-                k = min(per_chunk, len(v) - first)
-                chunk, images, squares = proj[:k], out[:k], sq[:k]
-                np.multiply(v[first : first + k, :, None], v_conj[first : first + k, None, :], out=chunk)
-                # Each state's squared norm is one contiguous sum over its n^2
-                # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
-                entries = squares.real.reshape(k, n * n)
-                for (a, b), diagonals, found in zip(weights, rows, norms):
-                    _pair_sectors_into(a, b, chunk, images)
-                    _diagonal_view(images)[...] = diagonals[first : first + k]
-                    np.conjugate(images, out=squares)
-                    squares *= images
-                    np.sqrt(np.add.reduce(entries, axis=-1), out=found[pos : pos + k])
-                pos += k
+    for v in _haar_vectors(n, samples, seed):
+        v_conj = v.conj()
+        d = v * v_conj  # the diagonals of the projectors
+        rows = [_output_diagonals(ch, d) for ch in channels]
+        for first in range(0, len(v), per_chunk):
+            k = min(per_chunk, len(v) - first)
+            chunk, images, squares = proj[:k], out[:k], sq[:k]
+            np.multiply(v[first : first + k, :, None], v_conj[first : first + k, None, :], out=chunk)
+            # Each state's squared norm is one contiguous sum over its n^2
+            # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
+            entries = squares.real.reshape(k, n * n)
             for (a, b), diagonals, found in zip(weights, rows, norms):
-                lost = np.flatnonzero(np.isinf(found[start:pos]))  # this draw's overflowed squares
-                for first in range(0, len(lost), per_chunk):
-                    q = lost[first : first + per_chunk]
-                    chunk, images = proj[: len(q)], out[: len(q)]
-                    np.multiply(v[q, :, None], v_conj[q, None, :], out=chunk)
-                    _pair_sectors_into(a, b, chunk, images)
-                    _diagonal_view(images)[...] = diagonals[q]
-                    found[start + q] = _frobenius_norms(images, sq[: len(q)])
+                _pair_sectors_into(a, b, chunk, images)
+                _diagonal_view(images)[...] = diagonals[first : first + k]
+                np.conjugate(images, out=squares)
+                squares *= images
+                np.sqrt(np.add.reduce(entries, axis=-1), out=found[pos : pos + k])
+            pos += k
     return [_norm_spread_report(found, n, tol) for found in norms]
 
 
@@ -292,11 +274,8 @@ def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> Verificati
     """The sample test's verdict on the output norms of the witness states, then the Haar samples."""
 
     largest = float(norms.max())
-    if not isfinite(largest):  # no channel is known to reach this: every overflow found is retaken on the way
-        first = int(np.flatnonzero(~np.isfinite(norms))[0])
-        raise ValueError(f"the output of {_state_label(n, first)} overflows")
     spread = float(largest - norms.min())
-    mean = _mean(norms)
+    mean = float(np.mean(norms))
     passed = spread <= tol.bound(largest)
     witness = None
     if not passed:
@@ -308,18 +287,7 @@ def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> Verificati
     return VerificationReport(
         passed=passed,
         max_deviation=spread,
-        mean_deviation=_mean(np.abs(norms - mean)),
+        mean_deviation=float(np.mean(np.abs(norms - mean))),
         witness=witness,
         samples_used=len(norms),
     )
-
-
-def _mean(values: np.ndarray) -> float:
-    """``np.mean`` of finite non-negative values, taken of them over their largest where the sum overflows."""
-
-    with np.errstate(over="ignore"):  # an overflowed sum is redone below
-        mean = float(np.mean(values))
-    if mean == inf:
-        top = float(values.max())
-        mean = top * float(np.mean(values / top))
-    return mean

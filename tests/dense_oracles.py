@@ -13,9 +13,7 @@ a ``QubitLambda``):
 * ``per_trial_qubit_check`` is ``qubit_equivalence_check`` one
   ``random_pure_state`` draw and one conjugation at a time;
 * ``per_pair_sums`` forms the x, y, z conjugation sums of one matrix a
-  pair and a term at a time from the nonzeros of ``pauli_matrix``;
-* ``redrawn_retake`` retakes the Haar norms whose squares overflow from
-  every vector drawn again, one state at a time.
+  pair and a term at a time from the nonzeros of ``pauli_matrix``.
 
 ``state_labels`` spells out the names the sample test's witness text
 gives those states.
@@ -32,7 +30,7 @@ from qchan.channels import DiagonalChannel, FamilyChannel, diagonal_apply, famil
 from qchan.exact import DEFAULT_TOL, Family, Tolerance, VerificationReport
 from qchan.linalg import frobenius_norm, hermitian_part
 from qchan.representations import to_choi
-from qchan.sampling import _haar_vectors, random_pure_state
+from qchan.sampling import random_pure_state
 from qchan.verification import witness_states
 
 
@@ -148,22 +146,6 @@ def per_pair_sums(s, n):
     idx = np.arange(n)
     out[:, idx, idx] = diagonal.sum(axis=-1)
     return dict(zip("xyz", out))
-
-
-def redrawn_retake(ch, n, samples, seed, norms):
-    """Retake in place the Haar norms of the sample test's ``norms`` that are inf.
-
-    ``norms`` lists the n^2 witness norms, then the Haar norms with their
-    squares summed as the stacked path sums them.  Every Haar vector of
-    ``seed`` is drawn again, and each lost state's output is built and
-    measured alone by ``frobenius_norm``.
-    """
-
-    lost = np.flatnonzero(np.isinf(norms[n * n :]))
-    if len(lost):
-        v = np.concatenate(list(_haar_vectors(n, samples, seed)))[lost]
-        norms[n * n + lost] = [frobenius_norm(ch(np.outer(u, u.conj()))) for u in v]
-    return norms
 
 
 def state_labels(n, samples=0):

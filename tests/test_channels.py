@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -89,8 +90,17 @@ class TestFamilyApply:
     @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
     @pytest.mark.parametrize("p", [1e308, -1e308, 9e307, -9e307])
     def test_to_classical_member_where_2p_overflows(self, family, p):
-        # 2p d(S) is added as p d(S) twice there: Tr(S) I/n + p (-S + 2 d(S) - Tr(S) I/n),
-        # S transposed for tcq, to an ulp of p, and no warning.
+        # 2p overflows only past |p| ~ 8.99e307, far past the magnitude bound:
+        # such a member is refused before anything is applied.
+        with pytest.raises(ValueError, match=r"^parameter p must be at most 1e\+100 in magnitude, got "):
+            FamilyChannel(family, p, 3)
+
+    @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_to_classical_member_at_the_bound(self, family, sign):
+        # Tr(S) I/n + p (-S + 2 d(S) - Tr(S) I/n), S transposed for tcq, to an ulp of p,
+        # with no warning, and zeros off the diagonal signed as an in-range member signs them.
+        p = sign * 1e100
         states = np.stack([random_pure_state(3, seed) for seed in range(20)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -99,14 +109,10 @@ class TestFamilyApply:
         diag = np.einsum("kii->ki", states)[:, :, None] * np.eye(3)
         mixed = np.trace(states, axis1=-2, axis2=-1)[:, None, None] * np.eye(3) / 3
         np.testing.assert_allclose(out, mixed + p * (2 * diag - s - mixed), rtol=0, atol=abs(p) * 1e-15)
-
-    @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_signed_zeros_where_2p_overflows(self, family, sign):
-        # The output keeps the signed zeros that 2p gives where it is finite.
-        s = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        s[~np.eye(3, dtype=bool)] = complex(-0.0, -0.0)
-        near, far = (family_apply(FamilyChannel(family, sign * p, 3), s) for p in (1e300, 1e308))
+        off = ~np.eye(3, dtype=bool)
+        e = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        e[off] = complex(-0.0, -0.0)
+        near, far = (family_apply(FamilyChannel(family, q, 3), e)[off] for q in (sign * 0.5, p))
         assert np.array_equal(np.signbit(near.view(float)), np.signbit(far.view(float)))
 
 
@@ -150,21 +156,39 @@ class TestDiagonalPicture:
         with pytest.raises(ValueError, match="^multipliers must be finite$"):
             DiagonalChannel(dim=2, t=t)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_magnitudes_past_the_bound_are_refused(self, sign):
+        # |p| and each |t_i| may reach exact._MAX_MAGNITUDE = 1e100; the next float is refused.
+        at, past = sign * 1e100, sign * float(np.nextafter(1e100, np.inf))
+        FamilyChannel(Family.DCQ, at, 3)
+        DiagonalChannel(2, [0.0, at, 0.0])
+        QubitLambda((at, 0, 0), (0, 0, at))
+        for build, what in [
+            (lambda: FamilyChannel(Family.DCQ, past, 3), "parameter p"),
+            (lambda: DiagonalChannel(2, [0.5, past, at]), "multipliers"),
+            (lambda: QubitLambda((0, past, 0), (0, 0, at)), "t and lam"),
+            (lambda: QubitLambda((0, 0, at), (past, 0, 0)), "t and lam"),
+        ]:
+            message = f"{what} must be at most 1e+100 in magnitude, got {past!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+        # A non-finite value keeps its own message, wherever it stands.
+        with pytest.raises(ValueError, match="^multipliers must be finite$"):
+            DiagonalChannel(2, [past, float("nan"), 0.0])
+        with pytest.raises(ValueError, match="^t and lam must be finite$"):
+            QubitLambda((past, 0, 0), (0, 0, float("inf")))
+
     def test_pair_weights_are_the_rounded_half_sums(self):
-        # Halving is exact, so (t_x + t_y) / 2 is the rounded half sum unless the sum
-        # overflows; there the weight is x / 2 + y / 2, the same rounding, not inf.
-        big = np.finfo(float).max
-        t_x = np.array([big, big, -big, 1e308, 5e-324, 5e-324, 0.3])
-        t_y = np.array([big, -big, -0.5 * big, 1e308, 5e-324, -0.0, 0.1])
+        # Halving is exact, and no sum of two multipliers within the magnitude bound
+        # overflows, so (t_x +- t_y) / 2 is the half sum rounded once.
+        t_x = np.array([1e100, 1e100, -1e100, 5e-324, 5e-324, 0.3, 1 / 3])
+        t_y = np.array([1e100, -1e100, -0.5e100, 5e-324, -0.0, 0.1, -1e-17])
         diag = DiagonalChannel(5, np.concatenate([t_x, [0.0] * 3, t_y, [0.0] * 3, [0.0] * 4]))
         k, l = np.triu_indices(5, 1)[0][:7], np.triu_indices(5, 1)[1][:7]
         a, b = diag.pair_weights
         for weights, sign in ((a, 1), (b, -1)):
             exact = [float((Fraction(x) + sign * Fraction(y)) / 2) for x, y in zip(t_x, t_y)]
             assert weights[k, l].tolist() == exact
-        with np.errstate(over="ignore"):
-            plain = (t_x + t_y) / 2
-        assert np.array_equal(a[k, l][np.isfinite(plain)], plain[np.isfinite(plain)])
 
     def test_adjoint_is_self(self):
         # A real diagonal channel is its own adjoint in the trace pairing.
@@ -293,14 +317,14 @@ class TestImmutableObjects:
 
             return wrapper
 
-        for name in ("pair_count", "diagonal_image", "_half_sum"):
+        for name in ("pair_count", "diagonal_image", "_pair_index"):
             monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
         fam = FamilyChannel(Family.DEP, 0.25, 3)
         diag = fam._diagonal
         weights, images = diag.pair_weights, diag._unit_images
         assert (fam._diagonal, diag.pair_weights, diag._unit_images) == (diag, weights, images)
         assert diag.pair_weights is weights and diag._unit_images is images
-        assert calls == ["pair_count", "_half_sum", "_half_sum", "diagonal_image"]
+        assert calls == ["pair_count", "_pair_index", "diagonal_image"]
 
     def test_dumps_refuses_them(self):
         for obj, _ in _objects():

@@ -198,80 +198,87 @@ class TestVerifyConstantNorm:
         assert payload["criterion_holds"] is False
         assert payload["report"]["passed"] is False
 
-    @pytest.mark.parametrize("samples", ["0", "20"])
-    def test_overflowing_output_squares_exit_1(self, tmp_path, capsys, samples):
-        # Output norms near 1e155 have squares past the float range, but are finite.
-        t = np.array([1e155] * 6 + [0.0, 0.0])
-        ch = write_json(tmp_path / "huge.json", channel_to_json(DiagonalChannel(dim=3, t=t)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "verify", "constant-norm", "--channel", ch, "--samples", samples)
-        assert (code, err) == (1, "")
-        report = json.loads(out)["report"]
-        assert report["passed"] is False
-        assert report["max_deviation"] == pytest.approx(8.11040e154 if samples == "20" else 1e155 / np.sqrt(2))
 
-    def test_family_past_the_square_range_has_a_finite_expected_norm(self, capsys):
-        # p * p overflows; the expected norm, p sqrt(1 - 1/n), does not.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(
-                capsys, "verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "1e155", "--samples", "5"
-            )
-        assert (code, err) == (0, "")
-        payload = json.loads(out)
-        assert payload["criterion_holds"] is True
-        assert payload["expected_norm"] == pytest.approx(1e155 * np.sqrt(2 / 3), rel=1e-15)
+P_MESSAGE = "error: parameter p must be at most 1e+100 in magnitude, got {}\n"
 
 
 class TestNearTheFloatMaximum:
-    """Finite parameters whose Choi data or outputs reach the float maximum.
+    """Parameters and multipliers from the magnitude bound up to the float maximum.
 
-    Each command gives a verdict or exits 2 with one message naming what
-    overflows, and no NumPy warning.
+    |p| and every |t_i| may reach ``exact._MAX_MAGNITUDE`` = 1e100, where
+    every verdict is finite; past it, a command exits 2 with one message
+    and no NumPy warning.
     """
 
     @pytest.mark.parametrize(
-        "argv, code, err",
+        "argv",
         [
-            (["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "1e308"], 2,
-             "error: the Frobenius norm of the Choi matrix overflows\n"),
-            (["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "8e307"], 2,
-             "error: the Frobenius norm of the Choi matrix overflows\n"),
-            (["verify", "cptp", "--family", "tcq", "--dim", "2", "--p", "1e308"], 1, ""),
-            (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "1e308", "--samples", "5"], 0, ""),
-            (["verify", "constant-norm", "--family", "trd", "--dim", "5", "--p", "-8e307", "--samples", "5"], 0, ""),
-            # dcq's closed form sums -p d(S) + (1-p)/n Tr(S) I first, which passes the float
-            # range here; those entries are retaken as p d(S) + (1-p)/n Tr(S) I.
-            (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1.7e308", "--samples", "5"], 0, ""),
-            # Where 2p overflows, 2p d(S) is added as p d(S) twice.
-            (["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1e308", "--samples", "5"], 0, ""),
-            (["verify", "constant-norm", "--family", "tcq", "--dim", "3", "--p", "9e307", "--samples", "5"], 0, ""),
+            ["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "1e308"],
+            ["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "8e307"],
+            ["verify", "cptp", "--family", "tcq", "--dim", "2", "--p", "1e308"],
+            ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "1e308", "--samples", "5"],
+            ["verify", "constant-norm", "--family", "trd", "--dim", "5", "--p", "-8e307", "--samples", "5"],
+            ["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1.7e308", "--samples", "5"],
+            ["verify", "constant-norm", "--family", "dcq", "--dim", "3", "--p", "1e308", "--samples", "5"],
+            ["verify", "constant-norm", "--family", "tcq", "--dim", "3", "--p", "9e307", "--samples", "5"],
+            ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "1e155", "--samples", "5"],
+            ["verify", "constant-norm", "--family", "tcq", "--dim", "3", "--p", "-1.0000000000000002e+100"],
+            ["witness", "--pair", "dep,dcq", "--dim", "3", "--p", "1.0000000000000002e+100"],
         ],
     )
-    def test_verdict_or_one_message(self, capsys, argv, code, err):
+    def test_p_past_the_bound_exits_2(self, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = run_cli(capsys, *argv)
-        assert got[0::2] == (code, err)
-        if code != 2:
-            report = json.loads(got[1])["report"]
-            assert all(np.isfinite(v) for v in report.values() if isinstance(v, float))
+        assert got == (2, "", P_MESSAGE.format(repr(float(argv[argv.index("--p") + 1]))))
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["+", "-"])
+    @pytest.mark.parametrize("command", [["cptp"], ["constant-norm", "--samples", "20"]], ids=["cptp", "constant-norm"])
+    @pytest.mark.parametrize("kind, dim", [("inline", 2), ("family", 16), ("diagonal", 3)])
+    def test_verdicts_at_the_bound_are_finite(self, tmp_path, capsys, sign, command, kind, dim):
+        p = float(sign + "1e100")
+        if kind == "inline":
+            source = ["--family", "dcq", "--dim", str(dim), "--p", sign + "1e100"]
+        else:
+            obj = {"kind": "family", "family": "tcq", "p": p, "dim": dim}
+            if kind == "diagonal":
+                t = np.random.default_rng(dim).choice([-p, p], dim * dim - 1)
+                obj = {"kind": "diagonal", "dim": dim, "t": t.tolist()}
+            source = ["--channel", write_json(tmp_path / "c.json", obj)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", command[0], *source, *command[1:])
+        assert code in (0, 1) and err == ""
+        payload = json.loads(out)
+        assert all(np.isfinite(v) for v in payload["report"].values() if isinstance(v, float))
+        assert payload.get("expected_norm") is None or np.isfinite(payload["expected_norm"])
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "family", "family": "dep", "p": -1.0000000000000002e100, "dim": 3},
+             P_MESSAGE.format("-1.0000000000000002e+100")),
+            ({"kind": "diagonal", "dim": 2, "t": [0.0, 1e100, -1.0000000000000002e100]},
+             "error: multipliers must be at most 1e+100 in magnitude, got -1.0000000000000002e+100\n"),
+            ({"kind": "diagonal", "dim": 3, "t": [1e155] * 6 + [0, 0]},
+             "error: multipliers must be at most 1e+100 in magnitude, got 1e+155\n"),
+        ],
+        ids=["family p", "diagonal t at the next float", "diagonal t of 1e155"],
+    )
+    def test_channel_file_past_the_bound_exits_2(self, tmp_path, capsys, obj, message):
+        ch = write_json(tmp_path / "c.json", obj)
+        for argv in (["verify", "cptp"], ["verify", "constant-norm"]):
+            assert run_cli(capsys, *argv, "--channel", ch) == (2, "", message)
 
     def test_channel_apply_where_2p_overflows(self, tmp_path, capsys):
+        # 2p overflows only past |p| ~ 8.99e307, far past the bound: the channel file is refused.
         state = write_json(tmp_path / "s.json", matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)))
-        # At 1.7e308 the first sum -p + (1-p)/3 of the first diagonal entry overflows too.
         for p in (1e308, 1.7e308):
             ch = write_json(tmp_path / "c.json", {"kind": "family", "family": "dcq", "p": p, "dim": 3})
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code, out, err = run_cli(capsys, "channel", "apply", "--channel", ch, "--state", state)
-            assert (code, err) == (0, "")
-            payload = json.loads(out)
-            # p + (1-p)/3 on the first diagonal entry, and (1-p)/3 on the others.
-            assert payload["output"]["data"][0] == [pytest.approx(p / 1.5, rel=1e-15), 0.0]
-            assert payload["output"]["data"][4] == [pytest.approx(-p / 3, rel=1e-15), 0.0]
-            assert payload["output_frobenius_norm"] == pytest.approx(p * (2 / 3) ** 0.5, rel=1e-15)
+                got = run_cli(capsys, "channel", "apply", "--channel", ch, "--state", state)
+            assert got == (2, "", P_MESSAGE.format(repr(p)))
 
 
 class TestChecks:
@@ -535,20 +542,19 @@ def peak_case(command, kind, line, sizes, body=None):
     return pytest.param(command, kind, body, sizes, id=line.format("N", dir="DIR"))
 
 
-HUGE_MULTIPLIERS = {"kind": "diagonal", "dim": 3, "t": [1e155] * 6 + [0, 0]}
+UNEQUAL_MULTIPLIERS = {"kind": "diagonal", "dim": 3, "t": [0.1, 0.2, 0.3, -0.15, 0.25, 0.05, 0.12, -0.08]}
 NORM = "verify constant-norm --family tcq --p 0.001"
 SAMPLES = (10**4, 5 * 10**4)
 
 # Each row of `exact._PEAK_BYTES`, with the bodies it bounds and the two sizes
-# each runs at: dimensions, or Haar sample counts.  The 1e155 channel's squares
-# overflow, so its norms are retaken; the representation checks share the
-# identities row's trial stacks.
+# each runs at: dimensions, or Haar sample counts.  The representation checks
+# share the identities row's trial stacks.
 PEAK_CASES = [
     peak_case("verify cptp", "dim", "verify cptp --family dep --p 0.1 --dim {}", (256, 512)),
     peak_case("verify constant-norm", "dim", NORM + " --samples 100 --dim {}", (256, 512)),
     peak_case("verify constant-norm", "samples", NORM + " --dim 3 --samples {}", SAMPLES),
     peak_case("verify constant-norm", "samples", NORM + " --dim 64 --samples {}", (2000, 10**4)),
-    peak_case("verify constant-norm", "samples", "verify constant-norm --channel {dir}/huge.json --samples {}", SAMPLES),
+    peak_case("verify constant-norm", "samples", "verify constant-norm --channel {dir}/unequal.json --samples {}", SAMPLES),
     peak_case("detcheck", "dim", "detcheck --dim {}", (256, 512)),
     peak_case("identities", "dim", "identities --trials 2 --dim {}", (256, 512)),
     peak_case(
@@ -600,7 +606,7 @@ class TestSizeGuards:
 
     @pytest.mark.parametrize("command, kind, body, sizes", PEAK_CASES)
     def test_estimate_bounds_the_measured_growth(self, tmp_path, command, kind, body, sizes):
-        write_json(tmp_path / "huge.json", HUGE_MULTIPLIERS)
+        write_json(tmp_path / "unequal.json", UNEQUAL_MULTIPLIERS)
         body(sizes[0], tmp_path)  # imports and one-time allocations are not the command's peak
         measured = [traced_peak(lambda: body(size, tmp_path)) for size in sizes]
         estimated = [estimated_bytes(command, **{kind: size}) for size in sizes]
@@ -1136,6 +1142,8 @@ class TestNumpyFreeCommands:
             (["detcheck", "--dim", "5000"], 2),
             (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "300000000"], 2),
             (["report", "--dim", "3", "--samples", "300000000"], 2),
+            (["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "1e101"], 2),
+            (["witness", "--pair", "dep,dcq", "--dim", "3", "--p", "-1e101"], 2),
         ],
     )
     def test_runs_without_numpy(self, tmp_path, argv, code):
