@@ -18,7 +18,10 @@
 # exponent-form value as an option.  The rows with |p| or some |t_i| past
 # 1e100 (`1e155` ... `1.7e308`) exit 2 with one message in trees that bound
 # both at 1e100; older trees computed near the float maximum there.  The
-# `--p 1e100` row is at the bound and runs.  The `cancelled.json` row
+# `--p 1e100` row is at the bound and runs.  A channel file's `p` or `t[i]`
+# past the bound (`huge_multipliers.json`, `huge_p.json`, `dcq_max.json`,
+# `dcq_first_sum.json`) is refused with a message naming the field in trees
+# that check it while parsing the file.  The `cancelled.json` row
 # differs from trees that take a pair state's norm from G = D D^T alone,
 # where its pair sum cancels: their minimum reads 0.
 # The `--output` rows end with an empty stdout: one writes its report to a
@@ -29,7 +32,9 @@ base=$1
 head=$2
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+# One BLAS thread: at large n some products round differently on more threads.
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+# Trees before the variable's removal read a tolerance from it.
 unset QCHAN_TOL
 
 printf '{"kind": "family", "family": "dcq", "p": 0.2, "dim": 3}\n' > "$work/channel.json"
@@ -55,6 +60,7 @@ printf '{"kind": "diagonal", "dim": 1, "t": []}\n' > "$work/dim_one.json"
 printf '{"kind": "family", "family": "dcq", "p": 1e308, "dim": 3}\n' > "$work/dcq_max.json"
 printf '{"kind": "family", "family": "dcq", "p": 1.7e308, "dim": 3}\n' > "$work/dcq_first_sum.json"
 printf '{"kind": "diagonal", "dim": 2, "t": [0, 0, 3000618250.613841]}\n' > "$work/cancelled.json"
+printf '{"kind": "family", "family": "dep", "p": 1e155, "dim": 3}\n' > "$work/huge_p.json"
 
 commands=(
     "range --family dcq --dim 3"
@@ -152,6 +158,7 @@ commands=(
     "channel apply --channel $work/dcq_first_sum.json --state $work/state.json"
     "verify constant-norm --channel $work/cancelled.json --samples 3"
     "verify constant-norm --family dcq --dim 3 --p 1e100 --samples 5"
+    "verify cptp --channel $work/huge_p.json"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

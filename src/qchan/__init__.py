@@ -59,7 +59,6 @@ _EXPORTS = {
     "linalg": (
         "frobenius_norm",
         "hermitian_eigenvalues",
-        "is_psd",
         "matrix_from_json",
         "matrix_to_json",
     ),

@@ -62,6 +62,18 @@ def m_z(n: int, k: int) -> np.ndarray:
     return np.diag(d)
 
 
+def _staircase_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized staircase diagonals, row j-1 that of M_z(j) (j ones, then -j), and their norms sqrt(j (j+1)).
+
+    Callers divide, the basis after its complex cast: dividing first would change the basis's last bits.
+    """
+
+    j = np.arange(1, n)
+    rows = np.tri(n - 1, n)
+    rows[j - 1, j] = -j
+    return rows, np.sqrt(j * (j + 1))
+
+
 def _pair_entries(k: np.ndarray, l: np.ndarray) -> tuple:
     """(rows, cols, values) of the two nonzeros of sigma_x, sigma_y and sigma_z, in that order.
 
@@ -96,17 +108,14 @@ def build_basis(n: int) -> BasisE:
     _check_peak_bytes("basis", n)
     k, l = _pair_index(n)
     i = np.arange(cnt)
-    j = np.arange(1, n)
-    # Row j-1 is the diagonal of the staircase M_z(j): j ones, then -j.
-    staircase = np.tri(n - 1, n, dtype=complex)
-    staircase[j - 1, j] = -j
+    staircase, norms = _staircase_rows(n)
     stacked = np.zeros((n * n, n, n), dtype=complex)
     stacked[0] = np.eye(n, dtype=complex) / sqrt(n)
     for first, (rows, cols, values) in zip((1, 1 + cnt), _pair_entries(k, l)):
         for r, c, v in zip(rows, cols, values):
             stacked[first + i, r, c] = v / sqrt(2)
     idx = np.arange(n)
-    stacked[1 + 2 * cnt :, idx, idx] = staircase / np.sqrt(j * (j + 1))[:, None]
+    stacked[1 + 2 * cnt :, idx, idx] = staircase.astype(complex) / norms[:, None]
     stacked.flags.writeable = False
     labels = [("0", 1)] + [(sector, i) for sector in ("x", "y") for i in range(1, cnt + 1)]
     labels += [("z", k) for k in range(1, n)]

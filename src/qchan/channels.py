@@ -27,6 +27,7 @@ import numpy as np
 
 from .exact import (
     _HYBRID,
+    _MAX_MAGNITUDE,
     _SIGNS,
     DEFAULT_TOL,
     Family,
@@ -38,8 +39,8 @@ from .exact import (
     family_from_name,
     pair_count,
 )
-from .jsonio import SchemaError, finite_number, require, require_int, require_number
-from .linalg import _pair_index, as_matrix, as_matrix_stack, is_hermitian, is_psd
+from .jsonio import SchemaError, finite_number, require, require_int
+from .linalg import _pair_index, as_matrix, as_matrix_stack, frobenius_norm, hermitian_part, is_hermitian
 
 __all__ = [
     "FamilyChannel",
@@ -312,8 +313,8 @@ def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     trace = complex(np.trace(s))
     if abs(trace - 1) > tol.bound(1.0):
         raise ValueError(f"state trace is {trace}, expected 1")
-    ok, smallest = is_psd(s, tol)
-    if not ok:
+    smallest = float(np.linalg.eigvalsh(hermitian_part(s))[0])
+    if smallest < -tol.bound(frobenius_norm(s)):  # scaled, so an analytically zero eigenvalue passes
         raise ValueError(f"state is not positive semidefinite (min eigenvalue {smallest})")
     return s
 
@@ -333,7 +334,7 @@ def channel_from_json(obj: Any) -> AnyChannel:
     kind = require(obj, "kind")
     if kind == "family":
         family = family_from_name(require(obj, "family"))
-        p = require_number(obj, "p")
+        p = _bounded_number(require(obj, "p"), "p")
         return FamilyChannel(family=family, p=p, dim=require_int(obj, "dim", 2))
     if kind == "diagonal":
         dim = require_int(obj, "dim", 2)
@@ -341,6 +342,15 @@ def channel_from_json(obj: Any) -> AnyChannel:
         expected = dim * dim - 1
         if not isinstance(t, list) or len(t) != expected:
             raise SchemaError("t", f"expected a list of {expected} numbers")
-        values = [finite_number(v, f"t[{i}]") for i, v in enumerate(t)]
+        values = [_bounded_number(v, f"t[{i}]") for i, v in enumerate(t)]
         return DiagonalChannel(dim=dim, t=np.array(values))
     raise SchemaError("kind", f"expected 'family' or 'diagonal', got {kind!r}")
+
+
+def _bounded_number(value: Any, path: str) -> float:
+    """``value`` as a float, if it is a finite JSON number of modulus at most ``_MAX_MAGNITUDE``; ``path`` names it."""
+
+    number = finite_number(value, path)
+    if abs(number) > _MAX_MAGNITUDE:
+        raise SchemaError(path, f"expected a number of magnitude at most {_MAX_MAGNITUDE:g}, got {number!r}")
+    return number

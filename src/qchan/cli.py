@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Every command emits a deterministic report (identical configuration and
-seed produce byte-identical output): a JSON document, except ``basis``
-without ``--json``, which prints a text listing.  The verdict is the
-exit code:
+Every command emits a deterministic report (identical argv, input files
+and BLAS thread count produce byte-identical output): a JSON document,
+except ``basis`` without ``--json``, which prints a text listing.  The
+verdict is the exit code:
 
 * 0 — command ran and every requested check passed,
 * 1 — command ran but a verification failed,
@@ -11,8 +11,8 @@ exit code:
   or |t_i| past ``exact._MAX_MAGNITUDE`` = 1e100, requests whose peak memory,
   estimated by ``exact._check_peak_bytes``, passes 2 GiB).
 
-``--tol`` (or the QCHAN_TOL environment variable) replaces the default
-absolute/relative tolerance with the given value for both components.
+``--tol`` replaces the default absolute/relative tolerance with the
+given value for both components; no environment variable changes it.
 
 Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
 handler imports the modules it runs (and with them NumPy) only once its
@@ -172,27 +172,15 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float)
 
 
-def _maybe_tolerance(args: argparse.Namespace) -> Optional[Tolerance]:
-    """User tolerance from --tol or QCHAN_TOL; None keeps per-check defaults."""
+def _tol_kwargs(args: argparse.Namespace) -> dict:
+    """``{"tol": Tolerance(v, v)}`` for ``--tol v``; without the flag, empty, which keeps each check's default."""
 
     value = args.tol
     if value is None:
-        env = os.environ.get("QCHAN_TOL")
-        if env is not None:
-            try:
-                value = float(env)
-            except ValueError:
-                raise SchemaError("QCHAN_TOL", f"expected a float, got {env!r}") from None
-    if value is None:
-        return None
+        return {}
     if not math.isfinite(value) or value <= 0:
         raise SchemaError("tol", f"expected a positive finite number, got {value!r}")
-    return Tolerance(absolute=value, relative=value)
-
-
-def _tol_kwargs(args: argparse.Namespace) -> dict:
-    tol = _maybe_tolerance(args)
-    return {} if tol is None else {"tol": tol}
+    return {"tol": Tolerance(absolute=value, relative=value)}
 
 
 def _load_json_file(path: str) -> Any:

@@ -21,7 +21,6 @@ __all__ = [
     "format_float",
     "require",
     "require_int",
-    "require_number",
 ]
 
 
@@ -156,10 +155,6 @@ def require(obj: Any, field: str, context: str = "") -> Any:
     if field not in obj:
         raise SchemaError(path, "missing required field")
     return obj[field]
-
-
-def require_number(obj: Any, field: str, context: str = "") -> float:
-    return finite_number(require(obj, field, context), f"{context}.{field}" if context else field)
 
 
 def require_int(obj: Any, field: str, minimum: int, context: str = "") -> int:

@@ -4,7 +4,7 @@ Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 The helpers are thin wrappers over LAPACK (through ``numpy.linalg``)
 fixing the conventions everything downstream relies on: eigenvalues come
 back ascending, Hermitian inputs are symmetrized before eigensolves, and
-positivity thresholds scale with the Frobenius norm of the operator.
+thresholds scale with the Frobenius norm of the operator.
 The index arrays of the pairs k < l, which the basis, the channels and
 the checks share, are cached here.  The tolerances they take,
 ``Tolerance`` and ``DEFAULT_TOL``, are in :mod:`qchan.exact`.
@@ -27,7 +27,6 @@ __all__ = [
     "is_hermitian",
     "hermitian_part",
     "hermitian_eigenvalues",
-    "is_psd",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -102,18 +101,6 @@ def hermitian_eigenvalues(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nda
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(hermitian_part(m))
-
-
-def is_psd(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """(verdict, smallest eigenvalue) for Hermitian positive semidefiniteness.
-
-    The acceptance threshold scales with the Frobenius norm of ``m`` so a
-    matrix with an analytically zero eigenvalue still verifies as PSD.
-    """
-
-    eigs = hermitian_eigenvalues(m, tol)
-    smallest = float(eigs[0]) if eigs.size else 0.0
-    return smallest >= -tol.bound(frobenius_norm(m)), smallest
 
 
 # Dimensions whose per-n index tables stay cached: each is O(n^2), but an

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import representations
-from qchan.basis import _pair_entries, build_basis, decompose, m_z, pauli_matrix, reconstruct
+from qchan.basis import _pair_entries, _staircase_rows, build_basis, decompose, m_z, pauli_matrix, reconstruct
 from qchan.exact import pair_count
 from qchan.linalg import _pair_index
 
@@ -92,6 +92,15 @@ class TestStaircase:
             m_z(3, 3)
         with pytest.raises(ValueError):
             m_z(3, 0)
+
+    def test_rows_are_the_m_z_diagonals(self):
+        # Bit for bit, and so is the Gram matrix of the conjugation sums built from them.
+        for n in range(2, 65):
+            rows, _ = _staircase_rows(n)
+            diagonals = np.array([np.diag(m_z(n, k)).real for k in range(1, n)])
+            assert rows.tobytes() == diagonals.tobytes()
+            z = np.array([d / sqrt(k * (k + 1)) for k, d in enumerate(diagonals, 1)])
+            assert representations._staircase_gram(n).tobytes() == (z.T @ z).tobytes()
 
 
 class TestBasis:

@@ -200,6 +200,7 @@ class TestVerifyConstantNorm:
 
 
 P_MESSAGE = "error: parameter p must be at most 1e+100 in magnitude, got {}\n"
+FIELD_MESSAGE = "error: field '{}': expected a number of magnitude at most 1e+100, got {}\n"
 
 
 class TestNearTheFloatMaximum:
@@ -257,11 +258,11 @@ class TestNearTheFloatMaximum:
         "obj, message",
         [
             ({"kind": "family", "family": "dep", "p": -1.0000000000000002e100, "dim": 3},
-             P_MESSAGE.format("-1.0000000000000002e+100")),
+             FIELD_MESSAGE.format("p", "-1.0000000000000002e+100")),
             ({"kind": "diagonal", "dim": 2, "t": [0.0, 1e100, -1.0000000000000002e100]},
-             "error: multipliers must be at most 1e+100 in magnitude, got -1.0000000000000002e+100\n"),
-            ({"kind": "diagonal", "dim": 3, "t": [1e155] * 6 + [0, 0]},
-             "error: multipliers must be at most 1e+100 in magnitude, got 1e+155\n"),
+             FIELD_MESSAGE.format("t[2]", "-1.0000000000000002e+100")),
+            ({"kind": "diagonal", "dim": 3, "t": [0, 1e155] + [2e155] * 4 + [0, 0]},
+             FIELD_MESSAGE.format("t[1]", "1e+155")),
         ],
         ids=["family p", "diagonal t at the next float", "diagonal t of 1e155"],
     )
@@ -271,14 +272,14 @@ class TestNearTheFloatMaximum:
             assert run_cli(capsys, *argv, "--channel", ch) == (2, "", message)
 
     def test_channel_apply_where_2p_overflows(self, tmp_path, capsys):
-        # 2p overflows only past |p| ~ 8.99e307, far past the bound: the channel file is refused.
+        # 2p overflows only past |p| ~ 8.99e307, far past the bound: the channel file's p is refused.
         state = write_json(tmp_path / "s.json", matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)))
         for p in (1e308, 1.7e308):
             ch = write_json(tmp_path / "c.json", {"kind": "family", "family": "dcq", "p": p, "dim": 3})
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = run_cli(capsys, "channel", "apply", "--channel", ch, "--state", state)
-            assert got == (2, "", P_MESSAGE.format(repr(p)))
+            assert got == (2, "", FIELD_MESSAGE.format("p", repr(p)))
 
 
 class TestChecks:
@@ -330,14 +331,9 @@ class TestChecks:
         assert code == 2
         assert "grid" in err
 
-    def test_detcheck_honours_tolerance_overrides(self, capsys, monkeypatch):
-        # An absurdly tight tolerance must flip the verdict, whether it
-        # arrives via the flag or via the environment.
+    def test_detcheck_honours_tolerance_overrides(self, capsys):
+        # An absurdly tight tolerance must flip the verdict.
         code, out, _ = run_cli(capsys, "detcheck", "--dim", "3", "--tol", "1e-30")
-        assert code == 1
-        assert json.loads(out)["report"]["passed"] is False
-        monkeypatch.setenv("QCHAN_TOL", "1e-30")
-        code, out, _ = run_cli(capsys, "detcheck", "--dim", "3")
         assert code == 1
         assert json.loads(out)["report"]["passed"] is False
 
@@ -464,12 +460,6 @@ class TestFieldErrors:
         code, out, err = run_cli(capsys, "identities", "--dim", "3", f"--tol={value}")
         assert (code, out) == (2, "")
         assert err.startswith("error: field 'tol': expected a positive finite number")
-
-    def test_env_tol_must_be_positive(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCHAN_TOL", "-1")
-        code, out, err = run_cli(capsys, "identities", "--dim", "3")
-        assert (code, out) == (2, "")
-        assert err == "error: field 'tol': expected a positive finite number, got -1.0\n"
 
     def test_inline_family_dim_below_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "cptp", "--family", "dep", "--dim", "1", "--p", "0.1")
@@ -858,34 +848,12 @@ class TestOutputContract:
         assert out == ""
         assert json.loads(target.read_text())["p_max"] == 1.0
 
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCHAN_TOL", "1e-3")
-        code, _, _ = run_cli(
-            capsys, "verify", "cptp", "--family", "dep", "--dim", "2", "--p", "1.0005"
-        )
-        assert code == 0
-        monkeypatch.delenv("QCHAN_TOL")
-        code, _, _ = run_cli(
-            capsys, "verify", "cptp", "--family", "dep", "--dim", "2", "--p", "1.0005"
-        )
-        assert code == 1
-
-    def test_invalid_env_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCHAN_TOL", "banana")
-        code, _, err = run_cli(
-            capsys, "verify", "cptp", "--family", "dep", "--dim", "2", "--p", "0.5"
-        )
-        assert code == 2
-        assert "QCHAN_TOL" in err
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCHAN_TOL", "1e-15")
-        code, _, _ = run_cli(
-            capsys,
-            "verify", "cptp",
-            "--family", "dep", "--dim", "2", "--p", "1.0005", "--tol", "1e-2",
-        )
-        assert code == 0
+    def test_environment_sets_no_tolerance(self, capsys, monkeypatch):
+        # Only --tol overrides a tolerance: the output depends on argv alone.
+        unset = run_cli(capsys, "detcheck", "--dim", "3")
+        monkeypatch.setenv("QCHAN_TOL", "1e-30")
+        assert run_cli(capsys, "detcheck", "--dim", "3") == unset
+        assert unset[0] == 0
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -12,7 +12,6 @@ from qchan.linalg import (
     hermitian_eigenvalues,
     hermitian_part,
     is_hermitian,
-    is_psd,
     matrix_from_json,
     matrix_to_json,
 )
@@ -128,29 +127,6 @@ class TestAsMatrixStack:
     def test_accepts_finite_entries(self):
         m = np.full((3, 2, 2), complex(1e308, -1e308))
         assert as_matrix_stack(m) is m
-
-
-class TestPsd:
-    def test_projector_is_psd(self):
-        ok, smallest = is_psd(np.diag([1.0, 0.0, 0.0]).astype(complex))
-        assert ok
-        assert smallest == pytest.approx(0.0, abs=1e-15)
-
-    def test_negative_eigenvalue_detected(self):
-        ok, smallest = is_psd(np.diag([1.0, -0.5]).astype(complex))
-        assert not ok
-        assert smallest == pytest.approx(-0.5, abs=1e-14)
-
-    def test_overflowing_norm_does_not_make_any_matrix_psd(self):
-        ok, smallest = is_psd(np.array([[0.5, 1e154], [1e154, 0.5]]))
-        assert not ok
-        assert smallest == pytest.approx(-1e154)
-
-    def test_threshold_scales_with_norm(self):
-        # A tiny negative eigenvalue on a large-norm matrix still verifies.
-        m = np.diag([1e6, -1e-6]).astype(complex)
-        ok, _ = is_psd(m, Tolerance(absolute=0.0, relative=1e-10))
-        assert ok
 
 
 class TestTolerance:

@@ -49,7 +49,6 @@ PUBLIC_NAMES = [
     "hermitian_eigenvalues",
     "inequivalence_certificate",
     "is_cptp",
-    "is_psd",
     "kraus_completeness",
     "kraus_from_family",
     "m_z",
@@ -79,7 +78,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(qchan, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 53
+    assert len(names) == 52
 
 
 def test_every_module_export_resolves():
@@ -120,7 +119,7 @@ def test_names_are_resolved_on_first_access():
         assert loaded == [], loaded
         assert "numpy" not in sys.modules
         names = [name for name in dir(qchan) if not name.startswith("_")]
-        assert len(names) == 53, names
+        assert len(names) == 52, names
         assert qchan.param_range(qchan.Family.DCQ, 3).p_max == 0.25
         assert qchan.inequivalence_certificate((qchan.Family.DEP, qchan.Family.TRD), 5).passed
         assert qchan.Tolerance() == qchan.DEFAULT_TOL

@@ -562,6 +562,26 @@ class TestRepresentations:
         assert not report.passed
         assert report.max_deviation > 1e-12
 
+    @pytest.mark.parametrize("p", [0.05, 1e8])
+    @pytest.mark.parametrize("weight", ["c0", "cx", "cy", "cz", "e0", "ex", "ey", "ez"])
+    def test_every_scaled_weight_is_checked(self, monkeypatch, weight, p):
+        # An added 1e-9 is below rounding at p = 1e8; a relative error of 1e-9 is not.
+        def perturbed(*args):
+            c = repr_coefficients(*args)
+            return c._replace(**{weight: getattr(c, weight) * (1 + 1e-9)})
+
+        monkeypatch.setattr(representations, "repr_coefficients", perturbed)
+        report = verify_representations(Family.DCQ, p, 4, trials=3, seed=1)
+        assert report.passed is False
+
+    @pytest.mark.parametrize("p", [1e8, -1e8, 1e100])
+    def test_passes_at_large_p(self, p):
+        # The forms' entries grow like |p|, and so does their rounding: each
+        # member is decided at the scale of its closed form, not at 1.
+        report = verify_representations(Family.DEP, p, 3, trials=5)
+        assert report.passed is True
+        assert report.max_deviation > 1e-12
+
 
 class TestClassifyQubit:
     def test_completely_depolarizing(self):
