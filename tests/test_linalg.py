@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchan.channels import validate_state
 from qchan.exact import DEFAULT_TOL, Tolerance
 from qchan.jsonio import SchemaError
 from qchan.linalg import (
@@ -127,6 +130,19 @@ class TestAsMatrixStack:
     def test_accepts_finite_entries(self):
         m = np.full((3, 2, 2), complex(1e308, -1e308))
         assert as_matrix_stack(m) is m
+
+
+class TestPsd:
+    # The positive-semidefinite check runs in `validate_state`: the smallest
+    # eigenvalue of `hermitian_part` against a bound scaled by `frobenius_norm`.
+    def test_negative_eigenvalue_detected(self):
+        with pytest.raises(ValueError, match=r"^state is not positive semidefinite \(min eigenvalue -0\.5\d*\)$"):
+            validate_state(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_overflowing_norm_does_not_make_any_matrix_psd(self):
+        # The squares of 1e154 sum past the float maximum; the threshold stays finite.
+        with pytest.raises(ValueError, match=re.escape("not positive semidefinite (min eigenvalue -1e+154)")):
+            validate_state(np.array([[0.5, 1e154], [1e154, 0.5]]))
 
 
 class TestTolerance:
