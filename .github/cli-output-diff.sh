@@ -24,6 +24,12 @@
 # that check it while parsing the file.  The `cancelled.json` row
 # differs from trees that take a pair state's norm from G = D D^T alone,
 # where its pair sum cancels: their minimum reads 0.
+# Trees that check every flag by one rule per field, before any command
+# runs, name the field in each refusal, as they do for file fields
+# (`field 'seed': expected an integer >= 0, got -1`).  So the `--seed -1`,
+# `--p inf`, `qubit-equiv --p 1e101`, `--grid 1`, `--trials 0` and
+# `--samples -1` rows and the inline `--p` rows past 1e100 differ from
+# older trees in stderr only.
 # The `--output` rows end with an empty stdout: one writes its report to a
 # file, the other exits 2 because the file's directory does not exist.
 set -u
@@ -159,6 +165,11 @@ commands=(
     "verify constant-norm --channel $work/cancelled.json --samples 3"
     "verify constant-norm --family dcq --dim 3 --p 1e100 --samples 5"
     "verify cptp --channel $work/huge_p.json"
+    "report --dim 3 --seed -1"
+    "verify constant-norm --family dep --dim 3 --p 0.1 --seed -1"
+    "verify cptp --family dep --dim 3 --p inf"
+    "witness --pair dep,dcq --dim 3 --p inf"
+    "qubit-equiv --p 1e101"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -27,7 +27,6 @@ import numpy as np
 
 from .exact import (
     _HYBRID,
-    _MAX_MAGNITUDE,
     _SIGNS,
     DEFAULT_TOL,
     Family,
@@ -39,7 +38,7 @@ from .exact import (
     family_from_name,
     pair_count,
 )
-from .jsonio import SchemaError, finite_number, require, require_int
+from .jsonio import _MAX_MAGNITUDE, SchemaError, finite_number, require, require_int
 from .linalg import _pair_index, as_matrix, as_matrix_stack, frobenius_norm, hermitian_part, is_hermitian
 
 __all__ = [
@@ -334,7 +333,7 @@ def channel_from_json(obj: Any) -> AnyChannel:
     kind = require(obj, "kind")
     if kind == "family":
         family = family_from_name(require(obj, "family"))
-        p = _bounded_number(require(obj, "p"), "p")
+        p = finite_number(require(obj, "p"), "p", _MAX_MAGNITUDE)
         return FamilyChannel(family=family, p=p, dim=require_int(obj, "dim", 2))
     if kind == "diagonal":
         dim = require_int(obj, "dim", 2)
@@ -342,15 +341,6 @@ def channel_from_json(obj: Any) -> AnyChannel:
         expected = dim * dim - 1
         if not isinstance(t, list) or len(t) != expected:
             raise SchemaError("t", f"expected a list of {expected} numbers")
-        values = [_bounded_number(v, f"t[{i}]") for i, v in enumerate(t)]
+        values = [finite_number(v, f"t[{i}]", _MAX_MAGNITUDE) for i, v in enumerate(t)]
         return DiagonalChannel(dim=dim, t=np.array(values))
     raise SchemaError("kind", f"expected 'family' or 'diagonal', got {kind!r}")
-
-
-def _bounded_number(value: Any, path: str) -> float:
-    """``value`` as a float, if it is a finite JSON number of modulus at most ``_MAX_MAGNITUDE``; ``path`` names it."""
-
-    number = finite_number(value, path)
-    if abs(number) > _MAX_MAGNITUDE:
-        raise SchemaError(path, f"expected a number of magnitude at most {_MAX_MAGNITUDE:g}, got {number!r}")
-    return number

@@ -7,18 +7,19 @@ verdict is the exit code:
 
 * 0 — command ran and every requested check passed,
 * 1 — command ran but a verification failed,
-* 2 — invalid input (bad flags, malformed JSON, out-of-range requests, a |p|
-  or |t_i| past ``exact._MAX_MAGNITUDE`` = 1e100, requests whose peak memory,
-  estimated by ``exact._check_peak_bytes``, passes 2 GiB).
+* 2 — invalid input (bad flags, malformed JSON, out-of-range requests, a
+  ``p`` or ``t_i`` past ``jsonio._MAX_MAGNITUDE`` = 1e100, requests whose
+  peak memory, estimated by ``exact._check_peak_bytes``, passes 2 GiB).
 
-``--tol`` replaces the default absolute/relative tolerance with the
-given value for both components; no environment variable changes it.
+:func:`main` checks each value flag by its rule in ``_FIELD_RULES``, the
+rule JSON fields of its kind share, before any handler runs.  ``--tol v``
+sets both tolerance components to v; no environment variable changes it.
 
 Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
 handler imports the modules it runs (and with them NumPy) only once its
-arguments and input files have passed the checks that need no linear
-algebra, so ``range``, same-class ``certify`` and every such input error
-run without loading NumPy.  Code sits in the modules of the commands
+input files have passed the checks that need no linear algebra, so
+``range``, same-class ``certify`` and every flag error run without
+loading NumPy.  Code sits in the modules of the commands
 that run it, so that a process without bytecode caches compiles little
 else.  Besides those two, ``range`` loads nothing; same-class ``certify``
 :mod:`qchan.equivalence` (NumPy-free at import); mixed-pair ``certify``
@@ -58,11 +59,7 @@ from .exact import (
     Family,
     Tolerance,
     _check_conjugation_p,
-    _check_finite_p,
-    _check_grid,
     _check_peak_bytes,
-    _check_samples,
-    _check_trials,
     _is_mixed,
     family_from_name,
     param_range,
@@ -172,15 +169,16 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float)
 
 
-def _tol_kwargs(args: argparse.Namespace) -> dict:
-    """``{"tol": Tolerance(v, v)}`` for ``--tol v``; without the flag, empty, which keeps each check's default."""
-
-    value = args.tol
-    if value is None:
-        return {}
+def _tolerance(value: float) -> Tolerance:
     if not math.isfinite(value) or value <= 0:
         raise SchemaError("tol", f"expected a positive finite number, got {value!r}")
-    return {"tol": Tolerance(absolute=value, relative=value)}
+    return Tolerance(absolute=value, relative=value)
+
+
+def _tol_kwargs(args: argparse.Namespace) -> dict:
+    """``{"tol": args.tol}`` with ``--tol``; without the flag, empty, which keeps each check's default."""
+
+    return {} if args.tol is None else {"tol": args.tol}
 
 
 def _load_json_file(path: str) -> Any:
@@ -193,13 +191,12 @@ def _load_json_file(path: str) -> Any:
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
-def _load_channel(args: argparse.Namespace, samples: int = 0) -> Callable[[], Any]:
+def _load_channel(args: argparse.Namespace, samples: int = 0) -> Any:
     """The channel of a verify command, refused if the check with ``samples`` Haar states would pass 2 GiB.
 
-    Returns a function that builds it.  An inline ``--family`` channel is
-    checked as ``FamilyChannel`` checks it, and built only when that
-    function is called; a ``--channel`` file is parsed here.  A file given
-    with any inline flag is refused, since one of the two would be ignored.
+    A ``--channel`` file is parsed before the size guard, an inline
+    ``--family`` channel built after it.  A file given with any inline
+    flag is refused, since one of the two would be ignored.
     """
 
     inline = args.family is not None or args.dim is not None or args.p is not None
@@ -210,21 +207,14 @@ def _load_channel(args: argparse.Namespace, samples: int = 0) -> Callable[[], An
         from .channels import channel_from_json
 
         channel = channel_from_json(obj)
-        n, build = channel.dim, lambda: channel
-    else:
-        if args.family is None or args.dim is None or args.p is None:
-            raise SchemaError("channel", "provide --channel FILE or all of --family/--dim/--p")
-        n = _check_dim(args)
-        family = family_from_name(args.family, "family")
-        _check_finite_p(args.p)
+        _check_peak_bytes(f"verify {args.verify_command}", channel.dim, samples)
+        return channel
+    if args.family is None or args.dim is None or args.p is None:
+        raise SchemaError("channel", "provide --channel FILE or all of --family/--dim/--p")
+    _check_peak_bytes(f"verify {args.verify_command}", args.dim, samples)
+    from .channels import FamilyChannel
 
-        def build():
-            from .channels import FamilyChannel
-
-            return FamilyChannel(family=family, p=args.p, dim=n)
-
-    _check_peak_bytes(f"verify {args.verify_command}", n, samples)
-    return build
+    return FamilyChannel(family=args.family, p=args.p, dim=args.dim)
 
 
 def _parse_pair(text: str) -> tuple[Family, Family]:
@@ -238,10 +228,20 @@ def _parse_pair(text: str) -> tuple[Family, Family]:
     return fam_a, fam_b
 
 
-def _check_dim(args: argparse.Namespace) -> int:
-    if args.dim < 2:
-        raise SchemaError("dim", f"expected an integer >= 2, got {args.dim}")
-    return args.dim
+# One rule per value field, the JSON input rules where one fits: ``main``
+# applies each to the field if the parsed command sets it, before any
+# handler runs, and stores what it returns for the handlers to read.
+_FIELD_RULES: dict[str, Callable[[dict, str], Any]] = {
+    "dim": lambda fields, name: jsonio.require_int(fields, name, 2),
+    "samples": lambda fields, name: jsonio.require_int(fields, name, 0),
+    "seed": lambda fields, name: jsonio.require_int(fields, name, 0),
+    "trials": lambda fields, name: jsonio.require_int(fields, name, 1),
+    "grid": lambda fields, name: jsonio.require_int(fields, name, 2),
+    "p": lambda fields, name: jsonio.finite_number(fields[name], name, jsonio._MAX_MAGNITUDE),
+    "family": lambda fields, name: family_from_name(fields[name], name),
+    "pair": lambda fields, name: _parse_pair(fields[name]),
+    "tol": lambda fields, name: _tolerance(fields[name]),
+}
 
 
 # --- command handlers: each returns (payload, passed) ----------------------
@@ -253,7 +253,7 @@ def _report_payload(command: str, report: Any, **fields: Any) -> tuple[Any, bool
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
-    n = _check_dim(args)
+    n = args.dim
     _check_peak_bytes("basis --json" if args.json else "basis", n)
     from .basis import build_basis
     from .linalg import frobenius_norm
@@ -298,32 +298,27 @@ def _cmd_channel_apply(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_range(args: argparse.Namespace) -> tuple[Any, bool]:
-    n = _check_dim(args)
-    family = family_from_name(args.family, "family")
-    info = param_range(family, n)
-    payload = {"command": "range", **info._asdict(), "name": FAMILY_NAMES[family]}
+    info = param_range(args.family, args.dim)
+    payload = {"command": "range", **info._asdict(), "name": FAMILY_NAMES[args.family]}
     return payload, True
 
 
 def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
-    build = _load_channel(args)
+    channel = _load_channel(args)
     kwargs = _tol_kwargs(args)
     from .channels import channel_to_json
     from .verification import is_cptp
 
-    channel = build()
     report = is_cptp(channel, channel.dim, **kwargs)
     return _report_payload("verify-cptp", report, channel=channel_to_json(channel))
 
 
 def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
-    build = _load_channel(args, args.samples)
+    channel = _load_channel(args, args.samples)
     kwargs = _tol_kwargs(args)
-    _check_samples(args.samples)
     from .channels import channel_to_json
     from .verification import constant_fnorm_criterion, constant_fnorm_sample_test
 
-    channel = build()
     holds, expected = constant_fnorm_criterion(channel, **kwargs)
     report = constant_fnorm_sample_test(
         channel, channel.dim, samples=args.samples, seed=args.seed, **kwargs
@@ -339,32 +334,27 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
-    n = _check_dim(args)
-    _check_peak_bytes("identities", n)
+    _check_peak_bytes("identities", args.dim)
     kwargs = _tol_kwargs(args)
-    _check_trials(args.trials)
     from .representations import verify_sum_identities
 
-    report = verify_sum_identities(n, trials=args.trials, seed=args.seed, **kwargs)
-    return _report_payload("identities", report, dim=n, trials=args.trials, seed=args.seed)
+    report = verify_sum_identities(args.dim, trials=args.trials, seed=args.seed, **kwargs)
+    return _report_payload("identities", report, dim=args.dim, trials=args.trials, seed=args.seed)
 
 
 def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
-    n = _check_dim(args)
-    _check_peak_bytes("detcheck", n)
+    _check_peak_bytes("detcheck", args.dim)
     kwargs = _tol_kwargs(args)
-    _check_grid(args.grid)
     from .representations import verify_det_recurrence
 
-    report = verify_det_recurrence(n, grid=args.grid, **kwargs)
-    return _report_payload("detcheck", report, dim=n, grid=args.grid)
+    report = verify_det_recurrence(args.dim, grid=args.grid, **kwargs)
+    return _report_payload("detcheck", report, dim=args.dim, grid=args.grid)
 
 
 def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
     """``certify`` for a mixed pair only."""
 
-    _check_dim(args)
-    if not _is_mixed(_parse_pair(args.pair)):
+    if not _is_mixed(args.pair):
         raise SchemaError(
             "pair",
             "spectrum witnesses separate mixed pairs only (one of dep/trd vs one of "
@@ -374,13 +364,11 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
-    n = _check_dim(args)
-    pair = _parse_pair(args.pair)
-    if _is_mixed(pair):
-        _check_peak_bytes("witness", n)
+    if _is_mixed(args.pair):
+        _check_peak_bytes("witness", args.dim)
     from .equivalence import GAP_THRESHOLD, inequivalence_certificate
 
-    certificate = inequivalence_certificate(pair, n, args.p)
+    certificate = inequivalence_certificate(args.pair, args.dim, args.p)
     payload = {"command": args.command, "certificate": certificate, "gap_threshold": GAP_THRESHOLD}
     return payload, certificate.passed
 
@@ -388,7 +376,6 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
 def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
     kwargs = _tol_kwargs(args)
     _check_conjugation_p(args.p)
-    _check_trials(args.trials)
     from .equivalence import qubit_equivalence_check
 
     report = qubit_equivalence_check(args.p, trials=args.trials, seed=args.seed, **kwargs)
@@ -396,10 +383,9 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
-    n = _check_dim(args)
+    n = args.dim
     _check_peak_bytes("report", n, args.samples)
     kwargs = _tol_kwargs(args)
-    _check_samples(args.samples)
     from .channels import FamilyChannel
     from .equivalence import inequivalence_certificate, qubit_equivalence_check
     from .representations import (
@@ -486,11 +472,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
+        return 0 if exc.code in (0, None) else 2
     try:
+        fields = vars(args)
+        for name, rule in _FIELD_RULES.items():
+            if fields.get(name) is not None:
+                fields[name] = rule(fields, name)
         payload, passed = args.handler(args)
         _emit(payload, args.output)
     except (ValueError, OSError, MemoryError) as exc:  # SchemaError is a ValueError

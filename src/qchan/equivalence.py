@@ -35,10 +35,10 @@ from .exact import (
     Family,
     Tolerance,
     VerificationReport,
+    _check_at_least,
     _check_conjugation_p,
     _check_dim,
     _check_finite_p,
-    _check_trials,
     _is_mixed,
     cptp_range,
     param_range,
@@ -364,7 +364,8 @@ def qubit_equivalence_check(
     """
 
     _check_conjugation_p(p)
-    _check_trials(trials)
+    _check_at_least("trials", trials, 1)
+    _check_at_least("seed", seed, 0)
     import numpy as np
 
     from .basis import pauli_matrix

@@ -3,7 +3,7 @@
 The paper's exact claims are rational arithmetic in n: the families' CPTP
 intervals and the conjugation-sum weights of ``repr_coefficients``.  They
 live here with what they rest on (tolerances, family names and sign
-patterns, the size guards and the CLI's argument checks) and with the
+patterns, the size guards and the library's argument checks) and with the
 result records every numeric module returns: ``typing.NamedTuple``
 classes, whose ``Any`` fields hold the arrays of the numeric modules.  The
 channels and the basis, which validate, cache or act, derive from
@@ -20,7 +20,7 @@ import numbers
 from enum import Enum
 from typing import Any, NamedTuple, Optional
 
-from .jsonio import SchemaError
+from .jsonio import _MAX_MAGNITUDE, SchemaError
 
 __all__ = [
     "Tolerance",
@@ -204,26 +204,10 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _check_trials(trials: int) -> None:
-    """Reject trial counts that would let a check pass without checking anything."""
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-
-
-def _check_grid(grid: int) -> None:
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid}")
-
-
-# The largest |p| and |t_i| accepted (the families are CPTP only for |p| <= 1).  At
-# the bound, Choi entries and a state's output entries are at most a few times 1e100,
-# so n^2 of their squares sum far below the float maximum for every n a ``_PEAK_BYTES`` row admits.
-_MAX_MAGNITUDE = 1e100
+def _check_at_least(name: str, value: int, minimum: int) -> None:
+    """Refuse a count such as ``trials`` below ``minimum``, so that no check passes without checking anything."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_magnitude(what: str, value: float) -> None:

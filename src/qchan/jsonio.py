@@ -167,8 +167,14 @@ def require_int(obj: Any, field: str, minimum: int, context: str = "") -> int:
     return value
 
 
-def finite_number(value: Any, path: str) -> float:
-    """``value`` as a float, if it is a finite JSON number (not a bool); ``path`` names it."""
+# The largest modulus of a channel's p or t_i, from a flag or a file (the families are CPTP only
+# for |p| <= 1).  At the bound, Choi entries and a state's output entries are at most a few
+# times 1e100, so n^2 of their squares sum far below the float maximum for every n a size guard admits.
+_MAX_MAGNITUDE = 1e100
+
+
+def finite_number(value: Any, path: str, bound: float = math.inf) -> float:
+    """``value`` as a float, if it is a finite number (not a bool) of modulus at most ``bound``; ``path`` names it."""
 
     try:
         number = float(value) if type(value) in (int, float) else math.nan  # a bool is neither
@@ -176,4 +182,6 @@ def finite_number(value: Any, path: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise SchemaError(path, "expected a finite number")
+    if abs(number) > bound:
+        raise SchemaError(path, f"expected a number of magnitude at most {bound:g}, got {number!r}")
     return number

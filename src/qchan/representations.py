@@ -49,11 +49,10 @@ from .exact import (
     Tolerance,
     VerificationReport,
     _Frozen,
+    _check_at_least,
     _check_dense_bytes,
     _check_dim,
-    _check_grid,
     _check_magnitude,
-    _check_trials,
     cptp_range,
     pair_count,
     repr_coefficients,
@@ -185,7 +184,8 @@ def verify_sum_identities(
     """
 
     _check_dim(n)
-    _check_trials(trials)
+    _check_at_least("trials", trials, 1)
+    _check_at_least("seed", seed, 0)
     found = np.zeros((2, 2))  # (largest deviation, largest closed-form entry) of S, then of (S + S^T)/2
     for s in _trial_chunks(n, trials, seed):
         for symmetric, row in enumerate(found):
@@ -218,7 +218,6 @@ def verify_representations(
     The basis form is e0 S/n + ex X/2 + ey Y/2 + ez EZ (see ``_direct_sums``).
     """
 
-    _check_trials(trials)
     return _representation_reports([FamilyChannel(family=family, p=p, dim=n)], n, trials, seed, tol)[0]
 
 
@@ -239,7 +238,8 @@ def _representation_reports(
     form over the trials, which grows like |p|.
     """
 
-    _check_trials(trials)
+    _check_at_least("trials", trials, 1)
+    _check_at_least("seed", seed, 0)
     coeffs = [repr_coefficients(ch.family, ch.p, n) for ch in channels]
     devs = np.empty((len(channels), trials))  # per member, the worse of the two forms' deviations per trial
     scales = [0.0] * len(channels)
@@ -428,7 +428,7 @@ def verify_det_recurrence(
     A grid of fewer than 2 points raises ValueError.
     """
 
-    _check_grid(grid)
+    _check_at_least("grid", grid, 2)
     worst = 0.0
     worst_p = -0.5
     passed = True

@@ -46,7 +46,7 @@ from .channels import (
     as_linear_map,
     family_to_diagonal,
 )
-from .exact import DEFAULT_TOL, Tolerance, VerificationReport, _check_magnitude, _check_samples
+from .exact import DEFAULT_TOL, Tolerance, VerificationReport, _check_at_least, _check_magnitude
 from .linalg import _pair_index, frobenius_norm
 from .sampling import _haar_vectors, _states_per_chunk
 
@@ -79,6 +79,11 @@ def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verificatio
     Frobenius norm and partial trace all come from these blocks.  CP
     holds when the smallest eigenvalue is above -tol of the Choi norm, TP
     when the partial trace is within tol of I.
+
+    Trace preservation holds by construction (the identity multiplier is
+    fixed at 1), so ``trace_violation`` is the float rounding of D's row
+    sums: at dep, n = 2, p = 1e100 it reads 1.0, since D's entries are
+    about 5e99 and their 1/2 terms are lost.  CP fails first there.
     """
 
     diag = _as_diagonal(ch)
@@ -237,7 +242,8 @@ def _sample_reports(
     one call per channel, bit for bit.
     """
 
-    _check_samples(samples)
+    _check_at_least("samples", samples, 0)
+    _check_at_least("seed", seed, 0)
     diags = [_as_diagonal(ch) for ch in channels]
     for diag in diags:
         if diag.dim != n:

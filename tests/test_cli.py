@@ -199,14 +199,14 @@ class TestVerifyConstantNorm:
         assert payload["report"]["passed"] is False
 
 
-P_MESSAGE = "error: parameter p must be at most 1e+100 in magnitude, got {}\n"
 FIELD_MESSAGE = "error: field '{}': expected a number of magnitude at most 1e+100, got {}\n"
+P_MESSAGE = FIELD_MESSAGE.format("p", "{}")
 
 
 class TestNearTheFloatMaximum:
     """Parameters and multipliers from the magnitude bound up to the float maximum.
 
-    |p| and every |t_i| may reach ``exact._MAX_MAGNITUDE`` = 1e100, where
+    |p| and every |t_i| may reach ``jsonio._MAX_MAGNITUDE`` = 1e100, where
     every verdict is finite; past it, a command exits 2 with one message
     and no NumPy warning.
     """
@@ -271,6 +271,22 @@ class TestNearTheFloatMaximum:
         for argv in (["verify", "cptp"], ["verify", "constant-norm"]):
             assert run_cli(capsys, *argv, "--channel", ch) == (2, "", message)
 
+    def test_flag_and_channel_file_share_the_message(self, tmp_path, capsys):
+        ch = write_json(tmp_path / "c.json", {"kind": "family", "family": "dep", "p": 1e101, "dim": 3})
+        from_file = run_cli(capsys, "verify", "cptp", "--channel", ch)
+        from_flag = run_cli(capsys, "verify", "cptp", "--family", "dep", "--dim", "3", "--p", "1e101")
+        assert from_file == from_flag == (2, "", P_MESSAGE.format("1e+101"))
+
+    def test_channel_apply_output_at_the_bound_reads_back(self, tmp_path, capsys):
+        # The bound is on p and t_i, not on a state's entries: the output is a valid state file.
+        ch = write_json(tmp_path / "c.json", {"kind": "family", "family": "dcq", "p": 1e100, "dim": 3})
+        state = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        state_file = write_json(tmp_path / "s.json", matrix_to_json(state))
+        code, out, err = run_cli(capsys, "channel", "apply", "--channel", ch, "--state", state_file)
+        assert (code, err) == (0, "")
+        output = linalg.matrix_from_json(json.loads(out)["output"])
+        np.testing.assert_array_equal(output, FamilyChannel(Family.DCQ, 1e100, 3)(state))
+
     def test_channel_apply_where_2p_overflows(self, tmp_path, capsys):
         # 2p overflows only past |p| ~ 8.99e307, far past the bound: the channel file's p is refused.
         state = write_json(tmp_path / "s.json", matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)))
@@ -312,7 +328,7 @@ class TestChecks:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "must be" in err
+        assert re.fullmatch(r"error: field '(trials|samples)': expected an integer >= [01], got -?\d+\n", err)
 
     def test_zero_samples_checks_the_witness_states(self, capsys):
         code, out, _ = run_cli(
@@ -376,7 +392,7 @@ class TestWitnessAndCertify:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == "error: parameter p must be finite, got nan\n"
+        assert err == "error: field 'p': expected a finite number\n"
 
     def test_certify_same_class_pair_refuses_p(self, capsys):
         code, out, err = run_cli(capsys, "certify", "--pair", "dep,trd", "--dim", "3", "--p", "0.1")
@@ -454,6 +470,15 @@ class TestNegativeNumbers:
 
 class TestFieldErrors:
     """Each refused flag or file field exits 2 and names the field on stderr."""
+
+    def test_every_flag_has_a_rule(self):
+        # Every other dest is a file path, a switch, a subcommand or the handler.
+        non_values = {"output", "channel", "state", "json", "help"}
+        non_values |= {"command", "channel_command", "verify_command", "handler"}
+        dests = set()
+        for parser in _parsers(cli.build_parser()):
+            dests |= {action.dest for action in parser._actions} | set(parser._defaults)
+        assert dests - non_values == set(cli._FIELD_RULES)
 
     @pytest.mark.parametrize("value", ["0", "nan", "-1e-3", "inf"])
     def test_tol_must_be_positive_and_finite(self, capsys, value):
@@ -774,7 +799,7 @@ class TestReport:
         code, out, err = run_cli(capsys, "report", "--dim", "200", "--samples", "-1")
         assert code == 2
         assert out == ""
-        assert err == "error: samples must be >= 0, got -1\n"
+        assert err == "error: field 'samples': expected an integer >= 0, got -1\n"
 
     def test_report_builds_no_kraus_operator(self, capsys, monkeypatch):
         monkeypatch.setattr("qchan.representations._scaled_operators", None)
@@ -1112,6 +1137,10 @@ class TestNumpyFreeCommands:
             (["report", "--dim", "3", "--samples", "300000000"], 2),
             (["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "1e101"], 2),
             (["witness", "--pair", "dep,dcq", "--dim", "3", "--p", "-1e101"], 2),
+            (["report", "--dim", "3", "--seed", "-1"], 2),
+            (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--seed", "-1"], 2),
+            (["identities", "--dim", "3", "--seed", "-1"], 2),
+            (["qubit-equiv", "--p", "0.5", "--seed", "-1"], 2),
         ],
     )
     def test_runs_without_numpy(self, tmp_path, argv, code):

@@ -212,6 +212,14 @@ def test_finite_number_rule_has_one_message(value):
     assert str(info.value) == "field 't[3]': expected a finite number"
 
 
+@pytest.mark.parametrize("value", [1.0000000000000002e100, -1e155, 10**101])
+def test_finite_number_bounds_the_magnitude(value):
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.finite_number(value, "t[3]", jsonio._MAX_MAGNITUDE)
+    assert str(info.value) == f"field 't[3]': expected a number of magnitude at most 1e+100, got {float(value)!r}"
+    assert jsonio.finite_number(-1e100, "t[3]", jsonio._MAX_MAGNITUDE) == -1e100
+
+
 def test_finite_number_is_a_float():
     assert [jsonio.finite_number(v, "p") for v in (3, -0.0, 10**300)] == [3.0, -0.0, 1e300]
     assert math.copysign(1, jsonio.finite_number(-0.0, "p")) == -1

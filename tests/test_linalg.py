@@ -225,6 +225,10 @@ class TestMatrixJson:
             matrix_from_json({"rows": 1, "cols": 1, "data": [[0, part]]}, context="state")
         assert info.value.field == "state.data[0][1]"
 
+    def test_entries_take_no_magnitude_bound(self):
+        # The 1e100 bound is on a channel's p and t_i; an output entry may pass it and still be read back.
+        assert matrix_from_json({"rows": 1, "cols": 1, "data": [[1e200, -1e300]]})[0, 0] == complex(1e200, -1e300)
+
     @pytest.mark.parametrize("field", ["rows", "cols"])
     @pytest.mark.parametrize("value", [0, -1, True, 2.0, "2", None])
     def test_shape_is_a_positive_integer(self, field, value):

@@ -14,6 +14,7 @@ from qchan import basis as basis_module
 from qchan import channels, exact, representations, verification
 from qchan.basis import build_basis, m_z, pauli_matrix
 from qchan.channels import DiagonalChannel, FamilyChannel, as_linear_map, family_to_diagonal
+from qchan.equivalence import qubit_equivalence_check
 from qchan.exact import Family, Tolerance, cptp_range, param_range, repr_coefficients
 from qchan.jsonio import dumps
 from qchan.linalg import frobenius_norm
@@ -535,6 +536,25 @@ class TestNoVacuousPasses:
     def test_representations_reject_empty_runs(self, trials):
         with pytest.raises(ValueError, match="trials"):
             verify_representations(Family.DEP, 0.2, 3, trials=trials)
+
+    @pytest.mark.parametrize(
+        "check, first_work",
+        [
+            (lambda: constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 3, seed=-1),
+             "qchan.verification._witness_norms"),
+            (lambda: verify_sum_identities(3, seed=-1), "qchan.representations._trial_chunks"),
+            (lambda: verify_representations(Family.DEP, 0.1, 3, seed=-1), "qchan.representations.repr_coefficients"),
+            (lambda: qubit_equivalence_check(0.5, seed=-1), "qchan.channels.family_to_diagonal"),
+        ],
+        ids=["constant_fnorm_sample_test", "verify_sum_identities", "verify_representations", "qubit_equivalence_check"],
+    )
+    def test_negative_seed_is_refused_before_any_work(self, monkeypatch, check, first_work):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(first_work, refuse)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            check()
 
 
 class TestRepresentations:
