@@ -30,6 +30,10 @@
 # `--p inf`, `qubit-equiv --p 1e101`, `--grid 1`, `--trials 0` and
 # `--samples -1` rows and the inline `--p` rows past 1e100 differ from
 # older trees in stderr only.
+# The channel library checks a family file's fields by the rules of the
+# flags, so the `bad_family.json` ... `two_bad_fields.json` rows pin those
+# messages; a `--grid` past the detcheck size guard has no row, since trees
+# without that guard would run it for hours.
 # The `--output` rows end with an empty stdout: one writes its report to a
 # file, the other exits 2 because the file's directory does not exist.
 set -u
@@ -67,6 +71,12 @@ printf '{"kind": "family", "family": "dcq", "p": 1e308, "dim": 3}\n' > "$work/dc
 printf '{"kind": "family", "family": "dcq", "p": 1.7e308, "dim": 3}\n' > "$work/dcq_first_sum.json"
 printf '{"kind": "diagonal", "dim": 2, "t": [0, 0, 3000618250.613841]}\n' > "$work/cancelled.json"
 printf '{"kind": "family", "family": "dep", "p": 1e155, "dim": 3}\n' > "$work/huge_p.json"
+# Family files with one refused field, and one with two (the first in field order is named).
+printf '{"kind": "family", "family": "xyz", "p": 0.1, "dim": 3}\n' > "$work/bad_family.json"
+printf '{"kind": "family", "family": "dep", "p": 0.1, "dim": 3.0}\n' > "$work/float_dim.json"
+printf '{"kind": "family", "family": "dep", "p": true, "dim": 3}\n' > "$work/bool_p.json"
+printf '{"kind": "family", "family": "dep", "p": 1e101, "dim": 3}\n' > "$work/past_bound_p.json"
+printf '{"kind": "family", "family": "dep", "p": 1e101, "dim": 1}\n' > "$work/two_bad_fields.json"
 
 commands=(
     "range --family dcq --dim 3"
@@ -170,6 +180,11 @@ commands=(
     "verify cptp --family dep --dim 3 --p inf"
     "witness --pair dep,dcq --dim 3 --p inf"
     "qubit-equiv --p 1e101"
+    "verify cptp --channel $work/bad_family.json"
+    "verify cptp --channel $work/float_dim.json"
+    "verify cptp --channel $work/bool_p.json"
+    "verify cptp --channel $work/past_bound_p.json"
+    "verify cptp --channel $work/two_bad_fields.json"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -20,7 +20,8 @@ from math import sqrt
 
 import numpy as np
 
-from .exact import DEFAULT_TOL, Tolerance, _Frozen, _check_dim, _check_peak_bytes, pair_count
+from .exact import DEFAULT_TOL, Tolerance, _Frozen, _check_peak_bytes, pair_count
+from .jsonio import integer
 from .linalg import _pair_index, as_matrix, frobenius_norm, is_hermitian
 
 __all__ = [
@@ -53,7 +54,7 @@ def pauli_matrix(n: int, sector: str, pair: tuple[int, int]) -> np.ndarray:
 def m_z(n: int, k: int) -> np.ndarray:
     """Traceless diagonal diag(1 x k, -k, 0, ...); squared norm k (k+1)."""
 
-    _check_dim(n)
+    n = integer(n, "dim", 2)
     if not 1 <= k <= n - 1:
         raise ValueError(f"staircase index {k} out of range 1..{n - 1}")
     d = np.zeros(n, dtype=complex)
@@ -104,6 +105,7 @@ class BasisE(_Frozen):
 def build_basis(n: int) -> BasisE:
     """Construct the orthonormal basis for dimension ``n``: O(n^4), refused past 2 GiB."""
 
+    n = integer(n, "dim", 2)
     cnt = pair_count(n)
     _check_peak_bytes("basis", n)
     k, l = _pair_index(n)
@@ -149,7 +151,7 @@ def reconstruct(coeffs: np.ndarray, basis: BasisE) -> np.ndarray:
 
 
 def _check_pair(n: int, pair: tuple[int, int]) -> None:
-    _check_dim(n)
+    integer(n, "dim", 2)
     k, l = pair
     if not (1 <= k < l <= n):
         raise ValueError(f"pair {pair} violates 1 <= k < l <= {n}")

@@ -32,13 +32,10 @@ from .exact import (
     Family,
     Tolerance,
     _Frozen,
-    _check_dim,
-    _check_finite_p,
-    _check_magnitude,
     family_from_name,
     pair_count,
 )
-from .jsonio import _MAX_MAGNITUDE, SchemaError, finite_number, require, require_int
+from .jsonio import _MAX_MAGNITUDE, SchemaError, finite_number, integer, require, require_int
 from .linalg import _pair_index, as_matrix, as_matrix_stack, frobenius_norm, hermitian_part, is_hermitian
 
 __all__ = [
@@ -73,9 +70,7 @@ class FamilyChannel(_Frozen):
     _fields = ("family", "p", "dim")
 
     def __init__(self, family: Family, p: float, dim: int) -> None:
-        _check_dim(dim)
-        _check_finite_p(p)
-        self._set(family, p, dim)
+        self._set(family_from_name(family), finite_number(p, "p", _MAX_MAGNITUDE), integer(dim, "dim", 2))
 
     @cached_property
     def _diagonal(self) -> DiagonalChannel:
@@ -101,14 +96,13 @@ class DiagonalChannel(_Frozen):
     _fields = ("dim", "t")
 
     def __init__(self, dim: int, t: np.ndarray) -> None:
-        _check_dim(dim)
+        dim = integer(dim, "dim", 2)
         t = np.asarray(t, dtype=float)
         expected = dim * dim - 1
         if t.shape != (expected,):
             raise ValueError(f"expected {expected} multipliers, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("multipliers must be finite")
-        _check_magnitude("multipliers", t[np.argmax(np.abs(t))])
+        i = int(np.argmax(np.abs(t)))  # the first NaN if there is one
+        finite_number(t[i], f"t[{i}]", _MAX_MAGNITUDE)
         t = t.copy()
         t.flags.writeable = False
         self._set(dim, t)
@@ -332,9 +326,7 @@ def channel_to_json(ch: AnyChannel) -> dict:
 def channel_from_json(obj: Any) -> AnyChannel:
     kind = require(obj, "kind")
     if kind == "family":
-        family = family_from_name(require(obj, "family"))
-        p = finite_number(require(obj, "p"), "p", _MAX_MAGNITUDE)
-        return FamilyChannel(family=family, p=p, dim=require_int(obj, "dim", 2))
+        return FamilyChannel(*(require(obj, field) for field in FamilyChannel._fields))
     if kind == "diagonal":
         dim = require_int(obj, "dim", 2)
         t = require(obj, "t")

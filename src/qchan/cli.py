@@ -12,8 +12,9 @@ verdict is the exit code:
   peak memory, estimated by ``exact._check_peak_bytes``, passes 2 GiB).
 
 :func:`main` checks each value flag by its rule in ``_FIELD_RULES``, the
-rule JSON fields of its kind share, before any handler runs.  ``--tol v``
-sets both tolerance components to v; no environment variable changes it.
+rule that JSON fields and library calls of its kind share, before any
+handler runs.  ``--tol v`` sets both tolerance components to v; no
+environment variable changes it.
 
 Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
 handler imports the modules it runs (and with them NumPy) only once its
@@ -228,15 +229,15 @@ def _parse_pair(text: str) -> tuple[Family, Family]:
     return fam_a, fam_b
 
 
-# One rule per value field, the JSON input rules where one fits: ``main``
+# One rule per value field, the rules of JSON input and library calls: ``main``
 # applies each to the field if the parsed command sets it, before any
 # handler runs, and stores what it returns for the handlers to read.
 _FIELD_RULES: dict[str, Callable[[dict, str], Any]] = {
-    "dim": lambda fields, name: jsonio.require_int(fields, name, 2),
-    "samples": lambda fields, name: jsonio.require_int(fields, name, 0),
-    "seed": lambda fields, name: jsonio.require_int(fields, name, 0),
-    "trials": lambda fields, name: jsonio.require_int(fields, name, 1),
-    "grid": lambda fields, name: jsonio.require_int(fields, name, 2),
+    "dim": lambda fields, name: jsonio.integer(fields[name], name, 2),
+    "samples": lambda fields, name: jsonio.integer(fields[name], name, 0),
+    "seed": lambda fields, name: jsonio.integer(fields[name], name, 0),
+    "trials": lambda fields, name: jsonio.integer(fields[name], name, 1),
+    "grid": lambda fields, name: jsonio.integer(fields[name], name, 2),
     "p": lambda fields, name: jsonio.finite_number(fields[name], name, jsonio._MAX_MAGNITUDE),
     "family": lambda fields, name: family_from_name(fields[name], name),
     "pair": lambda fields, name: _parse_pair(fields[name]),
@@ -343,7 +344,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
 
 
 def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
-    _check_peak_bytes("detcheck", args.dim)
+    _check_peak_bytes("detcheck", args.dim, args.grid)
     kwargs = _tol_kwargs(args)
     from .representations import verify_det_recurrence
 

@@ -35,14 +35,12 @@ from .exact import (
     Family,
     Tolerance,
     VerificationReport,
-    _check_at_least,
     _check_conjugation_p,
-    _check_dim,
-    _check_finite_p,
     _is_mixed,
     cptp_range,
     param_range,
 )
+from .jsonio import _MAX_MAGNITUDE, finite_number, integer
 
 __all__ = [
     "GAP_THRESHOLD",
@@ -200,8 +198,8 @@ def bound_matching_system(
     fam_a, fam_b = pair
     if fam_a is fam_b:
         raise ValueError("bound matching needs two distinct families")
-    _check_dim(n)
-    exact_n = Fraction(int(n))
+    n = integer(n, "dim", 2)
+    exact_n = Fraction(n)
     lo_a, hi_a = cptp_range(fam_a, exact_n)
     lo_b, hi_b = cptp_range(fam_b, exact_n)
     if same_sign:
@@ -250,8 +248,8 @@ def inequivalence_certificate(
     if fam_a is fam_b:
         raise ValueError("certificate needs two distinct families")
     if p is not None:
-        _check_finite_p(p)
-    _check_dim(n)
+        p = finite_number(p, "p", _MAX_MAGNITUDE)
+    n = integer(n, "dim", 2)
     if n == 2:
         raise ValueError(
             "at dimension 2 the four families are pairwise equivalent "
@@ -310,7 +308,7 @@ def spectrum_witness(family: Family, p: float, n: int) -> SpectrumWitness:
     from .channels import FamilyChannel, family_apply
     from .linalg import hermitian_eigenvalues
 
-    rng_info = param_range(family, n)
+    p, rng_info = finite_number(p, "p", _MAX_MAGNITUDE), param_range(family, n)
     if not rng_info.contains(p):
         raise ValueError(
             f"p={p} outside the CPTP range [{rng_info.p_min}, {rng_info.p_max}] "
@@ -364,8 +362,7 @@ def qubit_equivalence_check(
     """
 
     _check_conjugation_p(p)
-    _check_at_least("trials", trials, 1)
-    _check_at_least("seed", seed, 0)
+    trials, seed = integer(trials, "trials", 1), integer(seed, "seed", 0)
     import numpy as np
 
     from .basis import pauli_matrix

@@ -3,12 +3,12 @@
 The paper's exact claims are rational arithmetic in n: the families' CPTP
 intervals and the conjugation-sum weights of ``repr_coefficients``.  They
 live here with what they rest on (tolerances, family names and sign
-patterns, the size guards and the library's argument checks) and with the
-result records every numeric module returns: ``typing.NamedTuple``
-classes, whose ``Any`` fields hold the arrays of the numeric modules.  The
-channels and the basis, which validate, cache or act, derive from
-``_Frozen`` here instead.  The bound-matching certificates, which only
-``certify``, ``witness`` and ``report`` run, are in :mod:`qchan.equivalence`.
+patterns, the size guards) and with the result records every numeric
+module returns: ``typing.NamedTuple`` classes, whose ``Any`` fields hold
+the arrays of the numeric modules.  The channels and the basis, which
+validate, cache or act, derive from ``_Frozen`` here instead.  The
+bound-matching certificates, which only ``certify``, ``witness`` and
+``report`` run, are in :mod:`qchan.equivalence`.
 Importing this module loads neither NumPy nor ``fractions``, and no qchan
 module loads ``dataclasses``.
 """
@@ -16,11 +16,10 @@ module loads ``dataclasses``.
 from __future__ import annotations
 
 import math
-import numbers
 from enum import Enum
 from typing import Any, NamedTuple, Optional
 
-from .jsonio import _MAX_MAGNITUDE, SchemaError
+from .jsonio import SchemaError, integer
 
 __all__ = [
     "Tolerance",
@@ -56,8 +55,8 @@ class Tolerance(_ToleranceFields):
 
     def __new__(cls, *args: float, **kwargs: float) -> Tolerance:
         self = super().__new__(cls, *args, **kwargs)
-        if self.absolute < 0 or self.relative < 0:
-            raise ValueError("tolerance components must be non-negative")
+        if not all(0 <= part < math.inf for part in self):  # a NaN fails too
+            raise ValueError(f"tolerance components must be finite and non-negative, got {tuple(self)!r}")
         return self
 
     @classmethod
@@ -163,63 +162,43 @@ def _check_dense_bytes(nbytes: int, what: str) -> None:
 
 
 class _PeakBytes(NamedTuple):
-    """Peak bytes of a guarded command per n^2, per n^4 and per Haar sample, and what its refusal names."""
+    """Peak bytes of a guarded command per n^2, per n^4 and per item, and what its refusal names.
+
+    An item is a Haar sample (for all the channels the command checks) or a ``detcheck`` grid point.
+    """
 
     what: str
     per_n2: int = 0
     per_n4: int = 0
-    per_sample: int = 0  # for all the channels the command checks
+    per_item: int = 0
 
 
 # Each row is rounded up from the growth tracemalloc measures between two sizes of its command,
 # and is at most four times that growth (tests/test_cli.py measures it; README says what it holds).
 _PEAK_BYTES = {
     "verify cptp": _PeakBytes("verify cptp", per_n2=100),
-    "verify constant-norm": _PeakBytes("verify constant-norm", per_n2=100, per_sample=24),
-    "detcheck": _PeakBytes("detcheck", per_n2=100),
+    "verify constant-norm": _PeakBytes("verify constant-norm", per_n2=100, per_item=24),
+    "detcheck": _PeakBytes("detcheck", per_n2=100, per_item=16),
     "identities": _PeakBytes("identities", per_n2=280),  # also sizes verification's trial stacks
     "witness": _PeakBytes("the spectrum witnesses", per_n2=700),  # and mixed-pair certify
-    "report": _PeakBytes("the report", per_n2=4700, per_sample=48),
+    "report": _PeakBytes("the report", per_n2=4700, per_item=48),
     "basis": _PeakBytes("the basis", per_n2=500, per_n4=16),
     "basis --json": _PeakBytes("the basis JSON", per_n4=140),
 }
 
 
-def _check_peak_bytes(command: str, n: int, samples: int = 0) -> None:
-    """Refuse ``command`` at dim ``n`` with ``samples`` Haar states if its ``_PEAK_BYTES`` row passes 2 GiB."""
+def _check_peak_bytes(command: str, n: int, items: int = 0) -> None:
+    """Refuse ``command`` at dim ``n`` with ``items`` Haar states or grid points if its ``_PEAK_BYTES`` row passes 2 GiB."""
 
     row, n = _PEAK_BYTES[command], int(n)
-    nbytes = row.per_n2 * n**2 + row.per_n4 * n**4 + row.per_sample * samples
+    nbytes = row.per_n2 * n**2 + row.per_n4 * n**4 + row.per_item * items
     _check_dense_bytes(nbytes, f"{row.what} at dim {n}")
-
-
-def _check_dim(n: int) -> None:
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
 
 
 def pair_count(n: int) -> int:
     """Number of index pairs 1 <= k < l <= n."""
-    _check_dim(n)
+    n = integer(n, "dim", 2)
     return n * (n - 1) // 2
-
-
-def _check_at_least(name: str, value: int, minimum: int) -> None:
-    """Refuse a count such as ``trials`` below ``minimum``, so that no check passes without checking anything."""
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def _check_magnitude(what: str, value: float) -> None:
-    """Refuse ``value``, the largest in modulus of what ``what`` names, past ``_MAX_MAGNITUDE``."""
-    if abs(value) > _MAX_MAGNITUDE:
-        raise ValueError(f"{what} must be at most {_MAX_MAGNITUDE:g} in magnitude, got {float(value)!r}")
-
-
-def _check_finite_p(p: float) -> None:
-    if not math.isfinite(p):
-        raise ValueError(f"parameter p must be finite, got {p!r}")
-    _check_magnitude("parameter p", p)
 
 
 def _check_conjugation_p(p: float) -> None:
@@ -262,13 +241,12 @@ def cptp_range(family: Family, n):
     verdicts compare for equality.
     """
 
+    family = family_from_name(family)
     if family is Family.DEP:
         return -1 / (n * n - 1), 1
     if family is Family.TRD or family is Family.TCQ:
         return -1 / (n - 1), 1 / (n + 1)
-    if family is Family.DCQ:
-        return -1 / (2 * n - 1), 1 / (n - 1) ** 2
-    raise ValueError(f"unknown family {family!r}")
+    return -1 / (2 * n - 1), 1 / (n - 1) ** 2
 
 
 def family_from_name(name: Any, field: str = "family") -> Family:
@@ -293,7 +271,7 @@ class ParamRange(NamedTuple):
 
 
 def param_range(family: Family, n: int) -> ParamRange:
-    _check_dim(n)
+    family, n = family_from_name(family), integer(n, "dim", 2)
     lo, hi = cptp_range(family, n)
     return ParamRange(family=family, dim=n, p_min=float(lo), p_max=float(hi))
 
@@ -332,8 +310,8 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
     sets exactly on the CPTP range.  A ``Fraction`` p gives exact weights.
     """
 
-    _check_dim(n)
-    t_x, t_y, t_z = (s * p for s in _SIGNS[family])
+    n = integer(n, "dim", 2)
+    t_x, t_y, t_z = (s * p for s in _SIGNS[family_from_name(family)])
     u = (1 - t_z) / n
     cx = (u + (t_x - t_y) / 2) / 2
     cy = (u - (t_x - t_y) / 2) / 2

@@ -2,15 +2,17 @@
 
 Reports must be byte-identical for identical configuration and seed, so
 floats are rendered with 17 significant digits (enough to round-trip a
-double) instead of relying on ``repr`` heuristics.  Parsing helpers raise
-:class:`SchemaError` with the offending field name so CLI users see which
-part of their input was rejected.
+double) instead of relying on ``repr`` heuristics.  Parsing helpers and
+the value rules (:func:`integer`, :func:`finite_number`) raise
+:class:`SchemaError` with the offending field name, so the same value
+gets the same message from a file, a flag or a library call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from typing import Any
 
@@ -19,13 +21,14 @@ __all__ = [
     "dumps",
     "finite_number",
     "format_float",
+    "integer",
     "require",
     "require_int",
 ]
 
 
 class SchemaError(ValueError):
-    """Invalid JSON input; ``field`` names the offending location."""
+    """A refused input value, from a file, a flag or a library call; ``field`` names it."""
 
     def __init__(self, field: str, message: str):
         self.field = field
@@ -158,18 +161,22 @@ def require(obj: Any, field: str, context: str = "") -> Any:
 
 
 def require_int(obj: Any, field: str, minimum: int, context: str = "") -> int:
-    """Fetch ``obj[field]`` as an integer (not a bool) of at least ``minimum``."""
+    """Fetch ``obj[field]`` and check it with :func:`integer`."""
 
-    value = require(obj, field, context)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        path = f"{context}.{field}" if context else field
+    return integer(require(obj, field, context), f"{context}.{field}" if context else field, minimum)
+
+
+def integer(value: Any, path: str, minimum: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least ``minimum``; ``path`` names it."""
+
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise SchemaError(path, f"expected an integer >= {minimum}, got {value!r}")
-    return value
+    return int(value)
 
 
-# The largest modulus of a channel's p or t_i, from a flag or a file (the families are CPTP only
-# for |p| <= 1).  At the bound, Choi entries and a state's output entries are at most a few
-# times 1e100, so n^2 of their squares sum far below the float maximum for every n a size guard admits.
+# The largest modulus of a channel's p or t_i, from a flag, a file or a library call (the families
+# are CPTP only for |p| <= 1).  At the bound, Choi entries and a state's output entries are at most
+# a few times 1e100, so n^2 of their squares sum far below the float maximum for every n a size guard admits.
 _MAX_MAGNITUDE = 1e100
 
 
@@ -177,7 +184,7 @@ def finite_number(value: Any, path: str, bound: float = math.inf) -> float:
     """``value`` as a float, if it is a finite number (not a bool) of modulus at most ``bound``; ``path`` names it."""
 
     try:
-        number = float(value) if type(value) in (int, float) else math.nan  # a bool is neither
+        number = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
     except OverflowError:  # an integer past the float range
         number = math.inf
     if not math.isfinite(number):

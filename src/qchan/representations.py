@@ -49,14 +49,12 @@ from .exact import (
     Tolerance,
     VerificationReport,
     _Frozen,
-    _check_at_least,
     _check_dense_bytes,
-    _check_dim,
-    _check_magnitude,
     cptp_range,
     pair_count,
     repr_coefficients,
 )
+from .jsonio import _MAX_MAGNITUDE, finite_number, integer
 from .linalg import _CACHED_DIMS, _pair_index, as_matrix_stack, hermitian_part
 from .sampling import _complex_normals
 
@@ -183,9 +181,7 @@ def verify_sum_identities(
     trials run in stacks of :func:`_trial_chunks`.
     """
 
-    _check_dim(n)
-    _check_at_least("trials", trials, 1)
-    _check_at_least("seed", seed, 0)
+    n, trials, seed = integer(n, "dim", 2), integer(trials, "trials", 1), integer(seed, "seed", 0)
     found = np.zeros((2, 2))  # (largest deviation, largest closed-form entry) of S, then of (S + S^T)/2
     for s in _trial_chunks(n, trials, seed):
         for symmetric, row in enumerate(found):
@@ -238,8 +234,7 @@ def _representation_reports(
     form over the trials, which grows like |p|.
     """
 
-    _check_at_least("trials", trials, 1)
-    _check_at_least("seed", seed, 0)
+    trials, seed = integer(trials, "trials", 1), integer(seed, "seed", 0)
     coeffs = [repr_coefficients(ch.family, ch.p, n) for ch in channels]
     devs = np.empty((len(channels), trials))  # per member, the worse of the two forms' deviations per trial
     scales = [0.0] * len(channels)
@@ -309,7 +304,7 @@ def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tupl
     Raises ValueError naming the first weight below ``-tol.bound(1.0)``.
     """
 
-    coeffs = repr_coefficients(family, p, n)
+    coeffs = repr_coefficients(family, finite_number(p, "p", _MAX_MAGNITUDE), n)
     kept = []
     for sector, name in enumerate(("c0", "cx", "cy", "cz")):
         weight = getattr(coeffs, name)
@@ -428,7 +423,7 @@ def verify_det_recurrence(
     A grid of fewer than 2 points raises ValueError.
     """
 
-    _check_at_least("grid", grid, 2)
+    n, grid = integer(n, "dim", 2), integer(grid, "grid", 2)
     worst = 0.0
     worst_p = -0.5
     passed = True
@@ -465,14 +460,15 @@ class QubitLambda(_Frozen):
     _fields = ("t", "lam")
 
     def __init__(self, t: tuple[float, float, float], lam: tuple[float, float, float]) -> None:
-        t = tuple(float(v) for v in t)
-        lam = tuple(float(v) for v in lam)
-        if len(t) != 3 or len(lam) != 3:
+        fields = {"t": tuple(t), "lam": tuple(lam)}
+        if any(len(values) != 3 for values in fields.values()):
             raise ValueError("t and lam must have three components")
-        if not all(np.isfinite(t)) or not all(np.isfinite(lam)):
-            raise ValueError("t and lam must be finite")
-        _check_magnitude("t and lam", max(t + lam, key=abs))
-        self._set(t, lam)
+        self._set(
+            *(
+                tuple(finite_number(v, f"{name}[{i}]", _MAX_MAGNITUDE) for i, v in enumerate(values))
+                for name, values in fields.items()
+            )
+        )
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         s = as_matrix_stack(s, name="input")

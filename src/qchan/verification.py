@@ -46,7 +46,8 @@ from .channels import (
     as_linear_map,
     family_to_diagonal,
 )
-from .exact import DEFAULT_TOL, Tolerance, VerificationReport, _check_at_least, _check_magnitude
+from .exact import DEFAULT_TOL, Tolerance, VerificationReport
+from .jsonio import _MAX_MAGNITUDE, finite_number, integer
 from .linalg import _pair_index, frobenius_norm
 from .sampling import _haar_vectors, _states_per_chunk
 
@@ -140,7 +141,7 @@ def constant_fnorm_criterion(
 
 def expected_constant_norm(n: int, t: float) -> float:
     """Output Frobenius norm on pure inputs when all moduli equal |t|."""
-    _check_magnitude("t", t)
+    n, t = integer(n, "dim", 2), finite_number(t, "t", _MAX_MAGNITUDE)
     return sqrt(1 / n + t * t * (1 - 1 / n))
 
 
@@ -242,8 +243,7 @@ def _sample_reports(
     one call per channel, bit for bit.
     """
 
-    _check_at_least("samples", samples, 0)
-    _check_at_least("seed", seed, 0)
+    samples, seed = integer(samples, "samples", 0), integer(seed, "seed", 0)
     diags = [_as_diagonal(ch) for ch in channels]
     for diag in diags:
         if diag.dim != n:

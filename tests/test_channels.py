@@ -92,7 +92,7 @@ class TestFamilyApply:
     def test_to_classical_member_where_2p_overflows(self, family, p):
         # 2p overflows only past |p| ~ 8.99e307, far past the magnitude bound:
         # such a member is refused before anything is applied.
-        with pytest.raises(ValueError, match=r"^parameter p must be at most 1e\+100 in magnitude, got "):
+        with pytest.raises(SchemaError, match=r"^field 'p': expected a number of magnitude at most 1e\+100, got "):
             FamilyChannel(family, p, 3)
 
     @pytest.mark.parametrize("family", [Family.DCQ, Family.TCQ])
@@ -153,7 +153,7 @@ class TestDiagonalPicture:
     def test_non_finite_multipliers_rejected(self, bad):
         t = np.zeros(3)
         t[1] = bad
-        with pytest.raises(ValueError, match="^multipliers must be finite$"):
+        with pytest.raises(SchemaError, match=r"^field 't\[1\]': expected a finite number$"):
             DiagonalChannel(dim=2, t=t)
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -163,19 +163,20 @@ class TestDiagonalPicture:
         FamilyChannel(Family.DCQ, at, 3)
         DiagonalChannel(2, [0.0, at, 0.0])
         QubitLambda((at, 0, 0), (0, 0, at))
-        for build, what in [
-            (lambda: FamilyChannel(Family.DCQ, past, 3), "parameter p"),
-            (lambda: DiagonalChannel(2, [0.5, past, at]), "multipliers"),
-            (lambda: QubitLambda((0, past, 0), (0, 0, at)), "t and lam"),
-            (lambda: QubitLambda((0, 0, at), (past, 0, 0)), "t and lam"),
+        for build, field in [
+            (lambda: FamilyChannel(Family.DCQ, past, 3), "p"),
+            (lambda: DiagonalChannel(2, [0.5, past, at]), "t[1]"),
+            (lambda: QubitLambda((0, past, 0), (0, 0, at)), "t[1]"),
+            (lambda: QubitLambda((0, 0, at), (past, 0, 0)), "lam[0]"),
         ]:
-            message = f"{what} must be at most 1e+100 in magnitude, got {past!r}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            message = f"field '{field}': expected a number of magnitude at most 1e+100, got {past!r}"
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
                 build()
-        # A non-finite value keeps its own message, wherever it stands.
-        with pytest.raises(ValueError, match="^multipliers must be finite$"):
+        # A diagonal channel names its largest modulus, and a NaN before any other.
+        with pytest.raises(SchemaError, match=r"^field 't\[1\]': expected a finite number$"):
             DiagonalChannel(2, [past, float("nan"), 0.0])
-        with pytest.raises(ValueError, match="^t and lam must be finite$"):
+        # The Stokes map names its first refused entry.
+        with pytest.raises(SchemaError, match=r"^field 't\[0\]': expected a number of magnitude at most 1e\+100"):
             QubitLambda((past, 0, 0), (0, 0, float("inf")))
 
     def test_pair_weights_are_the_rounded_half_sums(self):
@@ -264,19 +265,26 @@ class TestImmutableObjects:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: FamilyChannel(Family.DEP, float("nan"), 1), "dimension must be an integer >= 2, got 1"),
-            (lambda: FamilyChannel(Family.DEP, float("nan"), 3), "parameter p must be finite, got nan"),
-            (lambda: DiagonalChannel(1.5, [float("nan")]), "dimension must be an integer >= 2, got 1.5"),
-            (lambda: DiagonalChannel(3, [float("nan")] * 7), r"expected 8 multipliers, got shape \(7,\)"),
-            (lambda: DiagonalChannel(2, [0.1, float("inf"), 0.0]), "multipliers must be finite"),
-            (lambda: QubitLambda(("x", 0, 0), (0, 0)), "could not convert string to float: 'x'"),
+            (lambda: FamilyChannel("xyz", float("nan"), 1), "field 'family': expected one of dep, trd, dcq, tcq, got 'xyz'"),
+            (lambda: FamilyChannel(Family.DEP, float("nan"), 1), "field 'p': expected a finite number"),
+            (lambda: FamilyChannel(Family.DEP, 0.1, 1), "field 'dim': expected an integer >= 2, got 1"),
+            (lambda: DiagonalChannel(1.5, [float("nan")]), "field 'dim': expected an integer >= 2, got 1.5"),
+            (lambda: DiagonalChannel(3, [float("nan")] * 7), "expected 8 multipliers, got shape (7,)"),
+            (lambda: DiagonalChannel(2, [0.1, float("inf"), 0.0]), "field 't[1]': expected a finite number"),
             (lambda: QubitLambda((float("nan"), 0, 0), (0, 0)), "t and lam must have three components"),
-            (lambda: QubitLambda((0, 0, 0), (0, 0, float("inf"))), "t and lam must be finite"),
+            (lambda: QubitLambda(("x", 0, 0), (0, 0, 0)), "field 't[0]': expected a finite number"),
+            (lambda: QubitLambda((0, 0, 0), (0, 0, float("inf"))), "field 'lam[2]': expected a finite number"),
         ],
     )
     def test_validation_messages_in_order(self, build, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    def test_fields_hold_what_the_rules_return(self):
+        ch = FamilyChannel("dcq", np.float64(0.25), np.int64(3))
+        assert (ch.family, type(ch.p), type(ch.dim)) == (Family.DCQ, float, int)
+        assert ch == FamilyChannel(Family.DCQ, 0.25, 3)
+        assert type(DiagonalChannel(np.int64(2), [0, 0, 0]).dim) is int
 
     def test_equality_and_hash(self):
         fam = FamilyChannel(Family.TCQ, -0.125, 4)
@@ -450,7 +458,7 @@ class TestReprCoefficients:
 
     @pytest.mark.parametrize("n", [0, 1, 2.5])
     def test_dimension_must_be_an_integer_from_two(self, n):
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        with pytest.raises(SchemaError, match=f"^field 'dim': expected an integer >= 2, got {n!r}$"):
             repr_coefficients(Family.DEP, 0.1, n)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -561,6 +569,13 @@ class TestKraus:
             kraus_from_family(Family.DCQ, 0.5, 3)
         with pytest.raises(ValueError, match="cy"):
             kraus_from_family(Family.TRD, 0.6, 3)
+
+    @pytest.mark.parametrize("p", [float("nan"), True])
+    def test_p_is_a_finite_number(self, p):
+        # A NaN p made every weight NaN, so no weight was refused or kept: an empty Kraus set.
+        for build in (kraus_from_family, representations._kraus_count_and_deviation):
+            with pytest.raises(SchemaError, match="^field 'p': expected a finite number$"):
+                build(Family.DEP, p, 3)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -20,8 +20,10 @@ from qchan.channels import DiagonalChannel, FamilyChannel, channel_to_json, fami
 from qchan.cli import main
 from qchan.equivalence import qubit_equivalence_check
 from qchan.exact import Family, Tolerance
-from qchan.jsonio import dumps
+from qchan.jsonio import SchemaError, dumps
 from qchan.linalg import matrix_to_json
+from qchan.representations import verify_det_recurrence, verify_sum_identities
+from qchan.verification import constant_fnorm_sample_test
 
 
 def run_cli(capsys, *argv):
@@ -532,6 +534,59 @@ class TestFieldErrors:
         assert err.startswith(f"error: field '{field}': ")
 
     @pytest.mark.parametrize(
+        "call, flag, file_fields",
+        [
+            pytest.param(lambda: FamilyChannel(Family.DEP, 0.1, 1), "range --family dep --dim 1", {"dim": 1}, id="dim 1"),
+            pytest.param(lambda: FamilyChannel(Family.DEP, 0.1, 2.5), ("dim", 2.5), {"dim": 2.5}, id="dim 2.5"),
+            pytest.param(lambda: verify_sum_identities(3, trials=0), "identities --dim 3 --trials 0", None, id="trials 0"),
+            pytest.param(lambda: verify_sum_identities(3, trials=2.5), ("trials", 2.5), None, id="trials 2.5"),
+            pytest.param(lambda: verify_sum_identities(3, seed=-1), "identities --dim 3 --seed -1", None, id="seed -1"),
+            pytest.param(
+                lambda: constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 3, samples=-1),
+                "verify constant-norm --family dep --dim 3 --p 0.1 --samples -1",
+                None,
+                id="samples -1",
+            ),
+            pytest.param(lambda: verify_det_recurrence(3, grid=1), "detcheck --dim 3 --grid 1", None, id="grid 1"),
+            pytest.param(
+                lambda: FamilyChannel(Family.DEP, float("inf"), 3),
+                "verify cptp --family dep --dim 3 --p inf",
+                {"p": float("inf")},
+                id="p inf",
+            ),
+            pytest.param(
+                lambda: FamilyChannel(Family.DEP, 1e101, 3),
+                "verify cptp --family dep --dim 3 --p 1e101",
+                {"p": 1e101},
+                id="p 1e101",
+            ),
+            pytest.param(lambda: FamilyChannel(Family.DEP, True, 3), ("p", True), {"p": True}, id="p True"),
+            pytest.param(lambda: FamilyChannel("xyz", 0.1, 3), "range --family xyz --dim 3", {"family": "xyz"}, id="family xyz"),
+        ],
+    )
+    def test_one_message_per_value_at_every_boundary(self, tmp_path, capsys, call, flag, file_fields):
+        # A library call, the flag and the channel file's field, where there is one, print one line.
+        with pytest.raises(SchemaError) as refused:
+            call()
+        lines = {f"error: {refused.value}\n"}
+        if isinstance(flag, str):
+            code, out, err = run_cli(capsys, *flag.split())
+            assert (code, out) == (2, "")
+            lines.add(err)
+        else:  # argparse refuses the text of this value before the flag's rule runs; the rule gets the value
+            name, value = flag
+            with pytest.raises(SchemaError) as rule_refused:
+                cli._FIELD_RULES[name]({name: value}, name)
+            lines.add(f"error: {rule_refused.value}\n")
+        if file_fields is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"kind": "family", "family": "dep", "p": 0.1, "dim": 3, **file_fields}))
+            code, out, err = run_cli(capsys, "verify", "cptp", "--channel", str(path))
+            assert (code, out) == (2, "")
+            lines.add(err)
+        assert len(lines) == 1, lines
+
+    @pytest.mark.parametrize(
         "state, field",
         [
             ({"rows": 0, "cols": 0, "data": []}, "state.rows"),
@@ -562,15 +617,16 @@ NORM = "verify constant-norm --family tcq --p 0.001"
 SAMPLES = (10**4, 5 * 10**4)
 
 # Each row of `exact._PEAK_BYTES`, with the bodies it bounds and the two sizes
-# each runs at: dimensions, or Haar sample counts.  The representation checks
-# share the identities row's trial stacks.
+# each runs at: dimensions, or item counts (Haar samples or grid points).  The
+# representation checks share the identities row's trial stacks.
 PEAK_CASES = [
     peak_case("verify cptp", "dim", "verify cptp --family dep --p 0.1 --dim {}", (256, 512)),
     peak_case("verify constant-norm", "dim", NORM + " --samples 100 --dim {}", (256, 512)),
-    peak_case("verify constant-norm", "samples", NORM + " --dim 3 --samples {}", SAMPLES),
-    peak_case("verify constant-norm", "samples", NORM + " --dim 64 --samples {}", (2000, 10**4)),
-    peak_case("verify constant-norm", "samples", "verify constant-norm --channel {dir}/unequal.json --samples {}", SAMPLES),
+    peak_case("verify constant-norm", "items", NORM + " --dim 3 --samples {}", SAMPLES),
+    peak_case("verify constant-norm", "items", NORM + " --dim 64 --samples {}", (2000, 10**4)),
+    peak_case("verify constant-norm", "items", "verify constant-norm --channel {dir}/unequal.json --samples {}", SAMPLES),
     peak_case("detcheck", "dim", "detcheck --dim {}", (256, 512)),
+    peak_case("detcheck", "items", "detcheck --dim 3 --grid {}", (5000, 20000)),
     peak_case("identities", "dim", "identities --trials 2 --dim {}", (256, 512)),
     peak_case(
         "identities", "dim", "verify_representations(tcq, 0.001, N, trials=1)", (128, 256),
@@ -583,7 +639,7 @@ PEAK_CASES = [
     peak_case("witness", "dim", "witness --pair dep,dcq --dim {}", (200, 400)),
     peak_case("witness", "dim", "certify --pair tcq,dep --dim {}", (200, 400)),
     peak_case("report", "dim", "report --dim {}", (64, 128)),
-    peak_case("report", "samples", "report --dim 3 --samples {}", SAMPLES),
+    peak_case("report", "items", "report --dim 3 --samples {}", SAMPLES),
     peak_case("basis", "dim", "basis --dim {}", (16, 32)),
     peak_case("basis --json", "dim", "basis --json --dim {}", (16, 24)),
 ]
@@ -602,12 +658,12 @@ def traced_peak(body):
         tracemalloc.stop()
 
 
-def estimated_bytes(command, dim=3, samples=0):
+def estimated_bytes(command, dim=3, items=0):
     """The bytes that ``exact._check_peak_bytes`` estimates for ``command``."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact, "_check_dense_bytes", lambda nbytes, what: seen.append(nbytes))
-        exact._check_peak_bytes(command, dim, samples)
+        exact._check_peak_bytes(command, dim, items)
     return seen[0]
 
 
@@ -661,6 +717,7 @@ class TestSizeGuards:
                 "verify constant-norm at dim 3: about 6.7",
             ),
             (["report", "--dim", "3", "--samples", "44738362"], "the report at dim 3: about 2.0"),
+            (["detcheck", "--dim", "3", "--grid", "300000000"], "detcheck at dim 3: about 4.5"),
         ],
     )
     def test_oversized_dim_exits_2(self, capsys, no_work, argv, what):
@@ -687,6 +744,7 @@ class TestSizeGuards:
             ["detcheck", "--dim", "4634"],
             ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478447"],
             ["report", "--dim", "3", "--samples", "44738361"],
+            ["detcheck", "--dim", "3", "--grid", "134217671"],
         ],
     )
     def test_largest_accepted_dims_start_work(self, no_work, argv):

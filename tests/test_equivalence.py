@@ -22,7 +22,7 @@ from qchan.equivalence import (
     spectrum_witness,
 )
 from qchan.exact import Family, cptp_range
-from qchan.jsonio import dumps
+from qchan.jsonio import SchemaError, dumps
 from qchan.linalg import hermitian_eigenvalues
 
 import dense_oracles
@@ -81,10 +81,12 @@ class TestSpectrumWitness:
     def test_out_of_range_p_rejected(self):
         with pytest.raises(ValueError, match="CPTP range"):
             spectrum_witness(Family.DCQ, 0.5, 3)
+        with pytest.raises(SchemaError, match="^field 'p': expected a finite number$"):
+            spectrum_witness(Family.DCQ, float("nan"), 3)
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_dimension_below_two_rejected(self, n):
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        with pytest.raises(SchemaError, match=f"^field 'dim': expected an integer >= 2, got {n!r}$"):
             spectrum_witness(Family.DCQ, 0.1, n)
 
     def test_dressed_depolarizing_stays_isospectral(self):
@@ -297,7 +299,7 @@ class TestCertificates:
     @pytest.mark.parametrize("pair", [(Family.DEP, Family.DCQ), (Family.DEP, Family.TRD)])
     @pytest.mark.parametrize("n", [0, 1, 2.5])
     def test_dimension_must_be_an_integer_from_two(self, pair, n):
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        with pytest.raises(SchemaError, match=f"^field 'dim': expected an integer >= 2, got {n!r}$"):
             inequivalence_certificate(pair, n)
 
     def test_default_parameter_reproduces_example(self):

@@ -225,6 +225,18 @@ def test_finite_number_is_a_float():
     assert math.copysign(1, jsonio.finite_number(-0.0, "p")) == -1
 
 
+def test_rules_take_numpy_scalars_and_return_python_values():
+    # Library calls may pass NumPy scalars; JSON and argparse give only int and float.
+    assert [type(jsonio.integer(v, "dim", 2)) for v in (np.int64(3), np.uint8(3), 3)] == [int] * 3
+    assert [jsonio.finite_number(v, "p") for v in (np.float64(0.5), np.float32(0.5), np.int64(2))] == [0.5, 0.5, 2.0]
+    assert type(jsonio.finite_number(np.float64(0.5), "p")) is float
+    for bad in (np.bool_(True), np.float64(2.0)):
+        with pytest.raises(jsonio.SchemaError, match="^field 'dim': expected an integer >= 2, got "):
+            jsonio.integer(bad, "dim", 2)
+    with pytest.raises(jsonio.SchemaError, match="^field 'p': expected a finite number$"):
+        jsonio.finite_number(np.bool_(True), "p")
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_format_float_rejects_non_finite(value):
     with pytest.raises(ValueError, match="^cannot serialize non-finite float"):

@@ -174,6 +174,17 @@ class TestTolerance:
             with pytest.raises(ValueError, match="non-negative"):
                 build()
 
+    @pytest.mark.parametrize("part", [np.inf, np.nan])
+    def test_rejects_non_finite(self, part):
+        # An infinite part would pass every check and a NaN part fail every one.
+        for build in (
+            lambda: Tolerance(absolute=part, relative=0.0),
+            lambda: Tolerance(1e-10, part),
+            lambda: DEFAULT_TOL._replace(absolute=part),
+        ):
+            with pytest.raises(ValueError, match="^tolerance components must be finite and non-negative, got "):
+                build()
+
     @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
     def test_non_finite_scale_is_refused(self, scale):
         with pytest.raises(ValueError, match="non-finite scale"):

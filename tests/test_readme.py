@@ -93,8 +93,8 @@ def test_size_guard_table_states_the_first_refused_sizes():
     assert set(rows) == set(exact._PEAK_BYTES)
     for command, row in exact._PEAK_BYTES.items():
         refused = f"n = {_first_refused(lambda n: _fits(command, n))}"
-        if row.per_sample:
-            samples = _first_refused(lambda s: _fits(command, 3, s))
-            refused += f"; {samples:,} samples at n = 3"
-        counts = [str(count or "") for count in (row.per_n2, row.per_n4, row.per_sample)]
+        if row.per_item:
+            items = _first_refused(lambda count: _fits(command, 3, count))
+            refused += f"; {items:,} {'grid points' if command == 'detcheck' else 'samples'} at n = 3"
+        counts = [str(count or "") for count in (row.per_n2, row.per_n4, row.per_item)]
         assert rows[command] == [*counts, refused], command

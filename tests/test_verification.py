@@ -16,7 +16,7 @@ from qchan.basis import build_basis, m_z, pauli_matrix
 from qchan.channels import DiagonalChannel, FamilyChannel, as_linear_map, family_to_diagonal
 from qchan.equivalence import qubit_equivalence_check
 from qchan.exact import Family, Tolerance, cptp_range, param_range, repr_coefficients
-from qchan.jsonio import dumps
+from qchan.jsonio import SchemaError, dumps
 from qchan.linalg import frobenius_norm
 from qchan.representations import (
     QubitLambda,
@@ -93,7 +93,7 @@ class TestParamRange:
 
     @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 3.0])
     def test_dimension_must_be_an_integer_from_two(self, n):
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        with pytest.raises(SchemaError, match=f"^field 'dim': expected an integer >= 2, got {n!r}$"):
             param_range(Family.DEP, n)
 
 
@@ -140,7 +140,8 @@ class TestIsCptp:
     @pytest.mark.parametrize("p", [8e307, -1e308, np.finfo(float).max])
     def test_choi_norm_past_the_float_range_raises(self, p):
         # Such a p is far past the magnitude bound: refused before any Choi data exists.
-        with pytest.raises(ValueError, match=re.escape(f"parameter p must be at most 1e+100 in magnitude, got {float(p)!r}")):
+        message = f"field 'p': expected a number of magnitude at most 1e+100, got {float(p)!r}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             is_cptp(FamilyChannel(Family.DEP, p, 3), 3)
 
     def test_channel_dimension_must_match(self):
@@ -221,7 +222,8 @@ class TestConstantNormCriterion:
     @pytest.mark.parametrize("t", [1e155, -1e155, 1.7e308])
     def test_expected_norm_past_the_square_range(self, t):
         # Such a modulus is past the magnitude bound of every channel's multipliers.
-        with pytest.raises(ValueError, match=re.escape(f"t must be at most 1e+100 in magnitude, got {t!r}")):
+        message = f"field 't': expected a number of magnitude at most 1e+100, got {t!r}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             expected_constant_norm(3, t)
 
     @pytest.mark.parametrize("t", [1e100, -1e100, 0.37])
@@ -529,7 +531,7 @@ class TestNoVacuousPasses:
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_sum_identities_reject_dimensions_below_two(self, n):
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        with pytest.raises(SchemaError, match=f"^field 'dim': expected an integer >= 2, got {n!r}$"):
             verify_sum_identities(n)
 
     @pytest.mark.parametrize("trials", [0, -3])
@@ -553,7 +555,7 @@ class TestNoVacuousPasses:
             raise AssertionError("work started")
 
         monkeypatch.setattr(first_work, refuse)
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(SchemaError, match=r"^field 'seed': expected an integer >= 0, got -1$"):
             check()
 
 
