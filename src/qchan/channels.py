@@ -11,11 +11,12 @@ diagonal and zeroes the rest; T is plain transposition):
 Each is diagonal over the Hermitian basis of :mod:`qchan.basis` with
 multiplier 1 on the identity component and a sign pattern times p on the
 x / y / z sectors.  This module holds what every command that acts on a
-channel runs: the two channel objects, their apply engine and their JSON
-form.  The Kraus sets, the dense Choi matrix and the qubit Stokes picture
-are in :mod:`qchan.representations`, the random draws in
-:mod:`qchan.sampling`, and the families' names, signs and CPTP ranges in
-:mod:`qchan.exact`.
+channel runs: the two channel objects, their JSON form and the one apply
+engine, which applies both kinds from their multipliers; the closed forms
+above are test oracles, in ``tests/dense_oracles.py``.  The Kraus sets,
+the dense Choi matrix and the qubit Stokes picture are in
+:mod:`qchan.representations`, the random draws in :mod:`qchan.sampling`,
+and the families' names, signs and CPTP ranges in :mod:`qchan.exact`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Any, Callable, Union
 import numpy as np
 
 from .exact import (
-    _HYBRID,
     _SIGNS,
     DEFAULT_TOL,
     Family,
@@ -64,7 +64,7 @@ def __getattr__(name: str) -> Any:
 class FamilyChannel(_Frozen):
     """One member of a family: kind, parameter p, dimension.
 
-    Calling the channel applies its closed form (:func:`family_apply`).
+    Calling the channel applies its multipliers (:func:`family_apply`).
     """
 
     _fields = ("family", "p", "dim")
@@ -139,6 +139,26 @@ class DiagonalChannel(_Frozen):
         return a, b
 
     @cached_property
+    def _sector_weights(self) -> tuple:
+        """Weights (a, b) of S and S^T in the pair sectors, as the apply engine takes them.
+
+        Where t_x and t_y are each constant, bit for bit (every family
+        member, every n = 2 channel), they are the scalars (t_x + t_y)/2 and
+        (t_x - t_y)/2, and :attr:`pair_weights` is not built; a zero one is
+        None when the other is nonzero, and two zeros both stay, so that
+        swapping a with b and S with S^T keeps the bits.  Otherwise they
+        are :attr:`pair_weights`.
+        """
+
+        x, y = self.t_x.view(np.int64), self.t_y.view(np.int64)
+        if (x != x[0]).any() or (y != y[0]).any():
+            return self.pair_weights
+        a, b = (self.t_x[0] + self.t_y[0]) / 2, (self.t_x[0] - self.t_y[0]) / 2
+        if (a == 0) != (b == 0):
+            return (None, b) if a == 0 else (a, None)
+        return a, b
+
+    @cached_property
     def _unit_images(self) -> np.ndarray:
         """D[j, i] = Phi(E_jj)_ii, the Choi block data of the diagonal; read-only."""
 
@@ -163,13 +183,15 @@ def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
-    """Closed-form action of the family member on a square matrix.
+    """Apply the family member to a square matrix or an (..., n, n) stack.
 
-    Also takes an (..., n, n) stack; each matrix of the result is
-    bit-identical to applying the map to that matrix alone (see :func:`_apply`).
+    The one apply engine applies its multipliers, :func:`family_to_diagonal`
+    (see :func:`_apply`), so the result is that of :func:`diagonal_apply`
+    bit for bit.  The closed forms of the module docstring are test
+    oracles (``tests/dense_oracles.py``); they agree to rounding.
     """
 
-    return _apply(ch, s)
+    return _apply(family_to_diagonal(ch), s)
 
 
 def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
@@ -183,19 +205,18 @@ def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
 
     This is the linear extension of the basis picture to every complex
     input, computed sector by sector in O(n^2) per matrix: the x/y sectors
-    of a pair {k, l} mix (S_kl, S_lk) with :attr:`DiagonalChannel.pair_weights`,
-    and the diagonal goes through :func:`diagonal_image` (see :func:`_apply`).
+    of a pair {k, l} mix (S_kl, S_lk) with the pair's weights
+    (``DiagonalChannel._sector_weights``), and the diagonal goes through
+    :func:`diagonal_image` (see :func:`_apply`).
     """
 
     return _apply(ch, s)
 
 
-def _apply(ch: AnyChannel, s: np.ndarray) -> np.ndarray:
-    """The apply engine of both kinds: the pair sectors, then the output diagonal, into a new array.
+def _apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
+    """The one apply engine: the pair sectors, then the output diagonal, into a new array.
 
-    In between, a family member adds one complex zero per matrix: the dense
-    terms c I and 2p d(S), c = (1-p)/n Tr(S), added c * 0 and 2p * 0 off the
-    diagonal, and the zero keeps their signs, so the bits are those of that sum.
+    Family members reach it through their multipliers (:func:`family_apply`).
     """
 
     s = as_matrix_stack(s, name="input")
@@ -204,54 +225,20 @@ def _apply(ch: AnyChannel, s: np.ndarray) -> np.ndarray:
             f"dimension mismatch: input is {s.shape[-1]}x{s.shape[-1]}, channel dim {ch.dim}"
         )
     out = np.empty(s.shape, dtype=complex)
-    _pair_sectors_into(*_pair_sector_weights(ch), s, out)
-    if isinstance(ch, FamilyChannel):
-        zero = np.asarray((1 - ch.p) / ch.dim * np.trace(s, axis1=-2, axis2=-1)) * 0j
-        if ch.family in _HYBRID:
-            zero += ch.p * np.zeros((), dtype=complex)  # the signs of 2p * 0
-        out += zero[..., None, None]
-    _diagonal_view(out)[...] = _output_diagonals(ch, np.diagonal(s, axis1=-2, axis2=-1))
+    _pair_sectors_into(*ch._sector_weights, s, out)
+    _diagonal_view(out)[...] = diagonal_image(ch, np.diagonal(s, axis1=-2, axis2=-1))
     return out
-
-
-def _pair_sector_weights(ch: AnyChannel) -> tuple:
-    """Weights (a, b) of S and S^T in the pair sectors: +-p on one of them, None on the other, for a family."""
-
-    if isinstance(ch, DiagonalChannel):
-        return ch.pair_weights
-    scale = -ch.p if ch.family in _HYBRID else ch.p
-    return (scale, None) if ch.family in (Family.DEP, Family.DCQ) else (None, scale)
 
 
 def _pair_sectors_into(a, b, s: np.ndarray, out: np.ndarray) -> None:
     """The pair-sector stage: a S + b S^T into ``out``, a None weight left out, the diagonal unfinished."""
 
-    if a is None:  # two None weights write zeros
-        np.multiply(0.0 if b is None else b, np.swapaxes(s, -1, -2), out=out)
+    if a is None:
+        np.multiply(b, np.swapaxes(s, -1, -2), out=out)
         return
     np.multiply(a, s, out=out)
     if b is not None:
         out += b * np.swapaxes(s, -1, -2)
-
-
-def _output_diagonals(ch: AnyChannel, d: np.ndarray) -> np.ndarray:
-    """The output-diagonal stage: output diagonals of the inputs whose diagonals are ``d`` (..., n).
-
-    Off-diagonal input entries never reach them.  They are
-    :func:`diagonal_image` for a diagonal channel, and ((+-p d + c) + 2p d)
-    for a family member, the last term only for dcq and tcq, with
-    c = (1-p)/n Tr(S) and Tr(S) summed from ``d`` as np.trace sums it.
-    """
-
-    if isinstance(ch, DiagonalChannel):
-        return diagonal_image(ch, d)
-    c = ((1 - ch.p) / ch.dim * np.add.reduce(d, axis=-1) * (1 + 0j))[..., None]
-    hybrid = ch.family in _HYBRID
-    out = d * (-ch.p if hybrid else ch.p)
-    out += c
-    if hybrid:
-        out += 2 * ch.p * d
-    return out
 
 
 def _diagonal_view(out: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Every command emits a deterministic report (identical argv, input files
-and BLAS thread count produce byte-identical output): a JSON document,
+Every command emits a deterministic report (identical argv and input
+files produce byte-identical output; :func:`run` pins BLAS to one
+thread): a JSON document,
 except ``basis`` without ``--json``, which prints a text listing.  The
 verdict is the exit code:
 
@@ -501,8 +502,14 @@ def run() -> NoReturn:
     A stream that cannot be flushed leaves the exit to the interpreter,
     which reports it as any exit does (a closed pipe: exit 120).  ``main``
     itself leaves the collector on, because tests call it in process.
+
+    Before NumPy loads, each BLAS thread-count variable that is unset is
+    set to 1, since some products and eigenvalues round differently on
+    another thread count; a value the user set is kept.
     """
 
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     gc.disable()
     code = main()
     atexit._run_exitfuncs()

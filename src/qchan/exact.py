@@ -179,7 +179,7 @@ _PEAK_BYTES = {
     "verify cptp": _PeakBytes("verify cptp", per_n2=100),
     "verify constant-norm": _PeakBytes("verify constant-norm", per_n2=100, per_item=24),
     "detcheck": _PeakBytes("detcheck", per_n2=100, per_item=16),
-    "identities": _PeakBytes("identities", per_n2=280),  # also sizes verification's trial stacks
+    "identities": _PeakBytes("identities", per_n2=300),  # also sizes verification's trial stacks
     "witness": _PeakBytes("the spectrum witnesses", per_n2=700),  # and mixed-pair certify
     "report": _PeakBytes("the report", per_n2=4700, per_item=48),
     "basis": _PeakBytes("the basis", per_n2=500, per_n4=16),

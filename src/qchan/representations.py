@@ -145,7 +145,7 @@ def _direct_sums(s: np.ndarray, n: int) -> dict[str, np.ndarray]:
 
 # Peak bytes of one trial stack: the default trial counts of n <= 16 run in
 # one chunk, and memory stays flat at large n (one trial per chunk from
-# n = 123; chunks of 10 trials raised the peak of `report --dim 128` from
+# n = 119; chunks of 10 trials raised the peak of `report --dim 128` from
 # 101 to 151 MB).
 _TRIAL_CHUNK_BYTES = 8 << 20
 
@@ -209,7 +209,7 @@ def verify_representations(
     seed: int = 0,
     tol: Tolerance = _SUM_TOL,
 ) -> VerificationReport:
-    """Both conjugation-sum expansions against the closed family form.
+    """Both conjugation-sum expansions against the family member's action (:func:`family_apply`).
 
     The basis form is e0 S/n + ex X/2 + ey Y/2 + ez EZ (see ``_direct_sums``).
     """
@@ -230,8 +230,8 @@ def _representation_reports(
     brute-force sums are weighted for every member, so the reports equal
     those of one call per member, bit for bit: every form is elementwise,
     and the mean deviation stays a sequential sum over the trials.  Each
-    member is decided at ``tol.bound`` of the largest entry of its closed
-    form over the trials, which grows like |p|.
+    member is decided at ``tol.bound`` of the largest entry of its action
+    over the trials, which grows like |p|.
     """
 
     trials, seed = integer(trials, "trials", 1), integer(seed, "seed", 0)

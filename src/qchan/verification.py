@@ -40,10 +40,9 @@ from .channels import (
     FamilyChannel,
     _classical_block,
     _diagonal_view,
-    _output_diagonals,
-    _pair_sector_weights,
     _pair_sectors_into,
     as_linear_map,
+    diagonal_image,
     family_to_diagonal,
 )
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
@@ -239,8 +238,8 @@ def _sample_reports(
     diagonals come from v conj(v), the diagonals of the projectors, in one
     call per channel; each projector stack, built into a reused buffer,
     gets only the pair sectors and those rows.  Every value is that of the
-    apply engine up to the signs of zeros, so the reports equal those of
-    one call per channel, bit for bit.
+    apply engine, so the reports equal those of one call per channel, bit
+    for bit.
     """
 
     samples, seed = integer(samples, "samples", 0), integer(seed, "seed", 0)
@@ -248,17 +247,15 @@ def _sample_reports(
     for diag in diags:
         if diag.dim != n:
             raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
-    norms = np.empty((len(channels), n * n + samples))  # per channel: witness states, then Haar samples
+    norms = np.empty((len(diags), n * n + samples))  # per channel: witness states, then Haar samples
     norms[:, : n * n] = [_witness_norms(diag) for diag in diags]
-    # A weight that is zero throughout adds only zeros, whose signs no squared modulus sees.
-    weights = [[w if np.any(w) else None for w in _pair_sector_weights(ch)] for ch in channels]
     per_chunk = min(_states_per_chunk(n), samples)
     proj, out, sq = (np.empty((per_chunk, n, n), dtype=complex) for _ in range(3))
     pos = n * n
     for v in _haar_vectors(n, samples, seed):
         v_conj = v.conj()
         d = v * v_conj  # the diagonals of the projectors
-        rows = [_output_diagonals(ch, d) for ch in channels]
+        rows = [diagonal_image(diag, d) for diag in diags]
         for first in range(0, len(v), per_chunk):
             k = min(per_chunk, len(v) - first)
             chunk, images, squares = proj[:k], out[:k], sq[:k]
@@ -266,8 +263,8 @@ def _sample_reports(
             # Each state's squared norm is one contiguous sum over its n^2
             # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
             entries = squares.real.reshape(k, n * n)
-            for (a, b), diagonals, found in zip(weights, rows, norms):
-                _pair_sectors_into(a, b, chunk, images)
+            for diag, diagonals, found in zip(diags, rows, norms):
+                _pair_sectors_into(*diag._sector_weights, chunk, images)
                 _diagonal_view(images)[...] = diagonals[first : first + k]
                 np.conjugate(images, out=squares)
                 squares *= images

@@ -1,4 +1,4 @@
-"""Slow, independent oracles for the verdicts of qchan.verification and qchan.equivalence.
+"""Slow, independent oracles for the apply engine and the verdicts of qchan.verification and qchan.equivalence.
 
 The verdicts take channel objects only, use their structure and draw
 their random states in stacks.  These oracles decide the same questions
@@ -13,7 +13,11 @@ a ``QubitLambda``):
 * ``per_trial_qubit_check`` is ``qubit_equivalence_check`` one
   ``random_pure_state`` draw and one conjugation at a time;
 * ``per_pair_sums`` forms the x, y, z conjugation sums of one matrix a
-  pair and a term at a time from the nonzeros of ``pauli_matrix``.
+  pair and a term at a time from the nonzeros of ``pauli_matrix``;
+* ``dense_family_apply`` is a family member's closed form, summed from the
+  dense terms p S (or p S^T), (1-p)/n Tr(S) I and 2p d(S);
+  ``assert_is_the_closed_form`` holds the apply engine to it within a
+  stated rounding bound.
 
 ``state_labels`` spells out the names the sample test's witness text
 gives those states.
@@ -32,6 +36,52 @@ from qchan.linalg import frobenius_norm, hermitian_part
 from qchan.representations import to_choi
 from qchan.sampling import random_pure_state
 from qchan.verification import witness_states
+
+
+def dense_family_apply(ch, s):
+    """The closed form of a family member on a matrix or a stack: p S (or p S^T), (1-p)/n Tr(S) I and 2p d(S) summed."""
+
+    s = np.asarray(s, dtype=complex)
+    n, p = ch.dim, ch.p
+    trace = np.trace(s, axis1=-2, axis2=-1)
+    uniform = ((1 - p) / n * trace)[..., None, None] * np.eye(n, dtype=complex)
+    if ch.family is Family.DEP:
+        return p * s + uniform
+    s_t = np.swapaxes(s, -1, -2)
+    if ch.family is Family.TRD:
+        return p * s_t + uniform
+    d = np.diagonal(s, axis1=-2, axis2=-1)
+    embedded = np.zeros(d.shape + (n,), dtype=complex)
+    idx = np.arange(n)
+    embedded[..., idx, idx] = d
+    diag_part = 2 * p * embedded
+    if ch.family is Family.DCQ:
+        return -p * s + uniform + diag_part
+    return -p * s_t + uniform + diag_part
+
+
+def assert_is_the_closed_form(ch, s, got):
+    """``got``, the apply engine's output for the member ``ch`` on ``s``, is its closed form to rounding.
+
+    Off the diagonal both take the same product of +-p and one entry of S
+    (the engine's other weight is zero and left out), so the values are
+    equal; only the signs of zeros may differ.  On the diagonal the closed
+    form adds +-p S_ii, c = (1-p)/n Tr(S) and 2p S_ii, while the engine adds
+    Tr(S)/n to the staircase z-sector terms, each at most |p| times a
+    partial sum of |S_ii|, through prefix sums of up to n terms.  So each
+    output diagonal of a matrix is within 2 (n + 4) eps (1 + |p|) sum_i |S_ii|
+    of the closed form's.
+    """
+
+    want = dense_family_apply(ch, s)
+    n, idx = ch.dim, np.arange(ch.dim)
+    off = ~np.eye(n, dtype=bool)
+    assert got.shape == want.shape
+    assert np.array_equal(got[..., off], want[..., off])
+    diagonals = np.asarray(s, dtype=complex)[..., idx, idx]
+    bound = 2 * (n + 4) * np.finfo(float).eps * (1 + abs(ch.p)) * np.abs(diagonals).sum(axis=-1)
+    deviation = np.abs(got[..., idx, idx] - want[..., idx, idx]).max(axis=-1)
+    assert np.all(deviation <= bound), (deviation, bound)
 
 
 def dense_is_cptp(apply_fn, n, tol=DEFAULT_TOL):

@@ -2,13 +2,13 @@
 
 ``family_apply`` and ``diagonal_apply`` (and calling a channel) run one
 engine, ``channels._apply``, in two stages: the pair sectors, then the
-output diagonal, with a family member's signed zero added in between.
-The sample test runs the stages itself: the output diagonals once per
-draw of unit vectors v, from v conj(v), and the pair sectors once per
-projector stack, without a pair weight that is zero throughout.  The
-oracles below are the bodies the public functions had before, summing
-the dense terms c I and 2p d(S).  Equal ``tobytes()`` also pins the signs
-of zeros, which those terms set off the diagonal.
+output diagonal.  A family member runs it on its multipliers, so its bits
+are those of its ``DiagonalChannel``; the closed form it agrees with to
+rounding is ``dense_oracles.dense_family_apply``.  The sample test runs
+the stages itself: the output diagonals once per draw of unit vectors v,
+from v conj(v), and the pair sectors once per projector stack.  The
+diagonal channels' oracle below is the body ``diagonal_apply`` had
+before; equal ``tobytes()`` also pins the signs of zeros.
 """
 
 from unittest import mock
@@ -30,29 +30,9 @@ from qchan.channels import (
 from qchan.exact import Family, param_range
 from qchan.sampling import random_pure_state
 
+from dense_oracles import assert_is_the_closed_form
+
 DIMS = [2, 3, 5]
-
-
-def dense_family_apply(ch, s):
-    """family_apply as it summed p S (or p S^T), (1-p)/n Tr(S) I and 2p d(S)."""
-
-    s = np.asarray(s, dtype=complex)
-    n, p = ch.dim, ch.p
-    trace = np.trace(s, axis1=-2, axis2=-1)
-    uniform = ((1 - p) / n * trace)[..., None, None] * np.eye(n, dtype=complex)
-    if ch.family is Family.DEP:
-        return p * s + uniform
-    s_t = np.swapaxes(s, -1, -2)
-    if ch.family is Family.TRD:
-        return p * s_t + uniform
-    d = np.diagonal(s, axis1=-2, axis2=-1)
-    embedded = np.zeros(d.shape + (n,), dtype=complex)
-    idx = np.arange(n)
-    embedded[..., idx, idx] = d
-    diag_part = 2 * p * embedded
-    if ch.family is Family.DCQ:
-        return -p * s + uniform + diag_part
-    return -p * s_t + uniform + diag_part
 
 
 def dense_diagonal_apply(ch, s):
@@ -132,10 +112,30 @@ def assert_engine(ch, apply, oracle):
             assert_same_bits(apply(ch, s), want)
 
 
+def member_as_diagonal(ch, s):
+    return diagonal_apply(family_to_diagonal(ch), s)
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_family_engine_is_the_dense_sum(n):
     for ch in family_members(n):
-        assert_engine(ch, family_apply, dense_family_apply)
+        assert_engine(ch, family_apply, member_as_diagonal)
+        for s in inputs(n):
+            assert_is_the_closed_form(ch, s, family_apply(ch, s))
+
+
+@given(
+    st.sampled_from(list(Family)),
+    st.floats(-1e100, 1e100),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_family_member_is_the_closed_form_to_rounding(family, p, n, seed):
+    ch = FamilyChannel(family, p, n)
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    assert_is_the_closed_form(ch, s, family_apply(ch, s))
 
 
 @pytest.mark.parametrize("n", DIMS)

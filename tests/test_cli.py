@@ -705,8 +705,8 @@ class TestSizeGuards:
             ),
             (["witness", "--pair", "dep,dcq", "--dim", "1752"], "the spectrum witnesses at dim 1752: about 2.0"),
             (["certify", "--pair", "tcq,dep", "--dim", "100000"], "the spectrum witnesses at dim 100000: about 6519.3"),
-            (["identities", "--dim", "2770"], "identities at dim 2770: about 2.0"),
-            (["identities", "--dim", "5000"], "identities at dim 5000: about 6.5"),
+            (["identities", "--dim", "2676"], "identities at dim 2676: about 2.0"),
+            (["identities", "--dim", "5000"], "identities at dim 5000: about 7.0"),
             (["detcheck", "--dim", "4635"], "detcheck at dim 4635: about 2.0"),
             (
                 ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478448"],
@@ -740,7 +740,7 @@ class TestSizeGuards:
             ["witness", "--pair", "dep,dcq", "--dim", "1751"],
             ["certify", "--pair", "tcq,dep", "--dim", "1751"],
             ["certify", "--pair", "dep,trd", "--dim", "100000"],  # bound matching: nothing of size n^2
-            ["identities", "--dim", "2769"],
+            ["identities", "--dim", "2675"],
             ["detcheck", "--dim", "4634"],
             ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478447"],
             ["report", "--dim", "3", "--samples", "44738361"],
@@ -1162,6 +1162,33 @@ def _run_numpy_probe(argv, cwd):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     return result["code"], set(result["added"])
+
+
+class TestBlasThreads:
+    """``cli.run`` sets each unset BLAS thread-count variable to 1 before NumPy loads.
+
+    At n = 800 the smallest Choi eigenvalue of this command (not CP: exit 1)
+    rounds differently on two BLAS threads than on one.
+    """
+
+    def test_stdout_is_the_one_thread_stdout(self, tmp_path):
+        argv = ["verify", "cptp", "--family", "dcq", "--dim", "800", "--p", "0.0001"]
+        variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k not in variables}
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        outputs = []
+        for pinned in (False, True):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qchan", *argv],
+                cwd=tmp_path,
+                env=env | dict.fromkeys(variables, "1") if pinned else env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (1, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestNumpyFreeCommands:

@@ -31,7 +31,7 @@ from qchan.linalg import frobenius_norm
 from qchan.sampling import random_pure_state
 from qchan.verification import constant_fnorm_sample_test, is_cptp, witness_states
 
-from dense_oracles import dense_is_cptp, per_state_sample_test, state_labels
+from dense_oracles import assert_is_the_closed_form, dense_is_cptp, per_state_sample_test, state_labels
 
 dims = st.integers(min_value=2, max_value=8)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -116,21 +116,6 @@ def assert_sample_test_matches_per_state_loop(ch, samples, seed):
         assert got == want or abs(norms[labels.index(got)] - norms[labels.index(want)]) <= 1e-15
 
 
-def old_family_apply(ch, s):
-    """The closed forms as written before stacks were accepted."""
-
-    n, p = ch.dim, ch.p
-    uniform = (1 - p) / n * np.trace(s) * np.eye(n, dtype=complex)
-    if ch.family is Family.DEP:
-        return p * s + uniform
-    if ch.family is Family.TRD:
-        return p * s.T + uniform
-    diag_part = 2 * p * np.diag(np.diag(s))
-    if ch.family is Family.DCQ:
-        return -p * s + uniform + diag_part
-    return -p * s.T + uniform + diag_part
-
-
 @given(st.one_of(diagonal_channels(), family_channels()))
 @settings(max_examples=80, deadline=None)
 def test_block_verdict_matches_dense_choi(ch):
@@ -170,12 +155,9 @@ def test_stacked_family_apply_is_bit_identical(ch, seed):
     stack = complex_matrices(rng, (4, ch.dim, ch.dim))
     out = family_apply(ch, stack)
     for i in range(4):
-        single = family_apply(ch, stack[i])
-        assert np.array_equal(out[i], single)
-        assert np.array_equal(single, old_family_apply(ch, stack[i]))
-    np.testing.assert_allclose(
-        out, diagonal_apply(family_to_diagonal(ch), stack), atol=1e-12
-    )
+        assert np.array_equal(out[i], family_apply(ch, stack[i]))
+    assert out.tobytes() == diagonal_apply(family_to_diagonal(ch), stack).tobytes()
+    assert_is_the_closed_form(ch, stack, out)
 
 
 @given(st.one_of(diagonal_channels(), family_channels()), st.integers(0, 40), seeds)
