@@ -16,7 +16,8 @@
 # - each command on small inputs, on family and diagonal channel files and
 #   on signed-zero states;
 # - the sampled and summed checks at larger n, up to `identities --dim 1000`
-#   and `report --dim 128` (near 600 MB and 100 MB);
+#   and `report --dim 128` (near 600 MB and 100 MB), and the sample test at
+#   n = 300;
 # - refusals that exit 2 at once: malformed flags and file fields, values
 #   past the 1e100 magnitude bound, and sizes at or past each size guard
 #   (`--dim 4635`, `--samples 89478448`, ...);
@@ -134,6 +135,7 @@ commands=(
     "identities --dim 1000 --trials 1 --seed 0"
     "report --dim 5 --samples 20000 --seed 3"
     "verify constant-norm --family tcq --dim 64 --p 0.001 --samples 2000 --seed 5"
+    "verify constant-norm --family tcq --dim 300 --p 0.001 --samples 200 --seed 1"
     "verify cptp --family dep --dim 4635 --p 0.1"
     "detcheck --dim 4635"
     "identities --dim 2770"

@@ -197,6 +197,8 @@ def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
 def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
     """Multiplier vector of the family member over the Hermitian basis (built once per channel)."""
 
+    if not isinstance(ch, FamilyChannel):
+        raise TypeError(f"expected FamilyChannel, got {type(ch).__name__}")
     return ch._diagonal
 
 

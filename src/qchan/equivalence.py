@@ -379,7 +379,7 @@ def qubit_equivalence_check(
     worst = 0.0
     worst_case = None
     for v in _haar_vectors(2, trials, seed):
-        s = v[:, :, None] * v.conj()[:, None, :]  # the projectors, as the sample test builds them
+        s = v[:, :, None] * v.conj()[:, None, :]  # the projectors, each np.outer(v, v.conj()) bit for bit
         target = diagonal_apply(phi1, s)
         conjugated = np.stack([sigma @ diagonal_apply(ch, s) @ sigma for _, sigma, ch in cases], axis=1)
         devs = np.abs(conjugated - target[:, None]).max(axis=(-2, -1))  # (trials, cases)

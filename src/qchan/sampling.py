@@ -27,18 +27,13 @@ def random_pure_state(n: int, rng: Union[int, np.random.Generator, None] = None)
     return np.outer(v, v.conj())
 
 
-# Bytes of one stack of states in the sample test.  It bounds both the Haar
-# unit vectors drawn at once (16 n bytes each, so 204 states per draw at
-# n = 20) and the projector stacks the pair sectors are applied to (16 n^2
-# bytes per state); so memory stays flat however many states are drawn.
-# The size is chosen for speed: the per-state norms do not depend on it, and
-# on lib-verdicts' ops (n = 8-20, one BLAS thread) 32, 128 and 256 KiB took
-# 1.11-1.18, 1.09-1.23 and 1.35-1.50 times as long as 64 KiB.
+# Bytes of the normals drawn at once: 16 n bytes per Haar state, so 204
+# states per draw at n = 20, and memory stays flat however many states are
+# drawn.  The sample test takes its quadratic forms of one draw at a time,
+# so the size moves its norms only at the rounding level (a one-state draw
+# takes another BLAS kernel than a stack).  At lib-verdicts' sizes
+# (n = 8-20, 200 samples) each sample test is one draw.
 _CHUNK_BYTES = 1 << 16
-
-
-def _states_per_chunk(n: int) -> int:
-    return max(1, _CHUNK_BYTES // (16 * n * n))
 
 
 def _complex_normals(seed: int, count: int, per_stack: int, shape: tuple[int, ...]):

@@ -8,8 +8,8 @@ re-running the computation.  The conventions:
   ``DiagonalChannel``; anything else raises the TypeError of
   ``as_linear_map``) and uses its structure: block-wise Choi checks,
   witness-state norms in closed form from the Choi block data (D D^T and
-  t_x, t_y) and Haar samples applied in batches, each output diagonal
-  once per draw from the diagonal v conj(v) of |v><v|;
+  t_x, t_y), and Haar-state norms as quadratic forms in the real and
+  imaginary parts of each stack of draws, with no projector built;
 * complete positivity is decided by the smallest Choi eigenvalue with a
   threshold scaled to the Choi matrix's Frobenius norm;
 * trace preservation is the partial trace of the Choi matrix over the
@@ -39,8 +39,6 @@ from .channels import (
     DiagonalChannel,
     FamilyChannel,
     _classical_block,
-    _diagonal_view,
-    _pair_sectors_into,
     as_linear_map,
     diagonal_image,
     family_to_diagonal,
@@ -48,7 +46,7 @@ from .channels import (
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
 from .linalg import _pair_index, frobenius_norm
-from .sampling import _haar_vectors, _states_per_chunk
+from .sampling import _haar_vectors
 
 __all__ = [
     "is_cptp",
@@ -222,8 +220,8 @@ def constant_fnorm_sample_test(
     tolerance of the largest observed norm; the witness field names the
     states achieving the extreme norms otherwise.  The n^2 witness norms
     come in closed form from the channel's Choi block data
-    (:func:`_witness_norms`, O(n^3)), and the Haar samples are applied in
-    batches, output diagonals once per draw (:func:`_sample_reports`).
+    (:func:`_witness_norms`, O(n^3)), and the Haar samples' as quadratic
+    forms on stacks of draws, O(n^2) per state (:func:`_sample_reports`).
     """
 
     return _sample_reports([ch], n, samples, seed, tol)[0]
@@ -234,12 +232,21 @@ def _sample_reports(
 ) -> list[VerificationReport]:
     """``constant_fnorm_sample_test`` of each channel object, from one set of Haar draws.
 
-    Each draw of unit vectors v is shared by every channel: its output
-    diagonals come from v conj(v), the diagonals of the projectors, in one
-    call per channel; each projector stack, built into a reused buffer,
-    gets only the pair sectors and those rows.  Every value is that of the
-    apply engine, so the reports equal those of one call per channel, bit
-    for bit.
+    No projector is built.  Write a stack of unit vectors as v = x + iy,
+    with X = x^2, Y = y^2, Z = xy and P = X + Y, the projectors' diagonals.
+    The pair sectors send entry (k, l) of |v><v| to t_x Re + i t_y Im, so
+    each state's squared output norm is
+
+        |diagonal_image(P)|^2 + P^T W_x P + 2 (Z^T Delta Z - X^T Delta Y)
+
+    with the weights of :func:`_pair_forms`: (S x n)(n x n) products and
+    row dots, the first alone where Delta is 0 (every family member).  The
+    Delta terms are signed: a state whose sum keeps at most 2^-10 of its
+    absolute terms (|Z|^T |Delta| |Z| and X^T |Delta| Y in place of the
+    signed ones) lost over 10 bits, and is summed from its own projector by
+    the apply engine instead, as :func:`_witness_norms` re-sums its pairs.
+    No value depends on another channel, so the reports equal those of one
+    call per channel, bit for bit.
     """
 
     samples, seed = integer(samples, "samples", 0), integer(seed, "seed", 0)
@@ -249,28 +256,46 @@ def _sample_reports(
             raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
     norms = np.empty((len(diags), n * n + samples))  # per channel: witness states, then Haar samples
     norms[:, : n * n] = [_witness_norms(diag) for diag in diags]
-    per_chunk = min(_states_per_chunk(n), samples)
-    proj, out, sq = (np.empty((per_chunk, n, n), dtype=complex) for _ in range(3))
+    forms = [_pair_forms(diag) for diag in diags]
     pos = n * n
     for v in _haar_vectors(n, samples, seed):
-        v_conj = v.conj()
-        d = v * v_conj  # the diagonals of the projectors
-        rows = [diagonal_image(diag, d) for diag in diags]
-        for first in range(0, len(v), per_chunk):
-            k = min(per_chunk, len(v) - first)
-            chunk, images, squares = proj[:k], out[:k], sq[:k]
-            np.multiply(v[first : first + k, :, None], v_conj[first : first + k, None, :], out=chunk)
-            # Each state's squared norm is one contiguous sum over its n^2
-            # entries, as np.linalg.norm(axis=(-2, -1)) takes it of one state.
-            entries = squares.real.reshape(k, n * n)
-            for diag, diagonals, found in zip(diags, rows, norms):
-                _pair_sectors_into(*diag._sector_weights, chunk, images)
-                _diagonal_view(images)[...] = diagonals[first : first + k]
-                np.conjugate(images, out=squares)
-                squares *= images
-                np.sqrt(np.add.reduce(entries, axis=-1), out=found[pos : pos + k])
-            pos += k
+        xx, yy, z = v.real**2, v.imag**2, v.real * v.imag
+        p = (v * v.conj()).real  # X + Y with the bits of the projectors' diagonals
+        for diag, (w_x, signed), found in zip(diags, forms, norms):
+            diagonals = diagonal_image(diag, p)
+            sq = _row_dots(diagonals, diagonals) + _row_dots(p @ w_x, p)
+            if signed is not None:
+                delta, delta_abs = signed
+                z_abs = np.abs(z)
+                size = sq + 2 * (_row_dots(z_abs @ delta_abs, z_abs) + _row_dots(xx @ delta_abs, yy))
+                sq += 2 * (_row_dots(z @ delta, z) - _row_dots(xx @ delta, yy))
+                for i in np.flatnonzero(sq <= size / 1024):
+                    image = diag(np.outer(v[i], v[i].conj()))
+                    sq[i] = np.vdot(image, image).real
+            np.sqrt(sq, out=found[pos : pos + len(v)])
+        pos += len(v)
     return [_norm_spread_report(found, n, tol) for found in norms]
+
+
+def _pair_forms(diag: DiagonalChannel) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """W_x = t_x^2 and (Delta, |Delta|), Delta = t_x^2 - t_y^2, as symmetric n x n weights of the pairs.
+
+    The second is None where t_x^2 and t_y^2 agree bit for bit (every family member).
+    """
+
+    k, l = _pair_index(diag.dim)
+    w_x, w_y = diag.t_x**2, diag.t_y**2
+    signed = not np.array_equal(w_x, w_y)
+    rows = [w_x, w_x - w_y, np.abs(w_x - w_y)] if signed else [w_x]
+    out = np.zeros((len(rows), diag.dim, diag.dim))
+    out[:, k, l] = out[:, l, k] = rows
+    return out[0], (out[1:] if signed else None)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two (k, n) arrays."""
+
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> VerificationReport:

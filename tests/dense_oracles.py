@@ -10,6 +10,10 @@ a ``QubitLambda``):
   ``to_choi``, eigensolves it and takes its partial trace;
 * ``per_state_sample_test`` applies the map to ``witness_states(n)``,
   then to ``random_pure_state`` draws, one state at a time;
+  ``per_state_haar_norms`` is its Haar part alone, and
+  ``assert_sample_norms_agree`` holds the sample test's per-state norms
+  (``sample_norms`` hands them out) to it within a stated rounding bound
+  (``sample_rounding_bounds``);
 * ``per_trial_qubit_check`` is ``qubit_equivalence_check`` one
   ``random_pure_state`` draw and one conjugation at a time;
 * ``per_pair_sums`` forms the x, y, z conjugation sums of one matrix a
@@ -25,6 +29,7 @@ gives those states.
 
 from functools import lru_cache
 from itertools import chain, combinations
+from unittest import mock
 
 import numpy as np
 
@@ -120,6 +125,109 @@ def per_state_sample_test(apply_fn, n, samples=1000, seed=0, tol=DEFAULT_TOL):
     states = chain(witness_states(n), (random_pure_state(n, rng) for _ in range(samples)))
     norms = np.array([frobenius_norm(apply_fn(s)) for s in states])
     return verification._norm_spread_report(norms, n, tol)
+
+
+def sample_norms(call):
+    """``call()``'s result and the norm arrays it handed to ``_norm_spread_report``, one per report, in order.
+
+    The sample test and ``per_state_sample_test`` both decide through
+    ``verification._norm_spread_report``, so these are their per-state
+    norms: the witness states, then the Haar draws.
+    """
+
+    seen = []
+    spread_report = verification._norm_spread_report
+
+    def keep(norms, *args):
+        seen.append(norms.copy())
+        return spread_report(norms, *args)
+
+    with mock.patch.object(verification, "_norm_spread_report", keep):
+        result = call()
+    return result, seen
+
+
+def per_state_haar_norms(apply_fn, n, samples, seed):
+    """The Haar part of ``per_state_sample_test``'s norms: the map on each ``random_pure_state`` draw, one at a time."""
+
+    rng = np.random.default_rng(seed)
+    return np.array([frobenius_norm(apply_fn(random_pure_state(n, rng))) for _ in range(samples)])
+
+
+def sample_vectors(n, samples, seed, witness=True):
+    """Unit vectors of the sample test's states: the witness vectors (unless ``witness`` is false), then
+    ``random_pure_state``'s v of each draw."""
+
+    if witness:
+        eye = np.eye(n, dtype=complex)
+        pairs = list(combinations(range(n), 2))
+        yield from eye
+        yield from ((eye[k] + eye[l]) / np.sqrt(2) for k, l in pairs)
+        yield from ((1j * eye[k] + eye[l]) / np.sqrt(2) for k, l in pairs)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield v / np.linalg.norm(v)
+
+
+def sample_rounding_bounds(ch, vectors):
+    """Per state |v><v|, how far the sample test's squared norm may be from the oracle's: (2n + 4) eps (A + A_o).
+
+    Write v = x + iy, with X = x^2, Y = y^2, Z = xy, P = X + Y and d the
+    output diagonal, and per pair k < l take w = t_x^2 and
+    delta = |t_x^2 - t_y^2|.  The sample test sums the squared norm as
+    quadratic forms whose absolute terms add up to
+    A = |d|^2 + 2 sum_{k<l} (w P_k P_l + delta (2 |Z_k Z_l| + X_k Y_l + X_l Y_k)),
+    each form a sum of at most 2n products, so it is within (2n + 4) eps A
+    of the exact value.  The oracle squares the apply engine's entries
+    a rho_kl + b rho_lk, whose absolute terms add up to
+    A_o = |d|^2 + 2 sum_{k<l} (|a| + |b|)^2 P_k P_l, and is given the same
+    allowance on A_o.  The witness states' norms, which the sample test
+    takes from the Choi block data instead, are held to the same bound.
+    """
+
+    diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
+    n = diag.dim
+    k, l = np.triu_indices(n, 1)  # lexicographic pairs, the order of t_x and t_y
+    w, delta = diag.t_x**2, np.abs(diag.t_x**2 - diag.t_y**2)
+    entry = np.maximum(np.abs(diag.t_x), np.abs(diag.t_y)) ** 2  # (|a| + |b|)^2
+    vectors = np.array(list(vectors)).reshape(-1, n)
+    bounds = []
+    for v in np.array_split(vectors, len(vectors) // 256 + 1):  # 256 states at a time
+        x, y = v.real, v.imag
+        xx, yy, z = x * x, y * y, x * y
+        p = xx + yy
+        d = np.diagonal(diagonal_apply(diag, v[:, :, None] * v.conj()[:, None, :]), axis1=-2, axis2=-1).real
+        forms = w * p[:, k] * p[:, l] + delta * (2 * np.abs(z[:, k] * z[:, l]) + xx[:, k] * yy[:, l] + xx[:, l] * yy[:, k])
+        squares = (d * d).sum(axis=-1)
+        a = squares + 2 * forms.sum(axis=-1)
+        a_o = squares + 2 * (entry * p[:, k] * p[:, l]).sum(axis=-1)
+        bounds.append((2 * n + 4) * np.finfo(float).eps * (a + a_o))
+    return np.concatenate(bounds)
+
+
+def assert_sample_norms_agree(got, want, bounds):
+    """Per state, the squared norms of ``got`` and ``want`` are within ``bounds``; none is NaN.
+
+    ``got`` and ``want`` are norm arrays of the same states from two sample
+    tests of one channel, for instance the fast one and the oracle's, and
+    ``bounds`` their ``sample_rounding_bounds``.
+    """
+
+    deviation = np.abs(got**2 - want**2)
+    assert np.all(deviation <= bounds), (np.nanmax(deviation / bounds), int(np.argmax(~(deviation <= bounds))))
+
+
+def assert_same_extremes(got, want, bounds):
+    """Two norm arrays name the same extreme states, but where rounding broke a tie.
+
+    A state may differ only if the oracle's squared norms at the two states
+    are within the sum of their bounds (``sample_rounding_bounds``).
+    """
+
+    for pick in (np.argmax, np.argmin):
+        i, j = int(pick(got)), int(pick(want))
+        assert i == j or abs(want[i] ** 2 - want[j] ** 2) <= bounds[i] + bounds[j], (pick.__name__, i, j)
 
 
 def per_trial_qubit_check(p, trials=100, seed=0, tol=Tolerance(absolute=1e-12, relative=0.0)):

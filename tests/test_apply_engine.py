@@ -1,14 +1,18 @@
-"""The apply engine and the sample test's per-state norms, bit for bit.
+"""The apply engine, bit for bit, and the sample test's per-state norms, to rounding.
 
 ``family_apply`` and ``diagonal_apply`` (and calling a channel) run one
 engine, ``channels._apply``, in two stages: the pair sectors, then the
 output diagonal.  A family member runs it on its multipliers, so its bits
 are those of its ``DiagonalChannel``; the closed form it agrees with to
-rounding is ``dense_oracles.dense_family_apply``.  The sample test runs
-the stages itself: the output diagonals once per draw of unit vectors v,
-from v conj(v), and the pair sectors once per projector stack.  The
-diagonal channels' oracle below is the body ``diagonal_apply`` had
-before; equal ``tobytes()`` also pins the signs of zeros.
+rounding is ``dense_oracles.dense_family_apply``.  The diagonal channels'
+oracle below is the body ``diagonal_apply`` had before; equal
+``tobytes()`` also pins the signs of zeros.
+
+The sample test builds no projector: it sums each Haar state's squared
+norm as quadratic forms in the real and imaginary parts of v, and re-sums
+a state from its projector where those forms cancel.  Its per-state norms
+agree with ``dense_oracles.per_state_sample_test``'s within the rounding
+bound of ``dense_oracles.sample_rounding_bounds``.
 """
 
 from unittest import mock
@@ -28,9 +32,18 @@ from qchan.channels import (
     family_to_diagonal,
 )
 from qchan.exact import Family, param_range
-from qchan.sampling import random_pure_state
+from qchan.linalg import frobenius_norm
 
-from dense_oracles import assert_is_the_closed_form
+from dense_oracles import (
+    assert_is_the_closed_form,
+    assert_same_extremes,
+    assert_sample_norms_agree,
+    per_state_haar_norms,
+    per_state_sample_test,
+    sample_norms,
+    sample_rounding_bounds,
+    sample_vectors,
+)
 
 DIMS = [2, 3, 5]
 
@@ -163,51 +176,48 @@ def channels(draw):
     return ch if kind == "family" else family_to_diagonal(ch)
 
 
-# 1 and 1 << 16 are one-state and small stacks; 1 << 20 and 1 << 22 put up to
-# 65536 and 262144 entries in one stack, far past the 16384 at which a
-# whole-stack np.linalg.norm(axis=(-2, -1)) stops giving each state's bits.
+# 1 draws one state at a time (a one-row product takes another BLAS kernel);
+# 1 << 16 draws small stacks, and 1 << 20 and 1 << 22 every state in one.
 @given(channels(), st.integers(1, 80), st.integers(0, 2**32 - 1),
        st.sampled_from([1, 1 << 16, 1 << 20, 1 << 22]))
 @settings(max_examples=60, deadline=None)
 def test_sample_norms_are_the_one_state_norms(ch, samples, seed, chunk_bytes):
     n = ch.dim
-    seen = []
-
-    def keep(norms, *args):
-        seen.append(norms)
-        return spread_report(norms, *args)
-
-    spread_report = verification._norm_spread_report
-    with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes), \
-            mock.patch.object(verification, "_norm_spread_report", keep):
-        verification.constant_fnorm_sample_test(ch, n, samples=samples, seed=seed)
-    rng = np.random.default_rng(seed)
-    states = (random_pure_state(n, rng)[None] for _ in range(samples))
-    expected = [np.linalg.norm(ch(state), axis=(-2, -1))[0] for state in states]
-    (norms,) = seen
-    assert norms[n * n :].tobytes() == np.array(expected).tobytes()
+    with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes):
+        _, (got,) = sample_norms(lambda: verification.constant_fnorm_sample_test(ch, n, samples, seed))
+    want = per_state_haar_norms(ch, n, samples, seed)
+    bounds = sample_rounding_bounds(ch, sample_vectors(n, samples, seed, witness=False))
+    assert_sample_norms_agree(got[n * n :], want, bounds)
 
 
 @pytest.mark.parametrize(
     "ch, samples, seed",
     [
-        (FamilyChannel(Family.TCQ, 0.01, 20), 200, 0),  # 80000 entries in one stack
+        (FamilyChannel(Family.TCQ, 0.01, 20), 200, 0),  # 200 states in one draw
         (FamilyChannel(Family.TCQ, 0.01, 20), 200, 3),
-        (FamilyChannel(Family.TRD, 0.0125, 8), 400, 1),  # 25600 entries
+        (FamilyChannel(Family.TRD, 0.0125, 8), 400, 1),
     ],
 )
 def test_large_stack_norms_are_the_one_state_norms(ch, samples, seed):
     test_sample_norms_are_the_one_state_norms.hypothesis.inner_test(ch, samples, seed, 1 << 22)
 
 
-# The sample test's output diagonals rest on this: the diagonal of |v><v|
-# is v conj(v), and its trace is add.reduce of that, as np.trace sums it.
+@pytest.mark.parametrize("n, samples, seed", [(2, 30, 0), (3, 20, 5), (6, 10, 2)])
+def test_haar_norms_are_the_oracles_haar_part(n, samples, seed):
+    ch = DiagonalChannel(n, np.random.default_rng(n).uniform(-0.5, 0.5, n * n - 1))
+    _, (norms,) = sample_norms(lambda: per_state_sample_test(ch, n, samples, seed))
+    assert norms[n * n :].tobytes() == per_state_haar_norms(ch, n, samples, seed).tobytes()
+
+
+# The sample test's P, and so its output diagonals, rest on this: the
+# diagonal of |v><v| is v conj(v), and its trace is add.reduce of that, as
+# np.trace sums it.  The qubit check builds its projectors as below.
 @pytest.mark.parametrize(
     "n, samples", [(2, 50), (3, 50), (9, 50), (17, 50), (64, 20), (129, 8), (500, 3)]
 )
 def test_projector_diagonals_and_traces_come_from_the_vectors(n, samples):
     for v in sampling._haar_vectors(n, samples, n):
-        projectors = v[:, :, None] * v.conj()[:, None, :]  # as the sample test builds them
+        projectors = v[:, :, None] * v.conj()[:, None, :]
         d = v * v.conj()
         traces = np.add.reduce(d, axis=-1)
         assert_same_bits(d, np.diagonal(projectors, axis1=-2, axis2=-1))
@@ -215,3 +225,76 @@ def test_projector_diagonals_and_traces_come_from_the_vectors(n, samples):
         for i, projector in enumerate(projectors):  # one state, as the apply engine sums it
             assert_same_bits(projector, np.outer(v[i], v[i].conj()))
             assert traces[i].tobytes() == np.trace(projector).tobytes()
+
+
+# --- the cancellation guard ---------------------------------------------------
+#
+# The sample test's Delta = t_x^2 - t_y^2 terms are signed.  Where a state's
+# sum keeps at most 2^-10 of its absolute terms, the test re-sums it from its
+# projector; these cases put multipliers up to the 1e100 magnitude bound on
+# channels of unequal moduli.
+
+
+@st.composite
+def unequal_moduli(draw):
+    """A diagonal channel at n <= 8 whose multiplier moduli span up to 1e100, with t_x^2 != t_y^2."""
+
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.floats(0, 100))
+    t = rng.choice([-1.0, 1.0], n * n - 1) * 10.0 ** rng.uniform(-3, top, n * n - 1)
+    if draw(st.booleans()):
+        t[n * (n - 1) :] = 0  # no z-sector: the output diagonal is I / n
+    return DiagonalChannel(n, t)
+
+
+@given(unequal_moduli(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sample_norms_at_unequal_moduli_up_to_the_bound(ch, samples, seed):
+    n = ch.dim
+    fast, (got,) = sample_norms(lambda: verification.constant_fnorm_sample_test(ch, n, samples, seed))
+    oracle, (want,) = sample_norms(lambda: per_state_sample_test(ch, n, samples, seed))
+    assert not np.isnan(got).any()
+    # The witness states' norms come from the Choi block data, not from the quadratic forms.
+    bounds = sample_rounding_bounds(ch, sample_vectors(n, samples, seed, witness=False))
+    assert_sample_norms_agree(got[n * n :], want[n * n :], bounds)
+    assert fast.passed is oracle.passed is False
+
+
+def test_cancelling_states_are_summed_from_their_projectors():
+    # At t = (1e100, 0, 0), |v><v| with v = (1, i e^{i theta}) / sqrt(2) has
+    # squared norm 1/2 + 1e200 sin(theta)^2 / 2, and the quadratic forms give
+    # it as 5e199 - 5e199 + ...: every draw below is summed from its projector.
+    ch = DiagonalChannel(2, np.array([1e100, 0.0, 0.0]))
+    theta = np.array([0.0, 1e-100, 3e-101, 1e-90, 1e-60, 1e-20, 1e-9, 1e-5])
+    v = np.stack([np.ones_like(theta), 1j * np.exp(1j * theta)], axis=1) / np.sqrt(2)
+    with mock.patch.object(verification, "_haar_vectors", lambda n, samples, seed: iter([v.copy()])):
+        _, (got,) = sample_norms(lambda: verification.constant_fnorm_sample_test(ch, 2, len(v)))
+    want = [frobenius_norm(ch(np.outer(u, u.conj()))) for u in v]
+    assert np.allclose(got[4:], want, rtol=1e-14, atol=0)
+    assert np.allclose(got[4:6], [np.sqrt(0.5), 1.0], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "n, samples, t",
+    [
+        # The cancelling qubit channel over Haar draws.
+        (2, 1000, np.array([1e100, 0.0, 0.0])),
+        # One pair at the bound: about 3 % of Haar draws are re-summed.
+        (64, 100, np.concatenate([[1e100], np.linspace(0.01, 0.02, 64 * 63 - 1), np.full(63, 0.01)])),
+        # Random moduli up to the bound on the x and y sectors.
+        (64, 100, np.concatenate(
+            [np.random.default_rng(8).choice([-1.0, 1.0], 64 * 63) * 10.0 ** np.random.default_rng(9).uniform(-3, 100, 64 * 63),
+             np.zeros(63)])),
+    ],
+    ids=["n2-cancelling", "n64-one-pair", "n64-random"],
+)
+def test_unequal_moduli_fail_and_name_the_oracles_states(n, samples, t):
+    ch = DiagonalChannel(n, t)
+    fast, (got,) = sample_norms(lambda: verification.constant_fnorm_sample_test(ch, n, samples, 0))
+    oracle, (want,) = sample_norms(lambda: per_state_sample_test(ch, n, samples, 0))
+    bounds = sample_rounding_bounds(ch, sample_vectors(n, samples, 0))
+    assert not np.isnan(got).any()
+    assert_sample_norms_agree(got, want, bounds)
+    assert fast.passed is oracle.passed is False
+    assert_same_extremes(got, want, bounds)

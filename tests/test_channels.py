@@ -228,6 +228,11 @@ class TestCallableChannels:
         with pytest.raises(TypeError, match="FamilyChannel"):
             as_linear_map(lambda s: s)
 
+    @pytest.mark.parametrize("call", [family_to_diagonal, lambda ch: family_apply(ch, np.eye(2))])
+    def test_family_functions_reject_a_diagonal_channel(self, call):
+        with pytest.raises(TypeError, match="^expected FamilyChannel, got DiagonalChannel$"):
+            call(DiagonalChannel(2, np.zeros(3)))
+
     def test_diagonal_apply_accepts_non_hermitian_input(self):
         # The linear extension: E_12 goes to a E_12 + b E_21.
         ch = DiagonalChannel(2, np.array([0.5, 0.1, -0.2]))

@@ -695,29 +695,67 @@ class TestSizeGuards:
         monkeypatch.setattr(cli, "_tol_kwargs", refuse)
         monkeypatch.setattr("qchan.equivalence.inequivalence_certificate", refuse)
 
+    # Each id is a fixed label, the name pytest once generated from the row, so
+    # that re-measuring a `_PEAK_BYTES` row, which moves its argv and its
+    # text, renames no test.
     @pytest.mark.parametrize(
         "argv, what",
         [
-            (["verify", "cptp", "--family", "dep", "--dim", "30000", "--p", "0.1"], "verify cptp at dim 30000: about 83.8"),
-            (
+            pytest.param(
+                ["verify", "cptp", "--family", "dep", "--dim", "30000", "--p", "0.1"],
+                "verify cptp at dim 30000: about 83.8",
+                id="argv0-verify cptp at dim 30000: about 83.8",
+            ),
+            pytest.param(
                 ["verify", "constant-norm", "--family", "trd", "--dim", "4635", "--p", "0", "--samples", "0"],
                 "verify constant-norm at dim 4635: about 2.0",
+                id="argv1-verify constant-norm at dim 4635: about 2.0",
             ),
-            (["witness", "--pair", "dep,dcq", "--dim", "1752"], "the spectrum witnesses at dim 1752: about 2.0"),
-            (["certify", "--pair", "tcq,dep", "--dim", "100000"], "the spectrum witnesses at dim 100000: about 6519.3"),
-            (["identities", "--dim", "2676"], "identities at dim 2676: about 2.0"),
-            (["identities", "--dim", "5000"], "identities at dim 5000: about 7.0"),
-            (["detcheck", "--dim", "4635"], "detcheck at dim 4635: about 2.0"),
-            (
+            pytest.param(
+                ["witness", "--pair", "dep,dcq", "--dim", "1752"],
+                "the spectrum witnesses at dim 1752: about 2.0",
+                id="argv2-the spectrum witnesses at dim 1752: about 2.0",
+            ),
+            pytest.param(
+                ["certify", "--pair", "tcq,dep", "--dim", "100000"],
+                "the spectrum witnesses at dim 100000: about 6519.3",
+                id="argv3-the spectrum witnesses at dim 100000: about 6519.3",
+            ),
+            pytest.param(
+                ["identities", "--dim", "2676"],
+                "identities at dim 2676: about 2.0",
+                id="argv4-identities at dim 2676: about 2.0",
+            ),
+            pytest.param(
+                ["identities", "--dim", "5000"],
+                "identities at dim 5000: about 7.0",
+                id="argv5-identities at dim 5000: about 7.0",
+            ),
+            pytest.param(
+                ["detcheck", "--dim", "4635"],
+                "detcheck at dim 4635: about 2.0",
+                id="argv6-detcheck at dim 4635: about 2.0",
+            ),
+            pytest.param(
                 ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478448"],
                 "verify constant-norm at dim 3: about 2.0",
+                id="argv7-verify constant-norm at dim 3: about 2.0",
             ),
-            (
+            pytest.param(
                 ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "300000000"],
                 "verify constant-norm at dim 3: about 6.7",
+                id="argv8-verify constant-norm at dim 3: about 6.7",
             ),
-            (["report", "--dim", "3", "--samples", "44738362"], "the report at dim 3: about 2.0"),
-            (["detcheck", "--dim", "3", "--grid", "300000000"], "detcheck at dim 3: about 4.5"),
+            pytest.param(
+                ["report", "--dim", "3", "--samples", "44738362"],
+                "the report at dim 3: about 2.0",
+                id="argv9-the report at dim 3: about 2.0",
+            ),
+            pytest.param(
+                ["detcheck", "--dim", "3", "--grid", "300000000"],
+                "detcheck at dim 3: about 4.5",
+                id="argv10-detcheck at dim 3: about 4.5",
+            ),
         ],
     )
     def test_oversized_dim_exits_2(self, capsys, no_work, argv, what):

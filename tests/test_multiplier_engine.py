@@ -237,8 +237,8 @@ def assert_stream_is(stacks, expected):
     return count
 
 
-# 302752 bytes puts 2..4730 states in each projector stack of the sample test
-# at these n, and never a whole number of them in a draw stack.
+# At these n the chunk sizes draw from one state (1 byte) to 9461 states
+# (302752 bytes at n = 2) per stack, and samples leave the last stack short.
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 64, 97])
 @pytest.mark.parametrize("chunk_bytes", [1, 16 * 7 * 7 * 5, 1 << 16, 302752])
 def test_state_chunks_are_the_per_state_draws(monkeypatch, n, chunk_bytes):

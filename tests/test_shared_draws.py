@@ -4,7 +4,10 @@
 checks all four families against them in trial stacks.  The loops below
 are the slow oracles: each family draws its own inputs and runs one trial
 at a time, exactly as the checks did before batching.  Every field of
-every report must agree exactly.
+every representation and identity report must agree exactly.  The shared
+sample reports equal one ``constant_fnorm_sample_test`` per channel
+exactly, and agree with ``dense_oracles.per_state_sample_test`` state by
+state within its rounding bound.
 """
 
 import json
@@ -19,7 +22,6 @@ from qchan import exact, jsonio, representations, sampling, verification
 from qchan.channels import DiagonalChannel, FamilyChannel, family_apply, family_to_diagonal
 from qchan.cli import main
 from qchan.exact import (
-    DEFAULT_TOL,
     Family,
     Tolerance,
     VerificationReport,
@@ -29,7 +31,15 @@ from qchan.exact import (
 from qchan.representations import verify_representations, verify_sum_identities
 from qchan.verification import constant_fnorm_sample_test
 
-from dense_oracles import per_pair_sums, state_labels
+from dense_oracles import (
+    assert_same_extremes,
+    assert_sample_norms_agree,
+    per_pair_sums,
+    per_state_sample_test,
+    sample_norms,
+    sample_rounding_bounds,
+    sample_vectors,
+)
 
 SUM_TOL = Tolerance(absolute=1e-12, relative=1e-14)
 dims = st.integers(min_value=2, max_value=12)
@@ -135,31 +145,18 @@ def identities_loop(n, trials, seed, tol=SUM_TOL):
     )
 
 
-def sample_test_loop(ch, n, samples, seed, tol=DEFAULT_TOL):
-    """One channel's sample test with its own Haar draws, applied one state at a time."""
-    diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
-    vectors = (v for stack in sampling._haar_vectors(n, samples, seed) for v in stack)
-    haar = (np.outer(v, v.conj())[None] for v in vectors)
-    norms = np.concatenate(
-        [verification._witness_norms(diag), *(np.linalg.norm(ch(c), axis=(-2, -1)) for c in haar)]
-    )
-    spread = float(norms.max() - norms.min())
-    mean = float(norms.mean())
-    passed = spread <= tol.bound(float(norms.max()))
-    witness = None
-    if not passed:
-        labels = state_labels(n, samples)
-        witness = (
-            f"norm spread {spread:.6e}: max {norms.max():.12f} at {labels[int(norms.argmax())]}, "
-            f"min {norms.min():.12f} at {labels[int(norms.argmin())]}"
-        )
-    return VerificationReport(
-        passed=passed,
-        max_deviation=spread,
-        mean_deviation=float(np.mean(np.abs(norms - mean))),
-        witness=witness,
-        samples_used=len(norms),
-    )
+def assert_each_is_the_oracle(channels, n, samples, seed, reports, norms):
+    """Each channel's sample report and norms against ``per_state_sample_test``: the same verdict
+    and extreme states, and every state's norm within its rounding bound."""
+
+    vectors = list(sample_vectors(n, samples, seed))
+    for ch, report, got in zip(channels, reports, norms, strict=True):
+        oracle, (want,) = sample_norms(lambda: per_state_sample_test(ch, n, samples, seed))
+        bounds = sample_rounding_bounds(ch, vectors)
+        assert_sample_norms_agree(got, want, bounds)
+        assert report.passed is oracle.passed
+        assert report.samples_used == oracle.samples_used
+        assert_same_extremes(got, want, bounds)
 
 
 # --- batched and shared against the loops ------------------------------------
@@ -244,20 +241,19 @@ def test_shared_sample_reports_equal_the_loops(n, samples, seed, where, chunk_by
     t = np.linspace(0.1, 0.4, n * n - 1)
     channels.append(DiagonalChannel(dim=n, t=t))
     with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes):
-        shared = verification._sample_reports(channels, n, samples, seed)
+        shared, norms = sample_norms(lambda: verification._sample_reports(channels, n, samples, seed))
         single = [constant_fnorm_sample_test(ch, n, samples=samples, seed=seed) for ch in channels]
-        expected = [sample_test_loop(ch, n, samples, seed) for ch in channels]
     assert shared[-1].witness is not None
-    assert shared == expected
-    assert single == expected
+    assert shared == single
+    assert_each_is_the_oracle(channels, n, samples, seed, shared, norms)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_reports_filled_across_many_stacks_equal_the_loops(n):
     # Trial stacks of 2 split 7 trials into four, the last one short; chunks
-    # of 32 n^2 bytes draw 50 Haar states in stacks of 2n, the last one short,
-    # and apply each stack two states at a time.  So the entries of each
-    # report's array of deviations or norms are written by many stacks.
+    # of 32 n^2 bytes draw 50 Haar states in stacks of 2n, the last one short.
+    # So the entries of each report's array of deviations or norms are
+    # written by many stacks.
     members = members_at([0.25, 0.5, 0.75, 1.0], n)
     channels = [FamilyChannel(f, p, n) for f, p in members]
     with trial_chunks_of(2, n):
@@ -267,10 +263,10 @@ def test_reports_filled_across_many_stacks_equal_the_loops(n):
     assert identities == identities_loop(n, 7, 5)
     with mock.patch.object(sampling, "_CHUNK_BYTES", 32 * n * n):
         assert [len(v) for v in sampling._haar_vectors(n, 50, 5)] == [2 * n] * (50 // (2 * n)) + [2]
-        assert sampling._states_per_chunk(n) == 2
-        shared = verification._sample_reports(channels, n, 50, 5)
-        expected = [sample_test_loop(ch, n, 50, 5) for ch in channels]
-    assert shared == expected
+        shared, norms = sample_norms(lambda: verification._sample_reports(channels, n, 50, 5))
+        single = [constant_fnorm_sample_test(ch, n, samples=50, seed=5) for ch in channels]
+    assert shared == single
+    assert_each_is_the_oracle(channels, n, 50, 5, shared, norms)
 
 
 def test_report_sections_equal_the_single_calls(capsys):
@@ -280,7 +276,9 @@ def test_report_sections_equal_the_single_calls(capsys):
     for family in Family:
         lo, hi = (float(x) for x in cptp_range(family, n))
         p = (lo + hi) / 2
-        sample = sample_test_loop(FamilyChannel(family, p, n), n, samples, seed)
+        ch = FamilyChannel(family, p, n)
+        sample, norms = sample_norms(lambda: constant_fnorm_sample_test(ch, n, samples=samples, seed=seed))
+        assert_each_is_the_oracle([ch], n, samples, seed, [sample], norms)
         rep = representations_loop(family, p, n, 50, seed)
         assert sections["constant_norm"][family.value]["report"] == json.loads(jsonio.dumps(sample))
         assert sections["representations"][family.value]["report"] == json.loads(jsonio.dumps(rep))
