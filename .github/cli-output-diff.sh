@@ -23,7 +23,9 @@
 #   (`--dim 4635`, `--samples 89478448`, ...);
 # - values at the bounds that run (`--p 1e100`; `cancelled.json`, whose
 #   pair sum cancels), `--output` to a file and to a missing directory, and
-#   the help texts.
+#   the help texts;
+# - the sample test's signed t_x^2 - t_y^2 forms on an n = 64 diagonal
+#   channel (`unequal64.json`).
 set -u
 
 base=$1
@@ -60,6 +62,13 @@ printf '{"kind": "family", "family": "dcq", "p": 1e308, "dim": 3}\n' > "$work/dc
 printf '{"kind": "family", "family": "dcq", "p": 1.7e308, "dim": 3}\n' > "$work/dcq_first_sum.json"
 printf '{"kind": "diagonal", "dim": 2, "t": [0, 0, 3000618250.613841]}\n' > "$work/cancelled.json"
 printf '{"kind": "family", "family": "dep", "p": 1e155, "dim": 3}\n' > "$work/huge_p.json"
+# n = 64 with t_x and t_y moduli that differ pair by pair: the sample test's signed Delta forms at size.
+python -c '
+import json
+n, m = 64, 64 * 63 // 2
+t = [((7 * i) % 101 - 50) / 200 for i in range(m)] + [((11 * i) % 89 - 44) / 150 for i in range(m)]
+print(json.dumps({"kind": "diagonal", "dim": n, "t": t + [((5 * i) % 31 - 15) / 100 for i in range(n - 1)]}))
+' > "$work/unequal64.json"
 # Family files with one refused field, and one with two (the first in field order is named).
 printf '{"kind": "family", "family": "xyz", "p": 0.1, "dim": 3}\n' > "$work/bad_family.json"
 printf '{"kind": "family", "family": "dep", "p": 0.1, "dim": 3.0}\n' > "$work/float_dim.json"
@@ -163,6 +172,7 @@ commands=(
     "verify constant-norm --family dcq --dim 3 --p 1.7e308 --samples 5"
     "channel apply --channel $work/dcq_first_sum.json --state $work/state.json"
     "verify constant-norm --channel $work/cancelled.json --samples 3"
+    "verify constant-norm --channel $work/unequal64.json --samples 200 --seed 4"
     "verify constant-norm --family dcq --dim 3 --p 1e100 --samples 5"
     "verify cptp --channel $work/huge_p.json"
     "report --dim 3 --seed -1"

@@ -36,7 +36,7 @@ from .exact import (
     pair_count,
 )
 from .jsonio import _MAX_MAGNITUDE, SchemaError, finite_number, integer, require, require_int
-from .linalg import _pair_index, as_matrix, as_matrix_stack, frobenius_norm, hermitian_part, is_hermitian
+from .linalg import _pair_index, _steps, as_matrix, as_matrix_stack, frobenius_norm, hermitian_part, is_hermitian
 
 __all__ = [
     "FamilyChannel",
@@ -130,13 +130,10 @@ class DiagonalChannel(_Frozen):
 
         n = self.dim
         k, l = _pair_index(n)
-        a = np.zeros((n, n))
-        b = np.zeros((n, n))
-        a[k, l] = a[l, k] = (self.t_x + self.t_y) / 2
-        b[k, l] = b[l, k] = (self.t_x - self.t_y) / 2
-        a.flags.writeable = False
-        b.flags.writeable = False
-        return a, b
+        ab = np.zeros((2, n, n))
+        ab[:, k, l] = ab[:, l, k] = (self.t_x + self.t_y) / 2, (self.t_x - self.t_y) / 2
+        ab.flags.writeable = False
+        return ab[0], ab[1]
 
     @cached_property
     def _sector_weights(self) -> tuple:
@@ -157,6 +154,28 @@ class DiagonalChannel(_Frozen):
         if (a == 0) != (b == 0):
             return (None, b) if a == 0 else (a, None)
         return a, b
+
+    @cached_property
+    def _z_weights(self) -> np.ndarray:
+        """t_z,j / (j (j+1)), the z-sector weights of :func:`diagonal_image`; read-only."""
+
+        j = _steps(self.dim)
+        w = self.t_z / (j * (j + 1))
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def _z_square_weights(self) -> np.ndarray:
+        """c_j = t_z,j^2 / (j (j+1)), the weights of the output diagonal's squared norm; read-only.
+
+        With the staircase M_j of :func:`diagonal_image` (|M_j|^2 = j (j+1)),
+        that norm is Tr(S)^2/n + sum_j c_j Tr(M_j S)^2.
+        """
+
+        j = _steps(self.dim)
+        c = self.t_z**2 / (j * (j + 1))
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def _unit_images(self) -> np.ndarray:
@@ -261,9 +280,9 @@ def diagonal_image(ch: DiagonalChannel, d: np.ndarray) -> np.ndarray:
     """
 
     n = ch.dim
-    j = np.arange(1, n)
+    j = _steps(n)
     prefix = np.cumsum(d, axis=-1)
-    w = ch.t_z / (j * (j + 1)) * (prefix[..., :-1] - j * d[..., 1:])
+    w = ch._z_weights * (prefix[..., :-1] - j * d[..., 1:])
     out = np.repeat(prefix[..., -1:] / n, n, axis=-1)
     # Entry i collects the ones of every M_j with j > i and the -j of M_i.
     out[..., :-1] += np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]

@@ -29,7 +29,9 @@ and ``witness`` also channels and linalg; ``verify`` channels, linalg,
 sampling and verification; ``channel apply`` channels and linalg;
 ``basis`` basis and linalg; ``identities`` and ``detcheck`` basis,
 channels, linalg, sampling and representations; ``qubit-equiv`` basis,
-channels, equivalence, linalg and sampling; ``report`` all of them.
+channels, equivalence, linalg and sampling; ``report`` all of them, and
+:mod:`qchan.report`, which holds the body of ``report`` and which no
+other command imports.
 
 No command loads ``dataclasses``: every result record is a NamedTuple
 (``_replace``, ``_asdict``), the channels and the basis derive from
@@ -47,7 +49,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import itertools
 import json
 import math
 import os
@@ -388,65 +389,9 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     n = args.dim
     _check_peak_bytes("report", n, args.samples)
     kwargs = _tol_kwargs(args)
-    from .channels import FamilyChannel
-    from .equivalence import inequivalence_certificate, qubit_equivalence_check
-    from .representations import (
-        _kraus_count_and_deviation,
-        _representation_reports,
-        verify_det_recurrence,
-        verify_sum_identities,
-    )
-    from .verification import _sample_reports, constant_fnorm_criterion, is_cptp
+    from .report import report_sections
 
-    ranges = {family.value: param_range(family, n) for family in Family}
-    endpoints = {}
-    for family, info in zip(Family, ranges.values()):
-        # The range's endpoints must pass and the members 0.01 outside it must fail.
-        probes = {"p_min": info.p_min, "p_max": info.p_max, "below": info.p_min - 0.01, "above": info.p_max + 0.01}
-        entry = {label: is_cptp(FamilyChannel(family, p, n), n, **kwargs) for label, p in probes.items()}
-        entry["passed"] = [rep.passed for rep in entry.values()] == [True, True, False, False]
-        endpoints[family.value] = entry
-
-    # Each family is checked at the midpoint of its range, against one
-    # shared draw of the sample states and one of the representation inputs.
-    channels = [FamilyChannel(f, (info.p_min + info.p_max) / 2, n) for f, info in zip(Family, ranges.values())]
-    samples = _sample_reports(channels, n, args.samples, args.seed, **kwargs)
-    reps = _representation_reports(channels, n, 50, args.seed, **kwargs)
-    constant_norm, representations, kraus = {}, {}, {}
-    for ch, sample, rep in zip(channels, samples, reps):
-        holds, expected = constant_fnorm_criterion(ch, **kwargs)
-        name = ch.family.value
-        constant_norm[name] = {"p": ch.p, "criterion_holds": holds, "expected_norm": expected, "report": sample}
-        representations[name] = {"p": ch.p, "report": rep}
-        count, deviation, ok = _kraus_count_and_deviation(ch.family, ch.p, n, **kwargs)
-        kraus[name] = {"p": ch.p, "operators": count, "completeness_deviation": deviation, "passed": ok}
-
-    identities = verify_sum_identities(n, trials=25, seed=args.seed, **kwargs)
-    det = verify_det_recurrence(n, **kwargs)
-    # The qubit equivalences at n = 2, and every pair's inequivalence certificate above.
-    if n == 2:
-        equivalence = [qubit_equivalence_check(0.5, trials=50, seed=args.seed, **kwargs)]
-        equivalence_section = {"qubit_equivalence": equivalence[0]}
-    else:
-        equivalence = [inequivalence_certificate(pair, n) for pair in itertools.combinations(Family, 2)]
-        equivalence_section = {"certificates": [{"certificate": c, "passed": c.passed} for c in equivalence]}
-    sections = {
-        "ranges": ranges,
-        "cptp_endpoints": endpoints,
-        "constant_norm": constant_norm,
-        "representations": representations,
-        "kraus": kraus,
-        "identities": identities,
-        "determinant": det,
-        **equivalence_section,
-    }
-    passed = all(
-        [
-            *(entry["passed"] for entry in (*endpoints.values(), *kraus.values())),
-            *(entry["criterion_holds"] for entry in constant_norm.values()),
-            *(record.passed for record in (*samples, *reps, identities, det, *equivalence)),
-        ]
-    )
+    sections, passed = report_sections(n, args.samples, args.seed, **kwargs)
     payload = {
         "command": "report",
         "dim": n,

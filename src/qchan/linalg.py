@@ -5,8 +5,9 @@ The helpers are thin wrappers over LAPACK (through ``numpy.linalg``)
 fixing the conventions everything downstream relies on: eigenvalues come
 back ascending, Hermitian inputs are symmetrized before eigensolves, and
 thresholds scale with the Frobenius norm of the operator.
-The index arrays of the pairs k < l, which the basis, the channels and
-the checks share, are cached here.  The tolerances they take,
+The index arrays of the pairs k < l, and the steps 1..n-1 of the
+z-sector staircase, which the basis, the channels and the checks share,
+are cached here.  The tolerances they take,
 ``Tolerance`` and ``DEFAULT_TOL``, are in :mod:`qchan.exact`.
 """
 
@@ -115,6 +116,14 @@ def _pair_index(n: int, by_l: bool = False) -> tuple[np.ndarray, np.ndarray]:
     k.flags.writeable = False
     l.flags.writeable = False
     return k, l
+
+
+@lru_cache(maxsize=_CACHED_DIMS)
+def _steps(n: int) -> np.ndarray:
+    """The staircase steps j = 1..n-1 of the z sector (``np.arange(1, n)``); read-only."""
+    j = np.arange(1, n)
+    j.flags.writeable = False
+    return j
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

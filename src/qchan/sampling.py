@@ -42,7 +42,9 @@ def _complex_normals(seed: int, count: int, per_stack: int, shape: tuple[int, ..
     rng = np.random.default_rng(seed)
     for start in range(0, count, per_stack):
         g = rng.standard_normal((min(per_stack, count - start), 2, *shape))
-        yield g[:, 0] + 1j * g[:, 1]
+        z = np.empty((len(g), *shape), dtype=complex)
+        z.real, z.imag = g[:, 0], g[:, 1]
+        yield z
 
 
 def _haar_vectors(n: int, samples: int, seed: int):

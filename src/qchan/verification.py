@@ -6,10 +6,10 @@ re-running the computation.  The conventions:
 
 * every verdict takes a channel object (``FamilyChannel``,
   ``DiagonalChannel``; anything else raises the TypeError of
-  ``as_linear_map``) and uses its structure: block-wise Choi checks,
-  witness-state norms in closed form from the Choi block data (D D^T and
-  t_x, t_y), and Haar-state norms as quadratic forms in the real and
-  imaginary parts of each stack of draws, with no projector built;
+  ``as_linear_map``) and uses its structure: block-wise Choi checks, and
+  constant-norm samples whose squared norms come by Parseval straight
+  from the multipliers, in O(n^2) for all n^2 witness states and per
+  Haar state, with no projector built;
 * complete positivity is decided by the smallest Choi eigenvalue with a
   threshold scaled to the Choi matrix's Frobenius norm;
 * trace preservation is the partial trace of the Choi matrix over the
@@ -40,12 +40,11 @@ from .channels import (
     FamilyChannel,
     _classical_block,
     as_linear_map,
-    diagonal_image,
     family_to_diagonal,
 )
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
-from .linalg import _pair_index, frobenius_norm
+from .linalg import _pair_index, _steps, frobenius_norm
 from .sampling import _haar_vectors
 
 __all__ = [
@@ -168,31 +167,28 @@ def _witness_vectors(n: int) -> np.ndarray:
 
 
 def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
-    """Output Frobenius norms of the witness states, in O(n^3) time, O(n^2) memory.
+    """Output Frobenius norms of the witness states by Parseval, in O(n^2) time, with no n x n product.
 
-    The outputs are Choi block data (see :func:`is_cptp`): with
-    D[j, i] = Phi(E_jj)_ii, Phi(psi_j) = diag(D_j) and
-    Phi(xi_kl) = diag(D_k + D_l)/2 + (t_x,kl / 2) sigma_x^(k,l), and
-    Phi(eta_kl) likewise with t_y,kl.  So every squared norm is an entry
-    of G = D D^T, or |D_k + D_l|^2/4 = (G_kk + G_ll + 2 G_kl)/4 plus
-    t_x,kl^2/2 or t_y,kl^2/2 for a pair state.  Where that sum keeps at most
-    2^-10 of G_kk + G_ll, it lost over 10 bits to cancellation (rows D_k ~ -D_l,
-    from multipliers far past 1; a family member with |p| <= 1 keeps all of
-    it), so it is summed from the two rows instead, n pairs at a time.
+    A state's squared output norm is Tr(S)^2/n + sum_j c_j Tr(M_j S)^2 on
+    the diagonal (``DiagonalChannel._z_square_weights``) plus its pair
+    sectors' t_x^2 or t_y^2 terms.  With c_0 = 0 and the suffix sums
+    s_j = sum_{i >= j} c_i (zero-based), that is 1/n + c_k k^2 + s_{k+1}
+    for psi_k, and for xi_kl (eta_kl), k < l,
+
+        1/n + (c_k k^2 + s_{k+1} - s_l + c_l (l-1)^2)/4 + s_{l+1} + t_x,kl^2/2 (t_y,kl^2/2).
+
+    Every term is nonnegative, so no sum cancels, whatever the multipliers.
     """
 
-    d, n = diag._unit_images, diag.dim
-    g = d @ d.T
+    n = diag.dim
+    c = np.zeros(n + 1)  # c_0, ..., c_{n-1}, then a zero that ends the suffix sums
+    c[1:n] = diag._z_square_weights
+    s = np.cumsum(c[::-1])[::-1]  # s_j for j = 0..n, with s_n = 0
+    i = np.arange(n)
     k, l = _pair_index(n)  # lexicographic pair order, as t_x and t_y
-    terms = g[k, k] + g[l, l]
-    pair_sq = terms + 2 * g[k, l]
-    lost = np.flatnonzero(pair_sq <= terms / 1024)
-    for first in range(0, len(lost), n):
-        q = lost[first : first + n]
-        rows = d[k[q]] + d[l[q]]
-        pair_sq[q] = np.einsum("ij,ij->i", rows, rows)
-    pair_diag = pair_sq / 4
-    return np.sqrt(np.concatenate([np.diag(g), pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]))
+    pair_diag = 1 / n + (c[k] * k**2 + s[k + 1] - s[l] + c[l] * (l - 1) ** 2) / 4 + s[l + 1]
+    psi = 1 / n + c[:n] * i**2 + s[1:]
+    return np.sqrt(np.concatenate([psi, pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]))
 
 
 def _state_label(n: int, i: int) -> str:
@@ -218,10 +214,11 @@ def constant_fnorm_sample_test(
 
     Passes when the spread of output Frobenius norms stays within
     tolerance of the largest observed norm; the witness field names the
-    states achieving the extreme norms otherwise.  The n^2 witness norms
-    come in closed form from the channel's Choi block data
-    (:func:`_witness_norms`, O(n^3)), and the Haar samples' as quadratic
-    forms on stacks of draws, O(n^2) per state (:func:`_sample_reports`).
+    states achieving the extreme norms otherwise.  Every norm comes by
+    Parseval from the multipliers: the n^2 witness norms from suffix sums
+    (:func:`_witness_norms`, O(n^2) in all), and the Haar samples' as
+    quadratic forms on stacks of draws, O(n^2) per state
+    (:func:`_sample_reports`).
     """
 
     return _sample_reports([ch], n, samples, seed, tol)[0]
@@ -234,19 +231,23 @@ def _sample_reports(
 
     No projector is built.  Write a stack of unit vectors as v = x + iy,
     with X = x^2, Y = y^2, Z = xy and P = X + Y, the projectors' diagonals.
-    The pair sectors send entry (k, l) of |v><v| to t_x Re + i t_y Im, so
-    each state's squared output norm is
+    The channel scales each Hermitian basis coordinate by its multiplier,
+    so by Parseval each state's squared output norm is
 
-        |diagonal_image(P)|^2 + P^T W_x P + 2 (Z^T Delta Z - X^T Delta Y)
+        prefix_n^2/n + sum_j c_j u_j^2 + P^T W_x P + 2 (Z^T Delta Z - X^T Delta Y)
 
-    with the weights of :func:`_pair_forms`: (S x n)(n x n) products and
-    row dots, the first alone where Delta is 0 (every family member).  The
-    Delta terms are signed: a state whose sum keeps at most 2^-10 of its
-    absolute terms (|Z|^T |Delta| |Z| and X^T |Delta| Y in place of the
-    signed ones) lost over 10 bits, and is summed from its own projector by
-    the apply engine instead, as :func:`_witness_norms` re-sums its pairs.
-    No value depends on another channel, so the reports equal those of one
-    call per channel, bit for bit.
+    with prefix = cumsum(P), the staircase coordinates
+    u_j = Tr(M_j |v><v|) = prefix_{j-1} - j P_j (j = 1..n-1, zero-based P),
+    taken once per stack for every channel, c_j of
+    ``DiagonalChannel._z_square_weights``, and the pair weights of
+    :func:`_pair_forms`: (S x n)(n x n) products and row dots, the first
+    alone where Delta is 0 (every family member), and X, Y, Z formed only
+    where some channel has a nonzero Delta.  The Delta terms are signed:
+    a state whose sum keeps at most 2^-10 of its absolute terms
+    (|Z|^T |Delta| |Z| and X^T |Delta| Y in place of the signed ones) lost
+    over 10 bits, and is summed from its own projector by the apply
+    engine instead.  No value depends on another channel, so the reports
+    equal those of one call per channel, bit for bit.
     """
 
     samples, seed = integer(samples, "samples", 0), integer(seed, "seed", 0)
@@ -257,13 +258,19 @@ def _sample_reports(
     norms = np.empty((len(diags), n * n + samples))  # per channel: witness states, then Haar samples
     norms[:, : n * n] = [_witness_norms(diag) for diag in diags]
     forms = [_pair_forms(diag) for diag in diags]
+    any_signed = any(signed is not None for _, signed in forms)
+    j = _steps(n)
     pos = n * n
     for v in _haar_vectors(n, samples, seed):
-        xx, yy, z = v.real**2, v.imag**2, v.real * v.imag
         p = (v * v.conj()).real  # X + Y with the bits of the projectors' diagonals
+        prefix = np.cumsum(p, axis=1)
+        u = prefix[:, :-1] - j * p[:, 1:]
+        u *= u  # u_j^2
+        traces = prefix[:, -1] ** 2 / n
+        if any_signed:
+            xx, yy, z = v.real**2, v.imag**2, v.real * v.imag
         for diag, (w_x, signed), found in zip(diags, forms, norms):
-            diagonals = diagonal_image(diag, p)
-            sq = _row_dots(diagonals, diagonals) + _row_dots(p @ w_x, p)
+            sq = traces + u @ diag._z_square_weights + _row_dots(p @ w_x, p)
             if signed is not None:
                 delta, delta_abs = signed
                 z_abs = np.abs(z)
@@ -301,21 +308,21 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> VerificationReport:
     """The sample test's verdict on the output norms of the witness states, then the Haar samples."""
 
-    largest = float(norms.max())
-    spread = float(largest - norms.min())
-    mean = float(np.mean(norms))
+    largest, smallest = float(norms.max()), float(norms.min())
+    spread = largest - smallest
+    mean = float(np.add.reduce(norms) / len(norms))  # np.mean's bits
     passed = spread <= tol.bound(largest)
     witness = None
     if not passed:
         top, bottom = (_state_label(n, int(i)) for i in (norms.argmax(), norms.argmin()))
         witness = (
-            f"norm spread {spread:.6e}: max {norms.max():.12f} at {top}, "
-            f"min {norms.min():.12f} at {bottom}"
+            f"norm spread {spread:.6e}: max {largest:.12f} at {top}, "
+            f"min {smallest:.12f} at {bottom}"
         )
     return VerificationReport(
         passed=passed,
         max_deviation=spread,
-        mean_deviation=float(np.mean(np.abs(norms - mean))),
+        mean_deviation=float(np.add.reduce(np.abs(norms - mean)) / len(norms)),
         witness=witness,
         samples_used=len(norms),
     )

@@ -183,7 +183,8 @@ def sample_rounding_bounds(ch, vectors):
     a rho_kl + b rho_lk, whose absolute terms add up to
     A_o = |d|^2 + 2 sum_{k<l} (|a| + |b|)^2 P_k P_l, and is given the same
     allowance on A_o.  The witness states' norms, which the sample test
-    takes from the Choi block data instead, are held to the same bound.
+    takes from suffix sums of the multipliers instead, are held to the
+    same bound.
     """
 
     diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch

@@ -255,10 +255,35 @@ def test_sample_norms_at_unequal_moduli_up_to_the_bound(ch, samples, seed):
     fast, (got,) = sample_norms(lambda: verification.constant_fnorm_sample_test(ch, n, samples, seed))
     oracle, (want,) = sample_norms(lambda: per_state_sample_test(ch, n, samples, seed))
     assert not np.isnan(got).any()
-    # The witness states' norms come from the Choi block data, not from the quadratic forms.
+    # The witness states' norms come from suffix sums, not from the quadratic forms (see below).
     bounds = sample_rounding_bounds(ch, sample_vectors(n, samples, seed, witness=False))
     assert_sample_norms_agree(got[n * n :], want[n * n :], bounds)
     assert fast.passed is oracle.passed is False
+
+
+@st.composite
+def multiplier_vectors(draw):
+    """A diagonal channel at n <= 12 whose multiplier moduli span 1e-3 to up to 1e100; some act on the z sector alone."""
+
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.floats(-3, 100))
+    t = rng.choice([-1.0, 1.0], n * n - 1) * 10.0 ** rng.uniform(-3, top, n * n - 1)
+    if draw(st.booleans()):
+        t[: n * (n - 1)] = 0  # z only: every output is diagonal
+    return DiagonalChannel(n, t)
+
+
+@given(multiplier_vectors(), st.integers(0, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_every_sample_norm_is_within_the_rounding_bound(ch, samples, seed):
+    # Witness and Haar states alike: the witness norms' suffix sums and the
+    # staircase terms sum_j c_j u_j^2 stay within the rounding bound for
+    # moduli up to the 1e100 magnitude bound.
+    n = ch.dim
+    _, (got,) = sample_norms(lambda: verification.constant_fnorm_sample_test(ch, n, samples, seed))
+    _, (want,) = sample_norms(lambda: per_state_sample_test(ch, n, samples, seed))
+    assert_sample_norms_agree(got, want, sample_rounding_bounds(ch, sample_vectors(n, samples, seed)))
 
 
 def test_cancelling_states_are_summed_from_their_projectors():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qchan import representations
 from qchan.basis import _pair_entries, _staircase_rows, build_basis, decompose, m_z, pauli_matrix, reconstruct
 from qchan.exact import pair_count
-from qchan.linalg import _pair_index
+from qchan.linalg import _pair_index, _steps
 
 DIMS = [2, 3, 4, 5, 6]
 
@@ -164,8 +164,8 @@ class TestBasis:
         assert build_basis(3) is not build_basis(3)
 
     def test_caches_are_bounded(self):
-        # Both caches keep only a few dimensions.
-        for cached in (_pair_index, representations._staircase_gram):
+        # Every per-dimension cache keeps only a few dimensions.
+        for cached in (_pair_index, _steps, representations._staircase_gram):
             for n in range(2, 12):
                 cached(n)
             info = cached.cache_info()

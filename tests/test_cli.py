@@ -1121,8 +1121,9 @@ GC_PROBE = textwrap.dedent(
 
 # The qchan modules each command kind of the benchmark's cli-short mix loads,
 # besides qchan, qchan.cli, qchan.exact and qchan.jsonio, which every command
-# loads; `report` loads them all.  Code sits in the modules of the commands
-# that run it, so that a process without bytecode caches compiles little else.
+# loads; `report` loads them all, qchan.report, which no other command loads,
+# among them.  Code sits in the modules of the commands that run it, so that a
+# process without bytecode caches compiles little else.
 COMMAND_MODULES = [
     pytest.param(["range", "--family", "dcq", "--dim", "7"], 0, set(), id="range"),
     pytest.param(["range", "--family", "dep", "--dim", "1"], 2, set(), id="usage-error"),
@@ -1179,7 +1180,7 @@ COMMAND_MODULES = [
     pytest.param(
         ["report", "--dim", "3", "--samples", "5"],
         0,
-        {"basis", "channels", "equivalence", "linalg", "representations", "sampling", "verification"},
+        {"basis", "channels", "equivalence", "linalg", "report", "representations", "sampling", "verification"},
         id="report",
     ),
 ]
@@ -1296,7 +1297,7 @@ class TestNumpyFreeCommands:
         )
         proc = _run_script(script, [], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        names = ("basis", "channels", "cli", "equivalence", "exact", "jsonio", "linalg", "representations", "sampling", "verification")
+        names = ("basis", "channels", "cli", "equivalence", "exact", "jsonio", "linalg", "report", "representations", "sampling", "verification")
         modules = ["qchan", *(f"qchan.{name}" for name in names)]
         assert proc.stdout.decode() == f"0 {modules} False\n"
 

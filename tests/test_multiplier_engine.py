@@ -188,7 +188,7 @@ class WitnessStateBuilt(Exception):
     ],
 )
 def test_channel_objects_build_no_witness_state(monkeypatch, ch):
-    """Channel objects take their witness norms in O(n^3) closed form."""
+    """Channel objects take their witness norms in O(n^2) closed form."""
 
     expected = constant_fnorm_sample_test(ch, ch.dim, samples=30, seed=1)
 
@@ -201,6 +201,34 @@ def test_channel_objects_build_no_witness_state(monkeypatch, ch):
     assert report.samples_used == ch.dim**2 + 30
     assert report.max_deviation is not None and report.mean_deviation is not None
     assert (report.witness is None) is isinstance(ch, FamilyChannel)
+
+
+class OutputDiagonalBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FamilyChannel(Family.TCQ, 0.1, 9),
+        lambda: DiagonalChannel(4, np.linspace(-0.2, 0.3, 15)),  # t_x^2 != t_y^2: the Delta forms run too
+        lambda: DiagonalChannel(5, np.concatenate([np.zeros(20), np.linspace(-3.0, 5.0, 4)])),  # z only
+    ],
+    ids=["family", "diagonal", "z-only"],
+)
+def test_sample_norms_come_from_the_multipliers(monkeypatch, make):
+    """The sample test builds no output diagonal and reads no Choi block data: Parseval on the multipliers."""
+
+    expected = constant_fnorm_sample_test(make(), make().dim, samples=30, seed=1)
+
+    def refuse(*args):
+        raise OutputDiagonalBuilt
+
+    monkeypatch.setattr(DiagonalChannel, "_unit_images", property(refuse))
+    monkeypatch.setattr("qchan.channels.diagonal_image", refuse)
+    monkeypatch.setattr(verification, "diagonal_image", refuse, raising=False)
+    ch = make()  # a fresh object: no cached property computed yet
+    assert constant_fnorm_sample_test(ch, ch.dim, samples=30, seed=1) == expected
 
 
 def witness_states_one_by_one(n):

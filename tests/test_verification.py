@@ -316,8 +316,9 @@ class TestSampleTest:
         assert report.samples_used == 9
 
     def test_cancelled_pair_sums_are_summed_from_the_rows(self):
-        # With t_z far past 1 the rows D_k and D_l nearly cancel, and so does
-        # G_kk + G_ll + 2 G_kl; the witness norms must still be those of the outputs.
+        # With t_z far past 1 the Choi block rows D_k and D_l nearly cancel, so a
+        # pair state's norm summed from them loses its bits; the witness norms,
+        # sums of nonnegative terms, must still be those of the outputs.
         rng = np.random.default_rng(7)
         cases = [DiagonalChannel(2, [0.0, 0.0, 3000618250.613841])]
         for _ in range(300):
