@@ -20,7 +20,7 @@
 #   n = 300;
 # - refusals that exit 2 at once: malformed flags and file fields, values
 #   past the 1e100 magnitude bound, and sizes at or past each size guard
-#   (`--dim 4635`, `--samples 89478448`, ...);
+#   (`--dim 4635`, `--samples 89478463`, ...);
 # - values at the bounds that run (`--p 1e100`; `cancelled.json`, whose
 #   pair sum cancels), `--output` to a file and to a missing directory, and
 #   the help texts;
@@ -150,7 +150,8 @@ commands=(
     "identities --dim 2770"
     "witness --pair dep,dcq --dim 1752"
     "report --dim 676"
-    "verify constant-norm --family dep --dim 3 --p 0.1 --samples 89478448"
+    "verify constant-norm --family dep --dim 3 --p 0.1 --samples 89478463"
+    "verify constant-norm --family trd --dim 5983 --p 0 --samples 0"
     "report --dim 3 --samples 44738362"
     "verify constant-norm --channel $work/huge_multipliers.json --samples 20000"
     "-h"

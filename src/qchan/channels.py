@@ -11,10 +11,11 @@ diagonal and zeroes the rest; T is plain transposition):
 Each is diagonal over the Hermitian basis of :mod:`qchan.basis` with
 multiplier 1 on the identity component and a sign pattern times p on the
 x / y / z sectors.  This module holds what every command that acts on a
-channel runs: the two channel objects, their JSON form and the one apply
-engine, which applies both kinds from their multipliers; the closed forms
-above are test oracles, in ``tests/dense_oracles.py``.  The Kraus sets,
-the dense Choi matrix and the qubit Stokes picture are in
+channel runs: the one channel object, :class:`DiagonalChannel`, fixed by
+its multipliers; :class:`FamilyChannel`, the subclass whose multipliers
+are a family's signs times p; their JSON form; and the one apply engine.
+The closed forms above are test oracles, in ``tests/dense_oracles.py``.
+The Kraus sets, the dense Choi matrix and the qubit Stokes picture are in
 :mod:`qchan.representations`, the random draws in :mod:`qchan.sampling`,
 and the families' names, signs and CPTP ranges in :mod:`qchan.exact`.
 """
@@ -22,7 +23,7 @@ and the families' names, signs and CPTP ranges in :mod:`qchan.exact`.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Union
+from typing import Any, Callable
 
 import numpy as np
 
@@ -61,36 +62,13 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class FamilyChannel(_Frozen):
-    """One member of a family: kind, parameter p, dimension.
-
-    Calling the channel applies its multipliers (:func:`family_apply`).
-    """
-
-    _fields = ("family", "p", "dim")
-
-    def __init__(self, family: Family, p: float, dim: int) -> None:
-        self._set(family_from_name(family), finite_number(p, "p", _MAX_MAGNITUDE), integer(dim, "dim", 2))
-
-    @cached_property
-    def _diagonal(self) -> DiagonalChannel:
-        """The member over the Hermitian basis, built once (see :func:`family_to_diagonal`)."""
-
-        cnt = pair_count(self.dim)
-        t = np.repeat([s * self.p for s in _SIGNS[self.family]], [cnt, cnt, self.dim - 1])
-        return DiagonalChannel(dim=self.dim, t=t)
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        return family_apply(self, s)
-
-
 class DiagonalChannel(_Frozen):
     """Channel diagonal over the Hermitian basis.
 
     ``t`` holds the n^2 - 1 multipliers of the traceless sectors in basis
     order (x block, y block, z block); the identity multiplier is fixed
     at 1, which is exactly trace preservation.  Calling the channel applies
-    it (:func:`diagonal_apply`).
+    it (:func:`diagonal_apply`); a :class:`FamilyChannel` is one.
     """
 
     _fields = ("dim", "t")
@@ -128,10 +106,7 @@ class DiagonalChannel(_Frozen):
         both diagonals are zero.
         """
 
-        n = self.dim
-        k, l = _pair_index(n)
-        ab = np.zeros((2, n, n))
-        ab[:, k, l] = ab[:, l, k] = (self.t_x + self.t_y) / 2, (self.t_x - self.t_y) / 2
+        ab = _pair_scatter(self.dim, [(self.t_x + self.t_y) / 2, (self.t_x - self.t_y) / 2])
         ab.flags.writeable = False
         return ab[0], ab[1]
 
@@ -189,6 +164,42 @@ class DiagonalChannel(_Frozen):
         return diagonal_apply(self, s)
 
 
+class FamilyChannel(DiagonalChannel):
+    """One member of a family: kind, parameter p, dimension.
+
+    It is the diagonal channel whose multipliers are p times the family's
+    sector signs, so it applies, caches and is verified as any
+    :class:`DiagonalChannel`; its fields, equality, hash, repr and JSON
+    stay the member's own.
+    """
+
+    _fields = ("family", "p", "dim")
+
+    def __init__(self, family: Family, p: float, dim: int) -> None:
+        self._set(family_from_name(family), finite_number(p, "p", _MAX_MAGNITUDE), integer(dim, "dim", 2))
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """p times the family's (x, y, z) signs over the three sectors, built on first read; read-only."""
+
+        cnt = pair_count(self.dim)
+        t = np.repeat([s * self.p for s in _SIGNS[self.family]], [cnt, cnt, self.dim - 1])
+        t.flags.writeable = False
+        return t
+
+
+def _pair_scatter(n: int, rows: list) -> np.ndarray:
+    """Symmetric (len(rows), n, n) arrays holding each row's pair values at (k, l) and (l, k); zero diagonals.
+
+    A row lists one value per pair k < l in lexicographic order, the order of t_x and t_y.
+    """
+
+    k, l = _pair_index(n)
+    out = np.zeros((len(rows), n, n))
+    out[:, k, l] = out[:, l, k] = rows
+    return out
+
+
 def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
     """The classical Choi block (D_ii on the diagonal, a_kl off it), and D.
 
@@ -202,42 +213,41 @@ def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
-    """Apply the family member to a square matrix or an (..., n, n) stack.
+    """Apply the family member to a square matrix or an (..., n, n) stack: ``ch(s)``.
 
-    The one apply engine applies its multipliers, :func:`family_to_diagonal`
-    (see :func:`_apply`), so the result is that of :func:`diagonal_apply`
-    bit for bit.  The closed forms of the module docstring are test
-    oracles (``tests/dense_oracles.py``); they agree to rounding.
+    A member is a :class:`DiagonalChannel`, so this is :func:`diagonal_apply`
+    on it, after a TypeError for any other object.  No verdict calls it;
+    it stays public because the benchmark's span list traces it, as its
+    worker calls :func:`family_to_diagonal`.  The closed forms of the
+    module docstring are test oracles (``tests/dense_oracles.py``); they
+    agree to rounding.
     """
-
-    return _apply(family_to_diagonal(ch), s)
-
-
-def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
-    """Multiplier vector of the family member over the Hermitian basis (built once per channel)."""
 
     if not isinstance(ch, FamilyChannel):
         raise TypeError(f"expected FamilyChannel, got {type(ch).__name__}")
-    return ch._diagonal
+    return diagonal_apply(ch, s)
+
+
+def family_to_diagonal(ch: FamilyChannel) -> DiagonalChannel:
+    """The family member as a plain :class:`DiagonalChannel` of the same multipliers, built anew.
+
+    It applies with the member's bits, but it is a diagonal channel, not
+    equal to the member, with its own caches and JSON form.
+    """
+
+    if not isinstance(ch, FamilyChannel):
+        raise TypeError(f"expected FamilyChannel, got {type(ch).__name__}")
+    return DiagonalChannel(ch.dim, ch.t)
 
 
 def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
-    """Apply a diagonal channel to a square matrix or an (..., n, n) stack.
+    """Apply a diagonal channel to a square matrix or an (..., n, n) stack: the one apply engine.
 
     This is the linear extension of the basis picture to every complex
-    input, computed sector by sector in O(n^2) per matrix: the x/y sectors
-    of a pair {k, l} mix (S_kl, S_lk) with the pair's weights
-    (``DiagonalChannel._sector_weights``), and the diagonal goes through
-    :func:`diagonal_image` (see :func:`_apply`).
-    """
-
-    return _apply(ch, s)
-
-
-def _apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
-    """The one apply engine: the pair sectors, then the output diagonal, into a new array.
-
-    Family members reach it through their multipliers (:func:`family_apply`).
+    input, computed sector by sector in O(n^2) per matrix, into a new
+    array: the x/y sectors of a pair {k, l} mix (S_kl, S_lk) with the
+    pair's weights (``DiagonalChannel._sector_weights``), then the
+    diagonal goes through :func:`diagonal_image`.
     """
 
     s = as_matrix_stack(s, name="input")
@@ -290,17 +300,16 @@ def diagonal_image(ch: DiagonalChannel, d: np.ndarray) -> np.ndarray:
     return out
 
 
-AnyChannel = Union[FamilyChannel, DiagonalChannel]
-
-
-def as_linear_map(ch: AnyChannel) -> Callable[[np.ndarray], np.ndarray]:
+def as_linear_map(ch: DiagonalChannel) -> Callable[[np.ndarray], np.ndarray]:
     """The channel as a function on matrices: the callable channel itself.
 
     Every verdict of :mod:`qchan.verification` takes its channel through
-    here, so anything but a channel object raises this TypeError.
+    here and uses the object it returns.  A :class:`FamilyChannel` is a
+    :class:`DiagonalChannel`, so one class check admits both kinds, and
+    anything else raises this TypeError.
     """
 
-    if isinstance(ch, (FamilyChannel, DiagonalChannel)):
+    if isinstance(ch, DiagonalChannel):
         return ch
     raise TypeError(f"expected FamilyChannel or DiagonalChannel, got {type(ch).__name__}")
 
@@ -323,7 +332,7 @@ def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 # --- JSON ----------------------------------------------------------------
 
 
-def channel_to_json(ch: AnyChannel) -> dict:
+def channel_to_json(ch: DiagonalChannel) -> dict:
     if isinstance(ch, FamilyChannel):
         return {"kind": "family", "family": ch.family.value, "p": float(ch.p), "dim": int(ch.dim)}
     if isinstance(ch, DiagonalChannel):
@@ -331,7 +340,7 @@ def channel_to_json(ch: AnyChannel) -> dict:
     raise TypeError(f"expected FamilyChannel or DiagonalChannel, got {type(ch).__name__}")
 
 
-def channel_from_json(obj: Any) -> AnyChannel:
+def channel_from_json(obj: Any) -> DiagonalChannel:
     kind = require(obj, "kind")
     if kind == "family":
         return FamilyChannel(*(require(obj, field) for field in FamilyChannel._fields))

@@ -305,7 +305,7 @@ def spectrum_witness(family: Family, p: float, n: int) -> SpectrumWitness:
 
     import numpy as np
 
-    from .channels import FamilyChannel, family_apply
+    from .channels import FamilyChannel
     from .linalg import hermitian_eigenvalues
 
     p, rng_info = finite_number(p, "p", _MAX_MAGNITUDE), param_range(family, n)
@@ -318,8 +318,8 @@ def spectrum_witness(family: Family, p: float, n: int) -> SpectrumWitness:
     state_a[0, 0] = 1
     state_b = np.ones((n, n), dtype=complex) / n
     ch = FamilyChannel(family=family, p=p, dim=n)
-    spectrum_a = hermitian_eigenvalues(family_apply(ch, state_a))
-    spectrum_b = hermitian_eigenvalues(family_apply(ch, state_b))
+    spectrum_a = hermitian_eigenvalues(ch(state_a))
+    spectrum_b = hermitian_eigenvalues(ch(state_b))
     gap = float(np.max(np.abs(spectrum_a - spectrum_b)))
     if family in _HYBRID:
         notes = (
@@ -366,11 +366,11 @@ def qubit_equivalence_check(
     import numpy as np
 
     from .basis import pauli_matrix
-    from .channels import FamilyChannel, diagonal_apply, family_to_diagonal
+    from .channels import FamilyChannel
     from .sampling import _haar_vectors
 
     members = zip(Family, (p, -p, p, -p))  # Phi_1..Phi_4 and their parameters
-    phi1, phi2, phi3, phi4 = (family_to_diagonal(FamilyChannel(f, q, 2)) for f, q in members)
+    phi1, phi2, phi3, phi4 = (FamilyChannel(f, q, 2) for f, q in members)
     cases = [
         ("sigma_y . Phi_2(-p) . sigma_y", pauli_matrix(2, "y", (1, 2)), phi2),
         ("sigma_z . Phi_3(p) . sigma_z", pauli_matrix(2, "z", (1, 2)), phi3),
@@ -380,8 +380,8 @@ def qubit_equivalence_check(
     worst_case = None
     for v in _haar_vectors(2, trials, seed):
         s = v[:, :, None] * v.conj()[:, None, :]  # the projectors, each np.outer(v, v.conj()) bit for bit
-        target = diagonal_apply(phi1, s)
-        conjugated = np.stack([sigma @ diagonal_apply(ch, s) @ sigma for _, sigma, ch in cases], axis=1)
+        target = phi1(s)
+        conjugated = np.stack([sigma @ ch(s) @ sigma for _, sigma, ch in cases], axis=1)
         devs = np.abs(conjugated - target[:, None]).max(axis=(-2, -1))  # (trials, cases)
         i = int(devs.argmax())  # the first largest in trial-major, case-minor order, as the loop met it
         if devs.flat[i] > worst:

@@ -177,7 +177,7 @@ class _PeakBytes(NamedTuple):
 # and is at most four times that growth (tests/test_cli.py measures it; README says what it holds).
 _PEAK_BYTES = {
     "verify cptp": _PeakBytes("verify cptp", per_n2=100),
-    "verify constant-norm": _PeakBytes("verify constant-norm", per_n2=100, per_item=24),
+    "verify constant-norm": _PeakBytes("verify constant-norm", per_n2=60, per_item=24),
     "detcheck": _PeakBytes("detcheck", per_n2=100, per_item=16),
     "identities": _PeakBytes("identities", per_n2=300),  # also sizes verification's trial stacks
     "witness": _PeakBytes("the spectrum witnesses", per_n2=700),  # and mixed-pair certify

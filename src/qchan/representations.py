@@ -36,8 +36,6 @@ from .channels import (
     _classical_block,
     _diagonal_view,
     diagonal_apply,
-    family_apply,
-    family_to_diagonal,
 )
 from .exact import (
     _PEAK_BYTES,
@@ -209,7 +207,7 @@ def verify_representations(
     seed: int = 0,
     tol: Tolerance = _SUM_TOL,
 ) -> VerificationReport:
-    """Both conjugation-sum expansions against the family member's action (:func:`family_apply`).
+    """Both conjugation-sum expansions against the family member's action, ``ch(s)`` of the apply engine.
 
     The basis form is e0 S/n + ex X/2 + ey Y/2 + ez EZ (see ``_direct_sums``).
     """
@@ -243,7 +241,7 @@ def _representation_reports(
         s = hermitian_part(g)
         sums = _direct_sums(s, n)
         for i, (ch, c, row) in enumerate(zip(channels, coeffs, devs)):
-            expected = family_apply(ch, s)
+            expected = ch(s)
             scales[i] = max(scales[i], float(np.abs(expected).max()))
             pauli_form = c.c0 * s + c.cx * sums["x"] + c.cy * sums["y"] + c.cz * sums["z"]
             basis_form = (
@@ -429,7 +427,7 @@ def verify_det_recurrence(
     passed = True
     for p in np.linspace(-0.5, 0.5, grid):
         formula = dcq_det_formula(n, float(p))
-        block, _ = _classical_block(family_to_diagonal(FamilyChannel(Family.DCQ, float(p), n)))
+        block, _ = _classical_block(FamilyChannel(Family.DCQ, float(p), n))
         direct = float(np.linalg.det(block))
         dev = abs(formula - direct)
         if dev > worst:

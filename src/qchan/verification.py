@@ -4,12 +4,12 @@ Everything here returns the plain records of :mod:`qchan.exact` with the
 measured numbers embedded, so a report can be re-checked without
 re-running the computation.  The conventions:
 
-* every verdict takes a channel object (``FamilyChannel``,
-  ``DiagonalChannel``; anything else raises the TypeError of
-  ``as_linear_map``) and uses its structure: block-wise Choi checks, and
-  constant-norm samples whose squared norms come by Parseval straight
-  from the multipliers, in O(n^2) for all n^2 witness states and per
-  Haar state, with no projector built;
+* every verdict takes a channel object, a ``DiagonalChannel`` (a
+  ``FamilyChannel`` is one), through ``as_linear_map``, whose TypeError
+  refuses anything else, and uses its multipliers with no conversion:
+  block-wise Choi checks, and constant-norm samples whose squared norms
+  come by Parseval straight from the multipliers, in O(n^2) for all n^2
+  witness states and per Haar state, with no projector built;
 * complete positivity is decided by the smallest Choi eigenvalue with a
   threshold scaled to the Choi matrix's Frobenius norm;
 * trace preservation is the partial trace of the Choi matrix over the
@@ -34,14 +34,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .channels import (
-    AnyChannel,
-    DiagonalChannel,
-    FamilyChannel,
-    _classical_block,
-    as_linear_map,
-    family_to_diagonal,
-)
+from .channels import DiagonalChannel, _classical_block, _pair_scatter, as_linear_map
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
 from .linalg import _pair_index, _steps, frobenius_norm
@@ -65,7 +58,7 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Choi-based complete positivity + trace preservation check, O(n^3) time, O(n^2) memory.
 
     The Choi matrix sum_ij E_ij ⊗ Phi(E_ij) of a channel object is block
@@ -83,11 +76,11 @@ def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verificatio
     about 5e99 and their 1/2 terms are lost.  CP fails first there.
     """
 
-    diag = _as_diagonal(ch)
-    if diag.dim != n:
-        raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
-    a, b = diag.pair_weights
-    classical, d = _classical_block(diag)
+    ch = as_linear_map(ch)
+    if ch.dim != n:
+        raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
+    a, b = ch.pair_weights
+    classical, d = _classical_block(ch)
     scale = frobenius_norm(np.stack([d, a, b]))
     classical_min = float(np.linalg.eigvalsh(classical)[0])
     k, l = _pair_index(n)
@@ -115,24 +108,17 @@ def is_cptp(ch: AnyChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verificatio
     )
 
 
-def _as_diagonal(ch: AnyChannel) -> DiagonalChannel:
-    """The channel object ``ch`` over the Hermitian basis; TypeError for anything else."""
-
-    ch = as_linear_map(ch)
-    return family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
-
-
 def constant_fnorm_criterion(
-    ch: AnyChannel, tol: Tolerance = DEFAULT_TOL
+    ch: DiagonalChannel, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, Optional[float]]:
     """(holds, expected output norm) — holds iff all multiplier moduli agree."""
 
-    diag = _as_diagonal(ch)
-    moduli = np.abs(diag.t)
+    ch = as_linear_map(ch)
+    moduli = np.abs(ch.t)
     spread = float(moduli.max() - moduli.min())
     if spread > tol.bound(float(moduli.max())):
         return False, None
-    return True, expected_constant_norm(diag.dim, float(moduli[0]))
+    return True, expected_constant_norm(ch.dim, float(moduli[0]))
 
 
 def expected_constant_norm(n: int, t: float) -> float:
@@ -204,7 +190,7 @@ def _state_label(n: int, i: int) -> str:
 
 
 def constant_fnorm_sample_test(
-    ch: AnyChannel,
+    ch: DiagonalChannel,
     n: int,
     samples: int = 1000,
     seed: int = 0,
@@ -225,7 +211,7 @@ def constant_fnorm_sample_test(
 
 
 def _sample_reports(
-    channels: list[AnyChannel], n: int, samples: int, seed: int, tol: Tolerance = DEFAULT_TOL
+    channels: list[DiagonalChannel], n: int, samples: int, seed: int, tol: Tolerance = DEFAULT_TOL
 ) -> list[VerificationReport]:
     """``constant_fnorm_sample_test`` of each channel object, from one set of Haar draws.
 
@@ -251,7 +237,7 @@ def _sample_reports(
     """
 
     samples, seed = integer(samples, "samples", 0), integer(seed, "seed", 0)
-    diags = [_as_diagonal(ch) for ch in channels]
+    diags = [as_linear_map(ch) for ch in channels]
     for diag in diags:
         if diag.dim != n:
             raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
@@ -290,12 +276,9 @@ def _pair_forms(diag: DiagonalChannel) -> tuple[np.ndarray, Optional[np.ndarray]
     The second is None where t_x^2 and t_y^2 agree bit for bit (every family member).
     """
 
-    k, l = _pair_index(diag.dim)
     w_x, w_y = diag.t_x**2, diag.t_y**2
     signed = not np.array_equal(w_x, w_y)
-    rows = [w_x, w_x - w_y, np.abs(w_x - w_y)] if signed else [w_x]
-    out = np.zeros((len(rows), diag.dim, diag.dim))
-    out[:, k, l] = out[:, l, k] = rows
+    out = _pair_scatter(diag.dim, [w_x, w_x - w_y, np.abs(w_x - w_y)] if signed else [w_x])
     return out[0], (out[1:] if signed else None)
 
 

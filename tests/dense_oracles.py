@@ -187,18 +187,17 @@ def sample_rounding_bounds(ch, vectors):
     same bound.
     """
 
-    diag = family_to_diagonal(ch) if isinstance(ch, FamilyChannel) else ch
-    n = diag.dim
+    n = ch.dim
     k, l = np.triu_indices(n, 1)  # lexicographic pairs, the order of t_x and t_y
-    w, delta = diag.t_x**2, np.abs(diag.t_x**2 - diag.t_y**2)
-    entry = np.maximum(np.abs(diag.t_x), np.abs(diag.t_y)) ** 2  # (|a| + |b|)^2
+    w, delta = ch.t_x**2, np.abs(ch.t_x**2 - ch.t_y**2)
+    entry = np.maximum(np.abs(ch.t_x), np.abs(ch.t_y)) ** 2  # (|a| + |b|)^2
     vectors = np.array(list(vectors)).reshape(-1, n)
     bounds = []
     for v in np.array_split(vectors, len(vectors) // 256 + 1):  # 256 states at a time
         x, y = v.real, v.imag
         xx, yy, z = x * x, y * y, x * y
         p = xx + yy
-        d = np.diagonal(diagonal_apply(diag, v[:, :, None] * v.conj()[:, None, :]), axis1=-2, axis2=-1).real
+        d = np.diagonal(diagonal_apply(ch, v[:, :, None] * v.conj()[:, None, :]), axis1=-2, axis2=-1).real
         forms = w * p[:, k] * p[:, l] + delta * (2 * np.abs(z[:, k] * z[:, l]) + xx[:, k] * yy[:, l] + xx[:, l] * yy[:, k])
         squares = (d * d).sum(axis=-1)
         a = squares + 2 * forms.sum(axis=-1)

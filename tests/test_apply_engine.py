@@ -1,9 +1,9 @@
 """The apply engine, bit for bit, and the sample test's per-state norms, to rounding.
 
-``family_apply`` and ``diagonal_apply`` (and calling a channel) run one
-engine, ``channels._apply``, in two stages: the pair sectors, then the
-output diagonal.  A family member runs it on its multipliers, so its bits
-are those of its ``DiagonalChannel``; the closed form it agrees with to
+``family_apply`` and calling a channel run one engine, ``diagonal_apply``,
+in two stages: the pair sectors, then the output diagonal.  A family
+member is a ``DiagonalChannel`` of its multipliers, so its bits are those
+of ``family_to_diagonal`` of it; the closed form it agrees with to
 rounding is ``dense_oracles.dense_family_apply``.  The diagonal channels'
 oracle below is the body ``diagonal_apply`` had before; equal
 ``tobytes()`` also pins the signs of zeros.

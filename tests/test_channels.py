@@ -22,11 +22,12 @@ from qchan.channels import (
     family_to_diagonal,
     validate_state,
 )
-from qchan.exact import DEFAULT_TOL, Family, Tolerance, cptp_range, pair_count, repr_coefficients
+from qchan.exact import _SIGNS, DEFAULT_TOL, Family, Tolerance, cptp_range, pair_count, repr_coefficients
 from qchan.jsonio import SchemaError, dumps
 from qchan.linalg import frobenius_norm
 from qchan.representations import QubitLambda, kraus_completeness, kraus_from_family, to_choi
 from qchan.sampling import random_pure_state
+from qchan.verification import constant_fnorm_criterion, constant_fnorm_sample_test, is_cptp
 
 FAMILIES = list(Family)
 DIMS = [2, 3, 4, 5, 6]
@@ -224,6 +225,31 @@ class TestCallableChannels:
         assert np.array_equal(fam(s), family_apply(fam, s))
         assert np.array_equal(diag(s), diagonal_apply(diag, s))
 
+    @given(
+        st.sampled_from(FAMILIES),
+        st.floats(-1e100, 1e100),
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_member_is_the_diagonal_channel_of_its_signs(self, family, p, n, seed):
+        fam = FamilyChannel(family, p, n)
+        assert isinstance(fam, DiagonalChannel)
+        cnt = pair_count(n)
+        assert fam.t.tobytes() == np.repeat([s * p for s in _SIGNS[family]], [cnt, cnt, n - 1]).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            fam.t[0] = 1.0
+        assert channel_to_json(fam) == {"kind": "family", "family": family.value, "p": p, "dim": n}
+        # Every verdict and the engine read the member as the plain diagonal channel of its t.
+        diag = family_to_diagonal(fam)
+        assert type(diag) is DiagonalChannel and diag.t.tobytes() == fam.t.tobytes()
+        assert is_cptp(fam, n) == is_cptp(diag, n)
+        assert constant_fnorm_criterion(fam) == constant_fnorm_criterion(diag)
+        assert constant_fnorm_sample_test(fam, n, 20, seed) == constant_fnorm_sample_test(diag, n, 20, seed)
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        assert fam(s).tobytes() == diag(s).tobytes() == family_apply(fam, s).tobytes()
+
     def test_as_linear_map_rejects_other_objects(self):
         with pytest.raises(TypeError, match="FamilyChannel"):
             as_linear_map(lambda s: s)
@@ -313,7 +339,7 @@ class TestImmutableObjects:
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         for obj, values in _objects():
-            for name in (*obj._fields, "_diagonal", "other"):
+            for name in (*obj._fields, "t", "other"):
                 with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                     setattr(obj, name, 0)
                 with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
@@ -333,10 +359,8 @@ class TestImmutableObjects:
         for name in ("pair_count", "diagonal_image", "_pair_index"):
             monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
         fam = FamilyChannel(Family.DEP, 0.25, 3)
-        diag = fam._diagonal
-        weights, images = diag.pair_weights, diag._unit_images
-        assert (fam._diagonal, diag.pair_weights, diag._unit_images) == (diag, weights, images)
-        assert diag.pair_weights is weights and diag._unit_images is images
+        t, weights, images = fam.t, fam.pair_weights, fam._unit_images
+        assert fam.t is t and fam.pair_weights is weights and fam._unit_images is images
         assert calls == ["pair_count", "_pair_index", "diagonal_image"]
 
     def test_dumps_refuses_them(self):

@@ -707,8 +707,8 @@ class TestSizeGuards:
                 id="argv0-verify cptp at dim 30000: about 83.8",
             ),
             pytest.param(
-                ["verify", "constant-norm", "--family", "trd", "--dim", "4635", "--p", "0", "--samples", "0"],
-                "verify constant-norm at dim 4635: about 2.0",
+                ["verify", "constant-norm", "--family", "trd", "--dim", "5983", "--p", "0", "--samples", "0"],
+                "verify constant-norm at dim 5983: about 2.0",
                 id="argv1-verify constant-norm at dim 4635: about 2.0",
             ),
             pytest.param(
@@ -737,7 +737,7 @@ class TestSizeGuards:
                 id="argv6-detcheck at dim 4635: about 2.0",
             ),
             pytest.param(
-                ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478448"],
+                ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478463"],
                 "verify constant-norm at dim 3: about 2.0",
                 id="argv7-verify constant-norm at dim 3: about 2.0",
             ),
@@ -774,13 +774,13 @@ class TestSizeGuards:
         "argv",
         [
             ["verify", "cptp", "--family", "dep", "--dim", "4634", "--p", "0.1"],
-            ["verify", "constant-norm", "--family", "trd", "--dim", "4634", "--p", "0"],
+            ["verify", "constant-norm", "--family", "trd", "--dim", "5982", "--p", "0"],
             ["witness", "--pair", "dep,dcq", "--dim", "1751"],
             ["certify", "--pair", "tcq,dep", "--dim", "1751"],
             ["certify", "--pair", "dep,trd", "--dim", "100000"],  # bound matching: nothing of size n^2
             ["identities", "--dim", "2675"],
             ["detcheck", "--dim", "4634"],
-            ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478447"],
+            ["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--samples", "89478462"],
             ["report", "--dim", "3", "--samples", "44738361"],
             ["detcheck", "--dim", "3", "--grid", "134217671"],
         ],

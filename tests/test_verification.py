@@ -540,24 +540,38 @@ class TestNoVacuousPasses:
         with pytest.raises(ValueError, match="trials"):
             verify_representations(Family.DEP, 0.2, 3, trials=trials)
 
-    @pytest.mark.parametrize(
+    # Each check as a function of its seed, and the first work it does after the argument checks.
+    SEEDED_CHECKS = pytest.mark.parametrize(
         "check, first_work",
         [
-            (lambda: constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 3, seed=-1),
+            (lambda seed: constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 3, seed=seed),
              "qchan.verification._witness_norms"),
-            (lambda: verify_sum_identities(3, seed=-1), "qchan.representations._trial_chunks"),
-            (lambda: verify_representations(Family.DEP, 0.1, 3, seed=-1), "qchan.representations.repr_coefficients"),
-            (lambda: qubit_equivalence_check(0.5, seed=-1), "qchan.channels.family_to_diagonal"),
+            (lambda seed: verify_sum_identities(3, seed=seed), "qchan.representations._trial_chunks"),
+            (lambda seed: verify_representations(Family.DEP, 0.1, 3, seed=seed), "qchan.representations.repr_coefficients"),
+            (lambda seed: qubit_equivalence_check(0.5, seed=seed), "qchan.sampling._haar_vectors"),
         ],
         ids=["constant_fnorm_sample_test", "verify_sum_identities", "verify_representations", "qubit_equivalence_check"],
     )
-    def test_negative_seed_is_refused_before_any_work(self, monkeypatch, check, first_work):
+
+    @staticmethod
+    def refuse_work(monkeypatch, first_work):
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
         monkeypatch.setattr(first_work, refuse)
+
+    @SEEDED_CHECKS
+    def test_negative_seed_is_refused_before_any_work(self, monkeypatch, check, first_work):
+        self.refuse_work(monkeypatch, first_work)
         with pytest.raises(SchemaError, match=r"^field 'seed': expected an integer >= 0, got -1$"):
-            check()
+            check(-1)
+
+    @SEEDED_CHECKS
+    def test_a_valid_seed_reaches_the_first_work(self, monkeypatch, check, first_work):
+        # The converse, so that the refusal above cannot pass on a function the check never calls.
+        self.refuse_work(monkeypatch, first_work)
+        with pytest.raises(AssertionError, match="^work started$"):
+            check(0)
 
 
 class TestRepresentations:
