@@ -79,7 +79,7 @@ class DiagonalChannel(_Frozen):
         expected = dim * dim - 1
         if t.shape != (expected,):
             raise ValueError(f"expected {expected} multipliers, got shape {t.shape}")
-        i = int(np.argmax(np.abs(t)))  # the first NaN if there is one
+        i = int(abs(t).argmax())  # the first NaN if there is one
         finite_number(t[i], f"t[{i}]", _MAX_MAGNITUDE)
         t = t.copy()
         t.flags.writeable = False
@@ -98,17 +98,32 @@ class DiagonalChannel(_Frozen):
         return self.t[self.dim * (self.dim - 1) :]
 
     @cached_property
+    def _choi_data(self) -> np.ndarray:
+        """D, a and b in one read-only (3, n, n) buffer: the data of every Choi block.
+
+        D[j, i] = Phi(E_jj)_ii, which is :func:`diagonal_image` of the
+        identity's rows; (a, b) are :attr:`pair_weights`.  Each entry of the
+        Choi matrix is one entry of the buffer, so their Frobenius norms
+        agree.
+        """
+
+        n = self.dim
+        d = diagonal_image(self, np.eye(n))
+        data = _pair_scatter(n, [(self.t_x + self.t_y) / 2, (self.t_x - self.t_y) / 2], lead=1)
+        data[0] = d
+        data.flags.writeable = False
+        return data
+
+    @cached_property
     def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric n x n weights (a, b) of the off-diagonal action.
+        """Symmetric n x n weights (a, b) of the off-diagonal action; views of the Choi data.
 
         Output entry (k, l), k != l, is ``a_kl S_kl + b_kl S_lk`` with
         ``a = (t_x + t_y)/2`` and ``b = (t_x - t_y)/2`` of the pair {k, l};
         both diagonals are zero.
         """
 
-        ab = _pair_scatter(self.dim, [(self.t_x + self.t_y) / 2, (self.t_x - self.t_y) / 2])
-        ab.flags.writeable = False
-        return ab[0], ab[1]
+        return self._choi_data[1], self._choi_data[2]
 
     @cached_property
     def _sector_weights(self) -> tuple:
@@ -116,7 +131,7 @@ class DiagonalChannel(_Frozen):
 
         Where t_x and t_y are each constant, bit for bit (every family
         member, every n = 2 channel), they are the scalars (t_x + t_y)/2 and
-        (t_x - t_y)/2, and :attr:`pair_weights` is not built; a zero one is
+        (t_x - t_y)/2, and no n x n weight is built; a zero one is
         None when the other is nonzero, and two zeros both stay, so that
         swapping a with b and S with S^T keeps the bits.  Otherwise they
         are :attr:`pair_weights`.
@@ -152,14 +167,6 @@ class DiagonalChannel(_Frozen):
         c.flags.writeable = False
         return c
 
-    @cached_property
-    def _unit_images(self) -> np.ndarray:
-        """D[j, i] = Phi(E_jj)_ii, the Choi block data of the diagonal; read-only."""
-
-        d = diagonal_image(self, np.eye(self.dim))
-        d.flags.writeable = False
-        return d
-
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return diagonal_apply(self, s)
 
@@ -183,33 +190,37 @@ class FamilyChannel(DiagonalChannel):
         """p times the family's (x, y, z) signs over the three sectors, built on first read; read-only."""
 
         cnt = pair_count(self.dim)
-        t = np.repeat([s * self.p for s in _SIGNS[self.family]], [cnt, cnt, self.dim - 1])
+        t = np.empty(self.dim * self.dim - 1)
+        t[:cnt], t[cnt : 2 * cnt], t[2 * cnt :] = (s * self.p for s in _SIGNS[self.family])
         t.flags.writeable = False
         return t
 
 
-def _pair_scatter(n: int, rows: list) -> np.ndarray:
-    """Symmetric (len(rows), n, n) arrays holding each row's pair values at (k, l) and (l, k); zero diagonals.
+def _pair_scatter(n: int, rows: list, lead: int = 0) -> np.ndarray:
+    """Symmetric arrays holding each row's pair values at (k, l) and (l, k), with zero diagonals,
+    after ``lead`` zero planes: shape (lead + len(rows), n, n).
 
     A row lists one value per pair k < l in lexicographic order, the order of t_x and t_y.
     """
 
     k, l = _pair_index(n)
-    out = np.zeros((len(rows), n, n))
-    out[:, k, l] = out[:, l, k] = rows
-    return out
+    upper, lower = k * n + l, l * n + k  # flat positions: a plane's 1-D writes are the fastest scatter
+    out = np.zeros((lead + len(rows), n * n))
+    for plane, row in zip(out[lead:], rows):
+        plane[upper] = plane[lower] = row
+    return out.reshape(-1, n, n)
 
 
-def _classical_block(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
-    """The classical Choi block (D_ii on the diagonal, a_kl off it), and D.
+def _classical_block(diag: DiagonalChannel) -> np.ndarray:
+    """The classical Choi block, a new array: D_ii on the diagonal, a_kl off it.
 
-    ``is_cptp`` takes the block's eigenvalues and ``verify_det_recurrence`` its determinant.
+    ``is_cptp`` takes its eigenvalues and ``verify_det_recurrence`` its determinant.
     """
 
-    d = diag._unit_images
-    block = diag.pair_weights[0].copy()
-    np.fill_diagonal(block, np.diag(d))
-    return block, d
+    d, a, _ = diag._choi_data
+    block = a.copy()
+    _diagonal_view(block)[...] = np.diagonal(d)
+    return block
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:
@@ -286,17 +297,24 @@ def diagonal_image(ch: DiagonalChannel, d: np.ndarray) -> np.ndarray:
     result is the identity component Tr(S)/n plus the staircase z-sector
     transform: with M_j = diag(1 x j, -j, 0, ...), sector j contributes
     w_j M_j where w_j = t_j Tr(M_j S) / (j (j+1)).  Prefix sums make this
-    O(n) per input.
+    O(n) per input.  A float or complex ``d`` keeps its type; any other
+    is taken as floats.
     """
 
+    if d.dtype.kind not in "fc":
+        d = d.astype(float)
     n = ch.dim
     j = _steps(n)
-    prefix = np.cumsum(d, axis=-1)
-    w = ch._z_weights * (prefix[..., :-1] - j * d[..., 1:])
-    out = np.repeat(prefix[..., -1:] / n, n, axis=-1)
+    prefix = d.cumsum(axis=-1)
+    w = j * d[..., 1:]
+    np.subtract(prefix[..., :-1], w, out=w)
+    w *= ch._z_weights
+    out = prefix  # the prefix sums are spent: the output takes their buffer
+    out[...] = prefix[..., -1:] / n
     # Entry i collects the ones of every M_j with j > i and the -j of M_i.
-    out[..., :-1] += np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
-    out[..., 1:] -= j * w
+    out[..., :-1] += w[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    w *= j
+    out[..., 1:] -= w
     return out
 
 

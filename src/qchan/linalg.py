@@ -6,8 +6,8 @@ fixing the conventions everything downstream relies on: eigenvalues come
 back ascending, Hermitian inputs are symmetrized before eigensolves, and
 thresholds scale with the Frobenius norm of the operator.
 The index arrays of the pairs k < l, and the steps 1..n-1 of the
-z-sector staircase, which the basis, the channels and the checks share,
-are cached here.  The tolerances they take,
+z-sector staircase with their arithmetic, which the basis, the channels
+and the checks share, are cached here.  The tolerances they take,
 ``Tolerance`` and ``DEFAULT_TOL``, are in :mod:`qchan.exact`.
 """
 
@@ -120,10 +120,19 @@ def _pair_index(n: int, by_l: bool = False) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=_CACHED_DIMS)
 def _steps(n: int) -> np.ndarray:
-    """The staircase steps j = 1..n-1 of the z sector (``np.arange(1, n)``); read-only."""
-    j = np.arange(1, n)
+    """The staircase steps j = 1..n-1 of the z sector, as floats (exact, so products keep the bits
+    of integer steps, without a cast per call); read-only."""
+    j = np.arange(1.0, n)
     j.flags.writeable = False
     return j
+
+
+@lru_cache(maxsize=_CACHED_DIMS)
+def _squares(n: int) -> np.ndarray:
+    """(i - 1)^2 for i = 0..n, the squares of -1, 0, ..., n - 1, as floats; read-only."""
+    squares = np.arange(-1.0, n) ** 2
+    squares.flags.writeable = False
+    return squares
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

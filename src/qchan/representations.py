@@ -427,7 +427,7 @@ def verify_det_recurrence(
     passed = True
     for p in np.linspace(-0.5, 0.5, grid):
         formula = dcq_det_formula(n, float(p))
-        block, _ = _classical_block(FamilyChannel(Family.DCQ, float(p), n))
+        block = _classical_block(FamilyChannel(Family.DCQ, float(p), n))
         direct = float(np.linalg.det(block))
         dev = abs(formula - direct)
         if dev > worst:

@@ -39,7 +39,7 @@ _CHUNK_BYTES = 1 << 16
 def _complex_normals(seed: int, count: int, per_stack: int, shape: tuple[int, ...]):
     """``count`` complex Gaussian arrays of ``shape``, ``per_stack`` at a time, each drawn real part first."""
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed), without its dispatch
     for start in range(0, count, per_stack):
         g = rng.standard_normal((min(per_stack, count - start), 2, *shape))
         z = np.empty((len(g), *shape), dtype=complex)

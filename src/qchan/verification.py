@@ -37,7 +37,7 @@ import numpy as np
 from .channels import DiagonalChannel, _classical_block, _pair_scatter, as_linear_map
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
-from .linalg import _pair_index, _steps, frobenius_norm
+from .linalg import _pair_index, _squares, _steps, frobenius_norm
 from .sampling import _haar_vectors
 
 __all__ = [
@@ -65,10 +65,11 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     diagonal: the n x n "classical" block on span{|ii>} has diagonal
     D_ii and off-diagonal a_kl, and for each pair k < l a 2 x 2 block on
     span{|kl>, |lk>} is [[D_lk, b_kl], [b_kl, D_kl]], where
-    D[j, i] = Phi(E_jj)_ii and (a, b) are the pair weights.  Eigenvalues,
-    Frobenius norm and partial trace all come from these blocks.  CP
-    holds when the smallest eigenvalue is above -tol of the Choi norm, TP
-    when the partial trace is within tol of I.
+    D[j, i] = Phi(E_jj)_ii and (a, b) are the pair weights.  All three
+    are the channel's cached (3, n, n) Choi data, whose Frobenius norm is
+    the Choi norm; b enters the pair blocks in pair order, from the
+    multipliers.  CP holds when the smallest eigenvalue is above -tol of
+    the Choi norm, TP when the partial trace is within tol of I.
 
     Trace preservation holds by construction (the identity multiplier is
     fixed at 1), so ``trace_violation`` is the float rounding of D's row
@@ -79,20 +80,20 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     ch = as_linear_map(ch)
     if ch.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
-    a, b = ch.pair_weights
-    classical, d = _classical_block(ch)
-    scale = frobenius_norm(np.stack([d, a, b]))
-    classical_min = float(np.linalg.eigvalsh(classical)[0])
+    data = ch._choi_data
+    d = data[0]
+    scale = frobenius_norm(data)
+    classical_min = float(np.linalg.eigvalsh(_classical_block(ch))[0])
     k, l = _pair_index(n)
     x, y = d[k, l], d[l, k]
-    pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, b[k, l])
-    worst = int(np.argmin(pair_mins))
+    pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, (ch.t_x - ch.t_y) / 2)  # b_kl in pair order
+    worst = int(pair_mins.argmin())
     if classical_min <= pair_mins[worst]:
         smallest, where = classical_min, " in classical block"
     else:
         smallest, where = float(pair_mins[worst]), f" in pair block ({k[worst] + 1},{l[worst] + 1})"
     # Tr_2 of the Choi matrix is diag(Tr Phi(E_jj)); off-diagonal entries vanish.
-    trace_dev = float(np.max(np.abs(d.sum(axis=1) - 1)))
+    trace_dev = float(abs(d.sum(axis=1) - 1).max())
     psd_ok = smallest >= -tol.bound(scale)
     tp_ok = trace_dev <= tol.bound(1.0)
     witness = None
@@ -115,8 +116,8 @@ def constant_fnorm_criterion(
 
     ch = as_linear_map(ch)
     moduli = np.abs(ch.t)
-    spread = float(moduli.max() - moduli.min())
-    if spread > tol.bound(float(moduli.max())):
+    largest = moduli.max()
+    if float(largest - moduli.min()) > tol.bound(float(largest)):
         return False, None
     return True, expected_constant_norm(ch.dim, float(moduli[0]))
 
@@ -169,12 +170,23 @@ def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
     n = diag.dim
     c = np.zeros(n + 1)  # c_0, ..., c_{n-1}, then a zero that ends the suffix sums
     c[1:n] = diag._z_square_weights
-    s = np.cumsum(c[::-1])[::-1]  # s_j for j = 0..n, with s_n = 0
-    i = np.arange(n)
+    s = c[::-1].cumsum()[::-1]  # s_j for j = 0..n, with s_n = 0
+    squares = _squares(n)  # (i-1)^2 for i = 0..n
+    own = c[:n] * squares[1:]  # c_i i^2
     k, l = _pair_index(n)  # lexicographic pair order, as t_x and t_y
-    pair_diag = 1 / n + (c[k] * k**2 + s[k + 1] - s[l] + c[l] * (l - 1) ** 2) / 4 + s[l + 1]
-    psi = 1 / n + c[:n] * i**2 + s[1:]
-    return np.sqrt(np.concatenate([psi, pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]))
+    # Each term of one index is formed for all n indices, then gathered by k or l, in the formula's order.
+    pair_diag = (own + s[1:])[k]
+    pair_diag -= s[l]
+    pair_diag += (c[:n] * squares[:n])[l]
+    pair_diag /= 4
+    pair_diag += 1 / n
+    pair_diag += s[1:][l]
+    out = np.empty(n * n)
+    np.add(1 / n, own, out=out[:n])
+    out[:n] += s[1:]
+    np.add(pair_diag, diag.t_x**2 / 2, out=out[n : n + len(k)])
+    np.add(pair_diag, diag.t_y**2 / 2, out=out[n + len(k) :])
+    return np.sqrt(out, out=out)
 
 
 def _state_label(n: int, i: int) -> str:
@@ -249,7 +261,7 @@ def _sample_reports(
     pos = n * n
     for v in _haar_vectors(n, samples, seed):
         p = (v * v.conj()).real  # X + Y with the bits of the projectors' diagonals
-        prefix = np.cumsum(p, axis=1)
+        prefix = p.cumsum(axis=1)
         u = prefix[:, :-1] - j * p[:, 1:]
         u *= u  # u_j^2
         traces = prefix[:, -1] ** 2 / n
@@ -277,7 +289,7 @@ def _pair_forms(diag: DiagonalChannel) -> tuple[np.ndarray, Optional[np.ndarray]
     """
 
     w_x, w_y = diag.t_x**2, diag.t_y**2
-    signed = not np.array_equal(w_x, w_y)
+    signed = bool((w_x != w_y).any())
     out = _pair_scatter(diag.dim, [w_x, w_x - w_y, np.abs(w_x - w_y)] if signed else [w_x])
     return out[0], (out[1:] if signed else None)
 

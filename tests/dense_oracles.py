@@ -25,8 +25,17 @@ a ``QubitLambda``):
 
 ``state_labels`` spells out the names the sample test's witness text
 gives those states.
+
+The ``frozen_*`` functions are the bodies that ``is_cptp``,
+``channels._classical_block``, ``channels.diagonal_image`` and
+``verification._witness_norms`` had before the Choi data moved into one
+buffer per channel, with their integer staircase steps and their 2-D pair
+scatter; ``frozen_sample_path`` runs the sample test on them.  They are
+not independent oracles but fixed bits: the rebuilt path must print the
+same numbers.
 """
 
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain, combinations
 from unittest import mock
@@ -37,7 +46,7 @@ from qchan import verification
 from qchan.basis import pauli_matrix
 from qchan.channels import DiagonalChannel, FamilyChannel, diagonal_apply, family_to_diagonal
 from qchan.exact import DEFAULT_TOL, Family, Tolerance, VerificationReport
-from qchan.linalg import frobenius_norm, hermitian_part
+from qchan.linalg import _pair_index, frobenius_norm, hermitian_part
 from qchan.representations import to_choi
 from qchan.sampling import random_pure_state
 from qchan.verification import witness_states
@@ -320,3 +329,103 @@ def state_labels(n, samples=0):
         + [f"eta_({k},{l})" for k, l in pairs]
         + [f"haar_{i}" for i in range(samples)]
     )
+
+
+# --- Frozen bodies of the cold verdict path ----------------------------------
+
+
+def frozen_diagonal_image(ch, d):
+    """``diagonal_image`` as it was: integer steps, weights t_z / (j (j+1)), a repeat for the trace term."""
+
+    n = ch.dim
+    j = np.arange(1, n)
+    prefix = np.cumsum(d, axis=-1)
+    w = ch.t_z / (j * (j + 1)) * (prefix[..., :-1] - j * d[..., 1:])
+    out = np.repeat(prefix[..., -1:] / n, n, axis=-1)
+    out[..., :-1] += np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    out[..., 1:] -= j * w
+    return out
+
+
+def frozen_pair_scatter(n, rows):
+    """``channels._pair_scatter`` as it was: one 2-D fancy assignment of all rows at (k, l) and (l, k)."""
+
+    k, l = _pair_index(n)
+    out = np.zeros((len(rows), n, n))
+    out[:, k, l] = out[:, l, k] = rows
+    return out
+
+
+def frozen_pair_weights(diag):
+    """``DiagonalChannel.pair_weights`` as it was, a new pair of arrays."""
+
+    a, b = frozen_pair_scatter(diag.dim, [(diag.t_x + diag.t_y) / 2, (diag.t_x - diag.t_y) / 2])
+    return a, b
+
+
+def frozen_classical_block(diag):
+    """``_classical_block`` as it was: the block, and D = ``frozen_diagonal_image`` of the identity."""
+
+    d = frozen_diagonal_image(diag, np.eye(diag.dim))
+    block = frozen_pair_weights(diag)[0].copy()
+    np.fill_diagonal(block, np.diag(d))
+    return block, d
+
+
+def frozen_is_cptp(ch, n, tol=DEFAULT_TOL):
+    """``is_cptp`` as it was, on a channel object of dimension ``n``."""
+
+    a, b = frozen_pair_weights(ch)
+    classical, d = frozen_classical_block(ch)
+    scale = frobenius_norm(np.stack([d, a, b]))
+    classical_min = float(np.linalg.eigvalsh(classical)[0])
+    k, l = _pair_index(n)
+    x, y = d[k, l], d[l, k]
+    pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, b[k, l])
+    worst = int(np.argmin(pair_mins))
+    if classical_min <= pair_mins[worst]:
+        smallest, where = classical_min, " in classical block"
+    else:
+        smallest, where = float(pair_mins[worst]), f" in pair block ({k[worst] + 1},{l[worst] + 1})"
+    trace_dev = float(np.max(np.abs(d.sum(axis=1) - 1)))
+    psd_ok = smallest >= -tol.bound(scale)
+    tp_ok = trace_dev <= tol.bound(1.0)
+    witness = None
+    if not psd_ok:
+        witness = f"negative Choi eigenvalue {smallest:.6e}{where}"
+    elif not tp_ok:
+        witness = f"partial trace deviates from identity by {trace_dev:.3e}"
+    return VerificationReport(
+        passed=psd_ok and tp_ok,
+        min_choi_eigenvalue=smallest,
+        trace_violation=trace_dev,
+        witness=witness,
+    )
+
+
+def frozen_witness_norms(diag):
+    """``verification._witness_norms`` as it was: the index arithmetic per pair, on integer indices."""
+
+    n = diag.dim
+    j = np.arange(1, n)
+    c = np.zeros(n + 1)
+    c[1:n] = diag.t_z**2 / (j * (j + 1))
+    s = np.cumsum(c[::-1])[::-1]
+    i = np.arange(n)
+    k, l = _pair_index(n)
+    pair_diag = 1 / n + (c[k] * k**2 + s[k + 1] - s[l] + c[l] * (l - 1) ** 2) / 4 + s[l + 1]
+    psi = 1 / n + c[:n] * i**2 + s[1:]
+    return np.sqrt(np.concatenate([psi, pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]))
+
+
+@contextmanager
+def frozen_sample_path():
+    """The sample test on the frozen witness norms, pair scatter and integer steps."""
+
+    with mock.patch.multiple(
+        verification,
+        _witness_norms=frozen_witness_norms,
+        _pair_scatter=frozen_pair_scatter,
+        _steps=lambda n: np.arange(1, n),
+    ):
+        yield

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qchan import representations
 from qchan.basis import _pair_entries, _staircase_rows, build_basis, decompose, m_z, pauli_matrix, reconstruct
 from qchan.exact import pair_count
-from qchan.linalg import _pair_index, _steps
+from qchan.linalg import _pair_index, _squares, _steps
 
 DIMS = [2, 3, 4, 5, 6]
 
@@ -165,7 +165,7 @@ class TestBasis:
 
     def test_caches_are_bounded(self):
         # Every per-dimension cache keeps only a few dimensions.
-        for cached in (_pair_index, _steps, representations._staircase_gram):
+        for cached in (_pair_index, _steps, _squares, representations._staircase_gram):
             for n in range(2, 12):
                 cached(n)
             info = cached.cache_info()

@@ -359,9 +359,10 @@ class TestImmutableObjects:
         for name in ("pair_count", "diagonal_image", "_pair_index"):
             monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
         fam = FamilyChannel(Family.DEP, 0.25, 3)
-        t, weights, images = fam.t, fam.pair_weights, fam._unit_images
-        assert fam.t is t and fam.pair_weights is weights and fam._unit_images is images
-        assert calls == ["pair_count", "_pair_index", "diagonal_image"]
+        t, data, weights = fam.t, fam._choi_data, fam.pair_weights
+        assert fam.t is t and fam._choi_data is data and fam.pair_weights is weights
+        assert calls == ["pair_count", "diagonal_image", "_pair_index"]
+        assert all(np.shares_memory(w, data) for w in weights)  # views of the one buffer
 
     def test_dumps_refuses_them(self):
         for obj, _ in _objects():

@@ -223,7 +223,7 @@ def test_sample_norms_come_from_the_multipliers(monkeypatch, make):
     def refuse(*args):
         raise OutputDiagonalBuilt
 
-    monkeypatch.setattr(DiagonalChannel, "_unit_images", property(refuse))
+    monkeypatch.setattr(DiagonalChannel, "_choi_data", property(refuse))
     monkeypatch.setattr("qchan.channels.diagonal_image", refuse)
     monkeypatch.setattr(verification, "diagonal_image", refuse, raising=False)
     ch = make()  # a fresh object: no cached property computed yet
