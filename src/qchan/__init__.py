@@ -19,7 +19,6 @@ _EXPORTS = {
         "BasisE",
         "build_basis",
         "decompose",
-        "m_z",
         "pauli_matrix",
         "reconstruct",
     ),
@@ -66,20 +65,17 @@ _EXPORTS = {
         "QubitLambda",
         "classify_qubit",
         "dcq_det_formula",
-        "kraus_completeness",
         "kraus_from_family",
         "to_choi",
         "verify_det_recurrence",
         "verify_representations",
         "verify_sum_identities",
     ),
-    "sampling": ("random_pure_state",),
     "verification": (
         "constant_fnorm_criterion",
         "constant_fnorm_sample_test",
         "expected_constant_norm",
         "is_cptp",
-        "witness_states",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -26,7 +26,6 @@ from .linalg import _pair_index, as_matrix, frobenius_norm, is_hermitian
 
 __all__ = [
     "pauli_matrix",
-    "m_z",
     "BasisE",
     "build_basis",
     "decompose",
@@ -38,7 +37,7 @@ def pauli_matrix(n: int, sector: str, pair: tuple[int, int]) -> np.ndarray:
     """Unnormalized generalized Pauli matrix for the given sector and pair.
 
     ``sector`` is one of "x", "y", "z"; the z sector here is the two-level
-    sigma_z(k,l) = E_kk - E_ll, distinct from the staircase :func:`m_z`.
+    sigma_z(k,l) = E_kk - E_ll, distinct from the basis's staircase M_z(k).
     """
 
     _check_pair(n, pair)
@@ -49,18 +48,6 @@ def pauli_matrix(n: int, sector: str, pair: tuple[int, int]) -> np.ndarray:
     for r, c, v in zip(rows, cols, values):
         m[r, c] = v
     return m
-
-
-def m_z(n: int, k: int) -> np.ndarray:
-    """Traceless diagonal diag(1 x k, -k, 0, ...); squared norm k (k+1)."""
-
-    n = integer(n, "dim", 2)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"staircase index {k} out of range 1..{n - 1}")
-    d = np.zeros(n, dtype=complex)
-    d[:k] = 1
-    d[k] = -k
-    return np.diag(d)
 
 
 def _staircase_rows(n: int) -> tuple[np.ndarray, np.ndarray]:

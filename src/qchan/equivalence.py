@@ -358,7 +358,8 @@ def qubit_equivalence_check(
     * sigma_x Phi_4(-p, S) sigma_x = Phi_1(p, S)
 
     checked entrywise on stacks of up to 2048 Haar states of ``seed``
-    (``random_pure_state``'s bits); ``witness`` names the first worst case.
+    (the bits of the test oracle ``random_pure_state`` in
+    ``tests/dense_oracles.py``); ``witness`` names the first worst case.
     """
 
     _check_conjugation_p(p)

@@ -117,8 +117,9 @@ class _Frozen:
     """Base of the immutable objects that are not records: the channels and the basis.
 
     ``__init__`` validates, then stores the values named by ``_fields``
-    with :meth:`_set`; they decide ``==`` (same class, equal tuples),
-    ``hash`` and ``repr``, as a frozen dataclass's fields would.
+    with :meth:`_set`; they decide ``==`` (same class, equal fields, an
+    array by shape and then element by element, where a frozen dataclass
+    raised), ``hash`` (refused for an array field) and ``repr``.
     Assignment and deletion raise AttributeError, while
     ``functools.cached_property`` still caches, since it writes the
     instance ``__dict__`` directly.
@@ -141,7 +142,7 @@ class _Frozen:
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return _same(self._values(), other._values())
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -149,6 +150,16 @@ class _Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Equality of two values of one field: tuples item by item, arrays by shape, then element by element."""
+
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if hasattr(a, "shape"):
+        return a.shape == b.shape and bool((a == b).all())
+    return a == b
 
 
 # --- Checks shared by the library and the CLI -------------------------------

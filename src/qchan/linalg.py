@@ -90,16 +90,16 @@ def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return dev <= tol.bound(frobenius_norm(m))
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix.
 
     The input is symmetrized before the eigensolve so that float dust off
     the diagonal cannot leak imaginary parts into the result; genuinely
-    non-Hermitian inputs are rejected.
+    non-Hermitian inputs (past ``DEFAULT_TOL``) are rejected.
     """
 
     m = as_matrix(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(hermitian_part(m))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import sqrt
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "verify_sum_identities",
     "verify_representations",
     "kraus_from_family",
-    "kraus_completeness",
     "to_choi",
     "dcq_det_formula",
     "verify_det_recurrence",
@@ -320,14 +319,16 @@ def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tupl
 def _kraus_count_and_deviation(
     family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[int, float, bool]:
-    """len(kraus_from_family(..., tol)), max |kraus_completeness - I| bit for bit, and its verdict.
+    """len(kraus_from_family(..., tol)), max |sum V_i† V_i - I| of its operators bit for bit, and its verdict.
 
     Completeness holds when the deviation is within ``tol`` of 0.  The
     identity operator gives fl(sqrt(c0))^2 I and a pair operator
     sqrt(c) sigma gives fl(sqrt(c))^2 (E_kk + E_ll), so every diagonal
     entry of the dense sum receives fl(sqrt(c0))^2 once, then fl(sqrt(c))^2
     n - 1 times for each kept pair sector, in x, y, z order; the
-    off-diagonal entries are exactly 0.  No operator is built: O(n).
+    off-diagonal entries are exactly 0.  No operator is built: O(n).  The
+    dense sum is the test oracle ``kraus_completeness`` of
+    ``tests/dense_oracles.py``.
     """
 
     count, entry = 0, 0.0
@@ -351,18 +352,6 @@ def _scaled_operators(root: float, entries, n: int) -> np.ndarray:
     for r, c, v in zip(rows, cols, values):
         ops[i, r, c] = root * v
     return ops
-
-
-def kraus_completeness(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_i V_i† V_i over a non-empty sequence of operators; I exactly when trace preserving."""
-
-    if not len(operators):
-        raise ValueError("empty Kraus set")
-    n = operators[0].shape[0]
-    total = np.zeros((n, n), dtype=complex)
-    for op in operators:
-        total += op.conj().T @ op
-    return total
 
 
 # --- The dense Choi matrix ---------------------------------------------------
@@ -479,17 +468,18 @@ class QubitLambda(_Frozen):
 _VARIANT_BY_SIGNS = {_SIGNS[family][:2]: i for i, family in enumerate(Family, 1)}
 
 
-def classify_qubit(l: QubitLambda, tol: Tolerance = DEFAULT_TOL) -> QubitClassification:
+def classify_qubit(l: QubitLambda) -> QubitClassification:
     """Decide whether a qubit channel has constant output norm, and how.
 
     Diagonal members are normalized to lam_z >= 0 by flipping the signs of
     lam_z and lam_x together (a sigma_y conjugation), so all eight sign
-    patterns collapse onto the four canonical variants.
+    patterns collapse onto the four canonical variants.  Moduli are
+    compared at ``DEFAULT_TOL``.
     """
 
     t = np.array(l.t)
     lam = np.array(l.lam)
-    eps = tol.bound(1.0)
+    eps = DEFAULT_TOL.bound(1.0)
     if np.all(np.abs(lam) <= eps):
         if np.linalg.norm(t) > 1 + eps:
             raise ValueError(f"translation {l.t} leaves the Bloch ball: not a channel")

@@ -3,28 +3,17 @@
 Every check draws its complex Gaussian inputs in stacks of
 :func:`_complex_normals`: Haar states through :func:`_haar_vectors` (the
 sample test, the qubit conjugations), or n x n trial matrices (the
-conjugation-sum checks).  :func:`random_pure_state`, one state at a time,
-is their oracle: the stacks hold its draws bit for bit.
+conjugation-sum checks).  A stack holds, bit for bit, the draws that
+``np.random.default_rng(seed)`` makes one input at a time, real part
+first; ``random_pure_state`` in ``tests/dense_oracles.py`` is that
+one-state-at-a-time oracle.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from .linalg import _row_norms
-
-__all__ = ["random_pure_state"]
-
-
-def random_pure_state(n: int, rng: Union[int, np.random.Generator, None] = None) -> np.ndarray:
-    """Haar-random rank-one projector |v><v| on C^n (deterministic per seed)."""
-
-    gen = np.random.default_rng(rng)
-    v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 # Bytes of the normals drawn at once: 16 n bytes per Haar state, so 204
@@ -48,7 +37,7 @@ def _complex_normals(seed: int, count: int, per_stack: int, shape: tuple[int, ..
 
 
 def _haar_vectors(n: int, samples: int, seed: int):
-    """The unit vectors of the ``samples`` random_pure_state draws of ``seed``, bit for bit.
+    """Unit vectors of ``samples`` Haar states of ``seed``: each draw's normals divided by their norm.
 
     They are drawn in (k, n) stacks of at most ``_CHUNK_BYTES`` of normals
     (16 n bytes per state), so no Python code runs once per state.

@@ -44,7 +44,6 @@ __all__ = [
     "is_cptp",
     "constant_fnorm_criterion",
     "expected_constant_norm",
-    "witness_states",
     "constant_fnorm_sample_test",
 ]
 
@@ -126,31 +125,6 @@ def expected_constant_norm(n: int, t: float) -> float:
     """Output Frobenius norm on pure inputs when all moduli equal |t|."""
     n, t = integer(n, "dim", 2), finite_number(t, "t", _MAX_MAGNITUDE)
     return sqrt(1 / n + t * t * (1 - 1 / n))
-
-
-def witness_states(n: int) -> list[np.ndarray]:
-    """The n^2 pure states that pin down a diagonal channel's output norms.
-
-    Computational projectors first, then (e_k + e_l)/sqrt(2) projectors,
-    then (i e_k + e_l)/sqrt(2) projectors, pairs in lexicographic order.
-    """
-
-    return [np.outer(v, v.conj()) for v in _witness_vectors(n)]
-
-
-def _witness_vectors(n: int) -> np.ndarray:
-    """Unit vectors of the witness states, in their order, as an (n^2, n) array."""
-
-    k, l = _pair_index(n)
-    q = np.arange(len(k))
-    v = np.zeros((n * n, n), dtype=complex)
-    v[:n] = np.eye(n)
-    xi, eta = v[n : n + len(k)], v[n + len(k) :]
-    xi[q, k] = 1
-    eta[q, k] = 1j
-    xi[q, l] = eta[q, l] = 1
-    v[n:] /= sqrt(2)
-    return v
 
 
 def _witness_norms(diag: DiagonalChannel) -> np.ndarray:

@@ -1,5 +1,17 @@
 """Slow, independent oracles for the apply engine and the verdicts of qchan.verification and qchan.equivalence.
 
+The one-at-a-time forms of what qchan computes stacked or in closed form
+come first:
+
+* ``random_pure_state`` draws one Haar state, whose bits the stacks of
+  ``sampling._haar_vectors`` hold;
+* ``witness_states`` builds the n^2 witness projectors from
+  ``_witness_vectors``, whose norms ``verification._witness_norms`` takes
+  by Parseval and whose names ``verification._state_label`` gives;
+* ``kraus_completeness`` is the dense sum of V_i† V_i that
+  ``representations._kraus_count_and_deviation`` forms from the weights;
+* ``m_z`` is one staircase matrix, a row of ``basis._staircase_rows``.
+
 The verdicts take channel objects only, use their structure and draw
 their random states in stacks.  These oracles decide the same questions
 the long way, with the same thresholds and witness strings; the first
@@ -38,6 +50,7 @@ same numbers.
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain, combinations
+from math import sqrt
 from unittest import mock
 
 import numpy as np
@@ -46,10 +59,67 @@ from qchan import verification
 from qchan.basis import pauli_matrix
 from qchan.channels import DiagonalChannel, FamilyChannel, diagonal_apply, family_to_diagonal
 from qchan.exact import DEFAULT_TOL, Family, Tolerance, VerificationReport
+from qchan.jsonio import integer
 from qchan.linalg import _pair_index, frobenius_norm, hermitian_part
 from qchan.representations import to_choi
-from qchan.sampling import random_pure_state
-from qchan.verification import witness_states
+
+
+def random_pure_state(n, rng=None):
+    """Haar-random rank-one projector |v><v| on C^n (deterministic per seed)."""
+
+    gen = np.random.default_rng(rng)
+    v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def witness_states(n):
+    """The n^2 pure states that pin down a diagonal channel's output norms.
+
+    Computational projectors first, then (e_k + e_l)/sqrt(2) projectors,
+    then (i e_k + e_l)/sqrt(2) projectors, pairs in lexicographic order.
+    """
+
+    return [np.outer(v, v.conj()) for v in _witness_vectors(n)]
+
+
+def _witness_vectors(n):
+    """Unit vectors of the witness states, in their order, as an (n^2, n) array."""
+
+    k, l = _pair_index(n)
+    q = np.arange(len(k))
+    v = np.zeros((n * n, n), dtype=complex)
+    v[:n] = np.eye(n)
+    xi, eta = v[n : n + len(k)], v[n + len(k) :]
+    xi[q, k] = 1
+    eta[q, k] = 1j
+    xi[q, l] = eta[q, l] = 1
+    v[n:] /= sqrt(2)
+    return v
+
+
+def kraus_completeness(operators):
+    """sum_i V_i† V_i over a non-empty sequence of operators; I exactly when trace preserving."""
+
+    if not len(operators):
+        raise ValueError("empty Kraus set")
+    n = operators[0].shape[0]
+    total = np.zeros((n, n), dtype=complex)
+    for op in operators:
+        total += op.conj().T @ op
+    return total
+
+
+def m_z(n, k):
+    """Traceless diagonal diag(1 x k, -k, 0, ...); squared norm k (k+1)."""
+
+    n = integer(n, "dim", 2)
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"staircase index {k} out of range 1..{n - 1}")
+    d = np.zeros(n, dtype=complex)
+    d[:k] = 1
+    d[k] = -k
+    return np.diag(d)
 
 
 def dense_family_apply(ch, s):

@@ -33,22 +33,19 @@ from qchan.linalg import frobenius_norm
 from qchan.representations import (
     QubitLambda,
     classify_qubit,
-    kraus_completeness,
     kraus_from_family,
     verify_det_recurrence,
     verify_representations,
     verify_sum_identities,
 )
-from qchan.sampling import random_pure_state
 from qchan.verification import (
     constant_fnorm_criterion,
     constant_fnorm_sample_test,
     expected_constant_norm,
     is_cptp,
-    witness_states,
 )
 
-from dense_oracles import per_state_sample_test
+from dense_oracles import kraus_completeness, per_state_sample_test, random_pure_state, witness_states
 from test_channels import PAULIS, kraus_action, qubit_norm_formula
 
 FAMILIES = list(Family)
@@ -105,13 +102,13 @@ def test_criterion_01_parameter_ranges_and_choi_endpoints():
 def test_criterion_02_constant_norm_on_pure_states():
     worst = 0.0
     for n in (2, 3, 4, 5, 6):
-        states = list(witness_states(n)) + list(_haar_states(n))
+        states = np.stack(list(witness_states(n)) + list(_haar_states(n)))
         for family in FAMILIES:
             for p in _interior_params(family, n):
                 ch = FamilyChannel(family, float(p), n)
                 expected = expected_constant_norm(n, abs(float(p)))
-                for s in states:
-                    dev = abs(frobenius_norm(family_apply(ch, s)) - expected)
+                for out in family_apply(ch, states):  # one apply per member, on the stack of all its states
+                    dev = abs(frobenius_norm(out) - expected)
                     if dev > worst:
                         worst = dev
     _report(

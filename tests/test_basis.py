@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import representations
-from qchan.basis import _pair_entries, _staircase_rows, build_basis, decompose, m_z, pauli_matrix, reconstruct
+from qchan.basis import _pair_entries, _staircase_rows, build_basis, decompose, pauli_matrix, reconstruct
 from qchan.exact import pair_count
 from qchan.linalg import _pair_index, _squares, _steps
+
+from dense_oracles import m_z
 
 DIMS = [2, 3, 4, 5, 6]
 

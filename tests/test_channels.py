@@ -25,9 +25,10 @@ from qchan.channels import (
 from qchan.exact import _SIGNS, DEFAULT_TOL, Family, Tolerance, cptp_range, pair_count, repr_coefficients
 from qchan.jsonio import SchemaError, dumps
 from qchan.linalg import frobenius_norm
-from qchan.representations import QubitLambda, kraus_completeness, kraus_from_family, to_choi
-from qchan.sampling import random_pure_state
+from qchan.representations import QubitLambda, kraus_from_family, to_choi
 from qchan.verification import constant_fnorm_criterion, constant_fnorm_sample_test, is_cptp
+
+from dense_oracles import kraus_completeness, random_pure_state
 
 FAMILIES = list(Family)
 DIMS = [2, 3, 4, 5, 6]
@@ -284,7 +285,7 @@ def _objects():
 
 
 class TestImmutableObjects:
-    """The channels and the basis behave as the frozen dataclasses they replaced."""
+    """The channels and the basis behave as the frozen dataclasses they replaced, but compare array fields."""
 
     def test_positional_and_keyword_construction(self):
         for obj, values in _objects():
@@ -328,6 +329,22 @@ class TestImmutableObjects:
         assert hash(qubit) == hash(((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)))
         for obj, _ in _objects()[1::2]:  # an array field makes the diagonal channel and the basis unhashable
             assert obj == obj
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
+
+    def test_distinct_objects_with_array_fields_compare(self):
+        # Arrays compare by shape, then element by element; a tuple of them item by item.
+        diag = DiagonalChannel(2, [0.1, 0.2, 0.3])
+        assert diag == DiagonalChannel(2, [0.1, 0.2, 0.3])
+        assert not diag != DiagonalChannel(2, np.array([0.1, 0.2, 0.3]))
+        assert diag != DiagonalChannel(2, [0.1, 0.2, -0.3])
+        assert not diag == DiagonalChannel(2, [0.1, 0.2, -0.3])
+        assert diag != DiagonalChannel(3, np.full(8, 0.1))
+        assert FamilyChannel(Family.DEP, 0.1, 2) != DiagonalChannel(2, [0.1, 0.1, 0.1])
+        assert build_basis(3) == build_basis(3)
+        assert not build_basis(3) != build_basis(3)
+        assert build_basis(3) != build_basis(2)
+        for obj in (diag, build_basis(3)):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(obj)
 

@@ -49,16 +49,13 @@ PUBLIC_NAMES = [
     "hermitian_eigenvalues",
     "inequivalence_certificate",
     "is_cptp",
-    "kraus_completeness",
     "kraus_from_family",
-    "m_z",
     "matrix_from_json",
     "matrix_to_json",
     "pair_count",
     "param_range",
     "pauli_matrix",
     "qubit_equivalence_check",
-    "random_pure_state",
     "reconstruct",
     "repr_coefficients",
     "spectrum_witness",
@@ -67,7 +64,6 @@ PUBLIC_NAMES = [
     "verify_det_recurrence",
     "verify_representations",
     "verify_sum_identities",
-    "witness_states",
 ]
 
 
@@ -78,7 +74,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(qchan, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 52
+    assert len(names) == 48
 
 
 def test_every_module_export_resolves():
@@ -95,6 +91,19 @@ def test_star_import_binds_every_public_name():
     assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert namespace[name] is getattr(qchan, name)
+
+
+def test_oracles_are_not_in_the_package():
+    # One-at-a-time forms of stacked or closed-form paths live in tests/dense_oracles.py only.
+    for module, name in [
+        ("basis", "m_z"),
+        ("representations", "kraus_completeness"),
+        ("sampling", "random_pure_state"),
+        ("verification", "witness_states"),
+        ("verification", "_witness_vectors"),
+    ]:
+        assert not hasattr(qchan, name), name
+        assert not hasattr(importlib.import_module(f"qchan.{module}"), name), (module, name)
 
 
 def test_unknown_name_raises_attribute_error():
@@ -119,7 +128,7 @@ def test_names_are_resolved_on_first_access():
         assert loaded == [], loaded
         assert "numpy" not in sys.modules
         names = [name for name in dir(qchan) if not name.startswith("_")]
-        assert len(names) == 52, names
+        assert len(names) == 48, names
         assert qchan.param_range(qchan.Family.DCQ, 3).p_max == 0.25
         assert qchan.inequivalence_certificate((qchan.Family.DEP, qchan.Family.TRD), 5).passed
         assert qchan.Tolerance() == qchan.DEFAULT_TOL

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qchan import basis as basis_module
 from qchan import channels, exact, representations, verification
-from qchan.basis import build_basis, m_z, pauli_matrix
+from qchan.basis import build_basis, pauli_matrix
 from qchan.channels import DiagonalChannel, FamilyChannel, as_linear_map, family_to_diagonal
 from qchan.equivalence import qubit_equivalence_check
 from qchan.exact import Family, Tolerance, cptp_range, param_range, repr_coefficients
@@ -26,16 +26,22 @@ from qchan.representations import (
     verify_representations,
     verify_sum_identities,
 )
-from qchan.sampling import random_pure_state
 from qchan.verification import (
     constant_fnorm_criterion,
     constant_fnorm_sample_test,
     expected_constant_norm,
     is_cptp,
-    witness_states,
 )
 
-from dense_oracles import dense_is_cptp, per_pair_sums, per_state_sample_test, state_labels
+from dense_oracles import (
+    dense_is_cptp,
+    m_z,
+    per_pair_sums,
+    per_state_sample_test,
+    random_pure_state,
+    state_labels,
+    witness_states,
+)
 
 FAMILIES = list(Family)
 
