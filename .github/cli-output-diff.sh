@@ -25,7 +25,10 @@
 #   pair sum cancels), `--output` to a file and to a missing directory, and
 #   the help texts;
 # - the sample test's signed t_x^2 - t_y^2 forms on an n = 64 diagonal
-#   channel (`unequal64.json`).
+#   channel (`unequal64.json`);
+# - the CPTP verdict on an n = 4 diagonal channel whose z multipliers are
+#   0.0, -0.0 and 1e100 (`signed_zero_z.json`), so signed zeros and the
+#   magnitude bound pass through the suffix sums of the classical Choi data.
 set -u
 
 base=$1
@@ -62,6 +65,8 @@ printf '{"kind": "family", "family": "dcq", "p": 1e308, "dim": 3}\n' > "$work/dc
 printf '{"kind": "family", "family": "dcq", "p": 1.7e308, "dim": 3}\n' > "$work/dcq_first_sum.json"
 printf '{"kind": "diagonal", "dim": 2, "t": [0, 0, 3000618250.613841]}\n' > "$work/cancelled.json"
 printf '{"kind": "family", "family": "dep", "p": 1e155, "dim": 3}\n' > "$work/huge_p.json"
+printf '{"kind": "diagonal", "dim": 4, "t": [0.1, -0.2, 0.3, 0.05, -0.15, 0.25, 0.2, 0.1, -0.3, 0.15, 0.05, -0.25, 0.0, -0.0, 1e100]}\n' \
+    > "$work/signed_zero_z.json"
 # n = 64 with t_x and t_y moduli that differ pair by pair: the sample test's signed Delta forms at size.
 python -c '
 import json
@@ -186,6 +191,7 @@ commands=(
     "verify cptp --channel $work/bool_p.json"
     "verify cptp --channel $work/past_bound_p.json"
     "verify cptp --channel $work/two_bad_fields.json"
+    "verify cptp --channel $work/signed_zero_z.json"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

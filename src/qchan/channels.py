@@ -37,7 +37,16 @@ from .exact import (
     pair_count,
 )
 from .jsonio import _MAX_MAGNITUDE, SchemaError, finite_number, integer, require, require_int
-from .linalg import _pair_index, _steps, as_matrix, as_matrix_stack, frobenius_norm, hermitian_part, is_hermitian
+from .linalg import (
+    _pair_index,
+    _pair_positions,
+    _steps,
+    as_matrix,
+    as_matrix_stack,
+    frobenius_norm,
+    hermitian_part,
+    is_hermitian,
+)
 
 __all__ = [
     "FamilyChannel",
@@ -101,49 +110,64 @@ class DiagonalChannel(_Frozen):
     def _choi_data(self) -> np.ndarray:
         """D, a and b in one read-only (3, n, n) buffer: the data of every Choi block.
 
-        D[j, i] = Phi(E_jj)_ii, which is :func:`diagonal_image` of the
-        identity's rows; (a, b) are :attr:`pair_weights`.  Each entry of the
-        Choi matrix is one entry of the buffer, so their Frobenius norms
-        agree.
+        D[r, i] = Phi(E_rr)_ii is :func:`diagonal_image` of the identity's
+        rows, bit for bit, but holds only the three n-vectors of
+        :func:`_classical_vectors`: column i is U_i above the diagonal,
+        row r is L_r below it, and G is the diagonal.  They are written
+        through the flat pair positions, with no n x n index or mask, so
+        the pair block (k, l) is [[L_l, b_kl], [b_kl, U_l]].  (a, b) are
+        :attr:`pair_weights`.  Each entry of the Choi matrix is one entry
+        of the buffer, so their Frobenius norms agree.
         """
 
         n = self.dim
-        d = diagonal_image(self, np.eye(n))
-        data = _pair_scatter(n, [(self.t_x + self.t_y) / 2, (self.t_x - self.t_y) / 2], lead=1)
-        data[0] = d
+        upper, lower = _pair_positions(n)
+        _, l = _pair_index(n)
+        above, below, diagonal = _classical_vectors(self)
+        data = np.zeros((3, n * n))
+        d, a, b = data
+        d[upper], d[lower], d[:: n + 1] = above[l], below[l], diagonal
+        a[upper] = a[lower] = (self.t_x + self.t_y) / 2
+        b[upper] = b[lower] = (self.t_x - self.t_y) / 2
+        data = data.reshape(3, n, n)
         data.flags.writeable = False
         return data
 
     @cached_property
     def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric n x n weights (a, b) of the off-diagonal action; views of the Choi data.
+        """Symmetric n x n weights (a, b) of the Choi matrix's pairs; views of the Choi data.
 
-        Output entry (k, l), k != l, is ``a_kl S_kl + b_kl S_lk`` with
-        ``a = (t_x + t_y)/2`` and ``b = (t_x - t_y)/2`` of the pair {k, l};
-        both diagonals are zero.
+        Entry (k, l), k != l, is ``a = (t_x + t_y)/2`` or ``b = (t_x - t_y)/2``
+        of the pair {k, l}; both diagonals are zero.  a is the classical
+        block off its diagonal, and b the pair blocks' off-diagonal.
         """
 
         return self._choi_data[1], self._choi_data[2]
 
     @cached_property
     def _sector_weights(self) -> tuple:
-        """Weights (a, b) of S and S^T in the pair sectors, as the apply engine takes them.
+        """How the apply engine weighs the pair sectors: ``(split, u, v)``.
 
-        Where t_x and t_y are each constant, bit for bit (every family
-        member, every n = 2 channel), they are the scalars (t_x + t_y)/2 and
-        (t_x - t_y)/2, and no n x n weight is built; a zero one is
-        None when the other is nonzero, and two zeros both stay, so that
-        swapping a with b and S with S^T keeps the bits.  Otherwise they
-        are :attr:`pair_weights`.
+        Where t_x and t_y are each constant, bit for bit, and one of
+        a = (t_x + t_y)/2 and b = (t_x - t_y)/2 is zero (every family
+        member), the sectors are a S + b S^T with scalar weights (split
+        False): a zero one is None when the other is nonzero, and two
+        zeros both stay, so that swapping a with b and S with S^T keeps
+        the bits.  Otherwise they are t_x (S + S^T)/2 + t_y (S - S^T)/2
+        (split True), in which neither sector's part cancels in the
+        other's when their sizes differ widely; u and v are t_x and t_y,
+        as scalars where each is constant, else as symmetric n x n weights.
         """
 
         x, y = self.t_x.view(np.int64), self.t_y.view(np.int64)
         if (x != x[0]).any() or (y != y[0]).any():
-            return self.pair_weights
+            return (True, *_pair_scatter(self.dim, [self.t_x, self.t_y]))
         a, b = (self.t_x[0] + self.t_y[0]) / 2, (self.t_x[0] - self.t_y[0]) / 2
+        if a != 0 and b != 0:
+            return True, self.t_x[0], self.t_y[0]
         if (a == 0) != (b == 0):
-            return (None, b) if a == 0 else (a, None)
-        return a, b
+            return (False, None, b) if a == 0 else (False, a, None)
+        return False, a, b
 
     @cached_property
     def _z_weights(self) -> np.ndarray:
@@ -196,19 +220,45 @@ class FamilyChannel(DiagonalChannel):
         return t
 
 
-def _pair_scatter(n: int, rows: list, lead: int = 0) -> np.ndarray:
-    """Symmetric arrays holding each row's pair values at (k, l) and (l, k), with zero diagonals,
-    after ``lead`` zero planes: shape (lead + len(rows), n, n).
+def _pair_scatter(n: int, rows: list) -> np.ndarray:
+    """Symmetric arrays holding each row's pair values at (k, l) and (l, k), with zero diagonals:
+    shape (len(rows), n, n).
 
     A row lists one value per pair k < l in lexicographic order, the order of t_x and t_y.
     """
 
-    k, l = _pair_index(n)
-    upper, lower = k * n + l, l * n + k  # flat positions: a plane's 1-D writes are the fastest scatter
-    out = np.zeros((lead + len(rows), n * n))
-    for plane, row in zip(out[lead:], rows):
+    upper, lower = _pair_positions(n)
+    out = np.zeros((len(rows), n * n))
+    for plane, row in zip(out, rows):
         plane[upper] = plane[lower] = row
     return out.reshape(-1, n, n)
+
+
+def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, L and G, the three n-vectors of D[r, i] = Phi(E_rr)_ii (zero-based r, i).
+
+    With w_i = t_z,i / (i (i+1)) (``DiagonalChannel._z_weights``, w_0 = 0)
+    and the suffix sums S_i = w_(n-1) + ... + w_i, summed from the end,
+    with S_n = 0:
+
+        U_i = (1/n + S_(i+1)) - i w_i      column i above the diagonal,
+        L_r = 1/n + (S_(r+1) - r w_r)      row r below it,
+        G_r = (1/n + S_(r+1)) + (r w_r) r  the diagonal.
+
+    These are the IEEE operations :func:`diagonal_image` runs on the rows
+    of the identity, in its order, so D keeps its bits; the zeros it adds
+    on the way only ever meet a sum that 1/n then absorbs.
+    """
+
+    n, j, w = diag.dim, _steps(diag.dim), diag._z_weights
+    suffix = np.zeros(n)  # S_(i+1) at i
+    suffix[:-1] = w[::-1].cumsum()[::-1]
+    iw = np.zeros(n)  # i w_i
+    np.multiply(w, j, out=iw[1:])
+    head = 1 / n + suffix
+    diagonal = head.copy()
+    diagonal[1:] += iw[1:] * j
+    return head - iw, 1 / n + (suffix - iw), diagonal
 
 
 def _classical_block(diag: DiagonalChannel) -> np.ndarray:
@@ -257,8 +307,9 @@ def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
     This is the linear extension of the basis picture to every complex
     input, computed sector by sector in O(n^2) per matrix, into a new
     array: the x/y sectors of a pair {k, l} mix (S_kl, S_lk) with the
-    pair's weights (``DiagonalChannel._sector_weights``), then the
-    diagonal goes through :func:`diagonal_image`.
+    pair's weights (``DiagonalChannel._sector_weights``), as t_x (S + S^T)/2
+    + t_y (S - S^T)/2, or as a S + b S^T where one of a and b is zero, then
+    the diagonal goes through :func:`diagonal_image`.
     """
 
     s = as_matrix_stack(s, name="input")
@@ -272,15 +323,27 @@ def diagonal_apply(ch: DiagonalChannel, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_sectors_into(a, b, s: np.ndarray, out: np.ndarray) -> None:
-    """The pair-sector stage: a S + b S^T into ``out``, a None weight left out, the diagonal unfinished."""
+def _pair_sectors_into(split: bool, u, v, s: np.ndarray, out: np.ndarray) -> None:
+    """The pair-sector stage into ``out``, the diagonal unfinished: u (S + S^T)/2 + v (S - S^T)/2 if
+    ``split``, else u S + v S^T with a None weight left out (``DiagonalChannel._sector_weights``).
 
-    if a is None:
-        np.multiply(b, np.swapaxes(s, -1, -2), out=out)
-        return
-    np.multiply(a, s, out=out)
-    if b is not None:
-        out += b * np.swapaxes(s, -1, -2)
+    S is halved before the sum, so no sum of two finite entries overflows.
+    """
+
+    if split:
+        half = s / 2
+        half_t = np.swapaxes(half, -1, -2)
+        np.add(half, half_t, out=out)
+        out *= u
+        antisymmetric = half - half_t
+        antisymmetric *= v
+        out += antisymmetric
+    elif u is None:
+        np.multiply(v, np.swapaxes(s, -1, -2), out=out)
+    else:
+        np.multiply(u, s, out=out)
+        if v is not None:
+            out += v * np.swapaxes(s, -1, -2)
 
 
 def _diagonal_view(out: np.ndarray) -> np.ndarray:

@@ -169,9 +169,10 @@ def require_int(obj: Any, field: str, minimum: int, context: str = "") -> int:
 def integer(value: Any, path: str, minimum: int) -> int:
     """``value`` as an int, if it is an integer (not a bool) of at least ``minimum``; ``path`` names it."""
 
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    exact = type(value) is int  # the common case, before the slower ABC check
+    if not exact and (isinstance(value, bool) or not isinstance(value, numbers.Integral)) or value < minimum:
         raise SchemaError(path, f"expected an integer >= {minimum}, got {value!r}")
-    return int(value)
+    return value if exact else int(value)
 
 
 # The largest modulus of a channel's p or t_i, from a flag, a file or a library call (the families
@@ -184,7 +185,10 @@ def finite_number(value: Any, path: str, bound: float = math.inf) -> float:
     """``value`` as a float, if it is a finite number (not a bool) of modulus at most ``bound``; ``path`` names it."""
 
     try:
-        number = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+        if type(value) is float or type(value) is int:  # the common cases, before the slower ABC checks
+            number = float(value)
+        else:
+            number = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
     except OverflowError:  # an integer past the float range
         number = math.inf
     if not math.isfinite(number):

@@ -5,9 +5,9 @@ The helpers are thin wrappers over LAPACK (through ``numpy.linalg``)
 fixing the conventions everything downstream relies on: eigenvalues come
 back ascending, Hermitian inputs are symmetrized before eigensolves, and
 thresholds scale with the Frobenius norm of the operator.
-The index arrays of the pairs k < l, and the steps 1..n-1 of the
-z-sector staircase with their arithmetic, which the basis, the channels
-and the checks share, are cached here.  The tolerances they take,
+The index arrays of the pairs k < l and their flat positions, and the
+steps 1..n-1 of the z-sector staircase with their arithmetic, which the
+basis, the channels and the checks share, are cached here.  The tolerances they take,
 ``Tolerance`` and ``DEFAULT_TOL``, are in :mod:`qchan.exact`.
 """
 
@@ -116,6 +116,19 @@ def _pair_index(n: int, by_l: bool = False) -> tuple[np.ndarray, np.ndarray]:
     k.flags.writeable = False
     l.flags.writeable = False
     return k, l
+
+
+@lru_cache(maxsize=_CACHED_DIMS)
+def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions k n + l and l n + k of each pair k < l of an n x n array, in lexicographic order; read-only.
+
+    A plane's 1-D writes and reads at these are its fastest scatter and gather.
+    """
+    k, l = _pair_index(n)
+    upper, lower = k * n + l, l * n + k
+    upper.flags.writeable = False
+    lower.flags.writeable = False
+    return upper, lower
 
 
 @lru_cache(maxsize=_CACHED_DIMS)

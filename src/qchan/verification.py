@@ -37,7 +37,7 @@ import numpy as np
 from .channels import DiagonalChannel, _classical_block, _pair_scatter, as_linear_map
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
-from .linalg import _pair_index, _squares, _steps, frobenius_norm
+from .linalg import _pair_index, _pair_positions, _squares, _steps, frobenius_norm
 from .sampling import _haar_vectors
 
 __all__ = [
@@ -64,11 +64,14 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     diagonal: the n x n "classical" block on span{|ii>} has diagonal
     D_ii and off-diagonal a_kl, and for each pair k < l a 2 x 2 block on
     span{|kl>, |lk>} is [[D_lk, b_kl], [b_kl, D_kl]], where
-    D[j, i] = Phi(E_jj)_ii and (a, b) are the pair weights.  All three
+    D[r, i] = Phi(E_rr)_ii and (a, b) are the pair weights.  All three
     are the channel's cached (3, n, n) Choi data, whose Frobenius norm is
-    the Choi norm; b enters the pair blocks in pair order, from the
-    multipliers.  CP holds when the smallest eigenvalue is above -tol of
-    the Choi norm, TP when the partial trace is within tol of I.
+    the Choi norm.  D is column-constant above its diagonal and
+    row-constant below it, so a pair block is [[L_l, b_kl], [b_kl, U_l]]
+    (``channels._classical_vectors``); x = U_l, y = L_l and b are read
+    through the cached flat pair positions, in pair order.  CP holds when
+    the smallest eigenvalue is above -tol of the Choi norm, TP when the
+    partial trace is within tol of I.
 
     Trace preservation holds by construction (the identity multiplier is
     fixed at 1), so ``trace_violation`` is the float rounding of D's row
@@ -80,19 +83,25 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     if ch.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
     data = ch._choi_data
-    d = data[0]
     scale = frobenius_norm(data)
     classical_min = float(np.linalg.eigvalsh(_classical_block(ch))[0])
-    k, l = _pair_index(n)
-    x, y = d[k, l], d[l, k]
-    pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, (ch.t_x - ch.t_y) / 2)  # b_kl in pair order
+    flat = data.reshape(3, n * n)
+    upper, lower = _pair_positions(n)
+    x, y, b = flat[0, upper], flat[0, lower], flat[2, upper]  # U_l, L_l and b_kl of each pair block, in pair order
+    # (x + y)/2 - hypot((x - y)/2, b), in x and one temporary: 8 B/n^2 less at the peak than the plain expression.
+    half_gap = x - y
+    half_gap /= 2
+    pair_mins = np.add(x, y, out=x)
+    pair_mins /= 2
+    pair_mins -= np.hypot(half_gap, b, out=half_gap)
     worst = int(pair_mins.argmin())
     if classical_min <= pair_mins[worst]:
         smallest, where = classical_min, " in classical block"
     else:
+        k, l = _pair_index(n)
         smallest, where = float(pair_mins[worst]), f" in pair block ({k[worst] + 1},{l[worst] + 1})"
     # Tr_2 of the Choi matrix is diag(Tr Phi(E_jj)); off-diagonal entries vanish.
-    trace_dev = float(abs(d.sum(axis=1) - 1).max())
+    trace_dev = float(abs(data[0].sum(axis=1) - 1).max())
     psd_ok = smallest >= -tol.bound(scale)
     tp_ok = trace_dev <= tol.bound(1.0)
     witness = None

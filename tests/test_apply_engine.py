@@ -49,12 +49,27 @@ DIMS = [2, 3, 5]
 
 
 def dense_diagonal_apply(ch, s):
-    """diagonal_apply as it formed a S + b S^T, then overwrote the diagonal."""
+    """diagonal_apply with dense n x n pair weights, then the diagonal overwritten.
+
+    Where t_x and t_y are constant and a = (t_x + t_y)/2 or b = (t_x - t_y)/2
+    is zero, the pair sectors are a S + b S^T; otherwise they are
+    t_x (S + S^T)/2 + t_y (S - S^T)/2, with S halved first.
+    """
 
     s = np.asarray(s, dtype=complex)
-    a, b = ch.pair_weights
-    out = a * s
-    out += b * np.swapaxes(s, -1, -2)
+    n, x, y = ch.dim, ch.t_x, ch.t_y
+    constant = np.unique(x.view(np.int64)).size == np.unique(y.view(np.int64)).size == 1
+    if constant and (x[0] + y[0] == 0 or x[0] - y[0] == 0):
+        a, b = ch.pair_weights
+        out = a * s
+        out += b * np.swapaxes(s, -1, -2)
+    else:
+        t_x, t_y = np.zeros((2, n, n))
+        k, l = np.triu_indices(n, 1)
+        t_x[k, l] = t_x[l, k] = x
+        t_y[k, l] = t_y[l, k] = y
+        half = s / 2
+        out = t_x * (half + np.swapaxes(half, -1, -2)) + t_y * (half - np.swapaxes(half, -1, -2))
     idx = np.arange(ch.dim)
     out[..., idx, idx] = diagonal_image(ch, s[..., idx, idx])
     return out
@@ -155,6 +170,30 @@ def test_family_member_is_the_closed_form_to_rounding(family, p, n, seed):
 def test_diagonal_engine_is_the_dense_sum(n):
     for ch in diagonal_members(n):
         assert_engine(ch, diagonal_apply, dense_diagonal_apply)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        [1.0, 1e16, 0.0],
+        [1e16, 1.0, 0.5],
+        [1.0, 2.0, -3.0, 1e16, -1e20, 3e-10, 0.1, 0.2],
+        [1e-20, -1e-20, 1e-20, 1e100, 1e100, 1e100, 0.0, -0.0],  # constant t_x and t_y, a and b both nonzero
+    ],
+)
+def test_a_pair_sector_is_kept_next_to_a_much_larger_one(t):
+    # The x part of a pair is t_x times the symmetric part of (S_kl, S_lk), and
+    # the y part t_y times the antisymmetric one; neither is lost in the other.
+    ch = DiagonalChannel(int(np.sqrt(len(t) + 1)), t)
+    n = ch.dim
+    k, l = np.triu_indices(n, 1)
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    symmetric, antisymmetric = g + g.T, g - g.T
+    assert (ch(symmetric)[k, l] == ch.t_x * symmetric[k, l]).all()
+    assert (ch(antisymmetric)[k, l] == ch.t_y * antisymmetric[k, l]).all()
+    if t == [1.0, 1e16, 0.0]:
+        assert ch(np.full((2, 2), 0.5)).tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
 @st.composite

@@ -373,12 +373,12 @@ class TestImmutableObjects:
 
             return wrapper
 
-        for name in ("pair_count", "diagonal_image", "_pair_index"):
+        for name in ("pair_count", "diagonal_image", "_pair_index", "_pair_positions"):
             monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
         fam = FamilyChannel(Family.DEP, 0.25, 3)
         t, data, weights = fam.t, fam._choi_data, fam.pair_weights
         assert fam.t is t and fam._choi_data is data and fam.pair_weights is weights
-        assert calls == ["pair_count", "diagonal_image", "_pair_index"]
+        assert calls == ["pair_count", "_pair_positions", "_pair_index"]
         assert all(np.shares_memory(w, data) for w in weights)  # views of the one buffer
 
     def test_dumps_refuses_them(self):

@@ -648,6 +648,7 @@ PEAK_CASES = [
 def traced_peak(body):
     """Peak bytes that tracemalloc sees allocated while ``body()`` runs, from cold per-dimension caches."""
     linalg._pair_index.cache_clear()
+    linalg._pair_positions.cache_clear()
     representations._staircase_gram.cache_clear()
     tracemalloc.start()
     try:

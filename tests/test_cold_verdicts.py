@@ -1,9 +1,10 @@
 """The verdicts on fresh channel objects keep the bits of their frozen bodies.
 
 ``is_cptp`` and ``_classical_block`` read D, a and b from one cached
-(3, n, n) buffer per channel, ``diagonal_image`` runs with fewer
-temporaries, and ``_witness_norms`` takes its index arithmetic per
-dimension.  Each must give ``repr``-equal reports and ``tobytes()``-equal
+(3, n, n) buffer per channel, whose D is written from three n-vectors
+(``channels._classical_vectors``) rather than by ``diagonal_image`` of
+the identity, ``diagonal_image`` runs with fewer temporaries, and
+``_witness_norms`` takes its index arithmetic per dimension.  Each must give ``repr``-equal reports and ``tobytes()``-equal
 arrays to the bodies it replaced (``dense_oracles.frozen_*``), while
 ``dense_is_cptp`` still decides the CP verdicts independently.  The
 Frobenius scale of the CP threshold is printed nowhere, so it is compared
@@ -96,6 +97,34 @@ def large_channels(draw, max_dim=24):
 @settings(max_examples=120, deadline=None)
 def test_diagonal_channels_keep_the_frozen_bits(ch):
     assert_frozen_bits(lambda: DiagonalChannel(ch.dim, ch.t))
+
+
+@st.composite
+def classical_channels(draw):
+    """Diagonal channels at n = 2..64, moduli up to the 1e100 bound, with 0.0 and -0.0 among t_z,
+    and family members at p = 0 and at both exact ends of their CPTP range."""
+
+    n = draw(st.integers(min_value=2, max_value=64))
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(list(Family)))
+        r = param_range(family, n)
+        return FamilyChannel(family, draw(st.sampled_from([0.0, r.p_min, r.p_max])), n)
+    scale = draw(st.sampled_from([1e-20, 1 / (n * n), 1.0, 1e16, 1e100]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t = rng.uniform(-1, 1, n * n - 1) * scale
+    z = t[n * (n - 1) :]
+    zeros = rng.random(n - 1) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    z[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return DiagonalChannel(n, t)
+
+
+@given(classical_channels())
+@settings(max_examples=150, deadline=None)
+def test_choi_data_from_three_vectors_keeps_the_frozen_bits(ch):
+    n = ch.dim
+    fresh = lambda: ch.__class__(*ch._values())
+    assert fresh()._choi_data[0].tobytes() == frozen_diagonal_image(fresh(), np.eye(n)).tobytes()
+    assert repr(is_cptp(fresh(), n)) == repr(frozen_is_cptp(fresh(), n))
 
 
 @given(large_channels(max_dim=8))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +236,64 @@ def test_rules_take_numpy_scalars_and_return_python_values():
             jsonio.integer(bad, "dim", 2)
     with pytest.raises(jsonio.SchemaError, match="^field 'p': expected a finite number$"):
         jsonio.finite_number(np.bool_(True), "p")
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# Exact int and float take a fast path past the ABC checks; every other type,
+# subclasses included, keeps the checked path, and each gets the same result
+# or the same message either way.
+@pytest.mark.parametrize("value", [3, _Int(3), np.int64(3), np.uint8(3), 10**30])
+def test_integer_returns_a_plain_int_of_any_integral(value):
+    got = jsonio.integer(value, "dim", 2)
+    assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1, _Int(1), np.int64(1), -(10**30), True, False, np.bool_(True), 3.0, _Float(3.0), np.float64(3.0),
+     Fraction(3), Fraction(7, 2), math.nan, math.inf, "3", None],
+)
+def test_integer_refusals_keep_their_message(value):
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.integer(value, "dim", 2)
+    assert str(info.value) == f"field 'dim': expected an integer >= 2, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(0.5, 0.5), (-0.0, -0.0), (0.0, 0.0), (3, 3.0), (-1e100, -1e100), (10**100, 1e100), (_Float(-0.0), -0.0),
+     (_Int(3), 3.0), (np.float64(-0.0), -0.0), (np.int64(2), 2.0), (Fraction(1, 4), 0.25)],
+)
+def test_finite_number_returns_a_plain_float_of_any_real(value, want):
+    got = jsonio.finite_number(value, "p", jsonio._MAX_MAGNITUDE)
+    assert type(got) is float and got.hex() == want.hex()  # hex tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, np.bool_(False), math.nan, math.inf, -math.inf, np.float64(np.nan), np.float64(-np.inf),
+     _Float("nan"), _Float("inf"), 10**400, _Int(-(10**400)), Fraction(10**400), "0.5", None],
+)
+def test_finite_number_refusals_keep_their_message(value):
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.finite_number(value, "p", jsonio._MAX_MAGNITUDE)
+    assert str(info.value) == "field 'p': expected a finite number"
+
+
+@pytest.mark.parametrize(
+    "value", [1e101, -1e101, 10**101, _Float(1e101), _Int(10**101), np.float64(1e101), Fraction(-(10**101))]
+)
+def test_finite_number_bound_refusals_keep_their_message(value):
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.finite_number(value, "p", jsonio._MAX_MAGNITUDE)
+    assert str(info.value) == f"field 'p': expected a number of magnitude at most 1e+100, got {float(value)!r}"
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
