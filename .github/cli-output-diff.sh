@@ -28,7 +28,9 @@
 #   channel (`unequal64.json`);
 # - the CPTP verdict on an n = 4 diagonal channel whose z multipliers are
 #   0.0, -0.0 and 1e100 (`signed_zero_z.json`), so signed zeros and the
-#   magnitude bound pass through the suffix sums of the classical Choi data.
+#   magnitude bound pass through the suffix sums of the classical Choi data;
+# - the CP path at size: `verify cptp` at n = 300 failing in a pair block
+#   (trd) and in the classical block (dcq), and `detcheck --dim 200`.
 set -u
 
 base=$1
@@ -192,6 +194,9 @@ commands=(
     "verify cptp --channel $work/past_bound_p.json"
     "verify cptp --channel $work/two_bad_fields.json"
     "verify cptp --channel $work/signed_zero_z.json"
+    "verify cptp --family trd --dim 300 --p 0.004"
+    "verify cptp --family dcq --dim 300 --p 0.0001"
+    "detcheck --dim 200"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

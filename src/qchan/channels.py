@@ -38,7 +38,6 @@ from .exact import (
 )
 from .jsonio import _MAX_MAGNITUDE, SchemaError, finite_number, integer, require, require_int
 from .linalg import (
-    _pair_index,
     _pair_positions,
     _steps,
     as_matrix,
@@ -105,44 +104,6 @@ class DiagonalChannel(_Frozen):
     @property
     def t_z(self) -> np.ndarray:
         return self.t[self.dim * (self.dim - 1) :]
-
-    @cached_property
-    def _choi_data(self) -> np.ndarray:
-        """D, a and b in one read-only (3, n, n) buffer: the data of every Choi block.
-
-        D[r, i] = Phi(E_rr)_ii is :func:`diagonal_image` of the identity's
-        rows, bit for bit, but holds only the three n-vectors of
-        :func:`_classical_vectors`: column i is U_i above the diagonal,
-        row r is L_r below it, and G is the diagonal.  They are written
-        through the flat pair positions, with no n x n index or mask, so
-        the pair block (k, l) is [[L_l, b_kl], [b_kl, U_l]].  (a, b) are
-        :attr:`pair_weights`.  Each entry of the Choi matrix is one entry
-        of the buffer, so their Frobenius norms agree.
-        """
-
-        n = self.dim
-        upper, lower = _pair_positions(n)
-        _, l = _pair_index(n)
-        above, below, diagonal = _classical_vectors(self)
-        data = np.zeros((3, n * n))
-        d, a, b = data
-        d[upper], d[lower], d[:: n + 1] = above[l], below[l], diagonal
-        a[upper] = a[lower] = (self.t_x + self.t_y) / 2
-        b[upper] = b[lower] = (self.t_x - self.t_y) / 2
-        data = data.reshape(3, n, n)
-        data.flags.writeable = False
-        return data
-
-    @cached_property
-    def pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric n x n weights (a, b) of the Choi matrix's pairs; views of the Choi data.
-
-        Entry (k, l), k != l, is ``a = (t_x + t_y)/2`` or ``b = (t_x - t_y)/2``
-        of the pair {k, l}; both diagonals are zero.  a is the classical
-        block off its diagonal, and b the pair blocks' off-diagonal.
-        """
-
-        return self._choi_data[1], self._choi_data[2]
 
     @cached_property
     def _sector_weights(self) -> tuple:
@@ -247,7 +208,10 @@ def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray, n
 
     These are the IEEE operations :func:`diagonal_image` runs on the rows
     of the identity, in its order, so D keeps its bits; the zeros it adds
-    on the way only ever meet a sum that 1/n then absorbs.
+    on the way only ever meet a sum that 1/n then absorbs.  They are all
+    of D the Choi blocks need: G is the classical block's diagonal
+    (:func:`_classical_block`), and the pair block (k, l), k < l, is
+    [[L_l, b_kl], [b_kl, U_l]], which ``is_cptp`` reads from them in pair order.
     """
 
     n, j, w = diag.dim, _steps(diag.dim), diag._z_weights
@@ -261,15 +225,15 @@ def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray, n
     return head - iw, 1 / n + (suffix - iw), diagonal
 
 
-def _classical_block(diag: DiagonalChannel) -> np.ndarray:
-    """The classical Choi block, a new array: D_ii on the diagonal, a_kl off it.
+def _classical_block(diag: DiagonalChannel, diagonal: np.ndarray) -> np.ndarray:
+    """The classical Choi block, a new array: a_kl = (t_x + t_y)/2 of the pair {k, l} at (k, l) and (l, k),
+    and ``diagonal``, G of :func:`_classical_vectors`, on the diagonal.
 
     ``is_cptp`` takes its eigenvalues and ``verify_det_recurrence`` its determinant.
     """
 
-    d, a, _ = diag._choi_data
-    block = a.copy()
-    _diagonal_view(block)[...] = np.diagonal(d)
+    block = _pair_scatter(diag.dim, [(diag.t_x + diag.t_y) / 2])[0]
+    _diagonal_view(block)[...] = diagonal
     return block
 
 

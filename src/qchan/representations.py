@@ -34,6 +34,7 @@ from .channels import (
     DiagonalChannel,
     FamilyChannel,
     _classical_block,
+    _classical_vectors,
     _diagonal_view,
     diagonal_apply,
 )
@@ -416,7 +417,8 @@ def verify_det_recurrence(
     passed = True
     for p in np.linspace(-0.5, 0.5, grid):
         formula = dcq_det_formula(n, float(p))
-        block = _classical_block(FamilyChannel(Family.DCQ, float(p), n))
+        ch = FamilyChannel(Family.DCQ, float(p), n)
+        block = _classical_block(ch, _classical_vectors(ch)[2])
         direct = float(np.linalg.det(block))
         dev = abs(formula - direct)
         if dev > worst:

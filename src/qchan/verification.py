@@ -29,12 +29,12 @@ determinant recurrence and the qubit classification, which only
 
 from __future__ import annotations
 
-from math import sqrt
+from math import hypot, sqrt
 from typing import Any, Optional
 
 import numpy as np
 
-from .channels import DiagonalChannel, _classical_block, _pair_scatter, as_linear_map
+from .channels import DiagonalChannel, _classical_block, _classical_vectors, _pair_scatter, as_linear_map
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
 from .linalg import _pair_index, _pair_positions, _squares, _steps, frobenius_norm
@@ -62,47 +62,48 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
 
     The Choi matrix sum_ij E_ij ⊗ Phi(E_ij) of a channel object is block
     diagonal: the n x n "classical" block on span{|ii>} has diagonal
-    D_ii and off-diagonal a_kl, and for each pair k < l a 2 x 2 block on
-    span{|kl>, |lk>} is [[D_lk, b_kl], [b_kl, D_kl]], where
-    D[r, i] = Phi(E_rr)_ii and (a, b) are the pair weights.  All three
-    are the channel's cached (3, n, n) Choi data, whose Frobenius norm is
-    the Choi norm.  D is column-constant above its diagonal and
-    row-constant below it, so a pair block is [[L_l, b_kl], [b_kl, U_l]]
-    (``channels._classical_vectors``); x = U_l, y = L_l and b are read
-    through the cached flat pair positions, in pair order.  CP holds when
-    the smallest eigenvalue is above -tol of the Choi norm, TP when the
+    D_ii and off-diagonal a_kl = (t_x + t_y)/2, and for each pair k < l a
+    2 x 2 block on span{|kl>, |lk>} is [[D_lk, b_kl], [b_kl, D_kl]] with
+    b_kl = (t_x - t_y)/2, where D[r, i] = Phi(E_rr)_ii.  D is
+    column-constant above its diagonal and row-constant below it, so the
+    blocks come straight from the multipliers: the classical block from
+    the diagonal G (``channels._classical_block``) and each pair block as
+    [[L_l, b_kl], [b_kl, U_l]], from the three n-vectors of
+    ``channels._classical_vectors``, in pair order.  CP holds when the
+    smallest eigenvalue is above -tol of the Choi norm, TP when the
     partial trace is within tol of I.
+
+    The Choi norm is sqrt(1 + |t|^2), with no Choi entry formed: the Choi
+    matrix's entries are those of the superoperator in the matrix-unit
+    basis, reshuffled, and in the orthonormal Hermitian basis, whose
+    change from that basis is unitary, the superoperator is diag(1, t).
 
     Trace preservation holds by construction (the identity multiplier is
     fixed at 1), so ``trace_violation`` is the float rounding of D's row
-    sums: at dep, n = 2, p = 1e100 it reads 1.0, since D's entries are
-    about 5e99 and their 1/2 terms are lost.  CP fails first there.
+    sums, from a D assembled from the three vectors: at dep, n = 2,
+    p = 1e100 it reads 1.0, since D's entries are about 5e99 and their
+    1/2 terms are lost.  CP fails first there.
     """
 
     ch = as_linear_map(ch)
     if ch.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
-    data = ch._choi_data
-    scale = frobenius_norm(data)
-    classical_min = float(np.linalg.eigvalsh(_classical_block(ch))[0])
-    flat = data.reshape(3, n * n)
-    upper, lower = _pair_positions(n)
-    x, y, b = flat[0, upper], flat[0, lower], flat[2, upper]  # U_l, L_l and b_kl of each pair block, in pair order
-    # (x + y)/2 - hypot((x - y)/2, b), in x and one temporary: 8 B/n^2 less at the peak than the plain expression.
-    half_gap = x - y
-    half_gap /= 2
-    pair_mins = np.add(x, y, out=x)
-    pair_mins /= 2
-    pair_mins -= np.hypot(half_gap, b, out=half_gap)
+    above, below, diagonal = _classical_vectors(ch)
+    classical_min = float(np.linalg.eigvalsh(_classical_block(ch, diagonal))[0])
+    k, l = _pair_index(n)
+    x, y, b = above[l], below[l], (ch.t_x - ch.t_y) / 2  # U_l, L_l and b_kl of each pair block, in pair order
+    pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, b)
     worst = int(pair_mins.argmin())
     if classical_min <= pair_mins[worst]:
         smallest, where = classical_min, " in classical block"
     else:
-        k, l = _pair_index(n)
         smallest, where = float(pair_mins[worst]), f" in pair block ({k[worst] + 1},{l[worst] + 1})"
     # Tr_2 of the Choi matrix is diag(Tr Phi(E_jj)); off-diagonal entries vanish.
-    trace_dev = float(abs(data[0].sum(axis=1) - 1).max())
-    psd_ok = smallest >= -tol.bound(scale)
+    upper, lower = _pair_positions(n)
+    d = np.zeros(n * n)
+    d[upper], d[lower], d[:: n + 1] = x, y, diagonal
+    trace_dev = float(abs(d.reshape(n, n).sum(axis=1) - 1).max())
+    psd_ok = smallest >= -tol.bound(hypot(1.0, frobenius_norm(ch.t)))
     tp_ok = trace_dev <= tol.bound(1.0)
     witness = None
     if not psd_ok:

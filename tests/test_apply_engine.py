@@ -38,6 +38,7 @@ from dense_oracles import (
     assert_is_the_closed_form,
     assert_same_extremes,
     assert_sample_norms_agree,
+    frozen_pair_weights,
     per_state_haar_norms,
     per_state_sample_test,
     sample_norms,
@@ -60,7 +61,7 @@ def dense_diagonal_apply(ch, s):
     n, x, y = ch.dim, ch.t_x, ch.t_y
     constant = np.unique(x.view(np.int64)).size == np.unique(y.view(np.int64)).size == 1
     if constant and (x[0] + y[0] == 0 or x[0] - y[0] == 0):
-        a, b = ch.pair_weights
+        a, b = frozen_pair_weights(ch)
         out = a * s
         out += b * np.swapaxes(s, -1, -2)
     else:

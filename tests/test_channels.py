@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,10 +189,16 @@ class TestDiagonalPicture:
         t_y = np.array([1e100, -1e100, -0.5e100, 5e-324, -0.0, 0.1, -1e-17])
         diag = DiagonalChannel(5, np.concatenate([t_x, [0.0] * 3, t_y, [0.0] * 3, [0.0] * 4]))
         k, l = np.triu_indices(5, 1)[0][:7], np.triu_indices(5, 1)[1][:7]
-        a, b = diag.pair_weights
-        for weights, sign in ((a, 1), (b, -1)):
+        # a is the classical Choi block off its diagonal; b is what is_cptp hands np.hypot
+        # with its pair blocks, in pair order.
+        a = channels._classical_block(diag, channels._classical_vectors(diag)[2])[k, l]
+        seen = []
+        hypot = np.hypot
+        with mock.patch.object(np, "hypot", lambda half_gap, b: seen.append(b) or hypot(half_gap, b)):
+            is_cptp(diag, 5)
+        for weights, sign in ((a, 1), (seen[0][:7], -1)):
             exact = [float((Fraction(x) + sign * Fraction(y)) / 2) for x, y in zip(t_x, t_y)]
-            assert weights[k, l].tolist() == exact
+            assert weights.tolist() == exact
 
     def test_adjoint_is_self(self):
         # A real diagonal channel is its own adjoint in the trace pairing.
@@ -373,13 +380,13 @@ class TestImmutableObjects:
 
             return wrapper
 
-        for name in ("pair_count", "diagonal_image", "_pair_index", "_pair_positions"):
+        for name in ("pair_count", "diagonal_image", "_pair_positions", "_steps"):
             monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
         fam = FamilyChannel(Family.DEP, 0.25, 3)
-        t, data, weights = fam.t, fam._choi_data, fam.pair_weights
-        assert fam.t is t and fam._choi_data is data and fam.pair_weights is weights
-        assert calls == ["pair_count", "_pair_positions", "_pair_index"]
-        assert all(np.shares_memory(w, data) for w in weights)  # views of the one buffer
+        names = ("t", "_sector_weights", "_z_weights", "_z_square_weights")
+        first = [getattr(fam, name) for name in names]
+        assert all(getattr(fam, name) is value for name, value in zip(names, first))
+        assert calls == ["pair_count", "_steps", "_steps"]
 
     def test_dumps_refuses_them(self):
         for obj, _ in _objects():

@@ -1,16 +1,19 @@
 """The verdicts on fresh channel objects keep the bits of their frozen bodies.
 
-``is_cptp`` and ``_classical_block`` read D, a and b from one cached
-(3, n, n) buffer per channel, whose D is written from three n-vectors
-(``channels._classical_vectors``) rather than by ``diagonal_image`` of
-the identity, ``diagonal_image`` runs with fewer temporaries, and
-``_witness_norms`` takes its index arithmetic per dimension.  Each must give ``repr``-equal reports and ``tobytes()``-equal
-arrays to the bodies it replaced (``dense_oracles.frozen_*``), while
-``dense_is_cptp`` still decides the CP verdicts independently.  The
-Frobenius scale of the CP threshold is printed nowhere, so it is compared
-as is_cptp computes it.
+``is_cptp`` and ``_classical_block`` read D from three n-vectors
+(``channels._classical_vectors``) rather than from ``diagonal_image`` of
+the identity, and a and b from the multipliers, with no n x n buffer of
+Choi data; ``diagonal_image`` runs with fewer temporaries, and
+``_witness_norms`` takes its index arithmetic per dimension.  Each must
+give ``repr``-equal reports and ``tobytes()``-equal arrays to the bodies
+it replaced (``dense_oracles.frozen_*``), while ``dense_is_cptp`` still
+decides the CP verdicts independently.  The Choi norm that scales the CP
+threshold is printed nowhere; is_cptp takes it as sqrt(1 + |t|^2), which
+is pinned as computed and held to the Frobenius norm of the frozen
+(D, a, b) data, and of the dense Choi matrix, to rounding.
 """
 
+import math
 import sys
 from pathlib import Path
 from unittest import mock
@@ -21,10 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qchan import channels, verification
+from qchan import channels, representations, verification
 from qchan.channels import DiagonalChannel, FamilyChannel, diagonal_image, family_to_diagonal
-from qchan.exact import Family, param_range
-from qchan.linalg import frobenius_norm
+from qchan.exact import Family, Tolerance, param_range
+from qchan.linalg import _pair_index, _pair_positions, frobenius_norm
 from qchan.verification import constant_fnorm_criterion, constant_fnorm_sample_test, is_cptp
 
 from dense_oracles import (
@@ -52,22 +55,50 @@ def members(n):
     return out
 
 
+def assembled_d(ch):
+    """D of ``ch`` from the three vectors of ``_classical_vectors``, written at the flat pair positions."""
+
+    n = ch.dim
+    above, below, diagonal = channels._classical_vectors(ch)
+    upper, lower = _pair_positions(n)
+    _, l = _pair_index(n)
+    d = np.zeros(n * n)
+    d[upper], d[lower], d[:: n + 1] = above[l], below[l], diagonal
+    return d.reshape(n, n)
+
+
+def choi_norm(ch):
+    """sqrt(1 + |t|^2), the Frobenius norm of the Choi matrix."""
+
+    return math.hypot(1.0, frobenius_norm(ch.t))
+
+
+def assert_rounding_close(got, want, n):
+    """|got - want| within the rounding of two sums of at most 3 n^2 squares: 4 n^2 eps relative.
+
+    Summing constant squares such as (1/n)^2 leaves an error of several ulps by n = 50.
+    """
+
+    assert abs(got - want) <= 4 * n * n * np.finfo(float).eps * want, (got, want)
+
+
 def assert_frozen_bits(make, samples=20, seed=3):
     """Every piece of the cold path on fresh objects from ``make()`` against the frozen bodies."""
 
     ch = make()
     n = ch.dim
     scales = []
-    norm = verification.frobenius_norm
-    with mock.patch.object(verification, "frobenius_norm", lambda m: scales.append(norm(m)) or scales[-1]):
+    bound = Tolerance.bound
+    with mock.patch.object(Tolerance, "bound", lambda tol, scale: scales.append(scale) or bound(tol, scale)):
         report = is_cptp(ch, n)
     assert repr(report) == repr(frozen_is_cptp(make(), n))
     block, d = frozen_classical_block(make())
     a, b = frozen_pair_weights(make())
-    assert [scale.hex() for scale in scales] == [frobenius_norm(np.stack([d, a, b])).hex()]
-    assert ch._choi_data.tobytes() == np.stack([d, a, b]).tobytes()
-    assert channels._classical_block(make()).tobytes() == block.tobytes()
-    assert [w.tobytes() for w in make().pair_weights] == [a.tobytes(), b.tobytes()]
+    assert [scale.hex() for scale in scales] == [choi_norm(make()).hex(), (1.0).hex()]
+    assert_rounding_close(scales[0], frobenius_norm(np.stack([d, a, b])), n)
+    assert assembled_d(make()).tobytes() == d.tobytes()
+    diagonal = channels._classical_vectors(make())[2]
+    assert channels._classical_block(make(), diagonal).tobytes() == block.tobytes()
     assert verification._witness_norms(make()).tobytes() == frozen_witness_norms(make()).tobytes()
     got = constant_fnorm_sample_test(make(), n, samples=samples, seed=seed)
     with frozen_sample_path():
@@ -123,8 +154,18 @@ def classical_channels(draw):
 def test_choi_data_from_three_vectors_keeps_the_frozen_bits(ch):
     n = ch.dim
     fresh = lambda: ch.__class__(*ch._values())
-    assert fresh()._choi_data[0].tobytes() == frozen_diagonal_image(fresh(), np.eye(n)).tobytes()
+    d = frozen_diagonal_image(fresh(), np.eye(n))
+    assert assembled_d(fresh()).tobytes() == d.tobytes()
     assert repr(is_cptp(fresh(), n)) == repr(frozen_is_cptp(fresh(), n))
+    assert_rounding_close(choi_norm(fresh()), frobenius_norm(np.stack([d, *frozen_pair_weights(fresh())])), n)
+
+
+@given(large_channels(max_dim=6))
+@settings(max_examples=60, deadline=None)
+def test_choi_norm_is_the_dense_choi_norm(ch):
+    # ||J||_F^2 = sum_ij ||Phi(E_ij)||_F^2 is the superoperator's, and that is diag(1, t) in an orthogonal basis.
+    dense = frobenius_norm(representations.to_choi(ch, ch.dim))
+    assert choi_norm(ch) == pytest.approx(dense, rel=1e-12)
 
 
 @given(large_channels(max_dim=8))

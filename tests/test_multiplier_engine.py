@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qchan import sampling, verification
+from qchan import channels, sampling, verification
 from qchan.basis import build_basis, decompose, reconstruct
 from qchan.channels import (
     DiagonalChannel,
@@ -230,7 +230,9 @@ def test_sample_norms_come_from_the_multipliers(monkeypatch, make):
     def refuse(*args):
         raise OutputDiagonalBuilt
 
-    monkeypatch.setattr(DiagonalChannel, "_choi_data", property(refuse))
+    for module in (channels, verification):
+        monkeypatch.setattr(module, "_classical_vectors", refuse)
+        monkeypatch.setattr(module, "_classical_block", refuse)
     monkeypatch.setattr("qchan.channels.diagonal_image", refuse)
     monkeypatch.setattr(verification, "diagonal_image", refuse, raising=False)
     ch = make()  # a fresh object: no cached property computed yet

@@ -378,7 +378,8 @@ class TestDeterminant:
 
     def test_matrix_layout(self):
         # The determinant is LAPACK's on the dcq member's classical Choi block.
-        m = channels._classical_block(family_to_diagonal(FamilyChannel(Family.DCQ, 0.2, 3)))
+        ch = family_to_diagonal(FamilyChannel(Family.DCQ, 0.2, 3))
+        m = channels._classical_block(ch, channels._classical_vectors(ch)[2])
         assert m[0, 0] == pytest.approx(0.2 + 0.8 / 3)
         assert m[0, 1] == -0.2
 
