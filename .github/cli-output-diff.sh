@@ -30,7 +30,9 @@
 #   0.0, -0.0 and 1e100 (`signed_zero_z.json`), so signed zeros and the
 #   magnitude bound pass through the suffix sums of the classical Choi data;
 # - the CP path at size: `verify cptp` at n = 300 failing in a pair block
-#   (trd) and in the classical block (dcq), and `detcheck --dim 200`.
+#   (trd) and in the classical block (dcq), and `detcheck --dim 200`;
+# - a loose --tol: the partial-trace witness where the CP bound passes
+#   (dep at p = 1e100), and a member far outside the range that passes.
 set -u
 
 base=$1
@@ -197,6 +199,8 @@ commands=(
     "verify cptp --family trd --dim 300 --p 0.004"
     "verify cptp --family dcq --dim 300 --p 0.0001"
     "detcheck --dim 200"
+    "verify cptp --family dep --dim 2 --p 1e100 --tol 0.4"
+    "verify cptp --family dep --dim 2 --p 10 --tol 0.3"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

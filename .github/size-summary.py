@@ -1,15 +1,19 @@
-"""Print the size of a qchan source tree as three Markdown bullets.
+"""Print the size of a qchan source tree as five Markdown bullets.
 
     python .github/size-summary.py [TREE] >> "$GITHUB_STEP_SUMMARY"
 
 TREE (default: the current directory) is a checkout with the package under
 src/.  The counts are the non-blank lines of src/qchan/*.py, the public
-non-module names of qchan (counted as tests/test_public_api.py counts them)
-and the qchan names that a submodule resolves only through its module
-__getattr__.  Run it once per tree: each run imports that tree's qchan.
+non-module names of qchan (counted as tests/test_public_api.py counts them),
+the qchan names that a submodule resolves only through its module
+__getattr__, the src/qchan/*.py files, and the options: the parameters with
+a default of the functions in qchan.__all__ and of the __init__ and public
+methods that its classes define.  Run it once per tree: each run imports
+that tree's qchan.
 """
 
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import sys
@@ -43,6 +47,24 @@ forwarded = [
     for name in known - set(vars(module))
     if not name.startswith("__") and hasattr(module, name)  # a module makes __annotations__ on first read
 ]
+
+
+def defaulted(fn):
+    return sum(p.default is not inspect.Parameter.empty for p in inspect.signature(fn).parameters.values())
+
+
+options = 0
+for name in qchan.__all__:
+    obj = getattr(qchan, name)
+    if inspect.isfunction(obj):
+        options += defaulted(obj)
+    elif inspect.isclass(obj):
+        for attr, member in vars(obj).items():
+            member = getattr(member, "__func__", member)  # a classmethod or staticmethod's function
+            if (attr == "__init__" or not attr.startswith("_")) and inspect.isfunction(member):
+                options += defaulted(member)
 print(f"- non-blank lines in src/qchan/*.py: {lines}")
 print(f"- public non-module names in qchan: {len(names)}")
 print(f"- names a submodule __getattr__ forwards: {len(forwarded)}")
+print(f"- modules src/qchan/*.py: {len(list(package.glob('*.py')))}")
+print(f"- parameters with a default in the public functions and methods: {options}")

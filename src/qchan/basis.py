@@ -20,7 +20,7 @@ from math import sqrt
 
 import numpy as np
 
-from .exact import DEFAULT_TOL, Tolerance, _Frozen, _check_peak_bytes, pair_count
+from .exact import DEFAULT_TOL, _Frozen, _check_peak_bytes, pair_count
 from .jsonio import integer
 from .linalg import _pair_index, as_matrix, frobenius_norm, is_hermitian
 
@@ -76,17 +76,17 @@ class BasisE(_Frozen):
 
     ``labels[i]`` is a ("0"|"x"|"y"|"z", index) tag: x and y indices count
     pairs lexicographically (1..N), z indices count staircase matrices
-    (1..n-1).  ``stacked`` holds the elements as an (n^2, n, n) array;
-    ``elements`` are read-only views into it.
+    (1..n-1).  ``stacked`` holds the elements as a read-only (n^2, n, n)
+    array, element i at ``stacked[i]``.
     """
 
-    _fields = ("dim", "labels", "elements", "stacked")
+    _fields = ("dim", "labels", "stacked")
 
-    def __init__(self, dim: int, labels: tuple, elements: tuple, stacked: np.ndarray) -> None:
-        self._set(dim, labels, elements, stacked)
+    def __init__(self, dim: int, labels: tuple, stacked: np.ndarray) -> None:
+        self._set(dim, labels, stacked)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.stacked)
 
 
 def build_basis(n: int) -> BasisE:
@@ -108,20 +108,20 @@ def build_basis(n: int) -> BasisE:
     stacked.flags.writeable = False
     labels = [("0", 1)] + [(sector, i) for sector in ("x", "y") for i in range(1, cnt + 1)]
     labels += [("z", k) for k in range(1, n)]
-    return BasisE(dim=n, labels=tuple(labels), elements=tuple(stacked), stacked=stacked)
+    return BasisE(dim=n, labels=tuple(labels), stacked=stacked)
 
 
-def decompose(s: np.ndarray, basis: BasisE, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix over the basis (length n^2)."""
+def decompose(s: np.ndarray, basis: BasisE) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix over the basis (length n^2), both checks at ``DEFAULT_TOL``."""
 
     s = as_matrix(s, name="state")
     if s.shape[0] != basis.dim:
         raise ValueError(f"dimension mismatch: matrix is {s.shape[0]}x{s.shape[0]}, basis dim {basis.dim}")
-    if not is_hermitian(s, tol):
+    if not is_hermitian(s):
         raise ValueError("decompose expects a Hermitian matrix")
     # Tr(e† s) = Tr(e s) for Hermitian basis elements.
     coeffs = np.einsum("kij,ji->k", basis.stacked, s)
-    if float(np.max(np.abs(coeffs.imag))) > tol.bound(frobenius_norm(s)):
+    if float(np.max(np.abs(coeffs.imag))) > DEFAULT_TOL.bound(frobenius_norm(s)):
         raise ValueError("coefficients have non-negligible imaginary parts")
     return np.ascontiguousarray(coeffs.real)
 

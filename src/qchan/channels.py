@@ -16,7 +16,7 @@ its multipliers; :class:`FamilyChannel`, the subclass whose multipliers
 are a family's signs times p; their JSON form; and the one apply engine.
 The closed forms above are test oracles, in ``tests/dense_oracles.py``.
 The Kraus sets, the dense Choi matrix and the qubit Stokes picture are in
-:mod:`qchan.representations`, the random draws in :mod:`qchan.sampling`,
+:mod:`qchan.representations`, the random draws in :mod:`qchan.linalg`,
 and the families' names, signs and CPTP ranges in :mod:`qchan.exact`.
 """
 
@@ -116,16 +116,14 @@ class DiagonalChannel(_Frozen):
         zeros both stay, so that swapping a with b and S with S^T keeps
         the bits.  Otherwise they are t_x (S + S^T)/2 + t_y (S - S^T)/2
         (split True), in which neither sector's part cancels in the
-        other's when their sizes differ widely; u and v are t_x and t_y,
-        as scalars where each is constant, else as symmetric n x n weights.
+        other's when their sizes differ widely; u and v are t_x and t_y
+        as symmetric n x n weights, zero on the diagonal.
         """
 
         x, y = self.t_x.view(np.int64), self.t_y.view(np.int64)
-        if (x != x[0]).any() or (y != y[0]).any():
-            return (True, *_pair_scatter(self.dim, [self.t_x, self.t_y]))
         a, b = (self.t_x[0] + self.t_y[0]) / 2, (self.t_x[0] - self.t_y[0]) / 2
-        if a != 0 and b != 0:
-            return True, self.t_x[0], self.t_y[0]
+        if (x != x[0]).any() or (y != y[0]).any() or (a != 0 and b != 0):
+            return (True, *_pair_scatter(self.dim, [self.t_x, self.t_y]))
         if (a == 0) != (b == 0):
             return (False, None, b) if a == 0 else (False, a, None)
         return False, a, b

@@ -25,13 +25,12 @@ loading NumPy.  Code sits in the modules of the commands
 that run it, so that a process without bytecode caches compiles little
 else.  Besides those two, ``range`` loads nothing; same-class ``certify``
 :mod:`qchan.equivalence` (NumPy-free at import); mixed-pair ``certify``
-and ``witness`` also channels and linalg; ``verify`` channels, linalg,
-sampling and verification; ``channel apply`` channels and linalg;
-``basis`` basis and linalg; ``identities`` and ``detcheck`` basis,
-channels, linalg, sampling and representations; ``qubit-equiv`` basis,
-channels, equivalence, linalg and sampling; ``report`` all of them, and
-:mod:`qchan.report`, which holds the body of ``report`` and which no
-other command imports.
+and ``witness`` also channels and linalg; ``verify`` channels, linalg
+and verification; ``channel apply`` channels and linalg; ``basis`` basis
+and linalg; ``identities`` and ``detcheck`` basis, channels, linalg and
+representations; ``qubit-equiv`` basis, channels, equivalence and linalg;
+``report`` all of them, and :mod:`qchan.report`, which holds the body of
+``report`` and which no other command imports.
 
 No command loads ``dataclasses``: every result record is a NamedTuple
 (``_replace``, ``_asdict``), the channels and the basis derive from
@@ -61,7 +60,6 @@ from .exact import (
     FAMILY_NAMES,
     Family,
     Tolerance,
-    _check_conjugation_p,
     _check_peak_bytes,
     _is_mixed,
     family_from_name,
@@ -264,13 +262,13 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
     basis = build_basis(n)
     if not args.json:
         lines = [f"orthonormal Hermitian basis, dim {n}, {len(basis)} elements"]
-        for (sector, index), element in zip(basis.labels, basis.elements):
+        for (sector, index), element in zip(basis.labels, basis.stacked):
             norm = frobenius_norm(element)
             lines.append(f"  e_{sector},{index}  norm={norm:.12f}")
         return "\n".join(lines), True
     elements = [
         {"sector": sector, "index": index, "matrix": element}
-        for (sector, index), element in zip(basis.labels, basis.elements)
+        for (sector, index), element in zip(basis.labels, basis.stacked)
     ]
     return {"command": "basis", "dim": n, "elements": elements}, True
 
@@ -378,7 +376,6 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
 
 def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
     kwargs = _tol_kwargs(args)
-    _check_conjugation_p(args.p)
     from .equivalence import qubit_equivalence_check
 
     report = qubit_equivalence_check(args.p, trials=args.trials, seed=args.seed, **kwargs)

@@ -35,7 +35,6 @@ from .exact import (
     Family,
     Tolerance,
     VerificationReport,
-    _check_conjugation_p,
     _is_mixed,
     cptp_range,
     param_range,
@@ -362,13 +361,14 @@ def qubit_equivalence_check(
     ``tests/dense_oracles.py``); ``witness`` names the first worst case.
     """
 
-    _check_conjugation_p(p)
+    if not 0 < p < 1:
+        raise ValueError(f"conjugation check expects 0 < p < 1, got {p}")
     trials, seed = integer(trials, "trials", 1), integer(seed, "seed", 0)
     import numpy as np
 
     from .basis import pauli_matrix
     from .channels import FamilyChannel
-    from .sampling import _haar_vectors
+    from .linalg import _haar_vectors
 
     members = zip(Family, (p, -p, p, -p))  # Phi_1..Phi_4 and their parameters
     phi1, phi2, phi3, phi4 = (FamilyChannel(f, q, 2) for f, q in members)

@@ -212,12 +212,6 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _check_conjugation_p(p: float) -> None:
-    """The dimension-2 conjugations are checked for 0 < p < 1."""
-    if not 0 < p < 1:
-        raise ValueError(f"conjugation check expects 0 < p < 1, got {p}")
-
-
 # --- Families and their CPTP intervals ---------------------------------------
 
 
@@ -276,8 +270,8 @@ class ParamRange(NamedTuple):
     p_min: float
     p_max: float
 
-    def contains(self, p: float, tol: Tolerance = DEFAULT_TOL) -> bool:
-        slack = tol.bound(max(abs(self.p_min), abs(self.p_max)))
+    def contains(self, p: float) -> bool:
+        slack = DEFAULT_TOL.bound(max(abs(self.p_min), abs(self.p_max)))
         return self.p_min - slack <= p <= self.p_max + slack
 
 

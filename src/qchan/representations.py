@@ -54,8 +54,7 @@ from .exact import (
     repr_coefficients,
 )
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
-from .linalg import _CACHED_DIMS, _pair_index, as_matrix_stack, hermitian_part
-from .sampling import _complex_normals
+from .linalg import _CACHED_DIMS, _complex_normals, _pair_index, as_matrix_stack, hermitian_part
 
 __all__ = [
     "sum_x",
@@ -205,14 +204,13 @@ def verify_representations(
     n: int,
     trials: int = 100,
     seed: int = 0,
-    tol: Tolerance = _SUM_TOL,
 ) -> VerificationReport:
     """Both conjugation-sum expansions against the family member's action, ``ch(s)`` of the apply engine.
 
     The basis form is e0 S/n + ex X/2 + ey Y/2 + ez EZ (see ``_direct_sums``).
     """
 
-    return _representation_reports([FamilyChannel(family=family, p=p, dim=n)], n, trials, seed, tol)[0]
+    return _representation_reports([FamilyChannel(family=family, p=p, dim=n)], n, trials, seed)[0]
 
 
 def _representation_reports(
@@ -272,21 +270,18 @@ def _representation_reports(
 # --- Kraus sets ------------------------------------------------------------
 
 
-def kraus_from_family(
-    family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, ...]:
+def kraus_from_family(family: Family, p: float, n: int) -> tuple[np.ndarray, ...]:
     """Tuple of Kraus operators sqrt(c) * (I or generalized Pauli) for p in range.
 
-    Raises ValueError naming the first weight below ``-tol.bound(1.0)``:
+    Raises ValueError naming the first weight below ``-DEFAULT_TOL.bound(1.0)``:
     p lies outside the CPTP interval.  Weights up to 4 eps (4 ulps of 1)
-    are the float dust of a weight vanishing at an endpoint and drop out;
-    that threshold ignores ``tol``, so a loose tolerance drops no weight.
+    are the float dust of a weight vanishing at an endpoint and drop out.
     The operators are dense, O(n^4) in all, and refused past 2 GiB;
     :func:`_kraus_count_and_deviation` gives their count and completeness
     from the weights alone.
     """
 
-    kept = _kept_weights(family, p, n, tol)
+    kept = _kept_weights(family, p, n, DEFAULT_TOL)
     _check_dense_bytes(16 * (1 + 3 * pair_count(n)) * int(n) ** 2, f"the Kraus operators at dim {n}")
     entries = (None, *_pair_entries(*_pair_index(n)))
     operators: list[np.ndarray] = []
@@ -300,6 +295,7 @@ def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tupl
 
     Sector 0 is the identity, 1..3 the x, y and two-level z pair sectors.
     Raises ValueError naming the first weight below ``-tol.bound(1.0)``.
+    The 4 eps dust threshold ignores ``tol``, so a loose tolerance drops no weight.
     """
 
     coeffs = repr_coefficients(family, finite_number(p, "p", _MAX_MAGNITUDE), n)
@@ -320,7 +316,9 @@ def _kept_weights(family: Family, p: float, n: int, tol: Tolerance) -> list[tupl
 def _kraus_count_and_deviation(
     family: Family, p: float, n: int, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[int, float, bool]:
-    """len(kraus_from_family(..., tol)), max |sum V_i† V_i - I| of its operators bit for bit, and its verdict.
+    """The count of the Kraus operators of the weights kept at ``tol`` (:func:`_kept_weights`; at
+    ``DEFAULT_TOL`` those of :func:`kraus_from_family`), max |sum V_i† V_i - I| of them bit for bit,
+    and its verdict.
 
     Completeness holds when the deviation is within ``tol`` of 0.  The
     identity operator gives fl(sqrt(c0))^2 I and a pair operator

@@ -18,7 +18,7 @@ re-running the computation.  The conventions:
   multiplier moduli agree, in which case every pure input maps to output
   Frobenius norm sqrt(1/n + t^2 (1 - 1/n));
 * Haar states come in stacks from the one random stream of
-  :mod:`qchan.sampling`, with the bits of one-at-a-time draws.
+  :mod:`qchan.linalg`, with the bits of one-at-a-time draws.
 
 The conjugation-sum identities, the representation checks, the
 determinant recurrence and the qubit classification, which only
@@ -37,8 +37,7 @@ import numpy as np
 from .channels import DiagonalChannel, _classical_block, _classical_vectors, _pair_scatter, as_linear_map
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
-from .linalg import _pair_index, _pair_positions, _squares, _steps, frobenius_norm
-from .sampling import _haar_vectors
+from .linalg import _haar_vectors, _pair_index, _pair_positions, _squares, _steps, frobenius_norm
 
 __all__ = [
     "is_cptp",

@@ -4,7 +4,7 @@ The one-at-a-time forms of what qchan computes stacked or in closed form
 come first:
 
 * ``random_pure_state`` draws one Haar state, whose bits the stacks of
-  ``sampling._haar_vectors`` hold;
+  ``linalg._haar_vectors`` hold;
 * ``witness_states`` builds the n^2 witness projectors from
   ``_witness_vectors``, whose norms ``verification._witness_norms`` takes
   by Parseval and whose names ``verification._state_label`` gives;
@@ -44,7 +44,10 @@ The ``frozen_*`` functions are the bodies that ``is_cptp``,
 buffer per channel, with their integer staircase steps and their 2-D pair
 scatter; ``frozen_sample_path`` runs the sample test on them.  They are
 not independent oracles but fixed bits: the rebuilt path must print the
-same numbers.
+same numbers.  ``frozen_constant_split_apply`` is the apply engine's
+former scalar case, for channels whose t_x and t_y are each constant with
+(t_x + t_y)/2 and (t_x - t_y)/2 both nonzero, which now go through the
+per-pair weights.
 """
 
 from contextlib import contextmanager
@@ -57,7 +60,7 @@ import numpy as np
 
 from qchan import verification
 from qchan.basis import pauli_matrix
-from qchan.channels import DiagonalChannel, FamilyChannel, diagonal_apply, family_to_diagonal
+from qchan.channels import DiagonalChannel, FamilyChannel, diagonal_apply, diagonal_image, family_to_diagonal
 from qchan.exact import DEFAULT_TOL, Family, Tolerance, VerificationReport
 from qchan.jsonio import integer
 from qchan.linalg import _pair_index, frobenius_norm, hermitian_part
@@ -486,6 +489,24 @@ def frozen_witness_norms(diag):
     pair_diag = 1 / n + (c[k] * k**2 + s[k + 1] - s[l] + c[l] * (l - 1) ** 2) / 4 + s[l + 1]
     psi = 1 / n + c[:n] * i**2 + s[1:]
     return np.sqrt(np.concatenate([psi, pair_diag + diag.t_x**2 / 2, pair_diag + diag.t_y**2 / 2]))
+
+
+def frozen_constant_split_apply(ch, s):
+    """``diagonal_apply`` as it was on a channel with constant t_x and t_y, both a and b nonzero:
+    the pair sectors weighed by the scalars t_x[0] and t_y[0], then the diagonal overwritten."""
+
+    s = np.asarray(s, dtype=complex)
+    out = np.empty(s.shape, dtype=complex)
+    half = s / 2
+    half_t = np.swapaxes(half, -1, -2)
+    np.add(half, half_t, out=out)
+    out *= ch.t_x[0]
+    antisymmetric = half - half_t
+    antisymmetric *= ch.t_y[0]
+    out += antisymmetric
+    idx = np.arange(ch.dim)
+    out[..., idx, idx] = diagonal_image(ch, s[..., idx, idx])
+    return out
 
 
 @contextmanager

@@ -19,10 +19,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qchan import sampling, verification
+from qchan import linalg, verification
 from qchan.channels import (
     DiagonalChannel,
     FamilyChannel,
@@ -38,6 +39,7 @@ from dense_oracles import (
     assert_is_the_closed_form,
     assert_same_extremes,
     assert_sample_norms_agree,
+    frozen_constant_split_apply,
     frozen_pair_weights,
     per_state_haar_norms,
     per_state_sample_test,
@@ -198,6 +200,33 @@ def test_a_pair_sector_is_kept_next_to_a_much_larger_one(t):
 
 
 @st.composite
+def constant_unequal_channels(draw):
+    """Constant t_x and t_y with (t_x + t_y)/2 and (t_x - t_y)/2 both nonzero, moduli 1e-8..1e100, and any t_z."""
+
+    n = draw(st.integers(2, 8))
+    cnt = n * (n - 1) // 2
+    sign, modulus = st.sampled_from([1.0, -1.0]), st.floats(1e-8, 1e100)
+    x, y = (draw(sign) * draw(modulus) for _ in range(2))
+    assume(abs(x) != abs(y))
+    t_z = draw(arrays(float, n - 1, elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e100, 1e100)))
+    return DiagonalChannel(n, np.concatenate([np.full(cnt, x), np.full(cnt, y), t_z]))
+
+
+@given(constant_unequal_channels(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_constant_unequal_channels_keep_the_scalar_weights_bits(ch, data):
+    # Such channels weigh the pair sectors per pair, as every non-constant
+    # channel does; every entry keeps the bits of the two scalar weights.
+    n = ch.dim
+    parts = arrays(float, (3, n, n), elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6))
+    s = np.empty((3, n, n), dtype=complex)
+    s.real, s.imag = data.draw(parts), data.draw(parts)
+    assert ch._sector_weights[0]
+    for x in (s, s[0]):
+        assert_same_bits(ch(x), frozen_constant_split_apply(ch, x))
+
+
+@st.composite
 def channels(draw):
     """Family members, the same as diagonal channels (b = 0 for dep and dcq,
     a = 0 for trd and tcq), t = 0, and dense random t."""
@@ -223,7 +252,7 @@ def channels(draw):
 @settings(max_examples=60, deadline=None)
 def test_sample_norms_are_the_one_state_norms(ch, samples, seed, chunk_bytes):
     n = ch.dim
-    with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk_bytes):
         _, (got,) = sample_norms(lambda: verification.constant_fnorm_sample_test(ch, n, samples, seed))
     want = per_state_haar_norms(ch, n, samples, seed)
     bounds = sample_rounding_bounds(ch, sample_vectors(n, samples, seed, witness=False))
@@ -256,7 +285,7 @@ def test_haar_norms_are_the_oracles_haar_part(n, samples, seed):
     "n, samples", [(2, 50), (3, 50), (9, 50), (17, 50), (64, 20), (129, 8), (500, 3)]
 )
 def test_projector_diagonals_and_traces_come_from_the_vectors(n, samples):
-    for v in sampling._haar_vectors(n, samples, n):
+    for v in linalg._haar_vectors(n, samples, n):
         projectors = v[:, :, None] * v.conj()[:, None, :]
         d = v * v.conj()
         traces = np.add.reduce(d, axis=-1)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qchan import representations
 from qchan.basis import _pair_entries, _staircase_rows, build_basis, decompose, pauli_matrix, reconstruct
-from qchan.exact import pair_count
-from qchan.linalg import _pair_index, _squares, _steps
+from qchan.exact import DEFAULT_TOL, pair_count
+from qchan.linalg import _pair_index, _squares, _steps, frobenius_norm, is_hermitian
 
 from dense_oracles import m_z
 
@@ -61,6 +61,10 @@ class TestPauliMatrices:
         with pytest.raises(ValueError, match="sector"):
             pauli_matrix(3, "w", (1, 2))
 
+    def test_bad_pair(self):
+        with pytest.raises(ValueError, match=r"^pair \(2, 2\) violates 1 <= k < l <= 3$"):
+            pauli_matrix(3, "x", (2, 2))
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_entries_are_the_written_out_matrices(self, n):
         # pauli_matrix reads the pair entry table; its entries written out one by one.
@@ -111,7 +115,7 @@ class TestBasis:
         basis = build_basis(n)
         assert len(basis) == n * n
         gram = np.array(
-            [[np.vdot(a, b).real for b in basis.elements] for a in basis.elements]
+            [[np.vdot(a, b).real for b in basis.stacked] for a in basis.stacked]
         )
         np.testing.assert_allclose(gram, np.eye(n * n), atol=1e-12)
 
@@ -130,7 +134,7 @@ class TestBasis:
             np.array([[0, -1j], [1j, 0]]) / np.sqrt(2),
             np.array([[1, 0], [0, -1]]) / np.sqrt(2),
         ]
-        for element, want in zip(basis.elements, expected):
+        for element, want in zip(basis.stacked, expected):
             np.testing.assert_allclose(element, want, atol=1e-15)
 
     @pytest.mark.parametrize("n", range(2, 10))
@@ -143,7 +147,6 @@ class TestBasis:
         expected += [pauli_matrix(n, sector, pr) / sqrt(2) for sector in "xy" for pr in pairs]
         expected += [m_z(n, k) / np.sqrt(k * (k + 1)) for k in range(1, n)]
         assert basis.stacked.tobytes() == np.array(expected).tobytes()
-        assert all(np.shares_memory(e, basis.stacked) for e in basis.elements)
 
     @pytest.mark.parametrize("n", DIMS)
     def test_pauli_stacks_match_pauli_matrix(self, n):
@@ -187,7 +190,7 @@ class TestBasis:
     def test_elements_read_only(self):
         basis = build_basis(3)
         with pytest.raises(ValueError):
-            basis.elements[0][0, 0] = 5
+            basis.stacked[0][0, 0] = 5
 
 
 class TestDecompose:
@@ -240,6 +243,16 @@ class TestDecompose:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             decompose(np.eye(3, dtype=complex), build_basis(2))
+
+    def test_rejects_imaginary_coefficients_of_a_nearly_hermitian_input(self):
+        # I/5 + i eps J deviates from its adjoint by 2 eps, within the Hermitian
+        # check's bound, but its identity coefficient has imaginary part sqrt(5) eps.
+        s = np.eye(5, dtype=complex) / 5
+        eps = 0.45 * DEFAULT_TOL.bound(frobenius_norm(s))
+        s += 1j * eps * np.ones((5, 5))
+        assert is_hermitian(s)
+        with pytest.raises(ValueError, match="^coefficients have non-negligible imaginary parts$"):
+            decompose(s, build_basis(5))
 
     def test_reconstruct_length_check(self):
         with pytest.raises(ValueError, match="coefficients"):

@@ -287,7 +287,7 @@ def _objects():
         (FamilyChannel(Family.TCQ, -0.125, 4), (Family.TCQ, -0.125, 4)),
         (DiagonalChannel(2, t), (2, t)),
         (QubitLambda((0.0, 0.1, 0.0), (0.5, -0.5, 0.5)), ((0.0, 0.1, 0.0), (0.5, -0.5, 0.5))),
-        (basis, (basis.dim, basis.labels, basis.elements, basis.stacked)),
+        (basis, (basis.dim, basis.labels, basis.stacked)),
     ]
 
 
@@ -359,7 +359,7 @@ class TestImmutableObjects:
         assert repr(FamilyChannel(Family.TCQ, -0.125, 4)) == "FamilyChannel(family=<Family.TCQ: 'tcq'>, p=-0.125, dim=4)"
         assert repr(DiagonalChannel(2, [0.4, -0.4, 0.4])) == "DiagonalChannel(dim=2, t=array([ 0.4, -0.4,  0.4]))"
         assert repr(QubitLambda((0, 0, 1), (0, 0, 0))) == "QubitLambda(t=(0.0, 0.0, 1.0), lam=(0.0, 0.0, 0.0))"
-        assert repr(build_basis(2)).startswith("BasisE(dim=2, labels=(('0', 1), ('x', 1), ('y', 1), ('z', 1)), elements=(array(")
+        assert repr(build_basis(2)).startswith("BasisE(dim=2, labels=(('0', 1), ('x', 1), ('y', 1), ('z', 1)), stacked=array(")
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         for obj, values in _objects():
@@ -604,10 +604,10 @@ class TestKraus:
         assert representations._kraus_count_and_deviation(Family.TRD, 0.01, 2, tight) == (4, 2.0**-52, False)
 
     def test_loose_tolerance_keeps_genuine_weights(self):
-        # The drop threshold is float dust, not the caller's tolerance.
-        ks = kraus_from_family(Family.DEP, 0.5, 30, tol=Tolerance(1e-2, 1e-2))
-        assert len(ks) == 1 + 3 * pair_count(30)
-        np.testing.assert_allclose(kraus_completeness(ks), np.eye(30), atol=1e-12)
+        # The drop threshold is float dust, not the caller's tolerance (``report --tol`` reaches it).
+        count, deviation, _ = representations._kraus_count_and_deviation(Family.DEP, 0.5, 30, tol=Tolerance(1e-2, 1e-2))
+        assert count == 1 + 3 * pair_count(30)
+        assert deviation <= 1e-12
 
     def test_operators_are_a_tuple_and_completeness_takes_any_sequence(self):
         ks = kraus_from_family(Family.TRD, 0.2, 3)
@@ -814,6 +814,10 @@ class TestChannelJson:
         again = channel_from_json(channel_to_json(diag))
         assert isinstance(again, DiagonalChannel)
         np.testing.assert_array_equal(again.t, diag.t)
+
+    def test_only_channel_objects_are_written(self):
+        with pytest.raises(TypeError, match="^expected FamilyChannel or DiagonalChannel, got function$"):
+            channel_to_json(lambda s: s)
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="kind"):

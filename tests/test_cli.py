@@ -1144,13 +1144,13 @@ COMMAND_MODULES = [
     pytest.param(
         ["verify", "cptp", "--family", "dep", "--dim", "5", "--p", "0.1"],
         0,
-        {"channels", "linalg", "sampling", "verification"},
+        {"channels", "linalg", "verification"},
         id="verify-cptp",
     ),
     pytest.param(
         ["verify", "constant-norm", "--family", "tcq", "--dim", "4", "--p", "0.1", "--samples", "20"],
         0,
-        {"channels", "linalg", "sampling", "verification"},
+        {"channels", "linalg", "verification"},
         id="verify-constant-norm",
     ),
     pytest.param(
@@ -1163,25 +1163,25 @@ COMMAND_MODULES = [
     pytest.param(
         ["identities", "--dim", "3", "--trials", "3"],
         0,
-        {"basis", "channels", "linalg", "representations", "sampling"},
+        {"basis", "channels", "linalg", "representations"},
         id="identities",
     ),
     pytest.param(
         ["detcheck", "--dim", "3", "--grid", "5"],
         0,
-        {"basis", "channels", "linalg", "representations", "sampling"},
+        {"basis", "channels", "linalg", "representations"},
         id="detcheck",
     ),
     pytest.param(
         ["qubit-equiv", "--p", "0.3", "--trials", "5"],
         0,
-        {"basis", "channels", "equivalence", "linalg", "sampling"},
+        {"basis", "channels", "equivalence", "linalg"},
         id="qubit-equiv",
     ),
     pytest.param(
         ["report", "--dim", "3", "--samples", "5"],
         0,
-        {"basis", "channels", "equivalence", "linalg", "report", "representations", "sampling", "verification"},
+        {"basis", "channels", "equivalence", "linalg", "report", "representations", "verification"},
         id="report",
     ),
 ]
@@ -1298,7 +1298,7 @@ class TestNumpyFreeCommands:
         )
         proc = _run_script(script, [], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        names = ("basis", "channels", "cli", "equivalence", "exact", "jsonio", "linalg", "report", "representations", "sampling", "verification")
+        names = ("basis", "channels", "cli", "equivalence", "exact", "jsonio", "linalg", "report", "representations", "verification")
         modules = ["qchan", *(f"qchan.{name}" for name in names)]
         assert proc.stdout.decode() == f"0 {modules} False\n"
 

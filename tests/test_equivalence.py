@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchan import basis as qchan_basis
-from qchan import sampling
+from qchan import linalg
 from qchan.basis import pauli_matrix
 from qchan.channels import FamilyChannel, family_apply
 from qchan.equivalence import (
@@ -256,8 +256,8 @@ class TestQubitEquivalence:
 
     @pytest.mark.parametrize("chunk_bytes, trials", [(16 * 2 * 5, 13), (16 * 2 * 4, 12), (1, 3)])
     def test_stacks_of_a_small_chunk_are_the_per_trial_check(self, chunk_bytes, trials):
-        with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes):
-            assert len(list(sampling._haar_vectors(2, trials, 8))) >= 3
+        with mock.patch.object(linalg, "_CHUNK_BYTES", chunk_bytes):
+            assert len(list(linalg._haar_vectors(2, trials, 8))) >= 3
             got = qubit_equivalence_check(0.35, trials=trials, seed=8)
         assert dumps(got) == dumps(per_trial_qubit_check(0.35, trials=trials, seed=8))
 
@@ -277,7 +277,7 @@ class TestQubitEquivalence:
 
         with mock.patch.object(qchan_basis, "pauli_matrix", factor), \
                 mock.patch.object(dense_oracles, "pauli_matrix", factor), \
-                mock.patch.object(sampling, "_CHUNK_BYTES", 16 * 2 * 5):
+                mock.patch.object(linalg, "_CHUNK_BYTES", 16 * 2 * 5):
             got = qubit_equivalence_check(0.4, trials=23, seed=5)
             expected = per_trial_qubit_check(0.4, trials=23, seed=5)
         assert not got.passed

@@ -132,6 +132,20 @@ def test_other_objects_are_rejected(value):
         dumps(value)
 
 
+def test_an_empty_object_is_written_on_one_line():
+    assert dumps({}) == "{}"
+
+
+def test_object_keys_must_be_strings():
+    with pytest.raises(TypeError, match="^JSON object keys must be str, got int$"):
+        dumps({1: 2})
+
+
+def test_require_refuses_a_non_object():
+    with pytest.raises(jsonio.SchemaError, match="^field 'x': expected a JSON object$"):
+        jsonio.require([], "x")
+
+
 def records(obj):
     """Every object of a payload that is not a JSON builtin, an array or a Family, and the ones in it."""
 

@@ -10,6 +10,7 @@ from qchan.exact import DEFAULT_TOL, Tolerance
 from qchan.jsonio import SchemaError
 from qchan.linalg import (
     _row_norms,
+    as_matrix,
     as_matrix_stack,
     frobenius_norm,
     hermitian_eigenvalues,
@@ -130,6 +131,10 @@ class TestAsMatrixStack:
     def test_accepts_finite_entries(self):
         m = np.full((3, 2, 2), complex(1e308, -1e308))
         assert as_matrix_stack(m) is m
+
+    def test_as_matrix_refuses_a_vector(self):
+        with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(3,\)$"):
+            as_matrix(np.zeros(3))
 
 
 class TestPsd:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qchan import channels, sampling, verification
+from qchan import channels, linalg, verification
 from qchan.basis import build_basis, decompose, reconstruct
 from qchan.channels import (
     DiagonalChannel,
@@ -278,10 +278,10 @@ def assert_stream_is(stacks, expected):
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 64, 97])
 @pytest.mark.parametrize("chunk_bytes", [1, 16 * 7 * 7 * 5, 1 << 16, 302752])
 def test_state_chunks_are_the_per_state_draws(monkeypatch, n, chunk_bytes):
-    monkeypatch.setattr(sampling, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
     per_draw = max(1, chunk_bytes // (16 * n))
     samples, seed = 2 * per_draw + 5, 5  # three draw stacks, the last one short
-    haar = list(sampling._haar_vectors(n, samples, seed))
+    haar = list(linalg._haar_vectors(n, samples, seed))
     assert all(len(stack) <= per_draw for stack in haar)
     stacks = [dense_oracles._witness_vectors(n), *haar]
     expected = chain(witness_states_one_by_one(n), random_pure_states(n, samples, seed))
@@ -299,7 +299,7 @@ def test_batched_normalization_is_the_per_row_norm(n, rows, seed):
     expected = v.copy()
     for row in expected:
         row /= np.linalg.norm(row)
-    got = sampling._normalize_rows(v)
+    got = linalg._normalize_rows(v)
     assert got is v
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -307,8 +307,8 @@ def test_batched_normalization_is_the_per_row_norm(n, rows, seed):
 @given(st.integers(1, 100), st.integers(0, 60), seeds, st.sampled_from([1, 300, 5000, 1 << 16]))
 @settings(max_examples=60, deadline=None)
 def test_haar_chunks_are_the_random_pure_state_draws(n, samples, seed, chunk_bytes):
-    with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes):
-        stacks = list(sampling._haar_vectors(n, samples, seed))
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk_bytes):
+        stacks = list(linalg._haar_vectors(n, samples, seed))
     per_draw = max(1, chunk_bytes // (16 * n))
     assert all(len(stack) <= per_draw for stack in stacks)
     assert assert_stream_is(stacks, random_pure_states(n, samples, seed)) == samples

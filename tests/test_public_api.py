@@ -98,7 +98,7 @@ def test_oracles_are_not_in_the_package():
     for module, name in [
         ("basis", "m_z"),
         ("representations", "kraus_completeness"),
-        ("sampling", "random_pure_state"),
+        ("linalg", "random_pure_state"),
         ("verification", "witness_states"),
         ("verification", "_witness_vectors"),
     ]:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import exact, jsonio, representations, sampling, verification
+from qchan import exact, jsonio, linalg, representations, verification
 from qchan.channels import DiagonalChannel, FamilyChannel, family_apply, family_to_diagonal
 from qchan.cli import main
 from qchan.exact import (
@@ -217,7 +217,7 @@ def test_trial_chunks_are_the_shared_generator_stacks(n, trials, size):
     assert [len(stack) for stack in stacks] == [
         min(per_chunk, trials - start) for start in range(0, trials, per_chunk)
     ]
-    shared = list(sampling._complex_normals(seed, trials, per_chunk, (n, n)))
+    shared = list(linalg._complex_normals(seed, trials, per_chunk, (n, n)))
     assert [stack.tobytes() for stack in stacks] == [stack.tobytes() for stack in shared]
     rng = np.random.default_rng(seed)
     per_trial = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(trials)]
@@ -240,7 +240,7 @@ def test_shared_sample_reports_equal_the_loops(n, samples, seed, where, chunk_by
     channels.append(DiagonalChannel(dim=n, t=np.zeros(n * n - 1)))
     t = np.linspace(0.1, 0.4, n * n - 1)
     channels.append(DiagonalChannel(dim=n, t=t))
-    with mock.patch.object(sampling, "_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(linalg, "_CHUNK_BYTES", chunk_bytes):
         shared, norms = sample_norms(lambda: verification._sample_reports(channels, n, samples, seed))
         single = [constant_fnorm_sample_test(ch, n, samples=samples, seed=seed) for ch in channels]
     assert shared[-1].witness is not None
@@ -261,8 +261,8 @@ def test_reports_filled_across_many_stacks_equal_the_loops(n):
         identities = verify_sum_identities(n, trials=7, seed=5)
     assert shared == [representations_loop(f, p, n, 7, 5) for f, p in members]
     assert identities == identities_loop(n, 7, 5)
-    with mock.patch.object(sampling, "_CHUNK_BYTES", 32 * n * n):
-        assert [len(v) for v in sampling._haar_vectors(n, 50, 5)] == [2 * n] * (50 // (2 * n)) + [2]
+    with mock.patch.object(linalg, "_CHUNK_BYTES", 32 * n * n):
+        assert [len(v) for v in linalg._haar_vectors(n, 50, 5)] == [2 * n] * (50 // (2 * n)) + [2]
         shared, norms = sample_norms(lambda: verification._sample_reports(channels, n, 50, 5))
         single = [constant_fnorm_sample_test(ch, n, samples=50, seed=5) for ch in channels]
     assert shared == single

@@ -154,6 +154,23 @@ class TestIsCptp:
         with pytest.raises(ValueError, match="dimension mismatch"):
             is_cptp(FamilyChannel(Family.DEP, 0.1, 3), 4)
 
+    def test_trace_witness_where_the_cp_bound_passes(self):
+        # verify cptp --family dep --dim 2 --p 1e100 --tol 0.4: the Choi norm
+        # scales the CP bound past the negative eigenvalue, and the row sums
+        # of the Choi data round the 1/n terms away next to 1e100.
+        report = is_cptp(FamilyChannel(Family.DEP, 1e100, 2), 2, tol=Tolerance(0.4, 0.4))
+        assert not report.passed
+        assert report.min_choi_eigenvalue == -5e99
+        assert report.trace_violation == 1.0
+        assert report.witness == "partial trace deviates from identity by 1.000e+00"
+
+    def test_loose_tolerance_passes_a_member_far_outside_the_range(self):
+        # verify cptp --family dep --dim 2 --p 10 --tol 0.3: -4.5 is within 0.3 + 0.3 sqrt(1 + 300).
+        report = is_cptp(FamilyChannel(Family.DEP, 10.0, 2), 2, tol=Tolerance(0.3, 0.3))
+        assert report.passed
+        assert report.min_choi_eigenvalue == -4.5
+        assert report.trace_violation == 0.0
+
     def test_trace_violation_detected(self):
         # A channel object is trace preserving by construction; the dense oracle sees any map.
         report = dense_is_cptp(lambda s: 0.5 * s, 2)
@@ -316,6 +333,10 @@ class TestSampleTest:
         with pytest.raises(ValueError, match="samples"):
             constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 3, samples=-5)
 
+    def test_channel_dimension_must_match(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: channel dim 3, n=4$"):
+            constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 4)
+
     def test_zero_samples_still_checks_witnesses(self):
         report = constant_fnorm_sample_test(FamilyChannel(Family.DEP, 0.1, 3), 3, samples=0)
         assert report.passed
@@ -409,7 +430,7 @@ class TestSumIdentities:
         basis = build_basis(n)
         pairs = list(combinations(range(1, n + 1), 2))
         mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs] for sector in "xyz"}
-        mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == "z"]
+        mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.stacked) if sec == "z"]
         direct = representations._direct_sums(s, n)
         assert direct.keys() == mats.keys()
         for key, group in mats.items():
@@ -423,7 +444,7 @@ class TestSumIdentities:
         basis = build_basis(n)
         pairs = list(combinations(range(1, n + 1), 2))
         mats = {sector: [pauli_matrix(n, sector, pr) for pr in pairs] for sector in "xyz"}
-        mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == "z"]
+        mats["ez"] = [e for (sec, _), e in zip(basis.labels, basis.stacked) if sec == "z"]
         direct = representations._direct_sums(s, n)
         for key, group in mats.items():
             np.testing.assert_allclose(direct[key], sum(m @ s @ m for m in group), atol=1e-12)
@@ -510,7 +531,7 @@ class TestSumIdentities:
         direct = representations._direct_sums(s, n)
         expected = {"0": s / n, "x": direct["x"] / 2, "y": direct["y"] / 2}
         for sector, target in expected.items():
-            group = [e for (sec, _), e in zip(basis.labels, basis.elements) if sec == sector]
+            group = [e for (sec, _), e in zip(basis.labels, basis.stacked) if sec == sector]
             np.testing.assert_allclose(sum(m @ s @ m for m in group), target, atol=1e-12)
 
     def test_transpose_matters_on_e12(self):
@@ -555,7 +576,7 @@ class TestNoVacuousPasses:
              "qchan.verification._witness_norms"),
             (lambda seed: verify_sum_identities(3, seed=seed), "qchan.representations._trial_chunks"),
             (lambda seed: verify_representations(Family.DEP, 0.1, 3, seed=seed), "qchan.representations.repr_coefficients"),
-            (lambda seed: qubit_equivalence_check(0.5, seed=seed), "qchan.sampling._haar_vectors"),
+            (lambda seed: qubit_equivalence_check(0.5, seed=seed), "qchan.linalg._haar_vectors"),
         ],
         ids=["constant_fnorm_sample_test", "verify_sum_identities", "verify_representations", "qubit_equivalence_check"],
     )
