@@ -1,4 +1,4 @@
-"""Print the size of a qchan source tree as five Markdown bullets.
+"""Print the size of a qchan source tree as six Markdown bullets.
 
     python .github/size-summary.py [TREE] >> "$GITHUB_STEP_SUMMARY"
 
@@ -6,12 +6,14 @@ TREE (default: the current directory) is a checkout with the package under
 src/.  The counts are the non-blank lines of src/qchan/*.py, the public
 non-module names of qchan (counted as tests/test_public_api.py counts them),
 the qchan names that a submodule resolves only through its module
-__getattr__, the src/qchan/*.py files, and the options: the parameters with
+__getattr__, the src/qchan/*.py files, the options: the parameters with
 a default of the functions in qchan.__all__ and of the __init__ and public
-methods that its classes define.  Run it once per tree: each run imports
-that tree's qchan.
+methods that its classes define, and the caches: the functools.lru_cache
+functions of qchan's modules and the cached_property attributes of its
+classes.  Run it once per tree: each run imports that tree's qchan.
 """
 
+import functools
 import importlib
 import inspect
 import pathlib
@@ -63,8 +65,19 @@ for name in qchan.__all__:
             member = getattr(member, "__func__", member)  # a classmethod or staticmethod's function
             if (attr == "__init__" or not attr.startswith("_")) and inspect.isfunction(member):
                 options += defaulted(member)
+# Each cache counted once, in the module that defines it, though others import it.
+caches = 0
+for module in modules:
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if hasattr(obj, "cache_info"):
+            caches += 1
+        elif inspect.isclass(obj):
+            caches += sum(isinstance(attr, functools.cached_property) for attr in vars(obj).values())
 print(f"- non-blank lines in src/qchan/*.py: {lines}")
 print(f"- public non-module names in qchan: {len(names)}")
 print(f"- names a submodule __getattr__ forwards: {len(forwarded)}")
 print(f"- modules src/qchan/*.py: {len(list(package.glob('*.py')))}")
 print(f"- parameters with a default in the public functions and methods: {options}")
+print(f"- caches (lru_cache functions and cached_property attributes): {caches}")

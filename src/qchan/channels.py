@@ -128,28 +128,6 @@ class DiagonalChannel(_Frozen):
             return (False, None, b) if a == 0 else (False, a, None)
         return False, a, b
 
-    @cached_property
-    def _z_weights(self) -> np.ndarray:
-        """t_z,j / (j (j+1)), the z-sector weights of :func:`diagonal_image`; read-only."""
-
-        j = _steps(self.dim)
-        w = self.t_z / (j * (j + 1))
-        w.flags.writeable = False
-        return w
-
-    @cached_property
-    def _z_square_weights(self) -> np.ndarray:
-        """c_j = t_z,j^2 / (j (j+1)), the weights of the output diagonal's squared norm; read-only.
-
-        With the staircase M_j of :func:`diagonal_image` (|M_j|^2 = j (j+1)),
-        that norm is Tr(S)^2/n + sum_j c_j Tr(M_j S)^2.
-        """
-
-        j = _steps(self.dim)
-        c = self.t_z**2 / (j * (j + 1))
-        c.flags.writeable = False
-        return c
-
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return diagonal_apply(self, s)
 
@@ -196,7 +174,7 @@ def _pair_scatter(n: int, rows: list) -> np.ndarray:
 def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U, L and G, the three n-vectors of D[r, i] = Phi(E_rr)_ii (zero-based r, i).
 
-    With w_i = t_z,i / (i (i+1)) (``DiagonalChannel._z_weights``, w_0 = 0)
+    With w_i = t_z,i / (i (i+1)) (the weights of :func:`diagonal_image`, w_0 = 0)
     and the suffix sums S_i = w_(n-1) + ... + w_i, summed from the end,
     with S_n = 0:
 
@@ -212,7 +190,8 @@ def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray, n
     [[L_l, b_kl], [b_kl, U_l]], which ``is_cptp`` reads from them in pair order.
     """
 
-    n, j, w = diag.dim, _steps(diag.dim), diag._z_weights
+    n, j = diag.dim, _steps(diag.dim)
+    w = diag.t_z / (j * (j + 1))
     suffix = np.zeros(n)  # S_(i+1) at i
     suffix[:-1] = w[::-1].cumsum()[::-1]
     iw = np.zeros(n)  # i w_i
@@ -333,7 +312,7 @@ def diagonal_image(ch: DiagonalChannel, d: np.ndarray) -> np.ndarray:
     prefix = d.cumsum(axis=-1)
     w = j * d[..., 1:]
     np.subtract(prefix[..., :-1], w, out=w)
-    w *= ch._z_weights
+    w *= ch.t_z / (j * (j + 1))
     out = prefix  # the prefix sums are spent: the output takes their buffer
     out[...] = prefix[..., -1:] / n
     # Entry i collects the ones of every M_j with j > i and the -j of M_i.

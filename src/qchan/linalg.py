@@ -5,9 +5,9 @@ The helpers are thin wrappers over LAPACK (through ``numpy.linalg``)
 fixing the conventions everything downstream relies on: eigenvalues come
 back ascending, Hermitian inputs are symmetrized before eigensolves, and
 thresholds scale with the Frobenius norm of the operator.
-The index arrays of the pairs k < l and their flat positions, and the
-steps 1..n-1 of the z-sector staircase with their arithmetic, which the
-basis, the channels and the checks share, are cached here.  The tolerances they take,
+The index arrays of the pairs k < l and their flat positions, which the
+basis, the channels and the checks share, are cached here, and the steps
+1..n-1 of the z-sector staircase are built here.  The tolerances they take,
 ``Tolerance`` and ``DEFAULT_TOL``, are in :mod:`qchan.exact`.
 
 The one random stream of qchan's checks is here too.  Every check draws
@@ -131,21 +131,10 @@ def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-@lru_cache(maxsize=_CACHED_DIMS)
 def _steps(n: int) -> np.ndarray:
     """The staircase steps j = 1..n-1 of the z sector, as floats (exact, so products keep the bits
-    of integer steps, without a cast per call); read-only."""
-    j = np.arange(1.0, n)
-    j.flags.writeable = False
-    return j
-
-
-@lru_cache(maxsize=_CACHED_DIMS)
-def _squares(n: int) -> np.ndarray:
-    """(i - 1)^2 for i = 0..n, the squares of -1, 0, ..., n - 1, as floats; read-only."""
-    squares = np.arange(-1.0, n) ** 2
-    squares.flags.writeable = False
-    return squares
+    of integer steps, without a cast per product)."""
+    return np.arange(1.0, n)
 
 
 # Bytes of the normals drawn at once: 16 n bytes per Haar state, so 204
@@ -160,6 +149,8 @@ _CHUNK_BYTES = 1 << 16
 def _complex_normals(seed: int, count: int, per_stack: int, shape: tuple[int, ...]):
     """``count`` complex Gaussian arrays of ``shape``, ``per_stack`` at a time, each drawn real part first."""
 
+    if not count:
+        return  # no generator: building one imports numpy.random, about 10 ms in a fresh process
     rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed), without its dispatch
     for start in range(0, count, per_stack):
         g = rng.standard_normal((min(per_stack, count - start), 2, *shape))

@@ -16,7 +16,8 @@ re-running the computation.  The conventions:
   output factor against the identity;
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
   multiplier moduli agree, in which case every pure input maps to output
-  Frobenius norm sqrt(1/n + t^2 (1 - 1/n));
+  Frobenius norm sqrt(1/n + t^2 (1 - 1/n)); it is necessary too, since
+  the n^2 witness states of the sample test alone force equal moduli;
 * Haar states come in stacks from the one random stream of
   :mod:`qchan.linalg`, with the bits of one-at-a-time draws.
 
@@ -37,7 +38,7 @@ import numpy as np
 from .channels import DiagonalChannel, _classical_block, _classical_vectors, _pair_scatter, as_linear_map
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
-from .linalg import _haar_vectors, _pair_index, _pair_positions, _squares, _steps, frobenius_norm
+from .linalg import _haar_vectors, _pair_index, _pair_positions, _steps, frobenius_norm
 
 __all__ = [
     "is_cptp",
@@ -140,7 +141,8 @@ def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
     """Output Frobenius norms of the witness states by Parseval, in O(n^2) time, with no n x n product.
 
     A state's squared output norm is Tr(S)^2/n + sum_j c_j Tr(M_j S)^2 on
-    the diagonal (``DiagonalChannel._z_square_weights``) plus its pair
+    the diagonal, with c_j = t_z,j^2 / (j (j+1)) and the staircase M_j of
+    ``channels.diagonal_image`` (|M_j|^2 = j (j+1)), plus its pair
     sectors' t_x^2 or t_y^2 terms.  With c_0 = 0 and the suffix sums
     s_j = sum_{i >= j} c_i (zero-based), that is 1/n + c_k k^2 + s_{k+1}
     for psi_k, and for xi_kl (eta_kl), k < l,
@@ -151,10 +153,11 @@ def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
     """
 
     n = diag.dim
+    j = _steps(n)
     c = np.zeros(n + 1)  # c_0, ..., c_{n-1}, then a zero that ends the suffix sums
-    c[1:n] = diag._z_square_weights
+    c[1:n] = diag.t_z**2 / (j * (j + 1))
     s = c[::-1].cumsum()[::-1]  # s_j for j = 0..n, with s_n = 0
-    squares = _squares(n)  # (i-1)^2 for i = 0..n
+    squares = np.arange(-1.0, n) ** 2  # (i-1)^2 for i = 0..n
     own = c[:n] * squares[1:]  # c_i i^2
     k, l = _pair_index(n)  # lexicographic pair order, as t_x and t_y
     # Each term of one index is formed for all n indices, then gathered by k or l, in the formula's order.
@@ -191,78 +194,67 @@ def constant_fnorm_sample_test(
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Empirical constant-norm check over witness states plus Haar samples.
+    """Constant-norm check on the n^2 witness states, cross-checked on ``samples`` Haar states.
 
     Passes when the spread of output Frobenius norms stays within
     tolerance of the largest observed norm; the witness field names the
-    states achieving the extreme norms otherwise.  Every norm comes by
-    Parseval from the multipliers: the n^2 witness norms from suffix sums
-    (:func:`_witness_norms`, O(n^2) in all), and the Haar samples' as
-    quadratic forms on stacks of draws, O(n^2) per state
-    (:func:`_sample_reports`).
-    """
+    states achieving the extreme norms otherwise.  The witness norms alone
+    decide equal multiplier moduli exactly, at every n: equal norms on the
+    psi states force every t_z^2 to one value, and each xi or eta state
+    then fixes its own pair's t_x^2 or t_y^2 to it
+    (``tests/test_constant_norm_theorem.py`` runs that elimination in
+    exact arithmetic).  The Haar draws are a cross-check.  Every norm comes
+    by Parseval from the multipliers, and no projector is built: the
+    witness norms from suffix sums (:func:`_witness_norms`, O(n^2) in
+    all), and the Haar samples' as quadratic forms on stacks of draws,
+    O(n^2) per state.
 
-    return _sample_reports([ch], n, samples, seed, tol)[0]
-
-
-def _sample_reports(
-    channels: list[DiagonalChannel], n: int, samples: int, seed: int, tol: Tolerance = DEFAULT_TOL
-) -> list[VerificationReport]:
-    """``constant_fnorm_sample_test`` of each channel object, from one set of Haar draws.
-
-    No projector is built.  Write a stack of unit vectors as v = x + iy,
-    with X = x^2, Y = y^2, Z = xy and P = X + Y, the projectors' diagonals.
-    The channel scales each Hermitian basis coordinate by its multiplier,
-    so by Parseval each state's squared output norm is
+    Write a stack of unit vectors as v = x + iy, with X = x^2, Y = y^2,
+    Z = xy and P = X + Y, the projectors' diagonals.  The channel scales
+    each Hermitian basis coordinate by its multiplier, so by Parseval each
+    state's squared output norm is
 
         prefix_n^2/n + sum_j c_j u_j^2 + P^T W_x P + 2 (Z^T Delta Z - X^T Delta Y)
 
     with prefix = cumsum(P), the staircase coordinates
     u_j = Tr(M_j |v><v|) = prefix_{j-1} - j P_j (j = 1..n-1, zero-based P),
-    taken once per stack for every channel, c_j of
-    ``DiagonalChannel._z_square_weights``, and the pair weights of
-    :func:`_pair_forms`: (S x n)(n x n) products and row dots, the first
-    alone where Delta is 0 (every family member), and X, Y, Z formed only
-    where some channel has a nonzero Delta.  The Delta terms are signed:
-    a state whose sum keeps at most 2^-10 of its absolute terms
-    (|Z|^T |Delta| |Z| and X^T |Delta| Y in place of the signed ones) lost
-    over 10 bits, and is summed from its own projector by the apply
-    engine instead.  No value depends on another channel, so the reports
-    equal those of one call per channel, bit for bit.
+    c_j = t_z,j^2 / (j (j+1)), and the pair weights of :func:`_pair_forms`:
+    (S x n)(n x n) products and row dots, the first alone where Delta is 0
+    (every family member), and X, Y, Z formed only where Delta is not.
+    The Delta terms are signed: a state whose sum keeps at most 2^-10 of
+    its absolute terms (|Z|^T |Delta| |Z| and X^T |Delta| Y in place of the
+    signed ones) lost over 10 bits, and is summed from its own projector
+    by the apply engine instead.
     """
 
     samples, seed = integer(samples, "samples", 0), integer(seed, "seed", 0)
-    diags = [as_linear_map(ch) for ch in channels]
-    for diag in diags:
-        if diag.dim != n:
-            raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
-    norms = np.empty((len(diags), n * n + samples))  # per channel: witness states, then Haar samples
-    norms[:, : n * n] = [_witness_norms(diag) for diag in diags]
-    forms = [_pair_forms(diag) for diag in diags]
-    any_signed = any(signed is not None for _, signed in forms)
+    diag = as_linear_map(ch)
+    if diag.dim != n:
+        raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
     j = _steps(n)
+    c = diag.t_z**2 / (j * (j + 1))
+    w_x, signed = _pair_forms(diag)
+    norms = np.empty(n * n + samples)  # the witness states, then the Haar samples
+    norms[: n * n] = _witness_norms(diag)
     pos = n * n
     for v in _haar_vectors(n, samples, seed):
         p = (v * v.conj()).real  # X + Y with the bits of the projectors' diagonals
         prefix = p.cumsum(axis=1)
         u = prefix[:, :-1] - j * p[:, 1:]
         u *= u  # u_j^2
-        traces = prefix[:, -1] ** 2 / n
-        if any_signed:
+        sq = prefix[:, -1] ** 2 / n + u @ c + _row_dots(p @ w_x, p)
+        if signed is not None:
+            delta, delta_abs = signed
             xx, yy, z = v.real**2, v.imag**2, v.real * v.imag
-        for diag, (w_x, signed), found in zip(diags, forms, norms):
-            sq = traces + u @ diag._z_square_weights + _row_dots(p @ w_x, p)
-            if signed is not None:
-                delta, delta_abs = signed
-                z_abs = np.abs(z)
-                size = sq + 2 * (_row_dots(z_abs @ delta_abs, z_abs) + _row_dots(xx @ delta_abs, yy))
-                sq += 2 * (_row_dots(z @ delta, z) - _row_dots(xx @ delta, yy))
-                for i in np.flatnonzero(sq <= size / 1024):
-                    image = diag(np.outer(v[i], v[i].conj()))
-                    sq[i] = np.vdot(image, image).real
-            np.sqrt(sq, out=found[pos : pos + len(v)])
+            z_abs = np.abs(z)
+            size = sq + 2 * (_row_dots(z_abs @ delta_abs, z_abs) + _row_dots(xx @ delta_abs, yy))
+            sq += 2 * (_row_dots(z @ delta, z) - _row_dots(xx @ delta, yy))
+            for i in np.flatnonzero(sq <= size / 1024):
+                image = diag(np.outer(v[i], v[i].conj()))
+                sq[i] = np.vdot(image, image).real
+        np.sqrt(sq, out=norms[pos : pos + len(v)])
         pos += len(v)
-    return [_norm_spread_report(found, n, tol) for found in norms]
+    return _norm_spread_report(norms, n, tol)
 
 
 def _pair_forms(diag: DiagonalChannel) -> tuple[np.ndarray, Optional[np.ndarray]]:

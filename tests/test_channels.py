@@ -380,13 +380,17 @@ class TestImmutableObjects:
 
             return wrapper
 
-        for name in ("pair_count", "diagonal_image", "_pair_positions", "_steps"):
+        for name in ("pair_count", "_pair_positions"):
             monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
-        fam = FamilyChannel(Family.DEP, 0.25, 3)
-        names = ("t", "_sector_weights", "_z_weights", "_z_square_weights")
-        first = [getattr(fam, name) for name in names]
-        assert all(getattr(fam, name) is value for name, value in zip(names, first))
-        assert calls == ["pair_count", "_steps", "_steps"]
+        names = ("t", "_sector_weights")
+        for ch, built in [
+            (FamilyChannel(Family.DEP, 0.25, 3), ["pair_count"]),
+            (DiagonalChannel(3, np.arange(8.0)), ["_pair_positions"]),  # split weights: u and v scattered
+        ]:
+            calls.clear()
+            first = [getattr(ch, name) for name in names]
+            assert all(getattr(ch, name) is value for name, value in zip(names, first))
+            assert calls == built
 
     def test_dumps_refuses_them(self):
         for obj, _ in _objects():

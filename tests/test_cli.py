@@ -814,9 +814,7 @@ SECTION_FAILURES = [
     pytest.param(
         "qchan.verification.constant_fnorm_criterion", lambda r: (False, r[1]), 3, "constant_norm", id="criterion"
     ),
-    pytest.param(
-        "qchan.verification._sample_reports", lambda r: [failed(r[0]), *r[1:]], 3, "constant_norm", id="samples"
-    ),
+    pytest.param("qchan.verification.constant_fnorm_sample_test", failed, 3, "constant_norm", id="samples"),
     pytest.param(
         "qchan.representations._representation_reports",
         lambda r: [failed(r[0]), *r[1:]],
@@ -1307,6 +1305,20 @@ class TestNumpyFreeCommands:
         argv = ["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1"]
         code, added = _run_numpy_probe(argv, tmp_path)
         assert code == 0 and "numpy" in added
+
+    @pytest.mark.parametrize(
+        "argv, draws",
+        [
+            (["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1"], False),
+            (["verify", "constant-norm", "--family", "tcq", "--dim", "5", "--p", "0.01", "--samples", "0"], False),
+            (["verify", "constant-norm", "--family", "tcq", "--dim", "5", "--p", "0.01", "--samples", "1"], True),
+        ],
+    )
+    def test_only_commands_that_draw_load_the_generator(self, tmp_path, argv, draws):
+        # Zero samples draw nothing, so numpy.random (about 10 ms to import) stays unloaded.
+        code, added = _run_numpy_probe(argv, tmp_path)
+        assert code == 0 and "numpy" in added
+        assert ("numpy.random" in added) == draws
 
     @pytest.mark.parametrize("argv, code, modules", COMMAND_MODULES)
     def test_each_command_loads_only_its_modules(self, tmp_path, argv, code, modules):

@@ -1,13 +1,13 @@
 """Batched, shared-draw checks against the per-family, per-trial loops they replace.
 
-``report`` draws its representation inputs and its Haar states once and
-checks all four families against them in trial stacks.  The loops below
-are the slow oracles: each family draws its own inputs and runs one trial
-at a time, exactly as the checks did before batching.  Every field of
-every representation and identity report must agree exactly.  The shared
-sample reports equal one ``constant_fnorm_sample_test`` per channel
-exactly, and agree with ``dense_oracles.per_state_sample_test`` state by
-state within its rounding bound.
+``report`` draws its representation inputs once and checks all four
+families against them in trial stacks.  The loops below are the slow
+oracles: each family draws its own inputs and runs one trial at a time,
+exactly as the checks did before batching.  Every field of every
+representation and identity report must agree exactly.  The sample test
+draws its Haar states in stacks; its reports agree with
+``dense_oracles.per_state_sample_test`` state by state within its
+rounding bound, and ``report``'s are the single calls with its seed.
 """
 
 import json
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import exact, jsonio, linalg, representations, verification
+from qchan import exact, jsonio, linalg, representations
 from qchan.channels import DiagonalChannel, FamilyChannel, family_apply, family_to_diagonal
 from qchan.cli import main
 from qchan.exact import (
@@ -232,7 +232,7 @@ def test_trial_chunks_are_the_shared_generator_stacks(n, trials, size):
     where=fractions,
     chunk_bytes=st.sampled_from([1 << 16, 16 * 4 * 4, 1]),
 )
-def test_shared_sample_reports_equal_the_loops(n, samples, seed, where, chunk_bytes):
+def test_sample_reports_equal_the_loops(n, samples, seed, where, chunk_bytes):
     # The four families, the same as diagonal channels (whose b or a is 0),
     # t = 0, and a channel of unequal moduli, whose witness names its states.
     channels = [FamilyChannel(f, p, n) for f, p in members_at(where, n)]
@@ -241,11 +241,11 @@ def test_shared_sample_reports_equal_the_loops(n, samples, seed, where, chunk_by
     t = np.linspace(0.1, 0.4, n * n - 1)
     channels.append(DiagonalChannel(dim=n, t=t))
     with mock.patch.object(linalg, "_CHUNK_BYTES", chunk_bytes):
-        shared, norms = sample_norms(lambda: verification._sample_reports(channels, n, samples, seed))
-        single = [constant_fnorm_sample_test(ch, n, samples=samples, seed=seed) for ch in channels]
-    assert shared[-1].witness is not None
-    assert shared == single
-    assert_each_is_the_oracle(channels, n, samples, seed, shared, norms)
+        reports, norms = sample_norms(
+            lambda: [constant_fnorm_sample_test(ch, n, samples=samples, seed=seed) for ch in channels]
+        )
+    assert reports[-1].witness is not None
+    assert_each_is_the_oracle(channels, n, samples, seed, reports, norms)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -263,10 +263,8 @@ def test_reports_filled_across_many_stacks_equal_the_loops(n):
     assert identities == identities_loop(n, 7, 5)
     with mock.patch.object(linalg, "_CHUNK_BYTES", 32 * n * n):
         assert [len(v) for v in linalg._haar_vectors(n, 50, 5)] == [2 * n] * (50 // (2 * n)) + [2]
-        shared, norms = sample_norms(lambda: verification._sample_reports(channels, n, 50, 5))
-        single = [constant_fnorm_sample_test(ch, n, samples=50, seed=5) for ch in channels]
-    assert shared == single
-    assert_each_is_the_oracle(channels, n, 50, 5, shared, norms)
+        reports, norms = sample_norms(lambda: [constant_fnorm_sample_test(ch, n, samples=50, seed=5) for ch in channels])
+    assert_each_is_the_oracle(channels, n, 50, 5, reports, norms)
 
 
 def test_report_sections_equal_the_single_calls(capsys):
