@@ -33,6 +33,8 @@
 #   (trd) and in the classical block (dcq), and `detcheck --dim 200`;
 # - a loose --tol: the partial-trace witness where the CP bound passes
 #   (dep at p = 1e100), and a member far outside the range that passes.
+# - the sample test's mean deviation on equal norms (dep at p = 0), which
+#   must read 0 with the spread.
 set -u
 
 base=$1
@@ -184,6 +186,7 @@ commands=(
     "verify constant-norm --channel $work/cancelled.json --samples 3"
     "verify constant-norm --channel $work/unequal64.json --samples 200 --seed 4"
     "verify constant-norm --family dcq --dim 3 --p 1e100 --samples 5"
+    "verify constant-norm --family dep --dim 5 --p 0 --samples 0"
     "verify cptp --channel $work/huge_p.json"
     "report --dim 3 --seed -1"
     "verify constant-norm --family dep --dim 3 --p 0.1 --seed -1"

@@ -38,7 +38,7 @@ from .exact import (
 )
 from .jsonio import _MAX_MAGNITUDE, SchemaError, finite_number, integer, require, require_int
 from .linalg import (
-    _pair_positions,
+    _pair_plane,
     _steps,
     as_matrix,
     as_matrix_stack,
@@ -88,7 +88,7 @@ class DiagonalChannel(_Frozen):
         if t.shape != (expected,):
             raise ValueError(f"expected {expected} multipliers, got shape {t.shape}")
         i = int(abs(t).argmax())  # the first NaN if there is one
-        finite_number(t[i], f"t[{i}]", _MAX_MAGNITUDE)
+        finite_number(float(t[i]), f"t[{i}]", _MAX_MAGNITUDE)
         t = t.copy()
         t.flags.writeable = False
         self._set(dim, t)
@@ -123,7 +123,7 @@ class DiagonalChannel(_Frozen):
         x, y = self.t_x.view(np.int64), self.t_y.view(np.int64)
         a, b = (self.t_x[0] + self.t_y[0]) / 2, (self.t_x[0] - self.t_y[0]) / 2
         if (x != x[0]).any() or (y != y[0]).any() or (a != 0 and b != 0):
-            return (True, *_pair_scatter(self.dim, [self.t_x, self.t_y]))
+            return True, _pair_plane(self.dim, self.t_x, self.t_x, 0.0), _pair_plane(self.dim, self.t_y, self.t_y, 0.0)
         if (a == 0) != (b == 0):
             return (False, None, b) if a == 0 else (False, a, None)
         return False, a, b
@@ -155,20 +155,6 @@ class FamilyChannel(DiagonalChannel):
         t[:cnt], t[cnt : 2 * cnt], t[2 * cnt :] = (s * self.p for s in _SIGNS[self.family])
         t.flags.writeable = False
         return t
-
-
-def _pair_scatter(n: int, rows: list) -> np.ndarray:
-    """Symmetric arrays holding each row's pair values at (k, l) and (l, k), with zero diagonals:
-    shape (len(rows), n, n).
-
-    A row lists one value per pair k < l in lexicographic order, the order of t_x and t_y.
-    """
-
-    upper, lower = _pair_positions(n)
-    out = np.zeros((len(rows), n * n))
-    for plane, row in zip(out, rows):
-        plane[upper] = plane[lower] = row
-    return out.reshape(-1, n, n)
 
 
 def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,9 +195,8 @@ def _classical_block(diag: DiagonalChannel, diagonal: np.ndarray) -> np.ndarray:
     ``is_cptp`` takes its eigenvalues and ``verify_det_recurrence`` its determinant.
     """
 
-    block = _pair_scatter(diag.dim, [(diag.t_x + diag.t_y) / 2])[0]
-    _diagonal_view(block)[...] = diagonal
-    return block
+    a = (diag.t_x + diag.t_y) / 2
+    return _pair_plane(diag.dim, a, a, diagonal)
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:

@@ -87,7 +87,11 @@ DEFAULT_TOL = Tolerance()
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of one numerical check, with the numbers that decided it."""
+    """Outcome of one numerical check, with the numbers that decided it.
+
+    In the constant-norm sample test ``max_deviation`` is the spread of the output norms (largest minus
+    smallest, held to the tolerance) and ``mean_deviation`` their mean absolute deviation, never above it.
+    """
 
     passed: bool
     min_choi_eigenvalue: Optional[float] = None

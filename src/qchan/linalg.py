@@ -131,6 +131,15 @@ def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
+def _pair_plane(n: int, above, below, diagonal) -> np.ndarray:
+    """A new n x n array: pair k < l's ``above`` at (k, l), its ``below`` at (l, k), and ``diagonal``."""
+
+    plane = np.empty(n * n)
+    upper, lower = _pair_positions(n)
+    plane[upper], plane[lower], plane[:: n + 1] = above, below, diagonal
+    return plane.reshape(n, n)
+
+
 def _steps(n: int) -> np.ndarray:
     """The staircase steps j = 1..n-1 of the z sector, as floats (exact, so products keep the bits
     of integer steps, without a cast per product)."""

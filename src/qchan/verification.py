@@ -35,10 +35,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .channels import DiagonalChannel, _classical_block, _classical_vectors, _pair_scatter, as_linear_map
+from .channels import DiagonalChannel, _classical_block, _classical_vectors, as_linear_map
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
 from .jsonio import _MAX_MAGNITUDE, finite_number, integer
-from .linalg import _haar_vectors, _pair_index, _pair_positions, _steps, frobenius_norm
+from .linalg import _haar_vectors, _pair_index, _pair_plane, _steps
 
 __all__ = [
     "is_cptp",
@@ -77,6 +77,8 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     matrix's entries are those of the superoperator in the matrix-unit
     basis, reshuffled, and in the orthonormal Hermitian basis, whose
     change from that basis is unitary, the superoperator is diag(1, t).
+    It is hypot(1, sqrt(t . t)), one dot product with the bits of
+    ``frobenius_norm(t)``, and cannot overflow: every |t_i| is at most 1e100.
 
     Trace preservation holds by construction (the identity multiplier is
     fixed at 1), so ``trace_violation`` is the float rounding of D's row
@@ -99,11 +101,8 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     else:
         smallest, where = float(pair_mins[worst]), f" in pair block ({k[worst] + 1},{l[worst] + 1})"
     # Tr_2 of the Choi matrix is diag(Tr Phi(E_jj)); off-diagonal entries vanish.
-    upper, lower = _pair_positions(n)
-    d = np.zeros(n * n)
-    d[upper], d[lower], d[:: n + 1] = x, y, diagonal
-    trace_dev = float(abs(d.reshape(n, n).sum(axis=1) - 1).max())
-    psd_ok = smallest >= -tol.bound(hypot(1.0, frobenius_norm(ch.t)))
+    trace_dev = float(np.maximum.reduce(abs(np.add.reduce(_pair_plane(n, x, y, diagonal), axis=1) - 1)))
+    psd_ok = smallest >= -tol.bound(hypot(1.0, sqrt(ch.t.dot(ch.t))))
     tp_ok = trace_dev <= tol.bound(1.0)
     witness = None
     if not psd_ok:
@@ -125,19 +124,23 @@ def constant_fnorm_criterion(
 
     ch = as_linear_map(ch)
     moduli = np.abs(ch.t)
-    largest = moduli.max()
-    if float(largest - moduli.min()) > tol.bound(float(largest)):
+    largest = np.maximum.reduce(moduli)
+    if float(largest - np.minimum.reduce(moduli)) > tol.bound(float(largest)):
         return False, None
-    return True, expected_constant_norm(ch.dim, float(moduli[0]))
+    return True, _constant_norm(ch.dim, float(moduli[0]))
 
 
 def expected_constant_norm(n: int, t: float) -> float:
     """Output Frobenius norm on pure inputs when all moduli equal |t|."""
-    n, t = integer(n, "dim", 2), finite_number(t, "t", _MAX_MAGNITUDE)
+    return _constant_norm(integer(n, "dim", 2), finite_number(t, "t", _MAX_MAGNITUDE))
+
+
+def _constant_norm(n: int, t: float) -> float:
+    """``expected_constant_norm`` without its checks, for a channel's own dimension and multiplier."""
     return sqrt(1 / n + t * t * (1 - 1 / n))
 
 
-def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
+def _witness_norms(diag: DiagonalChannel, c: np.ndarray) -> np.ndarray:
     """Output Frobenius norms of the witness states by Parseval, in O(n^2) time, with no n x n product.
 
     A state's squared output norm is Tr(S)^2/n + sum_j c_j Tr(M_j S)^2 on
@@ -150,12 +153,10 @@ def _witness_norms(diag: DiagonalChannel) -> np.ndarray:
         1/n + (c_k k^2 + s_{k+1} - s_l + c_l (l-1)^2)/4 + s_{l+1} + t_x,kl^2/2 (t_y,kl^2/2).
 
     Every term is nonnegative, so no sum cancels, whatever the multipliers.
+    ``c`` is c_0..c_{n-1} and a zero that ends the suffix sums, as the sample test forms them.
     """
 
     n = diag.dim
-    j = _steps(n)
-    c = np.zeros(n + 1)  # c_0, ..., c_{n-1}, then a zero that ends the suffix sums
-    c[1:n] = diag.t_z**2 / (j * (j + 1))
     s = c[::-1].cumsum()[::-1]  # s_j for j = 0..n, with s_n = 0
     squares = np.arange(-1.0, n) ** 2  # (i-1)^2 for i = 0..n
     own = c[:n] * squares[1:]  # c_i i^2
@@ -231,25 +232,25 @@ def constant_fnorm_sample_test(
     diag = as_linear_map(ch)
     if diag.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
-    j = _steps(n)
-    c = diag.t_z**2 / (j * (j + 1))
+    j, c = _steps(n), np.zeros(n + 1)  # c_0 = 0, then c_1..c_{n-1}, then a zero that ends the suffix sums
+    c[1:n] = diag.t_z**2 / (j * (j + 1))
     w_x, signed = _pair_forms(diag)
     norms = np.empty(n * n + samples)  # the witness states, then the Haar samples
-    norms[: n * n] = _witness_norms(diag)
+    norms[: n * n] = _witness_norms(diag, c)
     pos = n * n
     for v in _haar_vectors(n, samples, seed):
         p = (v * v.conj()).real  # X + Y with the bits of the projectors' diagonals
         prefix = p.cumsum(axis=1)
         u = prefix[:, :-1] - j * p[:, 1:]
         u *= u  # u_j^2
-        sq = prefix[:, -1] ** 2 / n + u @ c + _row_dots(p @ w_x, p)
+        sq = prefix[:, -1] ** 2 / n + u @ c[1:n] + _row_dots(p @ w_x, p)
         if signed is not None:
             delta, delta_abs = signed
             xx, yy, z = v.real**2, v.imag**2, v.real * v.imag
             z_abs = np.abs(z)
             size = sq + 2 * (_row_dots(z_abs @ delta_abs, z_abs) + _row_dots(xx @ delta_abs, yy))
             sq += 2 * (_row_dots(z @ delta, z) - _row_dots(xx @ delta, yy))
-            for i in np.flatnonzero(sq <= size / 1024):
+            for i in (sq <= size / 1024).nonzero()[0]:
                 image = diag(np.outer(v[i], v[i].conj()))
                 sq[i] = np.vdot(image, image).real
         np.sqrt(sq, out=norms[pos : pos + len(v)])
@@ -263,10 +264,12 @@ def _pair_forms(diag: DiagonalChannel) -> tuple[np.ndarray, Optional[np.ndarray]
     The second is None where t_x^2 and t_y^2 agree bit for bit (every family member).
     """
 
-    w_x, w_y = diag.t_x**2, diag.t_y**2
-    signed = bool((w_x != w_y).any())
-    out = _pair_scatter(diag.dim, [w_x, w_x - w_y, np.abs(w_x - w_y)] if signed else [w_x])
-    return out[0], (out[1:] if signed else None)
+    n, w_x = diag.dim, diag.t_x**2
+    delta = w_x - diag.t_y**2  # zero exactly where t_x^2 and t_y^2 agree
+    if not np.logical_or.reduce(delta):
+        return _pair_plane(n, w_x, w_x, 0.0), None
+    size = np.abs(delta)
+    return _pair_plane(n, w_x, w_x, 0.0), (_pair_plane(n, delta, delta, 0.0), _pair_plane(n, size, size, 0.0))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,9 +281,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norm_spread_report(norms: np.ndarray, n: int, tol: Tolerance) -> VerificationReport:
     """The sample test's verdict on the output norms of the witness states, then the Haar samples."""
 
-    largest, smallest = float(norms.max()), float(norms.min())
+    largest, smallest = float(np.maximum.reduce(norms)), float(np.minimum.reduce(norms))
     spread = largest - smallest
-    mean = float(np.add.reduce(norms) / len(norms))  # np.mean's bits
+    # np.mean's bits, clamped: the rounded mean of equal norms can miss them, giving a mean deviation above the spread.
+    mean = min(max(float(np.add.reduce(norms) / len(norms)), smallest), largest)
     passed = spread <= tol.bound(largest)
     witness = None
     if not passed:

@@ -101,6 +101,16 @@ def _witness_vectors(n):
     return v
 
 
+def witness_norms(ch):
+    """``verification._witness_norms`` of ``ch``, given the weights c_j = t_z,j^2 / (j (j+1)) the sample test forms."""
+
+    n = ch.dim
+    j = np.arange(1.0, n)
+    c = np.zeros(n + 1)
+    c[1:n] = ch.t_z**2 / (j * (j + 1))
+    return verification._witness_norms(ch, c)
+
+
 def kraus_completeness(operators):
     """sum_i V_i† V_i over a non-empty sequence of operators; I exactly when trace preserving."""
 
@@ -429,6 +439,13 @@ def frozen_pair_scatter(n, rows):
     return out
 
 
+def frozen_pair_plane(n, above, below, diagonal):
+    """``linalg._pair_plane`` of the sample test's symmetric weights, as ``frozen_pair_scatter`` of one row."""
+
+    assert above is below and diagonal == 0
+    return frozen_pair_scatter(n, [above])[0]
+
+
 def frozen_pair_weights(diag):
     """``DiagonalChannel.pair_weights`` as it was, a new pair of arrays."""
 
@@ -515,8 +532,8 @@ def frozen_sample_path():
 
     with mock.patch.multiple(
         verification,
-        _witness_norms=frozen_witness_norms,
-        _pair_scatter=frozen_pair_scatter,
+        _witness_norms=lambda diag, c: frozen_witness_norms(diag),
+        _pair_plane=frozen_pair_plane,
         _steps=lambda n: np.arange(1, n),
     ):
         yield

@@ -380,12 +380,12 @@ class TestImmutableObjects:
 
             return wrapper
 
-        for name in ("pair_count", "_pair_positions"):
+        for name in ("pair_count", "_pair_plane"):
             monkeypatch.setattr(channels, name, counted(getattr(channels, name)))
         names = ("t", "_sector_weights")
         for ch, built in [
             (FamilyChannel(Family.DEP, 0.25, 3), ["pair_count"]),
-            (DiagonalChannel(3, np.arange(8.0)), ["_pair_positions"]),  # split weights: u and v scattered
+            (DiagonalChannel(3, np.arange(8.0)), ["_pair_plane", "_pair_plane"]),  # split weights: u and v scattered
         ]:
             calls.clear()
             first = [getattr(ch, name) for name in names]

@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -38,6 +38,7 @@ from dense_oracles import (
     frozen_pair_weights,
     frozen_sample_path,
     frozen_witness_norms,
+    witness_norms,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,7 +100,7 @@ def assert_frozen_bits(make, samples=20, seed=3):
     assert assembled_d(make()).tobytes() == d.tobytes()
     diagonal = channels._classical_vectors(make())[2]
     assert channels._classical_block(make(), diagonal).tobytes() == block.tobytes()
-    assert verification._witness_norms(make()).tobytes() == frozen_witness_norms(make()).tobytes()
+    assert witness_norms(make()).tobytes() == frozen_witness_norms(make()).tobytes()
     got = constant_fnorm_sample_test(make(), n, samples=samples, seed=seed)
     with frozen_sample_path():
         old = constant_fnorm_sample_test(make(), n, samples=samples, seed=seed)
@@ -158,6 +159,33 @@ def test_choi_data_from_three_vectors_keeps_the_frozen_bits(ch):
     assert assembled_d(fresh()).tobytes() == d.tobytes()
     assert repr(is_cptp(fresh(), n)) == repr(frozen_is_cptp(fresh(), n))
     assert_rounding_close(choi_norm(fresh()), frobenius_norm(np.stack([d, *frozen_pair_weights(fresh())])), n)
+
+
+@st.composite
+def bounded_channels(draw):
+    """Diagonal channels at n = 2..64, moduli up to the 1e100 bound: random, all 1e100, or 1e100 with random signs."""
+
+    n = draw(st.integers(min_value=2, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "all", "signed"]))
+    if kind == "random":
+        return DiagonalChannel(n, rng.uniform(-1, 1, n * n - 1) * draw(st.sampled_from([1e-300, 1.0, 1e50, 1e100])))
+    t = np.full(n * n - 1, 1e100)
+    return DiagonalChannel(n, t * rng.choice([-1.0, 1.0], n * n - 1) if kind == "signed" else t)
+
+
+@given(bounded_channels())
+@example(DiagonalChannel(64, np.full(64 * 64 - 1, 1e100)))
+@example(FamilyChannel(Family.DCQ, -1e100, 64))
+@settings(max_examples=100, deadline=None)
+def test_cp_scale_is_hypot_of_the_frobenius_norm_at_the_bound(ch):
+    # One dot product, sqrt(t . t), in place of frobenius_norm(t): the same bits, and no overflow at 1e100.
+    scales = []
+    bound = Tolerance.bound
+    with mock.patch.object(Tolerance, "bound", lambda tol, scale: scales.append(scale) or bound(tol, scale)):
+        is_cptp(ch, ch.dim)
+    assert scales[0].hex() == math.hypot(1.0, frobenius_norm(ch.t)).hex()
+    assert math.isfinite(scales[0])
 
 
 @given(large_channels(max_dim=6))

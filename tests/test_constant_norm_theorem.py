@@ -86,14 +86,14 @@ def test_equal_witness_norms_force_equal_moduli(n):
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
 def test_the_transcription_is_the_witness_norms_formula(n):
     from qchan.channels import DiagonalChannel
-    from qchan.verification import _witness_norms
+    from dense_oracles import witness_norms
 
     rng = random.Random(n)
     t = [rng.randint(-16, 16) / 16 for _ in range(n * n - 1)]
     pairs = n * (n - 1) // 2
     w_x, w_y, w_z = ([Fraction(x) ** 2 for x in part] for part in (t[:pairs], t[pairs : 2 * pairs], t[2 * pairs :]))
     exact = psi_squares(n, w_z) + pair_squares(n, w_z, w_x) + pair_squares(n, w_z, w_y)
-    got = _witness_norms(DiagonalChannel(n, t))
+    got = witness_norms(DiagonalChannel(n, t))
     assert len(got) == len(exact) == n * n
     for norm, square in zip(got, exact):
         assert math.isclose(float(norm) ** 2, square, rel_tol=1e-13)

@@ -37,6 +37,7 @@ from dense_oracles import (
     per_state_sample_test,
     random_pure_state,
     state_labels,
+    witness_norms,
     witness_states,
 )
 
@@ -176,7 +177,7 @@ def test_batched_sample_test_matches_per_state_loop(ch, samples, seed):
 @given(st.one_of(diagonal_channels(st.integers(2, 12)), family_channels(st.integers(2, 12))))
 @settings(max_examples=60, deadline=None)
 def test_closed_form_witness_norms_match_the_applied_states(ch):
-    closed = verification._witness_norms(ch)
+    closed = witness_norms(ch)
     applied = np.array([frobenius_norm(ch(s)) for s in witness_states(ch.dim)])
     assert closed.shape == applied.shape
     assert np.max(np.abs(closed - applied)) <= 1e-15

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qchan import basis as basis_module
 from qchan import channels, exact, representations, verification
@@ -40,6 +41,7 @@ from dense_oracles import (
     per_state_sample_test,
     random_pure_state,
     state_labels,
+    witness_norms,
     witness_states,
 )
 
@@ -354,7 +356,7 @@ class TestSampleTest:
             t[n * (n - 1) :] = rng.uniform(-1, 1, n - 1) * 10 ** rng.uniform(0, 12)
             cases.append(DiagonalChannel(n, t))
         for ch in cases:
-            norms = verification._witness_norms(ch)
+            norms = witness_norms(ch)
             oracle = [frobenius_norm(ch(state)) for state in witness_states(ch.dim)]
             scale = max(1.0, float(np.max(np.abs(ch.t))))
             np.testing.assert_allclose(norms, oracle, rtol=0, atol=64 * np.finfo(float).eps * scale)
@@ -383,6 +385,43 @@ class TestSampleTest:
         a = constant_fnorm_sample_test(ch, 3, samples=64, seed=9)
         b = constant_fnorm_sample_test(ch, 3, samples=64, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("samples", [0, 1, 5])
+    def test_mean_deviation_at_p_zero(self, n, samples):
+        # At p = 0 every state maps to I/n, so the n^2 witness norms are equal, though their rounded mean can
+        # lie an ulp off them (dep at n = 5 read a mean deviation of 5.55e-17 at spread 0).  A Haar state's
+        # squared moduli sum to 1 only to rounding, so with samples its norm can differ from theirs.
+        for ch in (FamilyChannel(family, 0.0, n) for family in FAMILIES):
+            report = constant_fnorm_sample_test(ch, n, samples=samples)
+            assert 0.0 <= report.mean_deviation <= report.max_deviation, ch
+            assert samples or report.mean_deviation == 0.0 == report.max_deviation, ch
+
+    def test_a_mean_rounded_off_equal_norms_is_clamped(self):
+        norms = np.full(10, 0.3)
+        assert np.add.reduce(norms) / 10 != 0.3  # their rounded mean is an ulp off
+        report = verification._norm_spread_report(norms, 3, Tolerance())
+        assert report.mean_deviation == 0.0 == report.max_deviation
+
+
+@st.composite
+def sample_test_channels(draw):
+    """Diagonal channels at n = 2..12, moduli up to the 1e100 bound; half of them with one modulus and random signs."""
+
+    n = draw(st.integers(min_value=2, max_value=12))
+    scale = draw(st.sampled_from([0.0, 1e-300, 1 / n, 1.0, 1e100]))
+    if draw(st.booleans()):
+        t = np.where(draw(arrays(bool, n * n - 1)), -scale, scale)
+    else:
+        t = draw(arrays(float, n * n - 1, elements=st.floats(-1, 1))) * scale
+    return DiagonalChannel(n, t)
+
+
+@given(sample_test_channels(), st.sampled_from([0, 1, 5, 40]), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_mean_deviation_is_never_above_the_spread(ch, samples, seed):
+    report = constant_fnorm_sample_test(ch, ch.dim, samples=samples, seed=seed)
+    assert 0.0 <= report.mean_deviation <= report.max_deviation
 
 
 class TestDeterminant:
