@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run a fixed list of qchan CLI commands on two source trees, print as
 # Markdown which commands differ in stdout, stderr or exit code, and exit 1
-# if one differs that HEAD_TREE does not declare.
+# if one differs that HEAD_TREE does not declare, or if a declared line
+# names no command of the list or a command whose output did not change.
 #
 #   bash .github/cli-output-diff.sh BASE_TREE HEAD_TREE >> "$GITHUB_STEP_SUMMARY"
 #
@@ -9,8 +10,10 @@
 # .github/declared-output-changes.txt lists the commands whose output the
 # change moves on purpose, one per line, as this script prints them (file
 # arguments by their names under the work directory, without "qchan").
-# Each change rewrites that file, and CHANGES.md says why each listed
-# command moves; an empty or missing file means no command may differ.
+# Each change rewrites that file with exactly the commands it moves, and
+# CHANGES.md says why each listed command moves; an empty or missing file
+# means no command may differ.  A stale or mistyped line fails the run and
+# is printed.
 #
 # What the rows are for:
 # - each command on small inputs, on family and diagonal channel files and
@@ -31,8 +34,8 @@
 #   magnitude bound pass through the suffix sums of the classical Choi data;
 # - the CP path at size: `verify cptp` at n = 300 failing in a pair block
 #   (trd) and in the classical block (dcq), and `detcheck --dim 200`;
-# - a loose --tol: the partial-trace witness where the CP bound passes
-#   (dep at p = 1e100), and a member far outside the range that passes.
+# - a loose --tol: two members far outside the range that pass the CP
+#   bound (dep at p = 1e100 and at p = 10).
 # - the sample test's mean deviation on equal norms (dep at p = 0), which
 #   must read 0 with the spread.
 set -u
@@ -217,17 +220,21 @@ echo "### CLI output against the base commit"
 echo
 differ=0
 undeclared=0
+: > "$work/listed"
+: > "$work/moved"
 for index in "${!commands[@]}"; do
     read -r -a argv <<< "${commands[$index]}"
     run base "$base" "$index" "${argv[@]}"
     run head "$head" "$index" "${argv[@]}"
+    shown=${commands[$index]//$work\//}
+    echo "$shown" >> "$work/listed"
     parts=()
     for stream in out err code; do
         cmp -s "$work/$index.base.$stream" "$work/$index.head.$stream" || parts+=("$stream")
     done
     if ((${#parts[@]})); then
         differ=$((differ + 1))
-        shown=${commands[$index]//$work\//}
+        echo "$shown" >> "$work/moved"
         if [[ -f "$declared" ]] && grep -qxF -- "$shown" "$declared"; then
             echo "- \`qchan $shown\` differs in: ${parts[*]} (declared)"
         else
@@ -236,6 +243,20 @@ for index in "${!commands[@]}"; do
         fi
     fi
 done
+stale=0
+if [[ -f "$declared" ]]; then
+    while IFS= read -r line || [[ -n $line ]]; do
+        [[ -n $line ]] || continue
+        if ! grep -qxF -- "$line" "$work/listed"; then
+            stale=$((stale + 1))
+            echo "- declared \`$line\` names no command of the list (**stale declaration**)"
+        elif ! grep -qxF -- "$line" "$work/moved"; then
+            stale=$((stale + 1))
+            echo "- declared \`qchan $line\` did not change (**stale declaration**)"
+        fi
+    done < "$declared"
+fi
 echo
 echo "$differ of ${#commands[@]} commands differ (stdout, stderr or exit code); $undeclared of them not declared."
-exit $((undeclared > 0))
+echo "$stale declared lines name no command that differs."
+exit $((undeclared > 0 || stale > 0))

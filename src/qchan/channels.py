@@ -123,7 +123,7 @@ class DiagonalChannel(_Frozen):
         x, y = self.t_x.view(np.int64), self.t_y.view(np.int64)
         a, b = (self.t_x[0] + self.t_y[0]) / 2, (self.t_x[0] - self.t_y[0]) / 2
         if (x != x[0]).any() or (y != y[0]).any() or (a != 0 and b != 0):
-            return True, _pair_plane(self.dim, self.t_x, self.t_x, 0.0), _pair_plane(self.dim, self.t_y, self.t_y, 0.0)
+            return True, _pair_plane(self.dim, self.t_x, 0.0), _pair_plane(self.dim, self.t_y, 0.0)
         if (a == 0) != (b == 0):
             return (False, None, b) if a == 0 else (False, a, None)
         return False, a, b
@@ -196,7 +196,7 @@ def _classical_block(diag: DiagonalChannel, diagonal: np.ndarray) -> np.ndarray:
     """
 
     a = (diag.t_x + diag.t_y) / 2
-    return _pair_plane(diag.dim, a, a, diagonal)
+    return _pair_plane(diag.dim, a, diagonal)
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:

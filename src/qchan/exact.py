@@ -89,6 +89,8 @@ DEFAULT_TOL = Tolerance()
 class VerificationReport(NamedTuple):
     """Outcome of one numerical check, with the numbers that decided it.
 
+    ``is_cptp`` writes ``trace_violation`` as 0.0, since every channel object preserves trace by
+    construction; ``tests/dense_oracles.py::dense_is_cptp`` measures a partial trace, for any map.
     In the constant-norm sample test ``max_deviation`` is the spread of the output norms (largest minus
     smallest, held to the tolerance) and ``mean_deviation`` their mean absolute deviation, never above it.
     """

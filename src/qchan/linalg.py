@@ -131,12 +131,12 @@ def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-def _pair_plane(n: int, above, below, diagonal) -> np.ndarray:
-    """A new n x n array: pair k < l's ``above`` at (k, l), its ``below`` at (l, k), and ``diagonal``."""
+def _pair_plane(n: int, pairs, diagonal) -> np.ndarray:
+    """A new symmetric n x n array: pair k < l's ``pairs`` at (k, l) and (l, k), and ``diagonal``."""
 
     plane = np.empty(n * n)
     upper, lower = _pair_positions(n)
-    plane[upper], plane[lower], plane[:: n + 1] = above, below, diagonal
+    plane[upper], plane[lower], plane[:: n + 1] = pairs, pairs, diagonal
     return plane.reshape(n, n)
 
 

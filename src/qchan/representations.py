@@ -227,40 +227,42 @@ def _representation_reports(
     those of one call per member, bit for bit: every form is elementwise,
     and the mean deviation stays a sequential sum over the trials.  Each
     member is decided at ``tol.bound`` of the largest entry of its action
-    over the trials, which grows like |p|.
+    over the trials, which grows like |p|; a failing report names the form
+    with the worst deviation (Pauli on a tie).
     """
 
     trials, seed = integer(trials, "trials", 1), integer(seed, "seed", 0)
     coeffs = [repr_coefficients(ch.family, ch.p, n) for ch in channels]
-    devs = np.empty((len(channels), trials))  # per member, the worse of the two forms' deviations per trial
+    devs = np.empty((2, len(channels), trials))  # per form (Pauli, basis) and member, the deviation per trial
     scales = [0.0] * len(channels)
     pos = 0
     for g in _trial_chunks(n, trials, seed):
         s = hermitian_part(g)
         sums = _direct_sums(s, n)
-        for i, (ch, c, row) in enumerate(zip(channels, coeffs, devs)):
+        for i, (ch, c) in enumerate(zip(channels, coeffs)):
             expected = ch(s)
             scales[i] = max(scales[i], float(np.abs(expected).max()))
             pauli_form = c.c0 * s + c.cx * sums["x"] + c.cy * sums["y"] + c.cz * sums["z"]
             basis_form = (
                 c.e0 * s / n + c.ex * sums["x"] / 2 + c.ey * sums["y"] / 2 + c.ez * sums["ez"]
             )
-            pauli_dev = np.abs(pauli_form - expected).max(axis=(-2, -1))
-            basis_dev = np.abs(basis_form - expected).max(axis=(-2, -1))
-            np.maximum(pauli_dev, basis_dev, out=row[pos : pos + len(s)])
+            np.abs(pauli_form - expected).max(axis=(-2, -1), out=devs[0, i, pos : pos + len(s)])
+            np.abs(basis_form - expected).max(axis=(-2, -1), out=devs[1, i, pos : pos + len(s)])
         pos += len(s)
     reports = []
-    for ch, row, scale in zip(channels, devs, scales):
+    for ch, pauli, basis, scale in zip(channels, *devs, scales):
+        row = np.maximum(pauli, basis)  # the worse of the two forms per trial
         worst = float(row.max())
         total = float(np.add.accumulate(row)[-1])  # in trial order, one addition at a time
         passed = worst <= tol.bound(scale)
-        witness = None if passed else f"representation mismatch {worst:.3e} for {ch.family.value}, p={ch.p}, n={n}"
+        form = "Pauli" if pauli.max() == worst else "basis"
+        where = f"in the {form} form for {ch.family.value}, p={ch.p}, n={n}"
         reports.append(
             VerificationReport(
                 passed=passed,
                 max_deviation=worst,
                 mean_deviation=total / trials,
-                witness=witness,
+                witness=None if passed else f"representation mismatch {worst:.3e} {where}",
                 samples_used=trials,
             )
         )

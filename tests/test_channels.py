@@ -86,6 +86,26 @@ class TestFamilyApply:
             s = random_hermitian(n, rng)
             assert np.trace(family_apply(ch, s)) == pytest.approx(np.trace(s).real, abs=1e-12)
 
+    @given(
+        n=st.integers(min_value=2, max_value=8),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e50, 1e100]),
+        unit=st.lists(st.floats(-1, 1), min_size=63, max_size=63),
+        hermitian=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_channel_preserves_trace(self, n, scale, unit, hermitian, seed):
+        # Trace preservation is structural (t_0 = 1, every other basis element traceless), so
+        # is_cptp does not measure it; the apply engine keeps it to the rounding of the output.
+        t = np.array(unit[: n * n - 1]) * scale
+        ch = DiagonalChannel(n, t)
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if hermitian:
+            s = (s + s.conj().T) / 2
+        bound = 4 * n * np.finfo(float).eps * (1 + np.abs(t).max()) * frobenius_norm(s)
+        assert abs(np.trace(ch(s)) - np.trace(s)) <= bound
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             family_apply(FamilyChannel(Family.DEP, 0.5, 3), np.eye(2, dtype=complex))

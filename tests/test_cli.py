@@ -909,6 +909,23 @@ class TestReport:
         assert code == 1
         assert json.loads(out)["sections"]["determinant"]["passed"] is False
 
+    def test_failing_representations_name_their_form(self, capsys):
+        # At 1e-30 every member fails on rounding; each witness names the form that
+        # reached its worst deviation (tests/test_shared_draws.py holds the choice
+        # to a per-trial loop).
+        code, out, _ = run_cli(capsys, "report", "--dim", "2", "--samples", "10", "--tol", "1e-30")
+        assert code == 1
+        sections = json.loads(out)["sections"]
+        reports = {family: entry["report"] for family, entry in sections["representations"].items()}
+        p = "0.33333333333333337"
+        assert {family: report["witness"] for family, report in reports.items()} == {
+            "dep": f"representation mismatch 4.441e-16 in the Pauli form for dep, p={p}, n=2",
+            "trd": f"representation mismatch 4.441e-16 in the Pauli form for trd, p=-{p}, n=2",
+            "dcq": f"representation mismatch 8.882e-16 in the basis form for dcq, p={p}, n=2",
+            "tcq": f"representation mismatch 4.441e-16 in the Pauli form for tcq, p=-{p}, n=2",
+        }
+        assert [report["max_deviation"] for report in reports.values()] == [2**-51, 2**-51, 2**-50, 2**-51]
+
     def test_tolerance_reaches_the_qubit_equivalences(self, capsys, monkeypatch):
         seen = []
 

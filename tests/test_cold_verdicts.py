@@ -95,7 +95,7 @@ def assert_frozen_bits(make, samples=20, seed=3):
     assert repr(report) == repr(frozen_is_cptp(make(), n))
     block, d = frozen_classical_block(make())
     a, b = frozen_pair_weights(make())
-    assert [scale.hex() for scale in scales] == [choi_norm(make()).hex(), (1.0).hex()]
+    assert [scale.hex() for scale in scales] == [choi_norm(make()).hex()]  # the CP bound, and no trace bound
     assert_rounding_close(scales[0], frobenius_norm(np.stack([d, a, b])), n)
     assert assembled_d(make()).tobytes() == d.tobytes()
     diagonal = channels._classical_vectors(make())[2]

@@ -26,7 +26,7 @@ from qchan.channels import (
     family_apply,
     family_to_diagonal,
 )
-from qchan.exact import Family, cptp_range, param_range
+from qchan.exact import DEFAULT_TOL, Family, cptp_range, param_range
 from qchan.linalg import frobenius_norm
 from qchan.verification import constant_fnorm_sample_test, is_cptp
 
@@ -131,7 +131,9 @@ def test_block_verdict_matches_dense_choi(ch):
     dense = dense_is_cptp(ch, ch.dim)
     assert fast.passed is dense.passed
     assert fast.min_choi_eigenvalue == pytest.approx(dense.min_choi_eigenvalue, abs=1e-12)
-    assert fast.trace_violation == pytest.approx(dense.trace_violation, abs=1e-12)
+    # Trace preservation is structural: is_cptp prints 0.0, and the oracle's own partial trace agrees.
+    assert fast.trace_violation == 0.0
+    assert dense.trace_violation <= DEFAULT_TOL.bound(1.0)
     assert (fast.witness is None) is (dense.witness is None)
     if isinstance(ch, FamilyChannel):
         lo, hi = cptp_range(ch.family, ch.dim)
