@@ -37,7 +37,10 @@
 # - a loose --tol: two members far outside the range that pass the CP
 #   bound (dep at p = 1e100 and at p = 10).
 # - the sample test's mean deviation on equal norms (dep at p = 0), which
-#   must read 0 with the spread.
+#   must read 0 with the spread, on the witness states alone and with Haar
+#   samples, whose identity term is the exact 1/n of a unit trace;
+# - a failing identities report (`--tol 1e-18`, failed by rounding alone),
+#   whose witness names the sum and the input of its largest deviation.
 set -u
 
 base=$1
@@ -207,6 +210,8 @@ commands=(
     "detcheck --dim 200"
     "verify cptp --family dep --dim 2 --p 1e100 --tol 0.4"
     "verify cptp --family dep --dim 2 --p 10 --tol 0.3"
+    "verify constant-norm --family dep --dim 3 --p 0 --samples 5"
+    "identities --dim 3 --tol 1e-18"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -157,35 +157,34 @@ class FamilyChannel(DiagonalChannel):
         return t
 
 
-def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U, L and G, the three n-vectors of D[r, i] = Phi(E_rr)_ii (zero-based r, i).
+def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
+    """L and G, the two n-vectors of D[r, i] = Phi(E_rr)_ii (zero-based r, i).
 
     With w_i = t_z,i / (i (i+1)) (the weights of :func:`diagonal_image`, w_0 = 0)
     and the suffix sums S_i = w_(n-1) + ... + w_i, summed from the end,
     with S_n = 0:
 
-        U_i = (1/n + S_(i+1)) - i w_i      column i above the diagonal,
-        L_r = 1/n + (S_(r+1) - r w_r)      row r below it,
+        L_r = 1/n + (S_(r+1) - r w_r)      row r below the diagonal,
         G_r = (1/n + S_(r+1)) + (r w_r) r  the diagonal.
 
     These are the IEEE operations :func:`diagonal_image` runs on the rows
-    of the identity, in its order, so D keeps its bits; the zeros it adds
-    on the way only ever meet a sum that 1/n then absorbs.  They are all
-    of D the Choi blocks need: G is the classical block's diagonal
-    (:func:`_classical_block`), and the pair block (k, l), k < l, is
-    [[L_l, b_kl], [b_kl, U_l]], which ``is_cptp`` reads from them in pair order.
+    of the identity, in its order, so they keep its bits; the zeros it adds
+    on the way only ever meet a sum that 1/n then absorbs.  D is symmetric,
+    the channel being self-adjoint (diag(1, t) in the orthonormal Hermitian
+    basis), so L is its upper triangle too, to rounding.  G is the classical
+    block's diagonal (:func:`_classical_block`); ``is_cptp`` reads each pair
+    block (k, l), k < l, as [[L_l, b_kl], [b_kl, L_l]].
     """
 
     n, j = diag.dim, _steps(diag.dim)
     w = diag.t_z / (j * (j + 1))
-    suffix = np.zeros(n)  # S_(i+1) at i
-    suffix[:-1] = w[::-1].cumsum()[::-1]
-    iw = np.zeros(n)  # i w_i
-    np.multiply(w, j, out=iw[1:])
-    head = 1 / n + suffix
-    diagonal = head.copy()
-    diagonal[1:] += iw[1:] * j
-    return head - iw, 1 / n + (suffix - iw), diagonal
+    lower = np.zeros(n)  # S_(i+1) at i, until L is formed
+    lower[:-1] = w[::-1].cumsum()[::-1]
+    diagonal = 1 / n + lower
+    w *= j  # i w_i
+    diagonal[1:] += w * j
+    lower[1:] -= w
+    return lower + 1 / n, diagonal
 
 
 def _classical_block(diag: DiagonalChannel, diagonal: np.ndarray) -> np.ndarray:

@@ -173,29 +173,33 @@ def verify_sum_identities(
     then the x, y, z sums of its complex symmetric part (S + S^T)/2.  Every
     transpose in the closed forms is a no-op there, so on that input they
     are the transpose-free variants, whose deviation the witness text
-    records.  Each input is decided at ``tol.bound`` of the largest entry
-    of its closed forms, which grows like n |S_ii| in the z sums.  The
-    trials run in stacks of :func:`_trial_chunks`.
+    records (a failing report's adds the sum and input of the largest).
+    Each input is decided at ``tol.bound`` of the largest entry of its
+    closed forms, which grows like n |S_ii| in the z sums.  The trials run
+    in stacks of :func:`_trial_chunks`.
     """
 
     n, trials, seed = integer(n, "dim", 2), integer(trials, "trials", 1), integer(seed, "seed", 0)
     found = np.zeros((2, 2))  # (largest deviation, largest closed-form entry) of S, then of (S + S^T)/2
+    largest, where = 0.0, ""  # the largest deviation of either input, and the sum and input it arose in
     for s in _trial_chunks(n, trials, seed):
         for symmetric, row in enumerate(found):
             x = (s + np.swapaxes(s, -1, -2)) / 2 if symmetric else s
             direct = _direct_sums(x, n)
             for key in ("x", "y", "z") if symmetric else _CLOSED_SUMS:
                 closed = _CLOSED_SUMS[key](x, n)
-                row[0] = max(row[0], float(np.max(np.abs(direct[key] - closed))))
+                dev = float(np.max(np.abs(direct[key] - closed)))
+                if dev > largest:
+                    largest, where = dev, f"{key} sum on {('generic', 'symmetric')[symmetric]}"
+                row[0] = max(row[0], dev)
                 row[1] = max(row[1], float(np.max(np.abs(closed))))
             del direct, closed  # before the next input's sums are built
     (worst, scale), (worst_sym, scale_sym) = found.tolist()
-    return VerificationReport(
-        passed=worst <= tol.bound(scale) and worst_sym <= tol.bound(scale_sym),
-        max_deviation=worst,
-        witness=f"transpose-free variants on symmetric inputs: max deviation {worst_sym:.3e}",
-        samples_used=trials,
-    )
+    passed = worst <= tol.bound(scale) and worst_sym <= tol.bound(scale_sym)
+    witness = f"transpose-free variants on symmetric inputs: max deviation {worst_sym:.3e}"
+    if not passed:
+        witness += f"; largest deviation {largest:.3e} in the {where} inputs"
+    return VerificationReport(passed=passed, max_deviation=worst, witness=witness, samples_used=trials)
 
 
 def verify_representations(
@@ -418,7 +422,7 @@ def verify_det_recurrence(
     for p in np.linspace(-0.5, 0.5, grid):
         formula = dcq_det_formula(n, float(p))
         ch = FamilyChannel(Family.DCQ, float(p), n)
-        block = _classical_block(ch, _classical_vectors(ch)[2])
+        block = _classical_block(ch, _classical_vectors(ch)[1])
         direct = float(np.linalg.det(block))
         dev = abs(formula - direct)
         if dev > worst:

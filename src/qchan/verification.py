@@ -64,13 +64,11 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     diagonal: the n x n "classical" block on span{|ii>} has diagonal
     D_ii and off-diagonal a_kl = (t_x + t_y)/2, and for each pair k < l a
     2 x 2 block on span{|kl>, |lk>} is [[D_lk, b_kl], [b_kl, D_kl]] with
-    b_kl = (t_x - t_y)/2, where D[r, i] = Phi(E_rr)_ii.  D is
-    column-constant above its diagonal and row-constant below it, so the
-    blocks come straight from the multipliers: the classical block from
-    the diagonal G (``channels._classical_block``) and each pair block as
-    [[L_l, b_kl], [b_kl, U_l]], from the three n-vectors of
-    ``channels._classical_vectors``, in pair order.  CP holds when the
-    smallest eigenvalue is above -tol of the Choi norm.
+    b_kl = (t_x - t_y)/2, where D[r, i] = Phi(E_rr)_ii.  D is symmetric
+    (the channel is self-adjoint) and row-constant below its diagonal, so
+    the classical block takes its diagonal G and each pair block's
+    eigenvalues are L_l +- |b_kl|, both from ``channels._classical_vectors``.
+    CP holds when the smallest eigenvalue is above -tol of the Choi norm.
 
     The Choi norm is sqrt(1 + |t|^2), with no Choi entry formed: the Choi
     matrix's entries are those of the superoperator in the matrix-unit
@@ -79,20 +77,18 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     It is hypot(1, sqrt(t . t)), one dot product with the bits of
     ``frobenius_norm(t)``, and cannot overflow: every |t_i| is at most 1e100.
 
-    Trace preservation holds by construction, so ``trace_violation`` is
-    0.0: a float check could fail only by rounding (D's row sums lose their
-    1/n terms next to multipliers of 1e100).  The dense oracle
+    Trace preservation holds by construction, so ``trace_violation`` is 0.0
+    (D's row sums would lose their 1/n terms next to multipliers of 1e100);
     ``tests/dense_oracles.py::dense_is_cptp`` measures any map's partial trace.
     """
 
     ch = as_linear_map(ch)
     if ch.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
-    above, below, diagonal = _classical_vectors(ch)
+    lower, diagonal = _classical_vectors(ch)
     classical_min = float(np.linalg.eigvalsh(_classical_block(ch, diagonal))[0])
     k, l = _pair_index(n)
-    x, y, b = above[l], below[l], (ch.t_x - ch.t_y) / 2  # U_l, L_l and b_kl of each pair block, in pair order
-    pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, b)
+    pair_mins = lower[l] - np.abs(ch.t_x - ch.t_y) / 2  # L_l - |b_kl|, in pair order
     worst = int(pair_mins.argmin())
     if classical_min <= pair_mins[worst]:
         smallest, where = classical_min, " in classical block"
@@ -205,10 +201,11 @@ def constant_fnorm_sample_test(
     each Hermitian basis coordinate by its multiplier, so by Parseval each
     state's squared output norm is
 
-        prefix_n^2/n + sum_j c_j u_j^2 + P^T W_x P + 2 (Z^T Delta Z - X^T Delta Y)
+        1/n + sum_j c_j u_j^2 + P^T W_x P + 2 (Z^T Delta Z - X^T Delta Y)
 
-    with prefix = cumsum(P), the staircase coordinates
-    u_j = Tr(M_j |v><v|) = prefix_{j-1} - j P_j (j = 1..n-1, zero-based P),
+    with Tr(S)^2/n the exact 1/n of a pure state's unit trace (not the
+    rounded sum of P), the staircase coordinates u_j = Tr(M_j |v><v|) =
+    prefix_{j-1} - j P_j (j = 1..n-1, zero-based P, prefix = cumsum(P)),
     c_j = t_z,j^2 / (j (j+1)), and the pair weights of :func:`_pair_forms`:
     (S x n)(n x n) products and row dots, the first alone where Delta is 0
     (every family member), and X, Y, Z formed only where Delta is not.
@@ -230,10 +227,9 @@ def constant_fnorm_sample_test(
     pos = n * n
     for v in _haar_vectors(n, samples, seed):
         p = (v * v.conj()).real  # X + Y with the bits of the projectors' diagonals
-        prefix = p.cumsum(axis=1)
-        u = prefix[:, :-1] - j * p[:, 1:]
+        u = p[:, :-1].cumsum(axis=1) - j * p[:, 1:]
         u *= u  # u_j^2
-        sq = prefix[:, -1] ** 2 / n + u @ c[1:n] + _row_dots(p @ w_x, p)
+        sq = 1 / n + u @ c[1:n] + _row_dots(p @ w_x, p)
         if signed is not None:
             delta, delta_abs = signed
             xx, yy, z = v.real**2, v.imag**2, v.real * v.imag

@@ -45,7 +45,10 @@ buffer per channel, with their integer staircase steps and their 2-D pair
 scatter; ``frozen_sample_path`` runs the sample test on them.  They are
 not independent oracles but fixed bits: the rebuilt path must print the
 same numbers.  ``frozen_is_cptp`` dropped its float trace check (the row
-sums of D) when ``is_cptp`` did.  ``frozen_constant_split_apply`` is the
+sums of D) when ``is_cptp`` did, and it solves each pair block as the
+symmetric D makes it, with equal diagonal entries, as ``is_cptp`` does;
+its former body, which solved [[D_lk, b], [b, D_kl]] with ``np.hypot``
+on both triangles, is retired.  ``frozen_constant_split_apply`` is the
 apply engine's former scalar case, for channels whose t_x and t_y are each
 constant with (t_x + t_y)/2 and (t_x - t_y)/2 both nonzero, which now go
 through the per-pair weights.
@@ -464,16 +467,16 @@ def frozen_classical_block(diag):
 
 
 def frozen_is_cptp(ch, n, tol=DEFAULT_TOL):
-    """``is_cptp`` as it was, on a channel object of dimension ``n``, with no float trace check:
-    trace preservation holds by construction, and ``trace_violation`` is 0.0."""
+    """``is_cptp`` as it was, on a channel object of dimension ``n``, with no float trace check
+    (trace preservation holds by construction, and ``trace_violation`` is 0.0), and each pair
+    block's smallest eigenvalue taken as D_lk - |b_kl|, from D's lower triangle."""
 
     a, b = frozen_pair_weights(ch)
     classical, d = frozen_classical_block(ch)
     scale = frobenius_norm(np.stack([d, a, b]))
     classical_min = float(np.linalg.eigvalsh(classical)[0])
     k, l = _pair_index(n)
-    x, y = d[k, l], d[l, k]
-    pair_mins = (x + y) / 2 - np.hypot((x - y) / 2, b[k, l])
+    pair_mins = d[l, k] - np.abs(b[k, l])  # D is symmetric: each pair block's eigenvalues are D_lk +- |b_kl|
     worst = int(np.argmin(pair_mins))
     if classical_min <= pair_mins[worst]:
         smallest, where = classical_min, " in classical block"

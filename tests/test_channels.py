@@ -3,7 +3,6 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import sqrt
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from qchan.channels import (
     channel_from_json,
     channel_to_json,
     diagonal_apply,
+    diagonal_image,
     family_apply,
     family_to_diagonal,
     validate_state,
@@ -208,17 +208,17 @@ class TestDiagonalPicture:
         t_x = np.array([1e100, 1e100, -1e100, 5e-324, 5e-324, 0.3, 1 / 3])
         t_y = np.array([1e100, -1e100, -0.5e100, 5e-324, -0.0, 0.1, -1e-17])
         diag = DiagonalChannel(5, np.concatenate([t_x, [0.0] * 3, t_y, [0.0] * 3, [0.0] * 4]))
-        k, l = np.triu_indices(5, 1)[0][:7], np.triu_indices(5, 1)[1][:7]
-        # a is the classical Choi block off its diagonal; b is what is_cptp hands np.hypot
-        # with its pair blocks, in pair order.
-        a = channels._classical_block(diag, channels._classical_vectors(diag)[2])[k, l]
-        seen = []
-        hypot = np.hypot
-        with mock.patch.object(np, "hypot", lambda half_gap, b: seen.append(b) or hypot(half_gap, b)):
-            is_cptp(diag, 5)
-        for weights, sign in ((a, 1), (seen[0][:7], -1)):
-            exact = [float((Fraction(x) + sign * Fraction(y)) / 2) for x, y in zip(t_x, t_y)]
-            assert weights.tolist() == exact
+        k, l = np.triu_indices(5, 1)
+        lower, diagonal = channels._classical_vectors(diag)
+        block = channels._classical_block(diag, diagonal)
+        # a is the classical Choi block off its diagonal; |b| is what is_cptp subtracts from
+        # L_l for each pair block's smallest eigenvalue, in pair order.
+        b = np.abs(diag.t_x - diag.t_y) / 2
+        smallest = min(np.linalg.eigvalsh(block)[0], (lower[l] - b).min())
+        assert is_cptp(diag, 5).min_choi_eigenvalue == smallest
+        exact = lambda sign: [float((Fraction(x) + sign * Fraction(y)) / 2) for x, y in zip(t_x, t_y)]
+        assert block[k, l][:7].tolist() == exact(1)
+        assert b[:7].tolist() == [abs(v) for v in exact(-1)]
 
     def test_adjoint_is_self(self):
         # A real diagonal channel is its own adjoint in the trace pairing.
@@ -494,6 +494,32 @@ class TestChoi:
                     )
                 reference += np.kron(unit, image)
         assert np.array_equal(to_choi(apply_fn, n), reference)
+
+    @given(
+        n=st.integers(min_value=2, max_value=6),
+        scale=st.sampled_from([1e-300, 1.0, 1e16, 1e100]),
+        unit=st.lists(st.floats(-1, 1), min_size=35, max_size=35),
+        zeros=st.lists(st.sampled_from([None, None, None, 0.0, -0.0]), min_size=35, max_size=35),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_choi_data_is_symmetric_with_closed_form_pair_blocks(self, n, scale, unit, zeros):
+        # The channel is diag(1, t) in an orthonormal Hermitian basis, so it is self-adjoint:
+        # D[r, i] = Phi(E_rr)_ii is symmetric, and each pair block [[L_l, b], [b, L_l]] has
+        # eigenvalues L_l -+ |b|, on (1, -+1)/sqrt(2).  Each to the rounding of sums of n terms.
+        t = np.array([u * scale if z is None else z for u, z in zip(unit, zeros)][: n * n - 1])
+        ch = DiagonalChannel(n, t)
+        slack = 8 * n * np.finfo(float).eps * (1 + np.abs(t).max())
+        d = diagonal_image(ch, np.eye(n))
+        assert np.abs(d - d.T).max() <= slack
+        lower = channels._classical_vectors(ch)[0]
+        b = np.abs(ch.t_x - ch.t_y) / 2
+        choi = to_choi(ch, n)
+        for q, (k, l) in enumerate(combinations(range(n), 2)):
+            at = [k * n + l, l * n + k]
+            block = choi[np.ix_(at, at)]
+            assert abs(block[0, 0] - block[1, 1]) <= slack
+            expected = [lower[l] - b[q], lower[l] + b[q]]
+            np.testing.assert_allclose(np.linalg.eigvalsh(block), expected, rtol=0, atol=slack)
 
     def test_rejects_wrongly_shaped_images(self):
         with pytest.raises(ValueError, match="shape"):

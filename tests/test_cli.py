@@ -316,6 +316,16 @@ class TestChecks:
         assert report["passed"] is True
         assert 1e-12 < report["max_deviation"] < 1e-14 * 3000
 
+    def test_a_failing_identities_report_names_where_its_worst_deviation_arose(self, capsys):
+        # Rounding alone fails a bound of 1e-18: the passing witness text stays, and the
+        # sum and the input of the largest deviation follow it.
+        code, out, _ = run_cli(capsys, "identities", "--dim", "3", "--tol", "1e-18")
+        report = json.loads(out)["report"]
+        assert (code, report["passed"]) == (1, False)
+        passing, where = report["witness"].split("; ")
+        assert re.fullmatch(r"transpose-free variants on symmetric inputs: max deviation \S+", passing)
+        assert where == f"largest deviation {report['max_deviation']:.3e} in the z sum on generic inputs"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,9 +1,13 @@
 """The verdicts on fresh channel objects keep the bits of their frozen bodies.
 
-``is_cptp`` and ``_classical_block`` read D from three n-vectors
-(``channels._classical_vectors``) rather than from ``diagonal_image`` of
-the identity, and a and b from the multipliers, with no n x n buffer of
-Choi data; ``diagonal_image`` runs with fewer temporaries, and
+``is_cptp`` and ``_classical_block`` read D from two n-vectors
+(``channels._classical_vectors``: its lower triangle L and its diagonal G)
+rather than from ``diagonal_image`` of the identity, and a and b from the
+multipliers, with no n x n buffer of Choi data.  D is symmetric, so its
+upper triangle is L too: the lower triangle and the diagonal keep the
+frozen bits, and the frozen upper triangle, which ``diagonal_image``
+rounds another way, is held to them to rounding in ``test_channels.py``.
+``diagonal_image`` runs with fewer temporaries, and
 ``_witness_norms`` takes its index arithmetic per dimension.  Each must
 give ``repr``-equal reports and ``tobytes()``-equal arrays to the bodies
 it replaced (``dense_oracles.frozen_*``), while ``dense_is_cptp`` still
@@ -27,7 +31,7 @@ from hypothesis.extra.numpy import arrays
 from qchan import channels, representations, verification
 from qchan.channels import DiagonalChannel, FamilyChannel, diagonal_image, family_to_diagonal
 from qchan.exact import Family, Tolerance, param_range
-from qchan.linalg import _pair_index, _pair_positions, frobenius_norm
+from qchan.linalg import _pair_index, _pair_plane, frobenius_norm
 from qchan.verification import constant_fnorm_criterion, constant_fnorm_sample_test, is_cptp
 
 from dense_oracles import (
@@ -57,15 +61,18 @@ def members(n):
 
 
 def assembled_d(ch):
-    """D of ``ch`` from the three vectors of ``_classical_vectors``, written at the flat pair positions."""
+    """D of ``ch`` from the two vectors of ``_classical_vectors``: L at (l, k) and at (k, l), G on the diagonal."""
 
-    n = ch.dim
-    above, below, diagonal = channels._classical_vectors(ch)
-    upper, lower = _pair_positions(n)
-    _, l = _pair_index(n)
-    d = np.zeros(n * n)
-    d[upper], d[lower], d[:: n + 1] = above[l], below[l], diagonal
-    return d.reshape(n, n)
+    lower, diagonal = channels._classical_vectors(ch)
+    return _pair_plane(ch.dim, lower[_pair_index(ch.dim)[1]], diagonal)
+
+
+def assert_lower_keeps_the_frozen_bits(ch, d):
+    """D of ``ch`` is symmetric, and its lower triangle and diagonal are ``tobytes()``-equal to ``d``'s."""
+
+    got = assembled_d(ch)
+    assert np.tril(got).tobytes() == np.tril(d).tobytes()
+    assert np.triu(got).tobytes() == np.tril(got).T.tobytes()
 
 
 def choi_norm(ch):
@@ -97,8 +104,8 @@ def assert_frozen_bits(make, samples=20, seed=3):
     a, b = frozen_pair_weights(make())
     assert [scale.hex() for scale in scales] == [choi_norm(make()).hex()]  # the CP bound, and no trace bound
     assert_rounding_close(scales[0], frobenius_norm(np.stack([d, a, b])), n)
-    assert assembled_d(make()).tobytes() == d.tobytes()
-    diagonal = channels._classical_vectors(make())[2]
+    assert_lower_keeps_the_frozen_bits(make(), d)
+    diagonal = channels._classical_vectors(make())[1]
     assert channels._classical_block(make(), diagonal).tobytes() == block.tobytes()
     assert witness_norms(make()).tobytes() == frozen_witness_norms(make()).tobytes()
     got = constant_fnorm_sample_test(make(), n, samples=samples, seed=seed)
@@ -152,11 +159,11 @@ def classical_channels(draw):
 
 @given(classical_channels())
 @settings(max_examples=150, deadline=None)
-def test_choi_data_from_three_vectors_keeps_the_frozen_bits(ch):
+def test_choi_data_from_two_vectors_keeps_the_frozen_bits(ch):
     n = ch.dim
     fresh = lambda: ch.__class__(*ch._values())
     d = frozen_diagonal_image(fresh(), np.eye(n))
-    assert assembled_d(fresh()).tobytes() == d.tobytes()
+    assert_lower_keeps_the_frozen_bits(fresh(), d)
     assert repr(is_cptp(fresh(), n)) == repr(frozen_is_cptp(fresh(), n))
     assert_rounding_close(choi_norm(fresh()), frobenius_norm(np.stack([d, *frozen_pair_weights(fresh())])), n)
 
