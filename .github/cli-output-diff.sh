@@ -40,7 +40,10 @@
 #   must read 0 with the spread, on the witness states alone and with Haar
 #   samples, whose identity term is the exact 1/n of a unit trace;
 # - a failing identities report (`--tol 1e-18`, failed by rounding alone),
-#   whose witness names the sum and the input of its largest deviation.
+#   whose witness names the sum and the input of its largest deviation;
+# - argv shapes that only argparse parses, so their bytes stay argparse's:
+#   an abbreviated flag, a repeated flag (the last one wins), `--flag=value`,
+#   `--output` after the command, an unknown command and a missing value.
 set -u
 
 base=$1
@@ -212,6 +215,12 @@ commands=(
     "verify cptp --family dep --dim 2 --p 10 --tol 0.3"
     "verify constant-norm --family dep --dim 3 --p 0 --samples 5"
     "identities --dim 3 --tol 1e-18"
+    "report --dim 3 --sam 5"
+    "range --family dep --family trd --dim 3"
+    "certify --pair=dep,trd --dim 4"
+    "report --dim 3 --output x.json"
+    "frobnicate --dim 3"
+    "verify cptp --family dep --dim"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

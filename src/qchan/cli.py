@@ -17,6 +17,20 @@ rule that JSON fields and library calls of its kind share, before any
 handler runs.  ``--tol v`` sets both tolerance components to v; no
 environment variable changes it.
 
+``_COMMANDS`` describes every command and flag once.  :func:`main` parses
+an argv of the common form from it directly: an optional leading
+``--output PATH``, a command, and its flags as exact ``--flag value``
+pairs or a bare ``--json``.  Any other argv, help and every malformed
+flag among them, goes to the argparse tree :func:`build_parser` builds
+from the same table, which prints help and usage errors and sets the
+exit code.  So argparse, and gettext and locale with it, load only for
+those, and a well-formed command loads none of them, nor ``json`` (read
+only with an input file, and written by :mod:`qchan.jsonio` for a string
+that needs escaping), ``numbers`` or ``fractions``.  Of the standard
+library it loads only what this module and :mod:`qchan.exact` import at
+the top: __future__, atexit, enum, gc, math, os, re, sys, types and
+typing.
+
 Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
 handler imports the modules it runs (and with them NumPy) only once its
 input files have passed the checks that need no linear algebra, so
@@ -33,9 +47,9 @@ representations; ``qubit-equiv`` basis, channels, equivalence and linalg;
 ``report`` and which no other command imports.
 
 No command loads ``dataclasses``: every result record is a NamedTuple
-(``_replace``, ``_asdict``), the channels and the basis derive from
-``exact._Frozen``, and ``fractions`` is imported only by same-class
-``certify``.
+(``_replace``, ``_asdict``), and the channels and the basis derive from
+``exact._Frozen``.  Bound matching compares integers, so no command
+loads ``fractions``.
 
 ``python -m qchan`` and the ``qchan`` script run :func:`run`, which runs
 :func:`main` with the cyclic garbage collector off, runs the exit
@@ -45,15 +59,14 @@ without tearing down its heap.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
-import json
 import math
 import os
 import re
 import sys
-from typing import Any, Callable, NoReturn, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn, Optional
 
 from . import jsonio
 from .exact import (
@@ -67,107 +80,34 @@ from .exact import (
 )
 from .jsonio import SchemaError
 
+if TYPE_CHECKING:
+    import argparse
+
 __all__ = ["main", "run", "build_parser"]
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads ``-1e-05`` as a negative number, as it reads ``-0.5``.
+# A flag value that starts with "-" is a negative number, ``-1e-05`` as well as ``-0.5``.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
+
+def _parser_class() -> type[argparse.ArgumentParser]:
+    """An ArgumentParser class that reads ``-1e-05`` as a negative number, as it reads ``-0.5``.
 
     The pattern argparse uses up to Python 3.11 has no exponent, so such a
     value after ``--p`` or ``--tol`` was taken for an unknown option.
-    ``add_subparsers`` builds each subparser with its parent's class.
+    ``add_subparsers`` builds each subparser with its parent's class.  The
+    class is made here, on each call, so that only :func:`build_parser`
+    imports argparse.
     """
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args: Any, **kwargs: Any) -> None:
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qchan",
-        description="Constant-Frobenius-norm channel families: build, verify, certify.",
-    )
-    parser.add_argument("--output", help="write the JSON report to this file instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_basis = sub.add_parser("basis", help="emit the orthonormal Hermitian basis")
-    p_basis.set_defaults(handler=_cmd_basis)
-    p_basis.add_argument("--dim", type=int, required=True)
-    p_basis.add_argument("--json", action="store_true", help="emit full matrices as JSON")
-
-    p_channel = sub.add_parser("channel", help="channel operations")
-    channel_sub = p_channel.add_subparsers(dest="channel_command", required=True)
-    p_apply = channel_sub.add_parser("apply", help="apply a channel to a state")
-    p_apply.set_defaults(handler=_cmd_channel_apply)
-    p_apply.add_argument("--channel", required=True, help="channel JSON file")
-    p_apply.add_argument("--state", required=True, help="state matrix JSON file")
-    p_apply.add_argument("--tol", type=float)
-
-    p_range = sub.add_parser("range", help="CPTP parameter range of a family")
-    p_range.set_defaults(handler=_cmd_range)
-    p_range.add_argument("--family", required=True)
-    p_range.add_argument("--dim", type=int, required=True)
-
-    p_verify = sub.add_parser("verify", help="verification checks")
-    verify_sub = p_verify.add_subparsers(dest="verify_command", required=True)
-    p_cptp = verify_sub.add_parser("cptp", help="Choi-based CPTP check")
-    p_cptp.set_defaults(handler=_cmd_verify_cptp)
-    _add_channel_args(p_cptp)
-    p_const = verify_sub.add_parser("constant-norm", help="constant output-norm check")
-    p_const.set_defaults(handler=_cmd_verify_constant_norm)
-    _add_channel_args(p_const)
-    p_const.add_argument("--samples", type=int, default=1000)
-    p_const.add_argument("--seed", type=int, default=0)
-
-    p_ident = sub.add_parser("identities", help="conjugation-sum identities")
-    p_ident.set_defaults(handler=_cmd_identities)
-    p_ident.add_argument("--dim", type=int, required=True)
-    p_ident.add_argument("--trials", type=int, default=50)
-    p_ident.add_argument("--seed", type=int, default=0)
-    p_ident.add_argument("--tol", type=float)
-
-    p_det = sub.add_parser("detcheck", help="determinant closed form vs LAPACK")
-    p_det.set_defaults(handler=_cmd_detcheck)
-    p_det.add_argument("--dim", type=int, required=True)
-    p_det.add_argument("--grid", type=int, default=21)
-    p_det.add_argument("--tol", type=float)
-
-    p_wit = sub.add_parser("witness", help="spectrum witness for a mixed family pair")
-    p_wit.set_defaults(handler=_cmd_witness)
-    p_wit.add_argument("--pair", required=True, help="comma-separated pair, e.g. dep,dcq")
-    p_wit.add_argument("--dim", type=int, required=True)
-    p_wit.add_argument("--p", type=float)
-
-    p_cert = sub.add_parser("certify", help="inequivalence certificate for a family pair")
-    p_cert.set_defaults(handler=_cmd_certify)
-    p_cert.add_argument("--pair", required=True, help="comma-separated pair, e.g. dcq,tcq")
-    p_cert.add_argument("--dim", type=int, required=True)
-    p_cert.add_argument("--p", type=float)
-
-    p_qe = sub.add_parser("qubit-equiv", help="dimension-2 conjugation equivalences")
-    p_qe.set_defaults(handler=_cmd_qubit_equiv)
-    p_qe.add_argument("--p", type=float, required=True)
-    p_qe.add_argument("--trials", type=int, default=100)
-    p_qe.add_argument("--seed", type=int, default=0)
-    p_qe.add_argument("--tol", type=float)
-
-    p_rep = sub.add_parser("report", help="full verification bundle for one dimension")
-    p_rep.set_defaults(handler=_cmd_report)
-    p_rep.add_argument("--dim", type=int, required=True)
-    p_rep.add_argument("--samples", type=int, default=200)
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--tol", type=float)
-
-    return parser
-
-
-def _add_channel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--channel", help="channel JSON file")
-    parser.add_argument("--family", help="family name (inline alternative to --channel)")
-    parser.add_argument("--dim", type=int, help="dimension for --family")
-    parser.add_argument("--p", type=float, help="parameter for --family")
-    parser.add_argument("--tol", type=float)
+    return _Parser
 
 
 def _tolerance(value: float) -> Tolerance:
@@ -176,13 +116,15 @@ def _tolerance(value: float) -> Tolerance:
     return Tolerance(absolute=value, relative=value)
 
 
-def _tol_kwargs(args: argparse.Namespace) -> dict:
+def _tol_kwargs(args: Any) -> dict:
     """``{"tol": args.tol}`` with ``--tol``; without the flag, empty, which keeps each check's default."""
 
     return {} if args.tol is None else {"tol": args.tol}
 
 
 def _load_json_file(path: str) -> Any:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -192,7 +134,7 @@ def _load_json_file(path: str) -> Any:
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
-def _load_channel(args: argparse.Namespace, samples: int = 0) -> Any:
+def _load_channel(args: Any, samples: int = 0) -> Any:
     """The channel of a verify command, refused if the check with ``samples`` Haar states would pass 2 GiB.
 
     A ``--channel`` file is parsed before the size guard, an inline
@@ -253,7 +195,7 @@ def _report_payload(command: str, report: Any, **fields: Any) -> tuple[Any, bool
     return {"command": command, **fields, "report": report}, report.passed
 
 
-def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_basis(args: Any) -> tuple[Any, bool]:
     n = args.dim
     _check_peak_bytes("basis --json" if args.json else "basis", n)
     from .basis import build_basis
@@ -273,7 +215,7 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[Any, bool]:
     return {"command": "basis", "dim": n, "elements": elements}, True
 
 
-def _cmd_channel_apply(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_channel_apply(args: Any) -> tuple[Any, bool]:
     channel_obj = _load_json_file(args.channel)
     from .channels import channel_from_json, channel_to_json, validate_state
     from .linalg import frobenius_norm, matrix_from_json
@@ -298,13 +240,13 @@ def _cmd_channel_apply(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, True
 
 
-def _cmd_range(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_range(args: Any) -> tuple[Any, bool]:
     info = param_range(args.family, args.dim)
     payload = {"command": "range", **info._asdict(), "name": FAMILY_NAMES[args.family]}
     return payload, True
 
 
-def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_verify_cptp(args: Any) -> tuple[Any, bool]:
     channel = _load_channel(args)
     kwargs = _tol_kwargs(args)
     from .channels import channel_to_json
@@ -314,7 +256,7 @@ def _cmd_verify_cptp(args: argparse.Namespace) -> tuple[Any, bool]:
     return _report_payload("verify-cptp", report, channel=channel_to_json(channel))
 
 
-def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_verify_constant_norm(args: Any) -> tuple[Any, bool]:
     channel = _load_channel(args, args.samples)
     kwargs = _tol_kwargs(args)
     from .channels import channel_to_json
@@ -334,7 +276,7 @@ def _cmd_verify_constant_norm(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, holds and report.passed
 
 
-def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_identities(args: Any) -> tuple[Any, bool]:
     _check_peak_bytes("identities", args.dim)
     kwargs = _tol_kwargs(args)
     from .representations import verify_sum_identities
@@ -343,7 +285,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[Any, bool]:
     return _report_payload("identities", report, dim=args.dim, trials=args.trials, seed=args.seed)
 
 
-def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_detcheck(args: Any) -> tuple[Any, bool]:
     _check_peak_bytes("detcheck", args.dim, args.grid)
     kwargs = _tol_kwargs(args)
     from .representations import verify_det_recurrence
@@ -352,7 +294,7 @@ def _cmd_detcheck(args: argparse.Namespace) -> tuple[Any, bool]:
     return _report_payload("detcheck", report, dim=args.dim, grid=args.grid)
 
 
-def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_witness(args: Any) -> tuple[Any, bool]:
     """``certify`` for a mixed pair only."""
 
     if not _is_mixed(args.pair):
@@ -364,7 +306,7 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[Any, bool]:
     return _cmd_certify(args)
 
 
-def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_certify(args: Any) -> tuple[Any, bool]:
     if _is_mixed(args.pair):
         _check_peak_bytes("witness", args.dim)
     from .equivalence import GAP_THRESHOLD, inequivalence_certificate
@@ -374,7 +316,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, certificate.passed
 
 
-def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_qubit_equiv(args: Any) -> tuple[Any, bool]:
     kwargs = _tol_kwargs(args)
     from .equivalence import qubit_equivalence_check
 
@@ -382,7 +324,7 @@ def _cmd_qubit_equiv(args: argparse.Namespace) -> tuple[Any, bool]:
     return _report_payload("qubit-equiv", report, p=args.p, trials=args.trials, seed=args.seed)
 
 
-def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
+def _cmd_report(args: Any) -> tuple[Any, bool]:
     n = args.dim
     _check_peak_bytes("report", n, args.samples)
     kwargs = _tol_kwargs(args)
@@ -400,6 +342,175 @@ def _cmd_report(args: argparse.Namespace) -> tuple[Any, bool]:
     return payload, passed
 
 
+# --- the command table -------------------------------------------------------
+
+
+class _Flag(NamedTuple):
+    """A flag whose value ``type`` converts (the text itself if None), or, with ``type`` bool, a switch."""
+
+    name: str
+    type: Optional[Callable[[str], Any]] = None
+    default: Any = None
+    required: bool = False
+    help: Optional[str] = None
+
+
+class _Command(NamedTuple):
+    """A command: its name (a group's name and the subcommand's), its handler, help and flags."""
+
+    path: tuple[str, ...]
+    handler: Callable[[Any], tuple[Any, bool]]
+    help: str
+    flags: tuple[_Flag, ...]
+
+
+_GROUP_HELP = {"channel": "channel operations", "verify": "verification checks"}
+_DIM = _Flag("--dim", int, required=True)
+_SEED = _Flag("--seed", int, 0)
+_TOL = _Flag("--tol", float)
+_CHANNEL_FLAGS = (
+    _Flag("--channel", help="channel JSON file"),
+    _Flag("--family", help="family name (inline alternative to --channel)"),
+    _Flag("--dim", int, help="dimension for --family"),
+    _Flag("--p", float, help="parameter for --family"),
+    _TOL,
+)
+
+# Every command in the order of the help text.  ``main`` parses a common argv
+# from it, and ``build_parser`` builds the argparse tree for any other argv.
+_COMMANDS = (
+    _Command(
+        ("basis",),
+        _cmd_basis,
+        "emit the orthonormal Hermitian basis",
+        (_DIM, _Flag("--json", bool, False, help="emit full matrices as JSON")),
+    ),
+    _Command(
+        ("channel", "apply"),
+        _cmd_channel_apply,
+        "apply a channel to a state",
+        (
+            _Flag("--channel", required=True, help="channel JSON file"),
+            _Flag("--state", required=True, help="state matrix JSON file"),
+            _TOL,
+        ),
+    ),
+    _Command(("range",), _cmd_range, "CPTP parameter range of a family", (_Flag("--family", required=True), _DIM)),
+    _Command(("verify", "cptp"), _cmd_verify_cptp, "Choi-based CPTP check", _CHANNEL_FLAGS),
+    _Command(
+        ("verify", "constant-norm"),
+        _cmd_verify_constant_norm,
+        "constant output-norm check",
+        (*_CHANNEL_FLAGS, _Flag("--samples", int, 1000), _SEED),
+    ),
+    _Command(("identities",), _cmd_identities, "conjugation-sum identities", (_DIM, _Flag("--trials", int, 50), _SEED, _TOL)),
+    _Command(("detcheck",), _cmd_detcheck, "determinant closed form vs LAPACK", (_DIM, _Flag("--grid", int, 21), _TOL)),
+    _Command(
+        ("witness",),
+        _cmd_witness,
+        "spectrum witness for a mixed family pair",
+        (_Flag("--pair", required=True, help="comma-separated pair, e.g. dep,dcq"), _DIM, _Flag("--p", float)),
+    ),
+    _Command(
+        ("certify",),
+        _cmd_certify,
+        "inequivalence certificate for a family pair",
+        (_Flag("--pair", required=True, help="comma-separated pair, e.g. dcq,tcq"), _DIM, _Flag("--p", float)),
+    ),
+    _Command(
+        ("qubit-equiv",),
+        _cmd_qubit_equiv,
+        "dimension-2 conjugation equivalences",
+        (_Flag("--p", float, required=True), _Flag("--trials", int, 100), _SEED, _TOL),
+    ),
+    _Command(
+        ("report",),
+        _cmd_report,
+        "full verification bundle for one dimension",
+        (_DIM, _Flag("--samples", int, 200), _SEED, _TOL),
+    ),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``_COMMANDS``: it parses, and prints help and usage errors for, every argv."""
+
+    parser = _parser_class()(
+        prog="qchan",
+        description="Constant-Frobenius-norm channel families: build, verify, certify.",
+    )
+    parser.add_argument("--output", help="write the JSON report to this file instead of stdout")
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups: dict[str, Any] = {}
+    for command in _COMMANDS:
+        *group, name = command.path
+        if group and group[0] not in groups:
+            p_group = sub.add_parser(group[0], help=_GROUP_HELP[group[0]])
+            groups[group[0]] = p_group.add_subparsers(dest=f"{group[0]}_command", required=True)
+        p_command = (groups[group[0]] if group else sub).add_parser(name, help=command.help)
+        p_command.set_defaults(handler=command.handler)
+        for flag in command.flags:
+            if flag.type is bool:
+                p_command.add_argument(flag.name, action="store_true", help=flag.help)
+            else:
+                p_command.add_argument(
+                    flag.name, type=flag.type, default=flag.default, required=flag.required, help=flag.help
+                )
+    return parser
+
+
+def _is_value(text: str) -> bool:
+    """Whether argparse reads ``text`` after a flag as its value, by the test the common path applies."""
+
+    return text[:1] != "-" or _NEGATIVE_NUMBER.match(text) is not None
+
+
+def _parse_common(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The fields ``build_parser().parse_args(argv)`` returns, if ``argv`` has the common form; else None.
+
+    The common form is an optional leading ``--output PATH``, a command of
+    ``_COMMANDS``, and its flags as ``--flag value`` pairs or a bare
+    switch, each at most once and every required one present.  A value
+    may start with ``-`` only as a negative number, and the flag's own
+    type converts it, as argparse does.  Any other argv (help, an
+    abbreviated flag, ``--flag=value``, a repeated flag, a missing or
+    unconvertible value, an unknown command) is declined, for argparse to
+    parse or refuse with its own output and exit code.
+    """
+
+    fields: dict[str, Any] = {"output": None}
+    if argv[:1] == ["--output"] and len(argv) > 1 and _is_value(argv[1]):
+        fields["output"], argv = argv[1], argv[2:]
+    command = next((c for c in _COMMANDS if tuple(argv[: len(c.path)]) == c.path), None)
+    if command is None:
+        return None
+    fields["command"] = command.path[0]
+    if len(command.path) == 2:
+        fields[f"{command.path[0]}_command"] = command.path[1]
+    flags = {flag.name: flag for flag in command.flags}
+    given: dict[str, Any] = {}
+    rest = iter(argv[len(command.path) :])
+    for name in rest:
+        flag = flags.get(name)
+        if flag is None or name in given:
+            return None
+        if flag.type is bool:
+            given[name] = True
+            continue
+        text = next(rest, None)
+        if text is None or not _is_value(text):
+            return None
+        try:
+            given[name] = text if flag.type is None else flag.type(text)
+        except ValueError:
+            return None
+    for flag in command.flags:
+        if flag.required and flag.name not in given:
+            return None
+        fields[flag.name[2:]] = given.get(flag.name, flag.default)
+    return SimpleNamespace(**fields, handler=command.handler)
+
+
 def _emit(payload: Any, output: Optional[str]) -> None:
     text = payload if isinstance(payload, str) else jsonio.dumps(payload)
     if output:
@@ -412,11 +523,13 @@ def _emit(payload: Any, output: Optional[str]) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_common(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         fields = vars(args)
         for name, rule in _FIELD_RULES.items():

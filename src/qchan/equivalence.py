@@ -35,6 +35,7 @@ from .exact import (
     Family,
     Tolerance,
     VerificationReport,
+    _endpoint_denominators,
     _is_mixed,
     cptp_range,
     param_range,
@@ -145,7 +146,7 @@ class InequivalenceCertificate(NamedTuple):
 # keyed by _ratio_key, holds the lhs and rhs text, the exact roots and the
 # same roots as floats, in ascending order; no roots marks an equation that
 # holds identically.  tests/test_equivalence.py re-derives every row
-# symbolically.  ``feasible`` never reads a row: it is exact rational equality at n.
+# symbolically.  ``feasible`` never reads a row: it is exact equality at n, in integers.
 _SQRT17_ROOTS = (
     ("0", "5/2 - sqrt(17)/2", "sqrt(17)/2 + 5/2"),
     (0.0, 0.4384471871911697, 4.561552812808831),
@@ -187,24 +188,22 @@ def bound_matching_system(
     the affine scaling freedom would identify the two alpha intervals; for
     parameters of equal (resp. opposite) sign that forces the ratio p~/p
     to match lower-to-lower and upper-to-upper (resp. crossed) endpoint
-    quotients.  ``feasible`` is exact rational equality of the two
-    quotients at ``n``; the report also lists every dimension solving the
+    quotients.  ``feasible`` is exact equality of the two quotients at
+    ``n``, decided on the integer denominators of the endpoints; the report also lists every dimension solving the
     system.
     """
-
-    from fractions import Fraction  # not at module level: spectrum witnesses do not need it
 
     fam_a, fam_b = pair
     if fam_a is fam_b:
         raise ValueError("bound matching needs two distinct families")
     n = integer(n, "dim", 2)
-    exact_n = Fraction(n)
-    lo_a, hi_a = cptp_range(fam_a, exact_n)
-    lo_b, hi_b = cptp_range(fam_b, exact_n)
-    if same_sign:
-        feasible = lo_b / lo_a == hi_b / hi_a
-    else:
-        feasible = hi_b / lo_a == lo_b / hi_a
+    # With p_min = -1/q_lo and p_max = 1/q_hi, the quotients match in integers.
+    lo_a, hi_a = _endpoint_denominators(fam_a, n)
+    lo_b, hi_b = _endpoint_denominators(fam_b, n)
+    if same_sign:  # p_min,b / p_min,a = p_max,b / p_max,a
+        feasible = lo_a * hi_b == hi_a * lo_b
+    else:  # p_max,b / p_min,a = p_min,b / p_max,a
+        feasible = lo_a * lo_b == hi_a * hi_b
     lhs, rhs, roots_exact, roots = _RATIO_EQUATIONS[_ratio_key(fam_a, fam_b, same_sign)]
     if feasible and not roots:
         verdict = f"the equation holds for every n, so dimension {n} solves the system"

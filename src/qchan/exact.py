@@ -244,20 +244,27 @@ _SIGNS = {
 }
 
 
+def _endpoint_denominators(family: Family, n):
+    """The positive (q_lo, q_hi) with p_min = -1/q_lo and p_max = 1/q_hi, for n >= 2."""
+
+    if family is Family.DEP:
+        return n * n - 1, 1
+    if family is Family.TRD or family is Family.TCQ:
+        return n - 1, n + 1
+    return 2 * n - 1, (n - 1) ** 2
+
+
 def cptp_range(family: Family, n):
     """Endpoints (p_min, p_max) of the CPTP parameter interval.
 
     Works with an integer or a ``fractions.Fraction`` dimension; given a
-    Fraction it returns exact rationals, which the bound-matching
-    verdicts compare for equality.
+    Fraction it returns exact rationals.  The bound-matching verdicts
+    compare the integer denominators of these endpoints instead.
     """
 
     family = family_from_name(family)
-    if family is Family.DEP:
-        return -1 / (n * n - 1), 1
-    if family is Family.TRD or family is Family.TCQ:
-        return -1 / (n - 1), 1 / (n + 1)
-    return -1 / (2 * n - 1), 1 / (n - 1) ** 2
+    q_lo, q_hi = _endpoint_denominators(family, n)
+    return -1 / q_lo, 1 if family is Family.DEP else 1 / q_hi
 
 
 def family_from_name(name: Any, field: str = "family") -> Family:

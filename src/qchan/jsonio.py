@@ -2,17 +2,20 @@
 
 Reports must be byte-identical for identical configuration and seed, so
 floats are rendered with 17 significant digits (enough to round-trip a
-double) instead of relying on ``repr`` heuristics.  Parsing helpers and
-the value rules (:func:`integer`, :func:`finite_number`) raise
-:class:`SchemaError` with the offending field name, so the same value
-gets the same message from a file, a flag or a library call.
+double) instead of relying on ``repr`` heuristics.  A string of
+printable ASCII with no ``"`` and no ``\\`` is written between quotes as
+it stands, which is what ``json.dumps`` writes for it; only another
+string imports :mod:`json`.  Parsing helpers and the value rules
+(:func:`integer`, :func:`finite_number`) raise :class:`SchemaError` with
+the offending field name, so the same value gets the same message from
+a file, a flag or a library call; they import :mod:`numbers` only for a
+value whose type is neither ``int`` nor, for :func:`finite_number`,
+``float``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 import sys
 from typing import Any
 
@@ -64,8 +67,12 @@ def dumps(obj: Any) -> str:
 def _write(obj: Any, out: list[str], level: int) -> None:
     pad = "  " * (level + 1)
     closing_pad = "  " * level
-    if obj is None or obj is True or obj is False or isinstance(obj, str):
-        out.append(json.dumps(obj))
+    if obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, str):
+        out.append(_string(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -78,7 +85,7 @@ def _write(obj: Any, out: list[str], level: int) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            out.append(pad + json.dumps(key) + ": ")
+            out.append(pad + _string(key) + ": ")
             _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing_pad + "}")
@@ -100,6 +107,20 @@ def _write(obj: Any, out: list[str], level: int) -> None:
         _write([float(v) for v in obj], out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _string(s: str) -> str:
+    """``json.dumps(s)``, without importing :mod:`json` for a plain string.
+
+    ``'"' + s + '"'`` joins the str data, so a ``Family`` is written as its
+    value, not as ``str(s)``.
+    """
+
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+
+    return json.dumps(s)
 
 
 def _is_array(obj: Any, ndim: int) -> bool:
@@ -169,10 +190,15 @@ def require_int(obj: Any, field: str, minimum: int, context: str = "") -> int:
 def integer(value: Any, path: str, minimum: int) -> int:
     """``value`` as an int, if it is an integer (not a bool) of at least ``minimum``; ``path`` names it."""
 
-    exact = type(value) is int  # the common case, before the slower ABC check
-    if not exact and (isinstance(value, bool) or not isinstance(value, numbers.Integral)) or value < minimum:
-        raise SchemaError(path, f"expected an integer >= {minimum}, got {value!r}")
-    return value if exact else int(value)
+    if type(value) is int:  # the common case, before the slower ABC check
+        if value >= minimum:
+            return value
+    else:
+        import numbers
+
+        if not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum:
+            return int(value)
+    raise SchemaError(path, f"expected an integer >= {minimum}, got {value!r}")
 
 
 # The largest modulus of a channel's p or t_i, from a flag, a file or a library call (the families
@@ -188,6 +214,8 @@ def finite_number(value: Any, path: str, bound: float = math.inf) -> float:
         if type(value) is float or type(value) is int:  # the common cases, before the slower ABC checks
             number = float(value)
         else:
+            import numbers
+
             number = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
     except OverflowError:  # an integer past the float range
         number = math.inf

@@ -1,8 +1,11 @@
 import argparse
 import ast
+import contextlib
 import gc
 import importlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchan import cli, exact, linalg, representations
 from qchan.channels import DiagonalChannel, FamilyChannel, channel_to_json, family_to_diagonal
@@ -474,10 +479,112 @@ class TestNegativeNumbers:
 
     def test_help_and_usage_are_unchanged(self, monkeypatch):
         ours = [(parser.format_usage(), parser.format_help()) for parser in _parsers(cli.build_parser())]
-        monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+        monkeypatch.setattr(cli, "_parser_class", lambda: argparse.ArgumentParser)
         plain = [(parser.format_usage(), parser.format_help()) for parser in _parsers(cli.build_parser())]
         assert ours == plain
         assert len(ours) == 14
+
+
+# Flag values by the type that converts them: each "good" text is one argparse
+# reads as the flag's value and converts, each "bad" one it refuses or reads as an option.
+GOOD_VALUES = {
+    int: ["3", "0", "-1", " 7", "1_000", "+4"],
+    float: ["0.1", "-1e-05", "-.5", "nan", "inf", " 2 ", "1_0.5"],
+    None: ["dep", "dep,trd", "", " 7", "x.json", "-3"],
+}
+BAD_VALUES = {
+    int: ["", "nan", "1.5", "x", "-x", "--", "-"],
+    float: ["", "x", "1e", "-inf", "-x", "--"],
+    None: ["-x", "--", "-", "-h", "--dim"],
+}
+# Tokens an edit inserts or puts in place of a flag.
+STRAY_TOKENS = ["-h", "--help", "x", "--output", "out.json", "--dim", "--sam", "--fam", "--p", "--json", "--tol=1"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of one command of the table, and whether it is in the common form the CLI parses itself."""
+
+    command = draw(st.sampled_from(cli._COMMANDS))
+    flags = [flag for flag in draw(st.permutations(command.flags)) if draw(st.booleans()) or flag.required and draw(st.booleans())]
+    argv = list(command.path)
+    common = all(flag in flags for flag in command.flags if flag.required)
+    for flag in flags:
+        argv.append(flag.name)
+        if flag.type is not bool:
+            good = draw(st.booleans())
+            argv.append(draw(st.sampled_from((GOOD_VALUES if good else BAD_VALUES)[flag.type])))
+            common &= good
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(["out.json", "-1", "", "-o", "--"]))
+        argv[:0] = ["--output", path]
+        common &= path[:1] != "-" or path == "-1"
+    for kind, index, token in draw(st.lists(st.tuples(st.sampled_from(["insert", "delete", "join", "abbreviate"]), st.integers(0, 40), st.sampled_from(STRAY_TOKENS)), max_size=2)):
+        index %= len(argv) + 1
+        if kind == "insert":
+            argv.insert(index, token)
+        elif index < len(argv) and kind == "delete":
+            del argv[index]
+        elif index + 1 < len(argv) and kind == "join":  # --flag=value
+            argv[index : index + 2] = [f"{argv[index]}={argv[index + 1]}"]
+        elif index < len(argv) and len(argv[index]) > 3 and kind == "abbreviate":
+            argv[index] = argv[index][:-1]
+        else:
+            continue
+        common = False
+    return argv, common
+
+
+def _comparable(fields):
+    return {name: "NaN" if isinstance(value, float) and math.isnan(value) else value for name, value in fields.items()}
+
+
+class TestCommonPath:
+    """``main`` parses an argv of the common form itself and hands every other argv to argparse."""
+
+    @given(command_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_parses_as_argparse_or_declines(self, line):
+        argv, common = line
+        ours = cli._parse_common(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                theirs = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            assert ours is None, argv
+            return
+        if common:
+            assert ours is not None, argv
+        if ours is not None:
+            assert _comparable(vars(ours)) == _comparable(theirs), argv
+
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (["-h"], None),
+            (["report", "-h"], None),
+            (["report", "--dim", "3", "--sam", "5"], ["report", "--dim", "3", "--samples", "5"]),
+            (["range", "--family", "dep", "--family", "trd", "--dim", "3"], ["range", "--family", "trd", "--dim", "3"]),
+            (["certify", "--pair=dep,trd", "--dim", "4"], ["certify", "--pair", "dep,trd", "--dim", "4"]),
+            (["report", "--dim", "3", "--output", "x.json"], None),
+            (["frobnicate"], None),
+            (["verify", "cptp", "--family", "dep", "--dim"], None),
+            (["range", "--family", "dep", "--dim", "three"], None),
+        ],
+    )
+    def test_argparse_parses_every_declined_argv(self, capsys, argv, same_as):
+        # A refused argv gets argparse's own output and exit code; an accepted
+        # one runs as its common form does.
+        assert cli._parse_common(argv) is None
+        if same_as is None:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            out, err = capsys.readouterr()
+            expected = (0 if exc.value.code == 0 else 2, out, err)
+        else:
+            assert cli._parse_common(same_as) is not None
+            expected = run_cli(capsys, *same_as)
+        assert run_cli(capsys, *argv) == expected
 
 
 class TestFieldErrors:
@@ -1006,10 +1113,11 @@ class TestOutputContract:
         assert main(["frobnicate"]) == 2
 
     def test_allocation_failure_exits_2(self, capsys, monkeypatch):
-        def allocate(args):
+        def allocate(*args):
             raise MemoryError("Unable to allocate 190. GiB for an array")
 
-        monkeypatch.setattr(cli, "_cmd_basis", allocate)
+        # The handler's first call: the command table holds the handler itself.
+        monkeypatch.setattr(cli, "_check_peak_bytes", allocate)
         code, out, err = run_cli(capsys, "basis", "--dim", "400", "--json")
         assert code == 2
         assert out == ""
@@ -1062,12 +1170,12 @@ class TestOutputContract:
 
 # Runs qchan.cli.main on its arguments and prints the exit code and the
 # modules that importing and running qchan added to sys.modules.  The
-# snapshot is taken after start-up, so what `site` loads does not count.
+# snapshot is taken after start-up, so what `site` loads does not count;
+# json is imported after the count.
 NUMPY_PROBE = textwrap.dedent(
     """
     import contextlib
     import io
-    import json
     import sys
 
     before = set(sys.modules)
@@ -1075,7 +1183,10 @@ NUMPY_PROBE = textwrap.dedent(
 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = qchan.cli.main(sys.argv[1:])
-    print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+    added = sorted(set(sys.modules) - before)
+    import json
+
+    print(json.dumps({"code": code, "added": added}))
     """
 )
 
@@ -1113,9 +1224,9 @@ BROKEN_PIPE_AT_EXIT = (
 
 # Runs qchan.cli.main on its arguments with the cyclic collector off, as
 # `python -m qchan` does, and prints how many unreachable objects a
-# collection finds after each stage: importing NumPy (and fractions, which
-# bound matching imports), importing qchan's modules, building a parser and
-# parsing the arguments with it, and running the command.
+# collection finds after each stage: importing NumPy, importing qchan's
+# modules, building the argparse tree and parsing the arguments with it,
+# and running the command.
 GC_PROBE = textwrap.dedent(
     """
     import contextlib
@@ -1125,7 +1236,6 @@ GC_PROBE = textwrap.dedent(
     import sys
 
     gc.disable()
-    import fractions
     import numpy
 
     found = {"numpy": gc.collect()}
@@ -1261,8 +1371,9 @@ class TestNumpyFreeCommands:
 
     Each runs ``qchan.cli.main`` in a fresh interpreter, which then reports
     the modules qchan added to ``sys.modules``.  Besides NumPy, these
-    commands load neither ``dataclasses`` nor ``inspect``, and only bound
-    matching loads ``fractions``.
+    commands load neither ``dataclasses`` nor ``inspect``, none of
+    argparse, gettext, locale, ``numbers`` and ``fractions``, and ``json``
+    only to read a file.  Help and usage errors load argparse.
     """
 
     @pytest.mark.parametrize(
@@ -1299,8 +1410,22 @@ class TestNumpyFreeCommands:
         assert got == code
         assert "qchan.cli" in added
         assert added.isdisjoint({"numpy", "dataclasses", "inspect"})
-        # The certify rows are the same-class pairs, which run bound matching.
-        assert ("fractions" in added) == (argv[0] == "certify")
+        assert added.isdisjoint({"argparse", "gettext", "locale", "numbers", "fractions"})
+        assert ("json" in added) == ("--channel" in argv)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["-h"], 0),
+            (["report", "-h"], 0),
+            (["verify", "cptp", "--family", "dep", "--dim"], 2),
+        ],
+    )
+    def test_help_and_usage_errors_load_argparse(self, tmp_path, argv, code):
+        got, added = _run_numpy_probe(argv, tmp_path)
+        assert got == code
+        assert {"argparse", "gettext"} <= added
+        assert "numpy" not in added
 
     def test_no_module_loads_dataclasses(self, tmp_path):
         script = textwrap.dedent(
@@ -1450,13 +1575,16 @@ class TestExitPath:
             (["basis", "--dim", "3", "--json"], 0),
             (["channel", "apply", "--channel", "malformed.json", "--state", "state.json"], 2),
             (["verify", "cptp", "--family", "dep", "--dim"], 2),
+            (["range", "--family", "dep", "--dim", "1"], 2),
         ],
     )
     def test_a_command_leaves_no_cyclic_garbage_of_its_own(self, tmp_path, argv, code):
         # Running with the collector off keeps every cycle a process makes.
         # Importing NumPy makes a fixed set (346 objects with NumPy 2.4), and
-        # so does argparse: each add_argument drops a HelpFormatter, and a
-        # parser's graph is cyclic.  Everything else a command does makes none.
+        # so does building the argparse tree: each add_argument drops a
+        # HelpFormatter, and a parser's graph is cyclic.  Of these rows only
+        # the missing value after --dim builds it in main; everything else a
+        # command does makes none.
         write_json(tmp_path / "channel.json", channel_to_json(FamilyChannel(Family.DCQ, 0.2, 3)))
         write_json(tmp_path / "state.json", matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)))
         (tmp_path / "malformed.json").write_text('{"kind": "family", "family": ', encoding="utf-8")
@@ -1465,7 +1593,8 @@ class TestExitPath:
         found = json.loads(proc.stdout)
         assert (found["code"], found["enabled"]) == (code, False)
         assert found["qchan"] == 0
-        assert found["command"] == found["argparse"]
+        assert found["argparse"] > 0
+        assert found["command"] == (found["argparse"] if argv[-1] == "--dim" else 0)
 
     def test_script_target_is_the_function_the_main_module_calls(self):
         import qchan.__main__

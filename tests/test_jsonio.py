@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchan import jsonio
 from qchan.channels import DiagonalChannel, FamilyChannel
@@ -134,6 +136,14 @@ def test_other_objects_are_rejected(value):
 
 def test_an_empty_object_is_written_on_one_line():
     assert dumps({}) == "{}"
+
+
+@given(st.text() | st.sampled_from(["", 'a"b', "a\\b", "\x7f", "\x1f", " ~", "é", "\u2028", "😀", *Family]))
+@settings(max_examples=300, deadline=None)
+def test_strings_and_keys_are_written_as_json_writes_them(text):
+    # A Family is written as its value, the str data, as json writes it.
+    assert dumps(text) == json.dumps(text)
+    assert dumps({text: text}) == json.dumps({text: text}, indent=2)
 
 
 def test_object_keys_must_be_strings():
