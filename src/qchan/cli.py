@@ -549,8 +549,9 @@ def run() -> NoReturn:
     ``python -m qchan`` and the ``qchan`` script end here.  The cyclic
     collector is off for the whole command: its passes, mostly while
     NumPy imports, cost about 10 ms per process, and the only cycles a
-    command leaves are a fixed few hundred objects of NumPy's import and
-    of argparse (``tests/test_cli.py`` counts them).  Once ``main`` has
+    command leaves are a fixed few hundred objects of NumPy's import, plus
+    argparse's few hundred when help or a usage error builds the parser
+    (``tests/test_cli.py`` counts them).  Once ``main`` has
     returned, the exit handlers run and both streams are flushed, in the
     order of an interpreter exit, and the process ends without tearing
     down its heap, which takes several milliseconds once NumPy is loaded.

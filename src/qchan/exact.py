@@ -245,7 +245,7 @@ _SIGNS = {
 
 
 def _endpoint_denominators(family: Family, n):
-    """The positive (q_lo, q_hi) with p_min = -1/q_lo and p_max = 1/q_hi, for n >= 2."""
+    """The positive (q_lo, q_hi) with p_min = -1/q_lo and p_max = 1/q_hi of :func:`cptp_range`, for n >= 2."""
 
     if family is Family.DEP:
         return n * n - 1, 1
@@ -263,8 +263,11 @@ def cptp_range(family: Family, n):
     """
 
     family = family_from_name(family)
-    q_lo, q_hi = _endpoint_denominators(family, n)
-    return -1 / q_lo, 1 if family is Family.DEP else 1 / q_hi
+    if family is Family.DEP:
+        return -1 / (n * n - 1), 1
+    if family is Family.TRD or family is Family.TCQ:
+        return -1 / (n - 1), 1 / (n + 1)
+    return -1 / (2 * n - 1), 1 / (n - 1) ** 2
 
 
 def family_from_name(name: Any, field: str = "family") -> Family:
