@@ -41,6 +41,8 @@
 #   samples, whose identity term is the exact 1/n of a unit trace;
 # - a failing identities report (`--tol 1e-18`, failed by rounding alone),
 #   whose witness names the sum and the input of its largest deviation;
+# - the spectrum witnesses' exact spectra in their sorted order, at a
+#   negative p and at a CPTP range endpoint;
 # - argv shapes that only argparse parses, so their bytes stay argparse's:
 #   an abbreviated flag, a repeated flag (the last one wins), `--flag=value`,
 #   `--output` after the command, an unknown command and a missing value.
@@ -221,6 +223,8 @@ commands=(
     "report --dim 3 --output x.json"
     "frobnicate --dim 3"
     "verify cptp --family dep --dim"
+    "witness --pair trd,dcq --dim 7 --p -0.07"
+    "certify --pair dep,tcq --dim 4 --p 0.2"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -34,12 +34,12 @@ typing.
 Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
 handler imports the modules it runs (and with them NumPy) only once its
 input files have passed the checks that need no linear algebra, so
-``range``, same-class ``certify`` and every flag error run without
+``range``, ``certify``, ``witness`` and every flag error run without
 loading NumPy.  Code sits in the modules of the commands
 that run it, so that a process without bytecode caches compiles little
-else.  Besides those two, ``range`` loads nothing; same-class ``certify``
-:mod:`qchan.equivalence` (NumPy-free at import); mixed-pair ``certify``
-and ``witness`` also channels and linalg; ``verify`` channels, linalg
+else.  Besides those two, ``range`` loads nothing; ``certify`` and
+``witness`` :mod:`qchan.equivalence`, whose certificates, spectrum
+witnesses included, are exact and NumPy-free; ``verify`` channels, linalg
 and verification; ``channel apply`` channels and linalg; ``basis`` basis
 and linalg; ``identities`` and ``detcheck`` basis, channels, linalg and
 representations; ``qubit-equiv`` basis, channels, equivalence and linalg;

@@ -19,16 +19,18 @@ machine-checkable *in*equivalence certificates:
 At dimension 2 all four families are equivalent via explicit Pauli
 conjugations, which :func:`qubit_equivalence_check` verifies numerically.
 
-The bound-matching systems, the certificates and the records need no linear
-algebra, so importing this module loads no NumPy: the spectrum witnesses and
-the qubit conjugations import it, and the numeric modules they use, when they
-run.  Only ``certify``, ``witness``, ``qubit-equiv`` and ``report`` load this
-module, and nothing here imports :mod:`qchan.verification`.
+The bound-matching systems, the spectrum witnesses, the certificates and the
+records need no linear algebra: a witness's spectra are closed forms, exact in
+integers over a common denominator.  So importing this module, and every
+certificate, loads no NumPy; only the qubit conjugations import it, and the
+numeric modules they use, when they run.  Only ``certify``, ``witness``,
+``qubit-equiv`` and ``report`` load this module, and nothing here imports
+:mod:`qchan.verification`.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .exact import (
     _HYBRID,
@@ -63,17 +65,19 @@ class SpectrumWitness(NamedTuple):
 
     ``state_a`` is a computational basis projector, ``state_b`` the
     projector onto the uniform superposition; both are rank one, hence
-    isospectral.  Spectra are ascending; ``max_spectral_gap`` is the
-    largest entrywise difference of the sorted spectra.
+    isospectral.  Each is the ``{"rows", "cols", "data"}`` object of
+    :func:`qchan.linalg.matrix_to_json`.  Spectra are ascending;
+    ``max_spectral_gap`` is the largest entrywise difference of the sorted
+    spectra.  Every value is exact, then rounded once to a float.
     """
 
     family: Family
     p: float
     dim: int
-    state_a: Any
-    state_b: Any
-    spectrum_a: Any
-    spectrum_b: Any
+    state_a: dict
+    state_b: dict
+    spectrum_a: tuple[float, ...]
+    spectrum_b: tuple[float, ...]
     max_spectral_gap: float
     notes: str = ""
 
@@ -116,20 +120,26 @@ class InequivalenceCertificate(NamedTuple):
     def passed(self) -> bool:
         """Whether the evidence certifies inequivalence.
 
-        The first spectrum witness must separate its states by more than
-        ``GAP_THRESHOLD``; bound matching needs a same-sign and an
-        opposite-sign report and no feasible system.  All evidence must
-        belong to the certificate: every witness at ``dim`` for a family of
-        ``pair``, every bound report at ``dim`` for the same unordered pair.
+        Spectrum witnesses need a mixed pair and one witness per family at
+        ``dim``, the hybrid's first: it must separate its states by more than
+        ``GAP_THRESHOLD``, and the base family's gap must be exactly 0.
+        Bound matching needs a same-sign and an opposite-sign report at
+        ``dim`` for the same unordered pair, and no feasible system.
         Missing or foreign evidence, or an unknown method, does not pass.
         """
 
         if self.method == "spectrum_witness":
+            if not _is_mixed(self.pair):
+                return False
+            hybrid, base = _hybrid_and_base(self.pair)
             witnesses = self.witnesses
             return (
-                all(w.dim == self.dim and w.family in self.pair for w in witnesses)
-                and bool(witnesses)
-                and witnesses[0].max_spectral_gap > GAP_THRESHOLD
+                [w.family for w in witnesses] == [hybrid, base]
+                and all(w.dim == self.dim for w in witnesses)
+                and all(
+                    w.max_spectral_gap > GAP_THRESHOLD if w.family == hybrid else w.max_spectral_gap == 0
+                    for w in witnesses
+                )
             )
         if self.method == "bound_matching":
             reports = self.bound_reports
@@ -223,6 +233,13 @@ def bound_matching_system(
     )
 
 
+def _hybrid_and_base(pair: tuple[Family, Family]) -> tuple[Family, Family]:
+    """A mixed pair as (hybrid, base): dcq or tcq first, the order of a certificate's witnesses."""
+
+    fam_a, fam_b = pair
+    return (fam_a, fam_b) if fam_a in _HYBRID else (fam_b, fam_a)
+
+
 def _default_witness_p(family: Family, n: int) -> float:
     hi = float(cptp_range(family, n)[1])
     return min(0.2, 0.8 * hi)
@@ -237,9 +254,9 @@ def inequivalence_certificate(
     the to-classical member sends isospectral pure inputs to outputs with
     different spectra, while the depolarizing-type member provably cannot.
     Same-class pairs get the two bound-matching obstructions instead,
-    since both members preserve (or both break) spectra identically; they
-    need no linear algebra, and only a mixed pair loads the numeric modules.
-    ``p`` sets the witnesses' parameter, so a same-class pair refuses it.
+    since both members preserve (or both break) spectra identically.
+    Neither kind needs linear algebra.  ``p`` sets the witnesses'
+    parameter, so a same-class pair refuses it.
     """
 
     fam_a, fam_b = pair
@@ -260,7 +277,7 @@ def inequivalence_certificate(
             f"{fam_a.value},{fam_b.value} is certified by bound matching, which takes no p"
         )
     if mixed:
-        hybrid, base = pair if fam_a in _HYBRID else (fam_b, fam_a)
+        hybrid, base = _hybrid_and_base(pair)
         p_hybrid = p if p is not None else _default_witness_p(hybrid, n)
         p_base = p if p is not None else _default_witness_p(base, n)
         witness_h = spectrum_witness(hybrid, p_hybrid, n)
@@ -268,7 +285,7 @@ def inequivalence_certificate(
         detail = (
             f"unitary/antiunitary conjugations preserve output spectra on isospectral "
             f"inputs; {base.value} outputs are isospectral for every parameter "
-            f"(observed gap {witness_b.max_spectral_gap:.3e}), while {hybrid.value} at "
+            f"(exact gap {witness_b.max_spectral_gap:.3e}), while {hybrid.value} at "
             f"p={p_hybrid} separates the two witnesses by {witness_h.max_spectral_gap:.6e}"
         )
         return InequivalenceCertificate(
@@ -299,34 +316,44 @@ def spectrum_witness(family: Family, p: float, n: int) -> SpectrumWitness:
     spectra coincide for every p; for the to-classical families they
     differ whenever p != 0, with largest sorted-entry gap
     |p| * max(1 - 2/n, 2/n).
+
+    The spectra are the closed forms that ``notes`` states, with no
+    eigensolve: for p = m/q every eigenvalue is an integer over q n, so
+    the spectra are sorted and their gap taken in integers, and each
+    printed value is its exact value rounded once.  The states are built as
+    :func:`qchan.linalg.matrix_to_json` writes them, one ``[re, im]`` list
+    shared by the entries that are equal.
     """
 
-    import numpy as np
-
-    from .channels import FamilyChannel
-    from .linalg import hermitian_eigenvalues
-
     p, rng_info = finite_number(p, "p", _MAX_MAGNITUDE), param_range(family, n)
+    n = rng_info.dim
     if not rng_info.contains(p):
         raise ValueError(
             f"p={p} outside the CPTP range [{rng_info.p_min}, {rng_info.p_max}] "
             f"of {family.value} at dim {n}"
         )
-    state_a = np.zeros((n, n), dtype=complex)
-    state_a[0, 0] = 1
-    state_b = np.ones((n, n), dtype=complex) / n
-    ch = FamilyChannel(family=family, p=p, dim=n)
-    spectrum_a = hermitian_eigenvalues(ch(state_a))
-    spectrum_b = hermitian_eigenvalues(ch(state_b))
-    gap = float(np.max(np.abs(spectrum_a - spectrum_b)))
+    state_a = {"rows": n, "cols": n, "data": [[1.0, 0.0]] + [[0.0, 0.0]] * (n * n - 1)}
+    state_b = {"rows": n, "cols": n, "data": [[1 / n, 0.0]] * (n * n)}
+    m, q = p.as_integer_ratio()
+    # Numerators over q n.  The basis projector goes to p + (1-p)/n once and
+    # (1-p)/n n - 1 times under every family; the uniform projector to the
+    # same under dep and trd, and to -p + (1+p)/n once and (1+p)/n n - 1
+    # times under dcq and tcq.
+    numerators_a = sorted([q - m + m * n] + [q - m] * (n - 1))
     if family in _HYBRID:
+        numerators_b = sorted([q + m - m * n] + [q + m] * (n - 1))
         notes = (
             "analytic spectra: basis projector -> {p + (1-p)/n, (1-p)/n x (n-1)}; "
             "uniform projector -> {-p + (1+p)/n, (1+p)/n x (n-1)} (both sum to 1); "
             "sorted-entry gap |p| * max(1 - 2/n, 2/n)"
         )
     else:
+        numerators_b = numerators_a
         notes = "family acts as S -> p S (or p S^T) plus a multiple of I: spectra coincide"
+    value = {k: k / (q * n) for k in {*numerators_a, *numerators_b}}  # one float per distinct eigenvalue
+    spectrum_a = tuple(value[k] for k in numerators_a)
+    spectrum_b = tuple(value[k] for k in numerators_b)
+    gap = max(abs(a - b) for a, b in zip(numerators_a, numerators_b)) / (q * n)
     return SpectrumWitness(
         family=family,
         p=p,

@@ -56,12 +56,17 @@ def dumps(obj: Any) -> str:
     array is written as the object :func:`qchan.linalg.matrix_to_json`
     returns (without building it), a 1-D array becomes a list of floats,
     and a ``Family`` is its value (a ``str``).  Anything else, a channel
-    object included, raises TypeError.
+    object included, raises TypeError.  A list item that is the same
+    object as the item before it is written as the same text, formatted
+    once.
     """
 
     pieces: list[str] = []
     _write(obj, pieces, 0)
     return "".join(pieces)
+
+
+_NOTHING = object()  # no list item is this object
 
 
 def _write(obj: Any, out: list[str], level: int) -> None:
@@ -96,10 +101,20 @@ def _write(obj: Any, out: list[str], level: int) -> None:
             out.append("[]")
             return
         out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad)
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
+        previous, text = _NOTHING, None
+        for value in obj:
+            # An item that is the object before it has that item's text: a
+            # matrix of shared [re, im] lists is formatted once per distinct entry.
+            if value is previous:
+                if text is None:
+                    text = "".join(out[start:])  # the previous item with its pad and comma
+                out.append(text)
+            else:
+                previous, text, start = value, None, len(out)
+                out.append(pad)
+                _write(value, out, level + 1)
+                out.append(",\n")
+        out[-1] = out[-1][:-2] + "\n"  # no comma after the last item
         out.append(closing_pad + "]")
     elif _is_array(obj, 2):
         _write_matrix(obj, out, level)

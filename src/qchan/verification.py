@@ -221,7 +221,7 @@ def constant_fnorm_sample_test(
         raise ValueError(f"dimension mismatch: channel dim {diag.dim}, n={n}")
     j, c = _steps(n), np.zeros(n + 1)  # c_0 = 0, then c_1..c_{n-1}, then a zero that ends the suffix sums
     c[1:n] = diag.t_z**2 / (j * (j + 1))
-    w_x, signed = _pair_forms(diag)
+    w_x, signed = _pair_forms(diag) if samples else (None, None)  # read only by the draws
     norms = np.empty(n * n + samples)  # the witness states, then the Haar samples
     norms[: n * n] = _witness_norms(diag, c)
     pos = n * n

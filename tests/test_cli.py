@@ -1267,13 +1267,13 @@ COMMAND_MODULES = [
     pytest.param(
         ["certify", "--pair", "dep,dcq", "--dim", "4", "--p", "0.05"],
         0,
-        {"channels", "equivalence", "linalg"},
+        {"equivalence"},
         id="certify-mixed",
     ),
     pytest.param(
         ["witness", "--pair", "trd,tcq", "--dim", "5", "--p", "0.05"],
         0,
-        {"channels", "equivalence", "linalg"},
+        {"equivalence"},
         id="witness",
     ),
     pytest.param(
@@ -1402,6 +1402,8 @@ class TestNumpyFreeCommands:
             (["verify", "constant-norm", "--family", "dep", "--dim", "3", "--p", "0.1", "--seed", "-1"], 2),
             (["identities", "--dim", "3", "--seed", "-1"], 2),
             (["qubit-equiv", "--p", "0.5", "--seed", "-1"], 2),
+            (["certify", "--pair", "dep,dcq", "--dim", "16"], 0),
+            (["witness", "--pair", "trd,tcq", "--dim", "7", "--p", "-0.07"], 0),
         ],
     )
     def test_runs_without_numpy(self, tmp_path, argv, code):
@@ -1492,8 +1494,8 @@ class TestNumpyFreeCommands:
     def test_spectrum_witnesses_load_no_verification(self, tmp_path, argv):
         code, added = _run_numpy_probe(argv, tmp_path)
         assert code == 0
-        assert {"numpy", "qchan.equivalence"} <= added
-        assert "qchan.verification" not in added
+        assert "qchan.equivalence" in added
+        assert added.isdisjoint({"numpy", "qchan.verification"})
 
 
 class TestExitPath:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from qchan.equivalence import (
 )
 from qchan.exact import Family, cptp_range
 from qchan.jsonio import SchemaError, dumps
-from qchan.linalg import hermitian_eigenvalues
+from qchan.linalg import hermitian_eigenvalues, matrix_from_json
 
 import dense_oracles
 from dense_oracles import per_trial_qubit_check
@@ -73,10 +74,32 @@ class TestSpectrumWitness:
 
     def test_inputs_are_isospectral_projectors(self):
         w = spectrum_witness(Family.DCQ, 0.1, 4)
+        state_a, state_b = matrix_from_json(w.state_a), matrix_from_json(w.state_b)
         np.testing.assert_allclose(
-            hermitian_eigenvalues(w.state_a), hermitian_eigenvalues(w.state_b), atol=1e-12
+            hermitian_eigenvalues(state_a), hermitian_eigenvalues(state_b), atol=1e-12
         )
-        np.testing.assert_allclose(w.state_a @ w.state_a, w.state_a, atol=1e-14)
+        np.testing.assert_allclose(state_a @ state_a, state_a, atol=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(list(Family)), st.integers(3, 64), st.data())
+    def test_spectra_are_the_exact_closed_forms(self, family, n, data):
+        # Against the engine and an eigensolve, and against the Fraction-exact
+        # closed forms, each value correctly rounded.
+        lo, hi = (float(x) for x in cptp_range(family, n))
+        p = data.draw(st.one_of(st.sampled_from([lo, hi, 0.0, -0.0]), st.floats(lo, hi)), label="p")
+        w = spectrum_witness(family, p, n)
+        ch = FamilyChannel(family, p, n)
+        q, hybrid = Fraction(p), family in (Family.DCQ, Family.TCQ)
+        basis = sorted([q + (1 - q) / n] + [(1 - q) / n] * (n - 1))
+        uniform = sorted([-q + (1 + q) / n] + [(1 + q) / n] * (n - 1)) if hybrid else basis
+        for state, spectrum, exact in ((w.state_a, w.spectrum_a, basis), (w.state_b, w.spectrum_b, uniform)):
+            eigenvalues = hermitian_eigenvalues(ch(matrix_from_json(state)))
+            np.testing.assert_allclose(spectrum, eigenvalues, rtol=0, atol=1e-12)
+            assert [float(v) for v in exact] == list(spectrum)
+        gap = abs(q) * max(1 - Fraction(2, n), Fraction(2, n)) if hybrid else 0
+        assert w.max_spectral_gap == float(gap)
+        if not hybrid:
+            assert str(w.max_spectral_gap) == "0.0"
 
     def test_out_of_range_p_rejected(self):
         with pytest.raises(ValueError, match="CPTP range"):
@@ -100,7 +123,7 @@ class TestSpectrumWitness:
             u1, u2 = random_unitary(n, rng), random_unitary(n, rng)
             outs = [
                 u1 @ family_apply(ch, u2 @ s @ u2.conj().T) @ u1.conj().T
-                for s in (w.state_a, w.state_b)
+                for s in map(matrix_from_json, (w.state_a, w.state_b))
             ]
             np.testing.assert_allclose(
                 hermitian_eigenvalues(outs[0]), hermitian_eigenvalues(outs[1]), atol=1e-12
@@ -350,6 +373,31 @@ class TestCertificates:
         assert not InequivalenceCertificate(pair, 3, "spectrum_witness", witnesses=(flat,)).passed
         feasible = bound_matching_system(pair, 2, same_sign=False)
         assert not InequivalenceCertificate(pair, 2, "bound_matching", bound_reports=(feasible,)).passed
+
+    def test_same_class_pair_with_witnesses_does_not_pass(self):
+        # dcq separates its states and tcq at p = 0 does not, but tcq is not
+        # isospectral at every p: a witness certifies a mixed pair only.
+        pair = (Family.DCQ, Family.TCQ)
+        witnesses = (spectrum_witness(Family.DCQ, 0.05, 4), spectrum_witness(Family.TCQ, 0.0, 4))
+        assert witnesses[0].max_spectral_gap > GAP_THRESHOLD
+        assert witnesses[1].max_spectral_gap == 0
+        assert not InequivalenceCertificate(pair, 4, "spectrum_witness", witnesses=witnesses).passed
+
+    def test_missing_base_witness_does_not_pass(self):
+        cert = inequivalence_certificate((Family.DEP, Family.DCQ), 4)
+        assert cert.passed
+        assert not cert._replace(witnesses=cert.witnesses[:1]).passed
+
+    def test_swapped_witnesses_do_not_pass(self):
+        cert = inequivalence_certificate((Family.DEP, Family.DCQ), 4)
+        assert cert.passed
+        assert not cert._replace(witnesses=cert.witnesses[::-1]).passed
+
+    def test_base_gap_must_be_exactly_zero(self):
+        cert = inequivalence_certificate((Family.TRD, Family.TCQ), 4)
+        hybrid, base = cert.witnesses
+        assert cert.passed
+        assert not cert._replace(witnesses=(hybrid, base._replace(max_spectral_gap=1e-17))).passed
 
     def test_missing_evidence_does_not_pass(self):
         pair = (Family.DEP, Family.TRD)

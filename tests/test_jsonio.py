@@ -1,5 +1,6 @@
 """JSON layout of every result record, as written by ``jsonio.dumps``."""
 
+import copy
 import json
 import math
 from fractions import Fraction
@@ -22,7 +23,7 @@ from qchan.equivalence import (
 )
 from qchan.exact import Family, VerificationReport, param_range
 from qchan.jsonio import dumps
-from qchan.linalg import matrix_to_json
+from qchan.linalg import matrix_from_json, matrix_to_json
 from qchan.verification import is_cptp
 
 
@@ -69,16 +70,28 @@ def test_spectrum_witness():
         "spectrum_a", "spectrum_b", "max_spectral_gap", "notes",
     ]
     assert encoded["family"] == "dcq"
-    # 2-D arrays are {"rows", "cols", "data"} objects, as matrix_to_json writes them.
+    # The states are {"rows", "cols", "data"} objects, as matrix_to_json writes them.
     assert list(encoded["state_a"]) == ["rows", "cols", "data"]
-    assert encoded["state_a"] == matrix_to_json(witness.state_a)
-    assert encoded["state_b"] == matrix_to_json(witness.state_b)
-    # 1-D arrays are lists of floats, bit for bit.
+    assert encoded["state_a"] == matrix_to_json(matrix_from_json(witness.state_a))
+    assert encoded["state_b"] == matrix_to_json(matrix_from_json(witness.state_b))
+    # The spectra are lists of floats, bit for bit.
     for key in ("spectrum_a", "spectrum_b"):
         assert all(type(v) is float for v in encoded[key])
         assert encoded[key] == [float(v) for v in getattr(witness, key)]
     assert encoded["max_spectral_gap"] == witness.max_spectral_gap
     assert encoded["notes"] == witness.notes
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 255])
+def test_witness_states_print_as_the_arrays_they_stand_for(n):
+    # The states' shared [re, im] lists print the bytes of the basis and
+    # uniform projectors as complex arrays.
+    witness = spectrum_witness(Family.TCQ, 0.0, n)
+    basis = np.zeros((n, n), dtype=complex)
+    basis[0, 0] = 1
+    uniform = np.ones((n, n), dtype=complex) / n
+    assert dumps(witness.state_a) == dumps(basis)
+    assert dumps(witness.state_b) == dumps(uniform)
 
 
 def test_bound_matching_report():
@@ -215,6 +228,19 @@ def test_matrix_text_equals_the_matrix_to_json_object(name, level):
     jsonio._write(MATRICES[name], direct, level)
     jsonio._write(matrix_to_json(MATRICES[name]), via_object, level)
     assert "".join(direct) == "".join(via_object)
+
+
+@given(st.lists(st.integers(0, 4), max_size=8), st.integers(0, 3))
+def test_a_repeated_item_is_written_as_its_copy_would_be(picks, level):
+    # An item that is the object before it reuses that item's text; the
+    # bytes are those of distinct copies, and -0.0 keeps its sign.
+    pool = [[1.0, 0.0], [-0.0, 0.0], [0.0, 0.0], {"a": [0.5, []]}, "x"]
+    shared, copies = [pool[i] for i in picks], [copy.deepcopy(pool[i]) for i in picks]
+    via_shared, via_copies = [], []
+    jsonio._write(shared, via_shared, level)
+    jsonio._write(copies, via_copies, level)
+    assert "".join(via_shared) == "".join(via_copies)
+    assert json.loads("".join(via_shared)) == copies
 
 
 def test_matrix_writer_keeps_the_sign_of_zero():
