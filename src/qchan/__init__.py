@@ -18,9 +18,7 @@ _EXPORTS = {
     "basis": (
         "BasisE",
         "build_basis",
-        "decompose",
         "pauli_matrix",
-        "reconstruct",
     ),
     "channels": (
         "DiagonalChannel",
@@ -29,7 +27,6 @@ _EXPORTS = {
         "channel_from_json",
         "channel_to_json",
         "diagonal_apply",
-        "family_apply",
         "family_to_diagonal",
         "validate_state",
     ),
@@ -57,7 +54,6 @@ _EXPORTS = {
     ),
     "linalg": (
         "frobenius_norm",
-        "hermitian_eigenvalues",
         "matrix_from_json",
         "matrix_to_json",
     ),
@@ -66,7 +62,6 @@ _EXPORTS = {
         "classify_qubit",
         "dcq_det_formula",
         "kraus_from_family",
-        "to_choi",
         "verify_det_recurrence",
         "verify_representations",
         "verify_sum_identities",
@@ -74,7 +69,6 @@ _EXPORTS = {
     "verification": (
         "constant_fnorm_criterion",
         "constant_fnorm_sample_test",
-        "expected_constant_norm",
         "is_cptp",
     ),
 }

@@ -157,12 +157,17 @@ class FamilyChannel(DiagonalChannel):
         return t
 
 
-def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
-    """L and G, the two n-vectors of D[r, i] = Phi(E_rr)_ii (zero-based r, i).
+def _choi_blocks(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The classical Choi block, a new array, and L, the n-vector of the pair blocks.
 
-    With w_i = t_z,i / (i (i+1)) (the weights of :func:`diagonal_image`, w_0 = 0)
-    and the suffix sums S_i = w_(n-1) + ... + w_i, summed from the end,
-    with S_n = 0:
+    The Choi matrix sum_ij E_ij ⊗ Phi(E_ij) is block diagonal: the n x n
+    classical block on span{|ii>}, with a_kl = (t_x + t_y)/2 of the pair
+    {k, l} at (k, l) and (l, k) and G on its diagonal, and for each pair
+    k < l the block [[L_l, b], [b, L_l]] on span{|kl>, |lk>}, with
+    b = (t_x - t_y)/2.  L and G are the two n-vectors of
+    D[r, i] = Phi(E_rr)_ii (zero-based r, i).  With w_i = t_z,i / (i (i+1))
+    (the weights of :func:`diagonal_image`, w_0 = 0) and the suffix sums
+    S_i = w_(n-1) + ... + w_i, summed from the end, with S_n = 0:
 
         L_r = 1/n + (S_(r+1) - r w_r)      row r below the diagonal,
         G_r = (1/n + S_(r+1)) + (r w_r) r  the diagonal.
@@ -171,9 +176,9 @@ def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
     of the identity, in its order, so they keep its bits; the zeros it adds
     on the way only ever meet a sum that 1/n then absorbs.  D is symmetric,
     the channel being self-adjoint (diag(1, t) in the orthonormal Hermitian
-    basis), so L is its upper triangle too, to rounding.  G is the classical
-    block's diagonal (:func:`_classical_block`); ``is_cptp`` reads each pair
-    block (k, l), k < l, as [[L_l, b_kl], [b_kl, L_l]].
+    basis), so L is its upper triangle too, to rounding.  ``is_cptp`` takes
+    the block's eigenvalues and each pair block's L_l - |b|, and
+    ``verify_det_recurrence`` the block's determinant.
     """
 
     n, j = diag.dim, _steps(diag.dim)
@@ -184,18 +189,8 @@ def _classical_vectors(diag: DiagonalChannel) -> tuple[np.ndarray, np.ndarray]:
     w *= j  # i w_i
     diagonal[1:] += w * j
     lower[1:] -= w
-    return lower + 1 / n, diagonal
-
-
-def _classical_block(diag: DiagonalChannel, diagonal: np.ndarray) -> np.ndarray:
-    """The classical Choi block, a new array: a_kl = (t_x + t_y)/2 of the pair {k, l} at (k, l) and (l, k),
-    and ``diagonal``, G of :func:`_classical_vectors`, on the diagonal.
-
-    ``is_cptp`` takes its eigenvalues and ``verify_det_recurrence`` its determinant.
-    """
-
     a = (diag.t_x + diag.t_y) / 2
-    return _pair_plane(diag.dim, a, diagonal)
+    return _pair_plane(n, a, diagonal), lower + 1 / n
 
 
 def family_apply(ch: FamilyChannel, s: np.ndarray) -> np.ndarray:

@@ -54,9 +54,9 @@ def dumps(obj: Any) -> str:
     Accepts dict/list/tuple/str/float/int/bool/None and result records: a
     NamedTuple becomes an object of its fields in declaration order, a 2-D
     array is written as the object :func:`qchan.linalg.matrix_to_json`
-    returns (without building it), a 1-D array becomes a list of floats,
-    and a ``Family`` is its value (a ``str``).  Anything else, a channel
-    object included, raises TypeError.  A list item that is the same
+    returns (without building it), and a ``Family`` is its value (a
+    ``str``).  Anything else, a channel object or an array of another
+    dimension included, raises TypeError.  A list item that is the same
     object as the item before it is written as the same text, formatted
     once.
     """
@@ -116,10 +116,8 @@ def _write(obj: Any, out: list[str], level: int) -> None:
                 out.append(",\n")
         out[-1] = out[-1][:-2] + "\n"  # no comma after the last item
         out.append(closing_pad + "]")
-    elif _is_array(obj, 2):
+    elif _is_matrix(obj):
         _write_matrix(obj, out, level)
-    elif _is_array(obj, 1):
-        _write([float(v) for v in obj], out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -138,15 +136,15 @@ def _string(s: str) -> str:
     return json.dumps(s)
 
 
-def _is_array(obj: Any, ndim: int) -> bool:
-    """Whether ``obj`` is an ndarray of ``ndim`` dimensions.
+def _is_matrix(obj: Any) -> bool:
+    """Whether ``obj`` is a 2-D ndarray.
 
     Looked up in ``sys.modules``: an ndarray exists only once NumPy is
     loaded, so documents without one are written without importing it.
     """
 
     np = sys.modules.get("numpy")
-    return np is not None and isinstance(obj, np.ndarray) and obj.ndim == ndim
+    return np is not None and isinstance(obj, np.ndarray) and obj.ndim == 2
 
 
 def _write_matrix(m, out: list[str], level: int) -> None:

@@ -33,8 +33,7 @@ from .basis import _pair_entries, _staircase_rows, pauli_matrix
 from .channels import (
     DiagonalChannel,
     FamilyChannel,
-    _classical_block,
-    _classical_vectors,
+    _choi_blocks,
     _diagonal_view,
     diagonal_apply,
 )
@@ -422,8 +421,7 @@ def verify_det_recurrence(
     for p in np.linspace(-0.5, 0.5, grid):
         formula = dcq_det_formula(n, float(p))
         ch = FamilyChannel(Family.DCQ, float(p), n)
-        block = _classical_block(ch, _classical_vectors(ch)[1])
-        direct = float(np.linalg.det(block))
+        direct = float(np.linalg.det(_choi_blocks(ch)[0]))
         dev = abs(formula - direct)
         if dev > worst:
             worst, worst_p = dev, float(p)

@@ -35,15 +35,14 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .channels import DiagonalChannel, _classical_block, _classical_vectors, as_linear_map
+from .channels import DiagonalChannel, _choi_blocks, as_linear_map
 from .exact import DEFAULT_TOL, Tolerance, VerificationReport
-from .jsonio import _MAX_MAGNITUDE, finite_number, integer
+from .jsonio import integer
 from .linalg import _haar_vectors, _pair_index, _pair_plane, _steps
 
 __all__ = [
     "is_cptp",
     "constant_fnorm_criterion",
-    "expected_constant_norm",
     "constant_fnorm_sample_test",
 ]
 
@@ -60,14 +59,9 @@ def __getattr__(name: str) -> Any:
 def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Choi-based complete positivity check of a trace-preserving channel, O(n^3) time, O(n^2) memory.
 
-    The Choi matrix sum_ij E_ij ⊗ Phi(E_ij) of a channel object is block
-    diagonal: the n x n "classical" block on span{|ii>} has diagonal
-    D_ii and off-diagonal a_kl = (t_x + t_y)/2, and for each pair k < l a
-    2 x 2 block on span{|kl>, |lk>} is [[D_lk, b_kl], [b_kl, D_kl]] with
-    b_kl = (t_x - t_y)/2, where D[r, i] = Phi(E_rr)_ii.  D is symmetric
-    (the channel is self-adjoint) and row-constant below its diagonal, so
-    the classical block takes its diagonal G and each pair block's
-    eigenvalues are L_l +- |b_kl|, both from ``channels._classical_vectors``.
+    The Choi matrix is block diagonal (``channels._choi_blocks``): the
+    classical block, whose eigenvalues LAPACK gives, and for each pair
+    k < l a block [[L_l, b_kl], [b_kl, L_l]] with eigenvalues L_l +- |b_kl|.
     CP holds when the smallest eigenvalue is above -tol of the Choi norm.
 
     The Choi norm is sqrt(1 + |t|^2), with no Choi entry formed: the Choi
@@ -85,8 +79,8 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     ch = as_linear_map(ch)
     if ch.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
-    lower, diagonal = _classical_vectors(ch)
-    classical_min = float(np.linalg.eigvalsh(_classical_block(ch, diagonal))[0])
+    classical, lower = _choi_blocks(ch)
+    classical_min = float(np.linalg.eigvalsh(classical)[0])
     k, l = _pair_index(n)
     pair_mins = lower[l] - np.abs(ch.t_x - ch.t_y) / 2  # L_l - |b_kl|, in pair order
     worst = int(pair_mins.argmin())
@@ -106,24 +100,19 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
 def constant_fnorm_criterion(
     ch: DiagonalChannel, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, Optional[float]]:
-    """(holds, expected output norm) — holds iff all multiplier moduli agree."""
+    """(holds, expected output norm) — holds iff all multiplier moduli agree.
+
+    The norm, None where the criterion fails, is that of every pure input's
+    output: sqrt(1/n + t^2 (1 - 1/n)), with t the first modulus.
+    """
 
     ch = as_linear_map(ch)
     moduli = np.abs(ch.t)
     largest = np.maximum.reduce(moduli)
     if float(largest - np.minimum.reduce(moduli)) > tol.bound(float(largest)):
         return False, None
-    return True, _constant_norm(ch.dim, float(moduli[0]))
-
-
-def expected_constant_norm(n: int, t: float) -> float:
-    """Output Frobenius norm on pure inputs when all moduli equal |t|."""
-    return _constant_norm(integer(n, "dim", 2), finite_number(t, "t", _MAX_MAGNITUDE))
-
-
-def _constant_norm(n: int, t: float) -> float:
-    """``expected_constant_norm`` without its checks, for a channel's own dimension and multiplier."""
-    return sqrt(1 / n + t * t * (1 - 1 / n))
+    t = float(moduli[0])
+    return True, sqrt(1 / ch.dim + t * t * (1 - 1 / ch.dim))
 
 
 def _witness_norms(diag: DiagonalChannel, c: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ a ``QubitLambda``):
 ``state_labels`` spells out the names the sample test's witness text
 gives those states.
 
-The ``frozen_*`` functions are the bodies that ``is_cptp``,
-``channels._classical_block``, ``channels.diagonal_image`` and
+The ``frozen_*`` functions are the bodies that ``is_cptp``, the
+classical block of ``channels._choi_blocks``, ``channels.diagonal_image`` and
 ``verification._witness_norms`` had before the Choi data moved into one
 buffer per channel, with their integer staircase steps and their 2-D pair
 scatter; ``frozen_sample_path`` runs the sample test on them.  They are

@@ -41,7 +41,6 @@ from qchan.representations import (
 from qchan.verification import (
     constant_fnorm_criterion,
     constant_fnorm_sample_test,
-    expected_constant_norm,
     is_cptp,
 )
 
@@ -106,7 +105,7 @@ def test_criterion_02_constant_norm_on_pure_states():
         for family in FAMILIES:
             for p in _interior_params(family, n):
                 ch = FamilyChannel(family, float(p), n)
-                expected = expected_constant_norm(n, abs(float(p)))
+                expected = constant_fnorm_criterion(ch)[1]
                 for out in family_apply(ch, states):  # one apply per member, on the stack of all its states
                     dev = abs(frobenius_norm(out) - expected)
                     if dev > worst:

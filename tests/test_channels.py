@@ -209,8 +209,7 @@ class TestDiagonalPicture:
         t_y = np.array([1e100, -1e100, -0.5e100, 5e-324, -0.0, 0.1, -1e-17])
         diag = DiagonalChannel(5, np.concatenate([t_x, [0.0] * 3, t_y, [0.0] * 3, [0.0] * 4]))
         k, l = np.triu_indices(5, 1)
-        lower, diagonal = channels._classical_vectors(diag)
-        block = channels._classical_block(diag, diagonal)
+        block, lower = channels._choi_blocks(diag)
         # a is the classical Choi block off its diagonal; |b| is what is_cptp subtracts from
         # L_l for each pair block's smallest eigenvalue, in pair order.
         b = np.abs(diag.t_x - diag.t_y) / 2
@@ -511,7 +510,7 @@ class TestChoi:
         slack = 8 * n * np.finfo(float).eps * (1 + np.abs(t).max())
         d = diagonal_image(ch, np.eye(n))
         assert np.abs(d - d.T).max() <= slack
-        lower = channels._classical_vectors(ch)[0]
+        lower = channels._choi_blocks(ch)[1]
         b = np.abs(ch.t_x - ch.t_y) / 2
         choi = to_choi(ch, n)
         for q, (k, l) in enumerate(combinations(range(n), 2)):

@@ -1,7 +1,7 @@
 """The verdicts on fresh channel objects keep the bits of their frozen bodies.
 
-``is_cptp`` and ``_classical_block`` read D from two n-vectors
-(``channels._classical_vectors``: its lower triangle L and its diagonal G)
+``is_cptp`` reads D from two n-vectors (``channels._choi_blocks``: its
+lower triangle L, and its diagonal G on the classical block's diagonal)
 rather than from ``diagonal_image`` of the identity, and a and b from the
 multipliers, with no n x n buffer of Choi data.  D is symmetric, so its
 upper triangle is L too: the lower triangle and the diagonal keep the
@@ -61,10 +61,10 @@ def members(n):
 
 
 def assembled_d(ch):
-    """D of ``ch`` from the two vectors of ``_classical_vectors``: L at (l, k) and at (k, l), G on the diagonal."""
+    """D of ``ch`` from ``_choi_blocks``: L at (l, k) and at (k, l), G (the classical block's diagonal) on the diagonal."""
 
-    lower, diagonal = channels._classical_vectors(ch)
-    return _pair_plane(ch.dim, lower[_pair_index(ch.dim)[1]], diagonal)
+    block, lower = channels._choi_blocks(ch)
+    return _pair_plane(ch.dim, lower[_pair_index(ch.dim)[1]], np.diagonal(block))
 
 
 def assert_lower_keeps_the_frozen_bits(ch, d):
@@ -105,8 +105,7 @@ def assert_frozen_bits(make, samples=20, seed=3):
     assert [scale.hex() for scale in scales] == [choi_norm(make()).hex()]  # the CP bound, and no trace bound
     assert_rounding_close(scales[0], frobenius_norm(np.stack([d, a, b])), n)
     assert_lower_keeps_the_frozen_bits(make(), d)
-    diagonal = channels._classical_vectors(make())[1]
-    assert channels._classical_block(make(), diagonal).tobytes() == block.tobytes()
+    assert channels._choi_blocks(make())[0].tobytes() == block.tobytes()
     assert witness_norms(make()).tobytes() == frozen_witness_norms(make()).tobytes()
     got = constant_fnorm_sample_test(make(), n, samples=samples, seed=seed)
     with frozen_sample_path():

@@ -139,6 +139,7 @@ def test_records_nest_at_the_indentation_of_their_parent():
         object(),
         FamilyChannel(Family.DEP, 0.5, 3),
         DiagonalChannel(2, np.zeros(3)),
+        np.zeros(3),
     ],
 )
 def test_other_objects_are_rejected(value):

@@ -234,8 +234,7 @@ def test_sample_norms_come_from_the_multipliers(monkeypatch, make):
         raise OutputDiagonalBuilt
 
     for module in (channels, verification):
-        monkeypatch.setattr(module, "_classical_vectors", refuse)
-        monkeypatch.setattr(module, "_classical_block", refuse)
+        monkeypatch.setattr(module, "_choi_blocks", refuse)
     monkeypatch.setattr("qchan.channels.diagonal_image", refuse)
     monkeypatch.setattr(verification, "diagonal_image", refuse, raising=False)
     ch = make()  # a fresh object: no cached property computed yet

@@ -40,13 +40,9 @@ PUBLIC_NAMES = [
     "constant_fnorm_sample_test",
     "cptp_range",
     "dcq_det_formula",
-    "decompose",
     "diagonal_apply",
-    "expected_constant_norm",
-    "family_apply",
     "family_to_diagonal",
     "frobenius_norm",
-    "hermitian_eigenvalues",
     "inequivalence_certificate",
     "is_cptp",
     "kraus_from_family",
@@ -56,10 +52,8 @@ PUBLIC_NAMES = [
     "param_range",
     "pauli_matrix",
     "qubit_equivalence_check",
-    "reconstruct",
     "repr_coefficients",
     "spectrum_witness",
-    "to_choi",
     "validate_state",
     "verify_det_recurrence",
     "verify_representations",
@@ -74,7 +68,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(qchan, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 48
+    assert len(names) == 42
 
 
 def test_every_module_export_resolves():
@@ -128,7 +122,7 @@ def test_names_are_resolved_on_first_access():
         assert loaded == [], loaded
         assert "numpy" not in sys.modules
         names = [name for name in dir(qchan) if not name.startswith("_")]
-        assert len(names) == 48, names
+        assert len(names) == 42, names
         assert qchan.param_range(qchan.Family.DCQ, 3).p_max == 0.25
         assert qchan.inequivalence_certificate((qchan.Family.DEP, qchan.Family.TRD), 5).passed
         assert qchan.Tolerance() == qchan.DEFAULT_TOL

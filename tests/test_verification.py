@@ -15,7 +15,7 @@ from qchan import basis as basis_module
 from qchan import channels, exact, representations, verification
 from qchan.basis import build_basis, pauli_matrix
 from qchan.channels import DiagonalChannel, FamilyChannel, as_linear_map, family_to_diagonal
-from qchan.equivalence import qubit_equivalence_check
+from qchan.equivalence import qubit_equivalence_check, spectrum_witness
 from qchan.exact import Family, Tolerance, cptp_range, param_range, repr_coefficients
 from qchan.jsonio import SchemaError, dumps
 from qchan.linalg import frobenius_norm
@@ -30,7 +30,6 @@ from qchan.representations import (
 from qchan.verification import (
     constant_fnorm_criterion,
     constant_fnorm_sample_test,
-    expected_constant_norm,
     is_cptp,
 )
 
@@ -98,6 +97,18 @@ class TestParamRange:
         r = param_range(Family.DEP, 3)
         assert r.contains(0.0) and r.contains(1.0) and r.contains(-1 / 8)
         assert not r.contains(1.001)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_slack_is_one_tolerance_bound(self, family):
+        # Each endpoint admits DEFAULT_TOL's bound at the larger endpoint modulus past it, and no more:
+        # half that slack is inside, one and a half times it outside, and spectrum_witness refuses it.
+        r = param_range(family, 5)
+        slack = exact.DEFAULT_TOL.bound(max(abs(r.p_min), abs(r.p_max)))
+        assert r.contains(r.p_max + 0.5 * slack) and r.contains(r.p_min - 0.5 * slack)
+        assert not r.contains(r.p_max + 1.5 * slack)
+        assert not r.contains(r.p_min - 1.5 * slack)
+        with pytest.raises(ValueError, match="outside the CPTP range"):
+            spectrum_witness(family, r.p_max + 1.5 * slack, 5)
 
     @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 3.0])
     def test_dimension_must_be_an_integer_from_two(self, n):
@@ -242,19 +253,14 @@ class TestConstantNormCriterion:
         assert norm == pytest.approx(np.sqrt(3 / 8), abs=1e-15)
 
     def test_expected_norm_endpoints(self):
-        assert expected_constant_norm(4, 1.0) == pytest.approx(1.0)
-        assert expected_constant_norm(4, 0.0) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("t", [1e155, -1e155, 1.7e308])
-    def test_expected_norm_past_the_square_range(self, t):
-        # Such a modulus is past the magnitude bound of every channel's multipliers.
-        message = f"field 't': expected a number of magnitude at most 1e+100, got {t!r}"
-        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            expected_constant_norm(3, t)
+        expected_norm = lambda n, t: constant_fnorm_criterion(DiagonalChannel(n, np.full(n * n - 1, t)))[1]
+        assert expected_norm(4, 1.0) == pytest.approx(1.0)
+        assert expected_norm(4, 0.0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("t", [1e100, -1e100, 0.37])
     def test_expected_norm_keeps_its_bits_where_the_square_is_finite(self, t):
-        assert expected_constant_norm(3, t) == np.sqrt(1 / 3 + t * t * (1 - 1 / 3))
+        norm = constant_fnorm_criterion(DiagonalChannel(3, np.full(3 * 3 - 1, t)))[1]
+        assert norm == np.sqrt(1 / 3 + t * t * (1 - 1 / 3))
 
     def test_unequal_moduli_rejected(self):
         t = np.full(8, 0.3)
@@ -331,6 +337,29 @@ class TestSampleTest:
             norms[top], norms[bottom] = 0.75, 0.25
             report = verification._norm_spread_report(norms, n, Tolerance())
             assert report.witness.endswith(f"at {labels[top]}, min 0.250000000000 at {labels[bottom]}")
+
+    def test_spread_is_held_to_one_tolerance_bound(self):
+        # One modulus 1e-6 off: the verdict passes at a bound 4/3 of the spread and fails at 2/3 of it.
+        t = np.full(8, 0.3)
+        t[3] += 1e-6
+        ch = DiagonalChannel(3, t)
+        spread = constant_fnorm_sample_test(ch, 3, samples=20).max_deviation
+        assert spread > 0
+        assert constant_fnorm_sample_test(ch, 3, samples=20, tol=Tolerance(spread / 0.75, 0)).passed
+        assert not constant_fnorm_sample_test(ch, 3, samples=20, tol=Tolerance(spread / 1.5, 0)).passed
+
+    def test_a_state_past_the_cancellation_cut_is_summed_from_its_projector(self, monkeypatch):
+        # On t = (45, 0, 0) the signed sum of the Haar state v = (1, i)/sqrt(2) cancels to its squared
+        # output norm 0.5, of absolute terms summing to 2025.5 = 0.5 (1 + 2 * 45^2): it keeps between
+        # 2^-12 and 2^-10 of them, past the 2^-10 cut, so the sample test sums it from its projector.
+        v = np.array([[1.0, 1j]]) / np.sqrt(2)
+        monkeypatch.setattr(verification, "_haar_vectors", lambda n, samples, seed: iter([v]))
+        shapes = []
+        apply = channels.diagonal_apply
+        monkeypatch.setattr(channels, "diagonal_apply", lambda ch, s: shapes.append(np.shape(s)) or apply(ch, s))
+        report = constant_fnorm_sample_test(DiagonalChannel(2, [45.0, 0.0, 0.0]), 2, samples=1)
+        assert shapes == [(2, 2)]
+        assert report.samples_used == 5
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
@@ -440,7 +469,7 @@ class TestDeterminant:
     def test_matrix_layout(self):
         # The determinant is LAPACK's on the dcq member's classical Choi block.
         ch = family_to_diagonal(FamilyChannel(Family.DCQ, 0.2, 3))
-        m = channels._classical_block(ch, channels._classical_vectors(ch)[1])
+        m = channels._choi_blocks(ch)[0]
         assert m[0, 0] == pytest.approx(0.2 + 0.8 / 3)
         assert m[0, 1] == -0.2
 
