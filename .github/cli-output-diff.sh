@@ -36,6 +36,13 @@
 #   (trd) and in the classical block (dcq), and `detcheck --dim 200`;
 # - a loose --tol: two members far outside the range that pass the CP
 #   bound (dep at p = 1e100 and at p = 10).
+# - the closed-form CP verdict of sector-constant channels: exact ties
+#   (dep above p = 1, where the classical and the pair blocks share the
+#   smallest eigenvalue, and trd and tcq above p_max at n = 64, where every
+#   pair block does), dep below p_min at n = 64, dcq at n = 4000, and a
+#   sector-constant diagonal file that is no family (`sector.json`), beside
+#   the same file with one entry an ulp off (`sector_ulp.json`), which takes
+#   the Choi blocks;
 # - the sample test's mean deviation on equal norms (dep at p = 0), which
 #   must read 0 with the spread, on the witness states alone and with Haar
 #   samples, whose identity term is the exact 1/n of a unit trace;
@@ -84,6 +91,10 @@ printf '{"kind": "diagonal", "dim": 2, "t": [0, 0, 3000618250.613841]}\n' > "$wo
 printf '{"kind": "family", "family": "dep", "p": 1e155, "dim": 3}\n' > "$work/huge_p.json"
 printf '{"kind": "diagonal", "dim": 4, "t": [0.1, -0.2, 0.3, 0.05, -0.15, 0.25, 0.2, 0.1, -0.3, 0.15, 0.05, -0.25, 0.0, -0.0, 1e100]}\n' \
     > "$work/signed_zero_z.json"
+printf '{"kind": "diagonal", "dim": 4, "t": [0.3, 0.3, 0.3, 0.3, 0.3, 0.3, -0.6, -0.6, -0.6, -0.6, -0.6, -0.6, 0.2, 0.2, 0.2]}\n' \
+    > "$work/sector.json"
+printf '{"kind": "diagonal", "dim": 4, "t": [0.3, 0.3, 0.3, 0.30000000000000004, 0.3, 0.3, -0.6, -0.6, -0.6, -0.6, -0.6, -0.6, 0.2, 0.2, 0.2]}\n' \
+    > "$work/sector_ulp.json"
 # n = 64 with t_x and t_y moduli that differ pair by pair: the sample test's signed Delta forms at size.
 python -c '
 import json
@@ -225,6 +236,13 @@ commands=(
     "verify cptp --family dep --dim"
     "witness --pair trd,dcq --dim 7 --p -0.07"
     "certify --pair dep,tcq --dim 4 --p 0.2"
+    "verify cptp --family dep --dim 5 --p 1.5"
+    "verify cptp --family trd --dim 64 --p 0.05"
+    "verify cptp --family tcq --dim 64 --p 0.05"
+    "verify cptp --family dep --dim 64 --p -0.001"
+    "verify cptp --channel $work/sector.json"
+    "verify cptp --channel $work/sector_ulp.json"
+    "verify cptp --family dcq --dim 4000 --p 0.0001"
 )
 
 run() {  # run LABEL TREE INDEX ARGS...: record stdout, stderr and exit code

@@ -32,6 +32,7 @@ from .exact import (
     DEFAULT_TOL,
     Family,
     Tolerance,
+    _family_json,
     _Frozen,
     family_from_name,
     pair_count,
@@ -335,7 +336,7 @@ def validate_state(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def channel_to_json(ch: DiagonalChannel) -> dict:
     if isinstance(ch, FamilyChannel):
-        return {"kind": "family", "family": ch.family.value, "p": float(ch.p), "dim": int(ch.dim)}
+        return _family_json(ch.family, ch.p, ch.dim)
     if isinstance(ch, DiagonalChannel):
         return {"kind": "diagonal", "dim": int(ch.dim), "t": [float(v) for v in ch.t]}
     raise TypeError(f"expected FamilyChannel or DiagonalChannel, got {type(ch).__name__}")

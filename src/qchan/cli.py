@@ -34,14 +34,17 @@ typing.
 Only :mod:`qchan.exact` and :mod:`qchan.jsonio` are imported up front.  A
 handler imports the modules it runs (and with them NumPy) only once its
 input files have passed the checks that need no linear algebra, so
-``range``, ``certify``, ``witness`` and every flag error run without
-loading NumPy.  Code sits in the modules of the commands
-that run it, so that a process without bytecode caches compiles little
-else.  Besides those two, ``range`` loads nothing; ``certify`` and
-``witness`` :mod:`qchan.equivalence`, whose certificates, spectrum
-witnesses included, are exact and NumPy-free; ``verify`` channels, linalg
-and verification; ``channel apply`` channels and linalg; ``basis`` basis
-and linalg; ``identities`` and ``detcheck`` basis, channels, linalg and
+``range``, ``certify``, ``witness``, ``verify cptp`` with an inline
+``--family`` channel and every flag error run without loading NumPy.
+Code sits in the modules of the commands that run it, so that a process
+without bytecode caches compiles little else.  Besides those two,
+``range`` and ``verify cptp --family`` load nothing (the latter's report
+is ``exact._sector_cptp``'s, from the member's closed-form Choi
+spectrum, after the size guard); ``certify`` and ``witness``
+:mod:`qchan.equivalence`, whose certificates, spectrum witnesses
+included, are exact and NumPy-free; ``verify constant-norm`` and
+``verify cptp --channel`` channels, linalg and verification; ``channel
+apply`` channels and linalg; ``basis`` basis and linalg; ``identities`` and ``detcheck`` basis, channels, linalg and
 representations; ``qubit-equiv`` basis, channels, equivalence and linalg;
 ``report`` all of them, and :mod:`qchan.report`, which holds the body of
 ``report`` and which no other command imports.
@@ -70,11 +73,14 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn, Optional
 
 from . import jsonio
 from .exact import (
+    _SIGNS,
     FAMILY_NAMES,
     Family,
     Tolerance,
     _check_peak_bytes,
+    _family_json,
     _is_mixed,
+    _sector_cptp,
     family_from_name,
     param_range,
 )
@@ -137,8 +143,9 @@ def _load_json_file(path: str) -> Any:
 def _load_channel(args: Any, samples: int = 0) -> Any:
     """The channel of a verify command, refused if the check with ``samples`` Haar states would pass 2 GiB.
 
-    A ``--channel`` file is parsed before the size guard, an inline
-    ``--family`` channel built after it.  A file given with any inline
+    A ``--channel`` file is parsed before the size guard and returned.  An
+    inline ``--family`` channel passes the guard and is returned as None,
+    for the handler to build as it needs.  A file given with any inline
     flag is refused, since one of the two would be ignored.
     """
 
@@ -155,9 +162,7 @@ def _load_channel(args: Any, samples: int = 0) -> Any:
     if args.family is None or args.dim is None or args.p is None:
         raise SchemaError("channel", "provide --channel FILE or all of --family/--dim/--p")
     _check_peak_bytes(f"verify {args.verify_command}", args.dim, samples)
-    from .channels import FamilyChannel
-
-    return FamilyChannel(family=args.family, p=args.p, dim=args.dim)
+    return None
 
 
 def _parse_pair(text: str) -> tuple[Family, Family]:
@@ -249,6 +254,10 @@ def _cmd_range(args: Any) -> tuple[Any, bool]:
 def _cmd_verify_cptp(args: Any) -> tuple[Any, bool]:
     channel = _load_channel(args)
     kwargs = _tol_kwargs(args)
+    if channel is None:  # a family member: is_cptp's report from its closed-form Choi spectrum, with no NumPy
+        x, y, z = (s * args.p for s in _SIGNS[args.family])
+        report = _sector_cptp(x, y, z, args.dim, **kwargs)
+        return _report_payload("verify-cptp", report, channel=_family_json(args.family, args.p, args.dim))
     from .channels import channel_to_json
     from .verification import is_cptp
 
@@ -259,9 +268,11 @@ def _cmd_verify_cptp(args: Any) -> tuple[Any, bool]:
 def _cmd_verify_constant_norm(args: Any) -> tuple[Any, bool]:
     channel = _load_channel(args, args.samples)
     kwargs = _tol_kwargs(args)
-    from .channels import channel_to_json
+    from .channels import FamilyChannel, channel_to_json
     from .verification import constant_fnorm_criterion, constant_fnorm_sample_test
 
+    if channel is None:
+        channel = FamilyChannel(family=args.family, p=args.p, dim=args.dim)
     holds, expected = constant_fnorm_criterion(channel, **kwargs)
     report = constant_fnorm_sample_test(
         channel, channel.dim, samples=args.samples, seed=args.seed, **kwargs

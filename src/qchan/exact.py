@@ -1,12 +1,15 @@
 """The part of qchan that needs no linear algebra, importable without NumPy.
 
 The paper's exact claims are rational arithmetic in n: the families' CPTP
-intervals and the conjugation-sum weights of ``repr_coefficients``.  They
-live here with what they rest on (tolerances, family names and sign
-patterns, the size guards) and with the result records every numeric
-module returns: ``typing.NamedTuple`` classes, whose ``Any`` fields hold
-the arrays of the numeric modules.  The channels and the basis, which
-validate, cache or act, derive from ``_Frozen`` here instead.  The
+intervals, the conjugation-sum weights of ``repr_coefficients``, and the
+CP verdict of every channel whose multipliers are constant on each sector
+(the four families among them), which ``_sector_cptp`` takes from its
+four Choi eigenvalues in integers.  They live here with what they rest
+on (tolerances, family names and sign patterns, the size guards) and
+with the result records every numeric module returns:
+``typing.NamedTuple`` classes, whose ``Any`` fields hold the arrays of
+the numeric modules.  The channels and the basis, which validate, cache
+or act, derive from ``_Frozen`` here instead.  The
 bound-matching certificates, which only ``certify``, ``witness`` and
 ``report`` run, are in :mod:`qchan.equivalence`.
 Importing this module loads neither NumPy nor ``fractions``, and no qchan
@@ -328,7 +331,8 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
     (t_x, t_y, t_z) = p * signs.  The e-weights are the Choi eigenvalues
     that ``is_cptp`` checks (e0 once and ez n-1 times in the classical
     block, ex and ey in each pair block), so both expansions are Kraus
-    sets exactly on the CPTP range.  A ``Fraction`` p gives exact weights.
+    sets exactly on the CPTP range.  A ``Fraction`` p gives exact weights;
+    :func:`_sector_choi_spectrum` gives them, times 2n, as integers.
     """
 
     n = integer(n, "dim", 2)
@@ -339,6 +343,61 @@ def repr_coefficients(family: Family, p: float, n: int) -> ReprCoefficients:
     cz = (t_z + u - (t_x + t_y) / 2) / n
     c0 = cz + (t_x + t_y) / 2
     return ReprCoefficients(c0, cx, cy, cz, e0=n * c0, ex=2 * cx, ey=2 * cy, ez=n * cz)
+
+
+def _sector_choi_spectrum(x: float, y: float, z: float, n: int) -> tuple[int, int, int, int, int]:
+    """(e0, ez, ex, ey, den): the Choi eigenvalues of a sector-constant channel, as integers over den.
+
+    The channel's multipliers are x on every pair's x sector, y on every y
+    and z on every staircase element.  Write x, y and z over their least
+    common denominator d (``as_integer_ratio``: a power of two for floats;
+    ``Fraction`` values are exact too); then den = 2 n d and
+
+        e0 = 2(d - z) + 2nz + n(n-1)(x + y)   once, in the classical block,
+        ez = 2(d - z) + 2nz - n(x + y)        n - 1 times, in the classical block,
+        ex, ey = 2(d - z) +- n(x - y)         once each in every pair block.
+
+    On a family member these are 2n times the e-weights of :func:`repr_coefficients`.
+    """
+
+    (x, dx), (y, dy), (z, dz) = (v.as_integer_ratio() for v in (x, y, z))
+    d = math.lcm(dx, dy, dz)
+    x, y, z = x * (d // dx), y * (d // dy), z * (d // dz)
+    base = 2 * (d - z)
+    classical = base + 2 * n * z
+    e0, ez = classical + n * (n - 1) * (x + y), classical - n * (x + y)
+    return e0, ez, base + n * (x - y), base - n * (x - y), 2 * n * d
+
+
+def _sector_cptp(x: float, y: float, z: float, n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+    """``verification.is_cptp``'s report on a channel whose multipliers are constant on each sector, in O(1).
+
+    The smallest Choi eigenvalue is the least of :func:`_sector_choi_spectrum`'s
+    four integers, so it is found exactly, then divided by den and rounded
+    once.  The classical block wins a tie, as it does in the block path;
+    otherwise every pair block holds it, and the first, (1,2), is named.
+    The threshold's scale is the Choi norm sqrt(1 + |t|^2), with
+    |t|^2 = n(n-1)/2 (x^2 + y^2) + (n-1) z^2.
+    """
+
+    e0, ez, ex, ey, den = _sector_choi_spectrum(x, y, z, n)
+    classical, pair = min(e0, ez), min(ex, ey)
+    smallest = min(classical, pair) / den
+    scale = math.hypot(1.0, math.hypot(x, y) * math.sqrt(n * (n - 1) // 2), z * math.sqrt(n - 1))
+    passed = smallest >= -tol.bound(scale)
+    where = " in classical block" if classical <= pair else " in pair block (1,2)"
+    return VerificationReport(
+        passed=passed,
+        min_choi_eigenvalue=smallest,
+        trace_violation=0.0,
+        witness=None if passed else f"negative Choi eigenvalue {smallest:.6e}{where}",
+    )
+
+
+def _family_json(family: Family, p: float, dim: int) -> dict:
+    """The JSON object of a family member: ``channels.channel_to_json``'s, and ``verify cptp --family``'s."""
+
+    return {"kind": "family", "family": family.value, "p": float(p), "dim": int(dim)}
 
 
 # The to-classical families, whose closed forms add 2p d(S).

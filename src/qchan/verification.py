@@ -11,7 +11,9 @@ re-running the computation.  The conventions:
   come by Parseval straight from the multipliers, in O(n^2) for all n^2
   witness states and per Haar state, with no projector built;
 * complete positivity is decided by the smallest Choi eigenvalue with a
-  threshold scaled to the Choi matrix's Frobenius norm;
+  threshold scaled to the Choi matrix's Frobenius norm; that eigenvalue
+  is exact, in O(1), for multipliers constant on each sector, and comes
+  block by block otherwise;
 * trace preservation holds by construction (the identity multiplier is 1,
   every other basis element traceless), so no verdict measures it;
 * the constant-norm criterion for diagonal channels is that all n^2 - 1
@@ -35,8 +37,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .channels import DiagonalChannel, _choi_blocks, as_linear_map
-from .exact import DEFAULT_TOL, Tolerance, VerificationReport
+from .channels import DiagonalChannel, FamilyChannel, _choi_blocks, as_linear_map
+from .exact import _SIGNS, DEFAULT_TOL, Tolerance, VerificationReport, _sector_cptp
 from .jsonio import integer
 from .linalg import _haar_vectors, _pair_index, _pair_plane, _steps
 
@@ -57,19 +59,17 @@ def __getattr__(name: str) -> Any:
 
 
 def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
-    """Choi-based complete positivity check of a trace-preserving channel, O(n^3) time, O(n^2) memory.
+    """Choi-based complete positivity check of a trace-preserving channel.
 
-    The Choi matrix is block diagonal (``channels._choi_blocks``): the
-    classical block, whose eigenvalues LAPACK gives, and for each pair
-    k < l a block [[L_l, b_kl], [b_kl, L_l]] with eigenvalues L_l +- |b_kl|.
-    CP holds when the smallest eigenvalue is above -tol of the Choi norm.
-
-    The Choi norm is sqrt(1 + |t|^2), with no Choi entry formed: the Choi
-    matrix's entries are those of the superoperator in the matrix-unit
-    basis, reshuffled, and in the orthonormal Hermitian basis, whose
-    change from that basis is unitary, the superoperator is diag(1, t).
-    It is hypot(1, sqrt(t . t)), one dot product with the bits of
-    ``frobenius_norm(t)``, and cannot overflow: every |t_i| is at most 1e100.
+    CP holds when the smallest Choi eigenvalue is above -tol of the Choi
+    norm.  A channel whose t_x, t_y and t_z are each constant, bit for bit
+    (every family member, and any diagonal channel with such multipliers),
+    has four Choi eigenvalues in closed form: ``exact._sector_cptp`` finds
+    the smallest exactly, in O(1) time and memory, with no array formed.
+    Any other channel goes block by block (:func:`_block_cptp`), in
+    O(n^3) time and O(n^2) memory.  A channel is sent by its multipliers
+    alone, so a member and ``DiagonalChannel(n, member.t)`` get the same
+    report.
 
     Trace preservation holds by construction, so ``trace_violation`` is 0.0
     (D's row sums would lose their 1/n terms next to multipliers of 1e100);
@@ -79,9 +79,45 @@ def is_cptp(ch: DiagonalChannel, n: int, tol: Tolerance = DEFAULT_TOL) -> Verifi
     ch = as_linear_map(ch)
     if ch.dim != n:
         raise ValueError(f"dimension mismatch: channel dim {ch.dim}, n={n}")
+    sectors = _sector_values(ch)
+    if sectors is not None:
+        return _sector_cptp(*sectors, n, tol)
+    return _block_cptp(ch, tol)
+
+
+def _sector_values(ch: DiagonalChannel) -> Optional[tuple[float, float, float]]:
+    """(x, y, z) if t_x, t_y and t_z are each constant, bit for bit, else None.
+
+    A family member's are its signs times p, the values its ``t`` holds, so its ``t`` is not built.
+    """
+
+    if isinstance(ch, FamilyChannel):
+        return tuple(s * ch.p for s in _SIGNS[ch.family])
+    for part in (ch.t_x, ch.t_y, ch.t_z):
+        bits = part.view(np.int64)
+        if (bits != bits[0]).any():
+            return None
+    return float(ch.t_x[0]), float(ch.t_y[0]), float(ch.t_z[0])
+
+
+def _block_cptp(ch: DiagonalChannel, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+    """:func:`is_cptp`'s report from the Choi blocks, for any channel: O(n^3) time, O(n^2) memory.
+
+    The Choi matrix is block diagonal (``channels._choi_blocks``): the
+    classical block, whose eigenvalues LAPACK gives, and for each pair
+    k < l a block [[L_l, b_kl], [b_kl, L_l]] with eigenvalues L_l +- |b_kl|.
+
+    The Choi norm is sqrt(1 + |t|^2), with no Choi entry formed: the Choi
+    matrix's entries are those of the superoperator in the matrix-unit
+    basis, reshuffled, and in the orthonormal Hermitian basis, whose
+    change from that basis is unitary, the superoperator is diag(1, t).
+    It is hypot(1, sqrt(t . t)), one dot product with the bits of
+    ``frobenius_norm(t)``, and cannot overflow: every |t_i| is at most 1e100.
+    """
+
     classical, lower = _choi_blocks(ch)
     classical_min = float(np.linalg.eigvalsh(classical)[0])
-    k, l = _pair_index(n)
+    k, l = _pair_index(ch.dim)
     pair_mins = lower[l] - np.abs(ch.t_x - ch.t_y) / 2  # L_l - |b_kl|, in pair order
     worst = int(pair_mins.argmin())
     if classical_min <= pair_mins[worst]:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import cli, exact, linalg, representations
+from qchan import cli, exact, linalg, representations, verification
 from qchan.channels import DiagonalChannel, FamilyChannel, channel_to_json, family_to_diagonal
 from qchan.cli import main
 from qchan.equivalence import qubit_equivalence_check
@@ -172,6 +172,20 @@ class TestVerifyCptp:
         ch = write_json(tmp_path / "d.json", channel_to_json(diag))
         code, out, _ = run_cli(capsys, "verify", "cptp", "--channel", ch)
         assert code == 0
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_inline_family_prints_the_bytes_of_its_file(self, tmp_path, capsys, family):
+        # Inline, the report comes from exact._sector_cptp with no channel built; from a file, through is_cptp.
+        for n in range(2, 9):
+            r = exact.param_range(family, n)
+            for p in (r.p_min, r.p_max, 0.0, r.p_min - 0.01, r.p_max + 0.01, -0.3, 1.5, 1e100):
+                member = FamilyChannel(family, p, n)
+                inline = run_cli(capsys, "verify", "cptp", "--family", family.value, "--dim", str(n), "--p", repr(p))
+                ch = write_json(tmp_path / "member.json", channel_to_json(member))
+                assert run_cli(capsys, "verify", "cptp", "--channel", ch) == inline
+                diag = write_json(tmp_path / "diagonal.json", channel_to_json(family_to_diagonal(member)))
+                code, out, err = run_cli(capsys, "verify", "cptp", "--channel", diag)
+                assert (code, json.loads(out)["report"], err) == (inline[0], json.loads(inline[1])["report"], inline[2])
 
     def test_incomplete_inline_args(self, capsys):
         code, _, err = run_cli(capsys, "verify", "cptp", "--family", "dep", "--dim", "3")
@@ -730,6 +744,13 @@ def peak_case(command, kind, line, sizes, body=None):
 
 
 UNEQUAL_MULTIPLIERS = {"kind": "diagonal", "dim": 3, "t": [0.1, 0.2, 0.3, -0.15, 0.25, 0.05, 0.12, -0.08]}
+
+
+def spread(n):
+    """A diagonal channel at dim n whose multipliers vary within each sector, so ``is_cptp`` takes its Choi blocks."""
+    return DiagonalChannel(n, ((7 * np.arange(n * n - 1)) % 101 - 50) / 200)
+
+
 NORM = "verify constant-norm --family tcq --p 0.001"
 SAMPLES = (10**4, 5 * 10**4)
 
@@ -737,7 +758,10 @@ SAMPLES = (10**4, 5 * 10**4)
 # each runs at: dimensions, or item counts (Haar samples or grid points).  The
 # representation checks share the identities row's trial stacks.
 PEAK_CASES = [
-    peak_case("verify cptp", "dim", "verify cptp --family dep --p 0.1 --dim {}", (256, 512)),
+    peak_case(
+        "verify cptp", "dim", "is_cptp(spread(N), N)", (256, 512),
+        lambda n, where: verification.is_cptp(spread(n), n),
+    ),
     peak_case("verify constant-norm", "dim", NORM + " --samples 100 --dim {}", (256, 512)),
     peak_case("verify constant-norm", "items", NORM + " --dim 3 --samples {}", SAMPLES),
     peak_case("verify constant-norm", "items", NORM + " --dim 64 --samples {}", (2000, 10**4)),
@@ -1276,11 +1300,12 @@ COMMAND_MODULES = [
         {"equivalence"},
         id="witness",
     ),
+    pytest.param(["verify", "cptp", "--family", "dep", "--dim", "5", "--p", "0.1"], 0, set(), id="verify-cptp"),
     pytest.param(
-        ["verify", "cptp", "--family", "dep", "--dim", "5", "--p", "0.1"],
+        ["verify", "cptp", "--channel", "channel.json"],
         0,
         {"channels", "linalg", "verification"},
-        id="verify-cptp",
+        id="verify-cptp-channel",
     ),
     pytest.param(
         ["verify", "constant-norm", "--family", "tcq", "--dim", "4", "--p", "0.1", "--samples", "20"],
@@ -1343,11 +1368,16 @@ class TestBlasThreads:
     """``cli.run`` sets each unset BLAS thread-count variable to 1 before NumPy loads.
 
     At n = 800 the smallest Choi eigenvalue of this command (not CP: exit 1)
-    rounds differently on two BLAS threads than on one.
+    rounds differently on two BLAS threads than on one.  Its channel is the
+    dcq member at p = 0.0001 with one multiplier an ulp off, so that the
+    classical block goes to LAPACK rather than to the closed form.
     """
 
     def test_stdout_is_the_one_thread_stdout(self, tmp_path):
-        argv = ["verify", "cptp", "--family", "dcq", "--dim", "800", "--p", "0.0001"]
+        t = family_to_diagonal(FamilyChannel(Family.DCQ, 0.0001, 800)).t.tolist()
+        t[0] = math.nextafter(t[0], 0.0)
+        write_json(tmp_path / "dcq_800.json", {"kind": "diagonal", "dim": 800, "t": t})
+        argv = ["verify", "cptp", "--channel", "dcq_800.json"]
         variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         src = Path(__file__).resolve().parents[1] / "src"
         env = {k: v for k, v in os.environ.items() if k not in variables}
@@ -1404,6 +1434,10 @@ class TestNumpyFreeCommands:
             (["qubit-equiv", "--p", "0.5", "--seed", "-1"], 2),
             (["certify", "--pair", "dep,dcq", "--dim", "16"], 0),
             (["witness", "--pair", "trd,tcq", "--dim", "7", "--p", "-0.07"], 0),
+            (["verify", "cptp", "--family", "dcq", "--dim", "6", "--p", "0.02"], 0),
+            (["verify", "cptp", "--family", "trd", "--dim", "64", "--p", "0.05"], 1),
+            (["verify", "cptp", "--family", "tcq", "--dim", "5", "--p", "-0.3"], 1),
+            (["verify", "cptp", "--family", "dep", "--dim", "2", "--p", "1e100", "--tol", "0.4"], 0),
         ],
     )
     def test_runs_without_numpy(self, tmp_path, argv, code):
@@ -1456,20 +1490,22 @@ class TestNumpyFreeCommands:
 
     def test_numeric_commands_load_numpy(self, tmp_path):
         # The probe can tell: a command that needs linear algebra loads NumPy.
-        argv = ["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1"]
+        write_json(tmp_path / "unequal.json", UNEQUAL_MULTIPLIERS)
+        argv = ["verify", "cptp", "--channel", "unequal.json"]
         code, added = _run_numpy_probe(argv, tmp_path)
         assert code == 0 and "numpy" in added
 
     @pytest.mark.parametrize(
         "argv, draws",
         [
-            (["verify", "cptp", "--family", "dep", "--dim", "3", "--p", "0.1"], False),
+            (["verify", "cptp", "--channel", "unequal.json"], False),
             (["verify", "constant-norm", "--family", "tcq", "--dim", "5", "--p", "0.01", "--samples", "0"], False),
             (["verify", "constant-norm", "--family", "tcq", "--dim", "5", "--p", "0.01", "--samples", "1"], True),
         ],
     )
     def test_only_commands_that_draw_load_the_generator(self, tmp_path, argv, draws):
         # Zero samples draw nothing, so numpy.random (about 10 ms to import) stays unloaded.
+        write_json(tmp_path / "unequal.json", UNEQUAL_MULTIPLIERS)
         code, added = _run_numpy_probe(argv, tmp_path)
         assert code == 0 and "numpy" in added
         assert ("numpy.random" in added) == draws

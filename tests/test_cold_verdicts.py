@@ -1,9 +1,12 @@
 """The verdicts on fresh channel objects keep the bits of their frozen bodies.
 
-``is_cptp`` reads D from two n-vectors (``channels._choi_blocks``: its
-lower triangle L, and its diagonal G on the classical block's diagonal)
-rather than from ``diagonal_image`` of the identity, and a and b from the
-multipliers, with no n x n buffer of Choi data.  D is symmetric, so its
+The block path of ``is_cptp`` (``verification._block_cptp``, which
+decides every channel whose multipliers are not constant on each sector,
+and which these pins run on every channel) reads D from two n-vectors
+(``channels._choi_blocks``: its lower triangle L, and its diagonal G on
+the classical block's diagonal) rather than from ``diagonal_image`` of
+the identity, and a and b from the multipliers, with no n x n buffer of
+Choi data.  D is symmetric, so its
 upper triangle is L too: the lower triangle and the diagonal keep the
 frozen bits, and the frozen upper triangle, which ``diagonal_image``
 rounds another way, is held to them to rounding in ``test_channels.py``.
@@ -12,7 +15,7 @@ rounds another way, is held to them to rounding in ``test_channels.py``.
 give ``repr``-equal reports and ``tobytes()``-equal arrays to the bodies
 it replaced (``dense_oracles.frozen_*``), while ``dense_is_cptp`` still
 decides the CP verdicts independently.  The Choi norm that scales the CP
-threshold is printed nowhere; is_cptp takes it as sqrt(1 + |t|^2), which
+threshold is printed nowhere; the block path takes it as sqrt(1 + |t|^2), which
 is pinned as computed and held to the Frobenius norm of the frozen
 (D, a, b) data, and of the dense Choi matrix, to rounding.
 """
@@ -98,8 +101,10 @@ def assert_frozen_bits(make, samples=20, seed=3):
     scales = []
     bound = Tolerance.bound
     with mock.patch.object(Tolerance, "bound", lambda tol, scale: scales.append(scale) or bound(tol, scale)):
-        report = is_cptp(ch, n)
+        report = verification._block_cptp(ch)
     assert repr(report) == repr(frozen_is_cptp(make(), n))
+    if verification._sector_values(make()) is None:
+        assert repr(is_cptp(make(), n)) == repr(report)
     block, d = frozen_classical_block(make())
     a, b = frozen_pair_weights(make())
     assert [scale.hex() for scale in scales] == [choi_norm(make()).hex()]  # the CP bound, and no trace bound
@@ -163,7 +168,7 @@ def test_choi_data_from_two_vectors_keeps_the_frozen_bits(ch):
     fresh = lambda: ch.__class__(*ch._values())
     d = frozen_diagonal_image(fresh(), np.eye(n))
     assert_lower_keeps_the_frozen_bits(fresh(), d)
-    assert repr(is_cptp(fresh(), n)) == repr(frozen_is_cptp(fresh(), n))
+    assert repr(verification._block_cptp(fresh())) == repr(frozen_is_cptp(fresh(), n))
     assert_rounding_close(choi_norm(fresh()), frobenius_norm(np.stack([d, *frozen_pair_weights(fresh())])), n)
 
 
@@ -189,7 +194,7 @@ def test_cp_scale_is_hypot_of_the_frobenius_norm_at_the_bound(ch):
     scales = []
     bound = Tolerance.bound
     with mock.patch.object(Tolerance, "bound", lambda tol, scale: scales.append(scale) or bound(tol, scale)):
-        is_cptp(ch, ch.dim)
+        verification._block_cptp(ch)
     assert scales[0].hex() == math.hypot(1.0, frobenius_norm(ch.t)).hex()
     assert math.isfinite(scales[0])
 
@@ -261,7 +266,7 @@ def test_every_benchmark_request_keeps_the_frozen_verdicts():
     for req in lib_verdict_requests():
         n, samples, seed = req["n"], req["samples"], req["seed"]
         ch = request_channel(req)
-        assert repr(is_cptp(ch, n)) == repr(frozen_is_cptp(request_channel(req), n))
+        assert repr(verification._block_cptp(ch)) == repr(frozen_is_cptp(request_channel(req), n))
         assert constant_fnorm_criterion(ch) == constant_fnorm_criterion(request_channel(req))
         got = constant_fnorm_sample_test(ch, n, samples=samples, seed=seed)
         with frozen_sample_path():
